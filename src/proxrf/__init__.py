@@ -62,9 +62,11 @@ from .errors import (
 from .evaluate import (
     ConfusionMatrix,
     EvalReport,
+    Pipeline,
     PipelineConfig,
     ablation,
     cross_dataset,
+    cue_columns,
     evaluate_predictions,
     kfold_evaluate,
 )
@@ -73,8 +75,6 @@ from .forest import (
     LabeledSample,
     RandomForest,
     deserialize,
-    feature_importance,
-    predict,
     serialize,
     train,
 )

@@ -303,14 +303,20 @@ def compute_cbd(
 
 
 def classify_collective(descriptor: CbdDescriptor, model) -> tuple:
-    """Forest vote over one descriptor: (label, per-class vote fractions)."""
+    """Forest vote over one descriptor: (label, per-class vote fractions).
+
+    Votes are mapped to labels by the model's class names, so a model
+    trained on a subset of the labels (cross_dataset after a drop)
+    scores correctly.
+    """
     try:
         votes = model.vote_fractions(descriptor.vector()[None, :])[0]
     except ShapeMismatch as e:
         raise ModelShapeMismatch(str(e)) from None
-    n = len(_COLLECTIVE_ORDER)
-    if len(votes) > n:
-        raise ModelShapeMismatch(f"model votes over {len(votes)} classes, expected <= {n}")
-    probs = np.zeros(n)
-    probs[: len(votes)] = votes
+    probs = np.zeros(len(_COLLECTIVE_ORDER))
+    for name, share in zip(model.class_names, votes):
+        try:
+            probs[CollectiveLabel(name).class_id] = share
+        except ValueError:
+            raise ModelShapeMismatch(f"model class {name!r} is no collective label") from None
     return _COLLECTIVE_ORDER[int(np.argmax(probs))], probs

@@ -14,20 +14,18 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .cbd import CollectiveLabel
 from .config import RunConfig, load_run_config
 from .dataset import (
     LAYOUTS,
     FOOT_POINTS,
     FoldSplit,
-    _atomic_write,
     adapt_external,
+    atomic_write,
     read_corpus,
     write_corpus,
 )
@@ -46,15 +44,14 @@ from .errors import (
 )
 from .evaluate import (
     EvalReport,
+    Pipeline,
     PipelineConfig,
-    _collective_matrix,
-    _fold_seeds,
-    _SceneData,
-    _train_stage1,
     cross_dataset,
+    cue_columns,
+    fold_seeds,
     kfold_evaluate,
 )
-from .forest import LabeledSample, RandomForest, deserialize, serialize, train
+from .forest import RandomForest, deserialize, serialize
 from .synth import (
     SynthParams,
     make_collective_corpus,
@@ -97,17 +94,14 @@ def _read_model(path: str) -> RandomForest:
 
 def _write_model(model: RandomForest, path: str):
     _makedirs_for(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(serialize(model))
-    os.replace(tmp, path)
+    atomic_write(path, serialize(model))
 
 
 def _write_report(report: EvalReport, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
-    _atomic_write(os.path.join(out_dir, "confusion.txt"), report.confusion.text() + "\n")
-    _atomic_write(os.path.join(out_dir, "per_class.csv"), report.per_class_csv())
+    atomic_write(os.path.join(out_dir, "report.json"), report.to_json() + "\n")
+    atomic_write(os.path.join(out_dir, "confusion.txt"), report.confusion.text() + "\n")
+    atomic_write(os.path.join(out_dir, "per_class.csv"), report.per_class_csv())
     return out_dir
 
 
@@ -121,16 +115,12 @@ def _check_stage1_shape(model: RandomForest, cfg: PipelineConfig):
 
 
 def _check_stage2_shape(model: RandomForest, cfg: PipelineConfig):
-    want = 9 if cfg.include_shape else 8
+    want = len(cue_columns(cfg.cues))
     if model.feature_count != want:
         raise ModelShapeMismatch(
             f"collective model expects {model.feature_count} features, "
             f"but the configured descriptor has {want}"
         )
-
-
-def _cbd_columns(cfg: PipelineConfig) -> list:
-    return list(range(9 if cfg.include_shape else 8))
 
 
 # ---------------------------------------------------------------- commands
@@ -175,36 +165,31 @@ def _cmd_extract(args, run: RunConfig) -> int:
         lines.append(f"# pid d={d} t1={cfg.pid.t1} l_max={cfg.pid.l_max} step={cfg.step}")
         lines.append("# sequence,center_frame,anchor,target,label,values...")
         for rec in recordings:
-            sd = _SceneData(rec, cfg)
-            for center, (aid, tid), label in sd.pair_windows():
-                vec = sd.pair_vector(aid, tid, center)
+            rows, x, labels = Pipeline([rec], cfg).pair_matrix([rec.sequence_id])
+            for (seq, center, (aid, tid)), vec, label in zip(rows, x, labels):
                 lines.append(
-                    f"{rec.sequence_id},{center},{aid},{tid},{label.code},"
-                    + ",".join(_fmt(v) for v in vec)
+                    f"{seq},{center},{aid},{tid},{label.code}," + ",".join(_fmt(v) for v in vec)
                 )
     else:
         if args.model is None:
             raise ConfigError("extract --kind cbd needs --model (first-stage forest)")
         stage1 = _read_model(args.model)
         _check_stage1_shape(stage1, cfg)
-        cols = _cbd_columns(cfg)
+        cols = cue_columns(cfg.cues)
         lines.append(
             f"# cbd d={len(cols)} t2={cfg.t2} step={cfg.step} stride={cfg.stride}"
             f" include_shape={str(cfg.include_shape).lower()}"
         )
         lines.append("# sequence,center_frame,members,label,values...")
         for rec in recordings:
-            sd = _SceneData(rec, cfg)
-            for center, ids, label in sd.group_windows():
-                vec = sd.cbd_full_vector(center, ids, stage1, 0)
-                if vec is None:
-                    continue
+            rows, x, labels = Pipeline([rec], cfg).group_matrix(stage1, [rec.sequence_id])
+            for (seq, center, ids), vec, label in zip(rows, x[:, cols], labels):
                 lines.append(
-                    f"{rec.sequence_id},{center},{'|'.join(ids)},{label.code},"
-                    + ",".join(_fmt(v) for v in vec[cols])
+                    f"{seq},{center},{'|'.join(ids)},{label.code},"
+                    + ",".join(_fmt(v) for v in vec)
                 )
     _makedirs_for(args.out)
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 2} descriptors to {args.out}")
     return 0
 
@@ -216,12 +201,10 @@ def _stage1_out_path(out: str) -> str:
 
 def _cmd_train(args, run: RunConfig) -> int:
     cfg = run.pipeline()
-    recordings = read_corpus(args.corpus)
-    scene_data = {rec.sequence_id: _SceneData(rec, cfg) for rec in recordings}
-    seq_ids = sorted(scene_data)
-    s1_seed, s2_seed = _fold_seeds(cfg.seed, 0)
+    pipe = Pipeline(read_corpus(args.corpus), cfg)
+    s1_seed, s2_seed = fold_seeds(cfg.seed, 0)
     if args.task == "interactions":
-        model = _train_stage1(scene_data, seq_ids, cfg, s1_seed)
+        model = pipe.train_stage1(pipe.seq_ids, s1_seed)
         _write_model(model, args.out)
         print(f"wrote interaction model ({model.feature_count} features) to {args.out}")
         return 0
@@ -229,20 +212,14 @@ def _cmd_train(args, run: RunConfig) -> int:
         stage1 = _read_model(args.stage1)
         _check_stage1_shape(stage1, cfg)
     else:
-        stage1 = _train_stage1(scene_data, seq_ids, cfg, s1_seed)
+        stage1 = pipe.train_stage1(pipe.seq_ids, s1_seed)
         side = _stage1_out_path(args.out)
         _write_model(stage1, side)
         print(f"wrote interaction model to {side}")
-    cols = _cbd_columns(cfg)
-    vecs, labels = _collective_matrix(scene_data, seq_ids, stage1, cfg, cols, 0)
-    if not vecs:
+    _, x, labels = pipe.group_matrix(stage1, pipe.seq_ids)
+    if not labels:
         raise ConfigError("corpus has no usable collective windows")
-    model = train(
-        [LabeledSample(v, l.class_id) for v, l in zip(vecs, labels)],
-        replace(cfg.stage2_forest, seed=s2_seed),
-        class_names=tuple(l.code for l in CollectiveLabel),
-        threads=cfg.threads,
-    )
+    model = pipe.train_stage2(x[:, cue_columns(cfg.cues)], labels, s2_seed)
     _write_model(model, args.out)
     print(f"wrote collective model ({model.feature_count} features) to {args.out}")
     return 0
@@ -266,22 +243,19 @@ def _cmd_cross(args, run: RunConfig) -> int:
     cfg = run.pipeline()
     train_recs = read_corpus(args.train_corpus)
     test_recs = read_corpus(args.test_corpus)
-    report = cross_dataset(
-        train_recs,
-        test_recs,
-        cfg,
-        drop_labels=run.drop_labels,
-        include_shape=cfg.include_shape,
-    )
+    report = cross_dataset(train_recs, test_recs, cfg, drop_labels=run.drop_labels)
     _write_report(report, args.out_dir)
     print(f"mpca {report.mpca:.4f} std {report.std:.4f}; report in {args.out_dir}")
     return 0
 
 
-def _prob_row(model: RandomForest, vec: np.ndarray) -> tuple:
-    fractions = model.vote_fractions(vec[None, :])[0]
-    pred = int(np.argmax(fractions))
-    return model.class_names[pred], fractions
+def _prediction_lines(kind: str, rows: list, model: RandomForest, x: np.ndarray) -> list:
+    """One CSV line per row: the arg-max class and every vote fraction."""
+    return [
+        f"{seq},{center},{kind},{'|'.join(ids)},{model.class_names[int(np.argmax(probs))]},"
+        + ",".join(_fmt(p) for p in probs)
+        for (seq, center, ids), probs in zip(rows, model.vote_fractions(x))
+    ]
 
 
 def _cmd_predict(args, run: RunConfig) -> int:
@@ -293,36 +267,24 @@ def _cmd_predict(args, run: RunConfig) -> int:
     if args.collective_model is not None:
         stage2 = _read_model(args.collective_model)
         _check_stage2_shape(stage2, cfg)
-    cols = _cbd_columns(cfg)
+    cols = cue_columns(cfg.cues)
     lines = [
         "# sequence,center_frame,kind,ids,label,probabilities"
         " (pair rows over interaction classes, group rows over collective classes)"
     ]
     n_pairs = n_groups = 0
     for rec in recordings:
-        sd = _SceneData(rec, cfg)
-        for center, (aid, tid), _label in sd.pair_windows():
-            vec = sd.pair_vector(aid, tid, center)
-            name, probs = _prob_row(stage1, vec)
-            lines.append(
-                f"{rec.sequence_id},{center},pair,{aid}|{tid},{name},"
-                + ",".join(_fmt(p) for p in probs)
-            )
-            n_pairs += 1
+        pipe = Pipeline([rec], cfg)
+        rows, x, _ = pipe.pair_matrix(pipe.seq_ids)
+        lines += _prediction_lines("pair", rows, stage1, x)
+        n_pairs += len(rows)
         if stage2 is None:
             continue
-        for center, ids, _label in sd.group_windows():
-            vec = sd.cbd_full_vector(center, ids, stage1, 0)
-            if vec is None:
-                continue
-            name, probs = _prob_row(stage2, vec[cols])
-            lines.append(
-                f"{rec.sequence_id},{center},group,{'|'.join(ids)},{name},"
-                + ",".join(_fmt(p) for p in probs)
-            )
-            n_groups += 1
+        rows, x, _ = pipe.group_matrix(stage1, pipe.seq_ids)
+        lines += _prediction_lines("group", rows, stage2, x[:, cols])
+        n_groups += len(rows)
     _makedirs_for(args.out)
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {n_pairs} pair and {n_groups} group predictions to {args.out}")
     return 0
 
@@ -383,7 +345,8 @@ def _env_threads() -> Optional[int]:
         raise InvalidConfig(f"PROXRF_THREADS must be an integer, got {raw!r}") from None
 
 
-def _overrides_from_args(args) -> dict:
+def overrides_from_args(args) -> dict:
+    """RunConfig overrides from parsed flags; flags not given are left out."""
     threads = args.threads if args.threads is not None else _env_threads()
     include_shape = None
     if args.include_shape is not None:
@@ -506,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        run = load_run_config(args.config, _overrides_from_args(args))
+        run = load_run_config(args.config, overrides_from_args(args))
         return args.func(args, run)
     except ProxrfError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -349,23 +349,27 @@ def write_scene(rec: SceneRecording, directory: str) -> str:
         _check_id(t.track_id)
         for s in t.samples:
             lines.append(f"{s.frame},{t.track_id},{_fmt(s.x)},{_fmt(s.y)}")
-    _atomic_write(base + ".trj", "\n".join(lines) + "\n")
+    atomic_write(base + ".trj", "\n".join(lines) + "\n")
     if rec.pair_annotations:
         lines = [
             f"{a.start},{a.end},{a.anchor_id},{a.target_id},{a.label.code}"
             for a in rec.pair_annotations
         ]
-        _atomic_write(base + ".pia", "\n".join(lines) + "\n")
+        atomic_write(base + ".pia", "\n".join(lines) + "\n")
     if rec.collective_annotations:
         lines = [f"{a.start},{a.end},{a.label.code}" for a in rec.collective_annotations]
-        _atomic_write(base + ".cba", "\n".join(lines) + "\n")
+        atomic_write(base + ".cba", "\n".join(lines) + "\n")
     return base + ".trj"
 
 
-def _atomic_write(path: str, text: str):
+def atomic_write(path: str, data):
+    """Write text (as UTF-8) or bytes to a temporary sibling, then rename
+    it over ``path``, so readers never see a partial file."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 

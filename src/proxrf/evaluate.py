@@ -1,10 +1,13 @@
-"""Cross-validation, metrics and ablation for the two-stage pipeline.
+"""The two-stage pipeline, with cross-validation, metrics and ablation.
 
-Descriptor extraction is shared across folds (descriptors do not depend
-on the fold), while first- and second-stage forests are retrained per
-fold with seeds derived from (seed, fold).  Reports carry the pooled
-confusion matrix, per-class accuracies, their mean (MPCA) and their
-population standard deviation, plus the per-fold breakdown.
+``Pipeline`` is the one path from recordings to PID rows, stage-one
+forest, CBD rows and stage-two forest; the evaluation drivers and the
+CLI all go through it.  Descriptor extraction is shared across folds
+(descriptors do not depend on the fold), while first- and second-stage
+forests are retrained per fold with seeds derived from (seed, fold).
+Reports carry the pooled confusion matrix, per-class accuracies, their
+mean (MPCA) and their population standard deviation, plus the per-fold
+breakdown.
 """
 
 from __future__ import annotations
@@ -60,6 +63,12 @@ class PipelineConfig:
     @property
     def stage2_forest(self) -> ForestConfig:
         return self.forest2 if self.forest2 is not None else self.forest
+
+    @property
+    def cues(self) -> tuple:
+        """The CBD cues the second stage sees: CUE_NAMES, less the shape
+        cue when ``include_shape`` is false."""
+        return CUE_NAMES if self.include_shape else CUE_NAMES[:3]
 
 
 class ConfusionMatrix:
@@ -175,142 +184,153 @@ def evaluate_predictions(truths, preds, class_names: Sequence[str]) -> EvalRepor
     return report_from_confusion(cm)
 
 
-class _SceneData:
-    """Per-recording extraction state shared across folds and cue sets."""
+def fold_seeds(seed: int, fold: int) -> tuple:
+    """(stage-one seed, stage-two seed) derived from a run seed and a token.
 
-    def __init__(self, rec: SceneRecording, cfg: PipelineConfig):
-        self.rec = rec
-        self.cfg = cfg
-        self.states = {
-            t.track_id: smoothed_states(t, cfg.smoothing, max_gap=cfg.max_gap)
-            for t in rec.trajectories
-        }
-        self.pid_cache = {}
-        self._pair_windows = None
-        self._group_windows = None
-        self._group_objs = {}
-        self._cbd_full = {}
-
-    def pair_windows(self) -> list:
-        if self._pair_windows is None:
-            self._pair_windows = list(
-                windows(self.rec, self.cfg.pid.t1, self.cfg.step, "pairs", self.cfg.max_gap)
-            )
-        return self._pair_windows
-
-    def group_windows(self) -> list:
-        if self._group_windows is None:
-            self._group_windows = list(
-                windows(self.rec, self.cfg.t2, self.cfg.step, "group", self.cfg.max_gap)
-            )
-        return self._group_windows
-
-    def pair_vector(self, anchor_id, target_id, center) -> np.ndarray:
-        key = (anchor_id, target_id, center)
-        vec = self.pid_cache.get(key)
-        if vec is None:
-            vec = _pid_from_states(
-                self.states[anchor_id],
-                self.states[target_id],
-                anchor_id,
-                target_id,
-                center,
-                self.cfg.pid,
-                self.rec.fps,
-                self.cfg.seed,
-            ).vector()
-            self.pid_cache[key] = vec
-        return vec
-
-    def group_obj(self, center, member_ids) -> Optional[GroupWindow]:
-        """GroupWindow for the placement, or None when a frame is empty."""
-        key = (center, member_ids)
-        obj = self._group_objs.get(key, False)
-        if obj is False:
-            try:
-                obj = GroupWindow.build(
-                    [self.rec.track(i) for i in member_ids],
-                    center,
-                    self.cfg.t2,
-                    self.cfg.smoothing,
-                    max_gap=self.cfg.max_gap,
-                    states=self.states,
-                )
-            except EmptyGroup:
-                obj = None
-            self._group_objs[key] = obj
-        return obj
-
-    def cbd_full_vector(
-        self, center, member_ids, stage1: RandomForest, token
-    ) -> Optional[np.ndarray]:
-        """Full 9-cue CBD under a given first-stage model, memoized.
-
-        ``token`` must change whenever ``stage1`` does (the fold index);
-        reusing one avoids recomputing descriptors per cue set.
-        """
-        key = (token, center, member_ids)
-        vec = self._cbd_full.get(key, False)
-        if vec is False:
-            window = self.group_obj(center, member_ids)
-            if window is None:
-                vec = None
-            else:
-                desc = compute_cbd(
-                    window,
-                    stage1,
-                    self.cfg.pid,
-                    stride=self.cfg.stride,
-                    include_shape=True,
-                    seed=self.cfg.seed,
-                    cache=self.pid_cache,
-                )
-                vec = desc.vector()
-            self._cbd_full[key] = vec
-        return vec
-
-
-def _fold_seeds(seed: int, fold: int) -> tuple:
+    Cross-validation passes the fold index, a model trained on a whole
+    corpus passes 0 and cross_dataset passes 202.
+    """
     ss = np.random.SeedSequence([seed & 0xFFFFFFFF, 101, fold])
     a, b = ss.generate_state(2)
     return int(a), int(b)
 
 
-def _train_stage1(scene_data: dict, seq_ids: Sequence[str], cfg: PipelineConfig, seed: int) -> RandomForest:
-    samples = []
-    for seq in seq_ids:
-        sd = scene_data[seq]
-        for center, (aid, tid), label in sd.pair_windows():
-            samples.append(LabeledSample(sd.pair_vector(aid, tid, center), label.class_id))
-    if not samples:
-        raise EmptyTrainingSet("no pairwise training windows in the training folds")
-    fcfg = replace(cfg.forest, seed=seed)
-    return train(samples, fcfg, class_names=_INTERACTION_CODES, threads=cfg.threads)
-
-
-def _cue_columns(cue_set: Sequence[str]) -> list:
+def cue_columns(cues: Sequence[str]) -> list:
+    """Columns of a full CBD vector that carry the given cues."""
+    n_hist = len(InteractionLabel)
     cols = []
-    for cue in CUE_NAMES:
-        if cue in cue_set:
-            if cue == "interaction_hist":
-                cols.extend(range(6))
-            else:
-                cols.append(6 + CUE_NAMES.index(cue) - 1)
+    for i, cue in enumerate(CUE_NAMES):
+        if cue in cues:
+            cols.extend(range(n_hist) if i == 0 else [n_hist + i - 1])
     return cols
 
 
-def _collective_matrix(scene_data, seq_ids, stage1, cfg, cols, token) -> tuple:
-    """Sliced CBD matrix and labels; group-less placements are skipped."""
-    vecs, labels = [], []
-    for seq in seq_ids:
-        sd = scene_data[seq]
-        for center, ids, label in sd.group_windows():
-            full = sd.cbd_full_vector(center, ids, stage1, token)
-            if full is None:
-                continue
-            vecs.append(full[cols])
-            labels.append(label)
-    return vecs, labels
+_CBD_WIDTH = len(cue_columns(CUE_NAMES))
+
+
+def _matrix(vecs: list, width: int) -> np.ndarray:
+    return np.array(vecs, dtype=float).reshape(len(vecs), width)
+
+
+class Pipeline:
+    """The two-stage hierarchy over one corpus.
+
+    Pair windows become PID rows, which train the stage-one forest; group
+    windows become CBD rows under a stage-one model, which train the
+    stage-two forest.  Smoothed tracks, window lists, pair descriptors
+    and group windows are computed once per recording and shared by every
+    fold, cue set and stage-one model, because none of them depends on
+    the model.  Matrices come back as ``(rows, X, labels)`` with one
+    ``(sequence id, center frame, track ids)`` row per window.
+    """
+
+    def __init__(self, recordings: Sequence[SceneRecording], cfg: PipelineConfig):
+        self.cfg = cfg
+        self._recordings = {rec.sequence_id: rec for rec in recordings}
+        self.seq_ids = tuple(sorted(self._recordings))
+        self._states = {
+            seq: {
+                t.track_id: smoothed_states(t, cfg.smoothing, max_gap=cfg.max_gap)
+                for t in rec.trajectories
+            }
+            for seq, rec in self._recordings.items()
+        }
+        # (anchor, target, center) -> PID vector, shared with compute_cbd
+        self._pid_cache = {seq: {} for seq in self._recordings}
+        self._windows = {}
+        self._group_windows = {}
+
+    def _window_list(self, seq: str, kind: str) -> list:
+        key = (seq, kind)
+        if key not in self._windows:
+            length = self.cfg.pid.t1 if kind == "pairs" else self.cfg.t2
+            self._windows[key] = list(
+                windows(self._recordings[seq], length, self.cfg.step, kind, self.cfg.max_gap)
+            )
+        return self._windows[key]
+
+    def _group_window(self, seq: str, center: int, ids: tuple) -> Optional[GroupWindow]:
+        """GroupWindow for the placement, or None when a frame is empty."""
+        key = (seq, center, ids)
+        if key not in self._group_windows:
+            rec = self._recordings[seq]
+            try:
+                window = GroupWindow.build(
+                    [rec.track(i) for i in ids],
+                    center,
+                    self.cfg.t2,
+                    self.cfg.smoothing,
+                    max_gap=self.cfg.max_gap,
+                    states=self._states[seq],
+                )
+            except EmptyGroup:
+                window = None
+            self._group_windows[key] = window
+        return self._group_windows[key]
+
+    def pair_matrix(self, seq_ids: Sequence[str]) -> tuple:
+        """PID vectors and interaction labels of every pair window."""
+        cfg = self.cfg
+        rows, vecs, labels = [], [], []
+        for seq in seq_ids:
+            fps = self._recordings[seq].fps
+            states, cache = self._states[seq], self._pid_cache[seq]
+            for center, (aid, tid), label in self._window_list(seq, "pairs"):
+                key = (aid, tid, center)
+                if key not in cache:
+                    cache[key] = _pid_from_states(
+                        states[aid], states[tid], aid, tid, center, cfg.pid, fps, cfg.seed
+                    ).vector()
+                rows.append((seq, center, (aid, tid)))
+                vecs.append(cache[key])
+                labels.append(label)
+        return rows, _matrix(vecs, cfg.pid.descriptor_length), labels
+
+    def group_matrix(self, stage1: RandomForest, seq_ids: Sequence[str]) -> tuple:
+        """Full CBD vectors (every cue) and collective labels of every
+        group window under a stage-one model; slice them with cue_columns.
+        Placements with a frame where no member is present are skipped."""
+        cfg = self.cfg
+        rows, vecs, labels = [], [], []
+        for seq in seq_ids:
+            for center, ids, label in self._window_list(seq, "group"):
+                window = self._group_window(seq, center, ids)
+                if window is None:
+                    continue
+                desc = compute_cbd(
+                    window,
+                    stage1,
+                    cfg.pid,
+                    stride=cfg.stride,
+                    include_shape=True,
+                    seed=cfg.seed,
+                    cache=self._pid_cache[seq],
+                )
+                rows.append((seq, center, ids))
+                vecs.append(desc.vector())
+                labels.append(label)
+        return rows, _matrix(vecs, _CBD_WIDTH), labels
+
+    def train_stage1(self, seq_ids: Sequence[str], seed: int) -> RandomForest:
+        """Interaction forest over the pair windows of the given recordings."""
+        _, x, labels = self.pair_matrix(seq_ids)
+        if not labels:
+            raise EmptyTrainingSet("no pairwise training windows")
+        return self._train(x, labels, replace(self.cfg.forest, seed=seed), _INTERACTION_CODES)
+
+    def train_stage2(
+        self, x: np.ndarray, labels: Sequence, seed: int, class_names=_COLLECTIVE_CODES
+    ) -> RandomForest:
+        """Collective forest over group rows (any column slice); a label's
+        class id is the position of its code in ``class_names``."""
+        if not labels:
+            raise EmptyTrainingSet("no group training windows")
+        return self._train(x, labels, replace(self.cfg.stage2_forest, seed=seed), class_names)
+
+    def _train(self, x, labels, forest_cfg: ForestConfig, class_names) -> RandomForest:
+        index = {name: i for i, name in enumerate(class_names)}
+        samples = [LabeledSample(v, index[lab.code]) for v, lab in zip(x, labels)]
+        return train(samples, forest_cfg, class_names=class_names, threads=self.cfg.threads)
 
 
 def _check_folds(recordings, folds: FoldSplit):
@@ -324,6 +344,40 @@ def _check_folds(recordings, folds: FoldSplit):
         raise ConfigError("duplicate sequence ids in the evaluation corpus")
 
 
+def _cross_validate(recordings, folds: FoldSplit, cfg: PipelineConfig, class_names, score) -> list:
+    """The fold loop: one pooled report per evaluation sharing the folds.
+
+    Each fold trains stage one on the other folds, then
+    ``score(pipeline, stage1, train_ids, test_ids, stage2_seed)`` returns
+    the fold's true class ids and, per evaluation, its predicted ones.
+    """
+    _check_folds(recordings, folds)
+    pipe = Pipeline(recordings, cfg)
+    fold_parts = []
+    for fold in range(folds.n_folds):
+        train_ids = [s for s in pipe.seq_ids if folds.fold_of(s) != fold]
+        test_ids = [s for s in pipe.seq_ids if folds.fold_of(s) == fold]
+        s1_seed, s2_seed = fold_seeds(cfg.seed, fold)
+        stage1 = pipe.train_stage1(train_ids, s1_seed)
+        truth, runs = score(pipe, stage1, train_ids, test_ids, s2_seed)
+        if not truth:
+            warnings.warn(f"fold {fold} produced no test windows", stacklevel=3)
+        parts = []
+        for preds in runs:
+            part = ConfusionMatrix(class_names)
+            for t, p in zip(truth, preds):
+                part.add(t, int(p))
+            parts.append((fold, part))
+        fold_parts.append(parts)
+    reports = []
+    for parts in zip(*fold_parts):
+        total = ConfusionMatrix(class_names)
+        for _, part in parts:
+            total.merge(part)
+        reports.append(report_from_confusion(total, parts))
+    return reports
+
+
 def kfold_evaluate(
     recordings: Sequence[SceneRecording],
     folds: FoldSplit,
@@ -334,57 +388,19 @@ def kfold_evaluate(
 
     task "interaction" scores the first stage on pairwise windows; task
     "collective" trains both stages per fold (the second stage sees CBDs
-    built with that fold's first-stage model) and scores the second.
+    built with that fold's first-stage model) and scores the second: it
+    is ablation() over the single cue set ``cfg.cues``.
     """
-    if task not in ("interaction", "collective"):
+    if task == "collective":
+        return ablation(recordings, folds, [cfg.cues], cfg)[0][1]
+    if task != "interaction":
         raise ConfigError(f"task must be 'interaction' or 'collective', got {task!r}")
-    _check_folds(recordings, folds)
-    scene_data = {rec.sequence_id: _SceneData(rec, cfg) for rec in recordings}
-    class_names = _INTERACTION_CODES if task == "interaction" else _COLLECTIVE_CODES
-    cols = _cue_columns(CUE_NAMES if cfg.include_shape else CUE_NAMES[:3])
-    total = ConfusionMatrix(class_names)
-    fold_parts = []
-    for fold in range(folds.n_folds):
-        train_ids = sorted(s for s in scene_data if folds.fold_of(s) != fold)
-        test_ids = sorted(s for s in scene_data if folds.fold_of(s) == fold)
-        s1_seed, s2_seed = _fold_seeds(cfg.seed, fold)
-        stage1 = _train_stage1(scene_data, train_ids, cfg, s1_seed)
-        part = ConfusionMatrix(class_names)
-        if task == "interaction":
-            vecs, labels = [], []
-            for seq in test_ids:
-                sd = scene_data[seq]
-                for center, (aid, tid), label in sd.pair_windows():
-                    vecs.append(sd.pair_vector(aid, tid, center))
-                    labels.append(label)
-            if vecs:
-                preds = stage1.predict_batch(np.array(vecs))
-                for lab, pred in zip(labels, preds):
-                    part.add(lab.class_id, int(pred))
-        else:
-            tr_vecs, tr_labels = _collective_matrix(
-                scene_data, train_ids, stage1, cfg, cols, fold
-            )
-            if not tr_vecs:
-                raise EmptyTrainingSet("no group training windows in the training folds")
-            stage2 = train(
-                [LabeledSample(v, l.class_id) for v, l in zip(tr_vecs, tr_labels)],
-                replace(cfg.stage2_forest, seed=s2_seed),
-                class_names=_COLLECTIVE_CODES,
-                threads=cfg.threads,
-            )
-            te_vecs, te_labels = _collective_matrix(
-                scene_data, test_ids, stage1, cfg, cols, fold
-            )
-            if te_vecs:
-                preds = stage2.predict_batch(np.array(te_vecs))
-                for lab, pred in zip(te_labels, preds):
-                    part.add(lab.class_id, int(pred))
-        if part.total == 0:
-            warnings.warn(f"fold {fold} produced no test windows", stacklevel=2)
-        total.merge(part)
-        fold_parts.append((fold, part))
-    return report_from_confusion(total, fold_parts)
+
+    def score(pipe, stage1, train_ids, test_ids, s2_seed):
+        _, x, labels = pipe.pair_matrix(test_ids)
+        return [lab.class_id for lab in labels], [stage1.predict_batch(x)]
+
+    return _cross_validate(recordings, folds, cfg, _INTERACTION_CODES, score)[0]
 
 
 def ablation(
@@ -409,43 +425,21 @@ def ablation(
         if not cues:
             raise InvalidConfig("empty cue set")
         canon_sets.append(cues)
-    _check_folds(recordings, folds)
-    scene_data = {rec.sequence_id: _SceneData(rec, cfg) for rec in recordings}
-    totals = [ConfusionMatrix(_COLLECTIVE_CODES) for _ in canon_sets]
-    fold_parts = [[] for _ in canon_sets]
-    for fold in range(folds.n_folds):
-        train_ids = sorted(s for s in scene_data if folds.fold_of(s) != fold)
-        test_ids = sorted(s for s in scene_data if folds.fold_of(s) == fold)
-        s1_seed, s2_seed = _fold_seeds(cfg.seed, fold)
-        stage1 = _train_stage1(scene_data, train_ids, cfg, s1_seed)
-        tr_vecs, tr_labels = _collective_matrix(
-            scene_data, train_ids, stage1, cfg, list(range(9)), fold
-        )
-        if not tr_vecs:
-            raise EmptyTrainingSet("no group training windows in the training folds")
-        te_vecs, te_labels = _collective_matrix(
-            scene_data, test_ids, stage1, cfg, list(range(9)), fold
-        )
-        tr_mat, te_mat = np.array(tr_vecs), np.array(te_vecs)
-        for i, cues in enumerate(canon_sets):
-            cols = _cue_columns(cues)
-            stage2 = train(
-                [LabeledSample(v, l.class_id) for v, l in zip(tr_mat[:, cols], tr_labels)],
-                replace(cfg.stage2_forest, seed=s2_seed),
-                class_names=_COLLECTIVE_CODES,
-                threads=cfg.threads,
+    columns = [cue_columns(cues) for cues in canon_sets]
+
+    def score(pipe, stage1, train_ids, test_ids, s2_seed):
+        _, x_train, train_labels = pipe.group_matrix(stage1, train_ids)
+        _, x_test, test_labels = pipe.group_matrix(stage1, test_ids)
+        runs = [
+            pipe.train_stage2(x_train[:, cols], train_labels, s2_seed).predict_batch(
+                x_test[:, cols]
             )
-            part = ConfusionMatrix(_COLLECTIVE_CODES)
-            if len(te_mat):
-                preds = stage2.predict_batch(te_mat[:, cols])
-                for lab, pred in zip(te_labels, preds):
-                    part.add(lab.class_id, int(pred))
-            totals[i].merge(part)
-            fold_parts[i].append((fold, part))
-    return [
-        (cues, report_from_confusion(total, parts))
-        for cues, total, parts in zip(canon_sets, totals, fold_parts)
-    ]
+            for cols in columns
+        ]
+        return [lab.class_id for lab in test_labels], runs
+
+    reports = _cross_validate(recordings, folds, cfg, _COLLECTIVE_CODES, score)
+    return list(zip(canon_sets, reports))
 
 
 def cross_dataset(
@@ -453,7 +447,6 @@ def cross_dataset(
     test_recordings: Sequence[SceneRecording],
     cfg: PipelineConfig,
     drop_labels: Sequence[CollectiveLabel] = (),
-    include_shape: Optional[bool] = None,
 ) -> EvalReport:
     """Train on one corpus, evaluate collective labels on another.
 
@@ -462,8 +455,6 @@ def cross_dataset(
     corpus never exhibits raises LabelCoverageError.
     """
     drop = {CollectiveLabel(l) if not isinstance(l, CollectiveLabel) else l for l in drop_labels}
-    if include_shape is None:
-        include_shape = cfg.include_shape
     kept_train = [
         rec
         for rec in train_recordings
@@ -471,38 +462,24 @@ def cross_dataset(
     ]
     if not kept_train:
         raise EmptyTrainingSet("every training sequence was dropped")
-    remaining = [l for l in CollectiveLabel if l not in drop]
-    class_ids = {l: i for i, l in enumerate(remaining)}
-    class_names = tuple(l.code for l in remaining)
-    cols = _cue_columns(CUE_NAMES if include_shape else CUE_NAMES[:3])
+    class_names = tuple(l.code for l in CollectiveLabel if l not in drop)
+    cols = cue_columns(cfg.cues)
 
-    cfg_train = cfg
-    train_data = {rec.sequence_id: _SceneData(rec, cfg_train) for rec in kept_train}
-    s1_seed, s2_seed = _fold_seeds(cfg.seed, 202)
-    stage1 = _train_stage1(train_data, sorted(train_data), cfg_train, s1_seed)
-    tr_vecs, tr_labels = _collective_matrix(
-        train_data, sorted(train_data), stage1, cfg_train, cols, 0
-    )
-    if not tr_vecs:
-        raise EmptyTrainingSet("no group training windows after drops")
-    seen = {l for l in tr_labels}
-    stage2 = train(
-        [LabeledSample(v, class_ids[l]) for v, l in zip(tr_vecs, tr_labels)],
-        replace(cfg.stage2_forest, seed=s2_seed),
-        class_names=class_names,
-        threads=cfg.threads,
-    )
+    train_pipe = Pipeline(kept_train, cfg)
+    s1_seed, s2_seed = fold_seeds(cfg.seed, 202)
+    stage1 = train_pipe.train_stage1(train_pipe.seq_ids, s1_seed)
+    _, x_train, train_labels = train_pipe.group_matrix(stage1, train_pipe.seq_ids)
+    stage2 = train_pipe.train_stage2(x_train[:, cols], train_labels, s2_seed, class_names)
 
-    test_data = {rec.sequence_id: _SceneData(rec, cfg) for rec in test_recordings}
-    te_vecs, te_labels = _collective_matrix(test_data, sorted(test_data), stage1, cfg, cols, 0)
-    for lab in te_labels:
-        if lab in drop or lab not in seen:
+    test_pipe = Pipeline(test_recordings, cfg)
+    _, x_test, test_labels = test_pipe.group_matrix(stage1, test_pipe.seq_ids)
+    seen = set(train_labels)
+    for lab in test_labels:
+        if lab not in seen:
             raise LabelCoverageError(
                 f"test label {lab.code} absent from the training corpus after drops"
             )
     cm = ConfusionMatrix(class_names)
-    if te_vecs:
-        preds = stage2.predict_batch(np.array(te_vecs))
-        for lab, pred in zip(te_labels, preds):
-            cm.add(class_ids[lab], int(pred))
+    for lab, pred in zip(test_labels, stage2.predict_batch(x_test[:, cols])):
+        cm.add(class_names.index(lab.code), int(pred))
     return report_from_confusion(cm)

@@ -155,7 +155,7 @@ class RandomForest:
         return imp / total
 
 
-def _best_split(x_mat, y, idx, feats, class_count, parent_counts):
+def best_split(x_mat, y, idx, feats, class_count, parent_counts):
     """Best (decrease, feature, threshold) over candidate features.
 
     Thresholds are midpoints of consecutive distinct sorted values.
@@ -219,11 +219,11 @@ def _grow_tree(x_mat, y, cfg, m_feats, class_count, tree_idx):
         ):
             continue
         feats = np.sort(rng.choice(d, size=m_feats, replace=False))
-        found = _best_split(x_mat, y, idx, feats, class_count, node_counts)
+        found = best_split(x_mat, y, idx, feats, class_count, node_counts)
         if found is None and m_feats < d:
             # every drawn feature was constant here; fall back to a full
             # deterministic scan before giving up on the node
-            found = _best_split(x_mat, y, idx, np.arange(d), class_count, node_counts)
+            found = best_split(x_mat, y, idx, np.arange(d), class_count, node_counts)
         if found is None:
             continue
         _, f, thr = found
@@ -290,15 +290,6 @@ def train(
     else:
         trees = [_grow_tree(x_mat, y, cfg, m_feats, class_count, i) for i in range(cfg.n_trees)]
     return RandomForest(trees, cfg, d, class_names)
-
-
-def predict(model: RandomForest, features) -> tuple:
-    """(class id, per-class vote fractions) for one feature vector."""
-    return model.predict(features)
-
-
-def feature_importance(model: RandomForest) -> np.ndarray:
-    return model.feature_importance()
 
 
 def _node_to_json(tree: _Tree, node: int):
@@ -374,7 +365,7 @@ def deserialize(blob: bytes) -> RandomForest:
     """Inverse of serialize; malformed input raises CorruptModel."""
     try:
         doc = json.loads(blob)
-    except (ValueError, UnicodeDecodeError) as e:
+    except (ValueError, UnicodeDecodeError, RecursionError) as e:
         raise CorruptModel(f"not a valid model document: {e}") from None
     if not isinstance(doc, dict):
         raise CorruptModel("model document must be a JSON object")

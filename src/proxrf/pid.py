@@ -358,16 +358,19 @@ def compute_pid(
 
 
 def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
-    """Forest vote over one descriptor: (label, per-class vote fractions)."""
+    """Forest vote over one descriptor: (label, per-class vote fractions).
+
+    Votes are mapped to labels by the model's class names (label codes),
+    so a model trained on a subset of the labels scores correctly.
+    """
     try:
         votes = model.vote_fractions(descriptor.vector()[None, :])[0]
     except ShapeMismatch as e:
         raise ModelShapeMismatch(str(e)) from None
-    n = len(_INTERACTION_ORDER)
-    if len(votes) > n:
-        raise ModelShapeMismatch(
-            f"model votes over {len(votes)} classes, expected <= {n}"
-        )
-    probs = np.zeros(n)
-    probs[: len(votes)] = votes
+    probs = np.zeros(len(_INTERACTION_ORDER))
+    for name, share in zip(model.class_names, votes):
+        try:
+            probs[InteractionLabel(name).class_id] = share
+        except ValueError:
+            raise ModelShapeMismatch(f"model class {name!r} is no interaction label") from None
     return _INTERACTION_ORDER[int(np.argmax(probs))], probs

@@ -37,9 +37,8 @@ def tiny_pair_corpus():
 @pytest.fixture(scope="session")
 def tiny_stage1(tiny_pair_corpus):
     """Small but competent first-stage forest, shared across test files."""
-    from proxrf.evaluate import PipelineConfig, _SceneData, _train_stage1
+    from proxrf.evaluate import Pipeline, PipelineConfig
     from proxrf.forest import ForestConfig
 
-    cfg = PipelineConfig(forest=ForestConfig(n_trees=15))
-    data = {r.sequence_id: _SceneData(r, cfg) for r in tiny_pair_corpus}
-    return _train_stage1(data, sorted(data), cfg, seed=1234)
+    pipe = Pipeline(tiny_pair_corpus, PipelineConfig(forest=ForestConfig(n_trees=15)))
+    return pipe.train_stage1(pipe.seq_ids, seed=1234)

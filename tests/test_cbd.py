@@ -269,6 +269,19 @@ def test_cbd_rigid_motion_invariance(tiny_stage1):
     np.testing.assert_allclose(moved, base, atol=1e-9)
 
 
+def test_classify_collective_maps_votes_by_class_name():
+    desc = CbdDescriptor(np.full(6, 1.0 / 6.0), 1.2, 0.0, 3.0, True, 32)
+    # stage two after dropping four labels, as cross_dataset trains it
+    sample = LabeledSample(desc.vector(), 1)
+    subset = train([sample], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Queuing"])
+    label, probs = classify_collective(desc, subset)
+    assert label is CollectiveLabel.Queuing
+    assert probs[CollectiveLabel.Queuing.class_id] == 1.0 and probs.sum() == 1.0
+    unknown = train([sample], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Milling"])
+    with pytest.raises(ModelShapeMismatch, match="Milling"):
+        classify_collective(desc, unknown)
+
+
 def test_classify_collective(tiny_stage1):
     rng = np.random.default_rng(50)
     samples = [LabeledSample(np.abs(rng.normal(size=9)), int(rng.integers(0, 6)))

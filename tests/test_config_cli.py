@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from proxrf.cbd import CollectiveLabel
-from proxrf.cli import _overrides_from_args, build_parser, main
+from proxrf.cli import build_parser, main, overrides_from_args
 from proxrf.config import (
     RunConfig,
     build_run_config,
@@ -78,7 +78,7 @@ def test_precedence_flags_over_file_over_defaults():
 
 def test_absent_flags_do_not_shadow_file_depths():
     args = build_parser().parse_args(["synth", "--out", "x"])
-    overrides = _overrides_from_args(args)
+    overrides = overrides_from_args(args)
     run = build_run_config({"interaction_max_depth": 4}, overrides)
     assert run.interaction_forest.max_depth == 4
 
@@ -89,7 +89,7 @@ def test_flag_overrides_reach_nested_configs():
          "--assignment", "hard", "--include-shape", "false",
          "--drop-labels", "Queuing,Talking", "--collective-max-depth", "3"]
     )
-    run = build_run_config(None, _overrides_from_args(args))
+    run = build_run_config(None, overrides_from_args(args))
     assert run.smoothing.alpha == 0.9
     assert run.interaction_forest.n_trees == 7
     assert run.pid.assignment == "hard"
@@ -347,6 +347,38 @@ def test_predict_group_rows(mixed_corpus, stage1_model, tmp_path):
     assert len(group_rows[0]) == 5 + 6
 
 
+def test_predict_rows_match_pipeline(mixed_corpus, stage1_model, tmp_path):
+    from proxrf.dataset import read_corpus
+    from proxrf.evaluate import CUE_NAMES, Pipeline, cue_columns
+
+    coll = tmp_path / "coll.json"
+    assert main(["train", "collective", mixed_corpus, "--stage1", stage1_model,
+                 "--out", str(coll)] + SMALL) == 0
+    out = tmp_path / "pred.csv"
+    assert main(["predict", mixed_corpus, "--interactions-model", stage1_model,
+                 "--collective-model", str(coll), "--out", str(out)]) == 0
+    got = {}
+    for line in out.read_text().splitlines()[1:]:
+        seq, center, kind, ids, label, *probs = line.split(",")
+        got[seq, int(center), kind, ids] = (label, probs)
+
+    stage1 = deserialize(open(stage1_model, "rb").read())
+    stage2 = deserialize(coll.read_bytes())
+    pipe = Pipeline(read_corpus(mixed_corpus), build_run_config(None, {}).pipeline())
+    pair_rows, pair_x, _ = pipe.pair_matrix(pipe.seq_ids)
+    group_rows, group_x, _ = pipe.group_matrix(stage1, pipe.seq_ids)
+    want = {}
+    for kind, rows, model, x in (
+        ("pair", pair_rows, stage1, pair_x),
+        ("group", group_rows, stage2, group_x[:, cue_columns(CUE_NAMES)]),
+    ):
+        for (seq, center, ids), frac in zip(rows, model.vote_fractions(x)):
+            label = model.class_names[int(np.argmax(frac))]
+            want[seq, center, kind, "|".join(ids)] = (label, [repr(float(p)) for p in frac])
+    assert pair_rows and group_rows
+    assert got == want
+
+
 def test_exit_code_config_error(pair_corpus, tmp_path, capsys):
     rc = main(["eval", pair_corpus, "--t2", "48",
                "--out-dir", str(tmp_path / "r")])
@@ -374,6 +406,12 @@ def test_exit_code_missing_and_corrupt_model(pair_corpus, tmp_path, capsys):
                "--out", str(tmp_path / "p.csv")])
     assert rc == 3
     assert "ERROR CorruptModel" in capsys.readouterr().err
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"version": 1, "trees": [' + '{"left": ' * 3000 + "{}" + "}" * 3000 + "]}")
+    rc = main(["predict", pair_corpus, "--interactions-model", str(deep),
+               "--out", str(tmp_path / "p.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("ERROR CorruptModel")
 
 
 def test_exit_code_label_coverage(mixed_corpus, tmp_path, capsys):

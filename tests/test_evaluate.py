@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from proxrf.evaluate import (
     CUE_NAMES,
     ConfusionMatrix,
     PipelineConfig,
-    _fold_seeds,
     ablation,
     cross_dataset,
     evaluate_predictions,
+    fold_seeds,
     kfold_evaluate,
     report_from_confusion,
 )
@@ -124,10 +125,10 @@ def test_report_serialization_formats():
 
 
 def test_fold_seed_derivation_is_stable():
-    assert _fold_seeds(7, 0) == _fold_seeds(7, 0)
-    assert _fold_seeds(7, 0) != _fold_seeds(7, 1)
-    assert _fold_seeds(7, 0) != _fold_seeds(8, 0)
-    s1, s2 = _fold_seeds(7, 3)
+    assert fold_seeds(7, 0) == fold_seeds(7, 0)
+    assert fold_seeds(7, 0) != fold_seeds(7, 1)
+    assert fold_seeds(7, 0) != fold_seeds(8, 0)
+    s1, s2 = fold_seeds(7, 3)
     assert s1 != s2
 
 
@@ -261,7 +262,8 @@ def test_cross_dataset_unseen_test_label(mixed_corpus, mixed_cfg):
 
 
 def test_cross_dataset_without_shape_cue(mixed_corpus, mixed_cfg):
-    rep = cross_dataset(mixed_corpus, mixed_corpus, mixed_cfg, include_shape=False)
+    no_shape = replace(mixed_cfg, include_shape=False)
+    rep = cross_dataset(mixed_corpus, mixed_corpus, no_shape)
     assert rep.confusion.total == 120
 
 

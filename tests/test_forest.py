@@ -9,10 +9,8 @@ from proxrf.errors import CorruptModel, EmptyTrainingSet, InvalidFeature, ShapeM
 from proxrf.forest import (
     ForestConfig,
     LabeledSample,
-    _best_split,
+    best_split,
     deserialize,
-    feature_importance,
-    predict,
     serialize,
     train,
 )
@@ -69,7 +67,7 @@ def test_best_split_matches_brute_force():
             x = rng.standard_normal((n, d))
         y = rng.integers(0, k, size=n)
         parent = np.bincount(y, minlength=k)
-        got = _best_split(x, y, np.arange(n), np.arange(d), k, parent)
+        got = best_split(x, y, np.arange(n), np.arange(d), k, parent)
         want = _ref_best_split(x, y, k)
         if want is None:
             assert got is None
@@ -84,11 +82,11 @@ def test_split_tie_breaks():
     x = np.array([[0.0, 7.0, 0.0], [1.0, 7.0, 1.0], [2.0, 7.0, 2.0], [3.0, 7.0, 3.0]])
     x[:, 2] = x[:, 0]
     y = np.array([0, 0, 1, 1])
-    dec, f, thr = _best_split(x, y, np.arange(4), np.arange(3), 2, np.bincount(y))
+    dec, f, thr = best_split(x, y, np.arange(4), np.arange(3), 2, np.bincount(y))
     assert f == 0 and thr == 1.5
     # symmetric labels: equal decrease at 0.5 and 2.5, lowest threshold wins
     y2 = np.array([0, 1, 1, 0])
-    dec, f, thr = _best_split(x, y2, np.arange(4), np.arange(3), 2, np.bincount(y2))
+    dec, f, thr = best_split(x, y2, np.arange(4), np.arange(3), 2, np.bincount(y2))
     assert (f, thr) == (0, 0.5)
 
 
@@ -110,7 +108,7 @@ def test_vote_fractions_normalized():
     frac = model.vote_fractions(x)
     assert frac.shape == (len(x), 3)
     np.testing.assert_allclose(frac.sum(axis=1), 1.0, atol=1e-12)
-    cid, p = predict(model, x[0])
+    cid, p = model.predict(x[0])
     np.testing.assert_allclose(p, frac[0], atol=0)
     assert cid == int(np.argmax(frac[0]))
 
@@ -131,7 +129,7 @@ def test_max_depth_zero_gives_majority_stumps():
     samples.extend(samples[:15])  # tilt the majority toward class 0
     model = train(samples, ForestConfig(n_trees=20, max_depth=0, seed=1))
     assert set(model.predict_batch(x)) == {0}
-    np.testing.assert_allclose(feature_importance(model), 1.0 / 6.0, atol=1e-12)
+    np.testing.assert_allclose(model.feature_importance(), 1.0 / 6.0, atol=1e-12)
 
 
 def test_feature_importance_finds_informative_feature():
@@ -296,6 +294,11 @@ def test_deserialize_rejects_corrupt_documents():
     doc = _valid_doc()
     del doc["trees"]
     bad_tree_cases.append(json.dumps(doc).encode())
+    # a tree nested deeper than the interpreter's recursion limit
+    deep = b'{"feature": 0, "threshold": 0.5, "right": {"counts": [0, 1]}, "left": ' * 3000
+    bad_tree_cases.append(
+        b'{"version": 1, "trees": [' + deep + b'{"counts": [1, 0]}' + b"}" * 3000 + b"]}"
+    )
     for blob in bad_tree_cases:
         with pytest.raises(CorruptModel):
             deserialize(blob)

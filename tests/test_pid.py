@@ -367,6 +367,17 @@ def test_single_stump_always_votes_its_class():
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_classify_maps_votes_by_class_name():
+    rng = np.random.default_rng(6)
+    desc = _descriptor(rng)
+    # a model over two labels only, listed out of enum order
+    model = train([LabeledSample(desc.vector(), 0)], ForestConfig(n_trees=1, seed=0),
+                  class_names=["Ap", "F"])
+    label, probs = classify_interaction(desc, model)
+    assert label is InteractionLabel.Approaching
+    assert probs[InteractionLabel.Approaching.class_id] == 1.0 and probs.sum() == 1.0
+
+
 def test_classify_rejects_wrong_dimensionality(tiny_stage1):
     rng = np.random.default_rng(3)
     short = _descriptor(rng, PidConfig(t1=32, l_max=0))  # 17-dim, model wants 19
