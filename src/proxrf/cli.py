@@ -226,6 +226,8 @@ def _cmd_train(args, run: RunConfig) -> int:
 
 
 def _cmd_eval(args, run: RunConfig) -> int:
+    if args.folds < 2:
+        raise InvalidConfig(f"--folds must be >= 2, got {args.folds}")
     cfg = run.pipeline()
     recordings = read_corpus(args.corpus)
     if args.folds_file is not None:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .cbd import CollectiveLabel
 from .errors import InvalidConfig
-from .evaluate import PipelineConfig
+from .evaluate import PipelineConfig, cue_columns
 from .forest import ForestConfig
 from .pid import PidConfig
 from .trajectory import DEFAULT_MAX_GAP, SmoothingConfig
@@ -94,6 +94,13 @@ class RunConfig:
         for lab in self.drop_labels:
             if not isinstance(lab, CollectiveLabel):
                 raise InvalidConfig(f"drop_labels entries must be collective labels, got {lab!r}")
+        for stage, forest, width in (
+            ("interaction", self.interaction_forest, self.pid.descriptor_length),
+            ("collective", self.collective_forest, len(cue_columns(self.pipeline().cues))),
+        ):
+            if forest.features_per_split is not None and forest.features_per_split > width:
+                raise InvalidConfig(f"{stage}_features_per_split must be <= {width}, "
+                                    f"its descriptor length, got {forest.features_per_split}")
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(

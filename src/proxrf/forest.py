@@ -14,6 +14,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,10 @@ from .errors import (
     ShapeMismatch,
 )
 
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+
+# rows that vote_fractions steps through the node table together
+_VOTE_BLOCK = 128
 
 # a split must beat this impurity decrease, so float dust never splits
 _MIN_DECREASE = 1e-12
@@ -64,54 +68,36 @@ class ForestConfig:
             raise ValueError("features_per_split must be >= 1")
 
 
-class _Tree:
-    """Flat-array decision tree: preorder nodes, -1 marks leaves."""
+class RandomForest:
+    """Immutable trained ensemble held as one node table for all trees;
+    build it with train() or deserialize(), not directly.
 
-    __slots__ = ("feature", "threshold", "left", "right", "counts", "leaf_class")
+    Node arrays are indexed by global node id.  ``trees`` holds each
+    tree's root id, starting at 0 and increasing; a tree owns the nodes
+    from its root up to the next tree's root.  Training puts the root
+    first and appends both children of a node together (left, then
+    right) when it splits the node, so every child id is greater than its
+    parent's and inside its tree; deserialize() checks exactly that, so
+    every walk from a root ends at a leaf of the same tree.
+    ``feature`` is -1 at leaves; ``counts`` holds the bootstrap class
+    counts at leaves (``leaf_counts`` in node order) and zeros at
+    internal nodes.
+    """
 
-    def __init__(self, feature, threshold, left, right, counts):
+    def __init__(self, roots, feature, threshold, left, right, leaf_counts, config,
+                 feature_count, class_names):
+        self.trees = np.asarray(roots, dtype=np.int64)
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
-        self.counts = np.asarray(counts, dtype=np.int64)
-        self.leaf_class = np.argmax(self.counts, axis=1)
-
-    def leaf_indices(self, x_mat: np.ndarray) -> np.ndarray:
-        idx = np.zeros(len(x_mat), dtype=np.int64)
-        while True:
-            rows = np.flatnonzero(self.feature[idx] >= 0)
-            if len(rows) == 0:
-                return idx
-            at = idx[rows]
-            go_left = x_mat[rows, self.feature[at]] <= self.threshold[at]
-            idx[rows] = np.where(go_left, self.left[at], self.right[at])
-
-    def votes(self, x_mat: np.ndarray) -> np.ndarray:
-        return self.leaf_class[self.leaf_indices(x_mat)]
-
-    def importance(self, d: int) -> np.ndarray:
-        """Per-feature impurity decrease, weighted by node mass."""
-        imp = np.zeros(d)
-        total = self.counts[0].sum()
-        n = self.counts.sum(axis=1).astype(float)
-        gini = 1.0 - (self.counts**2).sum(axis=1) / np.maximum(n, 1) ** 2
-        for i in np.flatnonzero(self.feature >= 0):
-            l, r = self.left[i], self.right[i]
-            drop = n[i] * gini[i] - n[l] * gini[l] - n[r] * gini[r]
-            imp[self.feature[i]] += drop / total
-        return imp
-
-
-class RandomForest:
-    """Immutable trained ensemble; build with train(), not directly."""
-
-    def __init__(self, trees, config, feature_count, class_names):
-        self.trees = tuple(trees)
         self.config = config
         self.feature_count = int(feature_count)
         self.class_names = tuple(str(c) for c in class_names)
         self.class_count = len(self.class_names)
+        self.counts = np.zeros((len(self.feature), self.class_count), dtype=np.int64)
+        self.counts[self.feature < 0] = leaf_counts
+        self.leaf_class = np.argmax(self.counts, axis=1)
 
     def _check(self, x_mat: np.ndarray) -> np.ndarray:
         x_mat = np.asarray(x_mat, dtype=float)
@@ -123,13 +109,30 @@ class RandomForest:
         return x_mat
 
     def vote_fractions(self, x_mat: np.ndarray) -> np.ndarray:
-        """Fraction of trees voting each class, shape (n, class_count)."""
+        """Fraction of trees voting each class, shape (n, class_count).
+
+        Every (row, tree) pair of a block of rows steps through the node
+        table at once; the blocks bound the size of the working arrays.
+        """
         x_mat = self._check(x_mat)
-        frac = np.zeros((len(x_mat), self.class_count))
-        rows = np.arange(len(x_mat))
-        for tree in self.trees:
-            frac[rows, tree.votes(x_mat)] += 1.0
-        return frac / len(self.trees)
+        n, n_trees, k = len(x_mat), len(self.trees), self.class_count
+        leaves = np.empty((n, n_trees), dtype=np.int64)
+        for start in range(0, n, _VOTE_BLOCK):
+            block = x_mat[start:start + _VOTE_BLOCK]
+            node = np.tile(self.trees, len(block))
+            row = np.repeat(np.arange(len(block)), n_trees)
+            live = np.arange(len(node))
+            while len(live):
+                at = node[live]
+                f = self.feature[at]
+                inner = f >= 0
+                live, at, f = live[inner], at[inner], f[inner]
+                go_left = block[row[live], f] <= self.threshold[at]
+                node[live] = np.where(go_left, self.left[at], self.right[at])
+            leaves[start:start + len(block)] = node.reshape(len(block), n_trees)
+        slots = self.leaf_class[leaves] + k * np.arange(n)[:, None]
+        votes = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k)
+        return votes / n_trees
 
     def predict_batch(self, x_mat: np.ndarray) -> np.ndarray:
         """Majority-vote class ids; ties go to the lowest class id."""
@@ -143,12 +146,22 @@ class RandomForest:
     def feature_importance(self) -> np.ndarray:
         """Mean impurity decrease per feature, normalized to sum 1.
 
-        A forest with no internal node anywhere (all-constant features)
-        reports a uniform vector.
+        Each split's decrease is weighted by its node's share of its
+        tree's bootstrap sample.  A forest with no internal node anywhere
+        (all-constant features) reports a uniform vector.
         """
-        imp = np.zeros(self.feature_count)
-        for tree in self.trees:
-            imp += tree.importance(self.feature_count)
+        inner = np.flatnonzero(self.feature >= 0)
+        counts = self.counts.astype(float)
+        for i in inner[::-1]:  # children come after their parent
+            counts[i] = counts[self.left[i]] + counts[self.right[i]]
+        n = counts.sum(axis=1)
+        gini = 1.0 - (counts**2).sum(axis=1) / np.maximum(n, 1.0) ** 2
+        mass = n * gini
+        drop = mass[inner] - mass[self.left[inner]] - mass[self.right[inner]]
+        tree_size = n[self.trees][np.searchsorted(self.trees, inner, side="right") - 1]
+        imp = np.bincount(
+            self.feature[inner], weights=drop / tree_size, minlength=self.feature_count
+        )
         total = imp.sum()
         if total <= 0.0:
             return np.full(self.feature_count, 1.0 / self.feature_count)
@@ -237,7 +250,7 @@ def _grow_tree(x_mat, y, cfg, m_feats, class_count, tree_idx):
         right[node] = r_node
         stack.append((r_node, r_idx, depth + 1))
         stack.append((l_node, l_idx, depth + 1))
-    return _Tree(feature, threshold, left, right, np.array(counts))
+    return feature, threshold, left, right, counts
 
 
 def train(
@@ -279,86 +292,51 @@ def train(
     if not 1 <= m_feats <= d:
         raise ValueError(f"features_per_split {m_feats} outside 1..{d}")
 
+    grow = partial(_grow_tree, x_mat, y, cfg, m_feats, class_count)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(
-                pool.map(
-                    lambda i: _grow_tree(x_mat, y, cfg, m_feats, class_count, i),
-                    range(cfg.n_trees),
-                )
-            )
+            trees = list(pool.map(grow, range(cfg.n_trees)))
     else:
-        trees = [_grow_tree(x_mat, y, cfg, m_feats, class_count, i) for i in range(cfg.n_trees)]
-    return RandomForest(trees, cfg, d, class_names)
-
-
-def _node_to_json(tree: _Tree, node: int):
-    if tree.feature[node] < 0:
-        return {"counts": tree.counts[node].tolist()}
-    return {
-        "feature": int(tree.feature[node]),
-        "threshold": float(tree.threshold[node]),
-        "left": _node_to_json(tree, int(tree.left[node])),
-        "right": _node_to_json(tree, int(tree.right[node])),
-    }
+        trees = [grow(i) for i in range(cfg.n_trees)]
+    # one node table: each tree's node ids shift by the nodes before it
+    sizes = [len(t[0]) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, counts = (np.concatenate(col) for col in zip(*trees))
+    offset = np.repeat(roots, sizes)
+    left = np.where(left >= 0, left + offset, -1)
+    right = np.where(right >= 0, right + offset, -1)
+    leaf_counts = counts[feature < 0]
+    return RandomForest(roots, feature, threshold, left, right, leaf_counts, cfg, d, class_names)
 
 
 def serialize(model: RandomForest) -> bytes:
-    """Versioned JSON document; byte-identical for identical models."""
+    """Versioned JSON document of the node table; byte-identical for
+    identical models.  Leaf counts are listed in node order."""
     doc = {
         "version": MODEL_VERSION,
         "class_names": list(model.class_names),
         "feature_count": model.feature_count,
         "config": asdict(model.config),
-        "trees": [_node_to_json(t, 0) for t in model.trees],
+        "roots": model.trees.tolist(),
+        "feature": model.feature.tolist(),
+        "threshold": model.threshold.tolist(),
+        "left": model.left.tolist(),
+        "right": model.right.tolist(),
+        "leaf_counts": model.counts[model.feature < 0].tolist(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _node_from_json(rec, class_count, feature_count, feature, threshold, left, right, counts):
-    """Rebuild flat arrays; returns (node id, count vector)."""
-    if not isinstance(rec, dict):
-        raise CorruptModel(f"node record must be an object, got {type(rec).__name__}")
-    node = len(feature)
-    feature.append(-1)
-    threshold.append(0.0)
-    left.append(-1)
-    right.append(-1)
-    counts.append(None)
-    if "counts" in rec:
-        c = rec["counts"]
-        if (
-            not isinstance(c, list)
-            or len(c) != class_count
-            or any(not isinstance(v, int) or v < 0 for v in c)
-        ):
-            raise CorruptModel(f"bad leaf counts {c!r}")
-        counts[node] = np.array(c, dtype=np.int64)
-        return node, counts[node]
+def _array(doc: dict, key: str, kinds: str, ndim: int = 1) -> np.ndarray:
+    """doc[key] as a non-empty ``ndim``-d array of a dtype kind in ``kinds``."""
     try:
-        f = rec["feature"]
-        thr = rec["threshold"]
-        l_rec = rec["left"]
-        r_rec = rec["right"]
-    except KeyError as e:
-        raise CorruptModel(f"node record missing field {e}") from None
-    if not isinstance(f, int) or not 0 <= f < feature_count:
-        raise CorruptModel(f"feature index {f!r} outside 0..{feature_count - 1}")
-    if not isinstance(thr, (int, float)) or not math.isfinite(thr):
-        raise CorruptModel(f"non-finite threshold {thr!r}")
-    l_node, l_counts = _node_from_json(
-        l_rec, class_count, feature_count, feature, threshold, left, right, counts
-    )
-    r_node, r_counts = _node_from_json(
-        r_rec, class_count, feature_count, feature, threshold, left, right, counts
-    )
-    feature[node] = f
-    threshold[node] = float(thr)
-    left[node] = l_node
-    right[node] = r_node
-    # internal counts are not stored; they are the sum of the children
-    counts[node] = l_counts + r_counts
-    return node, counts[node]
+        arr = np.array(doc[key])
+    except ValueError:  # ragged nesting
+        raise CorruptModel(f"{key} is not a regular array") from None
+    if arr.dtype.kind not in kinds or arr.ndim != ndim or arr.size == 0:
+        what = "integers" if kinds == "i" else "numbers"
+        raise CorruptModel(f"{key} must be a non-empty {ndim}-d array of {what}")
+    return arr
 
 
 def deserialize(blob: bytes) -> RandomForest:
@@ -376,24 +354,37 @@ def deserialize(blob: bytes) -> RandomForest:
         class_names = doc["class_names"]
         feature_count = doc["feature_count"]
         config_doc = doc["config"]
-        tree_docs = doc["trees"]
+        roots, feature, left, right = (
+            _array(doc, key, "i") for key in ("roots", "feature", "left", "right")
+        )
+        threshold = _array(doc, "threshold", "if").astype(float)
+        leaf_counts = _array(doc, "leaf_counts", "i", ndim=2)
     except KeyError as e:
         raise CorruptModel(f"model document missing field {e}") from None
     if not isinstance(class_names, list) or not class_names:
         raise CorruptModel("class_names must be a non-empty list")
     if not isinstance(feature_count, int) or feature_count < 1:
         raise CorruptModel(f"bad feature_count {feature_count!r}")
-    if not isinstance(tree_docs, list) or not tree_docs:
-        raise CorruptModel("trees must be a non-empty list")
     try:
         cfg = ForestConfig(**config_doc)
     except (TypeError, ValueError) as e:
         raise CorruptModel(f"bad config: {e}") from None
-    trees = []
-    for rec in tree_docs:
-        feature, threshold, left, right, counts = [], [], [], [], []
-        _node_from_json(
-            rec, len(class_names), feature_count, feature, threshold, left, right, counts
-        )
-        trees.append(_Tree(feature, threshold, left, right, np.array(counts)))
-    return RandomForest(trees, cfg, feature_count, class_names)
+    n = len(feature)
+    if not len(threshold) == len(left) == len(right) == n:
+        raise CorruptModel("feature, threshold, left and right differ in length")
+    if roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n:
+        raise CorruptModel("roots must start at 0 and increase inside the node table")
+    if np.any((feature < -1) | (feature >= feature_count)):
+        raise CorruptModel(f"feature index outside -1..{feature_count - 1}")
+    inner = np.flatnonzero(feature >= 0)
+    if not np.all(np.isfinite(threshold[inner])):
+        raise CorruptModel("non-finite threshold at an internal node")
+    tree_end = np.append(roots[1:], n)[np.searchsorted(roots, inner, side="right") - 1]
+    for child in (left[inner], right[inner]):
+        if np.any((child <= inner) | (child >= tree_end)):
+            raise CorruptModel("child index not after its parent inside its tree")
+    shape = (n - len(inner), len(class_names))
+    if leaf_counts.shape != shape or np.any(leaf_counts < 0):
+        raise CorruptModel(f"leaf_counts must be {shape[0]} rows of {shape[1]} counts >= 0")
+    return RandomForest(roots, feature, threshold, left, right, leaf_counts, cfg, feature_count,
+                        class_names)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import FrameMismatch, InsufficientData, MissingFrames
 
@@ -197,29 +196,26 @@ class Trajectory:
 def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
     """Double-exponential smoothing of the positions, frames unchanged.
 
-    Brown's form: a level smoother feeds a second smoother, both with
-    factor alpha; the output 2*s1 - s2 removes the steady-state lag.  The
-    first sample passes through unchanged.  Samples are treated as
+    Brown's form: a level smoother s1[t] = a*x[t] + (1-a)*s1[t-1] feeds a
+    second smoother s2 of the same form, and the output 2*s1 - s2 removes
+    the steady-state lag.  s1 is seeded with x[0] and s2 with s1[0], so
+    the first sample passes through unchanged.  Samples are treated as
     uniformly spaced in time.
     """
     if len(traj) < 2:
         raise InsufficientData(f"track {traj.track_id}: need >= 2 samples to smooth")
-    x = traj.xy
     a = cfg.alpha
-    # s1[t] = a*x[t] + (1-a)*s1[t-1] as an IIR filter, state seeded with x[0]
-    zi = (1.0 - a) * x[0]
-    s1, _ = lfilter([a], [1.0, -(1.0 - a)], x, axis=0, zi=zi[np.newaxis, :])
-    zi2 = (1.0 - a) * s1[0]
-    s2, _ = lfilter([a], [1.0, -(1.0 - a)], s1, axis=0, zi=zi2[np.newaxis, :])
-    out = 2.0 * s1 - s2
-    return Trajectory(
-        traj.track_id,
-        (
-            TimedPosition(s.frame, float(p[0]), float(p[1]))
-            for s, p in zip(traj.samples, out)
-        ),
-        traj.fps,
-    )
+    b = 1.0 - a
+    s1x, s1y = traj.samples[0].x, traj.samples[0].y
+    s2x, s2y = a * s1x + b * s1x, a * s1y + b * s1y  # s1[0]
+    out = []
+    for s in traj.samples:
+        s1x = a * s.x + b * s1x
+        s1y = a * s.y + b * s1y
+        s2x = a * s1x + b * s2x
+        s2y = a * s1y + b * s2y
+        out.append(TimedPosition(s.frame, 2.0 * s1x - s2x, 2.0 * s1y - s2y))
+    return Trajectory(traj.track_id, out, traj.fps)
 
 
 def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> list:

@@ -138,6 +138,21 @@ def test_bad_values_rejected(values):
         build_run_config(values)
 
 
+def test_features_per_split_bounded_by_descriptor_length():
+    build_run_config({"interaction_features_per_split": 19,
+                      "collective_features_per_split": 9})
+    build_run_config({"interaction_features_per_split": 23, "l_max": 2})
+    build_run_config({"collective_features_per_split": 8, "include_shape": False})
+    for values in (
+        {"interaction_features_per_split": 20},
+        {"interaction_features_per_split": 23, "l_max": 0},
+        {"collective_features_per_split": 10},
+        {"collective_features_per_split": 9, "include_shape": False},
+    ):
+        with pytest.raises(InvalidConfig, match="features_per_split must be <="):
+            build_run_config(values)
+
+
 def test_load_run_config_missing_file(tmp_path):
     with pytest.raises(InvalidConfig, match="cannot read config file"):
         load_run_config(str(tmp_path / "nope.cfg"))
@@ -380,10 +395,19 @@ def test_predict_rows_match_pipeline(mixed_corpus, stage1_model, tmp_path):
 
 
 def test_exit_code_config_error(pair_corpus, tmp_path, capsys):
-    rc = main(["eval", pair_corpus, "--t2", "48",
-               "--out-dir", str(tmp_path / "r")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("ERROR InvalidConfig:")
+    out = str(tmp_path / "m.json")
+    for argv in (
+        ["eval", pair_corpus, "--t2", "48", "--out-dir", str(tmp_path / "r")],
+        ["eval", pair_corpus, "--folds", "0", "--out-dir", str(tmp_path / "r")],
+        ["eval", pair_corpus, "--folds", "-1", "--out-dir", str(tmp_path / "r")],
+        ["train", "collective", pair_corpus, "--out", out,
+         "--interaction-features-per-split", "50"],
+        ["train", "collective", pair_corpus, "--out", out,
+         "--collective-features-per-split", "50"],
+    ):
+        rc = main(argv)
+        assert rc == 2, argv
+        assert capsys.readouterr().err.startswith("ERROR InvalidConfig:"), argv
 
 
 def test_exit_code_parse_error(tmp_path, capsys):
@@ -407,7 +431,7 @@ def test_exit_code_missing_and_corrupt_model(pair_corpus, tmp_path, capsys):
     assert rc == 3
     assert "ERROR CorruptModel" in capsys.readouterr().err
     deep = tmp_path / "deep.json"
-    deep.write_text('{"version": 1, "trees": [' + '{"left": ' * 3000 + "{}" + "}" * 3000 + "]}")
+    deep.write_text('{"version": 2, "roots": [' + '{"left": ' * 3000 + "{}" + "}" * 3000 + "]}")
     rc = main(["predict", pair_corpus, "--interactions-model", str(deep),
                "--out", str(tmp_path / "p.csv")])
     assert rc == 3

@@ -149,18 +149,12 @@ def test_thresholds_are_interior_midpoints():
     model = train(samples, ForestConfig(n_trees=5, seed=9))
     doc = json.loads(serialize(model))
     train_vals = {f: set(x[:, f].tolist()) for f in range(x.shape[1])}
-
-    def check(node):
-        if "counts" in node:
-            return
-        f, thr = node["feature"], node["threshold"]
+    inner = [i for i, f in enumerate(doc["feature"]) if f >= 0]
+    assert inner
+    for i in inner:
+        f, thr = doc["feature"][i], doc["threshold"][i]
         assert x[:, f].min() < thr < x[:, f].max()
         assert thr not in train_vals[f]
-        check(node["left"])
-        check(node["right"])
-
-    for tree in doc["trees"]:
-        check(tree)
 
 
 # ----------------------------------------------------------- train validation
@@ -233,14 +227,52 @@ def test_round_trip_preserves_predictions():
     assert serialize(clone) == serialize(model)
 
 
+def _walk_votes(doc, x):
+    """Vote fractions by walking every row down every tree of a model
+    document, one node at a time."""
+    leaf_row = {}
+    for i, f in enumerate(doc["feature"]):
+        if f < 0:
+            leaf_row[i] = len(leaf_row)
+    votes = np.zeros((len(x), len(doc["class_names"])))
+    for r, v in enumerate(x):
+        for root in doc["roots"]:
+            i = root
+            while doc["feature"][i] >= 0:
+                go_left = v[doc["feature"][i]] <= doc["threshold"][i]
+                i = doc["left"][i] if go_left else doc["right"][i]
+            counts = doc["leaf_counts"][leaf_row[i]]
+            votes[r, counts.index(max(counts))] += 1.0
+    return votes / len(doc["roots"])
+
+
+def test_vote_fractions_match_per_tree_walk():
+    rng = np.random.default_rng(77)
+    samples, _, _ = _blobs(rng, 40, spread=1.5)
+    model = train(samples, ForestConfig(n_trees=15, seed=5))
+    doc = json.loads(serialize(model))
+    # around the 128-row voting block: one block, one full block, one row over
+    for n in (1, 7, 128, 129, 2000):
+        x = rng.standard_normal((n, 6)) * 3.0
+        np.testing.assert_array_equal(model.vote_fractions(x), _walk_votes(doc, x))
+
+
+_CONFIG_DOC = {"n_trees": 2, "max_depth": None, "min_samples_split": 2,
+               "features_per_split": None, "seed": 0}
+
+
 def test_deserialized_stumps_tie_to_lowest_class():
     doc = {
-        "version": 1,
+        "version": 2,
         "class_names": ["a", "b"],
         "feature_count": 2,
-        "config": {"n_trees": 2, "max_depth": None, "min_samples_split": 2,
-                   "features_per_split": None, "seed": 0},
-        "trees": [{"counts": [0, 5]}, {"counts": [5, 0]}],
+        "config": _CONFIG_DOC,
+        "roots": [0, 1],
+        "feature": [-1, -1],
+        "threshold": [0.0, 0.0],
+        "left": [-1, -1],
+        "right": [-1, -1],
+        "leaf_counts": [[0, 5], [5, 0]],
     }
     model = deserialize(json.dumps(doc).encode())
     cid, frac = model.predict(np.zeros(2))
@@ -249,14 +281,18 @@ def test_deserialized_stumps_tie_to_lowest_class():
 
 
 def _valid_doc():
+    """Two one-split trees: nodes 0-2 and nodes 3-5."""
     return {
-        "version": 1,
+        "version": 2,
         "class_names": ["a", "b"],
         "feature_count": 2,
-        "config": {"n_trees": 1, "max_depth": None, "min_samples_split": 2,
-                   "features_per_split": None, "seed": 0},
-        "trees": [{"feature": 0, "threshold": 0.5,
-                   "left": {"counts": [3, 0]}, "right": {"counts": [0, 2]}}],
+        "config": _CONFIG_DOC,
+        "roots": [0, 3],
+        "feature": [0, -1, -1, 1, -1, -1],
+        "threshold": [0.5, 0.0, 0.0, -0.25, 0.0, 0.0],
+        "left": [1, -1, -1, 4, -1, -1],
+        "right": [2, -1, -1, 5, -1, -1],
+        "leaf_counts": [[3, 0], [0, 2], [1, 1], [0, 4]],
     }
 
 
@@ -267,7 +303,10 @@ def _corrupt(**changes):
 
 
 def test_deserialize_rejects_corrupt_documents():
-    deserialize(_corrupt())  # the base document is valid
+    model = deserialize(_corrupt())  # the base document is valid
+    assert len(model.trees) == 2
+    np.testing.assert_array_equal(model.vote_fractions([[0.0, 0.0], [1.0, 0.0]]),
+                                  [[0.5, 0.5], [0.0, 1.0]])
     bad_tree_cases = [
         b"not json at all",
         b"[1,2,3]",
@@ -276,29 +315,59 @@ def test_deserialize_rejects_corrupt_documents():
         _corrupt(class_names="ab"),
         _corrupt(feature_count=0),
         _corrupt(feature_count="two"),
-        _corrupt(trees=[]),
-        _corrupt(trees=[17]),
-        _corrupt(trees=[{"feature": 5, "threshold": 0.5,
-                         "left": {"counts": [1, 0]}, "right": {"counts": [0, 1]}}]),
-        _corrupt(trees=[{"feature": 0, "threshold": float("nan"),
-                         "left": {"counts": [1, 0]}, "right": {"counts": [0, 1]}}]),
-        _corrupt(trees=[{"feature": 0, "threshold": 0.5,
-                         "left": {"counts": [1]}, "right": {"counts": [0, 1]}}]),
-        _corrupt(trees=[{"counts": [-1, 2]}]),
-        _corrupt(trees=[{"counts": [0.5, 2]}]),
-        _corrupt(trees=[{"feature": 0, "threshold": 0.5,
-                         "left": {"counts": [1, 0]}}]),
+        _corrupt(roots=[]),
+        _corrupt(roots=17),
+        _corrupt(roots=[0, "3"]),
+        _corrupt(feature=[5, -1, -1, 1, -1, -1]),
+        _corrupt(feature=[0, -1, -1, -2, -1, -1]),
+        _corrupt(feature=[0.0, -1, -1, 1, -1, -1]),
+        _corrupt(threshold=[float("nan"), 0.0, 0.0, -0.25, 0.0, 0.0]),
+        _corrupt(threshold=[0.5, 0.0, 0.0, "x", 0.0, 0.0]),
+        _corrupt(leaf_counts=[[1], [0, 2], [1, 1], [0, 4]]),
+        _corrupt(leaf_counts=[[1], [0], [1], [0]]),
+        _corrupt(leaf_counts=[[3, 0], [0, 2], [1, 1]]),
+        _corrupt(leaf_counts=[[-1, 2], [0, 2], [1, 1], [0, 4]]),
+        _corrupt(leaf_counts=[[0.5, 2], [0, 2], [1, 1], [0, 4]]),
+        _corrupt(right=[-1, -1, -1, 5, -1, -1]),  # internal node without a right child
         _corrupt(config={"n_trees": 0}),
         _corrupt(config={"bogus": 1}),
+        # a child at or below its parent's index: walks could loop
+        _corrupt(left=[0, -1, -1, 4, -1, -1]),
+        _corrupt(left=[1, -1, -1, 2, -1, -1]),
+        # a child after its parent but outside the parent's tree
+        _corrupt(right=[4, -1, -1, 5, -1, -1]),
+        _corrupt(right=[2, -1, -1, 6, -1, -1]),
+        # node arrays of unequal length
+        _corrupt(threshold=[0.5, 0.0, 0.0, -0.25, 0.0]),
+        _corrupt(left=[1, -1, -1, 4, -1, -1, -1]),
+        # roots that do not start at 0, do not increase or leave the table
+        _corrupt(roots=[1, 3]),
+        _corrupt(roots=[0, 0]),
+        _corrupt(roots=[0, 3, 2]),
+        _corrupt(roots=[0, 6]),
     ]
-    doc = _valid_doc()
-    del doc["trees"]
-    bad_tree_cases.append(json.dumps(doc).encode())
-    # a tree nested deeper than the interpreter's recursion limit
+    for missing in ("roots", "feature", "threshold", "left", "right", "leaf_counts"):
+        doc = _valid_doc()
+        del doc[missing]
+        bad_tree_cases.append(json.dumps(doc).encode())
+    # a document nested deeper than the interpreter's recursion limit
     deep = b'{"feature": 0, "threshold": 0.5, "right": {"counts": [0, 1]}, "left": ' * 3000
     bad_tree_cases.append(
-        b'{"version": 1, "trees": [' + deep + b'{"counts": [1, 0]}' + b"}" * 3000 + b"]}"
+        b'{"version": 2, "roots": [' + deep + b'{"counts": [1, 0]}' + b"}" * 3000 + b"]}"
     )
     for blob in bad_tree_cases:
         with pytest.raises(CorruptModel):
             deserialize(blob)
+
+
+def test_deserialize_refuses_version_1():
+    v1 = {
+        "version": 1,
+        "class_names": ["a", "b"],
+        "feature_count": 2,
+        "config": _CONFIG_DOC,
+        "trees": [{"feature": 0, "threshold": 0.5,
+                   "left": {"counts": [3, 0]}, "right": {"counts": [0, 2]}}],
+    }
+    with pytest.raises(CorruptModel, match="unsupported model version 1, expected 2"):
+        deserialize(json.dumps(v1).encode())

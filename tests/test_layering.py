@@ -1,7 +1,11 @@
-"""Module boundaries: no module imports another module's private names."""
+"""Module boundaries: no module imports another module's private names, and
+the CLI loads no test-only dependency."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # the pair descriptor's per-window kernel, shared by evaluate and cbd so
@@ -27,3 +31,12 @@ def test_no_private_imports_across_modules():
     assert paths
     found = [hit for path in paths for hit in _private_imports(path)]
     assert found == []
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only; importing it costs most of a CLI start
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, proxrf.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

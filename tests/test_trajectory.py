@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.signal import lfilter
 
 from proxrf.errors import FrameMismatch, InsufficientData, MissingFrames
 from proxrf.trajectory import (
@@ -96,6 +97,24 @@ def test_smooth_matches_scalar_recursion():
         traj = make_traj("t", xy)
         got = smooth(traj, SmoothingConfig(alpha=alpha)).xy
         np.testing.assert_allclose(got, _brown_reference(xy, alpha), atol=1e-12)
+
+
+def _lfilter_reference(x, a):
+    # both smoothers as IIR filters, state seeded with the first sample
+    den = [1.0, -(1.0 - a)]
+    s1, _ = lfilter([a], den, x, axis=0, zi=((1.0 - a) * x[0])[np.newaxis, :])
+    s2, _ = lfilter([a], den, s1, axis=0, zi=((1.0 - a) * s1[0])[np.newaxis, :])
+    return 2.0 * s1 - s2
+
+
+def test_smooth_is_bitwise_lfilter():
+    rng = np.random.default_rng(2024)
+    for trial in range(200):
+        n = int(rng.integers(2, 301))
+        xy = rng.uniform(-50.0, 50.0, size=2) + np.cumsum(rng.normal(0.0, 0.3, size=(n, 2)), axis=0)
+        alpha = float(rng.uniform(0.01, 0.99))
+        got = smooth(make_traj("t", xy), SmoothingConfig(alpha=alpha)).xy
+        np.testing.assert_array_equal(got, _lfilter_reference(xy, alpha))
 
 
 def test_smooth_constant_signal_is_identity():
