@@ -22,7 +22,7 @@ from .cbd import (
     mean_speed,
     shape_ratio,
 )
-from .config import RunConfig, build_run_config, load_run_config, parse_config_text
+from .config import build_run_config, load_run_config, parse_config_text
 from .dataset import (
     FOOT_POINTS,
     LAYOUTS,

@@ -223,9 +223,9 @@ def collect_pair_predictions(
 
     A pair contributes at a center only when both tracks cover the full
     descriptor window there.  ``cache`` maps (anchor, target, center) to
-    a descriptor vector (None for an uncoverable placement); vectors do
-    not depend on the model, so one cache may serve many models as long
-    as the descriptor config, smoothing and seed stay fixed.
+    a descriptor vector; vectors do not depend on the model, so one cache
+    may serve many models as long as the descriptor config, smoothing and
+    seed stay fixed.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -259,8 +259,7 @@ def collect_pair_predictions(
                     ).vector()
                     if cache is not None:
                         cache[key] = vec
-                if vec is not None:
-                    vecs.append(vec)
+                vecs.append(vec)
     if not vecs:
         return []
     try:

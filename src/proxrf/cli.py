@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_run_config
+from .config import SETTINGS, load_run_config
 from .dataset import (
     LAYOUTS,
     FOOT_POINTS,
@@ -126,14 +126,14 @@ def _check_stage2_shape(model: RandomForest, cfg: PipelineConfig):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_synth(args, run: RunConfig) -> int:
+def _cmd_synth(args, cfg: PipelineConfig) -> int:
     params = SynthParams(
         fps=args.fps,
         duration_frames=args.duration_frames,
         walk_speed=args.walk_speed,
         noise_sigma=args.noise_sigma,
         group_size=args.group_size,
-        seed=run.seed,
+        seed=cfg.seed,
     )
     scenes = []
     if args.set in ("pairs", "all"):
@@ -149,15 +149,14 @@ def _cmd_synth(args, run: RunConfig) -> int:
     return 0
 
 
-def _cmd_adapt(args, run: RunConfig) -> int:
+def _cmd_adapt(args, cfg: PipelineConfig) -> int:
     scenes = adapt_external(args.root, args.layout, foot_point=args.foot_point)
     write_corpus(scenes, args.out)
     print(f"adapted {len(scenes)} sequences to {args.out}")
     return 0
 
 
-def _cmd_extract(args, run: RunConfig) -> int:
-    cfg = run.pipeline()
+def _cmd_extract(args, cfg: PipelineConfig) -> int:
     recordings = read_corpus(args.corpus)
     lines = []
     if args.kind == "pid":
@@ -199,8 +198,7 @@ def _stage1_out_path(out: str) -> str:
     return base + ".stage1" + (ext or ".json")
 
 
-def _cmd_train(args, run: RunConfig) -> int:
-    cfg = run.pipeline()
+def _cmd_train(args, cfg: PipelineConfig) -> int:
     pipe = Pipeline(read_corpus(args.corpus), cfg)
     s1_seed, s2_seed = fold_seeds(cfg.seed, 0)
     if args.task == "interactions":
@@ -225,27 +223,23 @@ def _cmd_train(args, run: RunConfig) -> int:
     return 0
 
 
-def _cmd_eval(args, run: RunConfig) -> int:
-    if args.folds < 2:
-        raise InvalidConfig(f"--folds must be >= 2, got {args.folds}")
-    cfg = run.pipeline()
+def _cmd_eval(args, cfg: PipelineConfig) -> int:
     recordings = read_corpus(args.corpus)
     if args.folds_file is not None:
         folds = FoldSplit.from_file(args.folds_file, args.folds)
     else:
-        warnings.warn("no --folds-file given; falling back to a round-robin split")
         folds = FoldSplit.round_robin([r.sequence_id for r in recordings], args.folds)
+        warnings.warn("no --folds-file given; falling back to a round-robin split")
     report = kfold_evaluate(recordings, folds, cfg, task=args.task)
     _write_report(report, args.out_dir)
     print(f"mpca {report.mpca:.4f} std {report.std:.4f}; report in {args.out_dir}")
     return 0
 
 
-def _cmd_cross(args, run: RunConfig) -> int:
-    cfg = run.pipeline()
+def _cmd_cross(args, cfg: PipelineConfig) -> int:
     train_recs = read_corpus(args.train_corpus)
     test_recs = read_corpus(args.test_corpus)
-    report = cross_dataset(train_recs, test_recs, cfg, drop_labels=run.drop_labels)
+    report = cross_dataset(train_recs, test_recs, cfg)
     _write_report(report, args.out_dir)
     print(f"mpca {report.mpca:.4f} std {report.std:.4f}; report in {args.out_dir}")
     return 0
@@ -260,8 +254,7 @@ def _prediction_lines(kind: str, rows: list, model: RandomForest, x: np.ndarray)
     ]
 
 
-def _cmd_predict(args, run: RunConfig) -> int:
-    cfg = run.pipeline()
+def _cmd_predict(args, cfg: PipelineConfig) -> int:
     recordings = read_corpus(args.corpus)
     stage1 = _read_model(args.interactions_model)
     _check_stage1_shape(stage1, cfg)
@@ -294,47 +287,22 @@ def _cmd_predict(args, run: RunConfig) -> int:
 # ----------------------------------------------------------------- parser
 
 
+_FLAG_TYPES = {"int": int, "optint": int, "float": float}
+
+
 def _add_config_flags(sub: argparse.ArgumentParser):
     g = sub.add_argument_group("configuration (flags > file > defaults)")
     g.add_argument("--config", metavar="FILE", help="key = value config file")
-    g.add_argument("--seed", type=int, help="run seed (default 0)")
-    g.add_argument("--threads", type=int, help="worker threads (or PROXRF_THREADS)")
-    g.add_argument("--t1", type=int, help="pairwise window length (default 64)")
-    g.add_argument("--t2", type=int, help="group window length (default 64)")
-    g.add_argument("--step", type=int, help="window grid step (default 5)")
-    g.add_argument("--stride", type=int, help="pair-descriptor stride inside group windows")
-    g.add_argument("--max-gap", type=int, help="largest interpolable track gap")
-    g.add_argument("--alpha", type=float, help="smoothing factor")
-    g.add_argument("--speed-threshold", type=float, help="orientation speed threshold (m/s)")
-    g.add_argument("--sigma-rho", type=float, help="radial kernel width")
-    g.add_argument("--sigma-theta", type=float, help="angular kernel width")
-    g.add_argument("--k-s", type=float, help="kernel sampling extent")
-    g.add_argument("--l-max", type=int, help="speed pyramid depth")
-    g.add_argument("--grid-samples", type=int, help="kernel grid samples per axis")
-    g.add_argument("--assignment", choices=("kde", "hard"), help="histogram assignment")
-    g.add_argument(
-        "--variance-denominator",
-        dest="variance_denominator",
-        action="store_const",
-        const=True,
-        default=None,
-        help="use 2*sigma^2 kernel denominators",
-    )
-    g.add_argument(
-        "--include-shape",
-        dest="include_shape",
-        choices=("true", "false"),
-        help="append the shape cue to CBD vectors (default true)",
-    )
-    g.add_argument("--drop-labels", help="comma-separated collective labels to drop")
-    g.add_argument("--interaction-trees", type=int, help="first-stage forest size")
-    g.add_argument("--collective-trees", type=int, help="second-stage forest size")
-    g.add_argument("--interaction-max-depth", type=int, help="first-stage depth cap")
-    g.add_argument("--collective-max-depth", type=int, help="second-stage depth cap")
-    g.add_argument("--interaction-min-samples-split", type=int)
-    g.add_argument("--collective-min-samples-split", type=int)
-    g.add_argument("--interaction-features-per-split", type=int)
-    g.add_argument("--collective-features-per-split", type=int)
+    for key, kind, _, help_text in SETTINGS:
+        flag = "--" + key.replace("_", "-")
+        if key == "variance_denominator":
+            g.add_argument(flag, action="store_const", const=True, help=help_text)
+        elif key == "include_shape":
+            g.add_argument(flag, choices=("true", "false"), help=help_text)
+        elif key == "assignment":
+            g.add_argument(flag, choices=("kde", "hard"), help=help_text)
+        else:
+            g.add_argument(flag, type=_FLAG_TYPES.get(kind), help=help_text)
 
 
 def _env_threads() -> Optional[int]:
@@ -348,45 +316,22 @@ def _env_threads() -> Optional[int]:
 
 
 def overrides_from_args(args) -> dict:
-    """RunConfig overrides from parsed flags; flags not given are left out."""
-    threads = args.threads if args.threads is not None else _env_threads()
-    include_shape = None
-    if args.include_shape is not None:
-        include_shape = args.include_shape == "true"
-    drop = None
-    if args.drop_labels is not None:
-        drop = [s.strip() for s in args.drop_labels.split(",") if s.strip()]
-    raw = {
-        "seed": args.seed,
-        "threads": threads,
-        "t1": args.t1,
-        "t2": args.t2,
-        "step": args.step,
-        "stride": args.stride,
-        "max_gap": args.max_gap,
-        "alpha": args.alpha,
-        "speed_threshold": args.speed_threshold,
-        "sigma_rho": args.sigma_rho,
-        "sigma_theta": args.sigma_theta,
-        "k_s": args.k_s,
-        "l_max": args.l_max,
-        "grid_samples": args.grid_samples,
-        "assignment": args.assignment,
-        "variance_denominator": args.variance_denominator,
-        "include_shape": include_shape,
-        "drop_labels": drop,
-        "interaction_trees": args.interaction_trees,
-        "collective_trees": args.collective_trees,
-        "interaction_max_depth": args.interaction_max_depth,
-        "collective_max_depth": args.collective_max_depth,
-        "interaction_min_samples_split": args.interaction_min_samples_split,
-        "collective_min_samples_split": args.collective_min_samples_split,
-        "interaction_features_per_split": args.interaction_features_per_split,
-        "collective_features_per_split": args.collective_features_per_split,
-    }
-    # absent flags must not shadow config-file values (None is an explicit
-    # setting for the optional-depth keys in build_run_config)
-    return {k: v for k, v in raw.items() if v is not None}
+    """Setting overrides from parsed flags; flags not given are left out
+    (None is an explicit setting for the optional-integer keys in
+    build_run_config, so absent flags must not shadow config-file values)."""
+    overrides = {}
+    for key, kind, _, _ in SETTINGS:
+        value = getattr(args, key)
+        if key == "threads" and value is None:
+            value = _env_threads()
+        if value is None:
+            continue
+        if key == "include_shape":
+            value = value == "true"
+        elif kind == "list":
+            value = [s.strip() for s in value.split(",") if s.strip()]
+        overrides[key] = value
+    return overrides
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -471,8 +416,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        run = load_run_config(args.config, overrides_from_args(args))
-        return args.func(args, run)
+        cfg = load_run_config(args.config, overrides_from_args(args))
+        return args.func(args, cfg)
     except ProxrfError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return _exit_code(exc)

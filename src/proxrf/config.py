@@ -6,116 +6,58 @@ integers, floats, booleans ``true``/``false``, double-quoted strings,
 starting with ``#`` (or blank) are skipped; ``#`` also starts a trailing
 comment outside quotes.  Precedence is flags > file > defaults.
 
-Schema (all keys optional):
-
-    seed, threads, max_gap                      integers
-    t1, t2, step, stride                        integers
-    include_shape                               boolean
-    drop_labels                                 list of collective labels
-    alpha, speed_threshold                      smoothing (floats)
-    sigma_rho, sigma_theta, k_s                 kernel widths (floats)
-    l_max, grid_samples                         integers
-    assignment                                  "kde" or "hard"
-    variance_denominator                        boolean
-    interaction_trees, collective_trees         integers
-    interaction_max_depth, collective_max_depth integers or none
-    interaction_min_samples_split,
-    collective_min_samples_split                integers
-    interaction_features_per_split,
-    collective_features_per_split               integers or none
+``SETTINGS`` is the one list of keys: the config file, the command-line
+flags (``--`` plus the key with dashes) and the flag overrides are all
+read from it, and every default comes from ``PipelineConfig()``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .cbd import CollectiveLabel
 from .errors import InvalidConfig
-from .evaluate import PipelineConfig, cue_columns
+from .evaluate import PipelineConfig
 from .forest import ForestConfig
-from .pid import PidConfig
-from .trajectory import DEFAULT_MAX_GAP, SmoothingConfig
 
-_INT_KEYS = (
-    "seed",
-    "threads",
-    "max_gap",
-    "t1",
-    "t2",
-    "step",
-    "stride",
-    "l_max",
-    "grid_samples",
-    "interaction_trees",
-    "collective_trees",
-    "interaction_min_samples_split",
-    "collective_min_samples_split",
+# (key, kind, PipelineConfig attribute it sets, help text).  Kinds: int,
+# optint (an integer or none), float, bool, str, and list (of collective
+# label names).
+SETTINGS = (
+    ("seed", "int", "seed", "run seed"),
+    ("threads", "int", "threads", "forest-training worker threads (or PROXRF_THREADS)"),
+    ("t1", "int", "pid.t1", "pairwise window length"),
+    ("t2", "int", "t2", "group window length"),
+    ("step", "int", "step", "window grid step"),
+    ("stride", "int", "stride", "pair-descriptor stride inside group windows"),
+    ("max_gap", "int", "max_gap", "largest interpolable track gap"),
+    ("alpha", "float", "smoothing.alpha", "smoothing factor"),
+    ("speed_threshold", "float", "smoothing.t_s", "orientation speed threshold (m/s)"),
+    ("sigma_rho", "float", "pid.sigma_rho", "radial kernel width"),
+    ("sigma_theta", "float", "pid.sigma_theta", "angular kernel width"),
+    ("k_s", "float", "pid.k_s", "kernel sampling extent"),
+    ("l_max", "int", "pid.l_max", "speed pyramid depth"),
+    ("grid_samples", "int", "pid.grid_samples_per_axis", "kernel grid samples per axis"),
+    ("assignment", "str", "pid.assignment", "histogram assignment"),
+    ("variance_denominator", "bool", "pid.variance_denominator",
+     "use 2*sigma^2 kernel denominators"),
+    ("include_shape", "bool", "include_shape", "append the shape cue to CBD vectors"),
+    ("drop_labels", "list", "drop_labels", "comma-separated collective labels to drop (cross)"),
+    ("interaction_trees", "int", "forest.n_trees", "first-stage forest size"),
+    ("collective_trees", "int", "forest2.n_trees", "second-stage forest size"),
+    ("interaction_max_depth", "optint", "forest.max_depth", "first-stage depth cap"),
+    ("collective_max_depth", "optint", "forest2.max_depth", "second-stage depth cap"),
+    ("interaction_min_samples_split", "int", "forest.min_samples_split",
+     "first-stage smallest splittable node"),
+    ("collective_min_samples_split", "int", "forest2.min_samples_split",
+     "second-stage smallest splittable node"),
+    ("interaction_features_per_split", "optint", "forest.features_per_split",
+     "first-stage features tried per split"),
+    ("collective_features_per_split", "optint", "forest2.features_per_split",
+     "second-stage features tried per split"),
 )
-_OPT_INT_KEYS = (
-    "interaction_max_depth",
-    "collective_max_depth",
-    "interaction_features_per_split",
-    "collective_features_per_split",
-)
-_FLOAT_KEYS = ("alpha", "speed_threshold", "sigma_rho", "sigma_theta", "k_s")
-_BOOL_KEYS = ("include_shape", "variance_denominator")
-_STR_KEYS = ("assignment",)
-_LIST_KEYS = ("drop_labels",)
-ALL_KEYS = _INT_KEYS + _OPT_INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS + _LIST_KEYS
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bag of every knob the pipeline commands accept."""
-
-    smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
-    pid: PidConfig = field(default_factory=PidConfig)
-    interaction_forest: ForestConfig = field(default_factory=ForestConfig)
-    collective_forest: ForestConfig = field(default_factory=ForestConfig)
-    t2: int = 64
-    step: int = 5
-    stride: int = 5
-    include_shape: bool = True
-    drop_labels: tuple = ()
-    seed: int = 0
-    max_gap: int = DEFAULT_MAX_GAP
-    threads: int = 1
-
-    def __post_init__(self):
-        if self.t2 < 2 or self.t2 & (self.t2 - 1):
-            raise InvalidConfig(f"t2 must be a power of two >= 2, got {self.t2}")
-        if self.step < 1 or self.stride < 1:
-            raise InvalidConfig("step and stride must be >= 1")
-        if self.threads < 1:
-            raise InvalidConfig(f"threads must be >= 1, got {self.threads}")
-        if self.max_gap < 0:
-            raise InvalidConfig(f"max_gap must be >= 0, got {self.max_gap}")
-        for lab in self.drop_labels:
-            if not isinstance(lab, CollectiveLabel):
-                raise InvalidConfig(f"drop_labels entries must be collective labels, got {lab!r}")
-        for stage, forest, width in (
-            ("interaction", self.interaction_forest, self.pid.descriptor_length),
-            ("collective", self.collective_forest, len(cue_columns(self.pipeline().cues))),
-        ):
-            if forest.features_per_split is not None and forest.features_per_split > width:
-                raise InvalidConfig(f"{stage}_features_per_split must be <= {width}, "
-                                    f"its descriptor length, got {forest.features_per_split}")
-
-    def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(
-            pid=self.pid,
-            smoothing=self.smoothing,
-            forest=self.interaction_forest,
-            forest2=self.collective_forest,
-            t2=self.t2,
-            step=self.step,
-            stride=self.stride,
-            include_shape=self.include_shape,
-            max_gap=self.max_gap,
-            seed=self.seed,
-            threads=self.threads,
-        )
+_SPEC = {key: (kind, path) for key, kind, path, _ in SETTINGS}
 
 
 def _parse_scalar(text: str, lineno: int):
@@ -163,7 +105,7 @@ def parse_config_text(text: str) -> dict:
             raise InvalidConfig(f"line {lineno}: expected key = value, got {raw.strip()!r}")
         key, _, rest = line.partition("=")
         key = key.strip()
-        if key not in ALL_KEYS:
+        if key not in _SPEC:
             raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise InvalidConfig(f"line {lineno}: duplicate key {key!r}")
@@ -181,31 +123,29 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-def _coerce(key: str, value):
-    """Type-check one parsed value against the schema."""
-    if key in _INT_KEYS or key in _OPT_INT_KEYS:
-        if key in _OPT_INT_KEYS and value is None:
+def _coerce(key: str, kind: str, value):
+    """Type-check one parsed value against its kind in SETTINGS."""
+    if kind in ("int", "optint"):
+        if kind == "optint" and value is None:
             return None
         if isinstance(value, bool) or not isinstance(value, int):
             raise InvalidConfig(f"key {key!r} must be an integer, got {value!r}")
         return value
-    if key in _FLOAT_KEYS:
+    if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidConfig(f"key {key!r} must be a number, got {value!r}")
         return float(value)
-    if key in _BOOL_KEYS:
+    if kind == "bool":
         if not isinstance(value, bool):
             raise InvalidConfig(f"key {key!r} must be true or false, got {value!r}")
         return value
-    if key in _STR_KEYS:
+    if kind == "str":
         if not isinstance(value, str):
             raise InvalidConfig(f"key {key!r} must be a string, got {value!r}")
         return value
-    if key in _LIST_KEYS:
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise InvalidConfig(f"key {key!r} must be a list of strings, got {value!r}")
-        return value
-    raise InvalidConfig(f"unknown key {key!r}")
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise InvalidConfig(f"key {key!r} must be a list of strings, got {value!r}")
+    return _parse_drop_labels(value)
 
 
 def _parse_drop_labels(names: Sequence[str]) -> tuple:
@@ -219,67 +159,34 @@ def _parse_drop_labels(names: Sequence[str]) -> tuple:
     return tuple(out)
 
 
-def build_run_config(file_values: Optional[dict] = None, overrides: Optional[dict] = None) -> RunConfig:
+def build_run_config(
+    file_values: Optional[dict] = None, overrides: Optional[dict] = None
+) -> PipelineConfig:
     """Merge defaults, config-file values and flag overrides (in that
-    order of increasing precedence; None overrides are ignored)."""
-    merged = {}
+    order of increasing precedence; None overrides are ignored except for
+    optional-integer keys, where None means no limit).  The stage-two
+    forest is always set, so it never inherits the interaction_* values."""
+    base = PipelineConfig(forest2=ForestConfig())
+    top, nested = {}, {}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
-            if value is None and key not in _OPT_INT_KEYS:
+            kind, path = _SPEC.get(key, (None, None))
+            if value is None and kind != "optint":
                 continue
-            if key not in ALL_KEYS:
+            if kind is None:
                 raise InvalidConfig(f"unknown key {key!r}")
-            merged[key] = _coerce(key, value)
-
-    def take(key, default):
-        return merged.get(key, default)
-
+            group, _, attr = path.rpartition(".")
+            dest = nested.setdefault(group, {}) if group else top
+            dest[attr] = _coerce(key, kind, value)
     try:
-        smoothing = SmoothingConfig(
-            alpha=take("alpha", 0.5), t_s=take("speed_threshold", 0.25)
-        )
-        defaults = PidConfig()
-        pid = PidConfig(
-            t1=take("t1", 64),
-            sigma_rho=take("sigma_rho", defaults.sigma_rho),
-            sigma_theta=take("sigma_theta", defaults.sigma_theta),
-            k_s=take("k_s", 3.0),
-            l_max=take("l_max", 1),
-            grid_samples_per_axis=take("grid_samples", 9),
-            variance_denominator=take("variance_denominator", False),
-            assignment=take("assignment", "kde"),
-        )
-        interaction_forest = ForestConfig(
-            n_trees=take("interaction_trees", 100),
-            max_depth=take("interaction_max_depth", None),
-            min_samples_split=take("interaction_min_samples_split", 2),
-            features_per_split=take("interaction_features_per_split", None),
-        )
-        collective_forest = ForestConfig(
-            n_trees=take("collective_trees", 100),
-            max_depth=take("collective_max_depth", None),
-            min_samples_split=take("collective_min_samples_split", 2),
-            features_per_split=take("collective_features_per_split", None),
-        )
+        for group, values in nested.items():
+            top[group] = replace(getattr(base, group), **values)
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from None
-    return RunConfig(
-        smoothing=smoothing,
-        pid=pid,
-        interaction_forest=interaction_forest,
-        collective_forest=collective_forest,
-        t2=take("t2", 64),
-        step=take("step", 5),
-        stride=take("stride", 5),
-        include_shape=take("include_shape", True),
-        drop_labels=_parse_drop_labels(take("drop_labels", [])),
-        seed=take("seed", 0),
-        max_gap=take("max_gap", DEFAULT_MAX_GAP),
-        threads=take("threads", 1),
-    )
+    return replace(base, **top)
 
 
-def load_run_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
+def load_run_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> PipelineConfig:
     file_values = None
     if path is not None:
         try:

@@ -13,6 +13,7 @@ A scene on disk is `<sequence_id>.trj` plus optional sibling `.pia` and
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import warnings
@@ -25,6 +26,7 @@ from .cbd import CollectiveLabel
 from .errors import (
     AnnotationConflict,
     ConfigError,
+    InvalidConfig,
     ParseError,
     ReferentialError,
 )
@@ -152,6 +154,8 @@ class FoldSplit:
 
     def __init__(self, assignments: dict, n_folds: int = 3):
         self.n_folds = int(n_folds)
+        if self.n_folds < 2:
+            raise InvalidConfig(f"need >= 2 folds, got {self.n_folds}")
         self.assignments = {str(k): int(v) for k, v in assignments.items()}
         for seq, fold in self.assignments.items():
             if not 0 <= fold < self.n_folds:
@@ -167,7 +171,9 @@ class FoldSplit:
     def round_robin(cls, sequence_ids: Iterable[str], n_folds: int = 3) -> "FoldSplit":
         """Deterministic fallback split: sorted ids dealt 0,1,2,0,1,2..."""
         ordered = sorted(str(s) for s in sequence_ids)
-        return cls({s: i % n_folds for i, s in enumerate(ordered)}, n_folds)
+        # cycling an empty range deals nothing, so a count below 1 reaches
+        # the constructor's check instead of dividing by zero
+        return cls(dict(zip(ordered, itertools.cycle(range(n_folds)))), n_folds)
 
     @classmethod
     def from_file(cls, path: str, n_folds: int = 3) -> "FoldSplit":

@@ -40,12 +40,15 @@ _COLLECTIVE_CODES = tuple(l.code for l in CollectiveLabel)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything the two-stage pipeline needs besides the data.
+    """Every run setting: everything the two-stage pipeline needs besides
+    the data.  ``proxrf.config.build_run_config`` fills it from a config
+    file and flags.
 
     ``forest`` configures the first-stage forest; ``forest2`` the
     second-stage one, defaulting to ``forest`` when None.  Seeds inside
     them are ignored by the evaluation drivers, which derive per-fold,
-    per-stage seeds from ``seed``.
+    per-stage seeds from ``seed``.  ``drop_labels`` is read only by
+    cross_dataset.
     """
 
     pid: PidConfig = field(default_factory=PidConfig)
@@ -59,6 +62,27 @@ class PipelineConfig:
     max_gap: int = DEFAULT_MAX_GAP
     seed: int = 0
     threads: int = 1
+    drop_labels: tuple = ()
+
+    def __post_init__(self):
+        if self.t2 < 2 or self.t2 & (self.t2 - 1):
+            raise InvalidConfig(f"t2 must be a power of two >= 2, got {self.t2}")
+        if self.step < 1 or self.stride < 1:
+            raise InvalidConfig("step and stride must be >= 1")
+        if self.threads < 1:
+            raise InvalidConfig(f"threads must be >= 1, got {self.threads}")
+        if self.max_gap < 0:
+            raise InvalidConfig(f"max_gap must be >= 0, got {self.max_gap}")
+        for lab in self.drop_labels:
+            if not isinstance(lab, CollectiveLabel):
+                raise InvalidConfig(f"drop_labels entries must be collective labels, got {lab!r}")
+        for stage, forest, width in (
+            ("interaction", self.forest, self.pid.descriptor_length),
+            ("collective", self.stage2_forest, len(cue_columns(self.cues))),
+        ):
+            if forest.features_per_split is not None and forest.features_per_split > width:
+                raise InvalidConfig(f"{stage}_features_per_split must be <= {width}, "
+                                    f"its descriptor length, got {forest.features_per_split}")
 
     @property
     def stage2_forest(self) -> ForestConfig:
@@ -334,8 +358,6 @@ class Pipeline:
 
 
 def _check_folds(recordings, folds: FoldSplit):
-    if folds.n_folds < 2:
-        raise ConfigError(f"need >= 2 folds, got {folds.n_folds}")
     for rec in recordings:
         if rec.sequence_id not in folds.assignments:
             raise ConfigError(f"sequence {rec.sequence_id!r} has no fold assignment")
@@ -446,15 +468,14 @@ def cross_dataset(
     train_recordings: Sequence[SceneRecording],
     test_recordings: Sequence[SceneRecording],
     cfg: PipelineConfig,
-    drop_labels: Sequence[CollectiveLabel] = (),
 ) -> EvalReport:
     """Train on one corpus, evaluate collective labels on another.
 
-    Training sequences carrying any collective label in ``drop_labels``
-    are discarded entirely; a test label that the remaining training
-    corpus never exhibits raises LabelCoverageError.
+    Training sequences carrying any collective label in
+    ``cfg.drop_labels`` are discarded entirely; a test label that the
+    remaining training corpus never exhibits raises LabelCoverageError.
     """
-    drop = {CollectiveLabel(l) if not isinstance(l, CollectiveLabel) else l for l in drop_labels}
+    drop = set(cfg.drop_labels)
     kept_train = [
         rec
         for rec in train_recordings

@@ -131,10 +131,10 @@ class PidConfig:
     def __post_init__(self):
         if self.t1 < 2 or self.t1 & (self.t1 - 1):
             raise ValueError(f"t1 must be a power of two >= 2, got {self.t1}")
-        if self.sigma_rho <= 0 or self.sigma_theta <= 0:
-            raise ValueError("kernel widths must be > 0")
-        if self.k_s <= 0:
-            raise ValueError(f"k_s must be > 0, got {self.k_s}")
+        if not (0 < self.sigma_rho < math.inf and 0 < self.sigma_theta < math.inf):
+            raise ValueError("kernel widths must be finite and > 0")
+        if not 0 < self.k_s < math.inf:
+            raise ValueError(f"k_s must be finite and > 0, got {self.k_s}")
         if self.l_max < 0 or 2 ** self.l_max > self.t1:
             raise ValueError(f"l_max must satisfy 0 <= l_max and 2^l_max <= t1")
         if self.grid_samples_per_axis < 1:

@@ -61,8 +61,8 @@ class SmoothingConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.t_s < 0.0:
-            raise ValueError(f"t_s must be >= 0, got {self.t_s}")
+        if not 0.0 <= self.t_s < math.inf:
+            raise ValueError(f"t_s must be finite and >= 0, got {self.t_s}")
 
 
 @dataclass(frozen=True)

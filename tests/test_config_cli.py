@@ -1,7 +1,9 @@
 """Config parsing/precedence and the command-line front end."""
 
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +11,13 @@ import pytest
 from proxrf.cbd import CollectiveLabel
 from proxrf.cli import build_parser, main, overrides_from_args
 from proxrf.config import (
-    RunConfig,
+    SETTINGS,
     build_run_config,
     load_run_config,
     parse_config_text,
 )
 from proxrf.errors import InvalidConfig
+from proxrf.evaluate import PipelineConfig
 from proxrf.forest import deserialize
 from proxrf.pid import InteractionLabel
 
@@ -80,7 +83,7 @@ def test_absent_flags_do_not_shadow_file_depths():
     args = build_parser().parse_args(["synth", "--out", "x"])
     overrides = overrides_from_args(args)
     run = build_run_config({"interaction_max_depth": 4}, overrides)
-    assert run.interaction_forest.max_depth == 4
+    assert run.forest.max_depth == 4
 
 
 def test_flag_overrides_reach_nested_configs():
@@ -91,12 +94,12 @@ def test_flag_overrides_reach_nested_configs():
     )
     run = build_run_config(None, overrides_from_args(args))
     assert run.smoothing.alpha == 0.9
-    assert run.interaction_forest.n_trees == 7
+    assert run.forest.n_trees == 7
     assert run.pid.assignment == "hard"
     assert run.include_shape is False
     assert run.drop_labels == (CollectiveLabel.Queuing, CollectiveLabel.Talking)
-    assert run.collective_forest.max_depth == 3
-    assert run.interaction_forest.max_depth is None
+    assert run.forest2.max_depth == 3
+    assert run.forest.max_depth is None
 
 
 @pytest.mark.parametrize(
@@ -113,7 +116,7 @@ def test_flag_overrides_reach_nested_configs():
 )
 def test_run_config_validation(kwargs):
     with pytest.raises(InvalidConfig):
-        RunConfig(**kwargs)
+        PipelineConfig(**kwargs)
 
 
 @pytest.mark.parametrize(
@@ -131,6 +134,13 @@ def test_run_config_validation(kwargs):
         {"l_max": -1},
         {"drop_labels": ["Zz"]},
         {"interaction_trees": 0},
+        {"sigma_rho": math.nan},
+        {"sigma_rho": math.inf},
+        {"sigma_theta": math.nan},
+        {"sigma_theta": math.inf},
+        {"k_s": math.inf},
+        {"speed_threshold": math.nan},
+        {"speed_threshold": math.inf},
     ],
 )
 def test_bad_values_rejected(values):
@@ -165,6 +175,91 @@ def test_load_run_config_round_trip(tmp_path):
     assert run.seed == 9
     assert run.pid.sigma_rho == 0.3
     assert run.pid.grid_samples_per_axis == 7
+
+
+# key -> (PipelineConfig attribute, file value, its setting, flag, its setting)
+SETTING_CASES = {
+    "seed": ("seed", "7", 7, ["--seed", "9"], 9),
+    "threads": ("threads", "3", 3, ["--threads", "2"], 2),
+    "t1": ("pid.t1", "32", 32, ["--t1", "16"], 16),
+    "t2": ("t2", "32", 32, ["--t2", "128"], 128),
+    "step": ("step", "3", 3, ["--step", "4"], 4),
+    "stride": ("stride", "2", 2, ["--stride", "7"], 7),
+    "max_gap": ("max_gap", "2", 2, ["--max-gap", "0"], 0),
+    "alpha": ("smoothing.alpha", "0.3", 0.3, ["--alpha", "0.8"], 0.8),
+    "speed_threshold": ("smoothing.t_s", "0.5", 0.5, ["--speed-threshold", "0.1"], 0.1),
+    "sigma_rho": ("pid.sigma_rho", "0.3", 0.3, ["--sigma-rho", "0.4"], 0.4),
+    "sigma_theta": ("pid.sigma_theta", "1", 1.0, ["--sigma-theta", "0.2"], 0.2),
+    "k_s": ("pid.k_s", "2", 2.0, ["--k-s", "2.5"], 2.5),
+    "l_max": ("pid.l_max", "2", 2, ["--l-max", "0"], 0),
+    "grid_samples": ("pid.grid_samples_per_axis", "7", 7, ["--grid-samples", "5"], 5),
+    "assignment": ("pid.assignment", '"hard"', "hard", ["--assignment", "hard"], "hard"),
+    "variance_denominator": ("pid.variance_denominator", "true", True,
+                             ["--variance-denominator"], True),
+    "include_shape": ("include_shape", "false", False, ["--include-shape", "false"], False),
+    "drop_labels": ("drop_labels", '["Queuing"]', (CollectiveLabel.Queuing,),
+                    ["--drop-labels", "Chasing, Walking"],
+                    (CollectiveLabel.Chasing, CollectiveLabel.Walking)),
+    "interaction_trees": ("forest.n_trees", "11", 11, ["--interaction-trees", "12"], 12),
+    "collective_trees": ("forest2.n_trees", "13", 13, ["--collective-trees", "14"], 14),
+    "interaction_max_depth": ("forest.max_depth", "4", 4,
+                              ["--interaction-max-depth", "5"], 5),
+    "collective_max_depth": ("forest2.max_depth", "6", 6,
+                             ["--collective-max-depth", "7"], 7),
+    "interaction_min_samples_split": ("forest.min_samples_split", "3", 3,
+                                      ["--interaction-min-samples-split", "4"], 4),
+    "collective_min_samples_split": ("forest2.min_samples_split", "5", 5,
+                                     ["--collective-min-samples-split", "6"], 6),
+    "interaction_features_per_split": ("forest.features_per_split", "3", 3,
+                                       ["--interaction-features-per-split", "5"], 5),
+    "collective_features_per_split": ("forest2.features_per_split", "2", 2,
+                                      ["--collective-features-per-split", "6"], 6),
+}
+# keys whose flag can set only one non-default value: the precedence check
+# writes the default into the file instead
+PRECEDENCE_FILE = {"assignment": '"kde"', "include_shape": "true",
+                   "variance_denominator": "false"}
+
+
+def _configured(tmp_path, file_text=None, flags=()):
+    """The pipeline config main() would build from a config file and flags."""
+    argv = ["synth", "--out", "x"]
+    if file_text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(file_text)
+        argv += ["--config", str(path)]
+    args = build_parser().parse_args(argv + list(flags))
+    return load_run_config(args.config, overrides_from_args(args))
+
+
+def _attr(cfg, path):
+    for name in path.split("."):
+        cfg = getattr(cfg, name)
+    return cfg
+
+
+def test_setting_cases_cover_every_key():
+    assert sorted(SETTING_CASES) == sorted(key for key, *_ in SETTINGS)
+
+
+@pytest.mark.parametrize("key", [key for key, *_ in SETTINGS])
+def test_every_setting_is_wired(key, tmp_path, monkeypatch):
+    monkeypatch.delenv("PROXRF_THREADS", raising=False)
+    attr, file_text, file_value, flags, flag_value = SETTING_CASES[key]
+    default = _attr(_configured(tmp_path), attr)
+    assert default not in (file_value, flag_value)
+    # the file beats the default and the flag sets the same attribute
+    assert _attr(_configured(tmp_path, f"{key} = {file_text}\n"), attr) == file_value
+    assert _attr(_configured(tmp_path, None, flags), attr) == flag_value
+    # the flag beats the file
+    both_text = PRECEDENCE_FILE.get(key, file_text)
+    both = _configured(tmp_path, f"{key} = {both_text}\n", flags)
+    assert _attr(both, attr) == flag_value
+    assert _attr(_configured(tmp_path, f"{key} = {both_text}\n"), attr) != flag_value
+    # and the README documents it in its own row of the configuration table
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = re.search(r"^## Configuration\n(.*?)^## ", readme, re.S | re.M).group(1)
+    assert re.search(rf"^\| `{key}` \|", section, re.M), key
 
 
 # ------------------------------------------------------------------- CLI
@@ -379,7 +474,7 @@ def test_predict_rows_match_pipeline(mixed_corpus, stage1_model, tmp_path):
 
     stage1 = deserialize(open(stage1_model, "rb").read())
     stage2 = deserialize(coll.read_bytes())
-    pipe = Pipeline(read_corpus(mixed_corpus), build_run_config(None, {}).pipeline())
+    pipe = Pipeline(read_corpus(mixed_corpus), build_run_config(None, {}))
     pair_rows, pair_x, _ = pipe.pair_matrix(pipe.seq_ids)
     group_rows, group_x, _ = pipe.group_matrix(stage1, pipe.seq_ids)
     want = {}
@@ -400,6 +495,8 @@ def test_exit_code_config_error(pair_corpus, tmp_path, capsys):
         ["eval", pair_corpus, "--t2", "48", "--out-dir", str(tmp_path / "r")],
         ["eval", pair_corpus, "--folds", "0", "--out-dir", str(tmp_path / "r")],
         ["eval", pair_corpus, "--folds", "-1", "--out-dir", str(tmp_path / "r")],
+        ["extract", pair_corpus, "--kind", "pid", "--sigma-rho", "nan",
+         "--out", str(tmp_path / "x.csv")],
         ["train", "collective", pair_corpus, "--out", out,
          "--interaction-features-per-split", "50"],
         ["train", "collective", pair_corpus, "--out", out,

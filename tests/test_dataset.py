@@ -24,6 +24,7 @@ from proxrf.dataset import (
 from proxrf.errors import (
     AnnotationConflict,
     ConfigError,
+    InvalidConfig,
     ParseError,
     ReferentialError,
 )
@@ -182,6 +183,9 @@ def test_round_robin_split():
     assert split.assignments == {"a": 0, "b": 1, "c": 2, "d": 0, "e": 1}
     assert split.members(0) == ["a", "d"]
     assert split.fold_of("e") == 1
+    for n_folds in (0, -1):
+        with pytest.raises(InvalidConfig, match=">= 2 folds"):
+            FoldSplit.round_robin(["d", "b", "a"], n_folds=n_folds)
 
 
 def test_fold_split_from_file(tmp_path):

@@ -243,12 +243,13 @@ def test_cross_dataset_drop_labels(mixed_corpus, mixed_cfg):
         r for r in mixed_corpus
         if all(a.label is not C.Queuing for a in r.collective_annotations)
     ]
-    rep = cross_dataset(mixed_corpus, no_queue, mixed_cfg, drop_labels=[C.Queuing])
+    drop_queue = replace(mixed_cfg, drop_labels=(C.Queuing,))
+    rep = cross_dataset(mixed_corpus, no_queue, drop_queue)
     assert "Queuing" not in rep.confusion.class_names
     assert len(rep.confusion.class_names) == 5
     assert rep.confusion.total == 100
     with pytest.raises(LabelCoverageError):
-        cross_dataset(mixed_corpus, mixed_corpus, mixed_cfg, drop_labels=[C.Queuing])
+        cross_dataset(mixed_corpus, mixed_corpus, drop_queue)
 
 
 def test_cross_dataset_unseen_test_label(mixed_corpus, mixed_cfg):
