@@ -26,7 +26,7 @@ from .errors import (
     ModelShapeMismatch,
     ShapeMismatch,
 )
-from .pid import InteractionLabel, PidConfig, _pid_from_states
+from .pid import InteractionLabel, PairSeries, PidConfig, _pid_from_states
 from .trajectory import (
     DEFAULT_MAX_GAP,
     SmoothingConfig,
@@ -211,6 +211,14 @@ def _pid_centers(window: GroupWindow, stride: int) -> range:
     return range(start, end + 1, stride)
 
 
+def _covers(states: dict, centers: range, back: int, fwd: int) -> np.ndarray:
+    """Per center, whether ``states`` has every frame of [c - back, c + fwd]."""
+    frames = np.sort(np.fromiter(states, np.int64, len(states)))
+    first = np.asarray(centers) - back
+    inside = np.searchsorted(frames, first + back + fwd, "right") - np.searchsorted(frames, first)
+    return inside == back + fwd + 1
+
+
 def collect_pair_predictions(
     window: GroupWindow,
     pid_model,
@@ -222,32 +230,31 @@ def collect_pair_predictions(
     """First-stage predictions over all ordered pairs and stride centers.
 
     A pair contributes at a center only when both tracks cover the full
-    descriptor window there.  ``cache`` maps (anchor, target, center) to
-    a descriptor vector; vectors do not depend on the model, so one cache
-    may serve many models as long as the descriptor config, smoothing and
+    descriptor window there.  ``cache`` maps (anchor, target) to the
+    pair's PairSeries, which also keeps the vectors of the windows
+    already described; neither depends on the model, so one cache may
+    serve many models as long as the descriptor config, smoothing and
     seed stay fixed.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if cache is None:
+        cache = {}
     back, fwd = pid_cfg.window_halves
     ids = sorted(window.member_states)
+    centers = _pid_centers(window, stride)
+    covered = {tid: _covers(window.member_states[tid], centers, back, fwd) for tid in ids}
     vecs = []
-    for center in _pid_centers(window, stride):
-        frames = range(center - back, center + fwd + 1)
-        present = [
-            tid
-            for tid in ids
-            if all(f in window.member_states[tid] for f in frames)
-        ]
+    for k, center in enumerate(centers):
+        present = [tid for tid in ids if covered[tid][k]]
         for aid in present:
             for tid in present:
                 if aid == tid:
                     continue
-                key = (aid, tid, center)
-                if cache is not None and key in cache:
-                    vec = cache[key]
-                else:
-                    vec = _pid_from_states(
+                series = cache.setdefault((aid, tid), PairSeries())
+                vec = series.vectors.get(center)
+                if vec is None:
+                    vec = series.vectors[center] = _pid_from_states(
                         window.member_states[aid],
                         window.member_states[tid],
                         aid,
@@ -256,9 +263,8 @@ def collect_pair_predictions(
                         pid_cfg,
                         window.fps,
                         seed,
+                        series,
                     ).vector()
-                    if cache is not None:
-                        cache[key] = vec
                 vecs.append(vec)
     if not vecs:
         return []

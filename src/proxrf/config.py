@@ -155,7 +155,9 @@ def _parse_drop_labels(names: Sequence[str]) -> tuple:
             out.append(CollectiveLabel(name))
         except ValueError:
             valid = ", ".join(l.code for l in CollectiveLabel)
-            raise InvalidConfig(f"unknown collective label {name!r}; valid: {valid}") from None
+            raise InvalidConfig(
+                f"key 'drop_labels': unknown collective label {name!r}; valid: {valid}"
+            ) from None
     return tuple(out)
 
 
@@ -178,11 +180,13 @@ def build_run_config(
             group, _, attr = path.rpartition(".")
             dest = nested.setdefault(group, {}) if group else top
             dest[attr] = _coerce(key, kind, value)
-    try:
-        for group, values in nested.items():
+    for group, values in nested.items():
+        try:
             top[group] = replace(getattr(base, group), **values)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from None
+        except ValueError as exc:
+            paths = {f"{group}.{attr}" for attr in values}
+            named = ", ".join(key for key, _, path, _ in SETTINGS if path in paths)
+            raise InvalidConfig(f"{named}: {exc}") from None
     return replace(base, **top)
 
 

@@ -29,7 +29,7 @@ from .errors import (
     LabelCoverageError,
 )
 from .forest import ForestConfig, LabeledSample, RandomForest, train
-from .pid import InteractionLabel, PidConfig, _pid_from_states
+from .pid import InteractionLabel, PairSeries, PidConfig, _pid_from_states
 from .trajectory import DEFAULT_MAX_GAP, SmoothingConfig, smoothed_states
 
 CUE_NAMES = ("interaction_hist", "mean_speed", "dispersion_change", "shape_ratio")
@@ -76,13 +76,10 @@ class PipelineConfig:
         for lab in self.drop_labels:
             if not isinstance(lab, CollectiveLabel):
                 raise InvalidConfig(f"drop_labels entries must be collective labels, got {lab!r}")
-        for stage, forest, width in (
-            ("interaction", self.forest, self.pid.descriptor_length),
-            ("collective", self.stage2_forest, len(cue_columns(self.cues))),
-        ):
-            if forest.features_per_split is not None and forest.features_per_split > width:
-                raise InvalidConfig(f"{stage}_features_per_split must be <= {width}, "
-                                    f"its descriptor length, got {forest.features_per_split}")
+        _check_split_width("interaction", self.forest, self.pid.descriptor_length,
+                           "PID descriptor")
+        _check_split_width("collective", self.stage2_forest, len(cue_columns(self.cues)),
+                           f"cue set {self.cues}")
 
     @property
     def stage2_forest(self) -> ForestConfig:
@@ -219,6 +216,14 @@ def fold_seeds(seed: int, fold: int) -> tuple:
     return int(a), int(b)
 
 
+def _check_split_width(stage: str, forest: ForestConfig, width: int, what: str) -> None:
+    """InvalidConfig unless ``forest`` draws at most ``width`` features per split."""
+    per_split = forest.features_per_split
+    if per_split is not None and per_split > width:
+        raise InvalidConfig(f"{stage}_features_per_split must be <= {width}, "
+                            f"the width of the {what}, got {per_split}")
+
+
 def cue_columns(cues: Sequence[str]) -> list:
     """Columns of a full CBD vector that carry the given cues."""
     n_hist = len(InteractionLabel)
@@ -241,10 +246,10 @@ class Pipeline:
 
     Pair windows become PID rows, which train the stage-one forest; group
     windows become CBD rows under a stage-one model, which train the
-    stage-two forest.  Smoothed tracks, window lists, pair descriptors
-    and group windows are computed once per recording and shared by every
-    fold, cue set and stage-one model, because none of them depends on
-    the model.  Matrices come back as ``(rows, X, labels)`` with one
+    stage-two forest.  Smoothed tracks, window lists, pair series and
+    descriptors, and group windows are computed once per recording and
+    shared by every fold, cue set and stage-one model, because none of
+    them depends on the model.  Matrices come back as ``(rows, X, labels)`` with one
     ``(sequence id, center frame, track ids)`` row per window.
     """
 
@@ -259,7 +264,8 @@ class Pipeline:
             }
             for seq, rec in self._recordings.items()
         }
-        # (anchor, target, center) -> PID vector, shared with compute_cbd
+        # (anchor, target) -> PairSeries with its window vectors, shared
+        # with compute_cbd
         self._pid_cache = {seq: {} for seq in self._recordings}
         self._windows = {}
         self._group_windows = {}
@@ -300,13 +306,15 @@ class Pipeline:
             fps = self._recordings[seq].fps
             states, cache = self._states[seq], self._pid_cache[seq]
             for center, (aid, tid), label in self._window_list(seq, "pairs"):
-                key = (aid, tid, center)
-                if key not in cache:
-                    cache[key] = _pid_from_states(
-                        states[aid], states[tid], aid, tid, center, cfg.pid, fps, cfg.seed
+                series = cache.setdefault((aid, tid), PairSeries())
+                vec = series.vectors.get(center)
+                if vec is None:
+                    vec = series.vectors[center] = _pid_from_states(
+                        states[aid], states[tid], aid, tid, center, cfg.pid, fps, cfg.seed,
+                        series,
                     ).vector()
                 rows.append((seq, center, (aid, tid)))
-                vecs.append(cache[key])
+                vecs.append(vec)
                 labels.append(label)
         return rows, _matrix(vecs, cfg.pid.descriptor_length), labels
 
@@ -446,6 +454,8 @@ def ablation(
             raise InvalidConfig(f"unknown cue names {sorted(unknown)}; valid: {CUE_NAMES}")
         if not cues:
             raise InvalidConfig("empty cue set")
+        _check_split_width("collective", cfg.stage2_forest, len(cue_columns(cues)),
+                           f"cue set {cues}")
         canon_sets.append(cues)
     columns = [cue_columns(cues) for cues in canon_sets]
 

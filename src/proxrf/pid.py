@@ -25,12 +25,11 @@ from .errors import (
     WindowLengthMismatch,
 )
 from .trajectory import (
-    KinematicState,
+    TWO_PI,
     RelativePolar,
     SmoothingConfig,
     Trajectory,
-    derivative,
-    relative_polar,
+    finite_difference,
     smoothed_states,
     wrap_angle,
 )
@@ -286,31 +285,79 @@ def _orientation_rng(seed: int, anchor_id: str, target_id: str, frame: int):
     return np.random.default_rng(ss)
 
 
-def _window_polars(
-    anchor_states: dict,
-    target_states: dict,
-    anchor_id: str,
-    target_id: str,
-    start: int,
-    end: int,
-    seed: int,
-) -> list:
-    rel = []
+class PairSeries:
+    """Relative polar series of one ordered pair, shared by its windows.
+
+    The series spans the frames from the later of the two tracks' first
+    states to the earlier of their last ones.  A frame's rho and theta
+    (theta is the slow anchor's random heading where its orientation is
+    unknown) are computed the first time a window needs them, so every
+    pair-frame is evaluated once however many windows overlap it.
+    ``vectors`` maps a center frame to its window's descriptor vector
+    for callers that keep whole descriptors; it is valid for one
+    descriptor config, while the series depends only on the states and
+    the seed.
+    """
+
+    __slots__ = ("first", "rho", "theta", "done", "vectors")
+
+    def __init__(self):
+        self.first = None
+        self.vectors = {}
+
+    def window(
+        self,
+        anchor_states: dict,
+        target_states: dict,
+        anchor_id: str,
+        target_id: str,
+        start: int,
+        end: int,
+        seed: int,
+    ) -> tuple:
+        """(rho, theta) over the frames [start, end] inclusive, as views
+        into the series that callers must not write to."""
+        if self.first is None:
+            if anchor_states and target_states:
+                first = max(min(anchor_states), min(target_states))
+                last = min(max(anchor_states), max(target_states))
+            else:
+                first, last = start, start - 1
+            n = max(last - first + 1, 0)
+            self.first = first
+            self.rho, self.theta = np.empty(n), np.empty(n)
+            self.done = np.zeros(n, dtype=bool)
+        lo, hi = start - self.first, end + 1 - self.first
+        if lo < 0 or hi > len(self.done):
+            _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
+        todo = np.flatnonzero(~self.done[lo:hi]) + lo
+        if len(todo):
+            frames = (todo + self.first).tolist()
+            try:
+                sa = [anchor_states[f] for f in frames]
+                sb = [target_states[f] for f in frames]
+            except KeyError:
+                _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
+            n = len(frames)
+            dx = [b.position[0] - a.position[0] for a, b in zip(sa, sb)]
+            dy = [b.position[1] - a.position[1] for a, b in zip(sa, sb)]
+            self.rho[todo] = np.fromiter(map(math.hypot, dx, dy), float, n)
+            slow = [a.orientation is None for a in sa]
+            heading = np.array([0.0 if s else a.orientation for a, s in zip(sa, slow)])
+            theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, n) - heading)
+            for k in np.flatnonzero(slow).tolist():
+                rng = _orientation_rng(seed, anchor_id, target_id, frames[k])
+                theta[k] = math.pi - TWO_PI * float(rng.random())
+            self.theta[todo] = theta
+            self.done[todo] = True
+        return self.rho[lo:hi], self.theta[lo:hi]
+
+
+def _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end):
     for f in range(start, end + 1):
-        sa = anchor_states.get(f)
-        sb = target_states.get(f)
-        if sa is None or sb is None:
-            who = anchor_id if sa is None else target_id
-            raise MissingFrames(f"track {who}: no state at frame {f}")
-        if sa.orientation is None:
-            rng = _orientation_rng(seed, anchor_id, target_id, f)
-        else:
-            rng = _INERT_RNG
-        rel.append(relative_polar(sa, sb, rng))
-    return rel
-
-
-_INERT_RNG = np.random.default_rng(0)  # only passed where no draw can happen
+        for who, states in ((anchor_id, anchor_states), (target_id, target_states)):
+            if f not in states:
+                raise MissingFrames(f"track {who}: no state at frame {f}")
 
 
 def _pid_from_states(
@@ -322,15 +369,21 @@ def _pid_from_states(
     cfg: PidConfig,
     fps: float,
     seed: int,
+    series: Optional[PairSeries] = None,
 ) -> PidDescriptor:
+    """Descriptor of one window, sliced out of the pair's ``series``;
+    when None, a fresh series is filled over this window only."""
     back, fwd = cfg.window_halves
-    start, end = center_frame - back, center_frame + fwd
-    rel = _window_polars(anchor_states, target_states, anchor_id, target_id, start, end, seed)
-    hist = accumulate_histogram(rel, cfg.grid, cfg)
-    dist = [(f, s.rho) for f, s in zip(range(start, end + 1), rel)]
-    d_prime = [v for _, v in derivative(dist, fps)]
+    if series is None:
+        series = PairSeries()
+    rho, theta = series.window(
+        anchor_states, target_states, anchor_id, target_id,
+        center_frame - back, center_frame + fwd, seed,
+    )
     return PidDescriptor(
-        histogram=hist, speed_pyramid=speed_pyramid(d_prime, cfg), center_frame=center_frame
+        histogram=_window_histogram(rho, theta, cfg.grid, cfg),
+        speed_pyramid=speed_pyramid(finite_difference(rho, 1.0 / fps), cfg),
+        center_frame=center_frame,
     )
 
 

@@ -321,9 +321,15 @@ def derivative(series: Sequence, fps: float) -> list:
     steps = np.diff(frames)
     if np.any(steps != steps[0]):
         raise ValueError("derivative requires uniform frame spacing")
-    h = steps[0] / fps
+    dv = finite_difference(values, steps[0] / fps)
+    return [(int(f), float(v)) for f, v in zip(frames, dv)]
+
+
+def finite_difference(values: np.ndarray, h: float) -> np.ndarray:
+    """Derivative of values sampled every ``h`` seconds: central
+    differences inside, one-sided at both ends (>= 2 values)."""
     dv = np.empty_like(values)
     dv[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
     dv[0] = (values[1] - values[0]) / h
     dv[-1] = (values[-1] - values[-2]) / h
-    return [(int(f), float(v)) for f, v in zip(frames, dv)]
+    return dv

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from proxrf import cbd as cbd_module
 from proxrf.cbd import (
     CbdDescriptor,
     CollectiveLabel,
@@ -203,16 +204,25 @@ def _walking_group(n_members=3, n_frames=140, spacing=1.0, speed=1.3):
     ]
 
 
-def test_collect_pair_predictions_and_cache(tiny_stage1):
+def test_collect_pair_predictions_and_cache(tiny_stage1, monkeypatch):
+    computed = []
+    real = cbd_module._pid_from_states
+
+    def counting(*args, **kwargs):
+        computed.append(args[2:5])  # (anchor, target, center)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cbd_module, "_pid_from_states", counting)
     tracks = _walking_group()
     w = GroupWindow.build(tracks, 69, 32, SMOOTH)
     cache = {}
     preds = collect_pair_predictions(w, tiny_stage1, PidConfig(), cache=cache)
     # 7 stride centers x 6 ordered pairs, every placement covered
     assert len(preds) == 42
-    assert len(cache) == 42
+    assert len(set(computed)) == len(computed) == 42
     assert all(isinstance(p, InteractionLabel) for p in preds)
     again = collect_pair_predictions(w, tiny_stage1, PidConfig(), cache=cache)
+    assert len(computed) == 42
     assert again == preds
     with pytest.raises(ValueError):
         collect_pair_predictions(w, tiny_stage1, PidConfig(), stride=0)

@@ -144,7 +144,8 @@ def test_run_config_validation(kwargs):
     ],
 )
 def test_bad_values_rejected(values):
-    with pytest.raises(InvalidConfig):
+    (key,) = values
+    with pytest.raises(InvalidConfig, match=key):
         build_run_config(values)
 
 
@@ -505,6 +506,11 @@ def test_exit_code_config_error(pair_corpus, tmp_path, capsys):
         rc = main(argv)
         assert rc == 2, argv
         assert capsys.readouterr().err.startswith("ERROR InvalidConfig:"), argv
+    # errors of a nested config name the setting, not the library field
+    for flag, value in (("--collective-trees", "0"), ("--speed-threshold", "nan")):
+        assert main(["synth", "--out", str(tmp_path / "s"), flag, value]) == 2
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"ERROR InvalidConfig: {key}: "), flag
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

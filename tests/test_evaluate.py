@@ -230,6 +230,9 @@ def test_ablation_rejects_bad_cue_sets(mixed_corpus, mixed_folds, mixed_cfg):
         ablation(mixed_corpus, mixed_folds, [("speediness",)], mixed_cfg)
     with pytest.raises(InvalidConfig, match="empty cue set"):
         ablation(mixed_corpus, mixed_folds, [()], mixed_cfg)
+    wide = replace(mixed_cfg, forest2=replace(mixed_cfg.stage2_forest, features_per_split=8))
+    with pytest.raises(InvalidConfig, match=r"<= 6, the width of the cue set \('interaction_hist',\)"):
+        ablation(mixed_corpus, mixed_folds, [CUE_NAMES, ("interaction_hist",)], wide)
 
 
 def test_cross_dataset_degenerate_transfer(mixed_corpus, mixed_cfg):

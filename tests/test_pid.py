@@ -1,6 +1,7 @@
 """Polar histogram KDE, speed pyramid and pairwise descriptor assembly."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from proxrf.errors import (
 from proxrf.forest import ForestConfig, LabeledSample, train
 from proxrf.pid import (
     InteractionLabel,
+    PairSeries,
     PidConfig,
     PolarGrid,
+    _pid_from_states,
     accumulate_histogram,
     classify_interaction,
     compute_pid,
@@ -23,7 +26,13 @@ from proxrf.pid import (
     sample_grid,
     speed_pyramid,
 )
-from proxrf.trajectory import RelativePolar, SmoothingConfig
+from proxrf.trajectory import (
+    RelativePolar,
+    SmoothingConfig,
+    derivative,
+    relative_polar,
+    smoothed_states,
+)
 
 from conftest import make_traj, straight_traj
 
@@ -343,6 +352,81 @@ def test_compute_pid_error_paths():
     c = straight_traj("c", 1.0, 0.0, 40, fps=25.0)
     with pytest.raises(FrameMismatch):
         compute_pid(a, c, 19, PidConfig(t1=32), SMOOTH)
+
+
+def _heading_rng(seed, anchor_id, target_id, frame):
+    # the slow-anchor heading key: (seed, crc32 of both ids, frame)
+    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(anchor_id.encode("utf-8")),
+                                 zlib.crc32(target_id.encode("utf-8")), frame & 0xFFFFFFFF])
+    return np.random.default_rng(ss)
+
+
+def _reference_vector(sa, sb, anchor_id, target_id, center, cfg, fps, seed):
+    """One window described frame by frame with relative_polar."""
+    back, fwd = cfg.window_halves
+    frames = range(center - back, center + fwd + 1)
+    rel = []
+    for f in frames:
+        a, b = sa.get(f), sb.get(f)
+        if a is None or b is None:
+            raise MissingFrames(f"track {anchor_id if a is None else target_id}: "
+                                f"no state at frame {f}")
+        rng = _heading_rng(seed, anchor_id, target_id, f) if a.orientation is None else None
+        rel.append(relative_polar(a, b, rng))
+    d_prime = derivative([(f, r.rho) for f, r in zip(frames, rel)], fps)
+    return np.concatenate([accumulate_histogram(rel, cfg.grid, cfg),
+                           speed_pyramid([v for _, v in d_prime], cfg)])
+
+
+def test_series_windows_match_per_frame_reference():
+    rng = np.random.default_rng(17)
+    n = 120
+    # the anchor stands (random headings) for frames 0-29 and 90-119
+    steps = np.zeros((n, 2))
+    steps[30:90, 0] = 0.12
+    a_xy = np.cumsum(steps, axis=0) + 0.01 * rng.standard_normal((n, 2))
+    b_xy = np.column_stack([np.arange(n) * 0.1, np.full(n, 1.0)])
+    b_xy += 0.02 * rng.standard_normal((n, 2))
+    keep = np.r_[0:60, 72:n]  # a 12-frame hole, beyond max_gap: two spans
+    tracks = {
+        "a": make_traj("a", a_xy),
+        "b": make_traj("b", b_xy[keep], frames=keep),
+        "c": make_traj("c", b_xy[8:100] + [0.0, -2.5], first_frame=8),
+    }
+    states = {tid: smoothed_states(t, SMOOTH) for tid, t in tracks.items()}
+    assert min(states["b"][f].speed for f in states["b"]) >= SMOOTH.t_s
+    assert sum(states["a"][f].orientation is None for f in states["a"]) > 40
+    configs = [PidConfig(t1=16, l_max=l) for l in range(4)]
+    configs += [PidConfig(t1=16, assignment="hard"), PidConfig(t1=32, l_max=2)]
+    seed = 11
+    described, errors = set(), set()
+    for aid, tid in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")):
+        series = PairSeries()  # one series for every config and center
+        sa, sb = states[aid], states[tid]
+        jobs = [(c, cfg) for c in range(-20, n + 20) for cfg in configs]
+        for k in rng.permutation(len(jobs)):
+            center, cfg = jobs[k]
+            back, fwd = cfg.window_halves
+            try:
+                want = _reference_vector(sa, sb, aid, tid, center, cfg, 10.0, seed)
+            except MissingFrames as e:
+                errors.add(str(e))
+                for s in (series, None):
+                    with pytest.raises(MissingFrames) as got:
+                        _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s)
+                    assert str(got.value) == str(e)
+                continue
+            described.add((aid, tid, center - back, center + fwd))
+            for s in (series, None):
+                got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s).vector()
+                assert np.array_equal(got, want), (aid, tid, center, cfg)
+    # windows flush with both edges of each of b's spans, and errors that
+    # name the anchor, the target and b's hole
+    for edge in ((0, 15), (44, 59), (72, 87), (104, 119)):
+        assert ("a", "b") + edge in described
+    for msg in ("track a: no state at frame -1", "track b: no state at frame 60",
+                "track c: no state at frame 100", "track b: no state at frame 120"):
+        assert msg in errors
 
 
 # ----------------------------------------------------------- classification
