@@ -34,11 +34,13 @@ def train_stage1():
 
 def group_descriptors(scene, stage1):
     states = {t.track_id: smoothed_states(t, SMOOTH) for t in scene.trajectories}
-    cache = {}
+    # shared by the scene's overlapping windows: pair series, stage-1
+    # labels (valid for this stage1 only) and per-frame group cues
+    cache, labels, cues = {}, {}, {}
     for center, ids, label in windows(scene, 64, 5, "group"):
         win = GroupWindow.build([scene.track(i) for i in ids], center, 64,
                                 SMOOTH, states=states)
-        yield compute_cbd(win, stage1, CFG, cache=cache), label
+        yield compute_cbd(win, stage1, CFG, cache=cache, labels=labels, cues=cues), label
 
 
 def train_stage2(stage1):

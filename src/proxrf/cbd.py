@@ -31,7 +31,7 @@ from .trajectory import (
     DEFAULT_MAX_GAP,
     SmoothingConfig,
     Trajectory,
-    derivative,
+    finite_difference,
     smoothed_states,
 )
 
@@ -156,13 +156,59 @@ def interaction_histogram(predictions: Sequence[InteractionLabel]) -> np.ndarray
     return hist / len(predictions)
 
 
-def mean_speed(window: GroupWindow) -> float:
-    """Double average of member speeds: over members, then over frames."""
-    start, end = window.span
+class GroupCues:
+    """Per-frame mean member speed and dispersion of one group placement,
+    shared by its windows.
+
+    The series spans the members' states, from the earliest to the
+    latest frame.  A frame's values are computed the first time a window
+    needs them, over the members present at that frame, so every frame
+    of a placement is evaluated once however many windows overlap it.
+    They depend only on the member states, so one instance serves one
+    set of states.
+    """
+
+    __slots__ = ("first", "speed", "spread", "done")
+
+    def __init__(self):
+        self.first = None
+
+    def window(self, window: GroupWindow) -> tuple:
+        """(speed, dispersion) over the window's span, as views into the
+        series that callers must not write to."""
+        states = window.member_states
+        start, end = window.span
+        if self.first is None:
+            self.first = min(min(st) for st in states.values() if st)
+            n = max(max(st) for st in states.values() if st) - self.first + 1
+            self.speed, self.spread = np.empty(n), np.empty(n)
+            self.done = np.zeros(n, dtype=bool)
+        lo, hi = start - self.first, end + 1 - self.first
+        if lo < 0 or hi > len(self.done):
+            raise ValueError("group cues were built over other member states")
+        for k in np.flatnonzero(~self.done[lo:hi]).tolist():
+            f = start + k
+            ids = window.members_per_frame[f]
+            self.speed[lo + k] = sum(states[tid][f].speed for tid in ids) / len(ids)
+            self.spread[lo + k] = dispersion([states[tid][f].position for tid in ids])
+        self.done[lo:hi] = True
+        return self.speed[lo:hi], self.spread[lo:hi]
+
+
+def _placement_cues(window: GroupWindow, cues: Optional[dict]) -> tuple:
+    """The window's slice of its placement's GroupCues; ``cues`` maps
+    member ids to them (None computes the window alone)."""
+    if cues is None:
+        return GroupCues().window(window)
+    return cues.setdefault(tuple(window.member_states), GroupCues()).window(window)
+
+
+def mean_speed(window: GroupWindow, cues: Optional[dict] = None) -> float:
+    """Double average of member speeds: over members, then over frames.
+    ``cues`` is as for compute_cbd."""
     total = 0.0
-    for f in range(start, end + 1):
-        ids = window.members_per_frame[f]
-        total += sum(window.member_states[tid][f].speed for tid in ids) / len(ids)
+    for frame_mean in _placement_cues(window, cues)[0].tolist():
+        total += frame_mean
     return total / window.t2
 
 
@@ -175,18 +221,13 @@ def dispersion(positions: Sequence) -> float:
     return float(np.sqrt((centered**2).sum(axis=1).mean()))
 
 
-def _frame_positions(window: GroupWindow, frame: int) -> list:
-    return [window.member_states[tid][frame].position for tid in window.members_per_frame[frame]]
-
-
-def dispersion_change(window: GroupWindow) -> float:
-    """Mean derivative of the per-frame group dispersion, in m/s."""
-    start, end = window.span
-    series = [(f, dispersion(_frame_positions(window, f))) for f in range(start, end + 1)]
-    if len(series) < 2:
+def dispersion_change(window: GroupWindow, cues: Optional[dict] = None) -> float:
+    """Mean derivative of the per-frame group dispersion, in m/s.
+    ``cues`` is as for compute_cbd."""
+    spread = _placement_cues(window, cues)[1]
+    if len(spread) < 2:
         raise InsufficientData("dispersion change needs >= 2 frames")
-    d_prime = derivative(series, window.fps)
-    return float(np.mean([v for _, v in d_prime]))
+    return float(np.mean(finite_difference(spread, 1.0 / window.fps)))
 
 
 def shape_ratio(positions: Sequence) -> float:
@@ -219,6 +260,61 @@ def _covers(states: dict, centers: range, back: int, fwd: int) -> np.ndarray:
     return inside == back + fwd + 1
 
 
+def pair_keys(
+    window: GroupWindow, pid_cfg: PidConfig, stride: int = DEFAULT_PREDICTION_STRIDE
+) -> list:
+    """(anchor, target, center) of every ordered member pair at every
+    stride center of the window, in pooling order.  A pair has a key at
+    a center only when both tracks cover the full descriptor window
+    there."""
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    back, fwd = pid_cfg.window_halves
+    ids = sorted(window.member_states)
+    centers = _pid_centers(window, stride)
+    covered = {tid: _covers(window.member_states[tid], centers, back, fwd) for tid in ids}
+    keys = []
+    for k, center in enumerate(centers):
+        present = [tid for tid in ids if covered[tid][k]]
+        keys += [(aid, tid, center) for aid in present for tid in present if aid != tid]
+    return keys
+
+
+def pair_vectors(
+    states: dict, keys: Sequence, pid_cfg: PidConfig, fps: float, seed: int, cache: dict
+) -> list:
+    """PID vector of each (anchor, target, center) key, described once.
+
+    ``states`` maps track id to its smoothed states.  ``cache`` maps
+    (anchor, target) to the pair's PairSeries, which also keeps the
+    vectors of the windows already described; neither depends on a
+    model, so one cache serves every model as long as the states,
+    descriptor config and seed stay fixed.
+    """
+    vecs = []
+    for aid, tid, center in keys:
+        series = cache.setdefault((aid, tid), PairSeries())
+        vec = series.vectors.get(center)
+        if vec is None:
+            vec = series.vectors[center] = _pid_from_states(
+                states[aid], states[tid], aid, tid, center, pid_cfg, fps, seed, series
+            ).vector()
+        vecs.append(vec)
+    return vecs
+
+
+def vote_pairs(pid_model, keys: Sequence, vecs: Sequence) -> dict:
+    """Label table {key: stage-one label} from one ``predict_batch`` call
+    over the keys' vectors."""
+    if not keys:
+        return {}
+    try:
+        votes = pid_model.predict_batch(np.array(vecs))
+    except ShapeMismatch as e:
+        raise ModelShapeMismatch(str(e)) from None
+    return dict(zip(keys, map(InteractionLabel.from_class_id, votes.tolist())))
+
+
 def collect_pair_predictions(
     window: GroupWindow,
     pid_model,
@@ -226,53 +322,27 @@ def collect_pair_predictions(
     stride: int = DEFAULT_PREDICTION_STRIDE,
     seed: int = 0,
     cache: Optional[dict] = None,
+    labels: Optional[dict] = None,
 ) -> list:
-    """First-stage predictions over all ordered pairs and stride centers.
+    """First-stage predictions over the window's pair_keys, in order.
 
-    A pair contributes at a center only when both tracks cover the full
-    descriptor window there.  ``cache`` maps (anchor, target) to the
-    pair's PairSeries, which also keeps the vectors of the windows
-    already described; neither depends on the model, so one cache may
-    serve many models as long as the descriptor config, smoothing and
-    seed stay fixed.
+    ``cache`` is as for pair_vectors.  ``labels`` is a label table as
+    vote_pairs makes it: the keys missing from it are described and
+    voted here, in one call, and added to it, so one table passed to
+    every window of a recording votes each pair-center once.  A label
+    belongs to the model that voted it, so a table must never serve
+    another model; that is why it is kept apart from ``cache``, which
+    outlives models.
     """
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if cache is None:
-        cache = {}
-    back, fwd = pid_cfg.window_halves
-    ids = sorted(window.member_states)
-    centers = _pid_centers(window, stride)
-    covered = {tid: _covers(window.member_states[tid], centers, back, fwd) for tid in ids}
-    vecs = []
-    for k, center in enumerate(centers):
-        present = [tid for tid in ids if covered[tid][k]]
-        for aid in present:
-            for tid in present:
-                if aid == tid:
-                    continue
-                series = cache.setdefault((aid, tid), PairSeries())
-                vec = series.vectors.get(center)
-                if vec is None:
-                    vec = series.vectors[center] = _pid_from_states(
-                        window.member_states[aid],
-                        window.member_states[tid],
-                        aid,
-                        tid,
-                        center,
-                        pid_cfg,
-                        window.fps,
-                        seed,
-                        series,
-                    ).vector()
-                vecs.append(vec)
-    if not vecs:
-        return []
-    try:
-        votes = pid_model.predict_batch(np.array(vecs))
-    except ShapeMismatch as e:
-        raise ModelShapeMismatch(str(e)) from None
-    return [InteractionLabel.from_class_id(int(c)) for c in votes]
+    keys = pair_keys(window, pid_cfg, stride)
+    if labels is None:
+        labels = {}
+    missing = [k for k in keys if k not in labels]
+    if missing:
+        vecs = pair_vectors(window.member_states, missing, pid_cfg, window.fps, seed,
+                            {} if cache is None else cache)
+        labels.update(vote_pairs(pid_model, missing, vecs))
+    return [labels[k] for k in keys]
 
 
 def compute_cbd(
@@ -284,23 +354,35 @@ def compute_cbd(
     include_shape: bool = True,
     seed: int = 0,
     cache: Optional[dict] = None,
+    labels: Optional[dict] = None,
+    cues: Optional[dict] = None,
 ) -> CbdDescriptor:
     """Full group descriptor for one window.
 
     ``smoothing`` must match the config the window was built with (None
     accepts the window's own); the window already carries the smoothed
-    kinematics, so nothing is re-filtered here.
+    kinematics, so nothing is re-filtered here.  ``cache`` and
+    ``labels`` are as for collect_pair_predictions: the label table is
+    valid for ``pid_model`` only.  ``cues`` maps member ids to the
+    placement's GroupCues, so windows over the same members and states
+    share their per-frame speed and dispersion; it does not depend on
+    the model.
     """
     if smoothing is not None and smoothing != window.smoothing:
         raise ValueError("window was built with a different smoothing config")
+    if cues is None:
+        cues = {}
     predictions = collect_pair_predictions(
-        window, pid_model, pid_cfg, stride=stride, seed=seed, cache=cache
+        window, pid_model, pid_cfg, stride=stride, seed=seed, cache=cache, labels=labels
     )
-    ratio = shape_ratio(_frame_positions(window, window.center_frame)) if include_shape else None
+    ratio = None
+    if include_shape:
+        states, f = window.member_states, window.center_frame
+        ratio = shape_ratio([states[tid][f].position for tid in window.members_per_frame[f]])
     return CbdDescriptor(
         interaction_hist=interaction_histogram(predictions),
-        mean_speed=mean_speed(window),
-        dispersion_change=dispersion_change(window),
+        mean_speed=mean_speed(window, cues),
+        dispersion_change=dispersion_change(window, cues),
         shape_ratio=ratio,
         include_shape=include_shape,
         center_frame=window.center_frame,

@@ -35,6 +35,7 @@ from .trajectory import DEFAULT_MAX_GAP, TimedPosition, Trajectory
 
 LAYOUTS = ("ncad-like", "behave-like", "canonical")
 FOOT_POINTS = ("bottom-center", "box-center", "point")
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -193,11 +194,27 @@ class FoldSplit:
             raise ParseError(f"{path}: {e}") from None
 
 
+def _utf8_lines(fh, path):
+    """Lines of a file opened as UTF-8; other bytes raise ParseError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def _frame(text: str) -> int:
+    """A frame number: an integer that fits the int64 frame arrays."""
+    frame = int(text)
+    if not _INT64_MIN <= frame <= _INT64_MAX:
+        raise ValueError(f"frame {text} outside the int64 range")
+    return frame
+
+
 def _numbered_lines(source) -> Iterator:
     """(line number, stripped content) for data lines of a path/stream."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
-            yield from _numbered_lines(fh)
+            yield from _numbered_lines(_utf8_lines(fh, source))
         return
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
@@ -210,7 +227,7 @@ def _parse_fps(source, name: str) -> tuple:
     """fps from the `# fps=` header plus the remaining data lines."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
-            return _parse_fps(fh, name)
+            return _parse_fps(_utf8_lines(fh, source), name)
     fps = None
     data = []
     for lineno, raw in enumerate(source, start=1):
@@ -222,8 +239,8 @@ def _parse_fps(source, name: str) -> tuple:
                     fps = float(body[4:])
                 except ValueError:
                     raise ParseError(f"{name}:{lineno}: bad fps value {body[4:]!r}") from None
-                if fps <= 0:
-                    raise ParseError(f"{name}:{lineno}: fps must be > 0")
+                if not 0 < fps < math.inf:
+                    raise ParseError(f"{name}:{lineno}: fps must be finite and > 0, got {fps}")
             continue
         if not line:
             continue
@@ -243,7 +260,7 @@ def _parse_trajectories(source, name: str) -> tuple:
         if len(parts) != 4:
             raise ParseError(f"{name}:{lineno}: expected `frame,track_id,x,y`")
         try:
-            frame = int(parts[0])
+            frame = _frame(parts[0])
             x, y = float(parts[2]), float(parts[3])
         except ValueError:
             raise ParseError(f"{name}:{lineno}: bad number in {line!r}") from None
@@ -442,7 +459,7 @@ def _parse_external_tracks(path: str, h_mat: np.ndarray, foot_point: str) -> tup
                 f"{path}:{lineno}: expected `frame,track_id,u,v` or box with 4 coordinates"
             )
         try:
-            frame = int(parts[0])
+            frame = _frame(parts[0])
             nums = [float(p) for p in parts[2:]]
         except ValueError:
             raise ParseError(f"{path}:{lineno}: bad number in {line!r}") from None

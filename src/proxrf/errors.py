@@ -38,7 +38,7 @@ class ShapeMismatch(ProxrfError):
 
 
 class InvalidFeature(ProxrfError):
-    """Non-finite value in a feature vector."""
+    """Non-finite value in a feature vector or a smoothed track."""
 
 
 class CorruptModel(ProxrfError):

@@ -19,7 +19,14 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cbd import CollectiveLabel, GroupWindow, compute_cbd
+from .cbd import (
+    CollectiveLabel,
+    GroupWindow,
+    compute_cbd,
+    pair_keys,
+    pair_vectors,
+    vote_pairs,
+)
 from .dataset import FoldSplit, SceneRecording, windows
 from .errors import (
     ConfigError,
@@ -29,7 +36,7 @@ from .errors import (
     LabelCoverageError,
 )
 from .forest import ForestConfig, LabeledSample, RandomForest, train
-from .pid import InteractionLabel, PairSeries, PidConfig, _pid_from_states
+from .pid import InteractionLabel, PidConfig
 from .trajectory import DEFAULT_MAX_GAP, SmoothingConfig, smoothed_states
 
 CUE_NAMES = ("interaction_hist", "mean_speed", "dispersion_change", "shape_ratio")
@@ -247,10 +254,13 @@ class Pipeline:
     Pair windows become PID rows, which train the stage-one forest; group
     windows become CBD rows under a stage-one model, which train the
     stage-two forest.  Smoothed tracks, window lists, pair series and
-    descriptors, and group windows are computed once per recording and
-    shared by every fold, cue set and stage-one model, because none of
-    them depends on the model.  Matrices come back as ``(rows, X, labels)`` with one
-    ``(sequence id, center frame, track ids)`` row per window.
+    descriptors, group windows and their per-frame cues are computed once
+    per recording and shared by every fold, cue set and stage-one model,
+    because none of them depends on the model.  Stage-one labels do: each
+    group_matrix call votes them into a table local to one recording and
+    that call, never into the shared caches, so no label outlives the
+    model that voted it.  Matrices come back as ``(rows, X, labels)``
+    with one ``(sequence id, center frame, track ids)`` row per window.
     """
 
     def __init__(self, recordings: Sequence[SceneRecording], cfg: PipelineConfig):
@@ -264,9 +274,10 @@ class Pipeline:
             }
             for seq, rec in self._recordings.items()
         }
-        # (anchor, target) -> PairSeries with its window vectors, shared
-        # with compute_cbd
+        # (anchor, target) -> PairSeries with its window vectors, and
+        # member ids -> GroupCues; neither depends on a stage-one model
         self._pid_cache = {seq: {} for seq in self._recordings}
+        self._cues = {seq: {} for seq in self._recordings}
         self._windows = {}
         self._group_windows = {}
 
@@ -298,37 +309,47 @@ class Pipeline:
             self._group_windows[key] = window
         return self._group_windows[key]
 
+    def _pair_vectors(self, seq: str, keys: list) -> list:
+        """PID vectors of (anchor, target, center) keys of a recording,
+        through its pair series cache."""
+        return pair_vectors(self._states[seq], keys, self.cfg.pid, self._recordings[seq].fps,
+                            self.cfg.seed, self._pid_cache[seq])
+
     def pair_matrix(self, seq_ids: Sequence[str]) -> tuple:
         """PID vectors and interaction labels of every pair window."""
         cfg = self.cfg
         rows, vecs, labels = [], [], []
         for seq in seq_ids:
-            fps = self._recordings[seq].fps
-            states, cache = self._states[seq], self._pid_cache[seq]
-            for center, (aid, tid), label in self._window_list(seq, "pairs"):
-                series = cache.setdefault((aid, tid), PairSeries())
-                vec = series.vectors.get(center)
-                if vec is None:
-                    vec = series.vectors[center] = _pid_from_states(
-                        states[aid], states[tid], aid, tid, center, cfg.pid, fps, cfg.seed,
-                        series,
-                    ).vector()
-                rows.append((seq, center, (aid, tid)))
-                vecs.append(vec)
-                labels.append(label)
+            placed = self._window_list(seq, "pairs")
+            vecs += self._pair_vectors(seq, [(a, t, c) for c, (a, t), _ in placed])
+            rows += [(seq, center, pair) for center, pair, _ in placed]
+            labels += [label for _, _, label in placed]
         return rows, _matrix(vecs, cfg.pid.descriptor_length), labels
 
     def group_matrix(self, stage1: RandomForest, seq_ids: Sequence[str]) -> tuple:
         """Full CBD vectors (every cue) and collective labels of every
         group window under a stage-one model; slice them with cue_columns.
-        Placements with a frame where no member is present are skipped."""
+        Placements with a frame where no member is present are skipped.
+
+        Per recording, the (anchor, target, center) keys of all its
+        windows are voted in one ``predict_batch`` call, each distinct
+        key once, into a label table that lives only for that recording
+        in this call: a label belongs to ``stage1``, while the pair
+        series and group cues kept across calls do not depend on it.
+        """
         cfg = self.cfg
         rows, vecs, labels = [], [], []
         for seq in seq_ids:
+            placed = []
             for center, ids, label in self._window_list(seq, "group"):
                 window = self._group_window(seq, center, ids)
-                if window is None:
-                    continue
+                if window is not None:
+                    placed.append((center, ids, label, window))
+            keys = list(dict.fromkeys(
+                key for *_, window in placed for key in pair_keys(window, cfg.pid, cfg.stride)
+            ))
+            table = vote_pairs(stage1, keys, self._pair_vectors(seq, keys))
+            for center, ids, label, window in placed:
                 desc = compute_cbd(
                     window,
                     stage1,
@@ -337,6 +358,8 @@ class Pipeline:
                     include_shape=True,
                     seed=cfg.seed,
                     cache=self._pid_cache[seq],
+                    labels=table,
+                    cues=self._cues[seq],
                 )
                 rows.append((seq, center, ids))
                 vecs.append(desc.vector())

@@ -112,15 +112,18 @@ class RandomForest:
         """Fraction of trees voting each class, shape (n, class_count).
 
         Every (row, tree) pair of a block of rows steps through the node
-        table at once; the blocks bound the size of the working arrays.
+        table at once, and the block's votes are counted before the next
+        block starts, so the working arrays stay O(_VOTE_BLOCK x trees)
+        whatever the number of rows.
         """
         x_mat = self._check(x_mat)
         n, n_trees, k = len(x_mat), len(self.trees), self.class_count
-        leaves = np.empty((n, n_trees), dtype=np.int64)
+        votes = np.empty((n, k), dtype=np.int64)
         for start in range(0, n, _VOTE_BLOCK):
             block = x_mat[start:start + _VOTE_BLOCK]
-            node = np.tile(self.trees, len(block))
-            row = np.repeat(np.arange(len(block)), n_trees)
+            b = len(block)
+            node = np.tile(self.trees, b)
+            row = np.repeat(np.arange(b), n_trees)
             live = np.arange(len(node))
             while len(live):
                 at = node[live]
@@ -129,9 +132,8 @@ class RandomForest:
                 live, at, f = live[inner], at[inner], f[inner]
                 go_left = block[row[live], f] <= self.threshold[at]
                 node[live] = np.where(go_left, self.left[at], self.right[at])
-            leaves[start:start + len(block)] = node.reshape(len(block), n_trees)
-        slots = self.leaf_class[leaves] + k * np.arange(n)[:, None]
-        votes = np.bincount(slots.ravel(), minlength=n * k).reshape(n, k)
+            slots = self.leaf_class[node] + k * row
+            votes[start:start + b] = np.bincount(slots, minlength=b * k).reshape(b, k)
         return votes / n_trees
 
     def predict_batch(self, x_mat: np.ndarray) -> np.ndarray:

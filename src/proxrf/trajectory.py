@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FrameMismatch, InsufficientData, MissingFrames
+from .errors import FrameMismatch, InsufficientData, InvalidFeature, MissingFrames
 
 DEFAULT_MAX_GAP = 5
 
@@ -200,7 +200,8 @@ def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
     second smoother s2 of the same form, and the output 2*s1 - s2 removes
     the steady-state lag.  s1 is seeded with x[0] and s2 with s1[0], so
     the first sample passes through unchanged.  Samples are treated as
-    uniformly spaced in time.
+    uniformly spaced in time.  Finite positions so large that the
+    arithmetic overflows raise InvalidFeature naming the track.
     """
     if len(traj) < 2:
         raise InsufficientData(f"track {traj.track_id}: need >= 2 samples to smooth")
@@ -214,7 +215,12 @@ def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
         s1y = a * s.y + b * s1y
         s2x = a * s1x + b * s2x
         s2y = a * s1y + b * s2y
-        out.append(TimedPosition(s.frame, 2.0 * s1x - s2x, 2.0 * s1y - s2y))
+        try:
+            out.append(TimedPosition(s.frame, 2.0 * s1x - s2x, 2.0 * s1y - s2y))
+        except ValueError:  # finite input, overflowing arithmetic
+            raise InvalidFeature(
+                f"track {traj.track_id}: smoothed position overflows at frame {s.frame}"
+            ) from None
     return Trajectory(traj.track_id, out, traj.fps)
 
 

@@ -523,6 +523,52 @@ def test_exit_code_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR ParseError:")
 
 
+def _train_parse_error(corpus, tmp_path, capsys, needle):
+    rc = main(["train", "interactions", str(corpus), "--out", str(tmp_path / "m.json")] + SMALL)
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("ERROR ParseError:") and needle in err, err
+
+
+_TRACKS = "0,a,0.0,0.0\n1,a,0.1,0.0\n0,b,1.0,0.0\n1,b,1.1,0.0\n"
+
+
+@pytest.mark.parametrize("fps", ["nan", "inf", "-inf"])
+def test_exit_code_non_finite_fps(fps, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "s.trj").write_text(f"# fps={fps}\n" + _TRACKS)
+    _train_parse_error(corpus, tmp_path, capsys, "fps must be finite and > 0")
+
+
+@pytest.mark.parametrize("frame", [2**63, -(2**63) - 1, 10**40])
+def test_exit_code_frame_beyond_int64(frame, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "s.trj").write_text(f"# fps=10.0\n{frame},c,0.0,0.0\n" + _TRACKS)
+    _train_parse_error(corpus, tmp_path, capsys, "s.trj:2: bad number")
+
+
+@pytest.mark.parametrize("suffix", [".trj", ".pia"])
+def test_exit_code_non_utf8_corpus_file(suffix, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "s.trj").write_text("# fps=10.0\n" + _TRACKS)
+    (corpus / "s.pia").write_text("0,1,a,b,WT\n")
+    path = corpus / f"s{suffix}"
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    _train_parse_error(corpus, tmp_path, capsys, f"s{suffix}: not UTF-8 text")
+
+
+def test_exit_code_non_utf8_folds_file(pair_corpus, tmp_path, capsys):
+    folds = tmp_path / "folds.csv"
+    folds.write_bytes(b"s\xff,0\n")
+    rc = main(["eval", pair_corpus, "--folds-file", str(folds), "--out-dir", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("ERROR ParseError:") and "folds.csv: not UTF-8 text" in err, err
+
+
 def test_exit_code_missing_and_corrupt_model(pair_corpus, tmp_path, capsys):
     rc = main(["predict", pair_corpus, "--interactions-model",
                str(tmp_path / "no.json"), "--out", str(tmp_path / "p.csv")])

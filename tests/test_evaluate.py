@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proxrf.cbd import CollectiveLabel
-from proxrf.dataset import FoldSplit, PairAnnotation, SceneRecording
+from proxrf.cbd import CollectiveLabel, GroupWindow, compute_cbd, dispersion
+from proxrf.dataset import FoldSplit, PairAnnotation, SceneRecording, windows
 from proxrf.errors import (
     ConfigError,
     EmptyTrainingSet,
@@ -18,6 +18,7 @@ from proxrf.errors import (
 from proxrf.evaluate import (
     CUE_NAMES,
     ConfusionMatrix,
+    Pipeline,
     PipelineConfig,
     ablation,
     cross_dataset,
@@ -29,6 +30,7 @@ from proxrf.evaluate import (
 from proxrf.forest import ForestConfig
 from proxrf.pid import InteractionLabel
 from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
+from proxrf.trajectory import Trajectory, derivative, smoothed_states
 
 from conftest import straight_traj
 
@@ -275,3 +277,125 @@ def test_empty_training_set_is_reported(mixed_corpus, mixed_cfg):
     coll_only = [r for r in mixed_corpus if r.collective_annotations]
     with pytest.raises(EmptyTrainingSet):
         cross_dataset(coll_only, coll_only, mixed_cfg)
+
+
+# ------------------------------------------------ stage-one votes and group cues
+
+class _LabelModel:
+    """Stage-one stand-in: a fixed label per vector, shifted by ``salt``,
+    with every predict_batch call recorded."""
+
+    def __init__(self, salt=0):
+        self.salt = salt
+        self.calls = []
+
+    def predict_batch(self, x):
+        self.calls.append(np.array(x))
+        return (np.floor(np.abs(x).sum(axis=1) * 7.0).astype(np.int64) + self.salt) % 6
+
+
+@pytest.fixture(scope="module")
+def dropped_corpus():
+    """Group scenes with dropped detections, one member split by a hole
+    beyond max_gap and one that leaves early, so membership changes from
+    frame to frame and from window to window."""
+    rng = np.random.default_rng(17)
+    scenes = []
+    labels = (C.Gathering, C.Walking, C.Queuing)
+    for rec in make_collective_corpus(SynthParams(seed=23, noise_sigma=0.02), 1):
+        if rec.collective_annotations[0].label not in labels:
+            continue
+        tracks = []
+        for k, t in enumerate(rec.trajectories):
+            last = len(t) - 1
+            keep = [s for i, s in enumerate(t.samples) if i in (0, last) or rng.random() > 0.15]
+            if k == 1:
+                keep = [s for s in keep if not 40 <= s.frame <= 47]
+            if k == 2:
+                keep = keep[: 2 * len(keep) // 3]
+            tracks.append(Trajectory(t.track_id, keep, t.fps))
+        scenes.append(SceneRecording(rec.sequence_id, rec.fps, tracks,
+                                     rec.pair_annotations, rec.collective_annotations))
+    assert len(scenes) == len(labels)
+    return scenes
+
+
+_VOTE_CFG = PipelineConfig(stride=8, seed=5)
+
+
+def _lone_windows(rec, cfg):
+    """Every kept group window of a recording, built on its own."""
+    for center, ids, _ in windows(rec, cfg.t2, cfg.step, "group", cfg.max_gap):
+        yield GroupWindow.build([rec.track(i) for i in ids], center, cfg.t2, cfg.smoothing,
+                                max_gap=cfg.max_gap)
+
+
+def _distinct_keys(rec, cfg):
+    """(anchor, target, center) of every pair-center the recording's group
+    windows pool, found frame by frame."""
+    states = {t.track_id: smoothed_states(t, cfg.smoothing, cfg.max_gap)
+              for t in rec.trajectories}
+    back, fwd = cfg.pid.window_halves
+    keys = set()
+    for w in _lone_windows(rec, cfg):
+        start, end = w.span
+        for c in range(start, end + 1, cfg.stride):
+            present = [i for i in w.member_states
+                       if all(f in states[i] for f in range(c - back, c + fwd + 1))]
+            keys.update((a, b, c) for a in present for b in present if a != b)
+    return keys
+
+
+def test_group_matrix_votes_each_pair_center_once(dropped_corpus):
+    pipe = Pipeline(dropped_corpus, _VOTE_CFG)
+    model = _LabelModel()
+    for _ in range(2):  # the table lives for one call: the second votes again
+        model.calls.clear()
+        pipe.group_matrix(model, pipe.seq_ids)
+        want = [len(_distinct_keys(pipe._recordings[s], _VOTE_CFG)) for s in pipe.seq_ids]
+        assert [len(x) for x in model.calls] == want
+        for x in model.calls:
+            assert len(np.unique(x, axis=0)) == len(x)
+
+
+def test_group_matrix_labels_do_not_leak_across_models(dropped_corpus):
+    a, b = _LabelModel(salt=0), _LabelModel(salt=3)
+    shared = Pipeline(dropped_corpus, _VOTE_CFG)
+    _, x_a, _ = shared.group_matrix(a, shared.seq_ids)
+    _, x_b, _ = shared.group_matrix(b, shared.seq_ids)
+    fresh = Pipeline(dropped_corpus, _VOTE_CFG)
+    _, x_fresh, _ = fresh.group_matrix(b, fresh.seq_ids)
+    np.testing.assert_array_equal(x_b, x_fresh)
+    assert not np.array_equal(x_a[:, :6], x_b[:, :6])
+
+
+def _ref_mean_speed(w):
+    start, end = w.span
+    total = 0.0
+    for f in range(start, end + 1):
+        ids = w.members_per_frame[f]
+        total += sum(w.member_states[t][f].speed for t in ids) / len(ids)
+    return total / w.t2
+
+
+def _ref_dispersion_change(w):
+    start, end = w.span
+    series = [(f, dispersion([w.member_states[t][f].position for t in w.members_per_frame[f]]))
+              for f in range(start, end + 1)]
+    return float(np.mean([v for _, v in derivative(series, w.fps)]))
+
+
+def test_group_matrix_matches_lone_windows(dropped_corpus, tiny_stage1):
+    pipe = Pipeline(dropped_corpus, _VOTE_CFG)
+    rows, x, _ = pipe.group_matrix(tiny_stage1, pipe.seq_ids)
+    ref, uneven = [], 0
+    for rec in sorted(dropped_corpus, key=lambda r: r.sequence_id):
+        for w in _lone_windows(rec, _VOTE_CFG):
+            desc = compute_cbd(w, tiny_stage1, _VOTE_CFG.pid, stride=_VOTE_CFG.stride,
+                               seed=_VOTE_CFG.seed)
+            assert desc.mean_speed == _ref_mean_speed(w)
+            assert desc.dispersion_change == _ref_dispersion_change(w)
+            ref.append(desc.vector())
+            uneven += len({len(ids) for ids in w.members_per_frame.values()}) > 1
+    assert len(rows) == len(ref) and uneven > 0
+    np.testing.assert_array_equal(x, np.array(ref))

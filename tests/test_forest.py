@@ -1,6 +1,7 @@
 """From-scratch random forest: splits, determinism, serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,25 @@ def test_vote_fractions_match_per_tree_walk():
     for n in (1, 7, 128, 129, 2000):
         x = rng.standard_normal((n, 6)) * 3.0
         np.testing.assert_array_equal(model.vote_fractions(x), _walk_votes(doc, x))
+
+
+def test_vote_blocks_bound_memory_and_keep_fractions():
+    rng = np.random.default_rng(91)
+    samples, _, _ = _blobs(rng, 40, spread=1.5)
+    n_trees = 50
+    model = train(samples, ForestConfig(n_trees=n_trees, seed=4))
+    x = rng.standard_normal((20_000, 6)) * 3.0
+    tracemalloc.start()
+    try:
+        whole = model.vote_fractions(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    pieces = np.vstack([model.vote_fractions(x[i:i + 37]) for i in range(0, len(x), 37)])
+    np.testing.assert_array_equal(whole, pieces)
+    # one int64 per (row, tree) would take 8 MB; the vote counts and the
+    # fractions take 0.5 MB each
+    assert peak < len(x) * n_trees * 8 // 4
 
 
 _CONFIG_DOC = {"n_trees": 2, "max_depth": None, "min_samples_split": 2,

@@ -7,7 +7,13 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
-from proxrf.errors import FrameMismatch, InsufficientData, MissingFrames
+from proxrf.errors import (
+    FrameMismatch,
+    InsufficientData,
+    InvalidFeature,
+    MissingFrames,
+    ProxrfError,
+)
 from proxrf.trajectory import (
     KinematicState,
     RelativePolar,
@@ -143,6 +149,19 @@ def test_smooth_tracks_linear_ramp():
 def test_smooth_needs_two_samples():
     with pytest.raises(InsufficientData):
         smooth(make_traj("s", [[0.0, 0.0]]), SmoothingConfig())
+
+
+def test_smooth_overflow_names_the_track():
+    # finite coordinates whose level and trend terms overflow a float,
+    # at the first sample and further on
+    for xs, frame in (([1e308, -1e308, 1e308], 0), ([0.0, 1e308, 1e308, 1e308, 1e308], 4)):
+        traj = make_traj("walker-7", np.column_stack([xs, np.zeros(len(xs))]))
+        message = f"track walker-7: .*overflows at frame {frame}$"
+        with pytest.raises(InvalidFeature, match=message) as info:
+            smooth(traj, SmoothingConfig())
+        assert isinstance(info.value, ProxrfError)
+        with pytest.raises(InvalidFeature, match="walker-7"):
+            smoothed_states(traj, SmoothingConfig())
 
 
 # ---------------------------------------------------------------- kinematics
