@@ -8,7 +8,13 @@ Everything here uses the public library API only.
 
 import numpy as np
 
-from proxrf.cbd import CollectiveLabel, GroupWindow, classify_collective, compute_cbd
+from proxrf.cbd import (
+    CollectiveLabel,
+    GroupWindow,
+    classify_collective,
+    compute_cbd,
+    pair_predictions,
+)
 from proxrf.dataset import windows
 from proxrf.forest import ForestConfig, LabeledSample, train
 from proxrf.pid import InteractionLabel, PidConfig, compute_pid
@@ -34,13 +40,13 @@ def train_stage1():
 
 def group_descriptors(scene, stage1):
     states = {t.track_id: smoothed_states(t, SMOOTH) for t in scene.trajectories}
-    # shared by the scene's overlapping windows: pair series, stage-1
-    # labels (valid for this stage1 only) and per-frame group cues
-    cache, labels, cues = {}, {}, {}
-    for center, ids, label in windows(scene, 64, 5, "group"):
-        win = GroupWindow.build([scene.track(i) for i in ids], center, 64,
-                                SMOOTH, states=states)
-        yield compute_cbd(win, stage1, CFG, cache=cache, labels=labels, cues=cues), label
+    placed = [(GroupWindow.build([scene.track(i) for i in ids], center, 64,
+                                 SMOOTH, states=states), label)
+              for center, ids, label in windows(scene, 64, 5, "group")]
+    # one stage-1 vote over every pair-centre of the scene's windows
+    predictions = pair_predictions([win for win, _ in placed], stage1, CFG)
+    for (win, label), preds in zip(placed, predictions):
+        yield compute_cbd(win, preds), label
 
 
 def train_stage2(stage1):
@@ -63,7 +69,7 @@ def main():
     probe = gen_collective(CollectiveLabel.Gathering,
                            SynthParams(seed=999, noise_sigma=0.02))
     win = GroupWindow.build(probe.trajectories, 56, 64, SMOOTH)
-    desc = compute_cbd(win, stage1, CFG)
+    desc = compute_cbd(win, *pair_predictions([win], stage1, CFG))
     label, probs = classify_collective(desc, stage2)
 
     print("\nprobe scene (held-out seed, true label Gathering):")

@@ -20,6 +20,7 @@ from .cbd import (
     dispersion_change,
     interaction_histogram,
     mean_speed,
+    pair_predictions,
     shape_ratio,
 )
 from .config import build_run_config, load_run_config, parse_config_text

@@ -2,17 +2,16 @@
 
 The descriptor pools first-stage interaction predictions over all ordered
 member pairs into a normalized 6-bin histogram and appends the group's
-mean speed, the rate of change of its dispersion, and (optionally) the
-eigenvalue ratio of the member-position covariance, which separates
-aligned formations (queues) from isotropic ones (conversation circles).
-A second random forest over these vectors assigns one of six collective
-behaviors.
+mean speed, the rate of change of its dispersion, and the eigenvalue
+ratio of the member-position covariance, which separates aligned
+formations (queues) from isotropic ones (conversation circles).  A
+second random forest over these vectors, or over a subset of their cues,
+assigns one of six collective behaviors.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +21,6 @@ from .errors import (
     EmptyGroup,
     FrameMismatch,
     InsufficientData,
-    MissingFrames,
     ModelShapeMismatch,
     ShapeMismatch,
 )
@@ -71,19 +69,21 @@ class GroupWindow:
     Member states cover each track's whole contiguous spans, not just the
     window, so pair descriptors centered near the window edges can reach
     back and forward as far as the tracks allow.  Membership at a frame
-    means the track has a state there.
+    means the track has a state there.  ``cues`` is the placement's
+    GroupCues, which windows over the same member states may share; a
+    window given none makes its own.
     """
 
-    __slots__ = ("center_frame", "t2", "fps", "smoothing", "member_states", "members_per_frame")
+    __slots__ = ("center_frame", "t2", "fps", "member_states", "members_per_frame", "cues")
 
-    def __init__(self, center_frame, t2, fps, smoothing, member_states):
+    def __init__(self, center_frame, t2, fps, member_states, cues=None):
         if t2 < 2 or t2 & (t2 - 1):
             raise ValueError(f"t2 must be a power of two >= 2, got {t2}")
         self.center_frame = int(center_frame)
         self.t2 = int(t2)
         self.fps = float(fps)
-        self.smoothing = smoothing
         self.member_states = member_states
+        self.cues = GroupCues() if cues is None else cues
         start, end = self.span
         per_frame = {}
         for f in range(start, end + 1):
@@ -107,6 +107,7 @@ class GroupWindow:
         smoothing: SmoothingConfig,
         max_gap: int = DEFAULT_MAX_GAP,
         states: Optional[dict] = None,
+        cues: Optional[GroupCues] = None,
     ) -> "GroupWindow":
         """Window over the given tracks; ``states`` may carry precomputed
         smoothed states per track id to reuse across windows."""
@@ -122,7 +123,7 @@ class GroupWindow:
                 member_states[tr.track_id] = states[tr.track_id]
             else:
                 member_states[tr.track_id] = smoothed_states(tr, smoothing, max_gap=max_gap)
-        return cls(center_frame, t2, fps, smoothing, member_states)
+        return cls(center_frame, t2, fps, member_states, cues)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,18 +133,15 @@ class CbdDescriptor:
     interaction_hist: np.ndarray
     mean_speed: float
     dispersion_change: float
-    shape_ratio: Optional[float]
-    include_shape: bool
+    shape_ratio: float
     center_frame: int
 
     def vector(self) -> np.ndarray:
-        tail = [self.mean_speed, self.dispersion_change]
-        if self.include_shape:
-            tail.append(self.shape_ratio)
+        tail = [self.mean_speed, self.dispersion_change, self.shape_ratio]
         return np.concatenate([self.interaction_hist, tail])
 
     def __len__(self):
-        return len(self.interaction_hist) + 2 + (1 if self.include_shape else 0)
+        return len(self.interaction_hist) + 3
 
 
 def interaction_histogram(predictions: Sequence[InteractionLabel]) -> np.ndarray:
@@ -195,19 +193,10 @@ class GroupCues:
         return self.speed[lo:hi], self.spread[lo:hi]
 
 
-def _placement_cues(window: GroupWindow, cues: Optional[dict]) -> tuple:
-    """The window's slice of its placement's GroupCues; ``cues`` maps
-    member ids to them (None computes the window alone)."""
-    if cues is None:
-        return GroupCues().window(window)
-    return cues.setdefault(tuple(window.member_states), GroupCues()).window(window)
-
-
-def mean_speed(window: GroupWindow, cues: Optional[dict] = None) -> float:
-    """Double average of member speeds: over members, then over frames.
-    ``cues`` is as for compute_cbd."""
+def mean_speed(window: GroupWindow) -> float:
+    """Double average of member speeds: over members, then over frames."""
     total = 0.0
-    for frame_mean in _placement_cues(window, cues)[0].tolist():
+    for frame_mean in window.cues.window(window)[0].tolist():
         total += frame_mean
     return total / window.t2
 
@@ -221,10 +210,9 @@ def dispersion(positions: Sequence) -> float:
     return float(np.sqrt((centered**2).sum(axis=1).mean()))
 
 
-def dispersion_change(window: GroupWindow, cues: Optional[dict] = None) -> float:
-    """Mean derivative of the per-frame group dispersion, in m/s.
-    ``cues`` is as for compute_cbd."""
-    spread = _placement_cues(window, cues)[1]
+def dispersion_change(window: GroupWindow) -> float:
+    """Mean derivative of the per-frame group dispersion, in m/s."""
+    spread = window.cues.window(window)[1]
     if len(spread) < 2:
         raise InsufficientData("dispersion change needs >= 2 frames")
     return float(np.mean(finite_difference(spread, 1.0 / window.fps)))
@@ -303,88 +291,47 @@ def pair_vectors(
     return vecs
 
 
-def vote_pairs(pid_model, keys: Sequence, vecs: Sequence) -> dict:
-    """Label table {key: stage-one label} from one ``predict_batch`` call
-    over the keys' vectors."""
+def pair_predictions(
+    windows: Sequence[GroupWindow],
+    pid_model,
+    pid_cfg: PidConfig,
+    stride: int = DEFAULT_PREDICTION_STRIDE,
+    seed: int = 0,
+    cache: Optional[dict] = None,
+) -> list:
+    """First-stage predictions over each window's pair_keys, one label
+    list per window in pooling order.
+
+    The windows must come from one recording: a track id names the same
+    smoothed states in all of them.  Each distinct key is described once
+    through ``cache`` (as for pair_vectors; None uses a fresh one) and
+    voted once, in a single ``predict_batch`` call over all windows.
+    """
+    per_window = [pair_keys(w, pid_cfg, stride) for w in windows]
+    keys = list(dict.fromkeys(k for window_keys in per_window for k in window_keys))
     if not keys:
-        return {}
+        return [[] for _ in per_window]
+    states = {tid: st for w in windows for tid, st in w.member_states.items()}
+    vecs = pair_vectors(states, keys, pid_cfg, windows[0].fps, seed,
+                        {} if cache is None else cache)
     try:
         votes = pid_model.predict_batch(np.array(vecs))
     except ShapeMismatch as e:
         raise ModelShapeMismatch(str(e)) from None
-    return dict(zip(keys, map(InteractionLabel.from_class_id, votes.tolist())))
+    labels = dict(zip(keys, map(InteractionLabel.from_class_id, votes.tolist())))
+    return [[labels[k] for k in window_keys] for window_keys in per_window]
 
 
-def collect_pair_predictions(
-    window: GroupWindow,
-    pid_model,
-    pid_cfg: PidConfig,
-    stride: int = DEFAULT_PREDICTION_STRIDE,
-    seed: int = 0,
-    cache: Optional[dict] = None,
-    labels: Optional[dict] = None,
-) -> list:
-    """First-stage predictions over the window's pair_keys, in order.
-
-    ``cache`` is as for pair_vectors.  ``labels`` is a label table as
-    vote_pairs makes it: the keys missing from it are described and
-    voted here, in one call, and added to it, so one table passed to
-    every window of a recording votes each pair-center once.  A label
-    belongs to the model that voted it, so a table must never serve
-    another model; that is why it is kept apart from ``cache``, which
-    outlives models.
-    """
-    keys = pair_keys(window, pid_cfg, stride)
-    if labels is None:
-        labels = {}
-    missing = [k for k in keys if k not in labels]
-    if missing:
-        vecs = pair_vectors(window.member_states, missing, pid_cfg, window.fps, seed,
-                            {} if cache is None else cache)
-        labels.update(vote_pairs(pid_model, missing, vecs))
-    return [labels[k] for k in keys]
-
-
-def compute_cbd(
-    window: GroupWindow,
-    pid_model,
-    pid_cfg: PidConfig,
-    smoothing: Optional[SmoothingConfig] = None,
-    stride: int = DEFAULT_PREDICTION_STRIDE,
-    include_shape: bool = True,
-    seed: int = 0,
-    cache: Optional[dict] = None,
-    labels: Optional[dict] = None,
-    cues: Optional[dict] = None,
-) -> CbdDescriptor:
-    """Full group descriptor for one window.
-
-    ``smoothing`` must match the config the window was built with (None
-    accepts the window's own); the window already carries the smoothed
-    kinematics, so nothing is re-filtered here.  ``cache`` and
-    ``labels`` are as for collect_pair_predictions: the label table is
-    valid for ``pid_model`` only.  ``cues`` maps member ids to the
-    placement's GroupCues, so windows over the same members and states
-    share their per-frame speed and dispersion; it does not depend on
-    the model.
-    """
-    if smoothing is not None and smoothing != window.smoothing:
-        raise ValueError("window was built with a different smoothing config")
-    if cues is None:
-        cues = {}
-    predictions = collect_pair_predictions(
-        window, pid_model, pid_cfg, stride=stride, seed=seed, cache=cache, labels=labels
-    )
-    ratio = None
-    if include_shape:
-        states, f = window.member_states, window.center_frame
-        ratio = shape_ratio([states[tid][f].position for tid in window.members_per_frame[f]])
+def compute_cbd(window: GroupWindow, predictions: Sequence[InteractionLabel]) -> CbdDescriptor:
+    """Full group descriptor for one window from its first-stage
+    ``predictions``, as pair_predictions gives them: for a lone window,
+    ``compute_cbd(w, *pair_predictions([w], model, pid_cfg))``."""
+    states, f = window.member_states, window.center_frame
     return CbdDescriptor(
         interaction_hist=interaction_histogram(predictions),
-        mean_speed=mean_speed(window, cues),
-        dispersion_change=dispersion_change(window, cues),
-        shape_ratio=ratio,
-        include_shape=include_shape,
+        mean_speed=mean_speed(window),
+        dispersion_change=dispersion_change(window),
+        shape_ratio=shape_ratio([states[tid][f].position for tid in window.members_per_frame[f]]),
         center_frame=window.center_frame,
     )
 

@@ -35,7 +35,7 @@ from .trajectory import DEFAULT_MAX_GAP, TimedPosition, Trajectory
 
 LAYOUTS = ("ncad-like", "behave-like", "canonical")
 FOOT_POINTS = ("bottom-center", "box-center", "point")
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+_MAX_FRAME = 2**53  # the largest magnitude up to which float64 holds every integer
 
 
 @dataclass(frozen=True)
@@ -203,10 +203,10 @@ def _utf8_lines(fh, path):
 
 
 def _frame(text: str) -> int:
-    """A frame number: an integer that fits the int64 frame arrays."""
+    """A frame number: an integer that float64 frame arithmetic holds exactly."""
     frame = int(text)
-    if not _INT64_MIN <= frame <= _INT64_MAX:
-        raise ValueError(f"frame {text} outside the int64 range")
+    if abs(frame) > _MAX_FRAME:
+        raise ValueError(f"frame {text} outside +-2**53")
     return frame
 
 
@@ -254,7 +254,7 @@ def _parse_fps(source, name: str) -> tuple:
 
 def _parse_trajectories(source, name: str) -> tuple:
     fps, data = _parse_fps(source, name)
-    per_track = {}
+    rows = []
     for lineno, line in data:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 4:
@@ -266,20 +266,37 @@ def _parse_trajectories(source, name: str) -> tuple:
             raise ParseError(f"{name}:{lineno}: bad number in {line!r}") from None
         if not parts[1]:
             raise ParseError(f"{name}:{lineno}: empty track id")
-        per_track.setdefault(parts[1], []).append((lineno, frame, x, y))
+        rows.append((lineno, parts[1], frame, x, y))
+    return fps, _build_tracks(rows, fps, name)
+
+
+def _build_tracks(rows: list, fps: float, name: str, to_ground=None) -> list:
+    """Trajectories from (line number, track id, frame, x, y) rows.
+
+    Rows are grouped by track in order of first appearance and sorted by
+    frame.  ``to_ground`` maps a track's (n, 2) coordinates first.  A
+    duplicate frame, or a track that Trajectory refuses (such as one
+    with a non-finite position), raises ParseError.
+    """
+    per_track = {}
+    for row in rows:
+        per_track.setdefault(row[1], []).append(row)
     trajectories = []
-    for tid, rows in per_track.items():
-        rows.sort(key=lambda r: r[1])
-        for (_, f0, _, _), (ln, f1, _, _) in zip(rows, rows[1:]):
-            if f1 == f0:
-                raise ParseError(f"{name}:{ln}: duplicate frame {f1} for track {tid!r}")
+    for tid, track in per_track.items():
+        track.sort(key=lambda r: r[2])
+        for prev, (ln, _, f, _, _) in zip(track, track[1:]):
+            if f == prev[2]:
+                raise ParseError(f"{name}:{ln}: duplicate frame {f} for track {tid!r}")
+        xy = [(x, y) for *_, x, y in track]
+        if to_ground is not None:
+            xy = to_ground(np.array(xy)).tolist()
         try:
-            trajectories.append(
-                Trajectory(tid, (TimedPosition(f, x, y) for _, f, x, y in rows), fps)
-            )
+            trajectories.append(Trajectory(
+                tid, (TimedPosition(r[2], x, y) for r, (x, y) in zip(track, xy)), fps
+            ))
         except ValueError as e:
             raise ParseError(f"{name}: track {tid!r}: {e}") from None
-    return fps, trajectories
+    return trajectories
 
 
 def _parse_pair_annotations(source, name: str) -> list:
@@ -451,7 +468,7 @@ def _parse_external_tracks(path: str, h_mat: np.ndarray, foot_point: str) -> tup
     `frame,track_id,x1,y1,x2,y2` for boxes, reduced per ``foot_point``.
     """
     fps, data = _parse_fps(path, path)
-    per_track = {}
+    rows = []
     for lineno, line in data:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (4, 6):
@@ -471,23 +488,11 @@ def _parse_external_tracks(path: str, h_mat: np.ndarray, foot_point: str) -> tup
             u, v = (nums[0] + nums[2]) / 2.0, max(nums[1], nums[3])
         else:  # box-center
             u, v = (nums[0] + nums[2]) / 2.0, (nums[1] + nums[3]) / 2.0
-        per_track.setdefault(parts[1], []).append((lineno, frame, u, v))
-    trajectories = []
-    for tid, rows in per_track.items():
-        rows.sort(key=lambda r: r[1])
-        for (_, f0, _, _), (ln, f1, _, _) in zip(rows, rows[1:]):
-            if f1 == f0:
-                raise ParseError(f"{path}:{ln}: duplicate frame {f1} for track {tid!r}")
-        ground = apply_homography(h_mat, np.array([[u, v] for _, _, u, v in rows]))
-        trajectories.append(
-            Trajectory(
-                tid,
-                (TimedPosition(f, float(p[0]), float(p[1]))
-                 for (_, f, _, _), p in zip(rows, ground)),
-                fps,
-            )
-        )
-    return fps, trajectories
+        rows.append((lineno, parts[1], frame, u, v))
+    # a point on the homography's horizon maps to inf or nan, which
+    # _build_tracks reports as ParseError; numpy's warning would only repeat it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return fps, _build_tracks(rows, fps, path, lambda uv: apply_homography(h_mat, uv))
 
 
 def adapt_external(root: str, layout: str, foot_point: str = "bottom-center") -> list:

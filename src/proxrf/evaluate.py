@@ -21,11 +21,11 @@ import numpy as np
 
 from .cbd import (
     CollectiveLabel,
+    GroupCues,
     GroupWindow,
     compute_cbd,
-    pair_keys,
+    pair_predictions,
     pair_vectors,
-    vote_pairs,
 )
 from .dataset import FoldSplit, SceneRecording, windows
 from .errors import (
@@ -256,11 +256,9 @@ class Pipeline:
     stage-two forest.  Smoothed tracks, window lists, pair series and
     descriptors, group windows and their per-frame cues are computed once
     per recording and shared by every fold, cue set and stage-one model,
-    because none of them depends on the model.  Stage-one labels do: each
-    group_matrix call votes them into a table local to one recording and
-    that call, never into the shared caches, so no label outlives the
-    model that voted it.  Matrices come back as ``(rows, X, labels)``
-    with one ``(sequence id, center frame, track ids)`` row per window.
+    because none of them depends on the model; stage-one labels do, and
+    are never kept.  Matrices come back as ``(rows, X, labels)`` with one
+    ``(sequence id, center frame, track ids)`` row per window.
     """
 
     def __init__(self, recordings: Sequence[SceneRecording], cfg: PipelineConfig):
@@ -303,17 +301,12 @@ class Pipeline:
                     self.cfg.smoothing,
                     max_gap=self.cfg.max_gap,
                     states=self._states[seq],
+                    cues=self._cues[seq].setdefault(ids, GroupCues()),
                 )
             except EmptyGroup:
                 window = None
             self._group_windows[key] = window
         return self._group_windows[key]
-
-    def _pair_vectors(self, seq: str, keys: list) -> list:
-        """PID vectors of (anchor, target, center) keys of a recording,
-        through its pair series cache."""
-        return pair_vectors(self._states[seq], keys, self.cfg.pid, self._recordings[seq].fps,
-                            self.cfg.seed, self._pid_cache[seq])
 
     def pair_matrix(self, seq_ids: Sequence[str]) -> tuple:
         """PID vectors and interaction labels of every pair window."""
@@ -321,7 +314,9 @@ class Pipeline:
         rows, vecs, labels = [], [], []
         for seq in seq_ids:
             placed = self._window_list(seq, "pairs")
-            vecs += self._pair_vectors(seq, [(a, t, c) for c, (a, t), _ in placed])
+            vecs += pair_vectors(self._states[seq], [(a, t, c) for c, (a, t), _ in placed],
+                                 cfg.pid, self._recordings[seq].fps, cfg.seed,
+                                 self._pid_cache[seq])
             rows += [(seq, center, pair) for center, pair, _ in placed]
             labels += [label for _, _, label in placed]
         return rows, _matrix(vecs, cfg.pid.descriptor_length), labels
@@ -330,12 +325,7 @@ class Pipeline:
         """Full CBD vectors (every cue) and collective labels of every
         group window under a stage-one model; slice them with cue_columns.
         Placements with a frame where no member is present are skipped.
-
-        Per recording, the (anchor, target, center) keys of all its
-        windows are voted in one ``predict_batch`` call, each distinct
-        key once, into a label table that lives only for that recording
-        in this call: a label belongs to ``stage1``, while the pair
-        series and group cues kept across calls do not depend on it.
+        Each recording's labels come from one pair_predictions call.
         """
         cfg = self.cfg
         rows, vecs, labels = [], [], []
@@ -345,24 +335,11 @@ class Pipeline:
                 window = self._group_window(seq, center, ids)
                 if window is not None:
                     placed.append((center, ids, label, window))
-            keys = list(dict.fromkeys(
-                key for *_, window in placed for key in pair_keys(window, cfg.pid, cfg.stride)
-            ))
-            table = vote_pairs(stage1, keys, self._pair_vectors(seq, keys))
-            for center, ids, label, window in placed:
-                desc = compute_cbd(
-                    window,
-                    stage1,
-                    cfg.pid,
-                    stride=cfg.stride,
-                    include_shape=True,
-                    seed=cfg.seed,
-                    cache=self._pid_cache[seq],
-                    labels=table,
-                    cues=self._cues[seq],
-                )
+            predictions = pair_predictions([window for *_, window in placed], stage1, cfg.pid,
+                                           cfg.stride, cfg.seed, self._pid_cache[seq])
+            for (center, ids, label, window), preds in zip(placed, predictions):
                 rows.append((seq, center, ids))
-                vecs.append(desc.vector())
+                vecs.append(compute_cbd(window, preds).vector())
                 labels.append(label)
         return rows, _matrix(vecs, _CBD_WIDTH), labels
 

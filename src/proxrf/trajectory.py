@@ -230,6 +230,8 @@ def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> list:
     Velocity is the central finite difference of position (one-sided at
     the ends) using the actual frame deltas, scaled to meters per second.
     Orientation is atan2 of the velocity when speed >= t_s, else None.
+    Finite positions whose velocity or speed overflows raise
+    InvalidFeature naming the track and the first such frame.
     """
     n = len(traj)
     if n < 2:
@@ -237,11 +239,17 @@ def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> list:
     pos = traj.xy
     f = traj._frames.astype(float)
     v = np.empty_like(pos)
-    v[1:-1] = (pos[2:] - pos[:-2]) / (f[2:, None] - f[:-2, None])
-    v[0] = (pos[1] - pos[0]) / (f[1] - f[0])
-    v[-1] = (pos[-1] - pos[-2]) / (f[-1] - f[-2])
-    v *= traj.fps
-    speed = np.hypot(v[:, 0], v[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        v[1:-1] = (pos[2:] - pos[:-2]) / (f[2:, None] - f[:-2, None])
+        v[0] = (pos[1] - pos[0]) / (f[1] - f[0])
+        v[-1] = (pos[-1] - pos[-2]) / (f[-1] - f[-2])
+        v *= traj.fps
+        speed = np.hypot(v[:, 0], v[:, 1])
+    bad = np.flatnonzero(~np.isfinite(speed))
+    if len(bad):
+        raise InvalidFeature(
+            f"track {traj.track_id}: velocity overflows at frame {traj.samples[bad[0]].frame}"
+        )
     states = []
     for i, s in enumerate(traj.samples):
         if speed[i] >= cfg.t_s:

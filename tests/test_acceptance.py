@@ -18,6 +18,7 @@ from proxrf.cbd import (
     GroupWindow,
     compute_cbd,
     dispersion_change,
+    pair_predictions,
     shape_ratio,
 )
 from proxrf.dataset import FoldSplit, adapt_external
@@ -107,7 +108,8 @@ def test_descriptor_invariants_on_randomized_scenes(tiny_stage1, capsys):
             for j in range(2 + i % 4)
         ]
         window = GroupWindow.build(members, 40, 32, smoothing)
-        desc = compute_cbd(window, tiny_stage1, pid_cfg, stride=16, seed=i)
+        desc = compute_cbd(window, *pair_predictions([window], tiny_stage1, pid_cfg,
+                                                     stride=16, seed=i))
         vec = desc.vector()
         ok &= vec.shape == (9,) and bool(np.isfinite(vec).all())
         ok &= abs(vec[:6].sum() - 1.0) <= 1e-6 and vec[:6].min() >= 0.0
@@ -228,8 +230,10 @@ def test_geometric_invariances(tiny_stage1, capsys):
     base_win = GroupWindow.build(scene.trajectories, 56, 64, smoothing)
     moved = [make_traj(t.track_id, _rigid(t.xy, angle, shift)) for t in scene.trajectories]
     moved_win = GroupWindow.build(moved, 56, 64, smoothing)
-    base_vec = compute_cbd(base_win, tiny_stage1, cfg, seed=0).vector()
-    moved_vec = compute_cbd(moved_win, tiny_stage1, cfg, seed=0).vector()
+    base_vec = compute_cbd(base_win, *pair_predictions([base_win], tiny_stage1, cfg,
+                                                       seed=0)).vector()
+    moved_vec = compute_cbd(moved_win, *pair_predictions([moved_win], tiny_stage1, cfg,
+                                                         seed=0)).vector()
     worst_cbd = float(np.abs(base_vec - moved_vec).max())
     checks.append(worst_cbd <= 1e-9)
 
@@ -245,9 +249,9 @@ def test_geometric_invariances(tiny_stage1, capsys):
                 np.cumsum(rng.normal(0.0, 0.2, (16, 2)), axis=0))}
             for j in range(3)
         }
-        fwd = _injected(paths, smoothing)
+        fwd = _injected(paths)
         rev = _injected({tid: {15 - f: p for f, p in fr.items()}
-                         for tid, fr in paths.items()}, smoothing)
+                         for tid, fr in paths.items()})
         worst_rev = max(worst_rev, abs(dispersion_change(fwd) + dispersion_change(rev)))
     checks.append(worst_rev <= 1e-9)
 
@@ -257,14 +261,14 @@ def test_geometric_invariances(tiny_stage1, capsys):
           f"scale {worst_scale:.1e}, reversal {worst_rev:.1e}")
 
 
-def _injected(paths, smoothing):
+def _injected(paths):
     member_states = {
         tid: {f: KinematicState(frame=f, position=p, velocity=(0.0, 0.0),
                                 speed=0.0, orientation=None)
               for f, p in frames.items()}
         for tid, frames in paths.items()
     }
-    return GroupWindow(7, 16, 10.0, smoothing, member_states)
+    return GroupWindow(7, 16, 10.0, member_states)
 
 
 # -------------------------------------------------------------- criterion 5

@@ -11,12 +11,12 @@ from proxrf.cbd import (
     CollectiveLabel,
     GroupWindow,
     classify_collective,
-    collect_pair_predictions,
     compute_cbd,
     dispersion,
     dispersion_change,
     interaction_histogram,
     mean_speed,
+    pair_predictions,
     shape_ratio,
 )
 from proxrf.errors import EmptyGroup, FrameMismatch, ModelShapeMismatch
@@ -43,7 +43,7 @@ def _injected_window(paths, center=9, t2=16, fps=10.0, speeds=None):
                               speed=spd, orientation=None)
             for f, p in frames.items()
         }
-    return GroupWindow(center, t2, fps, SMOOTH, member_states)
+    return GroupWindow(center, t2, fps, member_states)
 
 
 def _const_paths(ids_to_xy, start=0, end=20):
@@ -178,8 +178,7 @@ def _reversed_window(window: GroupWindow) -> GroupWindow:
               for f, st in states.items() if start <= flip - f <= end}
         for tid, states in window.member_states.items()
     }
-    return GroupWindow(window.center_frame, window.t2, window.fps,
-                       window.smoothing, member_states)
+    return GroupWindow(window.center_frame, window.t2, window.fps, member_states)
 
 
 def test_dispersion_change_time_reversal_antisymmetry():
@@ -204,7 +203,7 @@ def _walking_group(n_members=3, n_frames=140, spacing=1.0, speed=1.3):
     ]
 
 
-def test_collect_pair_predictions_and_cache(tiny_stage1, monkeypatch):
+def test_pair_predictions_and_cache(tiny_stage1, monkeypatch):
     computed = []
     real = cbd_module._pid_from_states
 
@@ -216,16 +215,16 @@ def test_collect_pair_predictions_and_cache(tiny_stage1, monkeypatch):
     tracks = _walking_group()
     w = GroupWindow.build(tracks, 69, 32, SMOOTH)
     cache = {}
-    preds = collect_pair_predictions(w, tiny_stage1, PidConfig(), cache=cache)
+    [preds] = pair_predictions([w], tiny_stage1, PidConfig(), cache=cache)
     # 7 stride centers x 6 ordered pairs, every placement covered
     assert len(preds) == 42
     assert len(set(computed)) == len(computed) == 42
     assert all(isinstance(p, InteractionLabel) for p in preds)
-    again = collect_pair_predictions(w, tiny_stage1, PidConfig(), cache=cache)
+    [again] = pair_predictions([w], tiny_stage1, PidConfig(), cache=cache)
     assert len(computed) == 42
     assert again == preds
     with pytest.raises(ValueError):
-        collect_pair_predictions(w, tiny_stage1, PidConfig(), stride=0)
+        pair_predictions([w], tiny_stage1, PidConfig(), stride=0)
 
 
 def test_pairs_skip_uncovered_centers(tiny_stage1):
@@ -233,7 +232,7 @@ def test_pairs_skip_uncovered_centers(tiny_stage1):
     a = straight_traj("a", 1.3, 0.0, 140)
     b = straight_traj("b", 1.3, 0.0, 70, origin=(0.0, 1.0), first_frame=20)
     w = GroupWindow.build([a, b], 69, 32, SMOOTH)
-    preds = collect_pair_predictions(w, tiny_stage1, PidConfig())
+    [preds] = pair_predictions([w], tiny_stage1, PidConfig())
     # pid windows [c-31, c+32] must sit inside b's frames 20..89
     good = [c for c in range(54, 86, 5) if c - 31 >= 20 and c + 32 <= 89]
     assert good == [54]
@@ -242,24 +241,19 @@ def test_pairs_skip_uncovered_centers(tiny_stage1):
 
 def test_single_member_group_has_zero_histogram(tiny_stage1):
     w = GroupWindow.build(_walking_group(n_members=1), 69, 32, SMOOTH)
-    desc = compute_cbd(w, tiny_stage1, PidConfig())
+    desc = compute_cbd(w, *pair_predictions([w], tiny_stage1, PidConfig()))
     np.testing.assert_array_equal(desc.interaction_hist, np.zeros(6))
     assert desc.mean_speed == pytest.approx(1.3, abs=0.05)
 
 
 def test_compute_cbd_vector_layout(tiny_stage1):
     w = GroupWindow.build(_walking_group(), 69, 32, SMOOTH)
-    full = compute_cbd(w, tiny_stage1, PidConfig())
-    assert len(full) == 9 and full.include_shape
+    full = compute_cbd(w, *pair_predictions([w], tiny_stage1, PidConfig()))
+    assert len(full) == 9
     assert full.interaction_hist.sum() == pytest.approx(1.0, abs=1e-9)
     vec = full.vector()
     assert vec[6] == full.mean_speed and vec[7] == full.dispersion_change
     assert vec[8] == full.shape_ratio
-    bare = compute_cbd(w, tiny_stage1, PidConfig(), include_shape=False)
-    assert len(bare) == 8 and bare.shape_ratio is None
-    np.testing.assert_allclose(bare.vector(), vec[:8], atol=0)
-    with pytest.raises(ValueError):
-        compute_cbd(w, tiny_stage1, PidConfig(), smoothing=SmoothingConfig(alpha=0.7))
 
 
 def test_cbd_rigid_motion_invariance(tiny_stage1):
@@ -268,19 +262,21 @@ def test_cbd_rigid_motion_invariance(tiny_stage1):
     # cue is finite and must survive the rotation too
     tracks = [straight_traj(f"m{i}", 1.3, 0.0, 140, origin=(0.3 * i * i, float(i)))
               for i in range(3)]
-    base = compute_cbd(GroupWindow.build(tracks, 69, 32, SMOOTH),
-                       tiny_stage1, PidConfig(), seed=2).vector()
+    base_win = GroupWindow.build(tracks, 69, 32, SMOOTH)
+    base = compute_cbd(base_win, *pair_predictions([base_win], tiny_stage1, PidConfig(),
+                                                   seed=2)).vector()
     phi = float(rng.uniform(-math.pi, math.pi))
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     shift = rng.uniform(-30, 30, 2)
     moved_tracks = [make_traj(t.track_id, t.xy @ rot.T + shift) for t in tracks]
-    moved = compute_cbd(GroupWindow.build(moved_tracks, 69, 32, SMOOTH),
-                        tiny_stage1, PidConfig(), seed=2).vector()
+    moved_win = GroupWindow.build(moved_tracks, 69, 32, SMOOTH)
+    moved = compute_cbd(moved_win, *pair_predictions([moved_win], tiny_stage1, PidConfig(),
+                                                     seed=2)).vector()
     np.testing.assert_allclose(moved, base, atol=1e-9)
 
 
 def test_classify_collective_maps_votes_by_class_name():
-    desc = CbdDescriptor(np.full(6, 1.0 / 6.0), 1.2, 0.0, 3.0, True, 32)
+    desc = CbdDescriptor(np.full(6, 1.0 / 6.0), 1.2, 0.0, 3.0, 32)
     # stage two after dropping four labels, as cross_dataset trains it
     sample = LabeledSample(desc.vector(), 1)
     subset = train([sample], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Queuing"])
@@ -299,10 +295,13 @@ def test_classify_collective(tiny_stage1):
     stage2 = train(samples, ForestConfig(n_trees=7, seed=1),
                    class_names=[l.code for l in CollectiveLabel])
     w = GroupWindow.build(_walking_group(), 69, 32, SMOOTH)
-    desc = compute_cbd(w, tiny_stage1, PidConfig())
+    desc = compute_cbd(w, *pair_predictions([w], tiny_stage1, PidConfig()))
     label, probs = classify_collective(desc, stage2)
     assert isinstance(label, CollectiveLabel)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-    bare = compute_cbd(w, tiny_stage1, PidConfig(), include_shape=False)
+    # a stage two trained without the shape cue refuses the full vector
+    narrow = train([LabeledSample(s.features[:8], s.label) for s in samples],
+                   ForestConfig(n_trees=7, seed=1),
+                   class_names=[l.code for l in CollectiveLabel])
     with pytest.raises(ModelShapeMismatch):
-        classify_collective(bare, stage2)
+        classify_collective(desc, narrow)

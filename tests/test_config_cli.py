@@ -541,12 +541,23 @@ def test_exit_code_non_finite_fps(fps, tmp_path, capsys):
     _train_parse_error(corpus, tmp_path, capsys, "fps must be finite and > 0")
 
 
-@pytest.mark.parametrize("frame", [2**63, -(2**63) - 1, 10**40])
+@pytest.mark.parametrize("frame", [2**63, -(2**63) - 1, 10**40, 2**53 + 1, 2**63 - 200])
 def test_exit_code_frame_beyond_int64(frame, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "s.trj").write_text(f"# fps=10.0\n{frame},c,0.0,0.0\n" + _TRACKS)
     _train_parse_error(corpus, tmp_path, capsys, "s.trj:2: bad number")
+
+
+def test_exit_code_velocity_overflow(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    wild = "".join(f"{f},c,{3e307 * (-1) ** f!r},0.0\n" for f in range(8))
+    (corpus / "s.trj").write_text("# fps=10.0\n" + wild + _TRACKS)
+    rc = main(["train", "interactions", str(corpus), "--out", str(tmp_path / "m.json")] + SMALL)
+    err = capsys.readouterr().err
+    assert rc == 6, err
+    assert err.startswith("ERROR InvalidFeature: track c: velocity overflows at frame 0"), err
 
 
 @pytest.mark.parametrize("suffix", [".trj", ".pia"])
@@ -638,6 +649,22 @@ def test_version_and_usage():
     help_text = build_parser().format_help()
     for cmd in ("synth", "adapt", "extract", "train", "eval", "cross", "predict"):
         assert cmd in help_text
+
+
+@pytest.mark.parametrize("tracks, hom", [
+    ("0,p1,nan,200\n1,p1,110,200\n", "1 0 0\n0 1 0\n0 0 1\n"),
+    ("0,p1,1,0\n1,p1,2,0\n", "1 0 0\n0 1 0\n1 0 -1\n"),  # (1, 0) on the horizon
+], ids=["nan-coordinate", "horizon-point"])
+def test_adapt_non_finite_ground_point(tracks, hom, tmp_path, capsys):
+    seq = tmp_path / "ext" / "seq1"
+    seq.mkdir(parents=True)
+    (seq / "tracks.txt").write_text("# fps=10.0\n" + tracks)
+    (seq / "H.hom").write_text(hom)
+    rc = main(["adapt", str(tmp_path / "ext"), "--layout", "ncad-like",
+               "--out", str(tmp_path / "canon")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("ERROR ParseError:") and "track 'p1'" in err, err
 
 
 def test_adapt_command(tmp_path, capsys):

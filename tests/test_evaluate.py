@@ -2,12 +2,20 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proxrf.cbd import CollectiveLabel, GroupWindow, compute_cbd, dispersion
+from proxrf import cbd as cbd_module
+from proxrf.cbd import (
+    CollectiveLabel,
+    GroupWindow,
+    compute_cbd,
+    dispersion,
+    pair_predictions,
+)
 from proxrf.dataset import FoldSplit, PairAnnotation, SceneRecording, windows
 from proxrf.errors import (
     ConfigError,
@@ -358,6 +366,26 @@ def test_group_matrix_votes_each_pair_center_once(dropped_corpus):
             assert len(np.unique(x, axis=0)) == len(x)
 
 
+def test_group_matrix_enumerates_each_window_once(dropped_corpus, monkeypatch):
+    calls = []
+    real = cbd_module.pair_keys
+
+    def counting(window, *args, **kwargs):
+        calls.append(window)
+        return real(window, *args, **kwargs)
+
+    # patched in every module that binds it, so no caller escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("proxrf") and getattr(module, "pair_keys", None) is real:
+            monkeypatch.setattr(module, "pair_keys", counting)
+    pipe = Pipeline(dropped_corpus, _VOTE_CFG)
+    for _ in range(2):  # also once the pair series are cached
+        calls.clear()
+        rows, _, _ = pipe.group_matrix(_LabelModel(), pipe.seq_ids)
+        assert len(calls) == len(rows) > 0
+        assert len({id(w) for w in calls}) == len(calls)
+
+
 def test_group_matrix_labels_do_not_leak_across_models(dropped_corpus):
     a, b = _LabelModel(salt=0), _LabelModel(salt=3)
     shared = Pipeline(dropped_corpus, _VOTE_CFG)
@@ -391,8 +419,8 @@ def test_group_matrix_matches_lone_windows(dropped_corpus, tiny_stage1):
     ref, uneven = [], 0
     for rec in sorted(dropped_corpus, key=lambda r: r.sequence_id):
         for w in _lone_windows(rec, _VOTE_CFG):
-            desc = compute_cbd(w, tiny_stage1, _VOTE_CFG.pid, stride=_VOTE_CFG.stride,
-                               seed=_VOTE_CFG.seed)
+            desc = compute_cbd(w, *pair_predictions([w], tiny_stage1, _VOTE_CFG.pid,
+                                                    _VOTE_CFG.stride, _VOTE_CFG.seed))
             assert desc.mean_speed == _ref_mean_speed(w)
             assert desc.dispersion_change == _ref_dispersion_change(w)
             ref.append(desc.vector())

@@ -164,6 +164,22 @@ def test_smooth_overflow_names_the_track():
             smoothed_states(traj, SmoothingConfig())
 
 
+def test_velocity_overflow_names_the_track():
+    # alternating +-3e307 smooths to finite positions, but the finite
+    # difference times the frame rate overflows, at the first sample and
+    # further on
+    xs = [3e307 * (-1) ** i for i in range(8)]
+    for pos, frame in ((xs, 0), ([0.0, 0.0, 0.0] + xs[:3], 5)):
+        traj = make_traj("walker-8", np.column_stack([pos, np.zeros(len(pos))]))
+        assert np.isfinite(smooth(traj, SmoothingConfig()).xy).all()
+        message = f"track walker-8: velocity overflows at frame {frame}$"
+        with pytest.raises(InvalidFeature, match=message):
+            kinematics(traj, SmoothingConfig())
+    with pytest.raises(InvalidFeature, match="walker-8"):
+        smoothed_states(make_traj("walker-8", np.column_stack([xs, np.zeros(8)])),
+                        SmoothingConfig())
+
+
 # ---------------------------------------------------------------- kinematics
 
 def test_kinematics_straight_line():

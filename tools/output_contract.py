@@ -1,0 +1,115 @@
+"""Check that two proxrf source trees write byte-identical outputs.
+
+    python3 tools/output_contract.py PARENT_SRC CHANGE_SRC
+
+Each argument is a source tree root or its ``src`` directory.  Both trees
+run the same command set, each in its own scratch directory: a synthetic
+corpus, the interaction and collective models (with and without the
+shape cue, and the stage-one sidecar), pid and cbd extracts, predictions,
+evaluations and cross-corpus reports.  Every output file and every
+command's standard output are then compared byte for byte.  Exit status:
+0 when everything matches, 1 on any difference, 2 when a command fails
+in either tree.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+SEED = ["--seed", "7"]
+NO_SHAPE = ["--include-shape", "false"]
+COMMANDS = (
+    ["synth", "--set", "all", "--scenes-per-class", "2", "--out", "corpus"] + SEED,
+    ["train", "interactions", "corpus", "--out", "models/inter.json"] + SEED,
+    ["train", "collective", "corpus", "--out", "models/coll.json"] + SEED,
+    ["train", "collective", "corpus", "--stage1", "models/inter.json",
+     "--out", "models/coll-noshape.json"] + NO_SHAPE + SEED,
+    ["extract", "corpus", "--kind", "pid", "--out", "extract/pid.csv"] + SEED,
+    ["extract", "corpus", "--kind", "cbd", "--model", "models/inter.json",
+     "--out", "extract/cbd.csv"] + SEED,
+    ["extract", "corpus", "--kind", "cbd", "--model", "models/inter.json",
+     "--out", "extract/cbd-noshape.csv"] + NO_SHAPE + SEED,
+    ["predict", "corpus", "--interactions-model", "models/inter.json",
+     "--out", "predict/pairs.csv"] + SEED,
+    ["predict", "corpus", "--interactions-model", "models/coll.stage1.json",
+     "--collective-model", "models/coll.json", "--out", "predict/both.csv"] + SEED,
+    ["predict", "corpus", "--interactions-model", "models/inter.json",
+     "--collective-model", "models/coll-noshape.json",
+     "--out", "predict/noshape.csv"] + NO_SHAPE + SEED,
+    ["eval", "corpus", "--task", "interaction", "--folds", "3",
+     "--out-dir", "eval/interaction"] + SEED,
+    ["eval", "corpus", "--task", "collective", "--folds", "3",
+     "--out-dir", "eval/collective"] + SEED,
+    ["eval", "corpus", "--task", "collective", "--folds", "3",
+     "--out-dir", "eval/collective-noshape"] + NO_SHAPE + SEED,
+    ["cross", "corpus", "corpus", "--out-dir", "cross/full"] + SEED,
+    ["cross", "corpus", "corpus", "--out-dir", "cross/noshape"] + NO_SHAPE + SEED,
+)
+RUN_CLI = "import sys; from proxrf.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def source_dir(path: str) -> str:
+    """The directory holding the ``proxrf`` package."""
+    for candidate in (path, os.path.join(path, "src")):
+        if os.path.isfile(os.path.join(candidate, "proxrf", "__init__.py")):
+            return os.path.abspath(candidate)
+    sys.exit(f"no proxrf package under {path!r}")
+
+
+def run_tree(src: str, work: str) -> list:
+    """Standard output of each command, run in ``work``."""
+    env = dict(os.environ, PYTHONPATH=src)
+    outputs = []
+    for argv in COMMANDS:
+        proc = subprocess.run([sys.executable, "-c", RUN_CLI] + argv, cwd=work, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"{src}: `proxrf {' '.join(argv)}` exited {proc.returncode}\n{proc.stderr}",
+                  file=sys.stderr)
+            sys.exit(2)
+        outputs.append(proc.stdout)
+    return outputs
+
+
+def output_files(work: str) -> dict:
+    """Relative path -> bytes of every file under ``work``."""
+    files = {}
+    for root, _, names in os.walk(work):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, work)] = fh.read()
+    return files
+
+
+def main(argv: list) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    parent, change = (source_dir(p) for p in argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        outcomes = []
+        for name, src in (("parent", parent), ("change", change)):
+            work = os.path.join(scratch, name)
+            os.mkdir(work)
+            outcomes.append((run_tree(src, work), output_files(work)))
+    (runs_a, files_a), (runs_b, files_b) = outcomes
+    differences = [
+        f"stdout of `proxrf {' '.join(argv)}`"
+        for argv, a, b in zip(COMMANDS, runs_a, runs_b) if a != b
+    ]
+    for path in sorted(set(files_a) | set(files_b)):
+        if files_a.get(path) != files_b.get(path):
+            differences.append(path)
+    for what in differences:
+        print(f"DIFFERS {what}")
+    print(f"{len(files_a)} files and {len(COMMANDS)} commands compared, "
+          f"{len(differences)} differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
