@@ -104,6 +104,7 @@ from .trajectory import (
     RelativePolar,
     SmoothingConfig,
     TimedPosition,
+    TrackStates,
     Trajectory,
     derivative,
     kinematics,

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     EmptyGroup,
     FrameMismatch,
-    InsufficientData,
     ModelShapeMismatch,
     ShapeMismatch,
 )
@@ -28,6 +27,7 @@ from .pid import InteractionLabel, PairSeries, PidConfig, _pid_from_states
 from .trajectory import (
     DEFAULT_MAX_GAP,
     SmoothingConfig,
+    TrackStates,
     Trajectory,
     finite_difference,
     smoothed_states,
@@ -66,32 +66,37 @@ _COLLECTIVE_IDS = {lab: i for i, lab in enumerate(_COLLECTIVE_ORDER)}
 class GroupWindow:
     """Per-frame membership and smoothed kinematics of a group in a window.
 
-    Member states cover each track's whole contiguous spans, not just the
-    window, so pair descriptors centered near the window edges can reach
-    back and forward as far as the tracks allow.  Membership at a frame
-    means the track has a state there.  ``cues`` is the placement's
-    GroupCues, which windows over the same member states may share; a
-    window given none makes its own.
+    ``member_states`` maps track id to its TrackStates, which cover each
+    track's whole contiguous spans, not just the window, so pair
+    descriptors centered near the window edges can reach back and forward
+    as far as the tracks allow.  ``present`` (members x t2) marks the
+    frames where each member has a state, in member_states order, and
+    ``xy`` (members x t2 x 2) and ``speed`` (members x t2) hold its state
+    there (zero where absent).
     """
 
-    __slots__ = ("center_frame", "t2", "fps", "member_states", "members_per_frame", "cues")
+    __slots__ = ("center_frame", "t2", "fps", "member_states", "present", "xy", "speed")
 
-    def __init__(self, center_frame, t2, fps, member_states, cues=None):
+    def __init__(self, center_frame, t2, fps, member_states):
         if t2 < 2 or t2 & (t2 - 1):
             raise ValueError(f"t2 must be a power of two >= 2, got {t2}")
         self.center_frame = int(center_frame)
         self.t2 = int(t2)
         self.fps = float(fps)
         self.member_states = member_states
-        self.cues = GroupCues() if cues is None else cues
         start, end = self.span
-        per_frame = {}
-        for f in range(start, end + 1):
-            ids = tuple(tid for tid, st in member_states.items() if f in st)
-            if not ids:
-                raise EmptyGroup(f"no group member at frame {f}")
-            per_frame[f] = ids
-        self.members_per_frame = per_frame
+        frames = np.arange(start, end + 1)
+        rows = np.array([st.rows(frames) for st in member_states.values()]).reshape(-1, t2)
+        self.present = rows >= 0
+        empty = np.flatnonzero(~self.present.any(axis=0))
+        if len(empty):
+            raise EmptyGroup(f"no group member at frame {frames[empty[0]]}")
+        self.xy = np.zeros(rows.shape + (2,))
+        self.speed = np.zeros(rows.shape)
+        for i, st in enumerate(member_states.values()):
+            have = self.present[i]
+            self.xy[i, have] = st.xy[rows[i, have]]
+            self.speed[i, have] = st.speed[rows[i, have]]
 
     @property
     def span(self) -> tuple:
@@ -107,10 +112,9 @@ class GroupWindow:
         smoothing: SmoothingConfig,
         max_gap: int = DEFAULT_MAX_GAP,
         states: Optional[dict] = None,
-        cues: Optional[GroupCues] = None,
     ) -> "GroupWindow":
         """Window over the given tracks; ``states`` may carry precomputed
-        smoothed states per track id to reuse across windows."""
+        TrackStates per track id to reuse across windows."""
         if not trajectories:
             raise EmptyGroup("no trajectories")
         fps = trajectories[0].fps
@@ -123,7 +127,7 @@ class GroupWindow:
                 member_states[tr.track_id] = states[tr.track_id]
             else:
                 member_states[tr.track_id] = smoothed_states(tr, smoothing, max_gap=max_gap)
-        return cls(center_frame, t2, fps, member_states, cues)
+        return cls(center_frame, t2, fps, member_states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,51 +158,12 @@ def interaction_histogram(predictions: Sequence[InteractionLabel]) -> np.ndarray
     return hist / len(predictions)
 
 
-class GroupCues:
-    """Per-frame mean member speed and dispersion of one group placement,
-    shared by its windows.
-
-    The series spans the members' states, from the earliest to the
-    latest frame.  A frame's values are computed the first time a window
-    needs them, over the members present at that frame, so every frame
-    of a placement is evaluated once however many windows overlap it.
-    They depend only on the member states, so one instance serves one
-    set of states.
-    """
-
-    __slots__ = ("first", "speed", "spread", "done")
-
-    def __init__(self):
-        self.first = None
-
-    def window(self, window: GroupWindow) -> tuple:
-        """(speed, dispersion) over the window's span, as views into the
-        series that callers must not write to."""
-        states = window.member_states
-        start, end = window.span
-        if self.first is None:
-            self.first = min(min(st) for st in states.values() if st)
-            n = max(max(st) for st in states.values() if st) - self.first + 1
-            self.speed, self.spread = np.empty(n), np.empty(n)
-            self.done = np.zeros(n, dtype=bool)
-        lo, hi = start - self.first, end + 1 - self.first
-        if lo < 0 or hi > len(self.done):
-            raise ValueError("group cues were built over other member states")
-        for k in np.flatnonzero(~self.done[lo:hi]).tolist():
-            f = start + k
-            ids = window.members_per_frame[f]
-            self.speed[lo + k] = sum(states[tid][f].speed for tid in ids) / len(ids)
-            self.spread[lo + k] = dispersion([states[tid][f].position for tid in ids])
-        self.done[lo:hi] = True
-        return self.speed[lo:hi], self.spread[lo:hi]
-
-
 def mean_speed(window: GroupWindow) -> float:
-    """Double average of member speeds: over members, then over frames."""
-    total = 0.0
-    for frame_mean in window.cues.window(window)[0].tolist():
-        total += frame_mean
-    return total / window.t2
+    """Double average of member speeds: over members, then over frames.
+
+    The axis-0 sum adds member rows in order, as a per-frame sum would."""
+    per_frame = window.speed.sum(axis=0) / window.present.sum(axis=0)
+    return sum(per_frame.tolist()) / window.t2
 
 
 def dispersion(positions: Sequence) -> float:
@@ -210,12 +175,27 @@ def dispersion(positions: Sequence) -> float:
     return float(np.sqrt((centered**2).sum(axis=1).mean()))
 
 
+def _spread(window: GroupWindow) -> np.ndarray:
+    """Per-frame dispersion() of the present members.
+
+    Frames with the same member count go through one (frames, members,
+    2) array, which sums each frame's members in dispersion()'s order.
+    """
+    present = window.present.T
+    xy = window.xy.transpose(1, 0, 2)
+    counts = present.sum(axis=1)
+    spread = np.empty(window.t2)
+    for n in np.unique(counts).tolist():
+        at = np.flatnonzero(counts == n)
+        pts = xy[at][present[at]].reshape(len(at), n, 2)
+        centered = pts - pts.mean(axis=1, keepdims=True)
+        spread[at] = np.sqrt((centered**2).sum(axis=2).mean(axis=1))
+    return spread
+
+
 def dispersion_change(window: GroupWindow) -> float:
     """Mean derivative of the per-frame group dispersion, in m/s."""
-    spread = window.cues.window(window)[1]
-    if len(spread) < 2:
-        raise InsufficientData("dispersion change needs >= 2 frames")
-    return float(np.mean(finite_difference(spread, 1.0 / window.fps)))
+    return float(np.mean(finite_difference(_spread(window), 1.0 / window.fps)))
 
 
 def shape_ratio(positions: Sequence) -> float:
@@ -240,9 +220,9 @@ def _pid_centers(window: GroupWindow, stride: int) -> range:
     return range(start, end + 1, stride)
 
 
-def _covers(states: dict, centers: range, back: int, fwd: int) -> np.ndarray:
+def _covers(states: TrackStates, centers: range, back: int, fwd: int) -> np.ndarray:
     """Per center, whether ``states`` has every frame of [c - back, c + fwd]."""
-    frames = np.sort(np.fromiter(states, np.int64, len(states)))
+    frames = states.frames
     first = np.asarray(centers) - back
     inside = np.searchsorted(frames, first + back + fwd, "right") - np.searchsorted(frames, first)
     return inside == back + fwd + 1
@@ -326,12 +306,12 @@ def compute_cbd(window: GroupWindow, predictions: Sequence[InteractionLabel]) ->
     """Full group descriptor for one window from its first-stage
     ``predictions``, as pair_predictions gives them: for a lone window,
     ``compute_cbd(w, *pair_predictions([w], model, pid_cfg))``."""
-    states, f = window.member_states, window.center_frame
+    k = window.center_frame - window.span[0]
     return CbdDescriptor(
         interaction_hist=interaction_histogram(predictions),
         mean_speed=mean_speed(window),
         dispersion_change=dispersion_change(window),
-        shape_ratio=shape_ratio([states[tid][f].position for tid in window.members_per_frame[f]]),
+        shape_ratio=shape_ratio(window.xy[window.present[:, k], k]),
         center_frame=window.center_frame,
     )
 

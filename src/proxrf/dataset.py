@@ -572,13 +572,16 @@ def windows(
     mode: str,
     max_gap: int = DEFAULT_MAX_GAP,
 ) -> Iterator:
-    """Labeled sliding windows over a recording.
+    """Labeled sliding windows over a recording, by center, then pair.
 
     Yields (center_frame, participants, label).  A window is kept when
     its label covers the center frame and at least 75% of the window's
     frames; pairs mode additionally requires both tracks to cover the
-    whole window.  Centers run from lo + T/2 - 1 in steps; windows never
-    extend outside the recording's frame range.
+    whole window, and group mode some track to overlap it.  Centers lie
+    on the grid lo + T/2 - 1 + k * step; windows never extend outside the
+    recording's frame range.  Only grid centers inside an annotation
+    range are visited, so the cost follows the annotated frames, not the
+    frame numbers.
     """
     if window_len < 2 or window_len & (window_len - 1):
         raise ValueError(f"window_len must be a power of two >= 2, got {window_len}")
@@ -589,49 +592,50 @@ def windows(
     lo, hi = rec.frame_range
     half_back, half_fwd = window_len // 2 - 1, window_len // 2
     need = math.ceil(0.75 * window_len)
-    tracks = {t.track_id: t for t in rec.trajectories}
 
-    by_pair = {}
-    for a in rec.pair_annotations:
-        by_pair.setdefault((a.anchor_id, a.target_id), []).append(a)
+    def grid(first: int, last: int) -> range:
+        """Grid centers in [first, last]."""
+        first = max(first, lo + half_back)
+        first += -(first - lo - half_back) % step
+        return range(first, min(last, hi - half_fwd) + 1, step)
 
-    center = lo + half_back
-    while center + half_fwd <= hi:
-        start, end = center - half_back, center + half_fwd
-        if mode == "pairs":
-            for (aid, tid), anns in sorted(by_pair.items()):
-                at_center = [a for a in anns if a.start <= center <= a.end]
-                if not at_center:
-                    continue
-                label = at_center[0].label
-                same = [(a.start, a.end) for a in anns if a.label is label]
-                if _union_coverage(same, start, end) < need:
-                    continue
-                if not (
-                    tracks[aid].covers(start, end, max_gap)
-                    and tracks[tid].covers(start, end, max_gap)
-                ):
-                    continue
-                yield center, (aid, tid), label
-        else:
-            at_center = [
-                a for a in rec.collective_annotations if a.start <= center <= a.end
-            ]
-            if at_center:
-                label = at_center[0].label
-                same = [
-                    (a.start, a.end)
-                    for a in rec.collective_annotations
-                    if a.label is label
-                ]
-                if _union_coverage(same, start, end) >= need:
-                    present = tuple(
-                        sorted(
-                            t.track_id
-                            for t in rec.trajectories
-                            if t.first_frame <= end and t.last_frame >= start
-                        )
-                    )
-                    if present:
-                        yield center, present, label
-        center += step
+    def label_at(center: int, anns: Sequence):
+        """The label at an annotated center; None if it covers too little."""
+        label = next(a.label for a in anns if a.start <= center <= a.end)
+        same = [(a.start, a.end) for a in anns if a.label is label]
+        covered = _union_coverage(same, center - half_back, center + half_fwd)
+        return label if covered >= need else None
+
+    found = []
+    if mode == "pairs":
+        tracks = {t.track_id: t for t in rec.trajectories}
+        by_pair = {}
+        for a in rec.pair_annotations:
+            by_pair.setdefault((a.anchor_id, a.target_id), []).append(a)
+        for (aid, tid), anns in by_pair.items():
+            target = tracks[tid]
+            centers = {
+                c for a in anns for first, last in tracks[aid].pieces(max_gap)
+                for c in grid(max(a.start, first + half_back, target.first_frame + half_back),
+                              min(a.end, last - half_fwd, target.last_frame - half_fwd))
+            }
+            for c in centers:
+                label = label_at(c, anns)
+                if label is not None and target.covers(c - half_back, c + half_fwd, max_gap):
+                    found.append((c, (aid, tid), label))
+        found.sort(key=lambda w: w[:2])
+    else:
+        anns = rec.collective_annotations
+        centers = {
+            c for a in anns for t in rec.trajectories
+            for c in grid(max(a.start, t.first_frame - half_fwd),
+                          min(a.end, t.last_frame + half_back))
+        }
+        for c in sorted(centers):
+            label = label_at(c, anns)
+            if label is not None:
+                present = tuple(sorted(t.track_id for t in rec.trajectories
+                                       if t.first_frame <= c + half_fwd
+                                       and t.last_frame >= c - half_back))
+                found.append((c, present, label))
+    yield from found

@@ -21,7 +21,6 @@ import numpy as np
 
 from .cbd import (
     CollectiveLabel,
-    GroupCues,
     GroupWindow,
     compute_cbd,
     pair_predictions,
@@ -254,10 +253,9 @@ class Pipeline:
     Pair windows become PID rows, which train the stage-one forest; group
     windows become CBD rows under a stage-one model, which train the
     stage-two forest.  Smoothed tracks, window lists, pair series and
-    descriptors, group windows and their per-frame cues are computed once
-    per recording and shared by every fold, cue set and stage-one model,
-    because none of them depends on the model; stage-one labels do, and
-    are never kept.  Matrices come back as ``(rows, X, labels)`` with one
+    descriptors, and group windows are computed once per recording and
+    shared by every fold, cue set and stage-one model, because none of
+    them depends on the model; stage-one labels do, and are never kept.  Matrices come back as ``(rows, X, labels)`` with one
     ``(sequence id, center frame, track ids)`` row per window.
     """
 
@@ -272,10 +270,9 @@ class Pipeline:
             }
             for seq, rec in self._recordings.items()
         }
-        # (anchor, target) -> PairSeries with its window vectors, and
-        # member ids -> GroupCues; neither depends on a stage-one model
+        # (anchor, target) -> PairSeries with its window vectors, which
+        # do not depend on a stage-one model
         self._pid_cache = {seq: {} for seq in self._recordings}
-        self._cues = {seq: {} for seq in self._recordings}
         self._windows = {}
         self._group_windows = {}
 
@@ -301,7 +298,6 @@ class Pipeline:
                     self.cfg.smoothing,
                     max_gap=self.cfg.max_gap,
                     states=self._states[seq],
-                    cues=self._cues[seq].setdefault(ids, GroupCues()),
                 )
             except EmptyGroup:
                 window = None

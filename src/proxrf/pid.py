@@ -28,6 +28,7 @@ from .trajectory import (
     TWO_PI,
     RelativePolar,
     SmoothingConfig,
+    TrackStates,
     Trajectory,
     finite_difference,
     smoothed_states,
@@ -134,7 +135,7 @@ class PidConfig:
             raise ValueError("kernel widths must be finite and > 0")
         if not 0 < self.k_s < math.inf:
             raise ValueError(f"k_s must be finite and > 0, got {self.k_s}")
-        if self.l_max < 0 or 2 ** self.l_max > self.t1:
+        if not 0 <= self.l_max <= self.t1.bit_length() - 1:
             raise ValueError(f"l_max must satisfy 0 <= l_max and 2^l_max <= t1")
         if self.grid_samples_per_axis < 1:
             raise ValueError("grid_samples_per_axis must be >= 1")
@@ -307,8 +308,8 @@ class PairSeries:
 
     def window(
         self,
-        anchor_states: dict,
-        target_states: dict,
+        anchor_states: TrackStates,
+        target_states: TrackStates,
         anchor_id: str,
         target_id: str,
         start: int,
@@ -318,13 +319,13 @@ class PairSeries:
         """(rho, theta) over the frames [start, end] inclusive, as views
         into the series that callers must not write to."""
         if self.first is None:
-            if anchor_states and target_states:
-                first = max(min(anchor_states), min(target_states))
-                last = min(max(anchor_states), max(target_states))
+            if len(anchor_states) and len(target_states):
+                first = max(anchor_states.frames[0], target_states.frames[0])
+                last = min(anchor_states.frames[-1], target_states.frames[-1])
             else:
                 first, last = start, start - 1
-            n = max(last - first + 1, 0)
-            self.first = first
+            n = max(int(last - first) + 1, 0)
+            self.first = int(first)
             self.rho, self.theta = np.empty(n), np.empty(n)
             self.done = np.zeros(n, dtype=bool)
         lo, hi = start - self.first, end + 1 - self.first
@@ -332,21 +333,20 @@ class PairSeries:
             _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
         todo = np.flatnonzero(~self.done[lo:hi]) + lo
         if len(todo):
-            frames = (todo + self.first).tolist()
-            try:
-                sa = [anchor_states[f] for f in frames]
-                sb = [target_states[f] for f in frames]
-            except KeyError:
+            frames = todo + self.first
+            ra, rb = anchor_states.rows(frames), target_states.rows(frames)
+            if min(ra.min(), rb.min()) < 0:
                 _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
             n = len(frames)
-            dx = [b.position[0] - a.position[0] for a, b in zip(sa, sb)]
-            dy = [b.position[1] - a.position[1] for a, b in zip(sa, sb)]
+            d = target_states.xy[rb] - anchor_states.xy[ra]
+            dx, dy = d[:, 0].tolist(), d[:, 1].tolist()
             self.rho[todo] = np.fromiter(map(math.hypot, dx, dy), float, n)
-            slow = [a.orientation is None for a in sa]
-            heading = np.array([0.0 if s else a.orientation for a, s in zip(sa, slow)])
-            theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, n) - heading)
+            heading = anchor_states.orientation[ra]
+            slow = np.isnan(heading)
+            theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, n)
+                               - np.where(slow, 0.0, heading))
             for k in np.flatnonzero(slow).tolist():
-                rng = _orientation_rng(seed, anchor_id, target_id, frames[k])
+                rng = _orientation_rng(seed, anchor_id, target_id, int(frames[k]))
                 theta[k] = math.pi - TWO_PI * float(rng.random())
             self.theta[todo] = theta
             self.done[todo] = True
@@ -354,15 +354,17 @@ class PairSeries:
 
 
 def _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end):
-    for f in range(start, end + 1):
-        for who, states in ((anchor_id, anchor_states), (target_id, target_states)):
-            if f not in states:
-                raise MissingFrames(f"track {who}: no state at frame {f}")
+    """MissingFrames for the first frame of [start, end] a track lacks."""
+    frames = np.arange(start, end + 1)
+    ra, rb = anchor_states.rows(frames), target_states.rows(frames)
+    k = int(np.argmax((ra < 0) | (rb < 0)))
+    who = anchor_id if ra[k] < 0 else target_id
+    raise MissingFrames(f"track {who}: no state at frame {frames[k]}")
 
 
 def _pid_from_states(
-    anchor_states: dict,
-    target_states: dict,
+    anchor_states: TrackStates,
+    target_states: TrackStates,
     anchor_id: str,
     target_id: str,
     center_frame: int,

@@ -11,7 +11,7 @@ substitutes a seeded random direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -80,6 +80,35 @@ class KinematicState:
     orientation: Optional[float]
 
 
+@dataclass(frozen=True, eq=False)
+class TrackStates:
+    """Smoothed kinematics of one track, one row per frame with a state.
+
+    ``frames`` (int64) increases, with jumps where the track splits into
+    separately smoothed spans; ``xy`` and ``velocity`` are (n, 2),
+    ``speed`` and ``orientation`` (n,).  ``orientation`` is nan exactly
+    where ``speed`` is below the smoothing config's slow threshold.  The
+    arrays are shared by every reader, which must not write to them.
+    """
+
+    frames: np.ndarray
+    xy: np.ndarray
+    velocity: np.ndarray
+    speed: np.ndarray
+    orientation: np.ndarray
+
+    def __len__(self):
+        return len(self.frames)
+
+    def rows(self, frames) -> np.ndarray:
+        """Row of each of ``frames``, or -1 where the track has no state."""
+        frames = np.asarray(frames, dtype=np.int64)
+        if not len(self.frames):
+            return np.full(frames.shape, -1)
+        at = np.minimum(np.searchsorted(self.frames, frames), len(self.frames) - 1)
+        return np.where(self.frames[at] == frames, at, -1)
+
+
 @dataclass(frozen=True)
 class RelativePolar:
     """Polar coordinates of a target in the anchor's body frame.
@@ -146,17 +175,20 @@ class Trajectory:
     def xy(self):
         return self._xy.copy()
 
+    def pieces(self, max_gap: int = DEFAULT_MAX_GAP) -> list:
+        """(first, last) frame of each stretch of the track whose interior
+        gaps are at most ``max_gap`` frames, in frame order."""
+        if len(self) == 0:
+            return []
+        cuts = np.flatnonzero(np.diff(self._frames) > max_gap + 1)
+        firsts = self._frames[np.r_[0, cuts + 1]].tolist()
+        lasts = self._frames[np.r_[cuts, len(self) - 1]].tolist()
+        return list(zip(firsts, lasts))
+
     def covers(self, start: int, end: int, max_gap: int = DEFAULT_MAX_GAP) -> bool:
         """True when every frame in [start, end] is available after
         interpolating interior gaps of at most ``max_gap`` frames."""
-        if len(self) == 0 or start < self.first_frame or end > self.last_frame:
-            return False
-        gaps = np.diff(self._frames)
-        for b in np.flatnonzero(gaps > max_gap + 1):
-            g0, g1 = int(self._frames[b]), int(self._frames[b + 1])
-            if g0 < end and g1 > start:
-                return False
-        return True
+        return any(first <= start and end <= last for first, last in self.pieces(max_gap))
 
     def positions(self, start: int, end: int, max_gap: int = DEFAULT_MAX_GAP) -> np.ndarray:
         """Per-frame positions over [start, end] inclusive, shape (n, 2).
@@ -169,10 +201,8 @@ class Trajectory:
                 f"track {self.track_id}: frames {start}..{end} outside "
                 f"{self.first_frame}..{self.last_frame}"
             )
-        gaps = np.diff(self._frames)
-        bad = np.flatnonzero(gaps > max_gap + 1)
-        for b in bad:
-            g0, g1 = int(self._frames[b]), int(self._frames[b + 1])
+        pieces = self.pieces(max_gap)
+        for (_, g0), (g1, _) in zip(pieces, pieces[1:]):
             if g0 < end and g1 > start:
                 raise MissingFrames(
                     f"track {self.track_id}: gap {g0}..{g1} exceeds {max_gap} frames"
@@ -224,12 +254,12 @@ def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
     return Trajectory(traj.track_id, out, traj.fps)
 
 
-def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> list:
+def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> TrackStates:
     """Per-sample kinematic states from an (already smoothed) trajectory.
 
     Velocity is the central finite difference of position (one-sided at
     the ends) using the actual frame deltas, scaled to meters per second.
-    Orientation is atan2 of the velocity when speed >= t_s, else None.
+    Orientation is atan2 of the velocity when speed >= t_s, else nan.
     Finite positions whose velocity or speed overflows raise
     InvalidFeature naming the track and the first such frame.
     """
@@ -248,48 +278,31 @@ def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> list:
     bad = np.flatnonzero(~np.isfinite(speed))
     if len(bad):
         raise InvalidFeature(
-            f"track {traj.track_id}: velocity overflows at frame {traj.samples[bad[0]].frame}"
+            f"track {traj.track_id}: velocity overflows at frame {traj._frames[bad[0]]}"
         )
-    states = []
-    for i, s in enumerate(traj.samples):
-        if speed[i] >= cfg.t_s:
-            orient = float(math.atan2(v[i, 1], v[i, 0]))
-        else:
-            orient = None
-        states.append(
-            KinematicState(
-                frame=s.frame,
-                position=(float(pos[i, 0]), float(pos[i, 1])),
-                velocity=(float(v[i, 0]), float(v[i, 1])),
-                speed=float(speed[i]),
-                orientation=orient,
-            )
-        )
-    return states
+    orientation = np.fromiter(map(math.atan2, v[:, 1].tolist(), v[:, 0].tolist()), float, n)
+    orientation[speed < cfg.t_s] = np.nan
+    return TrackStates(traj.frames, pos, v, speed, orientation)
 
 
 def smoothed_states(
     traj: Trajectory, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
-) -> dict:
-    """Smooth + kinematics over each contiguous span, keyed by frame.
+) -> TrackStates:
+    """Smooth + kinematics over each contiguous span, concatenated.
 
     Gaps of at most ``max_gap`` frames are interpolated before smoothing;
     larger gaps split the track into independent spans (each smoothed from
     its own start).  Spans of a single frame yield no state.
     """
-    gaps = np.diff(traj._frames)
-    cuts = np.flatnonzero(gaps > max_gap + 1)
-    out = {}
-    lo = 0
-    for cut in list(cuts) + [len(traj) - 1]:
-        seg_samples = traj.samples[lo : cut + 1]
-        lo = cut + 1
-        if len(seg_samples) < 2:
-            continue
-        seg = Trajectory(traj.track_id, seg_samples, traj.fps).filled(max_gap=max_gap)
-        for st in kinematics(smooth(seg, cfg), cfg):
-            out[st.frame] = st
-    return out
+    cuts = (np.flatnonzero(np.diff(traj._frames) > max_gap + 1) + 1).tolist()
+    parts = [TrackStates(np.empty(0, np.int64), np.empty((0, 2)), np.empty((0, 2)),
+                         np.empty(0), np.empty(0))]
+    for lo, hi in zip([0] + cuts, cuts + [len(traj)]):
+        if hi - lo >= 2:
+            seg = Trajectory(traj.track_id, traj.samples[lo:hi], traj.fps).filled(max_gap=max_gap)
+            parts.append(kinematics(smooth(seg, cfg), cfg))
+    return TrackStates(*(np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(TrackStates)))
 
 
 def relative_polar(

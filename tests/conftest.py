@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from proxrf.trajectory import TimedPosition, Trajectory
+from proxrf.trajectory import TimedPosition, TrackStates, Trajectory
 
 
 def make_traj(track_id, xy, fps=10.0, first_frame=0, frames=None):
@@ -24,6 +24,20 @@ def straight_traj(track_id, speed, heading, n_frames, fps=10.0, origin=(0.0, 0.0
     u = np.array([math.cos(heading), math.sin(heading)])
     xy = np.asarray(origin, dtype=float) + t[:, None] * (speed * u)
     return make_traj(track_id, xy, fps=fps, first_frame=first_frame)
+
+
+def track_states(xy_by_frame, speed=0.0):
+    """TrackStates over exact {frame: (x, y)} positions, bypassing
+    smoothing: velocity (speed, 0), constant speed, no heading."""
+    frames = sorted(xy_by_frame)
+    n = len(frames)
+    return TrackStates(
+        np.array(frames, dtype=np.int64),
+        np.array([xy_by_frame[f] for f in frames], dtype=float).reshape(n, 2),
+        np.column_stack([np.full(n, float(speed)), np.zeros(n)]),
+        np.full(n, float(speed)),
+        np.full(n, np.nan),
+    )
 
 
 @pytest.fixture(scope="session")

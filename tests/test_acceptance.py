@@ -39,9 +39,9 @@ from proxrf.synth import (
     make_contrast_corpus,
     make_pair_corpus,
 )
-from proxrf.trajectory import KinematicState, SmoothingConfig
+from proxrf.trajectory import SmoothingConfig
 
-from conftest import make_traj
+from conftest import make_traj, track_states
 
 BENCH = SynthParams(seed=7, noise_sigma=0.02)
 
@@ -262,12 +262,7 @@ def test_geometric_invariances(tiny_stage1, capsys):
 
 
 def _injected(paths):
-    member_states = {
-        tid: {f: KinematicState(frame=f, position=p, velocity=(0.0, 0.0),
-                                speed=0.0, orientation=None)
-              for f, p in frames.items()}
-        for tid, frames in paths.items()
-    }
+    member_states = {tid: track_states(frames) for tid, frames in paths.items()}
     return GroupWindow(7, 16, 10.0, member_states)
 
 

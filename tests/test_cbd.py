@@ -22,9 +22,9 @@ from proxrf.cbd import (
 from proxrf.errors import EmptyGroup, FrameMismatch, ModelShapeMismatch
 from proxrf.forest import ForestConfig, LabeledSample, train
 from proxrf.pid import InteractionLabel, PidConfig
-from proxrf.trajectory import KinematicState, SmoothingConfig
+from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference
 
-from conftest import make_traj, straight_traj
+from conftest import make_traj, straight_traj, track_states
 
 SMOOTH = SmoothingConfig()
 
@@ -35,14 +35,10 @@ def _injected_window(paths, center=9, t2=16, fps=10.0, speeds=None):
     ``paths`` maps track id to {frame: (x, y)}; ``speeds`` optionally maps
     track id to a constant reported speed.
     """
-    member_states = {}
-    for tid, frames in paths.items():
-        spd = 0.0 if speeds is None else speeds.get(tid, 0.0)
-        member_states[tid] = {
-            f: KinematicState(frame=f, position=tuple(p), velocity=(spd, 0.0),
-                              speed=spd, orientation=None)
-            for f, p in frames.items()
-        }
+    member_states = {
+        tid: track_states(frames, 0.0 if speeds is None else speeds.get(tid, 0.0))
+        for tid, frames in paths.items()
+    }
     return GroupWindow(center, t2, fps, member_states)
 
 
@@ -100,7 +96,8 @@ def test_shape_ratio_branches_and_invariances():
 def test_group_window_span_and_membership():
     w = _injected_window(_const_paths({"a": (0.0, 0.0), "b": (1.0, 0.0)}))
     assert w.span == (2, 17)
-    assert all(w.members_per_frame[f] == ("a", "b") for f in range(2, 18))
+    assert list(w.member_states) == ["a", "b"]
+    assert w.present.shape == (2, 16) and w.present.all()
 
 
 def test_group_window_rejects_empty_frame():
@@ -126,7 +123,7 @@ def test_group_window_build_checks():
 
 def test_group_window_build_reuses_injected_states():
     a = straight_traj("a", 1.0, 0.0, 40)
-    fake = {f: KinematicState(f, (9.0, 9.0), (0.0, 0.0), 5.0, None) for f in range(40)}
+    fake = track_states({f: (9.0, 9.0) for f in range(40)}, speed=5.0)
     w = GroupWindow.build([a], 20, 16, SMOOTH, states={"a": fake})
     assert w.member_states["a"] is fake
     assert mean_speed(w) == pytest.approx(5.0)
@@ -172,12 +169,12 @@ def _reversed_window(window: GroupWindow) -> GroupWindow:
     # f -> start + end - f maps the span onto itself, center unchanged
     start, end = window.span
     flip = start + end
-    member_states = {
-        tid: {flip - f: KinematicState(flip - f, st.position, st.velocity,
-                                       st.speed, st.orientation)
-              for f, st in states.items() if start <= flip - f <= end}
-        for tid, states in window.member_states.items()
-    }
+    member_states = {}
+    for tid, st in window.member_states.items():
+        keep = np.flatnonzero((st.frames >= start) & (st.frames <= end))[::-1]
+        member_states[tid] = TrackStates(flip - st.frames[keep], st.xy[keep],
+                                         st.velocity[keep], st.speed[keep],
+                                         st.orientation[keep])
     return GroupWindow(window.center_frame, window.t2, window.fps, member_states)
 
 
@@ -192,6 +189,35 @@ def test_dispersion_change_time_reversal_antisymmetry():
         w = _injected_window(paths, center=11, t2=16)
         back = _reversed_window(w)
         assert dispersion_change(back) == pytest.approx(-dispersion_change(w), abs=1e-9)
+
+
+@pytest.mark.parametrize("n_members", [3, 8, 12, 20])
+def test_cues_equal_per_frame_reference_at_any_group_size(n_members):
+    # numpy's pairwise summation starts at 8 values, so the member sums
+    # must come out in the per-frame order at every group size
+    rng = np.random.default_rng(n_members)
+    t2, fps = 16, 10.0
+    for trial in range(25):
+        present = rng.random((n_members, 40)) < 0.6
+        present[rng.integers(n_members, size=40), np.arange(40)] = True
+        xy = rng.normal(scale=3.0, size=(n_members, 40, 2))
+        speed = rng.gamma(2.0, 0.7, size=(n_members, 40))
+        member_states = {}
+        for i in rng.permutation(n_members):  # member order is not id order
+            frames = np.flatnonzero(present[i])
+            member_states[f"m{i}"] = TrackStates(frames, xy[i, frames], np.zeros((len(frames), 2)),
+                                                 speed[i, frames], np.full(len(frames), np.nan))
+        w = GroupWindow(int(rng.integers(8, 32)), t2, fps, member_states)
+        start, end = w.span
+        per_frame_speed, spread = [], []
+        for f in range(start, end + 1):
+            ids = [int(tid[1:]) for tid in member_states if present[int(tid[1:]), f]]
+            per_frame_speed.append(sum(speed[i, f] for i in ids) / len(ids))
+            spread.append(dispersion([tuple(xy[i, f]) for i in ids]))
+        want_speed = sum(per_frame_speed) / t2
+        want_change = float(np.mean(finite_difference(np.array(spread), 1.0 / fps)))
+        assert mean_speed(w) == want_speed
+        assert dispersion_change(w) == want_change
 
 
 # ----------------------------------------------------- predictions and CBD

@@ -3,7 +3,10 @@
 import json
 import math
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from proxrf.errors import InvalidConfig
 from proxrf.evaluate import PipelineConfig
 from proxrf.forest import deserialize
 from proxrf.pid import InteractionLabel
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # ------------------------------------------------------------- config file
 
@@ -511,6 +516,24 @@ def test_exit_code_config_error(pair_corpus, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "s"), flag, value]) == 2
         key = flag[2:].replace("-", "_")
         assert capsys.readouterr().err.startswith(f"ERROR InvalidConfig: {key}: "), flag
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_huge_l_max_is_refused_without_building_it(how, tmp_path):
+    # 2**l_max would take 2**40 bits (or 2**63): the check must compare
+    # exponents, so a 1 GiB address-space limit is plenty
+    if how == "flag":
+        extra = ["--l-max", "1099511627776"]
+    else:
+        (tmp_path / "run.cfg").write_text("l_max = 9223372036854775808\n")
+        extra = ["--config", str(tmp_path / "run.cfg")]
+    limit = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+             "from proxrf.cli import main; sys.exit(main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", limit, "synth", "--out", str(tmp_path / "d")]
+                         + extra, env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("ERROR InvalidConfig: l_max:"), out.stderr
 
 
 def test_exit_code_parse_error(tmp_path, capsys):

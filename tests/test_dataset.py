@@ -2,6 +2,9 @@
 
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from proxrf.pid import InteractionLabel
 
 from conftest import make_traj, straight_traj
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 WT = InteractionLabel.WalkingTogether
 SP = InteractionLabel.StandingPair
 TALK = CollectiveLabel.Talking
@@ -346,6 +350,91 @@ def test_group_mode_membership():
     short = SceneRecording("s", 10.0, [a, b, c], [],
                            [CollectiveAnnotation(0, 40, TALK)])
     assert list(windows(short, 64, 5, "group")) == []  # 41 < 48 frames
+
+
+def _windows_frame_by_frame(rec, window_len, step, mode, max_gap):
+    """Reference enumeration: every grid center of the frame range."""
+    lo, hi = rec.frame_range
+    back, fwd = window_len // 2 - 1, window_len // 2
+    tracks = {t.track_id: t for t in rec.trajectories}
+    by_pair = {}
+    for a in rec.pair_annotations:
+        by_pair.setdefault((a.anchor_id, a.target_id), []).append(a)
+    out = []
+    for center in range(lo + back, hi - fwd + 1, step):
+        start, end = center - back, center + fwd
+        groups = sorted(by_pair.items()) if mode == "pairs" else [(None, rec.collective_annotations)]
+        for pair, anns in groups:
+            at_center = [a for a in anns if a.start <= center <= a.end]
+            if not at_center:
+                continue
+            label = at_center[0].label
+            frames = {f for a in anns if a.label is label
+                      for f in range(max(a.start, start), min(a.end, end) + 1)}
+            if len(frames) < math.ceil(0.75 * window_len):
+                continue
+            if pair is None:
+                ids = tuple(sorted(t.track_id for t in rec.trajectories
+                                   if t.first_frame <= end and t.last_frame >= start))
+                if ids:
+                    out.append((center, ids, label))
+            elif all(tracks[i].covers(start, end, max_gap) for i in pair):
+                out.append((center, pair, label))
+    return out
+
+
+def test_windows_match_frame_by_frame_enumeration():
+    rng = np.random.default_rng(8)
+    labels, coll = list(InteractionLabel), list(CollectiveLabel)
+    for trial in range(40):
+        tracks = []
+        for tid in "abcd":
+            first = int(rng.integers(0, 120))
+            frames = np.arange(first, first + int(rng.integers(2, 160)))
+            holes = rng.random(len(frames)) < 0.03  # 3-frame holes exceed max_gap
+            holes = holes | np.roll(holes, 1) | np.roll(holes, 2)
+            holes[[0, -1]] = False
+            frames = frames[~holes]
+            tracks.append(make_traj(tid, rng.normal(size=(len(frames), 2)), frames=frames))
+        pair_anns = []
+        for aid, tid in (("a", "b"), ("b", "a"), ("c", "d"), ("a", "d")):
+            cut = int(rng.integers(20, 250))
+            for start, end in ((int(rng.integers(0, cut)), cut), (cut + 1, cut + 60)):
+                pair_anns.append(PairAnnotation(start, end, aid, tid,
+                                                labels[int(rng.integers(6))]))
+        cut = int(rng.integers(10, 250))
+        coll_anns = [CollectiveAnnotation(int(rng.integers(0, cut)), cut, coll[trial % 6]),
+                     CollectiveAnnotation(cut + 1, cut + 90, coll[(trial + 1) % 6])]
+        rec = SceneRecording("s", 10.0, tracks, pair_anns, coll_anns)
+        for window_len, step in ((16, 3), (32, 5), (64, 7)):
+            for mode in ("pairs", "group"):
+                want = _windows_frame_by_frame(rec, window_len, step, mode, 2)
+                assert list(windows(rec, window_len, step, mode, 2)) == want
+
+
+def test_windows_follow_annotations_not_frame_numbers(tmp_path):
+    # two tracks 2**53 frames apart: a walk through every grid center of
+    # the frame range would not finish
+    big = 2**53
+    (tmp_path / "s.trj").write_text(
+        f"# fps=10.0\n0,a,0.0,0.0\n1,a,0.1,0.0\n{big - 1},b,1.0,0.0\n{big},b,1.1,0.0\n")
+    (tmp_path / "s.pia").write_text("0,1,a,b,WT\n")
+    (tmp_path / "s.cba").write_text(f"0,{big},Walking\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    pairs = subprocess.run(
+        [sys.executable, "-m", "proxrf.cli", "train", "interactions", str(tmp_path),
+         "--out", str(tmp_path / "m.json")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert pairs.returncode == 6, pairs.stderr
+    assert pairs.stderr.startswith("ERROR EmptyTrainingSet"), pairs.stderr
+    group = subprocess.run(
+        [sys.executable, "-c", "import sys; from proxrf.dataset import read_scene, windows; "
+         "print([(c, ids) for c, ids, _ in windows(read_scene(sys.argv[1]), 64, 5, 'group')])",
+         str(tmp_path / "s.trj")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert group.returncode == 0, group.stderr
+    # only the window at the start overlaps a track: the grid misses b's end
+    assert group.stdout == "[(31, ('a',))]\n"
 
 
 def test_windows_validation():

@@ -341,7 +341,7 @@ def _lone_windows(rec, cfg):
 def _distinct_keys(rec, cfg):
     """(anchor, target, center) of every pair-center the recording's group
     windows pool, found frame by frame."""
-    states = {t.track_id: smoothed_states(t, cfg.smoothing, cfg.max_gap)
+    frames = {t.track_id: set(smoothed_states(t, cfg.smoothing, cfg.max_gap).frames.tolist())
               for t in rec.trajectories}
     back, fwd = cfg.pid.window_halves
     keys = set()
@@ -349,7 +349,7 @@ def _distinct_keys(rec, cfg):
         start, end = w.span
         for c in range(start, end + 1, cfg.stride):
             present = [i for i in w.member_states
-                       if all(f in states[i] for f in range(c - back, c + fwd + 1))]
+                       if all(f in frames[i] for f in range(c - back, c + fwd + 1))]
             keys.update((a, b, c) for a in present for b in present if a != b)
     return keys
 
@@ -397,19 +397,28 @@ def test_group_matrix_labels_do_not_leak_across_models(dropped_corpus):
     assert not np.array_equal(x_a[:, :6], x_b[:, :6])
 
 
-def _ref_mean_speed(w):
+def _frame_states(w):
+    """frame -> (speed, position) of each member present there, in
+    member order, read frame by frame from the member states."""
     start, end = w.span
+    found = {f: [] for f in range(start, end + 1)}
+    for st in w.member_states.values():
+        for f, xy, speed in zip(st.frames.tolist(), st.xy.tolist(), st.speed.tolist()):
+            if f in found:
+                found[f].append((speed, tuple(xy)))
+    return found
+
+
+def _ref_mean_speed(w):
     total = 0.0
-    for f in range(start, end + 1):
-        ids = w.members_per_frame[f]
-        total += sum(w.member_states[t][f].speed for t in ids) / len(ids)
+    for present in _frame_states(w).values():
+        total += sum(speed for speed, _ in present) / len(present)
     return total / w.t2
 
 
 def _ref_dispersion_change(w):
-    start, end = w.span
-    series = [(f, dispersion([w.member_states[t][f].position for t in w.members_per_frame[f]]))
-              for f in range(start, end + 1)]
+    series = [(f, dispersion([xy for _, xy in present]))
+              for f, present in _frame_states(w).items()]
     return float(np.mean([v for _, v in derivative(series, w.fps)]))
 
 
@@ -424,6 +433,6 @@ def test_group_matrix_matches_lone_windows(dropped_corpus, tiny_stage1):
             assert desc.mean_speed == _ref_mean_speed(w)
             assert desc.dispersion_change == _ref_dispersion_change(w)
             ref.append(desc.vector())
-            uneven += len({len(ids) for ids in w.members_per_frame.values()}) > 1
+            uneven += len({len(present) for present in _frame_states(w).values()}) > 1
     assert len(rows) == len(ref) and uneven > 0
     np.testing.assert_array_equal(x, np.array(ref))

@@ -27,6 +27,7 @@ from proxrf.pid import (
     speed_pyramid,
 )
 from proxrf.trajectory import (
+    KinematicState,
     RelativePolar,
     SmoothingConfig,
     derivative,
@@ -361,6 +362,16 @@ def _heading_rng(seed, anchor_id, target_id, frame):
     return np.random.default_rng(ss)
 
 
+def _per_frame(states):
+    """frame -> KinematicState of a TrackStates, the reference format."""
+    return {
+        f: KinematicState(f, tuple(p), tuple(v), s, None if math.isnan(o) else o)
+        for f, p, v, s, o in zip(states.frames.tolist(), states.xy.tolist(),
+                                 states.velocity.tolist(), states.speed.tolist(),
+                                 states.orientation.tolist())
+    }
+
+
 def _reference_vector(sa, sb, anchor_id, target_id, center, cfg, fps, seed):
     """One window described frame by frame with relative_polar."""
     back, fwd = cfg.window_halves
@@ -394,8 +405,9 @@ def test_series_windows_match_per_frame_reference():
         "c": make_traj("c", b_xy[8:100] + [0.0, -2.5], first_frame=8),
     }
     states = {tid: smoothed_states(t, SMOOTH) for tid, t in tracks.items()}
-    assert min(states["b"][f].speed for f in states["b"]) >= SMOOTH.t_s
-    assert sum(states["a"][f].orientation is None for f in states["a"]) > 40
+    per_frame = {tid: _per_frame(st) for tid, st in states.items()}
+    assert min(st.speed for st in per_frame["b"].values()) >= SMOOTH.t_s
+    assert sum(st.orientation is None for st in per_frame["a"].values()) > 40
     configs = [PidConfig(t1=16, l_max=l) for l in range(4)]
     configs += [PidConfig(t1=16, assignment="hard"), PidConfig(t1=32, l_max=2)]
     seed = 11
@@ -408,7 +420,8 @@ def test_series_windows_match_per_frame_reference():
             center, cfg = jobs[k]
             back, fwd = cfg.window_halves
             try:
-                want = _reference_vector(sa, sb, aid, tid, center, cfg, 10.0, seed)
+                want = _reference_vector(per_frame[aid], per_frame[tid], aid, tid, center,
+                                         cfg, 10.0, seed)
             except MissingFrames as e:
                 errors.add(str(e))
                 for s in (series, None):

@@ -186,24 +186,27 @@ def test_kinematics_straight_line():
     traj = straight_traj("w", speed=1.5, heading=math.pi / 3.0, n_frames=30, fps=30.0)
     states = kinematics(traj, SmoothingConfig())
     assert len(states) == 30
-    for st in states:
-        assert st.speed == pytest.approx(1.5, abs=1e-9)
-        assert st.orientation == pytest.approx(math.pi / 3.0, abs=1e-9)
+    np.testing.assert_array_equal(states.frames, np.arange(30))
+    for speed, orientation in zip(states.speed, states.orientation):
+        assert speed == pytest.approx(1.5, abs=1e-9)
+        assert orientation == pytest.approx(math.pi / 3.0, abs=1e-9)
 
 
 def test_kinematics_plus_y_heading():
     traj = straight_traj("n", speed=1.0, heading=math.pi / 2.0, n_frames=10)
-    st = kinematics(traj, SmoothingConfig())[4]
-    assert st.orientation == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert st.velocity[0] == pytest.approx(0.0, abs=1e-12)
-    assert st.velocity[1] == pytest.approx(1.0, abs=1e-12)
+    st = kinematics(traj, SmoothingConfig())
+    assert st.orientation[4] == pytest.approx(math.pi / 2.0, abs=1e-12)
+    assert st.velocity[4, 0] == pytest.approx(0.0, abs=1e-12)
+    assert st.velocity[4, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kinematics_stationary_has_no_orientation():
     xy = np.tile([1.0, 1.0], (20, 1))
-    for st in kinematics(make_traj("s", xy), SmoothingConfig()):
-        assert st.speed == 0.0
-        assert st.orientation is None
+    st = kinematics(make_traj("s", xy), SmoothingConfig())
+    assert len(st) == 20
+    for speed, orientation in zip(st.speed, st.orientation):
+        assert speed == 0.0
+        assert math.isnan(orientation)
 
 
 def test_orientation_absent_iff_below_threshold():
@@ -211,8 +214,10 @@ def test_orientation_absent_iff_below_threshold():
     steps = np.linspace(0.0, 0.1, 60)
     xy = np.column_stack([np.concatenate([[0.0], np.cumsum(steps)]), np.zeros(61)])
     cfg = SmoothingConfig(t_s=0.25)
-    for st in kinematics(make_traj("ramp", xy, fps=10.0), cfg):
-        assert (st.orientation is None) == (st.speed < cfg.t_s)
+    st = kinematics(make_traj("ramp", xy, fps=10.0), cfg)
+    assert len(st) == 61
+    for speed, orientation in zip(st.speed, st.orientation):
+        assert math.isnan(orientation) == (speed < cfg.t_s)
 
 
 def test_kinematics_needs_two_samples():
@@ -395,10 +400,10 @@ def test_smoothed_states_splits_on_large_gap():
     frames = list(range(20)) + list(range(40, 60))
     traj = make_traj("sp", pts, frames=frames)
     states = smoothed_states(traj, SmoothingConfig(), max_gap=5)
-    assert sorted(states) == frames
+    assert states.frames.tolist() == frames
     # each span is smoothed from its own start, so the second span's first
     # frame passes through unchanged rather than inheriting span-one state
-    np.testing.assert_allclose(states[40].position, (4.0, 1.0), atol=1e-12)
+    np.testing.assert_allclose(states.xy[states.rows([40])[0]], (4.0, 1.0), atol=1e-12)
 
 
 def test_smoothed_states_drops_single_frame_span():
@@ -406,7 +411,13 @@ def test_smoothed_states_drops_single_frame_span():
     xy = np.zeros((11, 2))
     states = smoothed_states(make_traj("one", xy, frames=frames),
                              SmoothingConfig(), max_gap=5)
-    assert sorted(states) == list(range(10))
+    assert states.frames.tolist() == list(range(10))
+    assert states.rows([9, 10, 50]).tolist() == [9, -1, -1]
+    # only single-frame spans: no state at all
+    none = smoothed_states(make_traj("two", xy[:2], frames=[0, 50]), SmoothingConfig(),
+                           max_gap=5)
+    assert len(none) == 0 and none.xy.shape == (0, 2)
+    assert none.rows([0, 50]).tolist() == [-1, -1]
 
 
 def test_smoothed_states_fills_interior_gap():
@@ -414,4 +425,4 @@ def test_smoothed_states_fills_interior_gap():
     xy = np.column_stack([np.array(frames, float) * 0.2, np.zeros(8)])
     states = smoothed_states(make_traj("fill", xy, frames=frames),
                              SmoothingConfig(), max_gap=5)
-    assert sorted(states) == list(range(9))
+    assert states.frames.tolist() == list(range(9))

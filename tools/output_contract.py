@@ -6,10 +6,13 @@ Each argument is a source tree root or its ``src`` directory.  Both trees
 run the same command set, each in its own scratch directory: a synthetic
 corpus, the interaction and collective models (with and without the
 shape cue, and the stage-one sidecar), pid and cbd extracts, predictions,
-evaluations and cross-corpus reports.  Every output file and every
-command's standard output are then compared byte for byte.  Exit status:
-0 when everything matches, 1 on any difference, 2 when a command fails
-in either tree.
+evaluations and cross-corpus reports.  A second, longer synthetic corpus
+loses track samples (see ``punch_gaps``), which gives tracks with gaps
+and groups with uneven member spans; a collective model, pid and cbd
+extracts, predictions and a collective evaluation run on it too.  Every
+output file and every command's standard output are then compared byte
+for byte.  Exit status: 0 when everything matches, 1 on any difference,
+2 when a command fails in either tree.
 """
 
 from __future__ import annotations
@@ -47,6 +50,19 @@ COMMANDS = (
      "--out-dir", "eval/collective-noshape"] + NO_SHAPE + SEED,
     ["cross", "corpus", "corpus", "--out-dir", "cross/full"] + SEED,
     ["cross", "corpus", "corpus", "--out-dir", "cross/noshape"] + NO_SHAPE + SEED,
+    ["synth", "--set", "all", "--scenes-per-class", "2", "--duration-frames", "160",
+     "--out", "long"] + SEED,
+)
+# run once punch_gaps has derived "gapped" from "long"
+GAPPED_COMMANDS = (
+    ["train", "collective", "gapped", "--out", "models/gapped.json"] + SEED,
+    ["extract", "gapped", "--kind", "pid", "--out", "extract/gapped-pid.csv"] + SEED,
+    ["extract", "gapped", "--kind", "cbd", "--model", "models/gapped.stage1.json",
+     "--out", "extract/gapped-cbd.csv"] + SEED,
+    ["predict", "gapped", "--interactions-model", "models/gapped.stage1.json",
+     "--collective-model", "models/gapped.json", "--out", "predict/gapped.csv"] + SEED,
+    ["eval", "gapped", "--task", "collective", "--folds", "3",
+     "--out-dir", "eval/gapped"] + SEED,
 )
 RUN_CLI = "import sys; from proxrf.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -59,11 +75,47 @@ def source_dir(path: str) -> str:
     sys.exit(f"no proxrf package under {path!r}")
 
 
+def punch_gaps(corpus: str, out: str) -> None:
+    """Copy of ``corpus`` whose tracks lose samples by a fixed rule.
+
+    In each .trj file, taking the tracks in id order and each track's
+    samples in file order (synth writes them by frame, without holes),
+    every third track loses 8 frames from its middle (a hole beyond the
+    default max_gap), the next one its first quarter (a late start), and
+    the next every 20th sample (single drops).  Other files are copied
+    unchanged.
+    """
+    os.mkdir(out)
+    for name in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, name), encoding="utf-8") as fh:
+            lines = fh.readlines()
+        if name.endswith(".trj"):
+            rows = {}
+            for line in lines:
+                if not line.startswith("#"):
+                    rows.setdefault(line.split(",")[1], []).append(line)
+            drop = set()
+            for k, track in enumerate(sorted(rows)):
+                samples = rows[track]
+                n = len(samples)
+                if k % 3 == 0:
+                    drop.update(samples[n // 2 : n // 2 + 8])
+                elif k % 3 == 1:
+                    drop.update(samples[: n // 4])
+                else:
+                    drop.update(samples[10::20])
+            lines = [line for line in lines if line not in drop]
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+
+
 def run_tree(src: str, work: str) -> list:
     """Standard output of each command, run in ``work``."""
     env = dict(os.environ, PYTHONPATH=src)
     outputs = []
-    for argv in COMMANDS:
+    for argv in COMMANDS + GAPPED_COMMANDS:
+        if argv is GAPPED_COMMANDS[0]:
+            punch_gaps(os.path.join(work, "long"), os.path.join(work, "gapped"))
         proc = subprocess.run([sys.executable, "-c", RUN_CLI] + argv, cwd=work, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -99,14 +151,14 @@ def main(argv: list) -> int:
     (runs_a, files_a), (runs_b, files_b) = outcomes
     differences = [
         f"stdout of `proxrf {' '.join(argv)}`"
-        for argv, a, b in zip(COMMANDS, runs_a, runs_b) if a != b
+        for argv, a, b in zip(COMMANDS + GAPPED_COMMANDS, runs_a, runs_b) if a != b
     ]
     for path in sorted(set(files_a) | set(files_b)):
         if files_a.get(path) != files_b.get(path):
             differences.append(path)
     for what in differences:
         print(f"DIFFERS {what}")
-    print(f"{len(files_a)} files and {len(COMMANDS)} commands compared, "
+    print(f"{len(files_a)} files and {len(COMMANDS + GAPPED_COMMANDS)} commands compared, "
           f"{len(differences)} differ")
     return 1 if differences else 0
 
