@@ -257,11 +257,18 @@ def pair_vectors(
     (anchor, target) to the pair's PairSeries, which also keeps the
     vectors of the windows already described; neither depends on a
     model, so one cache serves every model as long as the states,
-    descriptor config and seed stay fixed.
+    descriptor config and seed stay fixed.  Each pair's series is filled
+    over all its missing windows at once before they are described.
     """
+    missing = {}
+    for aid, tid, center in keys:
+        if center not in cache.setdefault((aid, tid), PairSeries()).vectors:
+            missing.setdefault((aid, tid), []).append(center)
+    for (aid, tid), centers in missing.items():
+        cache[aid, tid].fill(states[aid], states[tid], aid, tid, centers, pid_cfg, seed)
     vecs = []
     for aid, tid, center in keys:
-        series = cache.setdefault((aid, tid), PairSeries())
+        series = cache[aid, tid]
         vec = series.vectors.get(center)
         if vec is None:
             vec = series.vectors[center] = _pid_from_states(

@@ -577,11 +577,13 @@ def windows(
     Yields (center_frame, participants, label).  A window is kept when
     its label covers the center frame and at least 75% of the window's
     frames; pairs mode additionally requires both tracks to cover the
-    whole window, and group mode some track to overlap it.  Centers lie
-    on the grid lo + T/2 - 1 + k * step; windows never extend outside the
-    recording's frame range.  Only grid centers inside an annotation
-    range are visited, so the cost follows the annotated frames, not the
-    frame numbers.
+    whole window, and group mode a piece of some track (a stretch
+    without a gap beyond ``max_gap``, see Trajectory.pieces) to overlap
+    it; a group window's members are the tracks whose span overlaps it.
+    Centers lie on the grid lo + T/2 - 1 + k * step; windows never
+    extend outside the recording's frame range.  Only grid centers inside
+    an annotation range and near a track piece are visited, so the cost
+    follows the annotated, tracked frames, not the frame numbers.
     """
     if window_len < 2 or window_len & (window_len - 1):
         raise ValueError(f"window_len must be a power of two >= 2, got {window_len}")
@@ -627,9 +629,8 @@ def windows(
     else:
         anns = rec.collective_annotations
         centers = {
-            c for a in anns for t in rec.trajectories
-            for c in grid(max(a.start, t.first_frame - half_fwd),
-                          min(a.end, t.last_frame + half_back))
+            c for a in anns for t in rec.trajectories for first, last in t.pieces(max_gap)
+            for c in grid(max(a.start, first - half_fwd), min(a.end, last + half_back))
         }
         for c in sorted(centers):
             label = label_at(c, anns)

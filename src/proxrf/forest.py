@@ -173,37 +173,35 @@ class RandomForest:
 def best_split(x_mat, y, idx, feats, class_count, parent_counts):
     """Best (decrease, feature, threshold) over candidate features.
 
-    Thresholds are midpoints of consecutive distinct sorted values.
-    Features are scanned in ascending order with strict improvement, and
-    within a feature the first best threshold wins, so ties resolve to
-    the lowest feature index then the lowest threshold.
+    Thresholds are midpoints of consecutive distinct sorted values.  All
+    candidate features are scored in one pass over the node's block; the
+    first feature (in ``feats`` order) reaching the largest decrease
+    wins, and within it the first best threshold, so ties resolve to the
+    lowest feature index then the lowest threshold.
     """
     n = len(idx)
+    if n < 2:
+        return None
+    block = x_mat[np.ix_(idx, feats)]
+    order = np.argsort(block, axis=0, kind="stable")
+    vs = np.take_along_axis(block, order, axis=0)
+    onehot = y[idx][order][:, :, None] == np.arange(class_count)
+    cl = np.cumsum(onehot, axis=0, dtype=float)[:-1]  # (n - 1, features, classes)
+    cr = parent_counts - cl
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    gl = 1.0 - (cl**2).sum(axis=2) / nl**2
+    gr = 1.0 - (cr**2).sum(axis=2) / nr**2
     gini_parent = 1.0 - ((parent_counts / n) ** 2).sum()
-    y_node = y[idx]
-    best = None
-    for f in feats:
-        v = x_mat[idx, f]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        splits = np.flatnonzero(vs[1:] != vs[:-1]) + 1
-        if len(splits) == 0:
-            continue
-        onehot = np.zeros((n, class_count))
-        onehot[np.arange(n), y_node[order]] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        nl = splits.astype(float)
-        nr = n - nl
-        cl = prefix[splits - 1]
-        cr = parent_counts - cl
-        gl = 1.0 - (cl**2).sum(axis=1) / nl**2
-        gr = 1.0 - (cr**2).sum(axis=1) / nr**2
-        dec = gini_parent - (nl * gl + nr * gr) / n
-        j = int(np.argmax(dec))
-        if dec[j] > (best[0] if best is not None else _MIN_DECREASE):
-            thr = 0.5 * (vs[splits[j] - 1] + vs[splits[j]])
-            best = (float(dec[j]), int(f), float(thr))
-    return best
+    dec = gini_parent - (nl * gl + nr * gr) / n
+    dec[vs[1:] == vs[:-1]] = -np.inf
+    col_best = dec.max(axis=0)
+    k = int(np.argmax(col_best))
+    if not col_best[k] > _MIN_DECREASE:
+        return None
+    j = int(np.argmax(dec[:, k]))
+    thr = 0.5 * (vs[j, k] + vs[j + 1, k])
+    return float(dec[j, k]), int(feats[k]), float(thr)
 
 
 def _grow_tree(x_mat, y, cfg, m_feats, class_count, tree_idx):

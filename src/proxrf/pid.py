@@ -10,6 +10,7 @@ assigns one of six directional interaction labels.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -34,9 +35,6 @@ from .trajectory import (
     smoothed_states,
     wrap_angle,
 )
-
-_SEED_MASK = 0xFFFFFFFF
-
 
 class InteractionLabel(enum.Enum):
     """The six directional pairwise interactions."""
@@ -216,35 +214,55 @@ def sample_grid(center: RelativePolar, cfg: PidConfig) -> list:
     return out
 
 
-def _window_histogram(
-    rho: np.ndarray, theta: np.ndarray, grid: PolarGrid, cfg: PidConfig
-) -> np.ndarray:
-    """Histogram of a window's per-frame polar samples, shape (cells,).
+def _kernel_codes(rho: np.ndarray, theta: np.ndarray, grid: PolarGrid, cfg: PidConfig) -> tuple:
+    """Per-frame kernel codes of polar samples: (band, sector, kept).
+
+    ``band`` and ``sector`` (frames x samples) place each radial and each
+    angular grid offset around the frame's sample; ``kept`` counts the
+    frame's radial offsets at rho >= 0, which are always the outermost
+    ones.  Hard mode is a one-sample grid at the sample itself.
+    """
+    if cfg.assignment == "hard":
+        r_pts, t_pts = rho[:, None], theta[:, None]
+    else:
+        r_off, t_off = _grid_offsets(cfg)
+        r_pts = rho[:, None] + r_off[None, :]
+        t_pts = wrap_angle(theta[:, None] + t_off[None, :])
+    return grid.band_of(r_pts), grid.sector_of(t_pts), (r_pts >= 0.0).sum(axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_weights(cfg: PidConfig) -> np.ndarray:
+    """Row k: the unit-mass (samples x samples) weights, flattened band
+    offset-major, of a frame that keeps its k outermost radial offsets.
+    Row 0 is unused.  The table is shared, so it is read-only."""
+    if cfg.assignment == "hard":
+        table = np.array([[0.0], [1.0]])
+    else:
+        r_off, t_off = _grid_offsets(cfg)
+        dr, dt = _denominators(cfg)
+        w_r = np.exp(-(r_off**2) / dr)
+        w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
+        n = len(r_off)
+        keep = np.arange(n)[None, :] >= n - np.arange(n + 1)[:, None]
+        w = (w_r[None, :] * keep)[:, :, None] * w_t[None, None, :]
+        with np.errstate(invalid="ignore"):
+            w /= w.sum(axis=(1, 2), keepdims=True)
+        table = w.reshape(n + 1, n * n)
+    table.flags.writeable = False
+    return table
+
+
+def _histogram(band, sector, kept, grid: PolarGrid, cfg: PidConfig) -> np.ndarray:
+    """Window histogram from its frames' kernel codes, shape (cells,).
 
     Each frame contributes mass 1/T: hard mode counts the sample's own
     cell, KDE mode spreads the frame's unit mass over its grid samples.
     """
-    t = len(rho)
-    if cfg.assignment == "hard":
-        cells = grid.cell_of(rho, theta)
-        hist = np.bincount(cells, minlength=grid.cell_count).astype(float)
-        return hist / t
-
-    r_off, t_off = _grid_offsets(cfg)
-    dr, dt = _denominators(cfg)
-    w_r = np.exp(-(r_off**2) / dr)
-    w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
-    r_pts = rho[:, None] + r_off[None, :]  # (t, n)
-    t_pts = wrap_angle(theta[:, None] + t_off[None, :])  # (t, n)
-    keep = r_pts >= 0.0
-    band = grid.band_of(r_pts)
-    sector = grid.sector_of(t_pts)
-    # (t, n, n) separable weights, masked where rho < 0, normalized per frame
-    w = (w_r[None, :] * keep)[:, :, None] * w_t[None, None, :]
-    w /= w.sum(axis=(1, 2), keepdims=True)
-    cells = band[:, :, None] * grid.angular_sector_count + sector[:, None, :]
-    hist = np.bincount(cells.ravel(), weights=w.ravel(), minlength=grid.cell_count)
-    return hist / t
+    cells = band.astype(np.intp)[:, :, None] * grid.angular_sector_count + sector[:, None, :]
+    weights = _kernel_weights(cfg)[kept]
+    hist = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=grid.cell_count)
+    return hist / len(kept)
 
 
 def accumulate_histogram(
@@ -257,7 +275,7 @@ def accumulate_histogram(
         )
     rho = np.array([s.rho for s in pair_samples], dtype=float)
     theta = np.array([s.theta for s in pair_samples], dtype=float)
-    return _window_histogram(rho, theta, grid, cfg)
+    return _histogram(*_kernel_codes(rho, theta, grid, cfg), grid, cfg)
 
 
 def speed_pyramid(d_prime: Sequence[float], cfg: PidConfig) -> np.ndarray:
@@ -269,21 +287,92 @@ def speed_pyramid(d_prime: Sequence[float], cfg: PidConfig) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _orientation_rng(seed: int, anchor_id: str, target_id: str, frame: int):
-    """Stream for the random heading of a slow anchor at one frame.
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants
+_M32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # hashmix while the pool mixes: init, multiplier
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # hashmix while generate_state reads the pool
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
-    Keyed by (seed, pair, frame) so overlapping windows and parallel
-    evaluation draw identical angles.
+
+def _hash_steps(init: int, mult: int, n: int) -> tuple:
+    """(constant before, constant after) the multiply of n hashmix calls."""
+    steps = []
+    for _ in range(n):
+        steps.append((init, init * mult & _M32))
+        init = steps[-1][1]
+    return tuple(steps)
+
+
+_POOL_HASHES = _hash_steps(*_HASH_A, 16)
+_STATE_HASHES = np.array(_hash_steps(*_HASH_B, 8), dtype=np.uint64).T[:, :, None]
+
+
+def _hashmix(value, step: tuple):
+    before, after = step
+    value = (value ^ before) * after & _M32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ (value >> 16)
+
+
+def _mul_128(hi, lo, const: int) -> tuple:
+    """(hi, lo) * const modulo 2**128, in 64-bit halves."""
+    c_hi, c_lo = const >> 64, const & 0xFFFFFFFFFFFFFFFF
+    c_lo_hi, c_lo_lo = c_lo >> 32, c_lo & _M32
+    lo_hi, lo_lo = lo >> 32, lo & _M32
+    ll, lh, hl = lo_lo * c_lo_lo, lo_lo * c_lo_hi, lo_hi * c_lo_lo
+    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
+    carry = lo_hi * c_lo_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    return carry + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+def _add_128(hi, lo, b_hi, b_lo) -> tuple:
+    out = lo + b_lo
+    return hi + b_hi + (out < lo), out
+
+
+def heading_draws(seed: int, anchor_id: str, target_id: str, frames) -> np.ndarray:
+    """Per frame, the double in [0, 1) that
+    ``np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF,
+    crc32(anchor), crc32(target), frame & 0xFFFFFFFF])).random()`` draws.
+
+    The stream is keyed by (seed, pair, frame), so overlapping windows
+    and parallel evaluation draw identical angles.  The seeding and the
+    first PCG64 (XSL-RR) output are computed for all frames at once in
+    uint64 arithmetic, which is exact, so every draw equals numpy's.
     """
-    ss = np.random.SeedSequence(
-        [
-            int(seed) & _SEED_MASK,
-            zlib.crc32(str(anchor_id).encode("utf-8")),
-            zlib.crc32(str(target_id).encode("utf-8")),
-            int(frame) & _SEED_MASK,
-        ]
-    )
-    return np.random.default_rng(ss)
+    frames = np.asarray(frames, dtype=np.int64)
+    if not len(frames):
+        return np.empty(0)
+    entropy = [
+        int(seed) & _M32,
+        zlib.crc32(str(anchor_id).encode("utf-8")),
+        zlib.crc32(str(target_id).encode("utf-8")),
+        (frames & _M32).astype(np.uint64),
+    ]
+    steps = iter(_POOL_HASHES)
+    pool = [_hashmix(word, next(steps)) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+    # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian
+    words = (np.array(pool + pool) ^ _STATE_HASHES[0]) * _STATE_HASHES[1] & _M32
+    words ^= words >> 16
+    seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << 32)
+    # PCG64 seeding: inc = 2 seq + 1, state = (inc + seed) stepped once;
+    # random() steps once more and keeps the top 53 output bits
+    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+    hi, lo = _add_128(inc_hi, inc_lo, seed_hi, seed_lo)
+    for _ in range(2):
+        hi, lo = _add_128(*_mul_128(hi, lo, _PCG_MULT), inc_hi, inc_lo)
+    xored, rot = hi ^ lo, hi >> 58
+    out = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
 class PairSeries:
@@ -292,19 +381,92 @@ class PairSeries:
     The series spans the frames from the later of the two tracks' first
     states to the earlier of their last ones.  A frame's rho and theta
     (theta is the slow anchor's random heading where its orientation is
-    unknown) are computed the first time a window needs them, so every
-    pair-frame is evaluated once however many windows overlap it.
-    ``vectors`` maps a center frame to its window's descriptor vector
-    for callers that keep whole descriptors; it is valid for one
+    unknown) are computed once, the first time a window needs them, and
+    so are its kernel codes (see _kernel_codes) for the descriptor
+    config the series last served; another config recodes the frames it
+    needs.  A window's histogram is then one bincount over its frames'
+    codes.  ``vectors`` maps a center frame to its window's descriptor
+    vector for callers that keep whole descriptors; it is valid for one
     descriptor config, while the series depends only on the states and
     the seed.
     """
 
-    __slots__ = ("first", "rho", "theta", "done", "vectors")
+    __slots__ = ("first", "rho", "theta", "done", "cfg", "band", "sector", "kept", "vectors")
 
     def __init__(self):
         self.first = None
+        self.cfg = None
         self.vectors = {}
+
+    def _start(self, anchor_states: TrackStates, target_states: TrackStates, cfg: PidConfig):
+        """Allocate the series on first use; drop the codes of another config."""
+        if self.first is None:
+            if len(anchor_states) and len(target_states):
+                first = max(anchor_states.frames[0], target_states.frames[0])
+                last = min(anchor_states.frames[-1], target_states.frames[-1])
+            else:
+                first, last = 0, -1
+            n = max(int(last - first) + 1, 0)
+            self.first = int(first)
+            self.rho, self.theta = np.empty(n), np.empty(n)
+            self.done = np.zeros(n, dtype=bool)
+        if cfg is not self.cfg and cfg != self.cfg:
+            samples = 1 if cfg.assignment == "hard" else cfg.grid_samples_per_axis
+            grid = cfg.grid
+            code = np.min_scalar_type(max(grid.band_count, grid.angular_sector_count, samples))
+            self.cfg = cfg
+            self.band = np.empty((len(self.done), samples), dtype=code)
+            self.sector = np.empty((len(self.done), samples), dtype=code)
+            self.kept = np.zeros(len(self.done), dtype=code)  # 0: not coded
+
+    def _fill(self, anchor_states, target_states, anchor_id, target_id, at, seed):
+        """Fill and code the series rows ``at`` (increasing) that both
+        tracks have a state at; leave the others."""
+        todo = at[~self.done[at]]
+        if len(todo):
+            frames = todo + self.first
+            ra, rb = anchor_states.rows(frames), target_states.rows(frames)
+            have = (ra >= 0) & (rb >= 0)
+            todo, frames, ra, rb = todo[have], frames[have], ra[have], rb[have]
+            n = len(frames)
+            d = target_states.xy[rb] - anchor_states.xy[ra]
+            dx, dy = d[:, 0].tolist(), d[:, 1].tolist()
+            self.rho[todo] = np.fromiter(map(math.hypot, dx, dy), float, n)
+            heading = anchor_states.orientation[ra]
+            slow = np.isnan(heading)
+            theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, n)
+                               - np.where(slow, 0.0, heading))
+            draws = heading_draws(seed, anchor_id, target_id, frames[slow])
+            theta[slow] = math.pi - TWO_PI * draws
+            self.theta[todo] = theta
+            self.done[todo] = True
+        code = at[self.done[at] & (self.kept[at] == 0)]
+        if len(code):
+            cfg = self.cfg
+            band, sector, kept = _kernel_codes(self.rho[code], self.theta[code], cfg.grid, cfg)
+            self.band[code], self.sector[code], self.kept[code] = band, sector, kept
+
+    def fill(
+        self,
+        anchor_states: TrackStates,
+        target_states: TrackStates,
+        anchor_id: str,
+        target_id: str,
+        centers: Sequence[int],
+        cfg: PidConfig,
+        seed: int,
+    ) -> None:
+        """Fill the union of the windows at ``centers`` in one pass.
+
+        Best effort: frames outside the series or missing from a track
+        are left for window(), which reports them."""
+        self._start(anchor_states, target_states, cfg)
+        back, fwd = cfg.window_halves
+        need = np.zeros(len(self.done), dtype=bool)
+        for center in centers:
+            need[max(center - back - self.first, 0):max(center + fwd + 1 - self.first, 0)] = True
+        at = np.flatnonzero(need & (self.kept == 0))
+        self._fill(anchor_states, target_states, anchor_id, target_id, at, seed)
 
     def window(
         self,
@@ -314,43 +476,23 @@ class PairSeries:
         target_id: str,
         start: int,
         end: int,
+        cfg: PidConfig,
         seed: int,
     ) -> tuple:
-        """(rho, theta) over the frames [start, end] inclusive, as views
-        into the series that callers must not write to."""
-        if self.first is None:
-            if len(anchor_states) and len(target_states):
-                first = max(anchor_states.frames[0], target_states.frames[0])
-                last = min(anchor_states.frames[-1], target_states.frames[-1])
-            else:
-                first, last = start, start - 1
-            n = max(int(last - first) + 1, 0)
-            self.first = int(first)
-            self.rho, self.theta = np.empty(n), np.empty(n)
-            self.done = np.zeros(n, dtype=bool)
+        """(rho, histogram) over the frames [start, end] inclusive; rho is
+        a view into the series that callers must not write to."""
+        self._start(anchor_states, target_states, cfg)
         lo, hi = start - self.first, end + 1 - self.first
         if lo < 0 or hi > len(self.done):
             _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
-        todo = np.flatnonzero(~self.done[lo:hi]) + lo
-        if len(todo):
-            frames = todo + self.first
-            ra, rb = anchor_states.rows(frames), target_states.rows(frames)
-            if min(ra.min(), rb.min()) < 0:
+        if not self.kept[lo:hi].all():
+            self._fill(anchor_states, target_states, anchor_id, target_id,
+                       np.arange(lo, hi), seed)
+            if not self.kept[lo:hi].all():
                 _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
-            n = len(frames)
-            d = target_states.xy[rb] - anchor_states.xy[ra]
-            dx, dy = d[:, 0].tolist(), d[:, 1].tolist()
-            self.rho[todo] = np.fromiter(map(math.hypot, dx, dy), float, n)
-            heading = anchor_states.orientation[ra]
-            slow = np.isnan(heading)
-            theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, n)
-                               - np.where(slow, 0.0, heading))
-            for k in np.flatnonzero(slow).tolist():
-                rng = _orientation_rng(seed, anchor_id, target_id, int(frames[k]))
-                theta[k] = math.pi - TWO_PI * float(rng.random())
-            self.theta[todo] = theta
-            self.done[todo] = True
-        return self.rho[lo:hi], self.theta[lo:hi]
+        histogram = _histogram(self.band[lo:hi], self.sector[lo:hi], self.kept[lo:hi],
+                               cfg.grid, cfg)
+        return self.rho[lo:hi], histogram
 
 
 def _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end):
@@ -378,12 +520,12 @@ def _pid_from_states(
     back, fwd = cfg.window_halves
     if series is None:
         series = PairSeries()
-    rho, theta = series.window(
+    rho, histogram = series.window(
         anchor_states, target_states, anchor_id, target_id,
-        center_frame - back, center_frame + fwd, seed,
+        center_frame - back, center_frame + fwd, cfg, seed,
     )
     return PidDescriptor(
-        histogram=_window_histogram(rho, theta, cfg.grid, cfg),
+        histogram=histogram,
         speed_pyramid=speed_pyramid(finite_difference(rho, 1.0 / fps), cfg),
         center_frame=center_frame,
     )

@@ -353,7 +353,9 @@ def test_group_mode_membership():
 
 
 def _windows_frame_by_frame(rec, window_len, step, mode, max_gap):
-    """Reference enumeration: every grid center of the frame range."""
+    """Reference enumeration: every grid center of the frame range.  A
+    group window needs a track piece inside it; its members are the
+    tracks whose span overlaps it."""
     lo, hi = rec.frame_range
     back, fwd = window_len // 2 - 1, window_len // 2
     tracks = {t.track_id: t for t in rec.trajectories}
@@ -376,7 +378,8 @@ def _windows_frame_by_frame(rec, window_len, step, mode, max_gap):
             if pair is None:
                 ids = tuple(sorted(t.track_id for t in rec.trajectories
                                    if t.first_frame <= end and t.last_frame >= start))
-                if ids:
+                if any(first <= end and last >= start
+                       for t in rec.trajectories for first, last in t.pieces(max_gap)):
                     out.append((center, ids, label))
             elif all(tracks[i].covers(start, end, max_gap) for i in pair):
                 out.append((center, pair, label))
@@ -435,6 +438,25 @@ def test_windows_follow_annotations_not_frame_numbers(tmp_path):
     assert group.returncode == 0, group.stderr
     # only the window at the start overlaps a track: the grid misses b's end
     assert group.stdout == "[(31, ('a',))]\n"
+
+
+def test_group_windows_skip_track_gaps(tmp_path):
+    # b's two samples are 2**53 frames apart, far beyond max_gap: a walk
+    # through every grid center of b's span would not finish
+    big = 2**53
+    (tmp_path / "s.trj").write_text(
+        f"# fps=10.0\n0,a,0.0,0.0\n1,a,0.1,0.0\n0,b,1.0,0.0\n{big},b,1.1,0.0\n")
+    (tmp_path / "s.cba").write_text(f"0,{big},Walking\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    group = subprocess.run(
+        [sys.executable, "-c", "import sys; from proxrf.dataset import read_scene, windows; "
+         "print([(c, ids) for c, ids, _ in windows(read_scene(sys.argv[1]), 64, 5, 'group')])",
+         str(tmp_path / "s.trj")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert group.returncode == 0, group.stderr
+    # only the window at the start holds a track piece; b's span still
+    # makes it a member there
+    assert group.stdout == "[(31, ('a', 'b'))]\n"
 
 
 def test_windows_validation():

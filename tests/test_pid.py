@@ -6,6 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
+from proxrf.cbd import pair_vectors
 from proxrf.errors import (
     FrameMismatch,
     MissingFrames,
@@ -22,9 +23,16 @@ from proxrf.pid import (
     accumulate_histogram,
     classify_interaction,
     compute_pid,
+    heading_draws,
     kde_kernel,
     sample_grid,
     speed_pyramid,
+)
+from proxrf.synth import (
+    SynthParams,
+    make_collective_corpus,
+    make_contrast_corpus,
+    make_pair_corpus,
 )
 from proxrf.trajectory import (
     KinematicState,
@@ -33,6 +41,7 @@ from proxrf.trajectory import (
     derivative,
     relative_polar,
     smoothed_states,
+    wrap_angle,
 )
 
 from conftest import make_traj, straight_traj
@@ -225,6 +234,54 @@ def test_boundary_sample_splits_evenly_with_even_grid():
     assert hist[2 * 4 + 0] > 0.3
 
 
+def _window_histogram_reference(rho, theta, grid, cfg):
+    """The histogram arithmetic of one window at once: a (frames, n, n)
+    weight block normalised per frame, bincounted in frame order."""
+    t = len(rho)
+    if cfg.assignment == "hard":
+        return np.bincount(grid.cell_of(rho, theta), minlength=grid.cell_count) / t
+    n = cfg.grid_samples_per_axis
+    unit = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
+    r_off, t_off = unit * (cfg.k_s * cfg.sigma_rho), unit * (cfg.k_s * cfg.sigma_theta)
+    if cfg.variance_denominator:
+        dr, dt = 2.0 * cfg.sigma_rho**2, 2.0 * cfg.sigma_theta**2
+    else:
+        dr, dt = 2.0 * cfg.sigma_rho, 2.0 * cfg.sigma_theta
+    w_r = np.exp(-(r_off**2) / dr)
+    w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
+    r_pts = rho[:, None] + r_off[None, :]
+    t_pts = wrap_angle(theta[:, None] + t_off[None, :])
+    w = (w_r[None, :] * (r_pts >= 0.0))[:, :, None] * w_t[None, None, :]
+    w /= w.sum(axis=(1, 2), keepdims=True)
+    cells = grid.band_of(r_pts)[:, :, None] * grid.angular_sector_count
+    cells = cells + grid.sector_of(t_pts)[:, None, :]
+    return np.bincount(cells.ravel(), weights=w.ravel(), minlength=grid.cell_count) / t
+
+
+def test_histogram_codes_match_whole_window_arithmetic():
+    # per-frame kernel codes and a weight table per kept-offset count give
+    # the bits of the direct computation, including frames near rho = 0
+    # whose inner radial offsets fall below zero
+    rng = np.random.default_rng(41)
+    configs = [
+        PidConfig(t1=16), PidConfig(t1=64), PidConfig(t1=16, assignment="hard"),
+        PidConfig(t1=64, grid_samples_per_axis=1),
+        PidConfig(t1=16, grid_samples_per_axis=4, sigma_rho=0.6, variance_denominator=True),
+        PidConfig(t1=32, grid_samples_per_axis=10, k_s=2.0),
+        PidConfig(t1=16, grid=PolarGrid((1.0, 2.0), 6)),
+    ]
+    for cfg in configs:
+        for trial in range(30):
+            rho = np.where(rng.random(cfg.t1) < 0.3, rng.uniform(0.0, 0.8, cfg.t1),
+                           rng.uniform(0.0, 6.0, cfg.t1))
+            rho[rng.random(cfg.t1) < 0.05] = 0.0
+            theta = rng.uniform(-math.pi, math.pi, cfg.t1)
+            samples = [RelativePolar(float(r), float(t)) for r, t in zip(rho, theta)]
+            got = accumulate_histogram(samples, cfg.grid, cfg)
+            want = _window_histogram_reference(rho, theta, cfg.grid, cfg)
+            assert np.array_equal(got, want), (cfg, trial)
+
+
 # ------------------------------------------------------------ speed pyramid
 
 def test_pyramid_constant_and_split():
@@ -356,7 +413,9 @@ def test_compute_pid_error_paths():
 
 
 def _heading_rng(seed, anchor_id, target_id, frame):
-    # the slow-anchor heading key: (seed, crc32 of both ids, frame)
+    # the slow-anchor heading key: (seed, crc32 of both ids, frame); one
+    # numpy stream per pair-frame, the reference that heading_draws
+    # reproduces in bulk
     ss = np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(anchor_id.encode("utf-8")),
                                  zlib.crc32(target_id.encode("utf-8")), frame & 0xFFFFFFFF])
     return np.random.default_rng(ss)
@@ -440,6 +499,78 @@ def test_series_windows_match_per_frame_reference():
     for msg in ("track a: no state at frame -1", "track b: no state at frame 60",
                 "track c: no state at frame 100", "track b: no state at frame 120"):
         assert msg in errors
+
+
+def test_heading_draws_equal_numpy_streams():
+    rng = np.random.default_rng(23)
+    ids = ["a", "b", "track-17", "\u00e9", "\u2603 snow", "", "0"]
+    cases = []
+    for trial in range(40):
+        anchor, target = (ids[k] for k in rng.integers(len(ids), size=2))
+        cases.append((int(rng.integers(-2**40, 2**40)), anchor, target,
+                      rng.integers(-2**40, 2**40, size=int(rng.integers(1, 40)))))
+    edges = np.array([0, 1, -1, -5, 2**32 - 1, 2**32, 2**32 + 5, -2**32, 2**63 - 1, -2**63])
+    for seed in (0, -5, 2**32, 2**64 + 3):
+        cases.append((seed, "\u00e9", "a", edges))
+    for seed, anchor, target, frames in cases:
+        want = [_heading_rng(seed, anchor, target, int(f)).random() for f in frames]
+        assert np.array_equal(heading_draws(seed, anchor, target, frames), want)
+    empty = heading_draws(1, "a", "b", np.array([], dtype=np.int64))
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+def _recordings_of_acceptance_corpora():
+    # the generators and parameters of the pairwise, collective and
+    # alignment-contrast benchmarks, one scene per class
+    bench = SynthParams(seed=7, noise_sigma=0.02)
+    return (make_pair_corpus(bench, 1) + make_collective_corpus(bench, 1)
+            + make_contrast_corpus(bench, 1))
+
+
+def test_pair_vectors_match_per_window_descriptors():
+    rng = np.random.default_rng(5)
+    configs = [
+        PidConfig(t1=16), PidConfig(t1=64), PidConfig(t1=16, assignment="hard"),
+        PidConfig(t1=64, grid_samples_per_axis=1),
+        PidConfig(t1=16, grid_samples_per_axis=4, sigma_rho=0.6, variance_denominator=True),
+    ]
+    seed, checked = 7, 0
+    for rec in _recordings_of_acceptance_corpora():
+        tracks = {t.track_id: t for t in rec.trajectories}
+        states = {tid: smoothed_states(t, SMOOTH) for tid, t in tracks.items()}
+        lo, hi = rec.frame_range
+        for k, cfg in enumerate(configs):
+            back, fwd = cfg.window_halves
+            keys = [(a, t, c) for a in sorted(tracks) for t in sorted(tracks) if a != t
+                    for c in range(lo + back, hi - fwd + 1, 7)
+                    if _covers(states[a], c, back, fwd) and _covers(states[t], c, back, fwd)]
+            keys = [keys[i] for i in rng.permutation(len(keys))]
+            # some series start half filled under the previous config, some
+            # with this config's windows already sliced out
+            cache = {}
+            other = configs[k - 1]
+            for aid, tid, center in keys[::4]:
+                series = cache.setdefault((aid, tid), PairSeries())
+                series.fill(states[aid], states[tid], aid, tid, [center], other, seed)
+            for aid, tid, center in keys[1::5]:
+                series = cache.setdefault((aid, tid), PairSeries())
+                _pid_from_states(states[aid], states[tid], aid, tid, center, cfg, rec.fps,
+                                 seed, series)
+            got = pair_vectors(states, keys, cfg, rec.fps, seed, cache)
+            for (aid, tid, center), vec in zip(keys, got):
+                want = _pid_from_states(states[aid], states[tid], aid, tid, center, cfg,
+                                        rec.fps, seed).vector()
+                assert np.array_equal(vec, want), (rec.sequence_id, aid, tid, center, cfg)
+            for aid, tid, center in keys[::23]:
+                want = compute_pid(tracks[aid], tracks[tid], center, cfg, SMOOTH, seed)
+                assert np.array_equal(cache[aid, tid].vectors[center], want.vector())
+            checked += len(keys)
+    assert checked > 5000
+
+
+def _covers(states, center, back, fwd):
+    rows = states.rows(np.arange(center - back, center + fwd + 1))
+    return bool((rows >= 0).all())
 
 
 # ----------------------------------------------------------- classification

@@ -7,12 +7,16 @@ run the same command set, each in its own scratch directory: a synthetic
 corpus, the interaction and collective models (with and without the
 shape cue, and the stage-one sidecar), pid and cbd extracts, predictions,
 evaluations and cross-corpus reports.  A second, longer synthetic corpus
-loses track samples (see ``punch_gaps``), which gives tracks with gaps
-and groups with uneven member spans; a collective model, pid and cbd
-extracts, predictions and a collective evaluation run on it too.  Every
-output file and every command's standard output are then compared byte
-for byte.  Exit status: 0 when everything matches, 1 on any difference,
-2 when a command fails in either tree.
+gets pid extracts under other descriptor settings (hard assignment,
+kernel grids of 1 and 4 samples with a wider radial kernel and the
+variance denominator, and a speed threshold that leaves most headings
+random); a copy of it then loses track samples (see ``punch_gaps``),
+which gives tracks with gaps and groups with uneven member spans; a
+collective model, pid and cbd extracts, predictions and a collective
+evaluation run on it too.  Every output file and every command's
+standard output are then compared byte for byte.  Exit status: 0 when
+everything matches, 1 on any difference, 2 when a command fails in
+either tree.
 """
 
 from __future__ import annotations
@@ -52,6 +56,16 @@ COMMANDS = (
     ["cross", "corpus", "corpus", "--out-dir", "cross/noshape"] + NO_SHAPE + SEED,
     ["synth", "--set", "all", "--scenes-per-class", "2", "--duration-frames", "160",
      "--out", "long"] + SEED,
+    ["extract", "long", "--kind", "pid", "--assignment", "hard",
+     "--out", "extract/long-pid-hard.csv"] + SEED,
+    ["extract", "long", "--kind", "pid", "--grid-samples", "1",
+     "--out", "extract/long-pid-grid1.csv"] + SEED,
+    ["extract", "long", "--kind", "pid", "--grid-samples", "4", "--sigma-rho", "0.6",
+     "--variance-denominator", "--out", "extract/long-pid-grid4.csv"] + SEED,
+    # most track-frames (62 %, against 46 % at the default) fall below this
+    # threshold, so most headings are random draws
+    ["extract", "long", "--kind", "pid", "--speed-threshold", "0.8",
+     "--out", "extract/long-pid-slow.csv"] + SEED,
 )
 # run once punch_gaps has derived "gapped" from "long"
 GAPPED_COMMANDS = (
