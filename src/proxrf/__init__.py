@@ -100,16 +100,12 @@ from .synth import (
     make_pair_corpus,
 )
 from .trajectory import (
-    KinematicState,
     RelativePolar,
     SmoothingConfig,
     TimedPosition,
     TrackStates,
     Trajectory,
-    derivative,
     kinematics,
-    relative_distance_series,
-    relative_polar,
     smooth,
     smoothed_states,
     wrap_angle,

@@ -31,7 +31,7 @@ from .errors import (
     ReferentialError,
 )
 from .pid import InteractionLabel
-from .trajectory import DEFAULT_MAX_GAP, TimedPosition, Trajectory
+from .trajectory import DEFAULT_MAX_GAP, Trajectory
 
 LAYOUTS = ("ncad-like", "behave-like", "canonical")
 FOOT_POINTS = ("bottom-center", "box-center", "point")
@@ -254,46 +254,66 @@ def _parse_fps(source, name: str) -> tuple:
 
 def _parse_trajectories(source, name: str) -> tuple:
     fps, data = _parse_fps(source, name)
-    rows = []
-    for lineno, line in data:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise ParseError(f"{name}:{lineno}: expected `frame,track_id,x,y`")
-        try:
-            frame = _frame(parts[0])
-            x, y = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise ParseError(f"{name}:{lineno}: bad number in {line!r}") from None
-        if not parts[1]:
-            raise ParseError(f"{name}:{lineno}: empty track id")
-        rows.append((lineno, parts[1], frame, x, y))
-    return fps, _build_tracks(rows, fps, name)
+    if not data:
+        return fps, []
+    linenos, lines = zip(*data)
+    try:
+        rows = [line.split(",") for line in lines]
+        if any(len(r) != 4 for r in rows):
+            raise ValueError
+        frame_col, id_col, x_col, y_col = zip(*rows)
+        frames = list(map(int, frame_col))
+        if max(frames) > _MAX_FRAME or min(frames) < -_MAX_FRAME:
+            raise ValueError
+        x, y = list(map(float, x_col)), list(map(float, y_col))
+        ids = list(map(str.strip, id_col))
+        if not all(ids):
+            raise ValueError
+    except ValueError:
+        # line by line, which raises the first bad line's ParseError
+        ids, frames, x, y = zip(*(_trj_row(line, name, lineno) for lineno, line in data))
+    return fps, _build_tracks(linenos, ids, frames, np.column_stack([x, y]), fps, name)
 
 
-def _build_tracks(rows: list, fps: float, name: str, to_ground=None) -> list:
-    """Trajectories from (line number, track id, frame, x, y) rows.
+def _trj_row(line: str, name: str, lineno: int) -> tuple:
+    """(track id, frame, x, y) of one `.trj` data line."""
+    parts = [p.strip() for p in line.split(",")]
+    if len(parts) != 4:
+        raise ParseError(f"{name}:{lineno}: expected `frame,track_id,x,y`")
+    try:
+        frame = _frame(parts[0])
+        x, y = float(parts[2]), float(parts[3])
+    except ValueError:
+        raise ParseError(f"{name}:{lineno}: bad number in {line!r}") from None
+    if not parts[1]:
+        raise ParseError(f"{name}:{lineno}: empty track id")
+    return parts[1], frame, x, y
+
+
+def _build_tracks(linenos, ids, frames, xy, fps: float, name: str, to_ground=None) -> list:
+    """Trajectories from the columns of data rows: line numbers, track
+    ids, frames and (n, 2) coordinates.
 
     Rows are grouped by track in order of first appearance and sorted by
     frame.  ``to_ground`` maps a track's (n, 2) coordinates first.  A
     duplicate frame, or a track that Trajectory refuses (such as one
     with a non-finite position), raises ParseError.
     """
-    per_track = {}
-    for row in rows:
-        per_track.setdefault(row[1], []).append(row)
+    index = {}
+    codes = np.array([index.setdefault(tid, len(index)) for tid in ids])
+    frames = np.array(frames, dtype=np.int64)
+    order = np.lexsort((frames, codes))  # stable: equal frames keep file order
+    linenos, frames, xy = np.asarray(linenos)[order], frames[order], xy[order]
+    bounds = np.searchsorted(codes[order], np.arange(len(index) + 1))
     trajectories = []
-    for tid, track in per_track.items():
-        track.sort(key=lambda r: r[2])
-        for prev, (ln, _, f, _, _) in zip(track, track[1:]):
-            if f == prev[2]:
-                raise ParseError(f"{name}:{ln}: duplicate frame {f} for track {tid!r}")
-        xy = [(x, y) for *_, x, y in track]
-        if to_ground is not None:
-            xy = to_ground(np.array(xy)).tolist()
+    for tid, lo, hi in zip(index, bounds[:-1].tolist(), bounds[1:].tolist()):
+        dup = np.flatnonzero(np.diff(frames[lo:hi]) == 0)
+        if len(dup):
+            at = lo + dup[0] + 1
+            raise ParseError(f"{name}:{linenos[at]}: duplicate frame {frames[at]} for track {tid!r}")
+        pos = xy[lo:hi] if to_ground is None else to_ground(xy[lo:hi])
         try:
-            trajectories.append(Trajectory(
-                tid, (TimedPosition(r[2], x, y) for r, (x, y) in zip(track, xy)), fps
-            ))
+            trajectories.append(Trajectory.from_arrays(tid, frames[lo:hi], pos, fps))
         except ValueError as e:
             raise ParseError(f"{name}: track {tid!r}: {e}") from None
     return trajectories
@@ -387,8 +407,8 @@ def write_scene(rec: SceneRecording, directory: str) -> str:
     lines = [f"# fps={_fmt(rec.fps)}"]
     for t in rec.trajectories:
         _check_id(t.track_id)
-        for s in t.samples:
-            lines.append(f"{s.frame},{t.track_id},{_fmt(s.x)},{_fmt(s.y)}")
+        tid = t.track_id
+        lines += [f"{f},{tid},{x!r},{y!r}" for f, (x, y) in zip(t.frames.tolist(), t.xy.tolist())]
     atomic_write(base + ".trj", "\n".join(lines) + "\n")
     if rec.pair_annotations:
         lines = [
@@ -468,7 +488,7 @@ def _parse_external_tracks(path: str, h_mat: np.ndarray, foot_point: str) -> tup
     `frame,track_id,x1,y1,x2,y2` for boxes, reduced per ``foot_point``.
     """
     fps, data = _parse_fps(path, path)
-    rows = []
+    linenos, ids, frames, uv = [], [], [], []
     for lineno, line in data:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) not in (4, 6):
@@ -488,11 +508,15 @@ def _parse_external_tracks(path: str, h_mat: np.ndarray, foot_point: str) -> tup
             u, v = (nums[0] + nums[2]) / 2.0, max(nums[1], nums[3])
         else:  # box-center
             u, v = (nums[0] + nums[2]) / 2.0, (nums[1] + nums[3]) / 2.0
-        rows.append((lineno, parts[1], frame, u, v))
+        linenos.append(lineno)
+        ids.append(parts[1])
+        frames.append(frame)
+        uv.append((u, v))
     # a point on the homography's horizon maps to inf or nan, which
     # _build_tracks reports as ParseError; numpy's warning would only repeat it
     with np.errstate(divide="ignore", invalid="ignore"):
-        return fps, _build_tracks(rows, fps, path, lambda uv: apply_homography(h_mat, uv))
+        return fps, _build_tracks(linenos, ids, frames, np.array(uv).reshape(-1, 2), fps, path,
+                                  lambda pts: apply_homography(h_mat, pts))
 
 
 def adapt_external(root: str, layout: str, foot_point: str = "bottom-center") -> list:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from functools import partial
 from typing import Optional, Sequence
@@ -294,6 +293,9 @@ def train(
 
     grow = partial(_grow_tree, x_mat, y, cfg, m_feats, class_count)
     if threads > 1:
+        # imported here: concurrent.futures costs every CLI start ~15 ms
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             trees = list(pool.map(grow, range(cfg.n_trees)))
     else:

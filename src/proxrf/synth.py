@@ -20,7 +20,7 @@ from .cbd import CollectiveLabel
 from .dataset import CollectiveAnnotation, PairAnnotation, SceneRecording
 from .errors import InvalidParams
 from .pid import InteractionLabel
-from .trajectory import TimedPosition, Trajectory
+from .trajectory import Trajectory
 
 FOLLOW_GAP = 1.5
 WALK_ABREAST = 0.8
@@ -79,13 +79,7 @@ def _to_scene(sequence_id, p, positions, pair_annotations=(), collective_annotat
         pos = np.asarray(positions[tid], dtype=float)
         if rng is not None and p.noise_sigma > 0:
             pos = pos + rng.normal(0.0, p.noise_sigma, size=pos.shape)
-        trajectories.append(
-            Trajectory(
-                tid,
-                (TimedPosition(f, float(x), float(y)) for f, (x, y) in enumerate(pos)),
-                p.fps,
-            )
-        )
+        trajectories.append(Trajectory.from_arrays(tid, np.arange(len(pos)), pos, p.fps))
     return SceneRecording(sequence_id, p.fps, trajectories, pair_annotations, collective_annotations)
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import FrameMismatch, InsufficientData, InvalidFeature, MissingFrames
+from .errors import InsufficientData, InvalidFeature, MissingFrames
 
 DEFAULT_MAX_GAP = 5
 
@@ -65,21 +65,6 @@ class SmoothingConfig:
             raise ValueError(f"t_s must be finite and >= 0, got {self.t_s}")
 
 
-@dataclass(frozen=True)
-class KinematicState:
-    """Smoothed position, velocity, speed and heading at one frame.
-
-    ``orientation`` is None exactly when ``speed`` is below the smoothing
-    config's slow threshold.
-    """
-
-    frame: int
-    position: tuple
-    velocity: tuple
-    speed: float
-    orientation: Optional[float]
-
-
 @dataclass(frozen=True, eq=False)
 class TrackStates:
     """Smoothed kinematics of one track, one row per frame with a state.
@@ -126,25 +111,48 @@ class RelativePolar:
 
 
 class Trajectory:
-    """Ordered ground-plane samples of one track id at a fixed frame rate."""
+    """Ground-plane positions of one track id at a fixed frame rate.
 
-    __slots__ = ("track_id", "samples", "fps", "_frames", "_xy")
+    A track is two read-only arrays: int64 ``frames``, strictly increasing,
+    and float ``xy`` of shape (n, 2), finite.  ``Trajectory(track_id,
+    samples, fps)`` builds one from TimedPosition samples and
+    ``Trajectory.from_arrays`` from the arrays themselves; ``samples``
+    gives the TimedPosition view back.
+    """
+
+    __slots__ = ("track_id", "fps", "_frames", "_xy")
 
     def __init__(self, track_id, samples: Iterable[TimedPosition], fps: float):
         samples = tuple(samples)
+        self._set(track_id, [s.frame for s in samples], [(s.x, s.y) for s in samples], fps)
+
+    @classmethod
+    def from_arrays(cls, track_id, frames, xy, fps: float) -> "Trajectory":
+        """Track from its frames (n,) and positions (n, 2), both copied."""
+        traj = cls.__new__(cls)
+        traj._set(track_id, frames, xy, fps)
+        return traj
+
+    def _set(self, track_id, frames, xy, fps):
         if fps <= 0.0:
             raise ValueError(f"fps must be > 0, got {fps}")
-        frames = np.array([s.frame for s in samples], dtype=np.int64)
-        if len(frames) > 1 and np.any(np.diff(frames) <= 0):
+        frames = np.array(frames, dtype=np.int64)
+        xy = np.array(xy, dtype=float).reshape(len(frames), 2)
+        if (frames[1:] <= frames[:-1]).any():
             raise ValueError(f"track {track_id}: frames must strictly increase")
+        finite = np.isfinite(xy)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=1))[0]
+            raise ValueError(f"non-finite position at frame {frames[bad]}")
+        frames.flags.writeable = False
+        xy.flags.writeable = False
         self.track_id = str(track_id)
-        self.samples = samples
         self.fps = float(fps)
         self._frames = frames
-        self._xy = np.array([[s.x, s.y] for s in samples], dtype=float).reshape(len(samples), 2)
+        self._xy = xy
 
     def __len__(self):
-        return len(self.samples)
+        return len(self._frames)
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):
@@ -152,7 +160,8 @@ class Trajectory:
         return (
             self.track_id == other.track_id
             and self.fps == other.fps
-            and self.samples == other.samples
+            and np.array_equal(self._frames, other._frames)
+            and np.array_equal(self._xy, other._xy)
         )
 
     def __repr__(self):
@@ -174,6 +183,11 @@ class Trajectory:
     @property
     def xy(self):
         return self._xy.copy()
+
+    @property
+    def samples(self) -> tuple:
+        """The track as TimedPosition samples, built on each call."""
+        return tuple(map(TimedPosition, self._frames.tolist(), *self._xy.T.tolist()))
 
     def pieces(self, max_gap: int = DEFAULT_MAX_GAP) -> list:
         """(first, last) frame of each stretch of the track whose interior
@@ -213,14 +227,13 @@ class Trajectory:
         return np.column_stack([x, y])
 
     def filled(self, max_gap: int = DEFAULT_MAX_GAP) -> "Trajectory":
-        """Copy with every interior gap of at most ``max_gap`` interpolated."""
+        """Track with every interior gap of at most ``max_gap`` interpolated
+        (the track itself when it has no gap)."""
+        if self.last_frame - self.first_frame + 1 == len(self):
+            return self
         pos = self.positions(self.first_frame, self.last_frame, max_gap=max_gap)
-        frames = range(self.first_frame, self.last_frame + 1)
-        return Trajectory(
-            self.track_id,
-            (TimedPosition(f, float(p[0]), float(p[1])) for f, p in zip(frames, pos)),
-            self.fps,
-        )
+        frames = np.arange(self.first_frame, self.last_frame + 1)
+        return Trajectory.from_arrays(self.track_id, frames, pos, self.fps)
 
 
 def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
@@ -235,23 +248,27 @@ def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
     """
     if len(traj) < 2:
         raise InsufficientData(f"track {traj.track_id}: need >= 2 samples to smooth")
-    a = cfg.alpha
+    xy = np.column_stack([_brown(traj._xy[:, 0].tolist(), cfg.alpha),
+                          _brown(traj._xy[:, 1].tolist(), cfg.alpha)])
+    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+    if len(bad):  # finite input, overflowing arithmetic
+        raise InvalidFeature(
+            f"track {traj.track_id}: smoothed position overflows at frame {traj._frames[bad[0]]}"
+        )
+    return Trajectory.from_arrays(traj.track_id, traj._frames, xy, traj.fps)
+
+
+def _brown(values: list, a: float) -> list:
+    """Brown's double exponential smoothing of one coordinate, in floats."""
     b = 1.0 - a
-    s1x, s1y = traj.samples[0].x, traj.samples[0].y
-    s2x, s2y = a * s1x + b * s1x, a * s1y + b * s1y  # s1[0]
+    s1 = values[0]
+    s2 = a * s1 + b * s1  # s1[0]
     out = []
-    for s in traj.samples:
-        s1x = a * s.x + b * s1x
-        s1y = a * s.y + b * s1y
-        s2x = a * s1x + b * s2x
-        s2y = a * s1y + b * s2y
-        try:
-            out.append(TimedPosition(s.frame, 2.0 * s1x - s2x, 2.0 * s1y - s2y))
-        except ValueError:  # finite input, overflowing arithmetic
-            raise InvalidFeature(
-                f"track {traj.track_id}: smoothed position overflows at frame {s.frame}"
-            ) from None
-    return Trajectory(traj.track_id, out, traj.fps)
+    for v in values:
+        s1 = a * v + b * s1
+        s2 = a * s1 + b * s2
+        out.append(2.0 * s1 - s2)
+    return out
 
 
 def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> TrackStates:
@@ -299,57 +316,11 @@ def smoothed_states(
                          np.empty(0), np.empty(0))]
     for lo, hi in zip([0] + cuts, cuts + [len(traj)]):
         if hi - lo >= 2:
-            seg = Trajectory(traj.track_id, traj.samples[lo:hi], traj.fps).filled(max_gap=max_gap)
-            parts.append(kinematics(smooth(seg, cfg), cfg))
+            seg = traj if hi - lo == len(traj) else Trajectory.from_arrays(
+                traj.track_id, traj._frames[lo:hi], traj._xy[lo:hi], traj.fps)
+            parts.append(kinematics(smooth(seg.filled(max_gap=max_gap), cfg), cfg))
     return TrackStates(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(TrackStates)))
-
-
-def relative_polar(
-    anchor: KinematicState, target: KinematicState, rng: np.random.Generator
-) -> RelativePolar:
-    """Target position in the anchor's body frame.
-
-    When the anchor's orientation is unavailable (slow anchor) the angle
-    is drawn uniformly from (-pi, pi] using ``rng``, so the distance is
-    the only informative coordinate; rho is always the true distance.
-    """
-    if anchor.frame != target.frame:
-        raise FrameMismatch(f"anchor frame {anchor.frame} != target frame {target.frame}")
-    dx = target.position[0] - anchor.position[0]
-    dy = target.position[1] - anchor.position[1]
-    rho = math.hypot(dx, dy)
-    if anchor.orientation is None:
-        theta = math.pi - TWO_PI * float(rng.random())
-    else:
-        theta = wrap_angle(math.atan2(dy, dx) - anchor.orientation)
-    return RelativePolar(rho=rho, theta=theta)
-
-
-def relative_distance_series(
-    anchor: Trajectory, target: Trajectory, window: tuple, max_gap: int = DEFAULT_MAX_GAP
-) -> list:
-    """Per-frame Euclidean distance between two tracks over [start, end]."""
-    start, end = window
-    pa = anchor.positions(start, end, max_gap=max_gap)
-    pb = target.positions(start, end, max_gap=max_gap)
-    d = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
-    return [(int(f), float(v)) for f, v in zip(range(start, end + 1), d)]
-
-
-def derivative(series: Sequence, fps: float) -> list:
-    """Finite-difference derivative of a uniformly sampled (frame, value)
-    series, in value units per second.  Central differences inside,
-    one-sided at both ends."""
-    if len(series) < 2:
-        raise InsufficientData("derivative needs >= 2 points")
-    frames = np.array([p[0] for p in series], dtype=np.int64)
-    values = np.array([p[1] for p in series], dtype=float)
-    steps = np.diff(frames)
-    if np.any(steps != steps[0]):
-        raise ValueError("derivative requires uniform frame spacing")
-    dv = finite_difference(values, steps[0] / fps)
-    return [(int(f), float(v)) for f, v in zip(frames, dv)]
 
 
 def finite_difference(values: np.ndarray, h: float) -> np.ndarray:

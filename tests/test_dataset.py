@@ -32,6 +32,7 @@ from proxrf.errors import (
     ReferentialError,
 )
 from proxrf.pid import InteractionLabel
+from proxrf.trajectory import TimedPosition, Trajectory
 
 from conftest import make_traj, straight_traj
 
@@ -178,6 +179,32 @@ def test_parse_errors():
         parse_canonical(good, collective_stream=["0,1,Skirmish"])
     with pytest.raises(ParseError):
         parse_canonical(good, collective_stream=["x,1,Talking"])
+
+
+def test_trj_parse_error_texts():
+    # the first bad line wins, whatever fault a later line has; tracks are
+    # checked in order of first appearance, duplicates before positions
+    cases = [
+        (["0,a,1,2", "1,a,x,2", "2,a,1"], "<trj>:3: bad number in '1,a,x,2'"),
+        (["0,a,1,2", "1,a,1", "2,a,x,2"], "<trj>:3: expected `frame,track_id,x,y`"),
+        (["0, ,1,2"], "<trj>:2: empty track id"),
+        (["0,a,1,2", "9007199254740993,a,1,2"], "<trj>:3: bad number in '9007199254740993,a,1,2'"),
+        (["0,b,0,0", "1,a,0,0", "3,a,0,0", "1,a,5,5", "1,b,0,0"],
+         "<trj>:5: duplicate frame 1 for track 'a'"),
+        (["0,a,inf,0", "1,a,0,0", "0,b,0,0", "0,b,1,1"],
+         "<trj>: track 'a': non-finite position at frame 0"),
+        (["0,a,nan,0", "0,a,1,1"], "<trj>:3: duplicate frame 0 for track 'a'"),
+    ]
+    for rows, message in cases:
+        with pytest.raises(ParseError) as info:
+            parse_canonical(["# fps=10"] + rows)
+        assert str(info.value) == message
+    # str.strip() removes \x1c..\x1f, which int() and float() refuse
+    rec = parse_canonical(["# fps=10", "0\x1c,a,1.0\x1c,2.0", "1,a,2,3"])
+    assert rec.trajectories[0].samples == (TimedPosition(0, 1.0, 2.0), TimedPosition(1, 2.0, 3.0))
+    rec = parse_canonical(["# fps=10", "2, a ,2,0", "0,a,0,0", "1,a,1e0,-0.0"])
+    assert rec.trajectories[0] == Trajectory.from_arrays(
+        "a", [0, 1, 2], [[0.0, 0.0], [1.0, -0.0], [2.0, 0.0]], 10.0)
 
 
 # --------------------------------------------------------------- fold splits

@@ -38,9 +38,10 @@ from proxrf.evaluate import (
 from proxrf.forest import ForestConfig
 from proxrf.pid import InteractionLabel
 from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
-from proxrf.trajectory import Trajectory, derivative, smoothed_states
+from proxrf.trajectory import Trajectory, smoothed_states
 
 from conftest import straight_traj
+from per_sample import derivative
 
 C = CollectiveLabel
 

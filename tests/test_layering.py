@@ -40,3 +40,13 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # forest.train imports its thread pool only when asked for threads > 1;
+    # concurrent.futures (with logging and queue) costs each CLI start ~15 ms
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, proxrf.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

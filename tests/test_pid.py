@@ -35,16 +35,14 @@ from proxrf.synth import (
     make_pair_corpus,
 )
 from proxrf.trajectory import (
-    KinematicState,
     RelativePolar,
     SmoothingConfig,
-    derivative,
-    relative_polar,
     smoothed_states,
     wrap_angle,
 )
 
 from conftest import make_traj, straight_traj
+from per_sample import KinematicState, derivative, relative_polar
 
 CFG = PidConfig()
 

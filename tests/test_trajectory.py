@@ -1,9 +1,12 @@
 """Trajectory container, smoothing, kinematics and relative geometry."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
@@ -15,21 +18,25 @@ from proxrf.errors import (
     ProxrfError,
 )
 from proxrf.trajectory import (
-    KinematicState,
     RelativePolar,
     SmoothingConfig,
     TimedPosition,
+    TrackStates,
     Trajectory,
-    derivative,
     kinematics,
-    relative_distance_series,
-    relative_polar,
     smooth,
     smoothed_states,
     wrap_angle,
 )
 
 from conftest import make_traj, straight_traj
+from per_sample import (
+    KinematicState,
+    derivative,
+    reference_states,
+    relative_distance_series,
+    relative_polar,
+)
 
 
 # ---------------------------------------------------------------- validation
@@ -426,3 +433,71 @@ def test_smoothed_states_fills_interior_gap():
     states = smoothed_states(make_traj("fill", xy, frames=frames),
                              SmoothingConfig(), max_gap=5)
     assert states.frames.tolist() == list(range(9))
+
+
+# ------------------------------------------- arrays against the per-sample form
+
+@st.composite
+def _gapped_tracks(draw):
+    """(trajectory, max_gap): frame steps of 1, within max_gap and beyond
+    it (so single-frame spans occur), with ordinary or huge coordinates."""
+    max_gap = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    steps = draw(st.lists(st.one_of(st.just(1), st.integers(2, max_gap + 1),
+                                    st.integers(max_gap + 2, max_gap + 30)),
+                          min_size=n - 1, max_size=n - 1))
+    frames = np.cumsum([draw(st.integers(-2**40, 2**40))] + steps)
+    if draw(st.booleans()):
+        coord = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    else:  # overflows in smoothing or in the velocity
+        coord = st.sampled_from([3e307, -3e307, 1e308, -1e308, 0.0])
+    xy = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    return make_traj(draw(st.sampled_from(["a", "walker-7"])), xy, frames=frames.tolist(),
+                     fps=draw(st.sampled_from([10.0, 25.0]))), max_gap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gapped_tracks(), st.floats(0.05, 0.95), st.floats(0.0, 2.0))
+@example((make_traj("walker-8", [(3e307 * (-1) ** i, 0.0) for i in range(8)]), 5), 0.5, 0.25)
+@example((make_traj("one", [(0.0, 0.0)] * 4, frames=[0, 1, 9, 20]), 5), 0.5, 0.25)
+def test_smoothed_states_equal_per_sample_reference(track, alpha, t_s):
+    traj, max_gap = track
+    assert Trajectory(traj.track_id, traj.samples, traj.fps) == traj
+    cfg = SmoothingConfig(alpha=alpha, t_s=t_s)
+    try:
+        want = reference_states(traj, cfg, max_gap=max_gap)
+    # smoothing or the velocity overflows (InvalidFeature), or filling a gap
+    # between huge coordinates does (ValueError)
+    except (InvalidFeature, ValueError) as e:
+        with pytest.raises(type(e)) as info:
+            smoothed_states(traj, cfg, max_gap=max_gap)
+        assert type(info.value) is type(e) and str(info.value) == str(e)
+        return
+    got = smoothed_states(traj, cfg, max_gap=max_gap)
+    for f in fields(TrackStates):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a.dtype == b.dtype, f.name
+        assert np.array_equal(a, b, equal_nan=True), f.name
+
+
+def test_array_constructor_validates_like_samples():
+    traj = Trajectory.from_arrays(7, [3, 4, 9], [[0.0, 1.0], [2.0, 3.0], [-0.0, 5.0]], 25)
+    assert traj.track_id == "7" and traj.fps == 25.0
+    assert traj.frames.dtype == np.int64 and traj.xy.shape == (3, 2)
+    assert traj.samples == (TimedPosition(3, 0.0, 1.0), TimedPosition(4, 2.0, 3.0),
+                            TimedPosition(9, -0.0, 5.0))
+    assert Trajectory("7", traj.samples, 25.0) == traj
+    with pytest.raises(ValueError, match="fps must be > 0"):
+        Trajectory.from_arrays("a", [0, 1], [[0.0, 0.0]] * 2, 0.0)
+    with pytest.raises(ValueError, match="track a: frames must strictly increase"):
+        Trajectory.from_arrays("a", [0, 0], [[0.0, 0.0]] * 2, 10.0)
+    with pytest.raises(ValueError, match="^non-finite position at frame 4$"):
+        Trajectory.from_arrays("a", [2, 4, 5], [[0.0, 0.0], [1.0, math.nan], [math.inf, 0.0]],
+                               10.0)
+    # the track keeps its own read-only copies
+    frames, xy = np.arange(3), np.zeros((3, 2))
+    traj = Trajectory.from_arrays("c", frames, xy, 10.0)
+    frames[0], xy[0, 0] = -5, 1.0
+    assert traj.first_frame == 0 and traj.xy[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        traj._xy[0, 0] = 1.0

@@ -13,8 +13,12 @@ variance denominator, and a speed threshold that leaves most headings
 random); a copy of it then loses track samples (see ``punch_gaps``),
 which gives tracks with gaps and groups with uneven member spans; a
 collective model, pid and cbd extracts, predictions and a collective
-evaluation run on it too.  Every output file and every command's
-standard output are then compared byte for byte.  Exit status: 0 when
+evaluation run on it too.  The gapped corpus is then rewritten as an
+``ncad-like`` external tree (see ``to_ncad``: shuffled image-coordinate
+rows and a perspective homography), which ``adapt`` turns back into a
+canonical corpus that gets a pid extract, so the external-track parser
+is covered as well.  Every output file and every command's standard
+output are then compared byte for byte.  Exit status: 0 when
 everything matches, 1 on any difference, 2 when a command fails in
 either tree.
 """
@@ -22,6 +26,7 @@ either tree.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -78,6 +83,14 @@ GAPPED_COMMANDS = (
     ["eval", "gapped", "--task", "collective", "--folds", "3",
      "--out-dir", "eval/gapped"] + SEED,
 )
+# run once to_ncad has derived "ncad" from "gapped"
+ADAPT_COMMANDS = (
+    ["adapt", "ncad", "--layout", "ncad-like", "--out", "adapted"],
+    ["extract", "adapted", "--kind", "pid", "--out", "extract/adapted-pid.csv"] + SEED,
+)
+ALL_COMMANDS = COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
+# image-to-ground map with a perspective row, so every coordinate changes
+HOMOGRAPHY = "0.9 -0.1 2.0\n0.05 1.1 -1.0\n0.001 0.002 1.0\n"
 RUN_CLI = "import sys; from proxrf.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -123,13 +136,41 @@ def punch_gaps(corpus: str, out: str) -> None:
             fh.writelines(lines)
 
 
+def to_ncad(corpus: str, out: str) -> None:
+    """``ncad-like`` tree of ``corpus``: one directory per scene holding
+    ``tracks.txt`` (the .trj header, then its data rows in a shuffled
+    order fixed by the scene name), ``H.hom`` (HOMOGRAPHY), and the .pia
+    and .cba files as ``pairs.txt`` and ``groups.txt``.  The rows' x, y
+    are read as image points; adapt maps them through the homography.
+    """
+    os.mkdir(out)
+    for name in sorted(os.listdir(corpus)):
+        stem, ext = os.path.splitext(name)
+        scene = os.path.join(out, stem)
+        os.makedirs(scene, exist_ok=True)
+        with open(os.path.join(corpus, name), encoding="utf-8") as fh:
+            lines = fh.readlines()
+        if ext == ".trj":
+            header = [line for line in lines if line.startswith("#")]
+            rows = [line for line in lines if not line.startswith("#")]
+            random.Random(stem).shuffle(rows)
+            lines = header + rows
+            with open(os.path.join(scene, "H.hom"), "w", encoding="utf-8") as fh:
+                fh.write(HOMOGRAPHY)
+        target = {".trj": "tracks.txt", ".pia": "pairs.txt", ".cba": "groups.txt"}[ext]
+        with open(os.path.join(scene, target), "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+
+
 def run_tree(src: str, work: str) -> list:
     """Standard output of each command, run in ``work``."""
     env = dict(os.environ, PYTHONPATH=src)
     outputs = []
-    for argv in COMMANDS + GAPPED_COMMANDS:
+    for argv in ALL_COMMANDS:
         if argv is GAPPED_COMMANDS[0]:
             punch_gaps(os.path.join(work, "long"), os.path.join(work, "gapped"))
+        if argv is ADAPT_COMMANDS[0]:
+            to_ncad(os.path.join(work, "gapped"), os.path.join(work, "ncad"))
         proc = subprocess.run([sys.executable, "-c", RUN_CLI] + argv, cwd=work, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
@@ -165,14 +206,14 @@ def main(argv: list) -> int:
     (runs_a, files_a), (runs_b, files_b) = outcomes
     differences = [
         f"stdout of `proxrf {' '.join(argv)}`"
-        for argv, a, b in zip(COMMANDS + GAPPED_COMMANDS, runs_a, runs_b) if a != b
+        for argv, a, b in zip(ALL_COMMANDS, runs_a, runs_b) if a != b
     ]
     for path in sorted(set(files_a) | set(files_b)):
         if files_a.get(path) != files_b.get(path):
             differences.append(path)
     for what in differences:
         print(f"DIFFERS {what}")
-    print(f"{len(files_a)} files and {len(COMMANDS + GAPPED_COMMANDS)} commands compared, "
+    print(f"{len(files_a)} files and {len(ALL_COMMANDS)} commands compared, "
           f"{len(differences)} differ")
     return 1 if differences else 0
 
