@@ -23,7 +23,7 @@ from .errors import (
     ModelShapeMismatch,
     ShapeMismatch,
 )
-from .pid import InteractionLabel, PairSeries, PidConfig, _pid_from_states
+from .pid import InteractionLabel, PairSeries, PidConfig, _pid_from_states, interaction_labels
 from .trajectory import (
     DEFAULT_MAX_GAP,
     SmoothingConfig,
@@ -53,10 +53,6 @@ class CollectiveLabel(enum.Enum):
     @property
     def class_id(self) -> int:
         return _COLLECTIVE_IDS[self]
-
-    @classmethod
-    def from_class_id(cls, class_id: int) -> "CollectiveLabel":
-        return _COLLECTIVE_ORDER[class_id]
 
 
 _COLLECTIVE_ORDER = tuple(CollectiveLabel)
@@ -253,29 +249,24 @@ def pair_vectors(
 ) -> list:
     """PID vector of each (anchor, target, center) key, described once.
 
-    ``states`` maps track id to its smoothed states.  ``cache`` maps
-    (anchor, target) to the pair's PairSeries, which also keeps the
-    vectors of the windows already described; neither depends on a
-    model, so one cache serves every model as long as the states,
-    descriptor config and seed stay fixed.  Each pair's series is filled
-    over all its missing windows at once before they are described.
+    ``states`` maps track id to its smoothed states.  ``cache`` maps keys
+    to the vectors already described; they depend on no model, so one
+    cache serves every model while the states, descriptor config and
+    seed stay fixed.  The missing keys are grouped by pair, and each
+    pair's PairSeries is built once over all its missing windows.
     """
     missing = {}
     for aid, tid, center in keys:
-        if center not in cache.setdefault((aid, tid), PairSeries()).vectors:
-            missing.setdefault((aid, tid), []).append(center)
+        if (aid, tid, center) not in cache:
+            missing.setdefault((aid, tid), {})[center] = None
     for (aid, tid), centers in missing.items():
-        cache[aid, tid].fill(states[aid], states[tid], aid, tid, centers, pid_cfg, seed)
-    vecs = []
-    for aid, tid, center in keys:
-        series = cache[aid, tid]
-        vec = series.vectors.get(center)
-        if vec is None:
-            vec = series.vectors[center] = _pid_from_states(
-                states[aid], states[tid], aid, tid, center, pid_cfg, fps, seed, series
+        sa, sb = states[aid], states[tid]
+        series = PairSeries(sa, sb, aid, tid, list(centers), pid_cfg, seed)
+        for center in centers:
+            cache[aid, tid, center] = _pid_from_states(
+                sa, sb, aid, tid, center, pid_cfg, fps, seed, series
             ).vector()
-        vecs.append(vec)
-    return vecs
+    return [cache[key] for key in keys]
 
 
 def pair_predictions(
@@ -292,7 +283,8 @@ def pair_predictions(
     The windows must come from one recording: a track id names the same
     smoothed states in all of them.  Each distinct key is described once
     through ``cache`` (as for pair_vectors; None uses a fresh one) and
-    voted once, in a single ``predict_batch`` call over all windows.
+    voted once, in a single ``predict_batch`` call over all windows; a
+    vote's label is read from the model's class names (interaction_labels).
     """
     per_window = [pair_keys(w, pid_cfg, stride) for w in windows]
     keys = list(dict.fromkeys(k for window_keys in per_window for k in window_keys))
@@ -305,7 +297,8 @@ def pair_predictions(
         votes = pid_model.predict_batch(np.array(vecs))
     except ShapeMismatch as e:
         raise ModelShapeMismatch(str(e)) from None
-    labels = dict(zip(keys, map(InteractionLabel.from_class_id, votes.tolist())))
+    by_id = interaction_labels(pid_model)
+    labels = {key: by_id[vote] for key, vote in zip(keys, votes.tolist())}
     return [[labels[k] for k in window_keys] for window_keys in per_window]
 
 

@@ -313,16 +313,6 @@ def _add_config_flags(sub: argparse.ArgumentParser):
             g.add_argument(flag, type=_FLAG_TYPES.get(kind), help=help_text)
 
 
-def _env_threads() -> Optional[int]:
-    raw = os.environ.get("PROXRF_THREADS")
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidConfig(f"PROXRF_THREADS must be an integer, got {raw!r}") from None
-
-
 def overrides_from_args(args) -> dict:
     """Setting overrides from parsed flags; flags not given are left out
     (None is an explicit setting for the optional-integer keys in
@@ -330,8 +320,6 @@ def overrides_from_args(args) -> dict:
     overrides = {}
     for key, kind, _, _ in SETTINGS:
         value = getattr(args, key)
-        if key == "threads" and value is None:
-            value = _env_threads()
         if value is None:
             continue
         if key == "include_shape":

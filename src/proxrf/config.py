@@ -26,7 +26,7 @@ from .forest import ForestConfig
 # label names).
 SETTINGS = (
     ("seed", "int", "seed", "run seed"),
-    ("threads", "int", "threads", "forest-training worker threads (or PROXRF_THREADS)"),
+    ("threads", "int", "threads", "forest-training worker threads"),
     ("t1", "int", "pid.t1", "pairwise window length"),
     ("t2", "int", "t2", "group window length"),
     ("step", "int", "step", "window grid step"),

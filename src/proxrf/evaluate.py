@@ -252,11 +252,12 @@ class Pipeline:
 
     Pair windows become PID rows, which train the stage-one forest; group
     windows become CBD rows under a stage-one model, which train the
-    stage-two forest.  Smoothed tracks, window lists, pair series and
-    descriptors, and group windows are computed once per recording and
-    shared by every fold, cue set and stage-one model, because none of
-    them depends on the model; stage-one labels do, and are never kept.  Matrices come back as ``(rows, X, labels)`` with one
-    ``(sequence id, center frame, track ids)`` row per window.
+    stage-two forest.  Smoothed tracks, window lists, pair descriptor
+    vectors and group windows are computed once per recording and shared
+    by every fold, cue set and stage-one model, because none of them
+    depends on the model; stage-one labels do, and are never kept.
+    Matrices come back as ``(rows, X, labels)`` with one ``(sequence id,
+    center frame, track ids)`` row per window.
     """
 
     def __init__(self, recordings: Sequence[SceneRecording], cfg: PipelineConfig):
@@ -270,8 +271,9 @@ class Pipeline:
             }
             for seq, rec in self._recordings.items()
         }
-        # (anchor, target) -> PairSeries with its window vectors, which
-        # do not depend on a stage-one model
+        # per recording, (anchor, target, center) -> PID vector, as
+        # pair_vectors keeps them: one cache for these states, cfg.pid
+        # and cfg.seed, shared by every stage-one model
         self._pid_cache = {seq: {} for seq in self._recordings}
         self._windows = {}
         self._group_windows = {}

@@ -54,10 +54,6 @@ class InteractionLabel(enum.Enum):
     def class_id(self) -> int:
         return _INTERACTION_IDS[self]
 
-    @classmethod
-    def from_class_id(cls, class_id: int) -> "InteractionLabel":
-        return _INTERACTION_ORDER[class_id]
-
 
 _INTERACTION_ORDER = tuple(InteractionLabel)
 _INTERACTION_IDS = {lab: i for i, lab in enumerate(_INTERACTION_ORDER)}
@@ -376,77 +372,21 @@ def heading_draws(seed: int, anchor_id: str, target_id: str, frames) -> np.ndarr
 
 
 class PairSeries:
-    """Relative polar series of one ordered pair, shared by its windows.
+    """Relative polar series of one ordered pair over the windows it serves.
 
-    The series spans the frames from the later of the two tracks' first
-    states to the earlier of their last ones.  A frame's rho and theta
-    (theta is the slow anchor's random heading where its orientation is
-    unknown) are computed once, the first time a window needs them, and
-    so are its kernel codes (see _kernel_codes) for the descriptor
-    config the series last served; another config recodes the frames it
-    needs.  A window's histogram is then one bincount over its frames'
-    codes.  ``vectors`` maps a center frame to its window's descriptor
-    vector for callers that keep whole descriptors; it is valid for one
-    descriptor config, while the series depends only on the states and
-    the seed.
+    Built once, over the union of the descriptor windows at ``centers``:
+    each of those frames where both tracks have a state gets its rho and
+    its kernel codes for ``cfg`` (see _kernel_codes), from a theta that
+    is the slow anchor's random heading where its orientation is unknown
+    and is dropped once coded.  ``kept`` is 0 on the frames a track
+    lacks.  A window's histogram is then one bincount over its frames'
+    codes.  The arrays are read-only, and the series depends only on the
+    states, the descriptor config and the seed.
     """
 
-    __slots__ = ("first", "rho", "theta", "done", "cfg", "band", "sector", "kept", "vectors")
+    __slots__ = ("cfg", "first", "rho", "band", "sector", "kept")
 
-    def __init__(self):
-        self.first = None
-        self.cfg = None
-        self.vectors = {}
-
-    def _start(self, anchor_states: TrackStates, target_states: TrackStates, cfg: PidConfig):
-        """Allocate the series on first use; drop the codes of another config."""
-        if self.first is None:
-            if len(anchor_states) and len(target_states):
-                first = max(anchor_states.frames[0], target_states.frames[0])
-                last = min(anchor_states.frames[-1], target_states.frames[-1])
-            else:
-                first, last = 0, -1
-            n = max(int(last - first) + 1, 0)
-            self.first = int(first)
-            self.rho, self.theta = np.empty(n), np.empty(n)
-            self.done = np.zeros(n, dtype=bool)
-        if cfg is not self.cfg and cfg != self.cfg:
-            samples = 1 if cfg.assignment == "hard" else cfg.grid_samples_per_axis
-            grid = cfg.grid
-            code = np.min_scalar_type(max(grid.band_count, grid.angular_sector_count, samples))
-            self.cfg = cfg
-            self.band = np.empty((len(self.done), samples), dtype=code)
-            self.sector = np.empty((len(self.done), samples), dtype=code)
-            self.kept = np.zeros(len(self.done), dtype=code)  # 0: not coded
-
-    def _fill(self, anchor_states, target_states, anchor_id, target_id, at, seed):
-        """Fill and code the series rows ``at`` (increasing) that both
-        tracks have a state at; leave the others."""
-        todo = at[~self.done[at]]
-        if len(todo):
-            frames = todo + self.first
-            ra, rb = anchor_states.rows(frames), target_states.rows(frames)
-            have = (ra >= 0) & (rb >= 0)
-            todo, frames, ra, rb = todo[have], frames[have], ra[have], rb[have]
-            n = len(frames)
-            d = target_states.xy[rb] - anchor_states.xy[ra]
-            dx, dy = d[:, 0].tolist(), d[:, 1].tolist()
-            self.rho[todo] = np.fromiter(map(math.hypot, dx, dy), float, n)
-            heading = anchor_states.orientation[ra]
-            slow = np.isnan(heading)
-            theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, n)
-                               - np.where(slow, 0.0, heading))
-            draws = heading_draws(seed, anchor_id, target_id, frames[slow])
-            theta[slow] = math.pi - TWO_PI * draws
-            self.theta[todo] = theta
-            self.done[todo] = True
-        code = at[self.done[at] & (self.kept[at] == 0)]
-        if len(code):
-            cfg = self.cfg
-            band, sector, kept = _kernel_codes(self.rho[code], self.theta[code], cfg.grid, cfg)
-            self.band[code], self.sector[code], self.kept[code] = band, sector, kept
-
-    def fill(
+    def __init__(
         self,
         anchor_states: TrackStates,
         target_states: TrackStates,
@@ -455,51 +395,57 @@ class PairSeries:
         centers: Sequence[int],
         cfg: PidConfig,
         seed: int,
-    ) -> None:
-        """Fill the union of the windows at ``centers`` in one pass.
-
-        Best effort: frames outside the series or missing from a track
-        are left for window(), which reports them."""
-        self._start(anchor_states, target_states, cfg)
+    ):
         back, fwd = cfg.window_halves
-        need = np.zeros(len(self.done), dtype=bool)
-        for center in centers:
-            need[max(center - back - self.first, 0):max(center + fwd + 1 - self.first, 0)] = True
-        at = np.flatnonzero(need & (self.kept == 0))
-        self._fill(anchor_states, target_states, anchor_id, target_id, at, seed)
+        starts = np.asarray(centers, dtype=np.int64) - back
+        self.cfg = cfg
+        self.first = int(starts.min())
+        need = np.zeros(int(starts.max()) + back + fwd + 1 - self.first, dtype=bool)
+        for lo in (starts - self.first).tolist():
+            need[lo:lo + back + fwd + 1] = True
+        frames = np.flatnonzero(need) + self.first
+        ra, rb = anchor_states.rows(frames), target_states.rows(frames)
+        have = (ra >= 0) & (rb >= 0)
+        at, frames, ra, rb = frames[have] - self.first, frames[have], ra[have], rb[have]
+        d = target_states.xy[rb] - anchor_states.xy[ra]
+        dx, dy = d[:, 0].tolist(), d[:, 1].tolist()
+        rho = np.fromiter(map(math.hypot, dx, dy), float, len(at))
+        heading = anchor_states.orientation[ra]
+        slow = np.isnan(heading)
+        theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, len(at))
+                           - np.where(slow, 0.0, heading))
+        theta[slow] = math.pi - TWO_PI * heading_draws(seed, anchor_id, target_id, frames[slow])
+        samples = 1 if cfg.assignment == "hard" else cfg.grid_samples_per_axis
+        grid = cfg.grid
+        code = np.min_scalar_type(max(grid.band_count, grid.angular_sector_count, samples))
+        self.rho = np.zeros(len(need))
+        self.band = np.zeros((len(need), samples), dtype=code)
+        self.sector = np.zeros((len(need), samples), dtype=code)
+        self.kept = np.zeros(len(need), dtype=code)
+        self.rho[at] = rho
+        self.band[at], self.sector[at], self.kept[at] = _kernel_codes(rho, theta, grid, cfg)
+        for array in (self.rho, self.band, self.sector, self.kept):
+            array.flags.writeable = False
 
-    def window(
-        self,
-        anchor_states: TrackStates,
-        target_states: TrackStates,
-        anchor_id: str,
-        target_id: str,
-        start: int,
-        end: int,
-        cfg: PidConfig,
-        seed: int,
-    ) -> tuple:
-        """(rho, histogram) over the frames [start, end] inclusive; rho is
-        a view into the series that callers must not write to."""
-        self._start(anchor_states, target_states, cfg)
+    def window(self, start: int, end: int) -> Optional[tuple]:
+        """(rho, histogram) over the frames [start, end] inclusive, or None
+        when the window leaves the series or a track lacks one of them."""
         lo, hi = start - self.first, end + 1 - self.first
-        if lo < 0 or hi > len(self.done):
-            _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
-        if not self.kept[lo:hi].all():
-            self._fill(anchor_states, target_states, anchor_id, target_id,
-                       np.arange(lo, hi), seed)
-            if not self.kept[lo:hi].all():
-                _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
-        histogram = _histogram(self.band[lo:hi], self.sector[lo:hi], self.kept[lo:hi],
-                               cfg.grid, cfg)
-        return self.rho[lo:hi], histogram
+        if lo < 0 or hi > len(self.kept) or not self.kept[lo:hi].all():
+            return None
+        cfg = self.cfg
+        return self.rho[lo:hi], _histogram(self.band[lo:hi], self.sector[lo:hi],
+                                           self.kept[lo:hi], cfg.grid, cfg)
 
 
 def _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end):
     """MissingFrames for the first frame of [start, end] a track lacks."""
     frames = np.arange(start, end + 1)
     ra, rb = anchor_states.rows(frames), target_states.rows(frames)
-    k = int(np.argmax((ra < 0) | (rb < 0)))
+    lacking = np.flatnonzero((ra < 0) | (rb < 0))
+    if not len(lacking):
+        raise ValueError(f"frames {start}..{end} lie outside the pair series")
+    k = lacking[0]
     who = anchor_id if ra[k] < 0 else target_id
     raise MissingFrames(f"track {who}: no state at frame {frames[k]}")
 
@@ -515,15 +461,18 @@ def _pid_from_states(
     seed: int,
     series: Optional[PairSeries] = None,
 ) -> PidDescriptor:
-    """Descriptor of one window, sliced out of the pair's ``series``;
-    when None, a fresh series is filled over this window only."""
+    """Descriptor of one window, sliced out of the pair's ``series``, which
+    was built under the same ``cfg`` and ``seed``; when None, a series is
+    built over this window only."""
     back, fwd = cfg.window_halves
+    start, end = center_frame - back, center_frame + fwd
     if series is None:
-        series = PairSeries()
-    rho, histogram = series.window(
-        anchor_states, target_states, anchor_id, target_id,
-        center_frame - back, center_frame + fwd, cfg, seed,
-    )
+        series = PairSeries(anchor_states, target_states, anchor_id, target_id,
+                            [center_frame], cfg, seed)
+    described = series.window(start, end)
+    if described is None:
+        _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
+    rho, histogram = described
     return PidDescriptor(
         histogram=histogram,
         speed_pyramid=speed_pyramid(finite_difference(rho, 1.0 / fps), cfg),
@@ -554,20 +503,27 @@ def compute_pid(
     )
 
 
-def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
-    """Forest vote over one descriptor: (label, per-class vote fractions).
+def interaction_labels(model) -> tuple:
+    """The InteractionLabel of each of the model's class ids, read from its
+    class names (label codes), so a model trained on a subset of the
+    labels, or listing them in another order, maps its votes correctly."""
+    labels = []
+    for name in model.class_names:
+        try:
+            labels.append(InteractionLabel(name))
+        except ValueError:
+            raise ModelShapeMismatch(f"model class {name!r} is no interaction label") from None
+    return tuple(labels)
 
-    Votes are mapped to labels by the model's class names (label codes),
-    so a model trained on a subset of the labels scores correctly.
-    """
+
+def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
+    """Forest vote over one descriptor: (label, per-class vote fractions),
+    with the votes mapped to labels by interaction_labels."""
     try:
         votes = model.vote_fractions(descriptor.vector()[None, :])[0]
     except ShapeMismatch as e:
         raise ModelShapeMismatch(str(e)) from None
     probs = np.zeros(len(_INTERACTION_ORDER))
-    for name, share in zip(model.class_names, votes):
-        try:
-            probs[InteractionLabel(name).class_id] = share
-        except ValueError:
-            raise ModelShapeMismatch(f"model class {name!r} is no interaction label") from None
+    for label, share in zip(interaction_labels(model), votes):
+        probs[label.class_id] = share
     return _INTERACTION_ORDER[int(np.argmax(probs))], probs

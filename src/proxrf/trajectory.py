@@ -228,11 +228,18 @@ class Trajectory:
 
     def filled(self, max_gap: int = DEFAULT_MAX_GAP) -> "Trajectory":
         """Track with every interior gap of at most ``max_gap`` interpolated
-        (the track itself when it has no gap)."""
+        (the track itself when it has no gap).  A gap between positions so
+        large that the interpolation overflows raises InvalidFeature
+        naming the track and the first such frame."""
         if self.last_frame - self.first_frame + 1 == len(self):
             return self
         pos = self.positions(self.first_frame, self.last_frame, max_gap=max_gap)
         frames = np.arange(self.first_frame, self.last_frame + 1)
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if len(bad):  # finite input, overflowing arithmetic
+            raise InvalidFeature(
+                f"track {self.track_id}: interpolated position overflows at frame {frames[bad[0]]}"
+            )
         return Trajectory.from_arrays(self.track_id, frames, pos, self.fps)
 
 

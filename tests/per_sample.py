@@ -94,14 +94,18 @@ def derivative(series: Sequence, fps: float) -> list:
 
 
 def reference_filled(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP) -> Trajectory:
-    """Trajectory.filled, one TimedPosition per frame."""
+    """Trajectory.filled, one TimedPosition per frame; an overflow is
+    caught as TimedPosition refuses the non-finite result."""
     pos = traj.positions(traj.first_frame, traj.last_frame, max_gap=max_gap)
-    frames = range(traj.first_frame, traj.last_frame + 1)
-    return Trajectory(
-        traj.track_id,
-        (TimedPosition(f, float(p[0]), float(p[1])) for f, p in zip(frames, pos)),
-        traj.fps,
-    )
+    out = []
+    for f, p in zip(range(traj.first_frame, traj.last_frame + 1), pos):
+        try:
+            out.append(TimedPosition(f, float(p[0]), float(p[1])))
+        except ValueError:  # finite input, overflowing arithmetic
+            raise InvalidFeature(
+                f"track {traj.track_id}: interpolated position overflows at frame {f}"
+            ) from None
+    return Trajectory(traj.track_id, out, traj.fps)
 
 
 def reference_smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:

@@ -21,7 +21,7 @@ from proxrf.cbd import (
 )
 from proxrf.errors import EmptyGroup, FrameMismatch, ModelShapeMismatch
 from proxrf.forest import ForestConfig, LabeledSample, train
-from proxrf.pid import InteractionLabel, PidConfig
+from proxrf.pid import InteractionLabel, PidConfig, classify_interaction, compute_pid
 from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference
 
 from conftest import make_traj, straight_traj, track_states
@@ -251,6 +251,21 @@ def test_pair_predictions_and_cache(tiny_stage1, monkeypatch):
     assert again == preds
     with pytest.raises(ValueError):
         pair_predictions([w], tiny_stage1, PidConfig(), stride=0)
+
+
+def test_pair_predictions_map_votes_by_class_name():
+    tracks = _walking_group(2)
+    w = GroupWindow.build(tracks, 69, 32, SMOOTH)
+    # one-tree models over two labels, listed out of enum order
+    sample = LabeledSample(np.zeros(PidConfig().descriptor_length), 0)
+    model = train([sample], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "F"])
+    [preds] = pair_predictions([w], model, PidConfig())
+    assert len(preds) == 14 and set(preds) == {InteractionLabel.Approaching}
+    desc = compute_pid(tracks[0], tracks[1], 69, PidConfig(), SMOOTH)
+    assert classify_interaction(desc, model)[0] is InteractionLabel.Approaching
+    unknown = train([sample], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "Milling"])
+    with pytest.raises(ModelShapeMismatch, match="'Milling' is no interaction label"):
+        pair_predictions([w], unknown, PidConfig())
 
 
 def test_pairs_skip_uncovered_centers(tiny_stage1):

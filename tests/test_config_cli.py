@@ -249,8 +249,7 @@ def test_setting_cases_cover_every_key():
 
 
 @pytest.mark.parametrize("key", [key for key, *_ in SETTINGS])
-def test_every_setting_is_wired(key, tmp_path, monkeypatch):
-    monkeypatch.delenv("PROXRF_THREADS", raising=False)
+def test_every_setting_is_wired(key, tmp_path):
     attr, file_text, file_value, flags, flag_value = SETTING_CASES[key]
     default = _attr(_configured(tmp_path), attr)
     assert default not in (file_value, flag_value)
@@ -583,6 +582,32 @@ def test_exit_code_velocity_overflow(tmp_path, capsys):
     assert err.startswith("ERROR InvalidFeature: track c: velocity overflows at frame 0"), err
 
 
+def test_exit_code_fill_overflow(tmp_path, capsys):
+    # the gap at frame 2 interpolates between +-1e308, which overflows
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "c.trj").write_text("# fps=10.0\n1,a,1e308,0.0\n3,a,-1e308,0.0\n")
+    rc = main(["extract", str(corpus), "--kind", "pid", "--t1", "4",
+               "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 6, err
+    assert err.startswith(
+        "ERROR InvalidFeature: track a: interpolated position overflows at frame 2"), err
+
+
+def test_exit_code_stage1_class_name_unknown(stage1_model, mixed_corpus, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(stage1_model).read_text())
+    doc["class_names"][-1] = "Milling"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["extract", mixed_corpus, "--kind", "cbd", "--model", str(bad),
+               "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    assert err.startswith(
+        "ERROR ModelShapeMismatch: model class 'Milling' is no interaction label"), err
+
+
 @pytest.mark.parametrize("suffix", [".trj", ".pia"])
 def test_exit_code_non_utf8_corpus_file(suffix, tmp_path, capsys):
     corpus = tmp_path / "corpus"
@@ -645,21 +670,6 @@ def test_exit_code_oserror(tmp_path, capsys):
                "--scenes-per-class", "1"])
     assert rc == 6
     assert "ERROR OSError" in capsys.readouterr().err
-
-
-def test_env_threads(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("PROXRF_THREADS", "abc")
-    rc = main(["synth", "--out", str(tmp_path / "a"), "--set", "pairs",
-               "--scenes-per-class", "1"])
-    assert rc == 2
-    assert "PROXRF_THREADS" in capsys.readouterr().err
-    rc = main(["synth", "--out", str(tmp_path / "b"), "--set", "pairs",
-               "--scenes-per-class", "1", "--threads", "1"])
-    assert rc == 0  # explicit flag wins over the broken env value
-    monkeypatch.setenv("PROXRF_THREADS", "2")
-    rc = main(["synth", "--out", str(tmp_path / "c"), "--set", "pairs",
-               "--scenes-per-class", "1"])
-    assert rc == 0
 
 
 def test_version_and_usage():

@@ -16,7 +16,13 @@ from proxrf.cbd import (
     dispersion,
     pair_predictions,
 )
-from proxrf.dataset import FoldSplit, PairAnnotation, SceneRecording, windows
+from proxrf.dataset import (
+    CollectiveAnnotation,
+    FoldSplit,
+    PairAnnotation,
+    SceneRecording,
+    windows,
+)
 from proxrf.errors import (
     ConfigError,
     EmptyTrainingSet,
@@ -36,11 +42,11 @@ from proxrf.evaluate import (
     report_from_confusion,
 )
 from proxrf.forest import ForestConfig
-from proxrf.pid import InteractionLabel
+from proxrf.pid import InteractionLabel, _pid_from_states
 from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
 from proxrf.trajectory import Trajectory, smoothed_states
 
-from conftest import straight_traj
+from conftest import make_traj, straight_traj
 from per_sample import derivative
 
 C = CollectiveLabel
@@ -294,6 +300,8 @@ class _LabelModel:
     """Stage-one stand-in: a fixed label per vector, shifted by ``salt``,
     with every predict_batch call recorded."""
 
+    class_names = tuple(l.code for l in InteractionLabel)
+
     def __init__(self, salt=0):
         self.salt = salt
         self.calls = []
@@ -396,6 +404,54 @@ def test_group_matrix_labels_do_not_leak_across_models(dropped_corpus):
     _, x_fresh, _ = fresh.group_matrix(b, fresh.seq_ids)
     np.testing.assert_array_equal(x_b, x_fresh)
     assert not np.array_equal(x_a[:, :6], x_b[:, :6])
+
+
+def test_pair_and_group_windows_of_one_pair_describe_like_lone_windows(tiny_stage1,
+                                                                        monkeypatch):
+    # two tracks that carry both pair annotations and a collective one, so
+    # group_matrix describes new centers of the pairs that pair_matrix
+    # described, over frames that pair_matrix's series already filled
+    rng = np.random.default_rng(29)
+    n = 200
+    steps = np.zeros((n, 2))
+    steps[60:140, 0] = 0.13  # the anchor stands, with random headings, at both ends
+    a_xy = np.cumsum(steps, axis=0) + 0.01 * rng.standard_normal((n, 2))
+    b_xy = a_xy + [0.4, 1.0] + 0.02 * rng.standard_normal((n, 2))
+    a, b = make_traj("a", a_xy), make_traj("b", b_xy)
+    wt = InteractionLabel.WalkingTogether
+    rec = SceneRecording("both", 10.0, [a, b],
+                         [PairAnnotation(0, n - 1, "a", "b", wt),
+                          PairAnnotation(0, n - 1, "b", "a", wt)],
+                         [CollectiveAnnotation(0, n - 1, C.Walking)])
+    cfg = PipelineConfig(seed=3)
+    states = {t.track_id: smoothed_states(t, cfg.smoothing, max_gap=cfg.max_gap)
+              for t in (a, b)}
+    described = []
+    real = cbd_module._pid_from_states
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        described.append((args[2:5], out.vector()))
+        return out
+
+    monkeypatch.setattr(cbd_module, "_pid_from_states", recording)
+    pipe = Pipeline([rec], cfg)
+    rows, x, _ = pipe.pair_matrix(pipe.seq_ids)
+    pair_keys = {(aid, tid, c) for _, c, (aid, tid) in rows}
+    assert sorted(pair_keys) == sorted(key for key, _ in described)
+    vectors = dict(described)
+    assert np.array_equal(x, [vectors[aid, tid, c] for _, c, (aid, tid) in rows])
+    pipe.group_matrix(tiny_stage1, pipe.seq_ids)
+    group_keys = {key for key, _ in described} - pair_keys
+    back, fwd = cfg.pid.window_halves
+    pair_frames = {(aid, tid, f) for aid, tid, c in pair_keys for f in range(c - back, c + fwd + 1)}
+    assert any((aid, tid, f) in pair_frames
+               for aid, tid, c in group_keys for f in range(c - back, c + fwd + 1))
+    assert len(described) == len(pair_keys) + len(group_keys)
+    for (aid, tid, center), vec in described:
+        lone = _pid_from_states(states[aid], states[tid], aid, tid, center, cfg.pid, rec.fps,
+                                cfg.seed, None)
+        assert np.array_equal(vec, lone.vector()), (aid, tid, center)
 
 
 def _frame_states(w):

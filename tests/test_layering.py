@@ -8,8 +8,8 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the pair descriptor's per-window kernel, shared by evaluate and cbd so
-# both reuse smoothed states; it keeps its name for the benchmark tracer
+# the pair descriptor's per-window kernel, which cbd slices out of a pair
+# series; it keeps its name for the benchmark tracer
 ALLOWED = {"_pid_from_states"}
 
 

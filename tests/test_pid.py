@@ -469,27 +469,28 @@ def test_series_windows_match_per_frame_reference():
     configs += [PidConfig(t1=16, assignment="hard"), PidConfig(t1=32, l_max=2)]
     seed = 11
     described, errors = set(), set()
+    centers = range(-20, n + 20)
     for aid, tid in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")):
-        series = PairSeries()  # one series for every config and center
         sa, sb = states[aid], states[tid]
-        jobs = [(c, cfg) for c in range(-20, n + 20) for cfg in configs]
-        for k in rng.permutation(len(jobs)):
-            center, cfg = jobs[k]
+        for cfg in configs:
+            # one series per config, built over every center at once
+            series = PairSeries(sa, sb, aid, tid, centers, cfg, seed)
             back, fwd = cfg.window_halves
-            try:
-                want = _reference_vector(per_frame[aid], per_frame[tid], aid, tid, center,
-                                         cfg, 10.0, seed)
-            except MissingFrames as e:
-                errors.add(str(e))
+            for center in centers:
+                try:
+                    want = _reference_vector(per_frame[aid], per_frame[tid], aid, tid, center,
+                                             cfg, 10.0, seed)
+                except MissingFrames as e:
+                    errors.add(str(e))
+                    for s in (series, None):
+                        with pytest.raises(MissingFrames) as got:
+                            _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s)
+                        assert str(got.value) == str(e)
+                    continue
+                described.add((aid, tid, center - back, center + fwd))
                 for s in (series, None):
-                    with pytest.raises(MissingFrames) as got:
-                        _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s)
-                    assert str(got.value) == str(e)
-                continue
-            described.add((aid, tid, center - back, center + fwd))
-            for s in (series, None):
-                got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s).vector()
-                assert np.array_equal(got, want), (aid, tid, center, cfg)
+                    got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s)
+                    assert np.array_equal(got.vector(), want), (aid, tid, center, cfg)
     # windows flush with both edges of each of b's spans, and errors that
     # name the anchor, the target and b's hole
     for edge in ((0, 15), (44, 59), (72, 87), (104, 119)):
@@ -497,6 +498,24 @@ def test_series_windows_match_per_frame_reference():
     for msg in ("track a: no state at frame -1", "track b: no state at frame 60",
                 "track c: no state at frame 100", "track b: no state at frame 120"):
         assert msg in errors
+
+
+def test_series_spans_the_union_of_its_windows_and_is_read_only():
+    sa = smoothed_states(straight_traj("a", 1.3, 0.0, 140), SMOOTH)
+    sb = smoothed_states(straight_traj("b", 1.3, 0.0, 140, origin=(0.0, 1.0)), SMOOTH)
+    cfg = PidConfig(t1=16)
+    back, fwd = cfg.window_halves
+    series = PairSeries(sa, sb, "a", "b", [60, 40], cfg, 3)
+    assert series.first == 40 - back and len(series.kept) == 60 + fwd + 1 - series.first
+    # the frames between the two windows are left out
+    kept = np.flatnonzero(series.kept) + series.first
+    assert kept.tolist() == list(range(40 - back, 41 + fwd)) + list(range(60 - back, 61 + fwd))
+    assert series.window(40 - back, 40 + fwd) is not None
+    assert series.window(41 - back, 41 + fwd) is None
+    with pytest.raises(ValueError):
+        series.rho[0] = 1.0
+    with pytest.raises(ValueError, match="frames 43..58 lie outside the pair series"):
+        _pid_from_states(sa, sb, "a", "b", 50, cfg, 10.0, 3, series)
 
 
 def test_heading_draws_equal_numpy_streams():
@@ -537,23 +556,15 @@ def test_pair_vectors_match_per_window_descriptors():
         tracks = {t.track_id: t for t in rec.trajectories}
         states = {tid: smoothed_states(t, SMOOTH) for tid, t in tracks.items()}
         lo, hi = rec.frame_range
-        for k, cfg in enumerate(configs):
+        for cfg in configs:
             back, fwd = cfg.window_halves
             keys = [(a, t, c) for a in sorted(tracks) for t in sorted(tracks) if a != t
                     for c in range(lo + back, hi - fwd + 1, 7)
                     if _covers(states[a], c, back, fwd) and _covers(states[t], c, back, fwd)]
             keys = [keys[i] for i in rng.permutation(len(keys))]
-            # some series start half filled under the previous config, some
-            # with this config's windows already sliced out
+            # an earlier call over a subset of the keys half fills the cache
             cache = {}
-            other = configs[k - 1]
-            for aid, tid, center in keys[::4]:
-                series = cache.setdefault((aid, tid), PairSeries())
-                series.fill(states[aid], states[tid], aid, tid, [center], other, seed)
-            for aid, tid, center in keys[1::5]:
-                series = cache.setdefault((aid, tid), PairSeries())
-                _pid_from_states(states[aid], states[tid], aid, tid, center, cfg, rec.fps,
-                                 seed, series)
+            pair_vectors(states, keys[::2], cfg, rec.fps, seed, cache)
             got = pair_vectors(states, keys, cfg, rec.fps, seed, cache)
             for (aid, tid, center), vec in zip(keys, got):
                 want = _pid_from_states(states[aid], states[tid], aid, tid, center, cfg,
@@ -561,7 +572,7 @@ def test_pair_vectors_match_per_window_descriptors():
                 assert np.array_equal(vec, want), (rec.sequence_id, aid, tid, center, cfg)
             for aid, tid, center in keys[::23]:
                 want = compute_pid(tracks[aid], tracks[tid], center, cfg, SMOOTH, seed)
-                assert np.array_equal(cache[aid, tid].vectors[center], want.vector())
+                assert np.array_equal(cache[aid, tid, center], want.vector())
             checked += len(keys)
     assert checked > 5000
 
