@@ -84,12 +84,7 @@ from .pid import (
     PidConfig,
     PidDescriptor,
     PolarGrid,
-    accumulate_histogram,
-    classify_interaction,
     compute_pid,
-    kde_kernel,
-    sample_grid,
-    speed_pyramid,
 )
 from .synth import (
     SynthParams,

@@ -23,7 +23,13 @@ from .errors import (
     ModelShapeMismatch,
     ShapeMismatch,
 )
-from .pid import InteractionLabel, PairSeries, PidConfig, _pid_from_states, interaction_labels
+from .pid import (
+    InteractionLabel,
+    PidConfig,
+    _pid_from_states,
+    interaction_labels,
+    pair_batches,
+)
 from .trajectory import (
     DEFAULT_MAX_GAP,
     SmoothingConfig,
@@ -57,6 +63,7 @@ class CollectiveLabel(enum.Enum):
 
 _COLLECTIVE_ORDER = tuple(CollectiveLabel)
 _COLLECTIVE_IDS = {lab: i for i, lab in enumerate(_COLLECTIVE_ORDER)}
+_LABEL_IDS = {lab: lab.class_id for lab in InteractionLabel}
 
 
 class GroupWindow:
@@ -146,12 +153,10 @@ class CbdDescriptor:
 
 def interaction_histogram(predictions: Sequence[InteractionLabel]) -> np.ndarray:
     """Normalized label counts; all zeros when there are no predictions."""
-    hist = np.zeros(len(InteractionLabel))
     if not predictions:
-        return hist
-    for lab in predictions:
-        hist[lab.class_id] += 1.0
-    return hist / len(predictions)
+        return np.zeros(len(InteractionLabel))
+    ids = np.fromiter(map(_LABEL_IDS.__getitem__, predictions), np.intp, len(predictions))
+    return np.bincount(ids, minlength=len(InteractionLabel)) / len(predictions)
 
 
 def mean_speed(window: GroupWindow) -> float:
@@ -252,20 +257,22 @@ def pair_vectors(
     ``states`` maps track id to its smoothed states.  ``cache`` maps keys
     to the vectors already described; they depend on no model, so one
     cache serves every model while the states, descriptor config and
-    seed stay fixed.  The missing keys are grouped by pair, and each
-    pair's PairSeries is built once over all its missing windows.
+    seed stay fixed.  The missing keys are grouped by pair and described
+    by PairBatches over whole pairs (pair_batches); each key's vector is
+    then read out of its batch.
     """
     missing = {}
     for aid, tid, center in keys:
         if (aid, tid, center) not in cache:
             missing.setdefault((aid, tid), {})[center] = None
-    for (aid, tid), centers in missing.items():
-        sa, sb = states[aid], states[tid]
-        series = PairSeries(sa, sb, aid, tid, list(centers), pid_cfg, seed)
-        for center in centers:
-            cache[aid, tid, center] = _pid_from_states(
-                sa, sb, aid, tid, center, pid_cfg, fps, seed, series
-            ).vector()
+    pairs = [(states[aid], states[tid], aid, tid, list(centers))
+             for (aid, tid), centers in missing.items()]
+    for chunk, batch in pair_batches(pairs, pid_cfg, fps, seed):
+        for sa, sb, aid, tid, centers in chunk:
+            for center in centers:
+                cache[aid, tid, center] = _pid_from_states(
+                    sa, sb, aid, tid, center, pid_cfg, fps, seed, batch
+                ).vector()
     return [cache[key] for key in keys]
 
 

@@ -11,23 +11,17 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    FrameMismatch,
-    MissingFrames,
-    ModelShapeMismatch,
-    ShapeMismatch,
-    WindowLengthMismatch,
-)
+from .errors import FrameMismatch, MissingFrames, ModelShapeMismatch
 from .trajectory import (
     TWO_PI,
-    RelativePolar,
     SmoothingConfig,
     TrackStates,
     Trajectory,
@@ -55,8 +49,7 @@ class InteractionLabel(enum.Enum):
         return _INTERACTION_IDS[self]
 
 
-_INTERACTION_ORDER = tuple(InteractionLabel)
-_INTERACTION_IDS = {lab: i for i, lab in enumerate(_INTERACTION_ORDER)}
+_INTERACTION_IDS = {lab: i for i, lab in enumerate(InteractionLabel)}
 
 
 @dataclass(frozen=True)
@@ -171,43 +164,10 @@ def _denominators(cfg: PidConfig) -> tuple:
     return 2.0 * cfg.sigma_rho, 2.0 * cfg.sigma_theta
 
 
-def kde_kernel(sample: RelativePolar, center: RelativePolar, cfg: PidConfig) -> float:
-    """Unnormalized Gaussian-style kernel between two polar points.
-
-    The angular term uses the smallest signed angular difference, so the
-    kernel respects the wraparound at +-pi.
-    """
-    dr, dt = _denominators(cfg)
-    d_theta = wrap_angle(sample.theta - center.theta)
-    return float(math.exp(-((sample.rho - center.rho) ** 2) / dr - d_theta**2 / dt))
-
-
 def _grid_offsets(cfg: PidConfig) -> tuple:
     n = cfg.grid_samples_per_axis
     unit = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
     return unit * (cfg.k_s * cfg.sigma_rho), unit * (cfg.k_s * cfg.sigma_theta)
-
-
-def sample_grid(center: RelativePolar, cfg: PidConfig) -> list:
-    """Weighted kernel samples on an n x n grid around one polar center.
-
-    Points at negative distance are dropped; angles are wrapped into
-    (-pi, pi]; the retained weights are normalized to unit mass.
-    """
-    r_off, t_off = _grid_offsets(cfg)
-    dr, dt = _denominators(cfg)
-    w_r = np.exp(-(r_off**2) / dr)
-    w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
-    rho = center.rho + r_off
-    theta = wrap_angle(center.theta + t_off)
-    keep = rho >= 0.0
-    weights = np.outer(w_r[keep], w_t)
-    weights /= weights.sum()
-    out = []
-    for i, r in enumerate(rho[keep]):
-        for j, th in enumerate(theta):
-            out.append((RelativePolar(float(r), float(th)), float(weights[i, j])))
-    return out
 
 
 def _kernel_codes(rho: np.ndarray, theta: np.ndarray, grid: PolarGrid, cfg: PidConfig) -> tuple:
@@ -247,40 +207,6 @@ def _kernel_weights(cfg: PidConfig) -> np.ndarray:
         table = w.reshape(n + 1, n * n)
     table.flags.writeable = False
     return table
-
-
-def _histogram(band, sector, kept, grid: PolarGrid, cfg: PidConfig) -> np.ndarray:
-    """Window histogram from its frames' kernel codes, shape (cells,).
-
-    Each frame contributes mass 1/T: hard mode counts the sample's own
-    cell, KDE mode spreads the frame's unit mass over its grid samples.
-    """
-    cells = band.astype(np.intp)[:, :, None] * grid.angular_sector_count + sector[:, None, :]
-    weights = _kernel_weights(cfg)[kept]
-    hist = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=grid.cell_count)
-    return hist / len(kept)
-
-
-def accumulate_histogram(
-    pair_samples: Sequence[RelativePolar], grid: PolarGrid, cfg: PidConfig
-) -> np.ndarray:
-    """Window histogram from per-frame relative polar samples."""
-    if len(pair_samples) != cfg.t1:
-        raise WindowLengthMismatch(
-            f"expected {cfg.t1} frames of samples, got {len(pair_samples)}"
-        )
-    rho = np.array([s.rho for s in pair_samples], dtype=float)
-    theta = np.array([s.theta for s in pair_samples], dtype=float)
-    return _histogram(*_kernel_codes(rho, theta, grid, cfg), grid, cfg)
-
-
-def speed_pyramid(d_prime: Sequence[float], cfg: PidConfig) -> np.ndarray:
-    """Pyramid of means of the distance derivative over 1, 2, 4... splits."""
-    x = np.asarray(d_prime, dtype=float)
-    if len(x) != cfg.t1:
-        raise WindowLengthMismatch(f"expected {cfg.t1} values, got {len(x)}")
-    parts = [x.reshape(2**level, -1).mean(axis=1) for level in range(cfg.l_max + 1)]
-    return np.concatenate(parts)
 
 
 # numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants
@@ -331,24 +257,34 @@ def _add_128(hi, lo, b_hi, b_lo) -> tuple:
     return hi + b_hi + (out < lo), out
 
 
-def heading_draws(seed: int, anchor_id: str, target_id: str, frames) -> np.ndarray:
+
+
+def _id_word(track_id) -> int:
+    """The heading key's word for a track id: crc32 of its UTF-8 text."""
+    return zlib.crc32(str(track_id).encode("utf-8"))
+
+
+def heading_draws(seed: int, anchor_words, target_words, frames) -> np.ndarray:
     """Per frame, the double in [0, 1) that
     ``np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF,
-    crc32(anchor), crc32(target), frame & 0xFFFFFFFF])).random()`` draws.
+    anchor_word, target_word, frame & 0xFFFFFFFF])).random()`` draws,
+    where a word is ``crc32`` of a track id's UTF-8 text.
 
     The stream is keyed by (seed, pair, frame), so overlapping windows
-    and parallel evaluation draw identical angles.  The seeding and the
-    first PCG64 (XSL-RR) output are computed for all frames at once in
-    uint64 arithmetic, which is exact, so every draw equals numpy's.
+    and parallel evaluation draw identical angles.  The words broadcast
+    against ``frames``, so one call serves the rows of many pairs.  The
+    seeding and the first PCG64 (XSL-RR) output are computed for all
+    rows at once in uint64 arithmetic, which is exact, so every draw
+    equals numpy's.
     """
     frames = np.asarray(frames, dtype=np.int64)
     if not len(frames):
         return np.empty(0)
     entropy = [
         int(seed) & _M32,
-        zlib.crc32(str(anchor_id).encode("utf-8")),
-        zlib.crc32(str(target_id).encode("utf-8")),
-        (frames & _M32).astype(np.uint64),
+        *np.broadcast_arrays(np.asarray(anchor_words, dtype=np.uint64),
+                             np.asarray(target_words, dtype=np.uint64),
+                             (frames & _M32).astype(np.uint64)),
     ]
     steps = iter(_POOL_HASHES)
     pool = [_hashmix(word, next(steps)) for word in entropy]
@@ -371,71 +307,122 @@ def heading_draws(seed: int, anchor_id: str, target_id: str, frames) -> np.ndarr
     return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-class PairSeries:
-    """Relative polar series of one ordered pair over the windows it serves.
+# Rows (pair-frames) that pair_batches puts into one PairBatch.  At the
+# default 9 x 9 grid a row holds 1,296 B of cells and weights.
+BATCH_FRAMES = 4096
 
-    Built once, over the union of the descriptor windows at ``centers``:
-    each of those frames where both tracks have a state gets its rho and
-    its kernel codes for ``cfg`` (see _kernel_codes), from a theta that
-    is the slow anchor's random heading where its orientation is unknown
-    and is dropped once coded.  ``kept`` is 0 on the frames a track
-    lacks.  A window's histogram is then one bincount over its frames'
-    codes.  The arrays are read-only, and the series depends only on the
-    states, the descriptor config and the seed.
+
+class PairBatch:
+    """Descriptors of the windows of many ordered pairs, from one pass.
+
+    ``pairs`` holds one (anchor_states, target_states, anchor_id,
+    target_id, centers) per pair.  A pair's windows become one block of
+    rows, one per frame of their union in frame order, so each window is
+    a run of t1 rows.  One pass over the rows of every pair gathers both
+    tracks' states, takes rho and theta (the slow anchor's random
+    heading where its orientation is unknown, see heading_draws) and
+    codes them (see _kernel_codes); a row whose frame a track lacks
+    makes its windows incomplete.  A complete window's histogram is one
+    bincount over its rows' cells and weights, in frame, radial offset,
+    angular offset order, and the speed pyramids of all windows come
+    from one (windows x t1) block of rho.
+
+    ``index`` maps (anchor_id, target_id, center) to a row of the
+    read-only ``vectors``, which holds that window's descriptor where
+    ``complete`` is true.
     """
 
-    __slots__ = ("cfg", "first", "rho", "band", "sector", "kept")
+    __slots__ = ("index", "complete", "vectors")
 
-    def __init__(
-        self,
-        anchor_states: TrackStates,
-        target_states: TrackStates,
-        anchor_id: str,
-        target_id: str,
-        centers: Sequence[int],
-        cfg: PidConfig,
-        seed: int,
-    ):
-        back, fwd = cfg.window_halves
-        starts = np.asarray(centers, dtype=np.int64) - back
-        self.cfg = cfg
-        self.first = int(starts.min())
-        need = np.zeros(int(starts.max()) + back + fwd + 1 - self.first, dtype=bool)
-        for lo in (starts - self.first).tolist():
-            need[lo:lo + back + fwd + 1] = True
-        frames = np.flatnonzero(need) + self.first
-        ra, rb = anchor_states.rows(frames), target_states.rows(frames)
-        have = (ra >= 0) & (rb >= 0)
-        at, frames, ra, rb = frames[have] - self.first, frames[have], ra[have], rb[have]
-        d = target_states.xy[rb] - anchor_states.xy[ra]
+    def __init__(self, pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int):
+        t1, back = cfg.t1, cfg.window_halves[0]
+        centers = [list(pair[4]) for pair in pairs]
+        owner = np.repeat(np.arange(len(pairs)), [len(c) for c in centers])
+        start = np.fromiter(itertools.chain.from_iterable(centers), np.int64, len(owner)) - back
+        order = np.lexsort((start, owner))
+        start, owner = start[order], owner[order]
+        # a window adds the rows of its frames past its pair's previous window
+        fresh = np.full(len(start), t1)
+        later = np.flatnonzero(owner[1:] == owner[:-1]) + 1
+        fresh[later] = np.minimum(start[later] - start[later - 1], t1)
+        end = np.cumsum(fresh)
+        first = end - t1
+        frames = np.repeat(start + t1 - end, fresh) + np.arange(end[-1])
+        pair_of = np.repeat(owner, fresh)
+
+        # one lookup per track over the rows it serves; row 0 of the
+        # stacked states stands for a frame the track lacks
+        tracks = list({id(st): st for pair in pairs for st in pair[:2]}.values())
+        slot = {id(st): k for k, st in enumerate(tracks)}
+        who = np.array([[slot[id(pair[0])], slot[id(pair[1])]] for pair in pairs])
+        who = who[pair_of].ravel()
+        by_track = np.argsort(who, kind="stable")
+        cuts = np.searchsorted(who[by_track], np.arange(len(tracks) + 1))
+        at = np.zeros(len(who), dtype=np.intp)
+        base = 1
+        for k, st in enumerate(tracks):
+            sel = by_track[cuts[k]:cuts[k + 1]]
+            rows = st.rows(frames[sel >> 1])
+            at[sel] = np.where(rows >= 0, rows + base, 0)
+            base += len(st)
+        ra, rb = at[0::2], at[1::2]
+        have = (ra > 0) & (rb > 0)
+        xy = np.concatenate([np.zeros((1, 2))] + [st.xy for st in tracks])
+        heading = np.concatenate([[0.0]] + [st.orientation for st in tracks])[ra]
+
+        d = xy[rb] - xy[ra]
         dx, dy = d[:, 0].tolist(), d[:, 1].tolist()
-        rho = np.fromiter(map(math.hypot, dx, dy), float, len(at))
-        heading = anchor_states.orientation[ra]
+        rho = np.fromiter(map(math.hypot, dx, dy), float, len(frames))
         slow = np.isnan(heading)
-        theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, len(at))
+        theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, len(frames))
                            - np.where(slow, 0.0, heading))
-        theta[slow] = math.pi - TWO_PI * heading_draws(seed, anchor_id, target_id, frames[slow])
-        samples = 1 if cfg.assignment == "hard" else cfg.grid_samples_per_axis
-        grid = cfg.grid
-        code = np.min_scalar_type(max(grid.band_count, grid.angular_sector_count, samples))
-        self.rho = np.zeros(len(need))
-        self.band = np.zeros((len(need), samples), dtype=code)
-        self.sector = np.zeros((len(need), samples), dtype=code)
-        self.kept = np.zeros(len(need), dtype=code)
-        self.rho[at] = rho
-        self.band[at], self.sector[at], self.kept[at] = _kernel_codes(rho, theta, grid, cfg)
-        for array in (self.rho, self.band, self.sector, self.kept):
-            array.flags.writeable = False
+        words = np.array([[_id_word(pair[2]), _id_word(pair[3])] for pair in pairs],
+                         dtype=np.uint64)[pair_of[slow]]
+        theta[slow] = math.pi - TWO_PI * heading_draws(seed, words[:, 0], words[:, 1],
+                                                       frames[slow])
+        band, sector, kept = _kernel_codes(rho, theta, cfg.grid, cfg)
+        cell_count = cfg.grid.cell_count
+        cells = band.astype(np.intp)[:, :, None] * cfg.grid.angular_sector_count
+        cells = (cells + sector[:, None, :]).reshape(len(frames), -1)
+        weights = _kernel_weights(cfg)[kept]
 
-    def window(self, start: int, end: int) -> Optional[tuple]:
-        """(rho, histogram) over the frames [start, end] inclusive, or None
-        when the window leaves the series or a track lacks one of them."""
-        lo, hi = start - self.first, end + 1 - self.first
-        if lo < 0 or hi > len(self.kept) or not self.kept[lo:hi].all():
-            return None
-        cfg = self.cfg
-        return self.rho[lo:hi], _histogram(self.band[lo:hi], self.sector[lo:hi],
-                                           self.kept[lo:hi], cfg.grid, cfg)
+        lacking = np.concatenate([[0], np.cumsum(~have)])
+        complete = lacking[first + t1] == lacking[first]
+        ok = np.flatnonzero(complete)
+        vectors = np.zeros((len(start), cfg.descriptor_length))
+        hist = vectors[:, :cell_count]
+        for i, lo in zip(ok.tolist(), first[ok].tolist()):
+            hist[i] = np.bincount(cells[lo:lo + t1].ravel(), weights=weights[lo:lo + t1].ravel(),
+                                  minlength=cell_count)
+        hist /= t1
+        speed = finite_difference(rho[first[ok, None] + np.arange(t1)], 1.0 / fps)
+        vectors[ok, cell_count:] = np.concatenate(
+            [speed.reshape(len(ok), 2**level, t1 >> level).mean(axis=2)
+             for level in range(cfg.l_max + 1)], axis=1)
+        vectors.flags.writeable = False
+        row = np.empty(len(order), dtype=np.intp)
+        row[order] = np.arange(len(order))
+        keys = ((pair[2], pair[3], c) for pair, cs in zip(pairs, centers) for c in cs)
+        self.index = dict(zip(keys, row.tolist()))
+        self.complete = complete
+        self.vectors = vectors
+
+
+def pair_batches(pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int) -> Iterator:
+    """(chunk, PairBatch of the chunk) over consecutive runs of whole
+    ``pairs``, given as PairBatch takes them, of up to BATCH_FRAMES rows
+    each; a pair that alone needs more rows gets a batch of its own."""
+    chunk, rows = [], 0
+    for pair in pairs:
+        starts = sorted(pair[4])
+        need = cfg.t1 + sum(min(b - a, cfg.t1) for a, b in zip(starts, starts[1:]))
+        if chunk and rows + need > BATCH_FRAMES:
+            yield chunk, PairBatch(chunk, cfg, fps, seed)
+            chunk, rows = [], 0
+        chunk.append(pair)
+        rows += need
+    if chunk:
+        yield chunk, PairBatch(chunk, cfg, fps, seed)
 
 
 def _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end):
@@ -444,7 +431,8 @@ def _raise_missing(anchor_states, target_states, anchor_id, target_id, start, en
     ra, rb = anchor_states.rows(frames), target_states.rows(frames)
     lacking = np.flatnonzero((ra < 0) | (rb < 0))
     if not len(lacking):
-        raise ValueError(f"frames {start}..{end} lie outside the pair series")
+        raise ValueError(f"frames {start}..{end} of pair {anchor_id}, {target_id} "
+                         f"lie outside the batch")
     k = lacking[0]
     who = anchor_id if ra[k] < 0 else target_id
     raise MissingFrames(f"track {who}: no state at frame {frames[k]}")
@@ -459,24 +447,22 @@ def _pid_from_states(
     cfg: PidConfig,
     fps: float,
     seed: int,
-    series: Optional[PairSeries] = None,
+    batch: Optional[PairBatch] = None,
 ) -> PidDescriptor:
-    """Descriptor of one window, sliced out of the pair's ``series``, which
-    was built under the same ``cfg`` and ``seed``; when None, a series is
+    """Descriptor of one window, read from ``batch``, which was built
+    under the same ``cfg``, ``fps`` and ``seed``; when None, a batch is
     built over this window only."""
-    back, fwd = cfg.window_halves
-    start, end = center_frame - back, center_frame + fwd
-    if series is None:
-        series = PairSeries(anchor_states, target_states, anchor_id, target_id,
-                            [center_frame], cfg, seed)
-    described = series.window(start, end)
-    if described is None:
-        _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end)
-    rho, histogram = described
+    if batch is None:
+        batch = PairBatch([(anchor_states, target_states, anchor_id, target_id,
+                            [center_frame])], cfg, fps, seed)
+    row = batch.index.get((anchor_id, target_id, center_frame))
+    if row is None or not batch.complete[row]:
+        back, fwd = cfg.window_halves
+        _raise_missing(anchor_states, target_states, anchor_id, target_id,
+                       center_frame - back, center_frame + fwd)
+    vector, cells = batch.vectors[row], cfg.grid.cell_count
     return PidDescriptor(
-        histogram=histogram,
-        speed_pyramid=speed_pyramid(finite_difference(rho, 1.0 / fps), cfg),
-        center_frame=center_frame,
+        histogram=vector[:cells], speed_pyramid=vector[cells:], center_frame=center_frame
     )
 
 
@@ -514,16 +500,3 @@ def interaction_labels(model) -> tuple:
         except ValueError:
             raise ModelShapeMismatch(f"model class {name!r} is no interaction label") from None
     return tuple(labels)
-
-
-def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
-    """Forest vote over one descriptor: (label, per-class vote fractions),
-    with the votes mapped to labels by interaction_labels."""
-    try:
-        votes = model.vote_fractions(descriptor.vector()[None, :])[0]
-    except ShapeMismatch as e:
-        raise ModelShapeMismatch(str(e)) from None
-    probs = np.zeros(len(_INTERACTION_ORDER))
-    for label, share in zip(interaction_labels(model), votes):
-        probs[label.class_id] = share
-    return _INTERACTION_ORDER[int(np.argmax(probs))], probs

@@ -331,10 +331,11 @@ def smoothed_states(
 
 
 def finite_difference(values: np.ndarray, h: float) -> np.ndarray:
-    """Derivative of values sampled every ``h`` seconds: central
-    differences inside, one-sided at both ends (>= 2 values)."""
+    """Derivative along the last axis of values sampled every ``h``
+    seconds: central differences inside, one-sided at both ends (>= 2
+    values)."""
     dv = np.empty_like(values)
-    dv[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    dv[0] = (values[1] - values[0]) / h
-    dv[-1] = (values[-1] - values[-2]) / h
+    dv[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * h)
+    dv[..., 0] = (values[..., 1] - values[..., 0]) / h
+    dv[..., -1] = (values[..., -1] - values[..., -2]) / h
     return dv

@@ -1,11 +1,16 @@
-"""Per-sample reference code for the array-based trajectory layer.
+"""Per-sample reference code for the array-based trajectory and pair
+descriptor layers.
 
 The library works on whole arrays; these frame-by-frame forms are kept
 as test oracles.  ``KinematicState``, ``relative_polar``,
 ``relative_distance_series`` and ``derivative`` describe one pair-frame
 or one series at a time; ``reference_states`` is ``smoothed_states``
 built from one TimedPosition per sample: span split, gap filling and
-Brown's smoothing sample by sample, then ``kinematics``.
+Brown's smoothing sample by sample, then ``kinematics``.  For the pair
+descriptor, ``kde_kernel`` and ``sample_grid`` spell out the kernel and
+its sampling grid around one polar point, ``accumulate_histogram`` and
+``speed_pyramid`` describe one window from its per-frame samples, and
+``classify_interaction`` votes on one descriptor.
 """
 
 from __future__ import annotations
@@ -16,7 +21,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from proxrf.errors import FrameMismatch, InsufficientData, InvalidFeature
+from proxrf.errors import (
+    FrameMismatch,
+    InsufficientData,
+    InvalidFeature,
+    ModelShapeMismatch,
+    ShapeMismatch,
+    WindowLengthMismatch,
+)
+from proxrf.pid import InteractionLabel, PidConfig, PidDescriptor, PolarGrid, interaction_labels
 from proxrf.trajectory import (
     DEFAULT_MAX_GAP,
     TWO_PI,
@@ -148,3 +161,99 @@ def reference_states(
             parts.append(kinematics(reference_smooth(seg, cfg), cfg))
     return TrackStates(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(TrackStates)))
+
+
+def _denominators(cfg: PidConfig) -> tuple:
+    if cfg.variance_denominator:
+        return 2.0 * cfg.sigma_rho**2, 2.0 * cfg.sigma_theta**2
+    return 2.0 * cfg.sigma_rho, 2.0 * cfg.sigma_theta
+
+
+def _grid_offsets(cfg: PidConfig) -> tuple:
+    n = cfg.grid_samples_per_axis
+    unit = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
+    return unit * (cfg.k_s * cfg.sigma_rho), unit * (cfg.k_s * cfg.sigma_theta)
+
+
+def kde_kernel(sample: RelativePolar, center: RelativePolar, cfg: PidConfig) -> float:
+    """Unnormalized Gaussian-style kernel between two polar points.
+
+    The angular term uses the smallest signed angular difference, so the
+    kernel respects the wraparound at +-pi.
+    """
+    dr, dt = _denominators(cfg)
+    d_theta = wrap_angle(sample.theta - center.theta)
+    return float(math.exp(-((sample.rho - center.rho) ** 2) / dr - d_theta**2 / dt))
+
+
+def sample_grid(center: RelativePolar, cfg: PidConfig) -> list:
+    """Weighted kernel samples on an n x n grid around one polar center.
+
+    Points at negative distance are dropped; angles are wrapped into
+    (-pi, pi]; the retained weights are normalized to unit mass.
+    """
+    r_off, t_off = _grid_offsets(cfg)
+    dr, dt = _denominators(cfg)
+    w_r = np.exp(-(r_off**2) / dr)
+    w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
+    rho = center.rho + r_off
+    theta = wrap_angle(center.theta + t_off)
+    keep = rho >= 0.0
+    weights = np.outer(w_r[keep], w_t)
+    weights /= weights.sum()
+    out = []
+    for i, r in enumerate(rho[keep]):
+        for j, th in enumerate(theta):
+            out.append((RelativePolar(float(r), float(th)), float(weights[i, j])))
+    return out
+
+
+def accumulate_histogram(
+    pair_samples: Sequence[RelativePolar], grid: PolarGrid, cfg: PidConfig
+) -> np.ndarray:
+    """Window histogram from per-frame relative polar samples, with the
+    whole window's arithmetic at once: a (frames, n, n) weight block
+    normalised per frame, bincounted in frame order and divided by T.
+    Hard mode counts each sample's own cell."""
+    if len(pair_samples) != cfg.t1:
+        raise WindowLengthMismatch(
+            f"expected {cfg.t1} frames of samples, got {len(pair_samples)}"
+        )
+    rho = np.array([s.rho for s in pair_samples], dtype=float)
+    theta = np.array([s.theta for s in pair_samples], dtype=float)
+    t = len(rho)
+    if cfg.assignment == "hard":
+        return np.bincount(grid.cell_of(rho, theta), minlength=grid.cell_count) / t
+    r_off, t_off = _grid_offsets(cfg)
+    dr, dt = _denominators(cfg)
+    w_r = np.exp(-(r_off**2) / dr)
+    w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
+    r_pts = rho[:, None] + r_off[None, :]
+    t_pts = wrap_angle(theta[:, None] + t_off[None, :])
+    w = (w_r[None, :] * (r_pts >= 0.0))[:, :, None] * w_t[None, None, :]
+    w /= w.sum(axis=(1, 2), keepdims=True)
+    cells = grid.band_of(r_pts)[:, :, None] * grid.angular_sector_count
+    cells = cells + grid.sector_of(t_pts)[:, None, :]
+    return np.bincount(cells.ravel(), weights=w.ravel(), minlength=grid.cell_count) / t
+
+
+def speed_pyramid(d_prime: Sequence[float], cfg: PidConfig) -> np.ndarray:
+    """Pyramid of means of the distance derivative over 1, 2, 4... splits."""
+    x = np.asarray(d_prime, dtype=float)
+    if len(x) != cfg.t1:
+        raise WindowLengthMismatch(f"expected {cfg.t1} values, got {len(x)}")
+    parts = [x.reshape(2**level, -1).mean(axis=1) for level in range(cfg.l_max + 1)]
+    return np.concatenate(parts)
+
+
+def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
+    """Forest vote over one descriptor: (label, per-class vote fractions),
+    with the votes mapped to labels by interaction_labels."""
+    try:
+        votes = model.vote_fractions(descriptor.vector()[None, :])[0]
+    except ShapeMismatch as e:
+        raise ModelShapeMismatch(str(e)) from None
+    probs = np.zeros(len(InteractionLabel))
+    for label, share in zip(interaction_labels(model), votes):
+        probs[label.class_id] = share
+    return tuple(InteractionLabel)[int(np.argmax(probs))], probs

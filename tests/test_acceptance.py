@@ -24,14 +24,7 @@ from proxrf.cbd import (
 from proxrf.dataset import FoldSplit, adapt_external
 from proxrf.evaluate import CUE_NAMES, PipelineConfig, ablation, kfold_evaluate
 from proxrf.forest import ForestConfig, LabeledSample, deserialize, serialize, train
-from proxrf.pid import (
-    InteractionLabel,
-    PidConfig,
-    RelativePolar,
-    accumulate_histogram,
-    compute_pid,
-    sample_grid,
-)
+from proxrf.pid import PidConfig, compute_pid
 from proxrf.synth import (
     SynthParams,
     gen_collective,
@@ -39,9 +32,10 @@ from proxrf.synth import (
     make_contrast_corpus,
     make_pair_corpus,
 )
-from proxrf.trajectory import SmoothingConfig
+from proxrf.trajectory import RelativePolar, SmoothingConfig
 
 from conftest import make_traj, track_states
+from per_sample import accumulate_histogram, sample_grid
 
 BENCH = SynthParams(seed=7, noise_sigma=0.02)
 

@@ -21,10 +21,11 @@ from proxrf.cbd import (
 )
 from proxrf.errors import EmptyGroup, FrameMismatch, ModelShapeMismatch
 from proxrf.forest import ForestConfig, LabeledSample, train
-from proxrf.pid import InteractionLabel, PidConfig, classify_interaction, compute_pid
+from proxrf.pid import InteractionLabel, PidConfig, compute_pid
 from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference
 
 from conftest import make_traj, straight_traj, track_states
+from per_sample import classify_interaction
 
 SMOOTH = SmoothingConfig()
 

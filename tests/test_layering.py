@@ -8,8 +8,9 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the pair descriptor's per-window kernel, which cbd slices out of a pair
-# series; it keeps its name for the benchmark tracer
+# the pair descriptor's per-window lookup, which cbd calls once per key to
+# read its vector out of a pair batch; it keeps its name for the
+# benchmark tracer
 ALLOWED = {"_pid_from_states"}
 
 

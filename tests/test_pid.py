@@ -5,7 +5,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from proxrf import pid as pid_module
 from proxrf.cbd import pair_vectors
 from proxrf.errors import (
     FrameMismatch,
@@ -16,17 +19,12 @@ from proxrf.errors import (
 from proxrf.forest import ForestConfig, LabeledSample, train
 from proxrf.pid import (
     InteractionLabel,
-    PairSeries,
+    PairBatch,
     PidConfig,
     PolarGrid,
     _pid_from_states,
-    accumulate_histogram,
-    classify_interaction,
     compute_pid,
     heading_draws,
-    kde_kernel,
-    sample_grid,
-    speed_pyramid,
 )
 from proxrf.synth import (
     SynthParams,
@@ -37,12 +35,22 @@ from proxrf.synth import (
 from proxrf.trajectory import (
     RelativePolar,
     SmoothingConfig,
+    TrackStates,
     smoothed_states,
     wrap_angle,
 )
 
 from conftest import make_traj, straight_traj
-from per_sample import KinematicState, derivative, relative_polar
+from per_sample import (
+    KinematicState,
+    accumulate_histogram,
+    classify_interaction,
+    derivative,
+    kde_kernel,
+    relative_polar,
+    sample_grid,
+    speed_pyramid,
+)
 
 CFG = PidConfig()
 
@@ -232,34 +240,25 @@ def test_boundary_sample_splits_evenly_with_even_grid():
     assert hist[2 * 4 + 0] > 0.3
 
 
-def _window_histogram_reference(rho, theta, grid, cfg):
-    """The histogram arithmetic of one window at once: a (frames, n, n)
-    weight block normalised per frame, bincounted in frame order."""
-    t = len(rho)
-    if cfg.assignment == "hard":
-        return np.bincount(grid.cell_of(rho, theta), minlength=grid.cell_count) / t
-    n = cfg.grid_samples_per_axis
-    unit = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
-    r_off, t_off = unit * (cfg.k_s * cfg.sigma_rho), unit * (cfg.k_s * cfg.sigma_theta)
-    if cfg.variance_denominator:
-        dr, dt = 2.0 * cfg.sigma_rho**2, 2.0 * cfg.sigma_theta**2
-    else:
-        dr, dt = 2.0 * cfg.sigma_rho, 2.0 * cfg.sigma_theta
-    w_r = np.exp(-(r_off**2) / dr)
-    w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
-    r_pts = rho[:, None] + r_off[None, :]
-    t_pts = wrap_angle(theta[:, None] + t_off[None, :])
-    w = (w_r[None, :] * (r_pts >= 0.0))[:, :, None] * w_t[None, None, :]
-    w /= w.sum(axis=(1, 2), keepdims=True)
-    cells = grid.band_of(r_pts)[:, :, None] * grid.angular_sector_count
-    cells = cells + grid.sector_of(t_pts)[:, None, :]
-    return np.bincount(cells.ravel(), weights=w.ravel(), minlength=grid.cell_count) / t
+def _polar_pair(rho, theta):
+    """Anchor states at the origin facing +x, target states at each
+    frame's polar point, and the per-frame samples a batch derives from
+    them: math.hypot and math.atan2 of the target's offset."""
+    n = len(rho)
+    frames = np.arange(n, dtype=np.int64)
+    xy = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
+    anchor = TrackStates(frames, np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n), np.zeros(n))
+    target = TrackStates(frames, xy, np.zeros((n, 2)), np.ones(n), np.zeros(n))
+    samples = [RelativePolar(math.hypot(x, y), wrap_angle(math.atan2(y, x)))
+               for x, y in xy.tolist()]
+    return anchor, target, samples
 
 
 def test_histogram_codes_match_whole_window_arithmetic():
-    # per-frame kernel codes and a weight table per kept-offset count give
-    # the bits of the direct computation, including frames near rho = 0
-    # whose inner radial offsets fall below zero
+    # per-frame kernel codes and a weight table per kept-offset count, as a
+    # batch reads them, give the bits of the direct computation of the
+    # whole window, including frames near rho = 0 whose inner radial
+    # offsets fall below zero
     rng = np.random.default_rng(41)
     configs = [
         PidConfig(t1=16), PidConfig(t1=64), PidConfig(t1=16, assignment="hard"),
@@ -274,9 +273,10 @@ def test_histogram_codes_match_whole_window_arithmetic():
                            rng.uniform(0.0, 6.0, cfg.t1))
             rho[rng.random(cfg.t1) < 0.05] = 0.0
             theta = rng.uniform(-math.pi, math.pi, cfg.t1)
-            samples = [RelativePolar(float(r), float(t)) for r, t in zip(rho, theta)]
-            got = accumulate_histogram(samples, cfg.grid, cfg)
-            want = _window_histogram_reference(rho, theta, cfg.grid, cfg)
+            anchor, target, samples = _polar_pair(rho, theta)
+            got = _pid_from_states(anchor, target, "a", "b", cfg.window_halves[0], cfg,
+                                   10.0, 0).histogram
+            want = accumulate_histogram(samples, cfg.grid, cfg)
             assert np.array_equal(got, want), (cfg, trial)
 
 
@@ -446,7 +446,7 @@ def _reference_vector(sa, sb, anchor_id, target_id, center, cfg, fps, seed):
                            speed_pyramid([v for _, v in d_prime], cfg)])
 
 
-def test_series_windows_match_per_frame_reference():
+def test_batch_windows_match_per_frame_reference():
     rng = np.random.default_rng(17)
     n = 120
     # the anchor stands (random headings) for frames 0-29 and 90-119
@@ -470,26 +470,28 @@ def test_series_windows_match_per_frame_reference():
     seed = 11
     described, errors = set(), set()
     centers = range(-20, n + 20)
-    for aid, tid in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "b")):
-        sa, sb = states[aid], states[tid]
-        for cfg in configs:
-            # one series per config, built over every center at once
-            series = PairSeries(sa, sb, aid, tid, centers, cfg, seed)
-            back, fwd = cfg.window_halves
+    pairs = (("a", "b"), ("b", "a"), ("a", "c"), ("c", "b"))
+    for cfg in configs:
+        # one batch per config, built over every pair and center at once
+        batch = PairBatch([(states[aid], states[tid], aid, tid, centers) for aid, tid in pairs],
+                          cfg, 10.0, seed)
+        back, fwd = cfg.window_halves
+        for aid, tid in pairs:
+            sa, sb = states[aid], states[tid]
             for center in centers:
                 try:
                     want = _reference_vector(per_frame[aid], per_frame[tid], aid, tid, center,
                                              cfg, 10.0, seed)
                 except MissingFrames as e:
                     errors.add(str(e))
-                    for s in (series, None):
+                    for b in (batch, None):
                         with pytest.raises(MissingFrames) as got:
-                            _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s)
+                            _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, b)
                         assert str(got.value) == str(e)
                     continue
                 described.add((aid, tid, center - back, center + fwd))
-                for s in (series, None):
-                    got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, s)
+                for b in (batch, None):
+                    got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, b)
                     assert np.array_equal(got.vector(), want), (aid, tid, center, cfg)
     # windows flush with both edges of each of b's spans, and errors that
     # name the anchor, the target and b's hole
@@ -500,22 +502,39 @@ def test_series_windows_match_per_frame_reference():
         assert msg in errors
 
 
-def test_series_spans_the_union_of_its_windows_and_is_read_only():
+def test_batch_spans_the_union_of_its_windows_and_is_read_only():
     sa = smoothed_states(straight_traj("a", 1.3, 0.0, 140), SMOOTH)
-    sb = smoothed_states(straight_traj("b", 1.3, 0.0, 140, origin=(0.0, 1.0)), SMOOTH)
+    b_traj = straight_traj("b", 1.3, 0.0, 140, origin=(0.0, 1.0))
+    full = smoothed_states(b_traj, SMOOTH)
+    # b without the frames between the windows at 40 and 60, split there
+    keep = np.r_[0:49, 53:140]
+    holed = smoothed_states(make_traj("b", b_traj.xy[keep], frames=keep), SMOOTH, max_gap=1)
     cfg = PidConfig(t1=16)
     back, fwd = cfg.window_halves
-    series = PairSeries(sa, sb, "a", "b", [60, 40], cfg, 3)
-    assert series.first == 40 - back and len(series.kept) == 60 + fwd + 1 - series.first
-    # the frames between the two windows are left out
-    kept = np.flatnonzero(series.kept) + series.first
-    assert kept.tolist() == list(range(40 - back, 41 + fwd)) + list(range(60 - back, 61 + fwd))
-    assert series.window(40 - back, 40 + fwd) is not None
-    assert series.window(41 - back, 41 + fwd) is None
-    with pytest.raises(ValueError):
-        series.rho[0] = 1.0
-    with pytest.raises(ValueError, match="frames 43..58 lie outside the pair series"):
-        _pid_from_states(sa, sb, "a", "b", 50, cfg, 10.0, 3, series)
+    assert (40 + fwd, 60 - back) == (48, 53)
+    batches = {}
+    for name, sb in (("full", full), ("holed", holed)):
+        batch = batches[name] = PairBatch([(sa, sb, "a", "b", [60, 40])], cfg, 10.0, 3)
+        # rows in frame order; both windows complete, as the frames
+        # between them are no rows of the pair's block
+        assert batch.index == {("a", "b", 40): 0, ("a", "b", 60): 1}
+        assert batch.complete.tolist() == [True, True]
+        for center in (40, 60):
+            got = _pid_from_states(sa, sb, "a", "b", center, cfg, 10.0, 3, batch)
+            lone = _pid_from_states(sa, sb, "a", "b", center, cfg, 10.0, 3)
+            assert np.array_equal(got.vector(), lone.vector())
+        with pytest.raises(ValueError):
+            batch.vectors[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            got.histogram[0] = 1.0
+    with pytest.raises(ValueError, match="frames 43..58 of pair a, b lie outside the batch"):
+        _pid_from_states(sa, full, "a", "b", 50, cfg, 10.0, 3, batches["full"])
+    with pytest.raises(MissingFrames, match="^track b: no state at frame 49$"):
+        _pid_from_states(sa, holed, "a", "b", 50, cfg, 10.0, 3, batches["holed"])
+
+
+def _word(track_id):
+    return zlib.crc32(track_id.encode("utf-8"))
 
 
 def test_heading_draws_equal_numpy_streams():
@@ -531,9 +550,27 @@ def test_heading_draws_equal_numpy_streams():
         cases.append((seed, "\u00e9", "a", edges))
     for seed, anchor, target, frames in cases:
         want = [_heading_rng(seed, anchor, target, int(f)).random() for f in frames]
-        assert np.array_equal(heading_draws(seed, anchor, target, frames), want)
-    empty = heading_draws(1, "a", "b", np.array([], dtype=np.int64))
+        assert np.array_equal(heading_draws(seed, _word(anchor), _word(target), frames), want)
+    empty = heading_draws(1, _word("a"), _word("b"), np.array([], dtype=np.int64))
     assert empty.shape == (0,) and empty.dtype == float
+
+
+def test_heading_draws_over_rows_of_mixed_pairs_equal_numpy_streams():
+    # one call over rows of many (anchor, target) pairs, as a batch makes
+    # it: per-row id words, frames in no particular order
+    rng = np.random.default_rng(29)
+    ids = ["a", "b", "track-17", "\u00e9", "\u2603 snow", "", "0"]
+    n = 300
+    anchors = [ids[k] for k in rng.integers(len(ids), size=n)]
+    targets = [ids[k] for k in rng.integers(len(ids), size=n)]
+    frames = rng.integers(-2**40, 2**40, size=n)
+    frames[:10] = [0, 1, -1, -5, 2**32 - 1, 2**32, 2**32 + 5, -2**32, 2**63 - 1, -2**63]
+    anchor_words = np.array([_word(a) for a in anchors], dtype=np.uint64)
+    target_words = np.array([_word(t) for t in targets], dtype=np.uint64)
+    for seed in (0, 3, -5, 2**32 + 1):
+        want = [_heading_rng(seed, a, t, int(f)).random()
+                for a, t, f in zip(anchors, targets, frames)]
+        assert np.array_equal(heading_draws(seed, anchor_words, target_words, frames), want)
 
 
 def _recordings_of_acceptance_corpora():
@@ -580,6 +617,114 @@ def test_pair_vectors_match_per_window_descriptors():
 def _covers(states, center, back, fwd):
     rows = states.rows(np.arange(center - back, center + fwd + 1))
     return bool((rows >= 0).all())
+
+
+# every descriptor config of the output contract: kde, hard, kernel grids
+# of 1 and 4 samples (the latter with a wider radial kernel and the
+# variance denominator), at a short window
+_CONTRACT_CONFIGS = (
+    PidConfig(t1=16), PidConfig(t1=16, assignment="hard"),
+    PidConfig(t1=16, grid_samples_per_axis=1),
+    PidConfig(t1=16, grid_samples_per_axis=4, sigma_rho=0.6, variance_denominator=True),
+)
+
+
+@st.composite
+def _recordings(draw):
+    """(states, keys, cfg): two to four tracks with holes within and
+    beyond max_gap and a drawn standing stretch (random headings), and a
+    subset of their (anchor, target, center) keys in random order, some
+    of whose windows leave a track."""
+    cfg = draw(st.sampled_from(_CONTRACT_CONFIGS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = draw(st.lists(st.sampled_from(["a", "walker-7", "\u00e9", "0"]), min_size=2,
+                        max_size=4, unique=True))
+    states, span = {}, []
+    for tid in ids:
+        n = draw(st.integers(4 * cfg.t1, 5 * cfg.t1))
+        # up to two holes, each filled (within max_gap) or splitting the track
+        steps = np.ones(n, dtype=np.int64)
+        for at, size in draw(st.lists(st.tuples(st.integers(1, n - 1), st.sampled_from([3, 9])),
+                                      max_size=2)):
+            steps[at] = size
+        frames = draw(st.integers(-4, 4)) + np.cumsum(steps) - 1
+        stand = sorted(draw(st.tuples(st.integers(0, n), st.integers(0, n))))
+        speed = np.full(n, 0.12)
+        speed[stand[0]:stand[1]] = 0.0
+        heading = rng.uniform(-math.pi, math.pi)
+        walk = speed[:, None] * [math.cos(heading), math.sin(heading)]
+        xy = rng.uniform(-3.0, 3.0, 2) + np.cumsum(walk + 0.01 * rng.standard_normal((n, 2)),
+                                                   axis=0)
+        states[tid] = smoothed_states(make_traj(tid, xy, frames=frames.tolist()), SMOOTH)
+        span += [int(frames[0]), int(frames[-1])]
+    keys = [(a, t, c) for a in ids for t in ids if a != t for c in range(min(span) - 4, max(span) + 5)]
+    keys = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=40, unique=True))
+    return states, keys, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_recordings(), st.integers(-2**40, 2**40))
+def test_batch_equals_lone_pairs_and_per_frame_reference(recording, seed):
+    states, keys, cfg = recording
+    per_frame = {tid: _per_frame(st_) for tid, st_ in states.items()}
+    pairs = {}
+    for aid, tid, center in keys:
+        pairs.setdefault((aid, tid), []).append(center)
+    batch = PairBatch([(states[a], states[t], a, t, cs) for (a, t), cs in pairs.items()],
+                      cfg, 10.0, seed)
+    complete = []
+    for aid, tid, center in keys:
+        sa, sb = states[aid], states[tid]
+        try:
+            want = _reference_vector(per_frame[aid], per_frame[tid], aid, tid, center, cfg,
+                                     10.0, seed)
+        except MissingFrames as e:
+            with pytest.raises(MissingFrames) as got:
+                _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, batch)
+            assert str(got.value) == str(e)
+            continue
+        got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, batch)
+        assert np.array_equal(got.vector(), want)
+        complete.append(((aid, tid, center), want))
+    # every complete key in one pair_vectors call, and each pair in its own
+    together = pair_vectors(states, [k for k, _ in complete], cfg, 10.0, seed, {})
+    for (key, want), vec in zip(complete, together):
+        alone = pair_vectors(states, [key], cfg, 10.0, seed, {})[0]
+        assert np.array_equal(vec, want) and np.array_equal(alone, want), key
+
+
+def test_chunked_batches_describe_like_one_batch(monkeypatch):
+    # a budget of about two pairs' rows splits one pair_vectors call into
+    # batches of whole pairs, and a budget of one row gives each pair a
+    # batch of its own
+    built = []
+
+    class Counting(PairBatch):
+        __slots__ = ()
+
+        def __init__(self, pairs, *args):
+            built.append(len(pairs))
+            super().__init__(pairs, *args)
+
+    rec = make_collective_corpus(SynthParams(seed=7, noise_sigma=0.02), 1)[0]
+    states = {t.track_id: smoothed_states(t, SMOOTH) for t in rec.trajectories}
+    cfg = PidConfig(t1=16)
+    back, fwd = cfg.window_halves
+    lo, hi = rec.frame_range
+    keys = [(a, t, c) for a in sorted(states) for t in sorted(states) if a != t
+            for c in range(lo + back, hi - fwd + 1, 3)
+            if _covers(states[a], c, back, fwd) and _covers(states[t], c, back, fwd)]
+    keys = [keys[i] for i in np.random.default_rng(3).permutation(len(keys))]
+    want = pair_vectors(states, keys, cfg, rec.fps, 5, {})
+    monkeypatch.setattr(pid_module, "PairBatch", Counting)
+    pairs = len({key[:2] for key in keys})
+    assert pairs == 12 and hi - lo + 1 == 112
+    for budget, sizes in ((250, [2] * 6), (1, [1] * 12)):
+        monkeypatch.setattr(pid_module, "BATCH_FRAMES", budget)
+        built.clear()
+        got = pair_vectors(states, keys, cfg, rec.fps, 5, {})
+        assert built == sizes
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # ----------------------------------------------------------- classification

@@ -9,11 +9,12 @@ shape cue, and the stage-one sidecar), pid and cbd extracts, predictions,
 evaluations and cross-corpus reports.  A second, longer synthetic corpus
 gets pid extracts under other descriptor settings (hard assignment,
 kernel grids of 1 and 4 samples with a wider radial kernel and the
-variance denominator, and a speed threshold that leaves most headings
-random); a copy of it then loses track samples (see ``punch_gaps``),
-which gives tracks with gaps and groups with uneven member spans; a
-collective model, pid and cbd extracts, predictions and a collective
-evaluation run on it too.  The gapped corpus is then rewritten as an
+variance denominator, a speed threshold that leaves most headings
+random, and short windows far apart) and a cbd extract with a pair
+descriptor at every frame of each group window; a copy of it then
+loses track samples (see ``punch_gaps``), which gives tracks with gaps
+and groups with uneven member spans; a collective model, pid and cbd
+extracts, predictions and a collective evaluation run on it too.  The gapped corpus is then rewritten as an
 ``ncad-like`` external tree (see ``to_ncad``: shuffled image-coordinate
 rows and a perspective homography), which ``adapt`` turns back into a
 canonical corpus that gets a pid extract, so the external-track parser
@@ -71,6 +72,13 @@ COMMANDS = (
     # threshold, so most headings are random draws
     ["extract", "long", "--kind", "pid", "--speed-threshold", "0.8",
      "--out", "extract/long-pid-slow.csv"] + SEED,
+    # windows 40 frames apart and 16 long: each pair's frames have holes
+    ["extract", "long", "--kind", "pid", "--t1", "16", "--step", "40",
+     "--out", "extract/long-pid-t16-step40.csv"] + SEED,
+    # a pair descriptor at every frame of each group window: many pairs
+    # and heavily overlapping windows described together
+    ["extract", "long", "--kind", "cbd", "--model", "models/inter.json", "--stride", "1",
+     "--out", "extract/long-cbd-stride1.csv"] + SEED,
 )
 # run once punch_gaps has derived "gapped" from "long"
 GAPPED_COMMANDS = (
