@@ -179,16 +179,20 @@ def dispersion(positions: Sequence) -> float:
 def _spread(window: GroupWindow) -> np.ndarray:
     """Per-frame dispersion() of the present members.
 
-    Frames with the same member count go through one (frames, members,
-    2) array, which sums each frame's members in dispersion()'s order.
+    One masked pass sums every frame's members in member order, absent
+    members adding exact zeros, which is dispersion()'s order while a
+    frame has fewer than 8 members.  numpy sums 8 or more values
+    pairwise, so frames with that many go again through one (frames,
+    members, 2) array per member count.
     """
-    present = window.present.T
-    xy = window.xy.transpose(1, 0, 2)
-    counts = present.sum(axis=1)
-    spread = np.empty(window.t2)
-    for n in np.unique(counts).tolist():
+    present = window.present
+    counts = present.sum(axis=0)
+    mean = window.xy.sum(axis=0) / counts[:, None]
+    sq = ((window.xy - mean) ** 2).sum(axis=2) * present
+    spread = np.sqrt(sq.sum(axis=0) / counts)
+    for n in np.unique(counts[counts >= 8]).tolist():
         at = np.flatnonzero(counts == n)
-        pts = xy[at][present[at]].reshape(len(at), n, 2)
+        pts = window.xy.transpose(1, 0, 2)[at][present.T[at]].reshape(len(at), n, 2)
         centered = pts - pts.mean(axis=1, keepdims=True)
         spread[at] = np.sqrt((centered**2).sum(axis=2).mean(axis=1))
     return spread

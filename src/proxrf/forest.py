@@ -169,41 +169,78 @@ class RandomForest:
         return imp / total
 
 
-def best_split(x_mat, y, idx, feats, class_count, parent_counts):
+def rank_table(x_mat: np.ndarray) -> np.ndarray:
+    """(features, rows) rank of each value among its column's distinct
+    values, in the smallest signed integer type that holds the row count.
+
+    Ranks are monotone in value and equal values (-0.0 and 0.0 included)
+    share one, so a stable sort by rank orders members exactly as a
+    stable sort by value; 8- and 16-bit keys make numpy's stable
+    argsort a radix sort.
+    """
+    n, d = x_mat.shape
+    ranks = np.empty((d, n), dtype=np.min_scalar_type(-n))
+    for f in range(d):
+        ranks[f] = np.unique(x_mat[:, f], return_inverse=True)[1]
+    return ranks
+
+
+def best_split(x_mat, ranks, y, idx, feats, parent_counts):
     """Best (decrease, feature, threshold) over candidate features.
 
+    ``ranks`` is ``rank_table(x_mat)``; ``y`` holds integer class ids
+    and ``parent_counts`` the class counts of the node's members ``idx``.
     Thresholds are midpoints of consecutive distinct sorted values.  All
-    candidate features are scored in one pass over the node's block; the
-    first feature (in ``feats`` order) reaching the largest decrease
-    wins, and within it the first best threshold, so ties resolve to the
-    lowest feature index then the lowest threshold.
+    candidate features are scored in one pass over the node's rank
+    block; the first feature (in ``feats`` order) reaching the largest
+    decrease wins, and within it the first best threshold, so ties
+    resolve to the lowest feature index then the lowest threshold.
+
+    The sums of squared class counts on either side of each candidate
+    are exact integers: a member that is the w-th of its class in value
+    order adds 2w + 1 to the left sum and 2w + 1 - 2 P[class] to the
+    right sum, which starts at sum(P**2) for the parent's counts P.
+    They equal the float sums of squared counts (every term is an
+    integer below 2**53), so every decrease is the same double as with
+    one float count per class.
     """
     n = len(idx)
     if n < 2:
         return None
-    block = x_mat[np.ix_(idx, feats)]
-    order = np.argsort(block, axis=0, kind="stable")
-    vs = np.take_along_axis(block, order, axis=0)
-    onehot = y[idx][order][:, :, None] == np.arange(class_count)
-    cl = np.cumsum(onehot, axis=0, dtype=float)[:-1]  # (n - 1, features, classes)
-    cr = parent_counts - cl
-    nl = np.arange(1.0, n)[:, None]
+    block = ranks.take(feats, axis=0).take(idx, axis=1)
+    order = block.argsort(axis=1, kind="stable")  # (features, n) members in value order
+    rows = np.arange(0, block.size, n)[:, None]  # each row's start in block.ravel()
+    labels = y.take(idx).take(order)
+    # each member's index among the earlier members of its class: in class
+    # order a class's members are its 0th, 1st, ... in value order, and put
+    # cycles that one vector over every feature's row
+    by_class = labels.argsort(axis=1, kind="stable")
+    within = np.empty(block.shape, dtype=np.int64)
+    first = np.cumsum(parent_counts) - parent_counts
+    within.put(by_class + rows, np.arange(n) - np.repeat(first, parent_counts))
+    steps = 2 * within + 1
+    sq_left = steps.cumsum(axis=1)[:, :-1]
+    sq_right = parent_counts @ parent_counts + (
+        steps - (2 * parent_counts).take(labels)).cumsum(axis=1)[:, :-1]
+    nl = np.arange(1.0, n)
     nr = n - nl
-    gl = 1.0 - (cl**2).sum(axis=2) / nl**2
-    gr = 1.0 - (cr**2).sum(axis=2) / nr**2
+    gl = 1.0 - sq_left / nl**2
+    gr = 1.0 - sq_right / nr**2
     gini_parent = 1.0 - ((parent_counts / n) ** 2).sum()
     dec = gini_parent - (nl * gl + nr * gr) / n
-    dec[vs[1:] == vs[:-1]] = -np.inf
-    col_best = dec.max(axis=0)
-    k = int(np.argmax(col_best))
-    if not col_best[k] > _MIN_DECREASE:
+    sorted_ranks = block.take(order + rows)
+    dec[sorted_ranks[:, 1:] == sorted_ranks[:, :-1]] = -np.inf
+    row_best = np.maximum.reduce(dec, axis=1)
+    k = int(row_best.argmax())
+    if not row_best[k] > _MIN_DECREASE:
         return None
-    j = int(np.argmax(dec[:, k]))
-    thr = 0.5 * (vs[j, k] + vs[j + 1, k])
-    return float(dec[j, k]), int(feats[k]), float(thr)
+    j = int(dec[k].argmax())
+    f = int(feats[k])
+    lo, hi = x_mat[idx[order[k, j:j + 2]], f]
+    return float(dec[k, j]), f, float(0.5 * (lo + hi))
 
 
-def _grow_tree(x_mat, y, cfg, m_feats, class_count, tree_idx):
+def _grow_tree(x_mat, ranks, y, cfg, m_feats, class_count, tree_idx):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, tree_idx]))
     n, d = x_mat.shape
     boot = rng.integers(0, n, size=n)
@@ -231,11 +268,11 @@ def _grow_tree(x_mat, y, cfg, m_feats, class_count, tree_idx):
         ):
             continue
         feats = np.sort(rng.choice(d, size=m_feats, replace=False))
-        found = best_split(x_mat, y, idx, feats, class_count, node_counts)
+        found = best_split(x_mat, ranks, y, idx, feats, node_counts)
         if found is None and m_feats < d:
             # every drawn feature was constant here; fall back to a full
             # deterministic scan before giving up on the node
-            found = best_split(x_mat, y, idx, np.arange(d), class_count, node_counts)
+            found = best_split(x_mat, ranks, y, idx, np.arange(d), node_counts)
         if found is None:
             continue
         _, f, thr = found
@@ -243,8 +280,9 @@ def _grow_tree(x_mat, y, cfg, m_feats, class_count, tree_idx):
         l_idx, r_idx = idx[mask], idx[~mask]
         feature[node] = f
         threshold[node] = thr
-        l_node = new_node(np.bincount(y[l_idx], minlength=class_count))
-        r_node = new_node(np.bincount(y[r_idx], minlength=class_count))
+        l_counts = np.bincount(y[l_idx], minlength=class_count)
+        l_node = new_node(l_counts)
+        r_node = new_node(node_counts - l_counts)
         left[node] = l_node
         right[node] = r_node
         stack.append((r_node, r_idx, depth + 1))
@@ -291,7 +329,9 @@ def train(
     if not 1 <= m_feats <= d:
         raise ValueError(f"features_per_split {m_feats} outside 1..{d}")
 
-    grow = partial(_grow_tree, x_mat, y, cfg, m_feats, class_count)
+    # small label and rank types, shared read-only by every tree
+    labels = y.astype(np.min_scalar_type(-class_count))
+    grow = partial(_grow_tree, x_mat, rank_table(x_mat), labels, cfg, m_feats, class_count)
     if threads > 1:
         # imported here: concurrent.futures costs every CLI start ~15 ms
         from concurrent.futures import ThreadPoolExecutor

@@ -257,3 +257,37 @@ def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
     for label, share in zip(interaction_labels(model), votes):
         probs[label.class_id] = share
     return tuple(InteractionLabel)[int(np.argmax(probs))], probs
+
+
+def reference_best_split(x_mat, y, idx, feats, class_count, parent_counts):
+    """Best (decrease, feature, threshold) over candidate features.
+
+    Thresholds are midpoints of consecutive distinct sorted values.  All
+    candidate features are scored in one pass over the node's block; the
+    first feature (in ``feats`` order) reaching the largest decrease
+    wins, and within it the first best threshold, so ties resolve to the
+    lowest feature index then the lowest threshold.
+    """
+    n = len(idx)
+    if n < 2:
+        return None
+    block = x_mat[np.ix_(idx, feats)]
+    order = np.argsort(block, axis=0, kind="stable")
+    vs = np.take_along_axis(block, order, axis=0)
+    onehot = y[idx][order][:, :, None] == np.arange(class_count)
+    cl = np.cumsum(onehot, axis=0, dtype=float)[:-1]  # (n - 1, features, classes)
+    cr = parent_counts - cl
+    nl = np.arange(1.0, n)[:, None]
+    nr = n - nl
+    gl = 1.0 - (cl**2).sum(axis=2) / nl**2
+    gr = 1.0 - (cr**2).sum(axis=2) / nr**2
+    gini_parent = 1.0 - ((parent_counts / n) ** 2).sum()
+    dec = gini_parent - (nl * gl + nr * gr) / n
+    dec[vs[1:] == vs[:-1]] = -np.inf
+    col_best = dec.max(axis=0)
+    k = int(np.argmax(col_best))
+    if not col_best[k] > 1e-12:
+        return None
+    j = int(np.argmax(dec[:, k]))
+    thr = 0.5 * (vs[j, k] + vs[j + 1, k])
+    return float(dec[j, k]), int(feats[k]), float(thr)

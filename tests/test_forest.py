@@ -5,13 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from per_sample import reference_best_split
+from proxrf import forest
 from proxrf.errors import CorruptModel, EmptyTrainingSet, InvalidFeature, ShapeMismatch
 from proxrf.forest import (
     ForestConfig,
     LabeledSample,
     best_split,
     deserialize,
+    rank_table,
     serialize,
     train,
 )
@@ -68,7 +73,7 @@ def test_best_split_matches_brute_force():
             x = rng.standard_normal((n, d))
         y = rng.integers(0, k, size=n)
         parent = np.bincount(y, minlength=k)
-        got = best_split(x, y, np.arange(n), np.arange(d), k, parent)
+        got = best_split(x, rank_table(x), y, np.arange(n), np.arange(d), parent)
         want = _ref_best_split(x, y, k)
         if want is None:
             assert got is None
@@ -83,12 +88,105 @@ def test_split_tie_breaks():
     x = np.array([[0.0, 7.0, 0.0], [1.0, 7.0, 1.0], [2.0, 7.0, 2.0], [3.0, 7.0, 3.0]])
     x[:, 2] = x[:, 0]
     y = np.array([0, 0, 1, 1])
-    dec, f, thr = best_split(x, y, np.arange(4), np.arange(3), 2, np.bincount(y))
+    dec, f, thr = best_split(x, rank_table(x), y, np.arange(4), np.arange(3), np.bincount(y))
     assert f == 0 and thr == 1.5
     # symmetric labels: equal decrease at 0.5 and 2.5, lowest threshold wins
     y2 = np.array([0, 1, 1, 0])
-    dec, f, thr = best_split(x, y2, np.arange(4), np.arange(3), 2, np.bincount(y2))
+    dec, f, thr = best_split(x, rank_table(x), y2, np.arange(4), np.arange(3), np.bincount(y2))
     assert (f, thr) == (0, 0.5)
+
+
+@st.composite
+def _nodes(draw):
+    """(x, y, idx, feats, class_count) of one node: bootstrap draws of the
+    rows, a sorted random feature subset, and columns that are constant,
+    heavily tied (signed zeros included) or continuous."""
+    rows = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    class_count = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.empty((rows, d))
+    for f in range(d):
+        kind = draw(st.sampled_from(["constant", "ties", "zeros", "normal"]))
+        if kind == "constant":
+            x[:, f] = rng.standard_normal()
+        elif kind == "ties":
+            x[:, f] = rng.integers(-2, 3, rows) * 0.5
+        elif kind == "zeros":
+            x[:, f] = rng.choice([-0.0, 0.0, 1.0, -1.0], rows)
+        else:
+            x[:, f] = rng.standard_normal(rows)
+    span = draw(st.integers(1, class_count))
+    y = draw(st.integers(0, class_count - span)) + rng.integers(0, span, rows)
+    idx = rng.integers(0, rows, draw(st.integers(0, 2 * rows)))
+    feats = np.sort(rng.choice(d, draw(st.integers(1, d)), replace=False))
+    return x, y, idx, feats, class_count
+
+
+def _wide_ranks_node():
+    """One feature with more distinct values than int16 holds."""
+    rng = np.random.default_rng(5)
+    n = 2**15 + 40
+    x = np.column_stack([rng.permutation(n) * 0.25, np.repeat([0.0, -0.0], n // 2)])
+    y = (x[:, 0] > n / 9).astype(np.int64) ^ (rng.random(n) < 0.3)
+    return x, y, rng.integers(0, n, n), np.arange(2), 2
+
+
+def _wide_labels_node():
+    """Class ids from 128 up, beyond int8."""
+    rng = np.random.default_rng(6)
+    x = rng.integers(0, 7, (90, 3)).astype(float)
+    y = 128 + rng.integers(0, 72, 90)
+    return x, y, rng.integers(0, 90, 90), np.array([0, 2]), 200
+
+
+@settings(max_examples=400, deadline=None)
+@given(_nodes())
+@example(_wide_ranks_node())
+@example(_wide_labels_node())
+def test_best_split_equals_float_reference(node):
+    x, y, idx, feats, class_count = node
+    parent = np.bincount(y[idx], minlength=class_count)
+    want = reference_best_split(x, y, idx, feats, class_count, parent)
+    labels = y.astype(np.min_scalar_type(-class_count))  # as train() stores them
+    got = best_split(x, rank_table(x), labels, idx, feats, parent)
+    assert got == want
+    if got is not None:  # a threshold between -0.0 and 0.0 keeps its sign
+        assert np.signbit(got[2]) == np.signbit(want[2])
+
+
+def test_rank_table_widens_past_int16():
+    x = _wide_ranks_node()[0]
+    assert rank_table(x).dtype == np.int32
+    assert rank_table(x[:2**15]).dtype == np.int16
+    assert rank_table(x[:128]).dtype == np.int8
+
+
+@pytest.mark.parametrize("cfg, threads", [
+    (ForestConfig(n_trees=8, seed=3), 1),
+    (ForestConfig(n_trees=8, max_depth=2, seed=4), 1),
+    (ForestConfig(n_trees=8, min_samples_split=6, seed=5), 1),
+    (ForestConfig(n_trees=8, features_per_split=1, seed=6), 1),
+    (ForestConfig(n_trees=8, seed=7), 2),
+])
+def test_forest_bytes_equal_float_split_search(monkeypatch, cfg, threads):
+    rng = np.random.default_rng(23)
+    _, x, y = _blobs(rng, 30, d=7, k=4, spread=1.5)
+    x[:, 1] = np.round(x[:, 1])  # heavy ties
+    x[:, 5] = 2.0  # constant: a draw of it alone falls back to a full scan
+    x[::3, 6] = -0.0
+    samples = [LabeledSample(v, int(c)) for v, c in zip(x, y)]
+    searched = []
+
+    def reference(x_mat, ranks, y, idx, feats, parent_counts):
+        searched.append(len(feats))
+        return reference_best_split(x_mat, y, idx, feats, len(parent_counts), parent_counts)
+
+    blob = serialize(train(samples, cfg, threads=threads))
+    monkeypatch.setattr(forest, "best_split", reference)
+    assert serialize(train(samples, cfg, threads=threads)) == blob
+    if cfg.features_per_split == 1:
+        assert x.shape[1] in searched  # the full-scan fallback ran
 
 
 # --------------------------------------------------------- training quality

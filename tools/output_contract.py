@@ -5,8 +5,9 @@
 Each argument is a source tree root or its ``src`` directory.  Both trees
 run the same command set, each in its own scratch directory: a synthetic
 corpus, the interaction and collective models (with and without the
-shape cue, and the stage-one sidecar), pid and cbd extracts, predictions,
-evaluations and cross-corpus reports.  A second, longer synthetic corpus
+shape cue, and the stage-one sidecar, plus forests grown with one
+feature per split, a depth cap or larger nodes), pid and cbd
+extracts, predictions, evaluations and cross-corpus reports.  A second, longer synthetic corpus
 gets pid extracts under other descriptor settings (hard assignment,
 kernel grids of 1 and 4 samples with a wider radial kernel and the
 variance denominator, a speed threshold that leaves most headings
@@ -40,6 +41,14 @@ COMMANDS = (
     ["train", "collective", "corpus", "--out", "models/coll.json"] + SEED,
     ["train", "collective", "corpus", "--stage1", "models/inter.json",
      "--out", "models/coll-noshape.json"] + NO_SHAPE + SEED,
+    # forests grown under other limits: one feature per split (constant
+    # draws take the full-scan fallback), a depth cap and larger nodes
+    ["train", "interactions", "corpus", "--interaction-features-per-split", "1",
+     "--out", "models/inter-fps1.json"] + SEED,
+    ["train", "interactions", "corpus", "--interaction-max-depth", "3",
+     "--interaction-min-samples-split", "6", "--out", "models/inter-depth3.json"] + SEED,
+    ["train", "collective", "corpus", "--stage1", "models/inter.json",
+     "--collective-features-per-split", "1", "--out", "models/coll-fps1.json"] + SEED,
     ["extract", "corpus", "--kind", "pid", "--out", "extract/pid.csv"] + SEED,
     ["extract", "corpus", "--kind", "cbd", "--model", "models/inter.json",
      "--out", "extract/cbd.csv"] + SEED,
@@ -54,6 +63,8 @@ COMMANDS = (
      "--out", "predict/noshape.csv"] + NO_SHAPE + SEED,
     ["eval", "corpus", "--task", "interaction", "--folds", "3",
      "--out-dir", "eval/interaction"] + SEED,
+    ["eval", "corpus", "--task", "interaction", "--folds", "3",
+     "--interaction-features-per-split", "1", "--out-dir", "eval/interaction-fps1"] + SEED,
     ["eval", "corpus", "--task", "collective", "--folds", "3",
      "--out-dir", "eval/collective"] + SEED,
     ["eval", "corpus", "--task", "collective", "--folds", "3",
