@@ -5,7 +5,9 @@ splits with midpoint thresholds, majority voting, impurity-based feature
 importance, and a versioned JSON model format.  Everything is
 deterministic for a fixed seed: per-tree streams are derived from
 (seed, tree index), ties break toward the lowest class id, the lowest
-feature index and the lowest threshold.
+feature index and the lowest threshold.  All trees of a forest grow
+together, one node of each tree per step, and every step's nodes are
+scored in one batched split search.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from .errors import (
     CorruptModel,
     EmptyTrainingSet,
+    InvalidConfig,
     InvalidFeature,
     ShapeMismatch,
 )
@@ -32,6 +35,14 @@ _VOTE_BLOCK = 128
 
 # a split must beat this impurity decrease, so float dust never splits
 _MIN_DECREASE = 1e-12
+
+# members that best_splits scores in one pass, so its working arrays
+# stay in cache
+_SEARCH_BLOCK = 2048
+
+# a pass holds fewer than this many (node, row) slots, so its (node,
+# rank) sort keys fit int16 and numpy's stable argsort stays a radix sort
+_KEY_BOUND = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,109 +196,229 @@ def rank_table(x_mat: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def best_split(x_mat, ranks, y, idx, feats, parent_counts):
-    """Best (decrease, feature, threshold) over candidate features.
+def _chunks(sizes, n_rows):
+    """(start, stop) ranges of consecutive nodes that best_splits scores
+    in one pass: each holds at most _SEARCH_BLOCK members, and its node
+    count times n_rows stays below _KEY_BOUND, except that a node alone
+    in its range may exceed either bound."""
+    max_nodes = max(1, (_KEY_BOUND - 1) // n_rows)
+    start, members = 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and (members + size > _SEARCH_BLOCK or i - start == max_nodes):
+            yield start, i
+            start, members = i, 0
+        members += size
+    yield start, len(sizes)
 
-    ``ranks`` is ``rank_table(x_mat)``; ``y`` holds integer class ids
-    and ``parent_counts`` the class counts of the node's members ``idx``.
-    Thresholds are midpoints of consecutive distinct sorted values.  All
-    candidate features are scored in one pass over the node's rank
-    block; the first feature (in ``feats`` order) reaching the largest
-    decrease wins, and within it the first best threshold, so ties
-    resolve to the lowest feature index then the lowest threshold.
 
+def _search_chunk(x_mat, ranks, y, idx, sizes, feats, parent):
+    """best_splits over one chunk: ``idx`` holds every node's members one
+    node after another, ``sizes`` their counts."""
+    n_nodes, m = feats.shape
+    n_rows, class_count = ranks.shape[1], parent.shape[1]
+    total = len(idx)
+    cols = np.arange(total)
+    starts = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(n_nodes), sizes)  # each column's node
+    # (node, rank) keys of each member at each drawn feature of its node;
+    # a stable sort of them keeps every node in its own columns, with its
+    # members in the order a stable sort of the node alone gives
+    block = ranks.take(feats.T.take(seg, axis=1) * n_rows + idx)
+    key = block + (seg * n_rows).astype(np.min_scalar_type(-n_nodes * n_rows))
+    order = key.argsort(axis=1, kind="stable")  # (features, members) in value order
+    rows = np.arange(0, key.size, total)[:, None]  # each row's start in key.ravel()
+    # (node, class) of each sorted member; in that order a node's class
+    # has its 0th, 1st, ... member in value order, so one vector gives
+    # every member's index among the earlier members of its class
+    node_class = y.take(idx).take(order) + (seg * class_count).astype(
+        np.min_scalar_type(-n_nodes * class_count))
+    by_class = node_class.argsort(axis=1, kind="stable")
+    counts = parent.ravel()
+    first = np.cumsum(counts) - counts
+    within = np.empty(key.shape, dtype=np.int64)
+    within.put(by_class + rows, cols - np.repeat(first, counts))
+    steps = 2 * within + 1
+    # a node's steps add up to sum(P**2) in every row, and its right steps
+    # to -sum(P**2), so one running sum per row serves all nodes once the
+    # sums of the nodes before each node are taken off
+    sq_parent = (parent * parent).sum(axis=1)
+    before = np.cumsum(sq_parent) - sq_parent
+    sq_left = steps.cumsum(axis=1)
+    sq_left -= before.take(seg)
+    steps -= (2 * counts).take(node_class)
+    sq_right = steps.cumsum(axis=1)
+    sq_right += (sq_parent + before).take(seg)
+    n = sizes.take(seg).astype(float)
+    nl = cols - starts.take(seg) + 1.0
+    # a node's last column is no candidate: its right side is held at one
+    # member so the division stays finite, and it is masked below
+    nr = np.maximum(n - nl, 1.0)
+    gl = 1.0 - sq_left / nl**2
+    gr = 1.0 - sq_right / nr**2
+    gini_parent = 1.0 - ((parent / sizes[:, None]) ** 2).sum(axis=1)
+    dec = gini_parent.take(seg) - (nl * gl + nr * gr) / n
+    sorted_key = key.take(order + rows)
+    no_cut = np.empty(key.shape, dtype=bool)
+    np.equal(sorted_key[:, 1:], sorted_key[:, :-1], out=no_cut[:, :-1])
+    no_cut[:, starts + sizes - 1] = True
+    dec[no_cut] = -np.inf
+    # first feature reaching each node's largest decrease, then the first
+    # column reaching it in that feature's row
+    node_best = np.maximum.reduceat(dec, starts, axis=1)
+    k = node_best.argmax(axis=0)
+    best = node_best[k, np.arange(n_nodes)]
+    at_best = dec[k.take(seg), cols] == best.take(seg)
+    j = np.minimum.reduceat(np.where(at_best, cols, total), starts)
+    found = best > _MIN_DECREASE
+    feature = np.where(found, feats[np.arange(n_nodes), k], -1)
+    k, j, f = k[found], j[found], feature[found]
+    threshold = np.zeros(n_nodes)
+    threshold[found] = 0.5 * (x_mat[idx.take(order[k, j]), f] + x_mat[idx.take(order[k, j + 1]), f])
+    return best, feature, threshold
+
+
+def best_splits(x_mat, ranks, y, members, feats, parent_counts):
+    """Best (decrease, feature, threshold) of each node of a batch, as
+    three arrays; feature -1 where no candidate splits the node.
+
+    ``ranks`` is ``rank_table(x_mat)`` and ``y`` holds integer class
+    ids.  Node i has the members ``members[i]`` (row indices, at least
+    one), the candidate features ``feats[i]`` (a row of an (nodes, m)
+    array) and the class counts ``parent_counts[i]`` of its members.
+    Thresholds are midpoints of consecutive distinct sorted values.  The
+    first candidate feature reaching a node's largest decrease wins, and
+    within it the first best threshold, so ties resolve to the lowest
+    feature index then the lowest threshold.  A decrease must exceed
+    _MIN_DECREASE.
+
+    Nodes are scored in chunks of consecutive nodes (see _chunks), each
+    in one pass over the ranks of its members at their nodes' features.
     The sums of squared class counts on either side of each candidate
     are exact integers: a member that is the w-th of its class in value
     order adds 2w + 1 to the left sum and 2w + 1 - 2 P[class] to the
-    right sum, which starts at sum(P**2) for the parent's counts P.
-    They equal the float sums of squared counts (every term is an
-    integer below 2**53), so every decrease is the same double as with
-    one float count per class.
+    right sum, which starts at sum(P**2) for its node's counts P.  Each
+    node's sums run over its own columns only, and every decrease is
+    the same double as with one float count per class and one node at a
+    time.
     """
-    n = len(idx)
-    if n < 2:
-        return None
-    block = ranks.take(feats, axis=0).take(idx, axis=1)
-    order = block.argsort(axis=1, kind="stable")  # (features, n) members in value order
-    rows = np.arange(0, block.size, n)[:, None]  # each row's start in block.ravel()
-    labels = y.take(idx).take(order)
-    # each member's index among the earlier members of its class: in class
-    # order a class's members are its 0th, 1st, ... in value order, and put
-    # cycles that one vector over every feature's row
-    by_class = labels.argsort(axis=1, kind="stable")
-    within = np.empty(block.shape, dtype=np.int64)
-    first = np.cumsum(parent_counts) - parent_counts
-    within.put(by_class + rows, np.arange(n) - np.repeat(first, parent_counts))
-    steps = 2 * within + 1
-    sq_left = steps.cumsum(axis=1)[:, :-1]
-    sq_right = parent_counts @ parent_counts + (
-        steps - (2 * parent_counts).take(labels)).cumsum(axis=1)[:, :-1]
-    nl = np.arange(1.0, n)
-    nr = n - nl
-    gl = 1.0 - sq_left / nl**2
-    gr = 1.0 - sq_right / nr**2
-    gini_parent = 1.0 - ((parent_counts / n) ** 2).sum()
-    dec = gini_parent - (nl * gl + nr * gr) / n
-    sorted_ranks = block.take(order + rows)
-    dec[sorted_ranks[:, 1:] == sorted_ranks[:, :-1]] = -np.inf
-    row_best = np.maximum.reduce(dec, axis=1)
-    k = int(row_best.argmax())
-    if not row_best[k] > _MIN_DECREASE:
-        return None
-    j = int(dec[k].argmax())
-    f = int(feats[k])
-    lo, hi = x_mat[idx[order[k, j:j + 2]], f]
-    return float(dec[k, j]), f, float(0.5 * (lo + hi))
+    n_nodes = len(members)
+    sizes = np.array([len(i) for i in members])
+    decrease, feature = np.full(n_nodes, -np.inf), np.full(n_nodes, -1)
+    threshold = np.zeros(n_nodes)
+    for lo, hi in _chunks(sizes.tolist(), ranks.shape[1]):
+        idx = np.concatenate(members[lo:hi])
+        decrease[lo:hi], feature[lo:hi], threshold[lo:hi] = _search_chunk(
+            x_mat, ranks, y, idx, sizes[lo:hi], feats[lo:hi], parent_counts[lo:hi])
+    return decrease, feature, threshold
 
 
-def _grow_tree(x_mat, ranks, y, cfg, m_feats, class_count, tree_idx):
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, tree_idx]))
+def _may_split(counts, depth, cfg):
+    """Which nodes, with these class counts at these depths, are big
+    enough, shallow enough and mixed enough to try a split."""
+    ok = (counts.sum(axis=1) >= cfg.min_samples_split) & (np.count_nonzero(counts, axis=1) > 1)
+    if cfg.max_depth is not None:
+        ok &= depth < cfg.max_depth
+    return ok.tolist()
+
+
+def _grow_trees(x_mat, ranks, y, cfg, m_feats, class_count, tree_ids):
+    """Grow the trees ``tree_ids`` in lockstep into one node table:
+    (roots, feature, threshold, left, counts), node ids from 0.  A
+    right child's id is its left sibling's plus one.
+
+    Each tree has its own generator and a depth-first stack of its nodes
+    that may split, as (node id, members, depth, class counts), left
+    child on top.  Every step pops the top node of each unfinished tree,
+    draws its feature subset from that tree's generator, and scores all
+    the popped nodes in one best_splits call; a split node's children
+    take the tree's next two ids, left then right.  So each tree makes
+    the same draws and numbers the same nodes in the same order as when
+    grown alone, node by node.  The step's split nodes route their
+    members with one comparison, and one bincount gives the left
+    children's class counts.
+    """
     n, d = x_mat.shape
-    boot = rng.integers(0, n, size=n)
+    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, t])) for t in tree_ids]
+    # every tree's pending members are held at once, so they take the
+    # rank table's small integer type
+    boots = [rng.integers(0, n, size=n).astype(ranks.dtype) for rng in rngs]
+    root_counts = np.array([np.bincount(y[boot], minlength=class_count) for boot in boots])
+    stacks = [[(0, boot, 0, c)] if ok else []
+              for boot, c, ok in zip(boots, root_counts, _may_split(root_counts, 0, cfg))]
+    tree_size = np.ones(len(rngs), dtype=np.int64)
+    # per step: split nodes' (tree, node id, feature, threshold, left child
+    # id) and their children's class counts
+    steps = []
+    growing = [t for t, stack in enumerate(stacks) if stack]
+    while growing:
+        popped = [stacks[t].pop() for t in growing]
+        members = [p[1] for p in popped]
+        feats = np.sort([rngs[t].choice(d, size=m_feats, replace=False) for t in growing], axis=1)
+        parent = np.array([p[3] for p in popped])
+        _, feature, threshold = best_splits(x_mat, ranks, y, members, feats, parent)
+        retry = np.flatnonzero(feature < 0) if m_feats < d else ()
+        if len(retry):
+            # every drawn feature was constant at these nodes; fall back
+            # to a full deterministic scan before giving up on them
+            _, feature[retry], threshold[retry] = best_splits(
+                x_mat, ranks, y, [members[i] for i in retry],
+                np.tile(np.arange(d), (len(retry), 1)), parent[retry])
+        split = np.flatnonzero(feature >= 0)
+        if len(split):
+            split_list = split.tolist()
+            tree = np.array(growing).take(split)
+            node = np.array([popped[i][0] for i in split_list])
+            depth = np.array([popped[i][2] for i in split_list]) + 1
+            left = tree_size[tree]
+            tree_size[tree] += 2
+            f, thr = feature[split], threshold[split]
+            idx = np.concatenate([members[i] for i in split_list])
+            sizes = [len(members[i]) for i in split_list]
+            seg = np.repeat(np.arange(len(split)), sizes)
+            go_left = x_mat[idx, f.take(seg)] <= thr.take(seg)
+            l_counts = np.bincount((seg * class_count + y.take(idx))[go_left],
+                                   minlength=len(split) * class_count).reshape(-1, class_count)
+            r_counts = parent[split] - l_counts
+            steps.append((tree, node, f, thr, left, l_counts, r_counts))
+            starts = np.cumsum(sizes) - sizes
+            rows = zip(split_list, tree.tolist(), left.tolist(), depth.tolist(), starts.tolist(),
+                       sizes, _may_split(l_counts, depth, cfg), _may_split(r_counts, depth, cfg))
+            for s, (i, t, l_node, child_depth, start, size, l_ok, r_ok) in enumerate(rows):
+                side = go_left[start:start + size]
+                if r_ok:
+                    stacks[t].append((l_node + 1, members[i][~side], child_depth, r_counts[s]))
+                if l_ok:
+                    stacks[t].append((l_node, members[i][side], child_depth, l_counts[s]))
+        growing = [t for t in growing if stacks[t]]
 
-    feature, threshold, left, right, counts = [], [], [], [], []
+    # one node table: each tree's node ids shift by the nodes before it
+    roots = np.cumsum(tree_size) - tree_size
+    total = int(tree_size.sum())
+    feature, left = np.full(total, -1), np.full(total, -1)
+    threshold = np.zeros(total)
+    counts = np.empty((total, class_count), dtype=np.int64)
+    counts[roots] = root_counts
+    for tree, node, f, thr, l_node, l_counts, r_counts in steps:
+        node = roots[tree] + node
+        l_node = roots[tree] + l_node
+        feature[node], threshold[node], left[node] = f, thr, l_node
+        counts[l_node], counts[l_node + 1] = l_counts, r_counts
+    return roots, feature, threshold, left, counts
 
-    def new_node(node_counts):
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        counts.append(node_counts)
-        return len(feature) - 1
 
-    # (node id, member indices, depth); explicit stack, left child first
-    root_counts = np.bincount(y[boot], minlength=class_count)
-    stack = [(new_node(root_counts), boot, 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        node_counts = counts[node]
-        if (
-            len(idx) < cfg.min_samples_split
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)
-            or np.count_nonzero(node_counts) <= 1
-        ):
-            continue
-        feats = np.sort(rng.choice(d, size=m_feats, replace=False))
-        found = best_split(x_mat, ranks, y, idx, feats, node_counts)
-        if found is None and m_feats < d:
-            # every drawn feature was constant here; fall back to a full
-            # deterministic scan before giving up on the node
-            found = best_split(x_mat, ranks, y, idx, np.arange(d), node_counts)
-        if found is None:
-            continue
-        _, f, thr = found
-        mask = x_mat[idx, f] <= thr
-        l_idx, r_idx = idx[mask], idx[~mask]
-        feature[node] = f
-        threshold[node] = thr
-        l_counts = np.bincount(y[l_idx], minlength=class_count)
-        l_node = new_node(l_counts)
-        r_node = new_node(node_counts - l_counts)
-        left[node] = l_node
-        right[node] = r_node
-        stack.append((r_node, r_idx, depth + 1))
-        stack.append((l_node, l_idx, depth + 1))
-    return feature, threshold, left, right, counts
+def _join(parts):
+    """One node table from the tables _grow_trees made for consecutive
+    ranges of trees: each part's node ids shift by the nodes of the
+    parts before it."""
+    shift = np.cumsum([0] + [len(part[1]) for part in parts[:-1]])
+    roots, feature, threshold, left, counts = zip(*parts)
+    return (
+        np.concatenate([r + s for r, s in zip(roots, shift)]),
+        np.concatenate(feature),
+        np.concatenate(threshold),
+        np.concatenate([np.where(l >= 0, l + s, -1) for l, s in zip(left, shift)]),
+        np.concatenate(counts),
+    )
 
 
 def train(
@@ -299,9 +430,11 @@ def train(
     """Fit a forest on labeled descriptors.
 
     ``class_names`` fixes the class-id domain (ids index into it); by
-    default ids 0..max(label) are used.  ``threads`` > 1 grows trees in a
-    pool; results are identical regardless of scheduling because each
-    tree's randomness depends only on (seed, tree index).
+    default ids 0..max(label) are used.  All trees grow in lockstep
+    (see _grow_trees); ``threads`` > 1 splits them into that many
+    contiguous ranges, each grown by one worker of a pool.  Results are
+    identical regardless of scheduling because each tree's randomness
+    depends only on (seed, tree index).
     """
     if len(samples) == 0:
         raise EmptyTrainingSet("no training samples")
@@ -327,26 +460,24 @@ def train(
         if m_feats * m_feats < d:
             m_feats += 1
     if not 1 <= m_feats <= d:
-        raise ValueError(f"features_per_split {m_feats} outside 1..{d}")
+        raise InvalidConfig(f"features_per_split {m_feats} outside 1..{d}")
 
     # small label and rank types, shared read-only by every tree
     labels = y.astype(np.min_scalar_type(-class_count))
-    grow = partial(_grow_tree, x_mat, rank_table(x_mat), labels, cfg, m_feats, class_count)
+    grow = partial(_grow_trees, x_mat, rank_table(x_mat), labels, cfg, m_feats, class_count)
     if threads > 1:
         # imported here: concurrent.futures costs every CLI start ~15 ms
         from concurrent.futures import ThreadPoolExecutor
 
+        # each worker grows a contiguous range of trees in lockstep
+        bounds = [cfg.n_trees * w // threads for w in range(threads + 1)]
+        ranges = [range(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(grow, range(cfg.n_trees)))
+            parts = list(pool.map(grow, ranges))
+        roots, feature, threshold, left, counts = _join(parts)
     else:
-        trees = [grow(i) for i in range(cfg.n_trees)]
-    # one node table: each tree's node ids shift by the nodes before it
-    sizes = [len(t[0]) for t in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    feature, threshold, left, right, counts = (np.concatenate(col) for col in zip(*trees))
-    offset = np.repeat(roots, sizes)
-    left = np.where(left >= 0, left + offset, -1)
-    right = np.where(right >= 0, right + offset, -1)
+        roots, feature, threshold, left, counts = grow(range(cfg.n_trees))
+    right = np.where(left >= 0, left + 1, -1)
     leaf_counts = counts[feature < 0]
     return RandomForest(roots, feature, threshold, left, right, leaf_counts, cfg, d, class_names)
 

@@ -10,7 +10,12 @@ Brown's smoothing sample by sample, then ``kinematics``.  For the pair
 descriptor, ``kde_kernel`` and ``sample_grid`` spell out the kernel and
 its sampling grid around one polar point, ``accumulate_histogram`` and
 ``speed_pyramid`` describe one window from its per-frame samples, and
-``classify_interaction`` votes on one descriptor.
+``classify_interaction`` votes on one descriptor.  For the forest,
+``reference_best_split`` scores one node with float class counts,
+``reference_rank_split`` scores one node over value ranks with exact
+integer sums, and ``reference_grow_tree`` grows one tree node by node
+with either of them; ``reference_forest`` assembles its trees into the
+forest ``train`` grows.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from proxrf.errors import (
     ShapeMismatch,
     WindowLengthMismatch,
 )
+from proxrf.forest import RandomForest, rank_table
 from proxrf.pid import InteractionLabel, PidConfig, PidDescriptor, PolarGrid, interaction_labels
 from proxrf.trajectory import (
     DEFAULT_MAX_GAP,
@@ -291,3 +297,134 @@ def reference_best_split(x_mat, y, idx, feats, class_count, parent_counts):
     j = int(np.argmax(dec[:, k]))
     thr = 0.5 * (vs[j, k] + vs[j + 1, k])
     return float(dec[j, k]), int(feats[k]), float(thr)
+
+
+def reference_rank_split(x_mat, ranks, y, idx, feats, parent_counts):
+    """Best (decrease, feature, threshold) over candidate features.
+
+    ``ranks`` is ``rank_table(x_mat)``; ``y`` holds integer class ids
+    and ``parent_counts`` the class counts of the node's members ``idx``.
+    Thresholds are midpoints of consecutive distinct sorted values.  All
+    candidate features are scored in one pass over the node's rank
+    block; the first feature (in ``feats`` order) reaching the largest
+    decrease wins, and within it the first best threshold, so ties
+    resolve to the lowest feature index then the lowest threshold.
+
+    The sums of squared class counts on either side of each candidate
+    are exact integers: a member that is the w-th of its class in value
+    order adds 2w + 1 to the left sum and 2w + 1 - 2 P[class] to the
+    right sum, which starts at sum(P**2) for the parent's counts P.
+    They equal the float sums of squared counts (every term is an
+    integer below 2**53), so every decrease is the same double as with
+    one float count per class.
+    """
+    n = len(idx)
+    if n < 2:
+        return None
+    block = ranks.take(feats, axis=0).take(idx, axis=1)
+    order = block.argsort(axis=1, kind="stable")  # (features, n) members in value order
+    rows = np.arange(0, block.size, n)[:, None]  # each row's start in block.ravel()
+    labels = y.take(idx).take(order)
+    # each member's index among the earlier members of its class: in class
+    # order a class's members are its 0th, 1st, ... in value order, and put
+    # cycles that one vector over every feature's row
+    by_class = labels.argsort(axis=1, kind="stable")
+    within = np.empty(block.shape, dtype=np.int64)
+    first = np.cumsum(parent_counts) - parent_counts
+    within.put(by_class + rows, np.arange(n) - np.repeat(first, parent_counts))
+    steps = 2 * within + 1
+    sq_left = steps.cumsum(axis=1)[:, :-1]
+    sq_right = parent_counts @ parent_counts + (
+        steps - (2 * parent_counts).take(labels)).cumsum(axis=1)[:, :-1]
+    nl = np.arange(1.0, n)
+    nr = n - nl
+    gl = 1.0 - sq_left / nl**2
+    gr = 1.0 - sq_right / nr**2
+    gini_parent = 1.0 - ((parent_counts / n) ** 2).sum()
+    dec = gini_parent - (nl * gl + nr * gr) / n
+    sorted_ranks = block.take(order + rows)
+    dec[sorted_ranks[:, 1:] == sorted_ranks[:, :-1]] = -np.inf
+    row_best = np.maximum.reduce(dec, axis=1)
+    k = int(row_best.argmax())
+    if not row_best[k] > 1e-12:
+        return None
+    j = int(dec[k].argmax())
+    f = int(feats[k])
+    lo, hi = x_mat[idx[order[k, j:j + 2]], f]
+    return float(dec[k, j]), f, float(0.5 * (lo + hi))
+
+
+def reference_grow_tree(x_mat, ranks, y, cfg, m_feats, class_count, tree_idx,
+                        best_split=reference_rank_split):
+    """One tree grown node by node: ``best_split`` scores each popped node
+    alone (with the signature of ``reference_rank_split``).  Returns the
+    (feature, threshold, left, right, counts) node columns, ids from 0."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, tree_idx]))
+    n, d = x_mat.shape
+    boot = rng.integers(0, n, size=n)
+
+    feature, threshold, left, right, counts = [], [], [], [], []
+
+    def new_node(node_counts):
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        counts.append(node_counts)
+        return len(feature) - 1
+
+    # (node id, member indices, depth); explicit stack, left child first
+    root_counts = np.bincount(y[boot], minlength=class_count)
+    stack = [(new_node(root_counts), boot, 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        node_counts = counts[node]
+        if (
+            len(idx) < cfg.min_samples_split
+            or (cfg.max_depth is not None and depth >= cfg.max_depth)
+            or np.count_nonzero(node_counts) <= 1
+        ):
+            continue
+        feats = np.sort(rng.choice(d, size=m_feats, replace=False))
+        found = best_split(x_mat, ranks, y, idx, feats, node_counts)
+        if found is None and m_feats < d:
+            # every drawn feature was constant here; fall back to a full
+            # deterministic scan before giving up on the node
+            found = best_split(x_mat, ranks, y, idx, np.arange(d), node_counts)
+        if found is None:
+            continue
+        _, f, thr = found
+        mask = x_mat[idx, f] <= thr
+        l_idx, r_idx = idx[mask], idx[~mask]
+        feature[node] = f
+        threshold[node] = thr
+        l_counts = np.bincount(y[l_idx], minlength=class_count)
+        l_node = new_node(l_counts)
+        r_node = new_node(node_counts - l_counts)
+        left[node] = l_node
+        right[node] = r_node
+        stack.append((r_node, r_idx, depth + 1))
+        stack.append((l_node, l_idx, depth + 1))
+    return feature, threshold, left, right, counts
+
+
+def reference_forest(samples, cfg, best_split=reference_rank_split):
+    """The forest ``train(samples, cfg)`` grows, assembled from one
+    ``reference_grow_tree`` per tree."""
+    d = len(samples[0].features)
+    x_mat = np.array([s.features for s in samples], dtype=float)
+    y = np.array([s.label for s in samples], dtype=np.int64)
+    class_count = int(y.max()) + 1
+    m_feats = cfg.features_per_split or math.isqrt(d - 1) + 1
+    labels = y.astype(np.min_scalar_type(-class_count))
+    ranks = rank_table(x_mat)
+    trees = [reference_grow_tree(x_mat, ranks, labels, cfg, m_feats, class_count, t, best_split)
+             for t in range(cfg.n_trees)]
+    sizes = [len(t[0]) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, counts = (np.concatenate(col) for col in zip(*trees))
+    offset = np.repeat(roots, sizes)
+    left = np.where(left >= 0, left + offset, -1)
+    right = np.where(right >= 0, right + offset, -1)
+    return RandomForest(roots, feature, threshold, left, right, counts[feature < 0], cfg, d,
+                        [str(i) for i in range(class_count)])

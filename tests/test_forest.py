@@ -8,13 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from per_sample import reference_best_split
-from proxrf import forest
-from proxrf.errors import CorruptModel, EmptyTrainingSet, InvalidFeature, ShapeMismatch
+from per_sample import reference_best_split, reference_forest
+from proxrf.errors import (
+    CorruptModel,
+    EmptyTrainingSet,
+    InvalidConfig,
+    InvalidFeature,
+    ShapeMismatch,
+)
 from proxrf.forest import (
     ForestConfig,
     LabeledSample,
-    best_split,
+    best_splits,
     deserialize,
     rank_table,
     serialize,
@@ -61,6 +66,13 @@ def _ref_best_split(x, y, class_count):
     return best
 
 
+def _split_one(x, y, idx, feats, parent):
+    """best_splits on a batch of one node, as (decrease, feature,
+    threshold) or None."""
+    dec, f, thr = best_splits(x, rank_table(x), y, [idx], np.array([feats]), np.array([parent]))
+    return None if f[0] < 0 else (float(dec[0]), int(f[0]), float(thr[0]))
+
+
 def test_best_split_matches_brute_force():
     rng = np.random.default_rng(19)
     for trial in range(60):
@@ -73,7 +85,7 @@ def test_best_split_matches_brute_force():
             x = rng.standard_normal((n, d))
         y = rng.integers(0, k, size=n)
         parent = np.bincount(y, minlength=k)
-        got = best_split(x, rank_table(x), y, np.arange(n), np.arange(d), parent)
+        got = _split_one(x, y, np.arange(n), np.arange(d), parent)
         want = _ref_best_split(x, y, k)
         if want is None:
             assert got is None
@@ -88,20 +100,22 @@ def test_split_tie_breaks():
     x = np.array([[0.0, 7.0, 0.0], [1.0, 7.0, 1.0], [2.0, 7.0, 2.0], [3.0, 7.0, 3.0]])
     x[:, 2] = x[:, 0]
     y = np.array([0, 0, 1, 1])
-    dec, f, thr = best_split(x, rank_table(x), y, np.arange(4), np.arange(3), np.bincount(y))
+    dec, f, thr = _split_one(x, y, np.arange(4), np.arange(3), np.bincount(y))
     assert f == 0 and thr == 1.5
     # symmetric labels: equal decrease at 0.5 and 2.5, lowest threshold wins
     y2 = np.array([0, 1, 1, 0])
-    dec, f, thr = best_split(x, rank_table(x), y2, np.arange(4), np.arange(3), np.bincount(y2))
+    dec, f, thr = _split_one(x, y2, np.arange(4), np.arange(3), np.bincount(y2))
     assert (f, thr) == (0, 0.5)
 
 
 @st.composite
-def _nodes(draw):
-    """(x, y, idx, feats, class_count) of one node: bootstrap draws of the
-    rows, a sorted random feature subset, and columns that are constant,
-    heavily tied (signed zeros included) or continuous."""
-    rows = draw(st.integers(1, 40))
+def _batches(draw):
+    """(x, y, members, feats, class_count) of a batch of 1-40 nodes on one
+    table: columns that are constant, heavily tied (signed zeros
+    included) or continuous, 1-200 members per node drawn with
+    duplicates, and a sorted random feature subset per node, all of one
+    size."""
+    rows = draw(st.integers(1, 60))
     d = draw(st.integers(1, 6))
     class_count = draw(st.integers(1, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -118,9 +132,11 @@ def _nodes(draw):
             x[:, f] = rng.standard_normal(rows)
     span = draw(st.integers(1, class_count))
     y = draw(st.integers(0, class_count - span)) + rng.integers(0, span, rows)
-    idx = rng.integers(0, rows, draw(st.integers(0, 2 * rows)))
-    feats = np.sort(rng.choice(d, draw(st.integers(1, d)), replace=False))
-    return x, y, idx, feats, class_count
+    sizes = draw(st.lists(st.integers(1, 200), min_size=1, max_size=40))
+    members = [rng.integers(0, rows, size) for size in sizes]
+    m = draw(st.integers(1, d))
+    feats = np.array([np.sort(rng.choice(d, m, replace=False)) for _ in sizes])
+    return x, y, members, feats, class_count
 
 
 def _wide_ranks_node():
@@ -132,27 +148,53 @@ def _wide_ranks_node():
     return x, y, rng.integers(0, n, n), np.arange(2), 2
 
 
-def _wide_labels_node():
+def _wide_keys_batch():
+    """A batch on a table of more than 2**15 rows, so no two nodes share
+    a pass and every (node, rank) key is wider than int16: a whole
+    bootstrap sample, then small nodes."""
+    x, y, boot, feats, class_count = _wide_ranks_node()
+    rng = np.random.default_rng(7)
+    members = [boot] + [rng.integers(0, len(x), size) for size in (2, 90, 700)]
+    return x, y, members, np.tile(feats, (len(members), 1)), class_count
+
+
+def _node_capped_batch():
+    """40 nodes on a 1,000-row table: 40 x 1,000 slots would overflow
+    int16 keys, so the batch is split into passes of at most 32 nodes."""
+    rng = np.random.default_rng(8)
+    x = np.column_stack([rng.integers(0, 9, 1000) * 0.5, rng.standard_normal(1000)])
+    y = rng.integers(0, 3, 1000)
+    members = [rng.integers(0, 1000, size) for size in rng.integers(2, 50, 40)]
+    feats = np.array([[0], [1]] * 20)
+    return x, y, members, feats, 3
+
+
+def _wide_labels_batch():
     """Class ids from 128 up, beyond int8."""
     rng = np.random.default_rng(6)
     x = rng.integers(0, 7, (90, 3)).astype(float)
     y = 128 + rng.integers(0, 72, 90)
-    return x, y, rng.integers(0, 90, 90), np.array([0, 2]), 200
+    members = [rng.integers(0, 90, size) for size in (90, 2, 40, 17)]
+    feats = np.array([[0, 2], [1, 2], [0, 1], [0, 2]])
+    return x, y, members, feats, 200
 
 
 @settings(max_examples=400, deadline=None)
-@given(_nodes())
-@example(_wide_ranks_node())
-@example(_wide_labels_node())
-def test_best_split_equals_float_reference(node):
-    x, y, idx, feats, class_count = node
-    parent = np.bincount(y[idx], minlength=class_count)
-    want = reference_best_split(x, y, idx, feats, class_count, parent)
+@given(_batches())
+@example(_wide_keys_batch())
+@example(_node_capped_batch())
+@example(_wide_labels_batch())
+def test_best_split_equals_float_reference(batch):
+    x, y, members, feats, class_count = batch
+    parent = np.array([np.bincount(y[idx], minlength=class_count) for idx in members])
     labels = y.astype(np.min_scalar_type(-class_count))  # as train() stores them
-    got = best_split(x, rank_table(x), labels, idx, feats, parent)
-    assert got == want
-    if got is not None:  # a threshold between -0.0 and 0.0 keeps its sign
-        assert np.signbit(got[2]) == np.signbit(want[2])
+    dec, f, thr = best_splits(x, rank_table(x), labels, members, feats, parent)
+    for i, idx in enumerate(members):
+        want = reference_best_split(x, y, idx, feats[i], class_count, parent[i])
+        got = None if f[i] < 0 else (float(dec[i]), int(f[i]), float(thr[i]))
+        assert got == want
+        if got is not None:  # a threshold between -0.0 and 0.0 keeps its sign
+            assert np.signbit(got[2]) == np.signbit(want[2])
 
 
 def test_rank_table_widens_past_int16():
@@ -169,7 +211,9 @@ def test_rank_table_widens_past_int16():
     (ForestConfig(n_trees=8, features_per_split=1, seed=6), 1),
     (ForestConfig(n_trees=8, seed=7), 2),
 ])
-def test_forest_bytes_equal_float_split_search(monkeypatch, cfg, threads):
+def test_forest_bytes_equal_float_split_search(cfg, threads):
+    # lockstep growth with batched split search against trees grown one
+    # node at a time, with float class counts and with value ranks
     rng = np.random.default_rng(23)
     _, x, y = _blobs(rng, 30, d=7, k=4, spread=1.5)
     x[:, 1] = np.round(x[:, 1])  # heavy ties
@@ -183,8 +227,8 @@ def test_forest_bytes_equal_float_split_search(monkeypatch, cfg, threads):
         return reference_best_split(x_mat, y, idx, feats, len(parent_counts), parent_counts)
 
     blob = serialize(train(samples, cfg, threads=threads))
-    monkeypatch.setattr(forest, "best_split", reference)
-    assert serialize(train(samples, cfg, threads=threads)) == blob
+    assert serialize(reference_forest(samples, cfg, reference)) == blob
+    assert serialize(reference_forest(samples, cfg)) == blob
     if cfg.features_per_split == 1:
         assert x.shape[1] in searched  # the full-scan fallback ran
 
@@ -270,8 +314,15 @@ def test_train_input_validation():
         train([LabeledSample(np.zeros(3), -1)], ForestConfig())
     with pytest.raises(InvalidFeature):
         train([a], ForestConfig(), class_names=[])  # id 0 outside 0 classes
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfig):
         train([a, LabeledSample(np.ones(3), 1)], ForestConfig(features_per_split=4))
+
+
+def test_features_per_split_beyond_feature_count_is_invalid_config():
+    rng = np.random.default_rng(4)
+    samples = [LabeledSample(rng.normal(size=19), i % 2) for i in range(20)]
+    with pytest.raises(InvalidConfig, match=r"features_per_split 30 outside 1\.\.19"):
+        train(samples, ForestConfig(features_per_split=30))
 
 
 def test_forest_config_validation():
@@ -309,6 +360,13 @@ def test_training_is_byte_deterministic():
     blob4t = serialize(train(samples, cfg, threads=4))
     assert blob1 == blob2 == blob4t
     assert blob1 != serialize(train(samples, ForestConfig(n_trees=12, seed=22)))
+
+
+def test_more_threads_than_trees():
+    rng = np.random.default_rng(56)
+    samples, _, _ = _blobs(rng, 20)
+    cfg = ForestConfig(n_trees=3, seed=5)
+    assert serialize(train(samples, cfg, threads=5)) == serialize(train(samples, cfg))
 
 
 def test_round_trip_preserves_predictions():

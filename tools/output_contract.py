@@ -6,23 +6,25 @@ Each argument is a source tree root or its ``src`` directory.  Both trees
 run the same command set, each in its own scratch directory: a synthetic
 corpus, the interaction and collective models (with and without the
 shape cue, and the stage-one sidecar, plus forests grown with one
-feature per split, a depth cap or larger nodes), pid and cbd
-extracts, predictions, evaluations and cross-corpus reports.  A second, longer synthetic corpus
-gets pid extracts under other descriptor settings (hard assignment,
-kernel grids of 1 and 4 samples with a wider radial kernel and the
-variance denominator, a speed threshold that leaves most headings
-random, and short windows far apart) and a cbd extract with a pair
-descriptor at every frame of each group window; a copy of it then
-loses track samples (see ``punch_gaps``), which gives tracks with gaps
-and groups with uneven member spans; a collective model, pid and cbd
-extracts, predictions and a collective evaluation run on it too.  The gapped corpus is then rewritten as an
-``ncad-like`` external tree (see ``to_ncad``: shuffled image-coordinate
-rows and a perspective homography), which ``adapt`` turns back into a
-canonical corpus that gets a pid extract, so the external-track parser
-is covered as well.  Every output file and every command's standard
-output are then compared byte for byte.  Exit status: 0 when
-everything matches, 1 on any difference, 2 when a command fails in
-either tree.
+feature per split, a depth cap, larger nodes or several worker
+threads), pid and cbd extracts, predictions, evaluations and
+cross-corpus reports.  A second, longer synthetic corpus gets an
+interaction model grown by two worker threads, pid extracts under other
+descriptor settings (hard assignment, kernel grids of 1 and 4 samples
+with a wider radial kernel and the variance denominator, a speed
+threshold that leaves most headings random, and short windows far
+apart) and a cbd extract with a pair descriptor at every frame of each
+group window; a copy of it then loses track samples (see
+``punch_gaps``), which gives tracks with gaps and groups with uneven
+member spans; a collective model, pid and cbd extracts, predictions and
+a collective evaluation run on it too.  The gapped corpus is then
+rewritten as an ``ncad-like`` external tree (see ``to_ncad``: shuffled
+image-coordinate rows and a perspective homography), which ``adapt``
+turns back into a canonical corpus that gets a pid extract, so the
+external-track parser is covered as well.  Every output file and every
+command's standard output are then compared byte for byte.  Exit
+status: 0 when everything matches, 1 on any difference, 2 when a
+command fails in either tree.
 """
 
 from __future__ import annotations
@@ -69,10 +71,17 @@ COMMANDS = (
      "--out-dir", "eval/collective"] + SEED,
     ["eval", "corpus", "--task", "collective", "--folds", "3",
      "--out-dir", "eval/collective-noshape"] + NO_SHAPE + SEED,
+    # three workers, each growing its own range of trees in lockstep
+    ["eval", "corpus", "--task", "collective", "--folds", "3", "--threads", "3",
+     "--out-dir", "eval/collective-t3"] + SEED,
     ["cross", "corpus", "corpus", "--out-dir", "cross/full"] + SEED,
     ["cross", "corpus", "corpus", "--out-dir", "cross/noshape"] + NO_SHAPE + SEED,
     ["synth", "--set", "all", "--scenes-per-class", "2", "--duration-frames", "160",
      "--out", "long"] + SEED,
+    # larger training sets, so split-search passes mix large and small
+    # nodes, grown by two workers
+    ["train", "interactions", "long", "--threads", "2",
+     "--out", "models/long-inter-t2.json"] + SEED,
     ["extract", "long", "--kind", "pid", "--assignment", "hard",
      "--out", "extract/long-pid-hard.csv"] + SEED,
     ["extract", "long", "--kind", "pid", "--grid-samples", "1",
