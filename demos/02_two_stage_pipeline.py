@@ -16,7 +16,7 @@ from proxrf.cbd import (
     pair_predictions,
 )
 from proxrf.dataset import windows
-from proxrf.forest import ForestConfig, LabeledSample, train
+from proxrf.forest import ForestConfig, train
 from proxrf.pid import InteractionLabel, PidConfig, compute_pid
 from proxrf.synth import SynthParams, gen_collective, make_pair_corpus
 from proxrf.trajectory import SmoothingConfig, smoothed_states
@@ -26,15 +26,15 @@ SMOOTH = SmoothingConfig()
 
 
 def train_stage1():
-    samples = []
+    x, y = [], []
     for scene in make_pair_corpus(SynthParams(seed=12, noise_sigma=0.02), 3):
         for center, (aid, tid), label in windows(scene, CFG.t1, 5, "pairs"):
-            vec = compute_pid(scene.track(aid), scene.track(tid),
-                              center, CFG, SMOOTH).vector()
-            samples.append(LabeledSample(vec, label.class_id))
-    model = train(samples, ForestConfig(n_trees=40, seed=1),
+            x.append(compute_pid(scene.track(aid), scene.track(tid),
+                                 center, CFG, SMOOTH).vector())
+            y.append(label.class_id)
+    model = train(np.array(x), np.array(y), ForestConfig(n_trees=40, seed=1),
                   class_names=tuple(l.code for l in InteractionLabel))
-    print(f"stage 1: {len(samples)} pairwise windows -> {len(model.trees)} trees")
+    print(f"stage 1: {len(x)} pairwise windows -> {len(model.trees)} trees")
     return model
 
 
@@ -43,22 +43,24 @@ def group_descriptors(scene, stage1):
     placed = [(GroupWindow.build([scene.track(i) for i in ids], center, 64,
                                  SMOOTH, states=states), label)
               for center, ids, label in windows(scene, 64, 5, "group")]
-    # one stage-1 vote over every pair-centre of the scene's windows
-    predictions = pair_predictions([win for win, _ in placed], stage1, CFG)
-    for (win, label), preds in zip(placed, predictions):
-        yield compute_cbd(win, preds), label
+    # one stage-1 vote over every pair-centre of the scene's windows, one
+    # interaction histogram per window
+    hists = pair_predictions([win for win, _ in placed], stage1, CFG)
+    for (win, label), hist in zip(placed, hists):
+        yield compute_cbd(win, hist), label
 
 
 def train_stage2(stage1):
-    samples = []
+    x, y = [], []
     for label in CollectiveLabel:
         for k in range(3):
             scene = gen_collective(label, SynthParams(seed=100 + k, noise_sigma=0.02))
             for desc, lab in group_descriptors(scene, stage1):
-                samples.append(LabeledSample(desc.vector(), lab.class_id))
-    model = train(samples, ForestConfig(n_trees=60, seed=2),
+                x.append(desc.vector())
+                y.append(lab.class_id)
+    model = train(np.array(x), np.array(y), ForestConfig(n_trees=60, seed=2),
                   class_names=tuple(l.code for l in CollectiveLabel))
-    print(f"stage 2: {len(samples)} group windows -> {len(model.trees)} trees")
+    print(f"stage 2: {len(x)} group windows -> {len(model.trees)} trees")
     return model
 
 

@@ -58,7 +58,6 @@ from .errors import (
     ProxrfError,
     ReferentialError,
     ShapeMismatch,
-    WindowLengthMismatch,
 )
 from .evaluate import (
     ConfusionMatrix,
@@ -73,7 +72,6 @@ from .evaluate import (
 )
 from .forest import (
     ForestConfig,
-    LabeledSample,
     RandomForest,
     deserialize,
     serialize,
@@ -81,6 +79,7 @@ from .forest import (
 )
 from .pid import (
     InteractionLabel,
+    PairTable,
     PidConfig,
     PidDescriptor,
     PolarGrid,
@@ -95,7 +94,6 @@ from .synth import (
     make_pair_corpus,
 )
 from .trajectory import (
-    RelativePolar,
     SmoothingConfig,
     TimedPosition,
     TrackStates,

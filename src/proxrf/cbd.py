@@ -23,13 +23,7 @@ from .errors import (
     ModelShapeMismatch,
     ShapeMismatch,
 )
-from .pid import (
-    InteractionLabel,
-    PidConfig,
-    _pid_from_states,
-    interaction_labels,
-    pair_batches,
-)
+from .pid import InteractionLabel, PairTable, PidConfig, interaction_labels
 from .trajectory import (
     DEFAULT_MAX_GAP,
     SmoothingConfig,
@@ -63,7 +57,6 @@ class CollectiveLabel(enum.Enum):
 
 _COLLECTIVE_ORDER = tuple(CollectiveLabel)
 _COLLECTIVE_IDS = {lab: i for i, lab in enumerate(_COLLECTIVE_ORDER)}
-_LABEL_IDS = {lab: lab.class_id for lab in InteractionLabel}
 
 
 class GroupWindow:
@@ -151,12 +144,14 @@ class CbdDescriptor:
         return len(self.interaction_hist) + 3
 
 
-def interaction_histogram(predictions: Sequence[InteractionLabel]) -> np.ndarray:
-    """Normalized label counts; all zeros when there are no predictions."""
-    if not predictions:
-        return np.zeros(len(InteractionLabel))
-    ids = np.fromiter(map(_LABEL_IDS.__getitem__, predictions), np.intp, len(predictions))
-    return np.bincount(ids, minlength=len(InteractionLabel)) / len(predictions)
+def interaction_histogram(window, label, n_windows: int) -> np.ndarray:
+    """(n_windows, 6) normalized label counts from one bincount: pair
+    prediction i of window ``window[i]`` has the InteractionLabel class
+    id ``label[i]``.  A window without predictions gets a zero row."""
+    k = len(InteractionLabel)
+    slot = np.asarray(window, dtype=np.intp) * k + np.asarray(label, dtype=np.intp)
+    counts = np.bincount(slot, minlength=n_windows * k).reshape(n_windows, k)
+    return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
 
 
 def mean_speed(window: GroupWindow) -> float:
@@ -220,64 +215,31 @@ def shape_ratio(positions: Sequence) -> float:
     return float(lam_max / lam_min)
 
 
-def _pid_centers(window: GroupWindow, stride: int) -> range:
-    start, end = window.span
-    return range(start, end + 1, stride)
-
-
-def _covers(states: TrackStates, centers: range, back: int, fwd: int) -> np.ndarray:
+def _covers(states: TrackStates, centers: np.ndarray, back: int, fwd: int) -> np.ndarray:
     """Per center, whether ``states`` has every frame of [c - back, c + fwd]."""
     frames = states.frames
-    first = np.asarray(centers) - back
-    inside = np.searchsorted(frames, first + back + fwd, "right") - np.searchsorted(frames, first)
+    inside = frames.searchsorted(centers + fwd, "right") - frames.searchsorted(centers - back)
     return inside == back + fwd + 1
 
 
 def pair_keys(
     window: GroupWindow, pid_cfg: PidConfig, stride: int = DEFAULT_PREDICTION_STRIDE
-) -> list:
-    """(anchor, target, center) of every ordered member pair at every
-    stride center of the window, in pooling order.  A pair has a key at
-    a center only when both tracks cover the full descriptor window
-    there."""
+) -> tuple:
+    """(anchor, target, center) arrays of every ordered member pair at
+    every stride center of the window, in pooling order (by center, then
+    anchor, then target); anchor and target index the members in sorted
+    id order.  A pair has a key at a center only when both tracks cover
+    the full descriptor window there."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     back, fwd = pid_cfg.window_halves
-    ids = sorted(window.member_states)
-    centers = _pid_centers(window, stride)
-    covered = {tid: _covers(window.member_states[tid], centers, back, fwd) for tid in ids}
-    keys = []
-    for k, center in enumerate(centers):
-        present = [tid for tid in ids if covered[tid][k]]
-        keys += [(aid, tid, center) for aid in present for tid in present if aid != tid]
-    return keys
-
-
-def pair_vectors(
-    states: dict, keys: Sequence, pid_cfg: PidConfig, fps: float, seed: int, cache: dict
-) -> list:
-    """PID vector of each (anchor, target, center) key, described once.
-
-    ``states`` maps track id to its smoothed states.  ``cache`` maps keys
-    to the vectors already described; they depend on no model, so one
-    cache serves every model while the states, descriptor config and
-    seed stay fixed.  The missing keys are grouped by pair and described
-    by PairBatches over whole pairs (pair_batches); each key's vector is
-    then read out of its batch.
-    """
-    missing = {}
-    for aid, tid, center in keys:
-        if (aid, tid, center) not in cache:
-            missing.setdefault((aid, tid), {})[center] = None
-    pairs = [(states[aid], states[tid], aid, tid, list(centers))
-             for (aid, tid), centers in missing.items()]
-    for chunk, batch in pair_batches(pairs, pid_cfg, fps, seed):
-        for sa, sb, aid, tid, centers in chunk:
-            for center in centers:
-                cache[aid, tid, center] = _pid_from_states(
-                    sa, sb, aid, tid, center, pid_cfg, fps, seed, batch
-                ).vector()
-    return [cache[key] for key in keys]
+    start, end = window.span
+    centers = np.arange(start, end + 1, stride)
+    covered = np.array([_covers(window.member_states[tid], centers, back, fwd)
+                        for tid in sorted(window.member_states)]).reshape(-1, len(centers)).T
+    both = covered[:, :, None] & covered[:, None, :] & ~np.eye(covered.shape[1], dtype=bool)
+    at, anchor, target = np.nonzero(both)
+    return anchor, target, centers[at]
 
 
 def pair_predictions(
@@ -286,40 +248,46 @@ def pair_predictions(
     pid_cfg: PidConfig,
     stride: int = DEFAULT_PREDICTION_STRIDE,
     seed: int = 0,
-    cache: Optional[dict] = None,
-) -> list:
-    """First-stage predictions over each window's pair_keys, one label
-    list per window in pooling order.
+    table: Optional[PairTable] = None,
+) -> np.ndarray:
+    """Interaction histogram of each window from the first-stage votes
+    over its pair_keys: (windows, 6), one row per window.
 
     The windows must come from one recording: a track id names the same
     smoothed states in all of them.  Each distinct key is described once
-    through ``cache`` (as for pair_vectors; None uses a fresh one) and
-    voted once, in a single ``predict_batch`` call over all windows; a
-    vote's label is read from the model's class names (interaction_labels).
+    through ``table``, the recording's PairTable built under ``pid_cfg``
+    and ``seed`` (None builds one over the windows' members), and voted
+    once, in a single ``predict_batch`` call over all windows; the votes
+    are mapped to label ids by the model's class names
+    (interaction_labels).
     """
-    per_window = [pair_keys(w, pid_cfg, stride) for w in windows]
-    keys = list(dict.fromkeys(k for window_keys in per_window for k in window_keys))
-    if not keys:
-        return [[] for _ in per_window]
-    states = {tid: st for w in windows for tid, st in w.member_states.items()}
-    vecs = pair_vectors(states, keys, pid_cfg, windows[0].fps, seed,
-                        {} if cache is None else cache)
+    keys = [pair_keys(w, pid_cfg, stride) for w in windows]
+    sizes = [len(centers) for _, _, centers in keys]
+    if not sum(sizes):
+        return np.zeros((len(windows), len(InteractionLabel)))
+    if table is None:
+        states = {tid: st for w in windows for tid, st in w.member_states.items()}
+        table = PairTable(states, pid_cfg, windows[0].fps, seed)
+    codes = [np.array([table.codes[tid] for tid in sorted(w.member_states)]) for w in windows]
+    cols = zip(*[(c[a], c[t], centers) for c, (a, t, centers) in zip(codes, keys)])
+    rows = table.rows(*(np.concatenate(col) for col in cols))
+    distinct, inverse = np.unique(rows, return_inverse=True)
     try:
-        votes = pid_model.predict_batch(np.array(vecs))
+        votes = pid_model.predict_batch(table.vectors[distinct])
     except ShapeMismatch as e:
         raise ModelShapeMismatch(str(e)) from None
-    by_id = interaction_labels(pid_model)
-    labels = {key: by_id[vote] for key, vote in zip(keys, votes.tolist())}
-    return [[labels[k] for k in window_keys] for window_keys in per_window]
+    label_ids = np.array([lab.class_id for lab in interaction_labels(pid_model)])
+    window = np.repeat(np.arange(len(windows)), sizes)
+    return interaction_histogram(window, label_ids[votes][inverse], len(windows))
 
 
-def compute_cbd(window: GroupWindow, predictions: Sequence[InteractionLabel]) -> CbdDescriptor:
-    """Full group descriptor for one window from its first-stage
-    ``predictions``, as pair_predictions gives them: for a lone window,
+def compute_cbd(window: GroupWindow, interaction_hist: np.ndarray) -> CbdDescriptor:
+    """Full group descriptor for one window from its row of
+    pair_predictions: for a lone window,
     ``compute_cbd(w, *pair_predictions([w], model, pid_cfg))``."""
     k = window.center_frame - window.span[0]
     return CbdDescriptor(
-        interaction_hist=interaction_histogram(predictions),
+        interaction_hist=interaction_hist,
         mean_speed=mean_speed(window),
         dispersion_change=dispersion_change(window),
         shape_ratio=shape_ratio(window.xy[window.present[:, k], k]),

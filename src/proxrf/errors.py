@@ -17,10 +17,6 @@ class MissingFrames(ProxrfError):
     """A trajectory does not cover the requested frame range."""
 
 
-class WindowLengthMismatch(ProxrfError):
-    """Input length differs from the configured window length."""
-
-
 class ModelShapeMismatch(ProxrfError):
     """Descriptor length does not match the trained model."""
 

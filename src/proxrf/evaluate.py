@@ -19,13 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .cbd import (
-    CollectiveLabel,
-    GroupWindow,
-    compute_cbd,
-    pair_predictions,
-    pair_vectors,
-)
+from .cbd import CollectiveLabel, GroupWindow, compute_cbd, pair_predictions
 from .dataset import FoldSplit, SceneRecording, windows
 from .errors import (
     ConfigError,
@@ -34,8 +28,8 @@ from .errors import (
     InvalidConfig,
     LabelCoverageError,
 )
-from .forest import ForestConfig, LabeledSample, RandomForest, train
-from .pid import InteractionLabel, PidConfig
+from .forest import ForestConfig, RandomForest, train
+from .pid import InteractionLabel, PairTable, PidConfig
 from .trajectory import DEFAULT_MAX_GAP, SmoothingConfig, smoothed_states
 
 CUE_NAMES = ("interaction_hist", "mean_speed", "dispersion_change", "shape_ratio")
@@ -243,10 +237,6 @@ def cue_columns(cues: Sequence[str]) -> list:
 _CBD_WIDTH = len(cue_columns(CUE_NAMES))
 
 
-def _matrix(vecs: list, width: int) -> np.ndarray:
-    return np.array(vecs, dtype=float).reshape(len(vecs), width)
-
-
 class Pipeline:
     """The two-stage hierarchy over one corpus.
 
@@ -271,10 +261,13 @@ class Pipeline:
             }
             for seq, rec in self._recordings.items()
         }
-        # per recording, (anchor, target, center) -> PID vector, as
-        # pair_vectors keeps them: one cache for these states, cfg.pid
-        # and cfg.seed, shared by every stage-one model
-        self._pid_cache = {seq: {} for seq in self._recordings}
+        # per recording, the PID vectors of its pair windows: one table
+        # for these states, cfg.pid and cfg.seed, shared by every
+        # stage-one model
+        self._tables = {
+            seq: PairTable(self._states[seq], cfg.pid, rec.fps, cfg.seed)
+            for seq, rec in self._recordings.items()
+        }
         self._windows = {}
         self._group_windows = {}
 
@@ -312,12 +305,13 @@ class Pipeline:
         rows, vecs, labels = [], [], []
         for seq in seq_ids:
             placed = self._window_list(seq, "pairs")
-            vecs += pair_vectors(self._states[seq], [(a, t, c) for c, (a, t), _ in placed],
-                                 cfg.pid, self._recordings[seq].fps, cfg.seed,
-                                 self._pid_cache[seq])
+            table = self._tables[seq]
+            keys = [(table.codes[a], table.codes[t], c) for c, (a, t), _ in placed]
+            at = table.rows(*np.array(keys, dtype=np.int64).reshape(-1, 3).T)
+            vecs.append(table.vectors[at])
             rows += [(seq, center, pair) for center, pair, _ in placed]
             labels += [label for _, _, label in placed]
-        return rows, _matrix(vecs, cfg.pid.descriptor_length), labels
+        return rows, np.concatenate([np.empty((0, cfg.pid.descriptor_length))] + vecs), labels
 
     def group_matrix(self, stage1: RandomForest, seq_ids: Sequence[str]) -> tuple:
         """Full CBD vectors (every cue) and collective labels of every
@@ -333,13 +327,13 @@ class Pipeline:
                 window = self._group_window(seq, center, ids)
                 if window is not None:
                     placed.append((center, ids, label, window))
-            predictions = pair_predictions([window for *_, window in placed], stage1, cfg.pid,
-                                           cfg.stride, cfg.seed, self._pid_cache[seq])
-            for (center, ids, label, window), preds in zip(placed, predictions):
+            hists = pair_predictions([window for *_, window in placed], stage1, cfg.pid,
+                                     cfg.stride, cfg.seed, self._tables[seq])
+            for (center, ids, label, window), hist in zip(placed, hists):
                 rows.append((seq, center, ids))
-                vecs.append(compute_cbd(window, preds).vector())
+                vecs.append(compute_cbd(window, hist).vector())
                 labels.append(label)
-        return rows, _matrix(vecs, _CBD_WIDTH), labels
+        return rows, np.array(vecs, dtype=float).reshape(len(vecs), _CBD_WIDTH), labels
 
     def train_stage1(self, seq_ids: Sequence[str], seed: int) -> RandomForest:
         """Interaction forest over the pair windows of the given recordings."""
@@ -359,8 +353,8 @@ class Pipeline:
 
     def _train(self, x, labels, forest_cfg: ForestConfig, class_names) -> RandomForest:
         index = {name: i for i, name in enumerate(class_names)}
-        samples = [LabeledSample(v, index[lab.code]) for v, lab in zip(x, labels)]
-        return train(samples, forest_cfg, class_names=class_names, threads=self.cfg.threads)
+        y = np.fromiter((index[lab.code] for lab in labels), np.int64, len(labels))
+        return train(x, y, forest_cfg, class_names=class_names, threads=self.cfg.threads)
 
 
 def _check_folds(recordings, folds: FoldSplit):

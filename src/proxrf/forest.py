@@ -45,14 +45,6 @@ _SEARCH_BLOCK = 2048
 _KEY_BOUND = 2**15
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledSample:
-    """One descriptor vector with its integer class id."""
-
-    features: np.ndarray
-    label: int
-
-
 @dataclass(frozen=True)
 class ForestConfig:
     """Ensemble size and tree-growing limits.
@@ -422,32 +414,40 @@ def _join(parts):
 
 
 def train(
-    samples: Sequence[LabeledSample],
+    x,
+    y,
     cfg: ForestConfig,
     class_names: Optional[Sequence[str]] = None,
     threads: int = 1,
 ) -> RandomForest:
-    """Fit a forest on labeled descriptors.
+    """Fit a forest on descriptors ``x`` (rows, features) with integer
+    class ids ``y``, one per row.
 
     ``class_names`` fixes the class-id domain (ids index into it); by
-    default ids 0..max(label) are used.  All trees grow in lockstep
+    default ids 0..max(y) are used.  All trees grow in lockstep
     (see _grow_trees); ``threads`` > 1 splits them into that many
     contiguous ranges, each grown by one worker of a pool.  Results are
     identical regardless of scheduling because each tree's randomness
     depends only on (seed, tree index).
     """
-    if len(samples) == 0:
+    try:
+        x_mat = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise ShapeMismatch("features must be a (rows, features) matrix of numbers") from None
+    if x_mat.ndim and not len(x_mat):
         raise EmptyTrainingSet("no training samples")
-    d = len(samples[0].features)
-    for s in samples:
-        if len(s.features) != d:
-            raise ShapeMismatch(f"feature length {len(s.features)} != {d}")
-    x_mat = np.array([s.features for s in samples], dtype=float)
+    if x_mat.ndim != 2:
+        raise ShapeMismatch(f"features must be a (rows, features) matrix, got shape {x_mat.shape}")
+    y = np.asarray(y)
+    if y.shape != (len(x_mat),):
+        raise ShapeMismatch(f"{len(x_mat)} feature rows but labels of shape {y.shape}")
+    if y.dtype.kind not in "iu":
+        raise InvalidFeature(f"class ids must be integers, got {y.dtype}")
     if not np.all(np.isfinite(x_mat)):
         raise InvalidFeature("non-finite feature value in training set")
-    y = np.array([s.label for s in samples], dtype=np.int64)
     if np.any(y < 0):
         raise InvalidFeature("negative class id")
+    d = x_mat.shape[1]
     if class_names is None:
         class_names = [str(i) for i in range(int(y.max()) + 1)]
     class_count = len(class_names)

@@ -15,7 +15,7 @@ import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import FrameMismatch, MissingFrames, ModelShapeMismatch
 from .trajectory import (
     TWO_PI,
     SmoothingConfig,
-    TrackStates,
     Trajectory,
     finite_difference,
     smoothed_states,
@@ -307,7 +306,7 @@ def heading_draws(seed: int, anchor_words, target_words, frames) -> np.ndarray:
     return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-# Rows (pair-frames) that pair_batches puts into one PairBatch.  At the
+# Rows (pair-frames) that describe_pairs puts into one PairBatch.  At the
 # default 9 x 9 grid a row holds 1,296 B of cells and weights.
 BATCH_FRAMES = 4096
 
@@ -327,12 +326,13 @@ class PairBatch:
     angular offset order, and the speed pyramids of all windows come
     from one (windows x t1) block of rho.
 
-    ``index`` maps (anchor_id, target_id, center) to a row of the
-    read-only ``vectors``, which holds that window's descriptor where
-    ``complete`` is true.
+    ``complete`` and the read-only ``vectors`` hold one row per window
+    in input order (pair by pair, each pair's centers as given); a row
+    of ``vectors`` is that window's descriptor where ``complete`` is
+    true.
     """
 
-    __slots__ = ("index", "complete", "vectors")
+    __slots__ = ("complete", "vectors")
 
     def __init__(self, pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int):
         t1, back = cfg.t1, cfg.window_halves[0]
@@ -399,71 +399,127 @@ class PairBatch:
         vectors[ok, cell_count:] = np.concatenate(
             [speed.reshape(len(ok), 2**level, t1 >> level).mean(axis=2)
              for level in range(cfg.l_max + 1)], axis=1)
-        vectors.flags.writeable = False
-        row = np.empty(len(order), dtype=np.intp)
-        row[order] = np.arange(len(order))
-        keys = ((pair[2], pair[3], c) for pair, cs in zip(pairs, centers) for c in cs)
-        self.index = dict(zip(keys, row.tolist()))
-        self.complete = complete
-        self.vectors = vectors
+        # back from (pair, start) order to input order
+        row = np.argsort(order)
+        self.complete = complete[row]
+        self.vectors = vectors[row]
+        self.vectors.flags.writeable = False
 
 
-def pair_batches(pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int) -> Iterator:
-    """(chunk, PairBatch of the chunk) over consecutive runs of whole
-    ``pairs``, given as PairBatch takes them, of up to BATCH_FRAMES rows
-    each; a pair that alone needs more rows gets a batch of its own."""
-    chunk, rows = [], 0
-    for pair in pairs:
-        starts = sorted(pair[4])
-        need = cfg.t1 + sum(min(b - a, cfg.t1) for a, b in zip(starts, starts[1:]))
-        if chunk and rows + need > BATCH_FRAMES:
-            yield chunk, PairBatch(chunk, cfg, fps, seed)
-            chunk, rows = [], 0
-        chunk.append(pair)
-        rows += need
-    if chunk:
-        yield chunk, PairBatch(chunk, cfg, fps, seed)
-
-
-def _raise_missing(anchor_states, target_states, anchor_id, target_id, start, end):
-    """MissingFrames for the first frame of [start, end] a track lacks."""
-    frames = np.arange(start, end + 1)
+def _raise_missing(anchor_states, target_states, anchor_id, target_id, center, cfg):
+    """MissingFrames for the first frame of the window at ``center`` that
+    a track lacks; the window must lack one."""
+    back, fwd = cfg.window_halves
+    frames = np.arange(center - back, center + fwd + 1)
     ra, rb = anchor_states.rows(frames), target_states.rows(frames)
-    lacking = np.flatnonzero((ra < 0) | (rb < 0))
-    if not len(lacking):
-        raise ValueError(f"frames {start}..{end} of pair {anchor_id}, {target_id} "
-                         f"lie outside the batch")
-    k = lacking[0]
+    k = np.flatnonzero((ra < 0) | (rb < 0))[0]
     who = anchor_id if ra[k] < 0 else target_id
     raise MissingFrames(f"track {who}: no state at frame {frames[k]}")
 
 
-def _pid_from_states(
-    anchor_states: TrackStates,
-    target_states: TrackStates,
-    anchor_id: str,
-    target_id: str,
-    center_frame: int,
-    cfg: PidConfig,
-    fps: float,
-    seed: int,
-    batch: Optional[PairBatch] = None,
-) -> PidDescriptor:
-    """Descriptor of one window, read from ``batch``, which was built
-    under the same ``cfg``, ``fps`` and ``seed``; when None, a batch is
-    built over this window only."""
-    if batch is None:
-        batch = PairBatch([(anchor_states, target_states, anchor_id, target_id,
-                            [center_frame])], cfg, fps, seed)
-    row = batch.index.get((anchor_id, target_id, center_frame))
-    if row is None or not batch.complete[row]:
-        back, fwd = cfg.window_halves
-        _raise_missing(anchor_states, target_states, anchor_id, target_id,
-                       center_frame - back, center_frame + fwd)
-    vector, cells = batch.vectors[row], cfg.grid.cell_count
-    return PidDescriptor(
-        histogram=vector[:cells], speed_pyramid=vector[cells:], center_frame=center_frame
-    )
+def describe_pairs(pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int) -> np.ndarray:
+    """Descriptor of every window of ``pairs``, given as PairBatch takes
+    them, one row per window in input order.
+
+    Consecutive runs of whole pairs of up to BATCH_FRAMES rows share one
+    PairBatch; a pair that alone needs more rows gets a batch of its
+    own.  A window that leaves a track raises MissingFrames naming the
+    first frame that a track lacks in the first such window.
+    """
+    chunks, chunk, rows = [], [], 0
+    for pair in pairs:
+        starts = sorted(pair[4])
+        need = cfg.t1 + sum(min(b - a, cfg.t1) for a, b in zip(starts, starts[1:]))
+        if chunk and rows + need > BATCH_FRAMES:
+            chunks.append(chunk)
+            chunk, rows = [], 0
+        chunk.append(pair)
+        rows += need
+    if chunk:
+        chunks.append(chunk)
+    parts = []
+    for chunk in chunks:
+        batch = PairBatch(chunk, cfg, fps, seed)
+        if not batch.complete.all():
+            window = [pair[:4] + (c,) for pair in chunk for c in pair[4]][batch.complete.argmin()]
+            _raise_missing(*window, cfg)
+        parts.append(batch.vectors)
+    return np.concatenate(parts) if parts else np.empty((0, cfg.descriptor_length))
+
+
+class PairTable:
+    """PID vectors of one recording's pair windows, each described once.
+
+    ``states`` maps each track id to its smoothed states; a track's code
+    is its position in sorted id order (``codes`` maps id to code).  A
+    window (anchor, target, center) is keyed by one int64, (frame *
+    tracks + anchor code) * tracks + target code, where frame is the
+    center's first place among the sorted frames of all tracks' states.
+    ``keys`` holds the keys seen so far, sorted, with their descriptors
+    in the aligned rows of ``vectors`` where ``described`` is true.  The
+    vectors depend on no model, so one table serves every model while
+    the states, ``cfg``, ``fps`` and ``seed`` stay fixed.
+    """
+
+    def __init__(self, states: dict, cfg: PidConfig, fps: float, seed: int):
+        self.ids = sorted(states)
+        self.codes = {tid: k for k, tid in enumerate(self.ids)}
+        self.cfg, self.fps, self.seed = cfg, fps, seed
+        self._states = [states[tid] for tid in self.ids]
+        # frame 0 keeps this non-empty; windows there are checked like any other
+        self._frames = np.sort(np.concatenate([[0]] + [st.frames for st in self._states]))
+        self.keys = np.empty(0, dtype=np.int64)
+        self.vectors = np.empty((0, cfg.descriptor_length))
+        self.described = np.empty(0, dtype=bool)
+
+    def rows(self, anchor, target, centers) -> np.ndarray:
+        """Row of ``vectors`` of each window, given as arrays of anchor
+        codes, target codes and centers.  Windows not described yet are
+        described first, all at once (describe_pairs), which may replace
+        ``vectors``, so read it after the call.  A window that leaves a
+        track raises MissingFrames."""
+        centers = np.asarray(centers, dtype=np.int64)
+        if not len(centers):
+            return np.empty(0, dtype=np.intp)
+        n, frames = len(self.ids), self._frames
+        at = np.minimum(frames.searchsorted(centers), len(frames) - 1)
+        off = np.flatnonzero(frames[at] != centers)
+        if len(off):  # no track has a state at the center
+            a, t, c = int(anchor[off[0]]), int(target[off[0]]), int(centers[off[0]])
+            _raise_missing(self._states[a], self._states[t], self.ids[a], self.ids[t], c,
+                           self.cfg)
+        keys = (at * n + anchor) * n + target
+        rows = self.keys.searchsorted(keys)
+        new = keys
+        if len(self.keys):
+            new = keys[self.keys[np.minimum(rows, len(self.keys) - 1)] != keys]
+        if len(new):  # merged in, once each, as rows not described yet
+            merged = np.concatenate([self.keys, new])
+            order = merged.argsort(kind="stable")
+            order = order[np.append(True, merged[order[1:]] != merged[order[:-1]])]
+            self.keys = merged[order]
+            blank = np.zeros((len(new), self.vectors.shape[1]))
+            self.vectors = np.concatenate([self.vectors, blank])[order]
+            self.described = np.concatenate([self.described, np.zeros(len(new), bool)])[order]
+            rows = self.keys.searchsorted(keys)
+        if self.described.all():
+            return rows
+        wanted = np.zeros(len(self.keys), dtype=bool)
+        wanted[rows] = True
+        todo = np.flatnonzero(wanted & ~self.described)
+        if len(todo):  # by pair, centers increasing within each
+            key = self.keys[todo]
+            pair = key % (n * n)
+            order = pair.argsort(kind="stable")
+            todo, pair = todo[order], pair[order]
+            centers = self._frames[key[order] // (n * n)].tolist()
+            cut = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), len(todo)]
+            pairs = [(self._states[p // n], self._states[p % n], self.ids[p // n],
+                      self.ids[p % n], centers[lo:hi])
+                     for p, lo, hi in zip(pair[cut[:-1]].tolist(), cut, cut[1:])]
+            self.vectors[todo] = describe_pairs(pairs, self.cfg, self.fps, self.seed)
+            self.described[todo] = True
+        return rows
 
 
 def compute_pid(
@@ -481,11 +537,12 @@ def compute_pid(
     """
     if anchor.fps != target.fps:
         raise FrameMismatch(f"fps mismatch: {anchor.fps} vs {target.fps}")
-    states_a = smoothed_states(anchor, smoothing)
-    states_b = smoothed_states(target, smoothing)
-    return _pid_from_states(
-        states_a, states_b, anchor.track_id, target.track_id,
-        center_frame, cfg, anchor.fps, seed,
+    pair = (smoothed_states(anchor, smoothing), smoothed_states(target, smoothing),
+            anchor.track_id, target.track_id, [center_frame])
+    [vector] = describe_pairs([pair], cfg, anchor.fps, seed)
+    cells = cfg.grid.cell_count
+    return PidDescriptor(
+        histogram=vector[:cells], speed_pyramid=vector[cells:], center_frame=center_frame
     )
 
 

@@ -94,22 +94,6 @@ class TrackStates:
         return np.where(self.frames[at] == frames, at, -1)
 
 
-@dataclass(frozen=True)
-class RelativePolar:
-    """Polar coordinates of a target in the anchor's body frame.
-
-    theta is measured from the anchor's facing direction, positive
-    counterclockwise, in (-pi, pi].
-    """
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if self.rho < 0.0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-
-
 class Trajectory:
     """Ground-plane positions of one track id at a fixed frame rate.
 

@@ -9,8 +9,9 @@ built from one TimedPosition per sample: span split, gap filling and
 Brown's smoothing sample by sample, then ``kinematics``.  For the pair
 descriptor, ``kde_kernel`` and ``sample_grid`` spell out the kernel and
 its sampling grid around one polar point, ``accumulate_histogram`` and
-``speed_pyramid`` describe one window from its per-frame samples, and
-``classify_interaction`` votes on one descriptor.  For the forest,
+``speed_pyramid`` describe one window from its per-frame ``PolarPoint``
+samples (raising ``WrongWindowLength`` on a window of another length),
+and ``classify_interaction`` votes on one descriptor.  For the forest,
 ``reference_best_split`` scores one node with float class counts,
 ``reference_rank_split`` scores one node over value ranks with exact
 integer sums, and ``reference_grow_tree`` grows one tree node by node
@@ -32,14 +33,12 @@ from proxrf.errors import (
     InvalidFeature,
     ModelShapeMismatch,
     ShapeMismatch,
-    WindowLengthMismatch,
 )
 from proxrf.forest import RandomForest, rank_table
 from proxrf.pid import InteractionLabel, PidConfig, PidDescriptor, PolarGrid, interaction_labels
 from proxrf.trajectory import (
     DEFAULT_MAX_GAP,
     TWO_PI,
-    RelativePolar,
     SmoothingConfig,
     TimedPosition,
     TrackStates,
@@ -48,6 +47,26 @@ from proxrf.trajectory import (
     kinematics,
     wrap_angle,
 )
+
+
+class WrongWindowLength(ValueError):
+    """An oracle's input length differs from the configured window length."""
+
+
+@dataclass(frozen=True)
+class PolarPoint:
+    """Polar coordinates of a target in the anchor's body frame.
+
+    theta is measured from the anchor's facing direction, positive
+    counterclockwise, in (-pi, pi].
+    """
+
+    rho: float
+    theta: float
+
+    def __post_init__(self):
+        if self.rho < 0.0:
+            raise ValueError(f"rho must be >= 0, got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +86,7 @@ class KinematicState:
 
 def relative_polar(
     anchor: KinematicState, target: KinematicState, rng: np.random.Generator
-) -> RelativePolar:
+) -> PolarPoint:
     """Target position in the anchor's body frame.
 
     When the anchor's orientation is unavailable (slow anchor) the angle
@@ -83,7 +102,7 @@ def relative_polar(
         theta = math.pi - TWO_PI * float(rng.random())
     else:
         theta = wrap_angle(math.atan2(dy, dx) - anchor.orientation)
-    return RelativePolar(rho=rho, theta=theta)
+    return PolarPoint(rho=rho, theta=theta)
 
 
 def relative_distance_series(
@@ -181,7 +200,7 @@ def _grid_offsets(cfg: PidConfig) -> tuple:
     return unit * (cfg.k_s * cfg.sigma_rho), unit * (cfg.k_s * cfg.sigma_theta)
 
 
-def kde_kernel(sample: RelativePolar, center: RelativePolar, cfg: PidConfig) -> float:
+def kde_kernel(sample: PolarPoint, center: PolarPoint, cfg: PidConfig) -> float:
     """Unnormalized Gaussian-style kernel between two polar points.
 
     The angular term uses the smallest signed angular difference, so the
@@ -192,7 +211,7 @@ def kde_kernel(sample: RelativePolar, center: RelativePolar, cfg: PidConfig) -> 
     return float(math.exp(-((sample.rho - center.rho) ** 2) / dr - d_theta**2 / dt))
 
 
-def sample_grid(center: RelativePolar, cfg: PidConfig) -> list:
+def sample_grid(center: PolarPoint, cfg: PidConfig) -> list:
     """Weighted kernel samples on an n x n grid around one polar center.
 
     Points at negative distance are dropped; angles are wrapped into
@@ -210,19 +229,19 @@ def sample_grid(center: RelativePolar, cfg: PidConfig) -> list:
     out = []
     for i, r in enumerate(rho[keep]):
         for j, th in enumerate(theta):
-            out.append((RelativePolar(float(r), float(th)), float(weights[i, j])))
+            out.append((PolarPoint(float(r), float(th)), float(weights[i, j])))
     return out
 
 
 def accumulate_histogram(
-    pair_samples: Sequence[RelativePolar], grid: PolarGrid, cfg: PidConfig
+    pair_samples: Sequence[PolarPoint], grid: PolarGrid, cfg: PidConfig
 ) -> np.ndarray:
     """Window histogram from per-frame relative polar samples, with the
     whole window's arithmetic at once: a (frames, n, n) weight block
     normalised per frame, bincounted in frame order and divided by T.
     Hard mode counts each sample's own cell."""
     if len(pair_samples) != cfg.t1:
-        raise WindowLengthMismatch(
+        raise WrongWindowLength(
             f"expected {cfg.t1} frames of samples, got {len(pair_samples)}"
         )
     rho = np.array([s.rho for s in pair_samples], dtype=float)
@@ -247,7 +266,7 @@ def speed_pyramid(d_prime: Sequence[float], cfg: PidConfig) -> np.ndarray:
     """Pyramid of means of the distance derivative over 1, 2, 4... splits."""
     x = np.asarray(d_prime, dtype=float)
     if len(x) != cfg.t1:
-        raise WindowLengthMismatch(f"expected {cfg.t1} values, got {len(x)}")
+        raise WrongWindowLength(f"expected {cfg.t1} values, got {len(x)}")
     parts = [x.reshape(2**level, -1).mean(axis=1) for level in range(cfg.l_max + 1)]
     return np.concatenate(parts)
 
@@ -408,12 +427,12 @@ def reference_grow_tree(x_mat, ranks, y, cfg, m_feats, class_count, tree_idx,
     return feature, threshold, left, right, counts
 
 
-def reference_forest(samples, cfg, best_split=reference_rank_split):
-    """The forest ``train(samples, cfg)`` grows, assembled from one
+def reference_forest(x, y, cfg, best_split=reference_rank_split):
+    """The forest ``train(x, y, cfg)`` grows, assembled from one
     ``reference_grow_tree`` per tree."""
-    d = len(samples[0].features)
-    x_mat = np.array([s.features for s in samples], dtype=float)
-    y = np.array([s.label for s in samples], dtype=np.int64)
+    x_mat = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    d = x_mat.shape[1]
     class_count = int(y.max()) + 1
     m_feats = cfg.features_per_split or math.isqrt(d - 1) + 1
     labels = y.astype(np.min_scalar_type(-class_count))

@@ -23,7 +23,7 @@ from proxrf.cbd import (
 )
 from proxrf.dataset import FoldSplit, adapt_external
 from proxrf.evaluate import CUE_NAMES, PipelineConfig, ablation, kfold_evaluate
-from proxrf.forest import ForestConfig, LabeledSample, deserialize, serialize, train
+from proxrf.forest import ForestConfig, deserialize, serialize, train
 from proxrf.pid import PidConfig, compute_pid
 from proxrf.synth import (
     SynthParams,
@@ -32,10 +32,10 @@ from proxrf.synth import (
     make_contrast_corpus,
     make_pair_corpus,
 )
-from proxrf.trajectory import RelativePolar, SmoothingConfig
+from proxrf.trajectory import SmoothingConfig
 
 from conftest import make_traj, track_states
-from per_sample import accumulate_histogram, sample_grid
+from per_sample import PolarPoint, accumulate_histogram, sample_grid
 
 BENCH = SynthParams(seed=7, noise_sigma=0.02)
 
@@ -117,7 +117,7 @@ def test_descriptor_invariants_on_randomized_scenes(tiny_stage1, capsys):
 
 # -------------------------------------------------------------- criterion 2
 
-def _dense_cell_masses(center: RelativePolar, cfg: PidConfig, n: int) -> np.ndarray:
+def _dense_cell_masses(center: PolarPoint, cfg: PidConfig, n: int) -> np.ndarray:
     """Midpoint quadrature of the kernel over every full cell region."""
     rho_hi = center.rho + 8.0 * math.sqrt(cfg.sigma_rho)
     r_edges = np.linspace(0.0, rho_hi, n + 1)
@@ -141,7 +141,7 @@ def test_grid_sampling_tracks_dense_integration(capsys):
     # band, which the two outer bands admit at these radii
     for rho in (2.375, 5.0):
         for theta in (0.0, 0.5 * math.pi, math.pi, -0.5 * math.pi):
-            center = RelativePolar(rho, theta)
+            center = PolarPoint(rho, theta)
             dense = _dense_cell_masses(center, cfg, n=2000)
             approx = np.zeros(cfg.grid.cell_count)
             for p, w in sample_grid(center, cfg):
@@ -171,7 +171,7 @@ def test_kde_collapses_to_hard_assignment(pair_bench, capsys):
         for _ in range(32):
             lo, hi = bands[rng.integers(0, 3)]
             theta = sector_centers[rng.integers(0, 4)] + rng.uniform(-0.47, 0.47)
-            samples.append(RelativePolar(float(rng.uniform(lo, hi)), float(theta)))
+            samples.append(PolarPoint(float(rng.uniform(lo, hi)), float(theta)))
         kde = accumulate_histogram(samples, kde_cfg.grid, kde_cfg)
         hard = accumulate_histogram(samples, hard_cfg.grid, hard_cfg)
         worst = max(worst, float(np.abs(kde - hard).max()))
@@ -314,14 +314,13 @@ def test_forest_determinism_and_round_trip(capsys):
     rng = np.random.default_rng(5)
     x = rng.normal(0.0, 1.0, (200, 8))
     y = rng.integers(0, 3, 200)
-    samples = [LabeledSample(v, int(c)) for v, c in zip(x, y)]
     cfg = ForestConfig(n_trees=30, seed=11)
-    blob = serialize(train(samples, cfg))
-    same = blob == serialize(train(samples, cfg))
-    threaded = blob == serialize(train(samples, cfg, threads=3))
+    blob = serialize(train(x, y, cfg))
+    same = blob == serialize(train(x, y, cfg))
+    threaded = blob == serialize(train(x, y, cfg, threads=3))
     restored = deserialize(blob)
     probes = rng.normal(0.0, 1.5, (1000, 8))
-    original = train(samples, cfg)
+    original = train(x, y, cfg)
     round_trip = (
         np.array_equal(original.predict_batch(probes), restored.predict_batch(probes))
         and np.array_equal(original.vote_fractions(probes),

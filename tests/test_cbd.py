@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from proxrf import cbd as cbd_module
+from proxrf import pid as pid_module
 from proxrf.cbd import (
     CbdDescriptor,
     CollectiveLabel,
@@ -16,12 +16,13 @@ from proxrf.cbd import (
     dispersion_change,
     interaction_histogram,
     mean_speed,
+    pair_keys,
     pair_predictions,
     shape_ratio,
 )
 from proxrf.errors import EmptyGroup, FrameMismatch, ModelShapeMismatch
-from proxrf.forest import ForestConfig, LabeledSample, train
-from proxrf.pid import InteractionLabel, PidConfig, compute_pid
+from proxrf.forest import ForestConfig, train
+from proxrf.pid import InteractionLabel, PairTable, PidConfig, compute_pid
 from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference
 
 from conftest import make_traj, straight_traj, track_states
@@ -50,13 +51,18 @@ def _const_paths(ids_to_xy, start=0, end=20):
 # -------------------------------------------------------------- simple cues
 
 def test_interaction_histogram_counts_and_empty():
-    f = InteractionLabel.Following
-    wt = InteractionLabel.WalkingTogether
-    hist = interaction_histogram([f, f, wt])
-    assert hist[f.class_id] == pytest.approx(2.0 / 3.0)
-    assert hist[wt.class_id] == pytest.approx(1.0 / 3.0)
+    f = InteractionLabel.Following.class_id
+    wt = InteractionLabel.WalkingTogether.class_id
+    [hist] = interaction_histogram([0, 0, 0], [f, f, wt], 1)
+    assert hist[f] == pytest.approx(2.0 / 3.0)
+    assert hist[wt] == pytest.approx(1.0 / 3.0)
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_array_equal(interaction_histogram([]), np.zeros(6))
+    np.testing.assert_array_equal(interaction_histogram([], [], 1), np.zeros((1, 6)))
+    # several windows in one bincount: a window without predictions is a zero row
+    hists = interaction_histogram([2, 0, 2, 2], [f, wt, wt, wt], 4)
+    np.testing.assert_array_equal(hists, [np.eye(6)[wt], np.zeros(6),
+                                          np.bincount([f, wt, wt], minlength=6) / 3,
+                                          np.zeros(6)])
 
 
 def test_dispersion_known_point_sets():
@@ -232,24 +238,27 @@ def _walking_group(n_members=3, n_frames=140, spacing=1.0, speed=1.3):
 
 def test_pair_predictions_and_cache(tiny_stage1, monkeypatch):
     computed = []
-    real = cbd_module._pid_from_states
 
-    def counting(*args, **kwargs):
-        computed.append(args[2:5])  # (anchor, target, center)
-        return real(*args, **kwargs)
+    class Counting(pid_module.PairBatch):
+        __slots__ = ()
 
-    monkeypatch.setattr(cbd_module, "_pid_from_states", counting)
+        def __init__(self, pairs, *args):
+            computed.extend((aid, tid, c) for _, _, aid, tid, centers in pairs for c in centers)
+            super().__init__(pairs, *args)
+
+    monkeypatch.setattr(pid_module, "PairBatch", Counting)
     tracks = _walking_group()
     w = GroupWindow.build(tracks, 69, 32, SMOOTH)
-    cache = {}
-    [preds] = pair_predictions([w], tiny_stage1, PidConfig(), cache=cache)
+    table = PairTable(w.member_states, PidConfig(), w.fps, 0)
+    [hist] = pair_predictions([w], tiny_stage1, PidConfig(), table=table)
     # 7 stride centers x 6 ordered pairs, every placement covered
-    assert len(preds) == 42
+    assert len(pair_keys(w, PidConfig())[2]) == 42
     assert len(set(computed)) == len(computed) == 42
-    assert all(isinstance(p, InteractionLabel) for p in preds)
-    [again] = pair_predictions([w], tiny_stage1, PidConfig(), cache=cache)
+    assert hist.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(hist * 42, np.round(hist * 42))  # whole votes of 42 keys
+    [again] = pair_predictions([w], tiny_stage1, PidConfig(), table=table)
     assert len(computed) == 42
-    assert again == preds
+    assert np.array_equal(again, hist)
     with pytest.raises(ValueError):
         pair_predictions([w], tiny_stage1, PidConfig(), stride=0)
 
@@ -258,13 +267,14 @@ def test_pair_predictions_map_votes_by_class_name():
     tracks = _walking_group(2)
     w = GroupWindow.build(tracks, 69, 32, SMOOTH)
     # one-tree models over two labels, listed out of enum order
-    sample = LabeledSample(np.zeros(PidConfig().descriptor_length), 0)
-    model = train([sample], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "F"])
-    [preds] = pair_predictions([w], model, PidConfig())
-    assert len(preds) == 14 and set(preds) == {InteractionLabel.Approaching}
+    x = np.zeros((1, PidConfig().descriptor_length))
+    model = train(x, [0], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "F"])
+    [hist] = pair_predictions([w], model, PidConfig())
+    assert len(pair_keys(w, PidConfig())[2]) == 14
+    np.testing.assert_array_equal(hist, np.eye(6)[InteractionLabel.Approaching.class_id])
     desc = compute_pid(tracks[0], tracks[1], 69, PidConfig(), SMOOTH)
     assert classify_interaction(desc, model)[0] is InteractionLabel.Approaching
-    unknown = train([sample], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "Milling"])
+    unknown = train(x, [0], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "Milling"])
     with pytest.raises(ModelShapeMismatch, match="'Milling' is no interaction label"):
         pair_predictions([w], unknown, PidConfig())
 
@@ -274,11 +284,14 @@ def test_pairs_skip_uncovered_centers(tiny_stage1):
     a = straight_traj("a", 1.3, 0.0, 140)
     b = straight_traj("b", 1.3, 0.0, 70, origin=(0.0, 1.0), first_frame=20)
     w = GroupWindow.build([a, b], 69, 32, SMOOTH)
-    [preds] = pair_predictions([w], tiny_stage1, PidConfig())
+    [hist] = pair_predictions([w], tiny_stage1, PidConfig())
     # pid windows [c-31, c+32] must sit inside b's frames 20..89
     good = [c for c in range(54, 86, 5) if c - 31 >= 20 and c + 32 <= 89]
     assert good == [54]
-    assert len(preds) == 2 * len(good)
+    anchor, target, centers = pair_keys(w, PidConfig())
+    assert len(centers) == 2 * len(good)
+    assert centers.tolist() == [54, 54] and anchor.tolist() == [0, 1]
+    assert hist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_member_group_has_zero_histogram(tiny_stage1):
@@ -320,21 +333,21 @@ def test_cbd_rigid_motion_invariance(tiny_stage1):
 def test_classify_collective_maps_votes_by_class_name():
     desc = CbdDescriptor(np.full(6, 1.0 / 6.0), 1.2, 0.0, 3.0, 32)
     # stage two after dropping four labels, as cross_dataset trains it
-    sample = LabeledSample(desc.vector(), 1)
-    subset = train([sample], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Queuing"])
+    x = desc.vector()[None, :]
+    subset = train(x, [1], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Queuing"])
     label, probs = classify_collective(desc, subset)
     assert label is CollectiveLabel.Queuing
     assert probs[CollectiveLabel.Queuing.class_id] == 1.0 and probs.sum() == 1.0
-    unknown = train([sample], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Milling"])
+    unknown = train(x, [1], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Milling"])
     with pytest.raises(ModelShapeMismatch, match="Milling"):
         classify_collective(desc, unknown)
 
 
 def test_classify_collective(tiny_stage1):
     rng = np.random.default_rng(50)
-    samples = [LabeledSample(np.abs(rng.normal(size=9)), int(rng.integers(0, 6)))
-               for _ in range(60)]
-    stage2 = train(samples, ForestConfig(n_trees=7, seed=1),
+    rows = [(np.abs(rng.normal(size=9)), int(rng.integers(0, 6))) for _ in range(60)]
+    x, y = np.array([v for v, _ in rows]), np.array([c for _, c in rows])
+    stage2 = train(x, y, ForestConfig(n_trees=7, seed=1),
                    class_names=[l.code for l in CollectiveLabel])
     w = GroupWindow.build(_walking_group(), 69, 32, SMOOTH)
     desc = compute_cbd(w, *pair_predictions([w], tiny_stage1, PidConfig()))
@@ -342,8 +355,7 @@ def test_classify_collective(tiny_stage1):
     assert isinstance(label, CollectiveLabel)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     # a stage two trained without the shape cue refuses the full vector
-    narrow = train([LabeledSample(s.features[:8], s.label) for s in samples],
-                   ForestConfig(n_trees=7, seed=1),
+    narrow = train(x[:, :8], y, ForestConfig(n_trees=7, seed=1),
                    class_names=[l.code for l in CollectiveLabel])
     with pytest.raises(ModelShapeMismatch):
         classify_collective(desc, narrow)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from proxrf import cbd as cbd_module
+from proxrf import pid as pid_module
 from proxrf.cbd import (
     CollectiveLabel,
     GroupWindow,
@@ -42,7 +43,7 @@ from proxrf.evaluate import (
     report_from_confusion,
 )
 from proxrf.forest import ForestConfig
-from proxrf.pid import InteractionLabel, _pid_from_states
+from proxrf.pid import InteractionLabel, PairBatch
 from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
 from proxrf.trajectory import Trajectory, smoothed_states
 
@@ -427,14 +428,16 @@ def test_pair_and_group_windows_of_one_pair_describe_like_lone_windows(tiny_stag
     states = {t.track_id: smoothed_states(t, cfg.smoothing, max_gap=cfg.max_gap)
               for t in (a, b)}
     described = []
-    real = cbd_module._pid_from_states
 
-    def recording(*args, **kwargs):
-        out = real(*args, **kwargs)
-        described.append((args[2:5], out.vector()))
-        return out
+    class Recording(PairBatch):
+        __slots__ = ()
 
-    monkeypatch.setattr(cbd_module, "_pid_from_states", recording)
+        def __init__(self, pairs, *args):
+            super().__init__(pairs, *args)
+            keys = [(aid, tid, int(c)) for _, _, aid, tid, centers in pairs for c in centers]
+            described.extend(zip(keys, self.vectors))
+
+    monkeypatch.setattr(pid_module, "PairBatch", Recording)
     pipe = Pipeline([rec], cfg)
     rows, x, _ = pipe.pair_matrix(pipe.seq_ids)
     pair_keys = {(aid, tid, c) for _, c, (aid, tid) in rows}
@@ -449,9 +452,9 @@ def test_pair_and_group_windows_of_one_pair_describe_like_lone_windows(tiny_stag
                for aid, tid, c in group_keys for f in range(c - back, c + fwd + 1))
     assert len(described) == len(pair_keys) + len(group_keys)
     for (aid, tid, center), vec in described:
-        lone = _pid_from_states(states[aid], states[tid], aid, tid, center, cfg.pid, rec.fps,
-                                cfg.seed, None)
-        assert np.array_equal(vec, lone.vector()), (aid, tid, center)
+        lone = PairBatch([(states[aid], states[tid], aid, tid, [center])], cfg.pid, rec.fps,
+                         cfg.seed)
+        assert lone.complete[0] and np.array_equal(vec, lone.vectors[0]), (aid, tid, center)
 
 
 def _frame_states(w):

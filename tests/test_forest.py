@@ -18,7 +18,6 @@ from proxrf.errors import (
 )
 from proxrf.forest import (
     ForestConfig,
-    LabeledSample,
     best_splits,
     deserialize,
     rank_table,
@@ -36,7 +35,7 @@ def _blobs(rng, n_per_class, d=6, k=3, spread=0.5):
         ys.append(np.full(n_per_class, c))
     x = np.vstack(xs)
     y = np.concatenate(ys)
-    return [LabeledSample(v, int(c)) for v, c in zip(x, y)], x, y
+    return x, y
 
 
 # ------------------------------------------------------------ split oracle
@@ -215,20 +214,19 @@ def test_forest_bytes_equal_float_split_search(cfg, threads):
     # lockstep growth with batched split search against trees grown one
     # node at a time, with float class counts and with value ranks
     rng = np.random.default_rng(23)
-    _, x, y = _blobs(rng, 30, d=7, k=4, spread=1.5)
+    x, y = _blobs(rng, 30, d=7, k=4, spread=1.5)
     x[:, 1] = np.round(x[:, 1])  # heavy ties
     x[:, 5] = 2.0  # constant: a draw of it alone falls back to a full scan
     x[::3, 6] = -0.0
-    samples = [LabeledSample(v, int(c)) for v, c in zip(x, y)]
     searched = []
 
     def reference(x_mat, ranks, y, idx, feats, parent_counts):
         searched.append(len(feats))
         return reference_best_split(x_mat, y, idx, feats, len(parent_counts), parent_counts)
 
-    blob = serialize(train(samples, cfg, threads=threads))
-    assert serialize(reference_forest(samples, cfg, reference)) == blob
-    assert serialize(reference_forest(samples, cfg)) == blob
+    blob = serialize(train(x, y, cfg, threads=threads))
+    assert serialize(reference_forest(x, y, cfg, reference)) == blob
+    assert serialize(reference_forest(x, y, cfg)) == blob
     if cfg.features_per_split == 1:
         assert x.shape[1] in searched  # the full-scan fallback ran
 
@@ -237,17 +235,17 @@ def test_forest_bytes_equal_float_split_search(cfg, threads):
 
 def test_forest_separates_blobs():
     rng = np.random.default_rng(101)
-    samples, _, _ = _blobs(rng, 134)  # ~400 training points
-    model = train(samples, ForestConfig(n_trees=30, seed=7))
-    _, x_test, y_test = _blobs(rng, 134)
+    x, y = _blobs(rng, 134)  # ~400 training points
+    model = train(x, y, ForestConfig(n_trees=30, seed=7))
+    x_test, y_test = _blobs(rng, 134)
     acc = (model.predict_batch(x_test) == y_test).mean()
     assert acc >= 0.95
 
 
 def test_vote_fractions_normalized():
     rng = np.random.default_rng(5)
-    samples, x, _ = _blobs(rng, 30)
-    model = train(samples, ForestConfig(n_trees=9, seed=2))
+    x, y = _blobs(rng, 30)
+    model = train(x, y, ForestConfig(n_trees=9, seed=2))
     frac = model.vote_fractions(x)
     assert frac.shape == (len(x), 3)
     np.testing.assert_allclose(frac.sum(axis=1), 1.0, atol=1e-12)
@@ -258,8 +256,8 @@ def test_vote_fractions_normalized():
 
 def test_prediction_independent_of_batch_order():
     rng = np.random.default_rng(29)
-    samples, x, _ = _blobs(rng, 40)
-    model = train(samples, ForestConfig(n_trees=11, seed=3))
+    x, y = _blobs(rng, 40)
+    model = train(x, y, ForestConfig(n_trees=11, seed=3))
     perm = rng.permutation(len(x))
     single = np.array([model.predict(v)[0] for v in x])
     np.testing.assert_array_equal(model.predict_batch(x), single)
@@ -268,9 +266,10 @@ def test_prediction_independent_of_batch_order():
 
 def test_max_depth_zero_gives_majority_stumps():
     rng = np.random.default_rng(3)
-    samples, x, _ = _blobs(rng, 10)
-    samples.extend(samples[:15])  # tilt the majority toward class 0
-    model = train(samples, ForestConfig(n_trees=20, max_depth=0, seed=1))
+    x, y = _blobs(rng, 10)
+    # tilt the majority toward class 0
+    model = train(np.vstack([x, x[:15]]), np.concatenate([y, y[:15]]),
+                  ForestConfig(n_trees=20, max_depth=0, seed=1))
     assert set(model.predict_batch(x)) == {0}
     np.testing.assert_allclose(model.feature_importance(), 1.0 / 6.0, atol=1e-12)
 
@@ -279,8 +278,7 @@ def test_feature_importance_finds_informative_feature():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((300, 5))
     y = (x[:, 2] > 0.0).astype(int)
-    samples = [LabeledSample(v, int(c)) for v, c in zip(x, y)]
-    model = train(samples, ForestConfig(n_trees=25, seed=4))
+    model = train(x, y, ForestConfig(n_trees=25, seed=4))
     imp = model.feature_importance()
     assert imp.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.argmax(imp) == 2 and imp[2] > 0.6
@@ -288,8 +286,8 @@ def test_feature_importance_finds_informative_feature():
 
 def test_thresholds_are_interior_midpoints():
     rng = np.random.default_rng(12)
-    samples, x, _ = _blobs(rng, 25)
-    model = train(samples, ForestConfig(n_trees=5, seed=9))
+    x, y = _blobs(rng, 25)
+    model = train(x, y, ForestConfig(n_trees=5, seed=9))
     doc = json.loads(serialize(model))
     train_vals = {f: set(x[:, f].tolist()) for f in range(x.shape[1])}
     inner = [i for i, f in enumerate(doc["feature"]) if f >= 0]
@@ -304,25 +302,46 @@ def test_thresholds_are_interior_midpoints():
 
 def test_train_input_validation():
     with pytest.raises(EmptyTrainingSet):
-        train([], ForestConfig())
-    a = LabeledSample(np.zeros(3), 0)
+        train([], [], ForestConfig())
+    with pytest.raises(EmptyTrainingSet):
+        train(np.empty((0, 3)), np.empty(0, dtype=int), ForestConfig())
+    a = np.zeros(3)
     with pytest.raises(ShapeMismatch):
-        train([a, LabeledSample(np.zeros(4), 1)], ForestConfig())
+        train([a, np.zeros(4)], [0, 1], ForestConfig())
     with pytest.raises(InvalidFeature):
-        train([a, LabeledSample(np.array([1.0, np.nan, 0.0]), 1)], ForestConfig())
+        train([a, np.array([1.0, np.nan, 0.0])], [0, 1], ForestConfig())
     with pytest.raises(InvalidFeature):
-        train([LabeledSample(np.zeros(3), -1)], ForestConfig())
+        train([a], [-1], ForestConfig())
     with pytest.raises(InvalidFeature):
-        train([a], ForestConfig(), class_names=[])  # id 0 outside 0 classes
+        train([a], [0], ForestConfig(), class_names=[])  # id 0 outside 0 classes
     with pytest.raises(InvalidConfig):
-        train([a, LabeledSample(np.ones(3), 1)], ForestConfig(features_per_split=4))
+        train([a, np.ones(3)], [0, 1], ForestConfig(features_per_split=4))
+    # array input: every malformed matrix or label vector is a ProxrfError
+    x, y = np.zeros((4, 3)), np.array([0, 1, 0, 1])
+    for bad_x in (np.zeros(4), np.zeros((4, 3, 1)), np.float64(1.0), [["a", "b"]] * 4):
+        with pytest.raises(ShapeMismatch):
+            train(bad_x, y, ForestConfig())
+    for bad_y in (y[:3], np.append(y, 0), y[:, None], np.int64(0), []):
+        with pytest.raises(ShapeMismatch):
+            train(x, bad_y, ForestConfig())
+    for bad_y in (y + 0.5, y.astype(float), y.astype(bool), y.astype(str), y.astype(object)):
+        with pytest.raises(InvalidFeature, match="class ids must be integers"):
+            train(x, bad_y, ForestConfig())
+    for bad_y in (y - 2, np.array([0, 1, -1, 1], dtype=np.int8)):
+        with pytest.raises(InvalidFeature, match="negative class id"):
+            train(x, bad_y, ForestConfig())
+    for bad in (np.nan, np.inf, -np.inf):
+        x_bad = x.copy()
+        x_bad[2, 1] = bad
+        with pytest.raises(InvalidFeature, match="non-finite feature value"):
+            train(x_bad, y, ForestConfig())
 
 
 def test_features_per_split_beyond_feature_count_is_invalid_config():
     rng = np.random.default_rng(4)
-    samples = [LabeledSample(rng.normal(size=19), i % 2) for i in range(20)]
+    x = np.array([rng.normal(size=19) for _ in range(20)])
     with pytest.raises(InvalidConfig, match=r"features_per_split 30 outside 1\.\.19"):
-        train(samples, ForestConfig(features_per_split=30))
+        train(x, np.arange(20) % 2, ForestConfig(features_per_split=30))
 
 
 def test_forest_config_validation():
@@ -334,15 +353,15 @@ def test_forest_config_validation():
 
 def test_default_class_names_span_label_range():
     rng = np.random.default_rng(2)
-    samples = [LabeledSample(rng.normal(size=4), i % 3) for i in range(30)]
-    model = train(samples, ForestConfig(n_trees=3))
+    x = np.array([rng.normal(size=4) for _ in range(30)])
+    model = train(x, np.arange(30) % 3, ForestConfig(n_trees=3))
     assert model.class_names == ("0", "1", "2")
 
 
 def test_vote_fractions_shape_checked():
     rng = np.random.default_rng(2)
-    samples, x, _ = _blobs(rng, 10)
-    model = train(samples, ForestConfig(n_trees=3))
+    x, y = _blobs(rng, 10)
+    model = train(x, y, ForestConfig(n_trees=3))
     with pytest.raises(ShapeMismatch):
         model.vote_fractions(x[:, :4])
     with pytest.raises(ShapeMismatch):
@@ -353,26 +372,26 @@ def test_vote_fractions_shape_checked():
 
 def test_training_is_byte_deterministic():
     rng = np.random.default_rng(55)
-    samples, _, _ = _blobs(rng, 40)
+    x, y = _blobs(rng, 40)
     cfg = ForestConfig(n_trees=12, seed=21)
-    blob1 = serialize(train(samples, cfg))
-    blob2 = serialize(train(samples, cfg))
-    blob4t = serialize(train(samples, cfg, threads=4))
+    blob1 = serialize(train(x, y, cfg))
+    blob2 = serialize(train(x, y, cfg))
+    blob4t = serialize(train(x, y, cfg, threads=4))
     assert blob1 == blob2 == blob4t
-    assert blob1 != serialize(train(samples, ForestConfig(n_trees=12, seed=22)))
+    assert blob1 != serialize(train(x, y, ForestConfig(n_trees=12, seed=22)))
 
 
 def test_more_threads_than_trees():
     rng = np.random.default_rng(56)
-    samples, _, _ = _blobs(rng, 20)
+    x, y = _blobs(rng, 20)
     cfg = ForestConfig(n_trees=3, seed=5)
-    assert serialize(train(samples, cfg, threads=5)) == serialize(train(samples, cfg))
+    assert serialize(train(x, y, cfg, threads=5)) == serialize(train(x, y, cfg))
 
 
 def test_round_trip_preserves_predictions():
     rng = np.random.default_rng(66)
-    samples, _, _ = _blobs(rng, 50)
-    model = train(samples, ForestConfig(n_trees=15, seed=1),
+    x, y = _blobs(rng, 50)
+    model = train(x, y, ForestConfig(n_trees=15, seed=1),
                   class_names=["g", "t", "d"])
     clone = deserialize(serialize(model))
     assert clone.class_names == ("g", "t", "d")
@@ -405,8 +424,8 @@ def _walk_votes(doc, x):
 
 def test_vote_fractions_match_per_tree_walk():
     rng = np.random.default_rng(77)
-    samples, _, _ = _blobs(rng, 40, spread=1.5)
-    model = train(samples, ForestConfig(n_trees=15, seed=5))
+    x, y = _blobs(rng, 40, spread=1.5)
+    model = train(x, y, ForestConfig(n_trees=15, seed=5))
     doc = json.loads(serialize(model))
     # around the 128-row voting block: one block, one full block, one row over
     for n in (1, 7, 128, 129, 2000):
@@ -416,9 +435,9 @@ def test_vote_fractions_match_per_tree_walk():
 
 def test_vote_blocks_bound_memory_and_keep_fractions():
     rng = np.random.default_rng(91)
-    samples, _, _ = _blobs(rng, 40, spread=1.5)
+    x, y = _blobs(rng, 40, spread=1.5)
     n_trees = 50
-    model = train(samples, ForestConfig(n_trees=n_trees, seed=4))
+    model = train(x, y, ForestConfig(n_trees=n_trees, seed=4))
     x = rng.standard_normal((20_000, 6)) * 3.0
     tracemalloc.start()
     try:

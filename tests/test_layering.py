@@ -8,10 +8,6 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-# the pair descriptor's per-window lookup, which cbd calls once per key to
-# read its vector out of a pair batch; it keeps its name for the
-# benchmark tracer
-ALLOWED = {"_pid_from_states"}
 
 
 def _private_imports(path):
@@ -23,7 +19,7 @@ def _private_imports(path):
             continue
         for alias in node.names:
             name = alias.name
-            if name.startswith("_") and not name.startswith("__") and name not in ALLOWED:
+            if name.startswith("_") and not name.startswith("__"):
                 yield f"{path.relative_to(ROOT)}:{node.lineno} imports {name}"
 
 

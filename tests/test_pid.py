@@ -9,21 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxrf import pid as pid_module
-from proxrf.cbd import pair_vectors
-from proxrf.errors import (
-    FrameMismatch,
-    MissingFrames,
-    ModelShapeMismatch,
-    WindowLengthMismatch,
-)
-from proxrf.forest import ForestConfig, LabeledSample, train
+from proxrf.errors import FrameMismatch, MissingFrames, ModelShapeMismatch
+from proxrf.forest import ForestConfig, train
 from proxrf.pid import (
     InteractionLabel,
     PairBatch,
+    PairTable,
     PidConfig,
     PolarGrid,
-    _pid_from_states,
     compute_pid,
+    describe_pairs,
     heading_draws,
 )
 from proxrf.synth import (
@@ -33,7 +28,6 @@ from proxrf.synth import (
     make_pair_corpus,
 )
 from proxrf.trajectory import (
-    RelativePolar,
     SmoothingConfig,
     TrackStates,
     smoothed_states,
@@ -43,6 +37,8 @@ from proxrf.trajectory import (
 from conftest import make_traj, straight_traj
 from per_sample import (
     KinematicState,
+    PolarPoint,
+    WrongWindowLength,
     accumulate_histogram,
     classify_interaction,
     derivative,
@@ -58,18 +54,18 @@ CFG = PidConfig()
 # ------------------------------------------------------------------- kernel
 
 def test_kernel_zero_and_unit_exponent():
-    c = RelativePolar(2.0, 0.5)
+    c = PolarPoint(2.0, 0.5)
     assert kde_kernel(c, c, CFG) == pytest.approx(1.0, abs=1e-15)
     # rho offset sqrt(2 sigma_rho) alone gives exponent 1
-    s = RelativePolar(2.0 + math.sqrt(2.0 * CFG.sigma_rho), 0.5)
+    s = PolarPoint(2.0 + math.sqrt(2.0 * CFG.sigma_rho), 0.5)
     assert kde_kernel(s, c, CFG) == pytest.approx(math.exp(-1.0), abs=1e-12)
-    t = RelativePolar(2.0, 0.5 + math.sqrt(2.0 * CFG.sigma_theta))
+    t = PolarPoint(2.0, 0.5 + math.sqrt(2.0 * CFG.sigma_theta))
     assert kde_kernel(t, c, CFG) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_kernel_wraps_angle():
     eps = 0.01
-    near = kde_kernel(RelativePolar(1.0, math.pi - eps), RelativePolar(1.0, -math.pi + eps), CFG)
+    near = kde_kernel(PolarPoint(1.0, math.pi - eps), PolarPoint(1.0, -math.pi + eps), CFG)
     assert near == pytest.approx(math.exp(-((2 * eps) ** 2) / (2.0 * CFG.sigma_theta)), abs=1e-12)
 
 
@@ -80,7 +76,7 @@ def test_kernel_matches_brute_force_wrap():
     for trial in range(300):
         rho_s, rho_c = rng.uniform(0.0, 6.0, 2)
         th_s, th_c = rng.uniform(-math.pi, math.pi, 2)
-        got = kde_kernel(RelativePolar(rho_s, th_s), RelativePolar(rho_c, th_c), CFG)
+        got = kde_kernel(PolarPoint(rho_s, th_s), PolarPoint(rho_c, th_c), CFG)
         d2 = min((th_s - th_c + 2.0 * math.pi * k) ** 2 for k in range(-2, 3))
         want = math.exp(-((rho_s - rho_c) ** 2) / dr - d2 / dt)
         assert got == pytest.approx(want, rel=1e-12)
@@ -88,8 +84,8 @@ def test_kernel_matches_brute_force_wrap():
 
 def test_kernel_variance_denominator_flag():
     cfg2 = PidConfig(variance_denominator=True)
-    c = RelativePolar(2.0, 0.0)
-    s = RelativePolar(2.0 + CFG.sigma_rho * math.sqrt(2.0), 0.0)
+    c = PolarPoint(2.0, 0.0)
+    s = PolarPoint(2.0 + CFG.sigma_rho * math.sqrt(2.0), 0.0)
     assert kde_kernel(s, c, cfg2) == pytest.approx(math.exp(-1.0), abs=1e-12)
     assert kde_kernel(s, c, CFG) == pytest.approx(math.exp(-CFG.sigma_rho), abs=1e-12)
 
@@ -133,7 +129,7 @@ def test_descriptor_length_per_pyramid_depth():
 # -------------------------------------------------------------- sample_grid
 
 def test_sample_grid_interior_center():
-    pts = sample_grid(RelativePolar(2.0, 0.0), CFG)
+    pts = sample_grid(PolarPoint(2.0, 0.0), CFG)
     assert len(pts) == 81
     assert sum(w for _, w in pts) == pytest.approx(1.0, abs=1e-9)
     assert all(p.rho >= 0.0 and -math.pi < p.theta <= math.pi for p, _ in pts)
@@ -141,7 +137,7 @@ def test_sample_grid_interior_center():
 
 def test_sample_grid_drops_negative_rho():
     # rho offsets step by 0.1875, so rho_o = 0.1 keeps 5 of the 9 rows
-    pts = sample_grid(RelativePolar(0.1, 1.0), CFG)
+    pts = sample_grid(PolarPoint(0.1, 1.0), CFG)
     assert len(pts) == 45
     assert sum(w for _, w in pts) == pytest.approx(1.0, abs=1e-9)
 
@@ -165,7 +161,7 @@ def _dense_cell_masses(center, cfg, n=800):
 def test_sample_grid_tracks_dense_integration():
     # interior center: the sampling box stays inside one distance band, so
     # grid-sampled cell masses match the cell integrals of the kernel
-    center = RelativePolar(2.375, 0.0)
+    center = PolarPoint(2.375, 0.0)
     dense = _dense_cell_masses(center, CFG)
     approx = np.zeros(16)
     for p, w in sample_grid(center, CFG):
@@ -179,7 +175,7 @@ def test_sample_grid_tracks_dense_integration():
 # ---------------------------------------------------------------- histogram
 
 def _random_polars(rng, n):
-    return [RelativePolar(float(r), float(t))
+    return [PolarPoint(float(r), float(t))
             for r, t in zip(rng.uniform(0.0, 6.0, n), rng.uniform(-math.pi, math.pi, n))]
 
 
@@ -194,7 +190,7 @@ def test_histogram_normalization_property():
 
 
 def test_histogram_window_length_checked():
-    with pytest.raises(WindowLengthMismatch):
+    with pytest.raises(WrongWindowLength):
         accumulate_histogram(_random_polars(np.random.default_rng(0), 63), CFG.grid, CFG)
 
 
@@ -223,7 +219,7 @@ def test_kde_equals_hard_for_tiny_kernel():
         sector = int(rng.integers(4))
         theta = sector * math.pi / 2.0 + float(rng.uniform(-math.pi / 4 + 0.05,
                                                            math.pi / 4 - 0.05))
-        samples.append(RelativePolar(rho, float(np.remainder(theta + math.pi,
+        samples.append(PolarPoint(rho, float(np.remainder(theta + math.pi,
                                                              2 * math.pi) - math.pi)))
     h_kde = accumulate_histogram(samples, kde.grid, kde)
     h_hard = accumulate_histogram(samples, hard.grid, hard)
@@ -234,7 +230,7 @@ def test_boundary_sample_splits_evenly_with_even_grid():
     # an even sample count per axis has no node sitting on the boundary
     # itself, so a sector-boundary sample splits its mass symmetrically
     cfg = PidConfig(t1=2, grid_samples_per_axis=10)
-    samples = [RelativePolar(2.0, math.pi / 4.0)] * 2
+    samples = [PolarPoint(2.0, math.pi / 4.0)] * 2
     hist = accumulate_histogram(samples, cfg.grid, cfg)
     assert hist[2 * 4 + 0] == pytest.approx(hist[2 * 4 + 1], abs=1e-3)
     assert hist[2 * 4 + 0] > 0.3
@@ -249,7 +245,7 @@ def _polar_pair(rho, theta):
     xy = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
     anchor = TrackStates(frames, np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n), np.zeros(n))
     target = TrackStates(frames, xy, np.zeros((n, 2)), np.ones(n), np.zeros(n))
-    samples = [RelativePolar(math.hypot(x, y), wrap_angle(math.atan2(y, x)))
+    samples = [PolarPoint(math.hypot(x, y), wrap_angle(math.atan2(y, x)))
                for x, y in xy.tolist()]
     return anchor, target, samples
 
@@ -274,8 +270,8 @@ def test_histogram_codes_match_whole_window_arithmetic():
             rho[rng.random(cfg.t1) < 0.05] = 0.0
             theta = rng.uniform(-math.pi, math.pi, cfg.t1)
             anchor, target, samples = _polar_pair(rho, theta)
-            got = _pid_from_states(anchor, target, "a", "b", cfg.window_halves[0], cfg,
-                                   10.0, 0).histogram
+            batch = PairBatch([(anchor, target, "a", "b", [cfg.window_halves[0]])], cfg, 10.0, 0)
+            got = batch.vectors[0, :cfg.grid.cell_count]
             want = accumulate_histogram(samples, cfg.grid, cfg)
             assert np.array_equal(got, want), (cfg, trial)
 
@@ -305,7 +301,7 @@ def test_pyramid_parent_is_mean_of_children():
 
 
 def test_pyramid_length_checked():
-    with pytest.raises(WindowLengthMismatch):
+    with pytest.raises(WrongWindowLength):
         speed_pyramid(np.zeros(63), PidConfig(t1=64))
 
 
@@ -476,23 +472,26 @@ def test_batch_windows_match_per_frame_reference():
         batch = PairBatch([(states[aid], states[tid], aid, tid, centers) for aid, tid in pairs],
                           cfg, 10.0, seed)
         back, fwd = cfg.window_halves
+        row = iter(range(len(pairs) * len(centers)))  # the batch's rows, in input order
         for aid, tid in pairs:
             sa, sb = states[aid], states[tid]
             for center in centers:
+                i = next(row)
                 try:
                     want = _reference_vector(per_frame[aid], per_frame[tid], aid, tid, center,
                                              cfg, 10.0, seed)
                 except MissingFrames as e:
                     errors.add(str(e))
-                    for b in (batch, None):
-                        with pytest.raises(MissingFrames) as got:
-                            _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, b)
-                        assert str(got.value) == str(e)
+                    assert not batch.complete[i]
+                    with pytest.raises(MissingFrames) as got:
+                        describe_pairs([(sa, sb, aid, tid, [center])], cfg, 10.0, seed)
+                    assert str(got.value) == str(e)
                     continue
                 described.add((aid, tid, center - back, center + fwd))
-                for b in (batch, None):
-                    got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, b)
-                    assert np.array_equal(got.vector(), want), (aid, tid, center, cfg)
+                lone = describe_pairs([(sa, sb, aid, tid, [center])], cfg, 10.0, seed)[0]
+                assert batch.complete[i] and np.array_equal(batch.vectors[i], want), \
+                    (aid, tid, center, cfg)
+                assert np.array_equal(lone, want), (aid, tid, center, cfg)
     # windows flush with both edges of each of b's spans, and errors that
     # name the anchor, the target and b's hole
     for edge in ((0, 15), (44, 59), (72, 87), (104, 119)):
@@ -512,25 +511,24 @@ def test_batch_spans_the_union_of_its_windows_and_is_read_only():
     cfg = PidConfig(t1=16)
     back, fwd = cfg.window_halves
     assert (40 + fwd, 60 - back) == (48, 53)
-    batches = {}
-    for name, sb in (("full", full), ("holed", holed)):
-        batch = batches[name] = PairBatch([(sa, sb, "a", "b", [60, 40])], cfg, 10.0, 3)
-        # rows in frame order; both windows complete, as the frames
+    for sb in (full, holed):
+        batch = PairBatch([(sa, sb, "a", "b", [60, 40])], cfg, 10.0, 3)
+        # rows in input order; both windows complete, as the frames
         # between them are no rows of the pair's block
-        assert batch.index == {("a", "b", 40): 0, ("a", "b", 60): 1}
         assert batch.complete.tolist() == [True, True]
-        for center in (40, 60):
-            got = _pid_from_states(sa, sb, "a", "b", center, cfg, 10.0, 3, batch)
-            lone = _pid_from_states(sa, sb, "a", "b", center, cfg, 10.0, 3)
-            assert np.array_equal(got.vector(), lone.vector())
+        for k, center in enumerate((60, 40)):
+            got = batch.vectors[k]
+            lone = PairBatch([(sa, sb, "a", "b", [center])], cfg, 10.0, 3).vectors[0]
+            assert np.array_equal(got, lone)
         with pytest.raises(ValueError):
             batch.vectors[0, 0] = 1.0
         with pytest.raises(ValueError):
-            got.histogram[0] = 1.0
-    with pytest.raises(ValueError, match="frames 43..58 of pair a, b lie outside the batch"):
-        _pid_from_states(sa, full, "a", "b", 50, cfg, 10.0, 3, batches["full"])
-    with pytest.raises(MissingFrames, match="^track b: no state at frame 49$"):
-        _pid_from_states(sa, holed, "a", "b", 50, cfg, 10.0, 3, batches["holed"])
+            got[0] = 1.0
+    assert PairBatch([(sa, full, "a", "b", [50])], cfg, 10.0, 3).complete.tolist() == [True]
+    for centers in ([50], [60, 40, 50]):
+        assert not PairBatch([(sa, holed, "a", "b", centers)], cfg, 10.0, 3).complete[-1]
+        with pytest.raises(MissingFrames, match="^track b: no state at frame 49$"):
+            describe_pairs([(sa, holed, "a", "b", centers)], cfg, 10.0, 3)
 
 
 def _word(track_id):
@@ -599,19 +597,28 @@ def test_pair_vectors_match_per_window_descriptors():
                     for c in range(lo + back, hi - fwd + 1, 7)
                     if _covers(states[a], c, back, fwd) and _covers(states[t], c, back, fwd)]
             keys = [keys[i] for i in rng.permutation(len(keys))]
-            # an earlier call over a subset of the keys half fills the cache
-            cache = {}
-            pair_vectors(states, keys[::2], cfg, rec.fps, seed, cache)
-            got = pair_vectors(states, keys, cfg, rec.fps, seed, cache)
+            # an earlier call over a subset of the keys half fills the table
+            table = PairTable(states, cfg, rec.fps, seed)
+            _table_vectors(table, keys[::2])
+            got = _table_vectors(table, keys)
             for (aid, tid, center), vec in zip(keys, got):
-                want = _pid_from_states(states[aid], states[tid], aid, tid, center, cfg,
-                                        rec.fps, seed).vector()
+                want = PairBatch([(states[aid], states[tid], aid, tid, [center])], cfg,
+                                 rec.fps, seed).vectors[0]
                 assert np.array_equal(vec, want), (rec.sequence_id, aid, tid, center, cfg)
+            assert table.described.all() and len(table.keys) == len(keys)
             for aid, tid, center in keys[::23]:
                 want = compute_pid(tracks[aid], tracks[tid], center, cfg, SMOOTH, seed)
-                assert np.array_equal(cache[aid, tid, center], want.vector())
+                assert np.array_equal(_table_vectors(table, [(aid, tid, center)])[0],
+                                      want.vector())
             checked += len(keys)
     assert checked > 5000
+
+
+def _table_vectors(table, keys):
+    """The vectors of (anchor, target, center) keys, read through a PairTable."""
+    anchor, target, centers = zip(*keys)
+    rows = table.rows([table.codes[a] for a in anchor], [table.codes[t] for t in target], centers)
+    return table.vectors[rows]
 
 
 def _covers(states, center, back, fwd):
@@ -672,6 +679,8 @@ def test_batch_equals_lone_pairs_and_per_frame_reference(recording, seed):
         pairs.setdefault((aid, tid), []).append(center)
     batch = PairBatch([(states[a], states[t], a, t, cs) for (a, t), cs in pairs.items()],
                       cfg, 10.0, seed)
+    row = {(a, t, c): i for i, (a, t, c) in enumerate((a, t, c) for (a, t), cs in pairs.items()
+                                                      for c in cs)}
     complete = []
     for aid, tid, center in keys:
         sa, sb = states[aid], states[tid]
@@ -679,22 +688,27 @@ def test_batch_equals_lone_pairs_and_per_frame_reference(recording, seed):
             want = _reference_vector(per_frame[aid], per_frame[tid], aid, tid, center, cfg,
                                      10.0, seed)
         except MissingFrames as e:
+            assert not batch.complete[row[aid, tid, center]]
             with pytest.raises(MissingFrames) as got:
-                _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, batch)
+                describe_pairs([(sa, sb, aid, tid, [center])], cfg, 10.0, seed)
+            assert str(got.value) == str(e)
+            with pytest.raises(MissingFrames) as got:
+                _table_vectors(PairTable(states, cfg, 10.0, seed), [(aid, tid, center)])
             assert str(got.value) == str(e)
             continue
-        got = _pid_from_states(sa, sb, aid, tid, center, cfg, 10.0, seed, batch)
-        assert np.array_equal(got.vector(), want)
+        i = row[aid, tid, center]
+        assert batch.complete[i] and np.array_equal(batch.vectors[i], want)
         complete.append(((aid, tid, center), want))
-    # every complete key in one pair_vectors call, and each pair in its own
-    together = pair_vectors(states, [k for k, _ in complete], cfg, 10.0, seed, {})
+    # every complete key in one table lookup, and each key in a table of its own
+    together = _table_vectors(PairTable(states, cfg, 10.0, seed), [k for k, _ in complete]) \
+        if complete else []
     for (key, want), vec in zip(complete, together):
-        alone = pair_vectors(states, [key], cfg, 10.0, seed, {})[0]
+        alone = _table_vectors(PairTable(states, cfg, 10.0, seed), [key])[0]
         assert np.array_equal(vec, want) and np.array_equal(alone, want), key
 
 
 def test_chunked_batches_describe_like_one_batch(monkeypatch):
-    # a budget of about two pairs' rows splits one pair_vectors call into
+    # a budget of about two pairs' rows splits one table lookup into
     # batches of whole pairs, and a budget of one row gives each pair a
     # batch of its own
     built = []
@@ -715,14 +729,14 @@ def test_chunked_batches_describe_like_one_batch(monkeypatch):
             for c in range(lo + back, hi - fwd + 1, 3)
             if _covers(states[a], c, back, fwd) and _covers(states[t], c, back, fwd)]
     keys = [keys[i] for i in np.random.default_rng(3).permutation(len(keys))]
-    want = pair_vectors(states, keys, cfg, rec.fps, 5, {})
+    want = _table_vectors(PairTable(states, cfg, rec.fps, 5), keys)
     monkeypatch.setattr(pid_module, "PairBatch", Counting)
     pairs = len({key[:2] for key in keys})
     assert pairs == 12 and hi - lo + 1 == 112
     for budget, sizes in ((250, [2] * 6), (1, [1] * 12)):
         monkeypatch.setattr(pid_module, "BATCH_FRAMES", budget)
         built.clear()
-        got = pair_vectors(states, keys, cfg, rec.fps, 5, {})
+        got = _table_vectors(PairTable(states, cfg, rec.fps, 5), keys)
         assert built == sizes
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -739,8 +753,8 @@ def test_single_stump_always_votes_its_class():
     rng = np.random.default_rng(3)
     cfg = PidConfig(t1=32)
     wt = InteractionLabel.WalkingTogether
-    sample = LabeledSample(_descriptor(rng, cfg).vector(), wt.class_id)
-    model = train([sample], ForestConfig(n_trees=1, seed=0),
+    x = _descriptor(rng, cfg).vector()[None, :]
+    model = train(x, [wt.class_id], ForestConfig(n_trees=1, seed=0),
                   class_names=[l.code for l in InteractionLabel])
     for trial in range(5):
         label, probs = classify_interaction(_descriptor(rng, cfg), model)
@@ -753,7 +767,7 @@ def test_classify_maps_votes_by_class_name():
     rng = np.random.default_rng(6)
     desc = _descriptor(rng)
     # a model over two labels only, listed out of enum order
-    model = train([LabeledSample(desc.vector(), 0)], ForestConfig(n_trees=1, seed=0),
+    model = train(desc.vector()[None, :], [0], ForestConfig(n_trees=1, seed=0),
                   class_names=["Ap", "F"])
     label, probs = classify_interaction(desc, model)
     assert label is InteractionLabel.Approaching
@@ -769,8 +783,8 @@ def test_classify_rejects_wrong_dimensionality(tiny_stage1):
 
 def test_classify_rejects_too_many_classes():
     rng = np.random.default_rng(4)
-    samples = [LabeledSample(rng.normal(size=19), i % 7) for i in range(40)]
-    model = train(samples, ForestConfig(n_trees=3, seed=0),
+    x = np.array([rng.normal(size=19) for _ in range(40)])
+    model = train(x, np.arange(40) % 7, ForestConfig(n_trees=3, seed=0),
                   class_names=[f"c{i}" for i in range(7)])
     with pytest.raises(ModelShapeMismatch):
         classify_interaction(_descriptor(np.random.default_rng(5), PidConfig()), model)

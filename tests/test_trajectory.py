@@ -18,7 +18,6 @@ from proxrf.errors import (
     ProxrfError,
 )
 from proxrf.trajectory import (
-    RelativePolar,
     SmoothingConfig,
     TimedPosition,
     TrackStates,
@@ -32,6 +31,7 @@ from proxrf.trajectory import (
 from conftest import make_traj, straight_traj
 from per_sample import (
     KinematicState,
+    PolarPoint,
     derivative,
     reference_states,
     relative_distance_series,
@@ -58,9 +58,9 @@ def test_smoothing_config_bounds():
 
 
 def test_relative_polar_rejects_negative_rho():
-    RelativePolar(0.0, 0.0)
+    PolarPoint(0.0, 0.0)
     with pytest.raises(ValueError):
-        RelativePolar(-1e-9, 0.0)
+        PolarPoint(-1e-9, 0.0)
 
 
 def test_trajectory_rejects_bad_fps_and_frames():
