@@ -185,7 +185,9 @@ def _spread(window: GroupWindow) -> np.ndarray:
     mean = window.xy.sum(axis=0) / counts[:, None]
     sq = ((window.xy - mean) ** 2).sum(axis=2) * present
     spread = np.sqrt(sq.sum(axis=0) / counts)
-    for n in np.unique(counts[counts >= 8]).tolist():
+    # ascending member counts from 8 up; np.unique would cost its first
+    # call in a process about 10 ms
+    for n in (np.flatnonzero(np.bincount(counts)[8:]) + 8).tolist():
         at = np.flatnonzero(counts == n)
         pts = window.xy.transpose(1, 0, 2)[at][present.T[at]].reshape(len(at), n, 2)
         centered = pts - pts.mean(axis=1, keepdims=True)

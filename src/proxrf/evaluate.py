@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from . import keyed
 from .cbd import CollectiveLabel, GroupWindow, compute_cbd, pair_predictions
 from .dataset import FoldSplit, SceneRecording, windows
 from .errors import (
@@ -206,14 +207,14 @@ def evaluate_predictions(truths, preds, class_names: Sequence[str]) -> EvalRepor
 
 
 def fold_seeds(seed: int, fold: int) -> tuple:
-    """(stage-one seed, stage-two seed) derived from a run seed and a token.
+    """(stage-one seed, stage-two seed) derived from a run seed and a token:
+    the hashes of the keys (seed, token, 0) and (seed, token, 1).
 
     Cross-validation passes the fold index, a model trained on a whole
     corpus passes 0 and cross_dataset passes 202.
     """
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, 101, fold])
-    a, b = ss.generate_state(2)
-    return int(a), int(b)
+    a, b = keyed.key_hash(keyed.FOLD, seed, fold, np.arange(2)).tolist()
+    return a, b
 
 
 def _check_split_width(stage: str, forest: ForestConfig, width: int, what: str) -> None:

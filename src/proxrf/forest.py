@@ -3,9 +3,10 @@
 Bootstrap bagging, per-node random feature subsets, axis-aligned Gini
 splits with midpoint thresholds, majority voting, impurity-based feature
 importance, and a versioned JSON model format.  Everything is
-deterministic for a fixed seed: per-tree streams are derived from
-(seed, tree index), ties break toward the lowest class id, the lowest
-feature index and the lowest threshold.  All trees of a forest grow
+deterministic for a fixed seed: every draw is keyed (see keyed) by the
+seed, the tree index and, for a node's features, the node's id in its
+tree, and ties break toward the lowest class id, the lowest feature
+index and the lowest threshold.  All trees of a forest grow
 together, one node of each tree per step, and every step's nodes are
 scored in one batched split search.
 """
@@ -20,6 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import keyed
 from .errors import (
     CorruptModel,
     EmptyTrainingSet,
@@ -28,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 # rows that vote_fractions steps through the node table together
 _VOTE_BLOCK = 128
@@ -78,21 +80,21 @@ class RandomForest:
     tree's root id, starting at 0 and increasing; a tree owns the nodes
     from its root up to the next tree's root.  Training puts the root
     first and appends both children of a node together (left, then
-    right) when it splits the node, so every child id is greater than its
-    parent's and inside its tree; deserialize() checks exactly that, so
-    every walk from a root ends at a leaf of the same tree.
+    right) when it splits the node, so a node's right child is
+    ``left + 1``, and both children's ids are greater than their parent's
+    and inside its tree; deserialize() checks exactly that, so every walk
+    from a root ends at a leaf of the same tree.
     ``feature`` is -1 at leaves; ``counts`` holds the bootstrap class
     counts at leaves (``leaf_counts`` in node order) and zeros at
     internal nodes.
     """
 
-    def __init__(self, roots, feature, threshold, left, right, leaf_counts, config,
-                 feature_count, class_names):
+    def __init__(self, roots, feature, threshold, left, leaf_counts, config, feature_count,
+                 class_names):
         self.trees = np.asarray(roots, dtype=np.int64)
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
         self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
         self.config = config
         self.feature_count = int(feature_count)
         self.class_names = tuple(str(c) for c in class_names)
@@ -133,7 +135,7 @@ class RandomForest:
                 inner = f >= 0
                 live, at, f = live[inner], at[inner], f[inner]
                 go_left = block[row[live], f] <= self.threshold[at]
-                node[live] = np.where(go_left, self.left[at], self.right[at])
+                node[live] = self.left[at] + ~go_left
             slots = self.leaf_class[node] + k * row
             votes[start:start + b] = np.bincount(slots, minlength=b * k).reshape(b, k)
         return votes / n_trees
@@ -157,11 +159,11 @@ class RandomForest:
         inner = np.flatnonzero(self.feature >= 0)
         counts = self.counts.astype(float)
         for i in inner[::-1]:  # children come after their parent
-            counts[i] = counts[self.left[i]] + counts[self.right[i]]
+            counts[i] = counts[self.left[i]] + counts[self.left[i] + 1]
         n = counts.sum(axis=1)
         gini = 1.0 - (counts**2).sum(axis=1) / np.maximum(n, 1.0) ** 2
         mass = n * gini
-        drop = mass[inner] - mass[self.left[inner]] - mass[self.right[inner]]
+        drop = mass[inner] - mass[self.left[inner]] - mass[self.left[inner] + 1]
         tree_size = n[self.trees][np.searchsorted(self.trees, inner, side="right") - 1]
         imp = np.bincount(
             self.feature[inner], weights=drop / tree_size, minlength=self.feature_count
@@ -313,31 +315,48 @@ def _may_split(counts, depth, cfg):
     return ok.tolist()
 
 
+def bootstrap(seed: int, tree: int, n: int) -> np.ndarray:
+    """Tree ``tree``'s bootstrap sample of ``n`` row indices: draw i is
+    floor(n u) for the uniform u of the key (seed, tree, i)."""
+    return (keyed.uniform(keyed.BOOTSTRAP, seed, tree, np.arange(n)) * n).astype(np.intp)
+
+
+def feature_draws(seed: int, trees, nodes, d: int, m: int) -> np.ndarray:
+    """Sorted candidate features of each node, as a (nodes, m) array: the
+    m features of smallest hash of the key (seed, tree, node id,
+    feature), a uniform m-subset of the d features, drawn for every node
+    by one argpartition."""
+    h = keyed.key_hash(keyed.FEATURES, seed, np.asarray(trees)[:, None],
+                       np.asarray(nodes)[:, None], np.arange(d))
+    return np.sort(h.argpartition(m - 1, axis=1)[:, :m], axis=1)
+
+
 def _grow_trees(x_mat, ranks, y, cfg, m_feats, class_count, tree_ids):
     """Grow the trees ``tree_ids`` in lockstep into one node table:
     (roots, feature, threshold, left, counts), node ids from 0.  A
     right child's id is its left sibling's plus one.
 
-    Each tree has its own generator and a depth-first stack of its nodes
-    that may split, as (node id, members, depth, class counts), left
-    child on top.  Every step pops the top node of each unfinished tree,
-    draws its feature subset from that tree's generator, and scores all
-    the popped nodes in one best_splits call; a split node's children
-    take the tree's next two ids, left then right.  So each tree makes
-    the same draws and numbers the same nodes in the same order as when
-    grown alone, node by node.  The step's split nodes route their
-    members with one comparison, and one bincount gives the left
-    children's class counts.
+    Each tree has a depth-first stack of its nodes that may split, as
+    (node id, members, depth, class counts), left child on top.  Every
+    step pops the top node of each unfinished tree, draws the feature
+    subsets of all popped nodes at once (feature_draws), and scores them
+    in one best_splits call; a split node's children take the tree's
+    next two ids, left then right.  So each tree numbers the same nodes
+    in the same order as when grown alone, node by node, and its draws,
+    keyed by (seed, tree, node id), stay a function of (seed, tree).
+    The step's split nodes route their members with one comparison, and
+    one bincount gives the left children's class counts.
     """
     n, d = x_mat.shape
-    rngs = [np.random.default_rng(np.random.SeedSequence([cfg.seed, t])) for t in tree_ids]
+    tree_ids = np.asarray(tree_ids)
+    # one tree at a time, so no (trees, rows) block of hashes is held;
     # every tree's pending members are held at once, so they take the
     # rank table's small integer type
-    boots = [rng.integers(0, n, size=n).astype(ranks.dtype) for rng in rngs]
+    boots = [bootstrap(cfg.seed, t, n).astype(ranks.dtype) for t in tree_ids.tolist()]
     root_counts = np.array([np.bincount(y[boot], minlength=class_count) for boot in boots])
     stacks = [[(0, boot, 0, c)] if ok else []
               for boot, c, ok in zip(boots, root_counts, _may_split(root_counts, 0, cfg))]
-    tree_size = np.ones(len(rngs), dtype=np.int64)
+    tree_size = np.ones(len(tree_ids), dtype=np.int64)
     # per step: split nodes' (tree, node id, feature, threshold, left child
     # id) and their children's class counts
     steps = []
@@ -345,7 +364,7 @@ def _grow_trees(x_mat, ranks, y, cfg, m_feats, class_count, tree_ids):
     while growing:
         popped = [stacks[t].pop() for t in growing]
         members = [p[1] for p in popped]
-        feats = np.sort([rngs[t].choice(d, size=m_feats, replace=False) for t in growing], axis=1)
+        feats = feature_draws(cfg.seed, tree_ids[growing], [p[0] for p in popped], d, m_feats)
         parent = np.array([p[3] for p in popped])
         _, feature, threshold = best_splits(x_mat, ranks, y, members, feats, parent)
         retry = np.flatnonzero(feature < 0) if m_feats < d else ()
@@ -428,7 +447,8 @@ def train(
     (see _grow_trees); ``threads`` > 1 splits them into that many
     contiguous ranges, each grown by one worker of a pool.  Results are
     identical regardless of scheduling because each tree's randomness
-    depends only on (seed, tree index).
+    depends only on (seed, tree index).  Any integer seed works, taken
+    modulo 2**64.
     """
     try:
         x_mat = np.asarray(x, dtype=float)
@@ -477,14 +497,14 @@ def train(
         roots, feature, threshold, left, counts = _join(parts)
     else:
         roots, feature, threshold, left, counts = grow(range(cfg.n_trees))
-    right = np.where(left >= 0, left + 1, -1)
     leaf_counts = counts[feature < 0]
-    return RandomForest(roots, feature, threshold, left, right, leaf_counts, cfg, d, class_names)
+    return RandomForest(roots, feature, threshold, left, leaf_counts, cfg, d, class_names)
 
 
 def serialize(model: RandomForest) -> bytes:
     """Versioned JSON document of the node table; byte-identical for
-    identical models.  Leaf counts are listed in node order."""
+    identical models.  Leaf counts are listed in node order; a right
+    child's id is its left sibling's plus one, so it is not stored."""
     doc = {
         "version": MODEL_VERSION,
         "class_names": list(model.class_names),
@@ -494,7 +514,6 @@ def serialize(model: RandomForest) -> bytes:
         "feature": model.feature.tolist(),
         "threshold": model.threshold.tolist(),
         "left": model.left.tolist(),
-        "right": model.right.tolist(),
         "leaf_counts": model.counts[model.feature < 0].tolist(),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -527,9 +546,7 @@ def deserialize(blob: bytes) -> RandomForest:
         class_names = doc["class_names"]
         feature_count = doc["feature_count"]
         config_doc = doc["config"]
-        roots, feature, left, right = (
-            _array(doc, key, "i") for key in ("roots", "feature", "left", "right")
-        )
+        roots, feature, left = (_array(doc, key, "i") for key in ("roots", "feature", "left"))
         threshold = _array(doc, "threshold", "if").astype(float)
         leaf_counts = _array(doc, "leaf_counts", "i", ndim=2)
     except KeyError as e:
@@ -543,8 +560,8 @@ def deserialize(blob: bytes) -> RandomForest:
     except (TypeError, ValueError) as e:
         raise CorruptModel(f"bad config: {e}") from None
     n = len(feature)
-    if not len(threshold) == len(left) == len(right) == n:
-        raise CorruptModel("feature, threshold, left and right differ in length")
+    if not len(threshold) == len(left) == n:
+        raise CorruptModel("feature, threshold and left differ in length")
     if roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n:
         raise CorruptModel("roots must start at 0 and increase inside the node table")
     if np.any((feature < -1) | (feature >= feature_count)):
@@ -553,11 +570,11 @@ def deserialize(blob: bytes) -> RandomForest:
     if not np.all(np.isfinite(threshold[inner])):
         raise CorruptModel("non-finite threshold at an internal node")
     tree_end = np.append(roots[1:], n)[np.searchsorted(roots, inner, side="right") - 1]
-    for child in (left[inner], right[inner]):
-        if np.any((child <= inner) | (child >= tree_end)):
-            raise CorruptModel("child index not after its parent inside its tree")
+    # the right child, left + 1, must lie before the tree's end too
+    if np.any((left[inner] <= inner) | (left[inner] >= tree_end - 1)):
+        raise CorruptModel("child index not after its parent inside its tree")
     shape = (n - len(inner), len(class_names))
     if leaf_counts.shape != shape or np.any(leaf_counts < 0):
         raise CorruptModel(f"leaf_counts must be {shape[0]} rows of {shape[1]} counts >= 0")
-    return RandomForest(roots, feature, threshold, left, right, leaf_counts, cfg, feature_count,
+    return RandomForest(roots, feature, threshold, left, leaf_counts, cfg, feature_count,
                         class_names)

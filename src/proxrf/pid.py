@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import keyed
 from .errors import FrameMismatch, MissingFrames, ModelShapeMismatch
 from .trajectory import (
     TWO_PI,
@@ -208,102 +209,22 @@ def _kernel_weights(cfg: PidConfig) -> np.ndarray:
     return table
 
 
-# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 constants
-_M32 = 0xFFFFFFFF
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # hashmix while the pool mixes: init, multiplier
-_HASH_B = (0x8B51F9DD, 0x58F38DED)  # hashmix while generate_state reads the pool
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-
-
-def _hash_steps(init: int, mult: int, n: int) -> tuple:
-    """(constant before, constant after) the multiply of n hashmix calls."""
-    steps = []
-    for _ in range(n):
-        steps.append((init, init * mult & _M32))
-        init = steps[-1][1]
-    return tuple(steps)
-
-
-_POOL_HASHES = _hash_steps(*_HASH_A, 16)
-_STATE_HASHES = np.array(_hash_steps(*_HASH_B, 8), dtype=np.uint64).T[:, :, None]
-
-
-def _hashmix(value, step: tuple):
-    before, after = step
-    value = (value ^ before) * after & _M32
-    return value ^ (value >> 16)
-
-
-def _mix(x, y):
-    value = (_MIX_L * x - _MIX_R * y) & _M32
-    return value ^ (value >> 16)
-
-
-def _mul_128(hi, lo, const: int) -> tuple:
-    """(hi, lo) * const modulo 2**128, in 64-bit halves."""
-    c_hi, c_lo = const >> 64, const & 0xFFFFFFFFFFFFFFFF
-    c_lo_hi, c_lo_lo = c_lo >> 32, c_lo & _M32
-    lo_hi, lo_lo = lo >> 32, lo & _M32
-    ll, lh, hl = lo_lo * c_lo_lo, lo_lo * c_lo_hi, lo_hi * c_lo_lo
-    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
-    carry = lo_hi * c_lo_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
-    return carry + lo * c_hi + hi * c_lo, lo * c_lo
-
-
-def _add_128(hi, lo, b_hi, b_lo) -> tuple:
-    out = lo + b_lo
-    return hi + b_hi + (out < lo), out
-
-
-
-
 def _id_word(track_id) -> int:
     """The heading key's word for a track id: crc32 of its UTF-8 text."""
     return zlib.crc32(str(track_id).encode("utf-8"))
 
 
 def heading_draws(seed: int, anchor_words, target_words, frames) -> np.ndarray:
-    """Per frame, the double in [0, 1) that
-    ``np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF,
-    anchor_word, target_word, frame & 0xFFFFFFFF])).random()`` draws,
-    where a word is ``crc32`` of a track id's UTF-8 text.
+    """Per frame, the double in [0, 1) keyed by (seed, anchor word, target
+    word, frame) (see keyed.uniform), where a word is ``crc32`` of a track
+    id's UTF-8 text.
 
-    The stream is keyed by (seed, pair, frame), so overlapping windows
-    and parallel evaluation draw identical angles.  The words broadcast
-    against ``frames``, so one call serves the rows of many pairs.  The
-    seeding and the first PCG64 (XSL-RR) output are computed for all
-    rows at once in uint64 arithmetic, which is exact, so every draw
-    equals numpy's.
+    A draw depends on its key alone, so overlapping windows and parallel
+    evaluation draw identical angles.  The words broadcast against
+    ``frames``, so one call serves the rows of many pairs.
     """
     frames = np.asarray(frames, dtype=np.int64)
-    if not len(frames):
-        return np.empty(0)
-    entropy = [
-        int(seed) & _M32,
-        *np.broadcast_arrays(np.asarray(anchor_words, dtype=np.uint64),
-                             np.asarray(target_words, dtype=np.uint64),
-                             (frames & _M32).astype(np.uint64)),
-    ]
-    steps = iter(_POOL_HASHES)
-    pool = [_hashmix(word, next(steps)) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
-    # generate_state(4, uint64): eight hashed 32-bit words, paired little-endian
-    words = (np.array(pool + pool) ^ _STATE_HASHES[0]) * _STATE_HASHES[1] & _M32
-    words ^= words >> 16
-    seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << 32)
-    # PCG64 seeding: inc = 2 seq + 1, state = (inc + seed) stepped once;
-    # random() steps once more and keeps the top 53 output bits
-    inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
-    hi, lo = _add_128(inc_hi, inc_lo, seed_hi, seed_lo)
-    for _ in range(2):
-        hi, lo = _add_128(*_mul_128(hi, lo, _PCG_MULT), inc_hi, inc_lo)
-    xored, rot = hi ^ lo, hi >> 58
-    out = (xored >> rot) | (xored << ((64 - rot) & 63))
-    return (out >> 11) * (1.0 / 9007199254740992.0)
+    return keyed.uniform(keyed.HEADING, seed, anchor_words, target_words, frames)
 
 
 # Rows (pair-frames) that describe_pairs puts into one PairBatch.  At the

@@ -11,11 +11,13 @@ descriptor, ``kde_kernel`` and ``sample_grid`` spell out the kernel and
 its sampling grid around one polar point, ``accumulate_histogram`` and
 ``speed_pyramid`` describe one window from its per-frame ``PolarPoint``
 samples (raising ``WrongWindowLength`` on a window of another length),
-and ``classify_interaction`` votes on one descriptor.  For the forest,
-``reference_best_split`` scores one node with float class counts,
-``reference_rank_split`` scores one node over value ranks with exact
-integer sums, and ``reference_grow_tree`` grows one tree node by node
-with either of them; ``reference_forest`` assembles its trees into the
+and ``classify_interaction`` votes on one descriptor.  For the keyed
+draws, ``reference_key_hash`` hashes one key with Python integers.  For
+the forest, ``reference_best_split`` scores one node with float class
+counts, ``reference_rank_split`` scores one node over value ranks with
+exact integer sums, and ``reference_grow_tree`` grows one tree node by
+node with either of them, drawing one bootstrap index and one node's
+features at a time; ``reference_forest`` assembles its trees into the
 forest ``train`` grows.
 """
 
@@ -35,6 +37,7 @@ from proxrf.errors import (
     ShapeMismatch,
 )
 from proxrf.forest import RandomForest, rank_table
+from proxrf.keyed import BOOTSTRAP, FEATURES
 from proxrf.pid import InteractionLabel, PidConfig, PidDescriptor, PolarGrid, interaction_labels
 from proxrf.trajectory import (
     DEFAULT_MAX_GAP,
@@ -85,13 +88,14 @@ class KinematicState:
 
 
 def relative_polar(
-    anchor: KinematicState, target: KinematicState, rng: np.random.Generator
+    anchor: KinematicState, target: KinematicState, rng
 ) -> PolarPoint:
     """Target position in the anchor's body frame.
 
     When the anchor's orientation is unavailable (slow anchor) the angle
-    is drawn uniformly from (-pi, pi] using ``rng``, so the distance is
-    the only informative coordinate; rho is always the true distance.
+    is pi - 2 pi u for the double u in [0, 1) that ``rng.random()``
+    gives, uniform over (-pi, pi], so the distance is the only
+    informative coordinate; rho is always the true distance.
     """
     if anchor.frame != target.frame:
         raise FrameMismatch(f"anchor frame {anchor.frame} != target frame {target.frame}")
@@ -284,6 +288,25 @@ def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
     return tuple(InteractionLabel)[int(np.argmax(probs))], probs
 
 
+_MASK64 = 2**64 - 1
+
+
+def reference_splitmix64(state: int) -> int:
+    """splitmix64's output once its state has stepped from ``state``."""
+    z = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_key_hash(domain: int, *words: int) -> int:
+    """keyed.key_hash of one key of Python ints, each taken modulo 2**64."""
+    h = reference_splitmix64(domain)
+    for word in words:
+        h = reference_splitmix64(h ^ (word & _MASK64))
+    return h
+
+
 def reference_best_split(x_mat, y, idx, feats, class_count, parent_counts):
     """Best (decrease, feature, threshold) over candidate features.
 
@@ -376,19 +399,22 @@ def reference_rank_split(x_mat, ranks, y, idx, feats, parent_counts):
 def reference_grow_tree(x_mat, ranks, y, cfg, m_feats, class_count, tree_idx,
                         best_split=reference_rank_split):
     """One tree grown node by node: ``best_split`` scores each popped node
-    alone (with the signature of ``reference_rank_split``).  Returns the
-    (feature, threshold, left, right, counts) node columns, ids from 0."""
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, tree_idx]))
+    alone (with the signature of ``reference_rank_split``).  Bootstrap
+    draw i is floor(n u) for the uniform u of (seed, tree, i), and a
+    node's features are the ``m_feats`` of smallest hash of (seed, tree,
+    node id, feature).  Returns the (feature, threshold, left, counts)
+    node columns, ids from 0; a right child's id is its left sibling's
+    plus one."""
     n, d = x_mat.shape
-    boot = rng.integers(0, n, size=n)
+    boot = np.array([int((reference_key_hash(BOOTSTRAP, cfg.seed, tree_idx, i) >> 11)
+                         * 2.0**-53 * n) for i in range(n)])
 
-    feature, threshold, left, right, counts = [], [], [], [], []
+    feature, threshold, left, counts = [], [], [], []
 
     def new_node(node_counts):
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
-        right.append(-1)
         counts.append(node_counts)
         return len(feature) - 1
 
@@ -404,7 +430,9 @@ def reference_grow_tree(x_mat, ranks, y, cfg, m_feats, class_count, tree_idx,
             or np.count_nonzero(node_counts) <= 1
         ):
             continue
-        feats = np.sort(rng.choice(d, size=m_feats, replace=False))
+        ranked = sorted(range(d), key=lambda f: reference_key_hash(FEATURES, cfg.seed, tree_idx,
+                                                                   node, f))
+        feats = np.array(sorted(ranked[:m_feats]))
         found = best_split(x_mat, ranks, y, idx, feats, node_counts)
         if found is None and m_feats < d:
             # every drawn feature was constant here; fall back to a full
@@ -421,10 +449,9 @@ def reference_grow_tree(x_mat, ranks, y, cfg, m_feats, class_count, tree_idx,
         l_node = new_node(l_counts)
         r_node = new_node(node_counts - l_counts)
         left[node] = l_node
-        right[node] = r_node
         stack.append((r_node, r_idx, depth + 1))
         stack.append((l_node, l_idx, depth + 1))
-    return feature, threshold, left, right, counts
+    return feature, threshold, left, counts
 
 
 def reference_forest(x, y, cfg, best_split=reference_rank_split):
@@ -441,9 +468,7 @@ def reference_forest(x, y, cfg, best_split=reference_rank_split):
              for t in range(cfg.n_trees)]
     sizes = [len(t[0]) for t in trees]
     roots = np.cumsum([0] + sizes[:-1])
-    feature, threshold, left, right, counts = (np.concatenate(col) for col in zip(*trees))
-    offset = np.repeat(roots, sizes)
-    left = np.where(left >= 0, left + offset, -1)
-    right = np.where(right >= 0, right + offset, -1)
-    return RandomForest(roots, feature, threshold, left, right, counts[feature < 0], cfg, d,
+    feature, threshold, left, counts = (np.concatenate(col) for col in zip(*trees))
+    left = np.where(left >= 0, left + np.repeat(roots, sizes), -1)
+    return RandomForest(roots, feature, threshold, left, counts[feature < 0], cfg, d,
                         [str(i) for i in range(class_count)])

@@ -639,7 +639,7 @@ def test_exit_code_missing_and_corrupt_model(pair_corpus, tmp_path, capsys):
     assert rc == 3
     assert "ERROR CorruptModel" in capsys.readouterr().err
     deep = tmp_path / "deep.json"
-    deep.write_text('{"version": 2, "roots": [' + '{"left": ' * 3000 + "{}" + "}" * 3000 + "]}")
+    deep.write_text('{"version": 3, "roots": [' + '{"left": ' * 3000 + "{}" + "}" * 3000 + "]}")
     rc = main(["predict", pair_corpus, "--interactions-model", str(deep),
                "--out", str(tmp_path / "p.csv")])
     assert rc == 3

@@ -381,6 +381,18 @@ def test_training_is_byte_deterministic():
     assert blob1 != serialize(train(x, y, ForestConfig(n_trees=12, seed=22)))
 
 
+def test_any_integer_seed_trains_modulo_2_64():
+    rng = np.random.default_rng(57)
+    x, y = _blobs(rng, 20)
+    forests = [train(x, y, ForestConfig(n_trees=4, seed=seed))
+               for seed in (-1, -1, 2**64 - 1, 2**70 + 5, 5)]
+    for name in ("trees", "feature", "threshold", "left", "counts"):
+        first, *rest = (getattr(f, name) for f in forests)
+        assert np.array_equal(first, rest[0]) and np.array_equal(first, rest[1])
+        assert np.array_equal(rest[2], rest[3])
+    assert serialize(forests[0]) != serialize(forests[4])
+
+
 def test_more_threads_than_trees():
     rng = np.random.default_rng(56)
     x, y = _blobs(rng, 20)
@@ -416,7 +428,7 @@ def _walk_votes(doc, x):
             i = root
             while doc["feature"][i] >= 0:
                 go_left = v[doc["feature"][i]] <= doc["threshold"][i]
-                i = doc["left"][i] if go_left else doc["right"][i]
+                i = doc["left"][i] if go_left else doc["left"][i] + 1
             counts = doc["leaf_counts"][leaf_row[i]]
             votes[r, counts.index(max(counts))] += 1.0
     return votes / len(doc["roots"])
@@ -458,7 +470,7 @@ _CONFIG_DOC = {"n_trees": 2, "max_depth": None, "min_samples_split": 2,
 
 def test_deserialized_stumps_tie_to_lowest_class():
     doc = {
-        "version": 2,
+        "version": 3,
         "class_names": ["a", "b"],
         "feature_count": 2,
         "config": _CONFIG_DOC,
@@ -466,7 +478,6 @@ def test_deserialized_stumps_tie_to_lowest_class():
         "feature": [-1, -1],
         "threshold": [0.0, 0.0],
         "left": [-1, -1],
-        "right": [-1, -1],
         "leaf_counts": [[0, 5], [5, 0]],
     }
     model = deserialize(json.dumps(doc).encode())
@@ -478,7 +489,7 @@ def test_deserialized_stumps_tie_to_lowest_class():
 def _valid_doc():
     """Two one-split trees: nodes 0-2 and nodes 3-5."""
     return {
-        "version": 2,
+        "version": 3,
         "class_names": ["a", "b"],
         "feature_count": 2,
         "config": _CONFIG_DOC,
@@ -486,7 +497,6 @@ def _valid_doc():
         "feature": [0, -1, -1, 1, -1, -1],
         "threshold": [0.5, 0.0, 0.0, -0.25, 0.0, 0.0],
         "left": [1, -1, -1, 4, -1, -1],
-        "right": [2, -1, -1, 5, -1, -1],
         "leaf_counts": [[3, 0], [0, 2], [1, 1], [0, 4]],
     }
 
@@ -523,15 +533,17 @@ def test_deserialize_rejects_corrupt_documents():
         _corrupt(leaf_counts=[[3, 0], [0, 2], [1, 1]]),
         _corrupt(leaf_counts=[[-1, 2], [0, 2], [1, 1], [0, 4]]),
         _corrupt(leaf_counts=[[0.5, 2], [0, 2], [1, 1], [0, 4]]),
-        _corrupt(right=[-1, -1, -1, 5, -1, -1]),  # internal node without a right child
+        _corrupt(left=[1, -1, -1, -1, -1, -1]),  # internal node without children
         _corrupt(config={"n_trees": 0}),
         _corrupt(config={"bogus": 1}),
         # a child at or below its parent's index: walks could loop
         _corrupt(left=[0, -1, -1, 4, -1, -1]),
         _corrupt(left=[1, -1, -1, 2, -1, -1]),
-        # a child after its parent but outside the parent's tree
-        _corrupt(right=[4, -1, -1, 5, -1, -1]),
-        _corrupt(right=[2, -1, -1, 6, -1, -1]),
+        # a child after its parent but outside the parent's tree: the
+        # left child inside it and the right sibling, left + 1, outside
+        _corrupt(left=[2, -1, -1, 4, -1, -1]),
+        _corrupt(left=[1, -1, -1, 5, -1, -1]),
+        _corrupt(left=[1, -1, -1, 2**63 - 1, -1, -1]),
         # node arrays of unequal length
         _corrupt(threshold=[0.5, 0.0, 0.0, -0.25, 0.0]),
         _corrupt(left=[1, -1, -1, 4, -1, -1, -1]),
@@ -541,14 +553,14 @@ def test_deserialize_rejects_corrupt_documents():
         _corrupt(roots=[0, 3, 2]),
         _corrupt(roots=[0, 6]),
     ]
-    for missing in ("roots", "feature", "threshold", "left", "right", "leaf_counts"):
+    for missing in ("roots", "feature", "threshold", "left", "leaf_counts"):
         doc = _valid_doc()
         del doc[missing]
         bad_tree_cases.append(json.dumps(doc).encode())
     # a document nested deeper than the interpreter's recursion limit
     deep = b'{"feature": 0, "threshold": 0.5, "right": {"counts": [0, 1]}, "left": ' * 3000
     bad_tree_cases.append(
-        b'{"version": 2, "roots": [' + deep + b'{"counts": [1, 0]}' + b"}" * 3000 + b"]}"
+        b'{"version": 3, "roots": [' + deep + b'{"counts": [1, 0]}' + b"}" * 3000 + b"]}"
     )
     for blob in bad_tree_cases:
         with pytest.raises(CorruptModel):
@@ -564,5 +576,54 @@ def test_deserialize_refuses_version_1():
         "trees": [{"feature": 0, "threshold": 0.5,
                    "left": {"counts": [3, 0]}, "right": {"counts": [0, 2]}}],
     }
-    with pytest.raises(CorruptModel, match="unsupported model version 1, expected 2"):
+    with pytest.raises(CorruptModel, match="unsupported model version 1, expected 3"):
         deserialize(json.dumps(v1).encode())
+
+
+def test_deserialize_refuses_version_2():
+    # version 2 stored each right child and drew from numpy generators
+    v2 = dict(_valid_doc(), version=2, right=[2, -1, -1, 5, -1, -1])
+    with pytest.raises(CorruptModel, match="unsupported model version 2, expected 3"):
+        deserialize(json.dumps(v2).encode())
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=12)
+
+
+_SMALL_FOREST = train(*_blobs(np.random.default_rng(3), 6, d=3), ForestConfig(n_trees=3, seed=2))
+
+
+@st.composite
+def _mutated_docs(draw):
+    """A valid version-3 document of a trained forest with one field
+    replaced, or one element of one of its arrays."""
+    doc = json.loads(serialize(_SMALL_FOREST))
+    key = draw(st.sampled_from(sorted(doc)))
+    value = doc[key]
+    if isinstance(value, list) and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        near = value[i] if isinstance(value[i], int) else 0
+        value[i] = draw(st.integers(near - 3, near + 3) | _JSON_VALUES)
+    elif isinstance(value, dict) and draw(st.booleans()):
+        value[draw(st.sampled_from(sorted(value)))] = draw(_JSON_VALUES)
+    else:
+        doc[key] = draw(_JSON_VALUES)
+    return json.dumps(doc).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_docs())
+def test_one_field_mutations_load_or_raise_corrupt_model(blob):
+    try:
+        model = deserialize(blob)
+    except CorruptModel:
+        return
+    # a document that loads is a forest that every row walks down (at a
+    # width that fits in memory)
+    if model.feature_count <= 64:
+        x = np.random.default_rng(0).standard_normal((5, model.feature_count))
+        assert model.vote_fractions(x).shape == (5, model.class_count)

@@ -2,6 +2,7 @@
 
 import math
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from proxrf import pid as pid_module
 from proxrf.errors import FrameMismatch, MissingFrames, ModelShapeMismatch
 from proxrf.forest import ForestConfig, train
+from proxrf.keyed import HEADING
 from proxrf.pid import (
     InteractionLabel,
     PairBatch,
@@ -43,6 +45,7 @@ from per_sample import (
     classify_interaction,
     derivative,
     kde_kernel,
+    reference_key_hash,
     relative_polar,
     sample_grid,
     speed_pyramid,
@@ -390,8 +393,11 @@ def test_standing_anchor_angle_depends_on_seed_only():
     d1 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
     d2 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
     d3 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=6)
+    # every bit of the seed counts, not only its low 32
+    d4 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=5 + 2**32)
     np.testing.assert_array_equal(d1.vector(), d2.vector())
     assert np.any(d1.histogram != d3.histogram)
+    assert np.any(d1.histogram != d4.histogram)
     # the random draw only affects angles, distances are untouched
     np.testing.assert_array_equal(d1.speed_pyramid, d3.speed_pyramid)
 
@@ -408,11 +414,10 @@ def test_compute_pid_error_paths():
 
 def _heading_rng(seed, anchor_id, target_id, frame):
     # the slow-anchor heading key: (seed, crc32 of both ids, frame); one
-    # numpy stream per pair-frame, the reference that heading_draws
-    # reproduces in bulk
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, zlib.crc32(anchor_id.encode("utf-8")),
-                                 zlib.crc32(target_id.encode("utf-8")), frame & 0xFFFFFFFF])
-    return np.random.default_rng(ss)
+    # keyed draw per pair-frame, the reference that heading_draws makes
+    # in bulk
+    h = reference_key_hash(HEADING, seed, _word(anchor_id), _word(target_id), frame)
+    return SimpleNamespace(random=lambda: (h >> 11) * 2.0**-53)
 
 
 def _per_frame(states):
@@ -535,7 +540,9 @@ def _word(track_id):
     return zlib.crc32(track_id.encode("utf-8"))
 
 
-def test_heading_draws_equal_numpy_streams():
+def test_heading_draws_equal_keyed_reference():
+    # one pair's id words broadcast against its frames, for many pairs,
+    # with seeds and frames at and beyond the edges of 32 and 64 bits
     rng = np.random.default_rng(23)
     ids = ["a", "b", "track-17", "\u00e9", "\u2603 snow", "", "0"]
     cases = []
@@ -544,7 +551,7 @@ def test_heading_draws_equal_numpy_streams():
         cases.append((int(rng.integers(-2**40, 2**40)), anchor, target,
                       rng.integers(-2**40, 2**40, size=int(rng.integers(1, 40)))))
     edges = np.array([0, 1, -1, -5, 2**32 - 1, 2**32, 2**32 + 5, -2**32, 2**63 - 1, -2**63])
-    for seed in (0, -5, 2**32, 2**64 + 3):
+    for seed in (0, 3, -5, 2**32 + 3, 2**64 + 3, -2**70):
         cases.append((seed, "\u00e9", "a", edges))
     for seed, anchor, target, frames in cases:
         want = [_heading_rng(seed, anchor, target, int(f)).random() for f in frames]
@@ -553,9 +560,10 @@ def test_heading_draws_equal_numpy_streams():
     assert empty.shape == (0,) and empty.dtype == float
 
 
-def test_heading_draws_over_rows_of_mixed_pairs_equal_numpy_streams():
+def test_heading_draws_over_rows_of_mixed_pairs_equal_keyed_reference():
     # one call over rows of many (anchor, target) pairs, as a batch makes
-    # it: per-row id words, frames in no particular order
+    # it: per-row id words, frames in no particular order, and seeds and
+    # frames at and beyond the edges of 32 and 64 bits
     rng = np.random.default_rng(29)
     ids = ["a", "b", "track-17", "\u00e9", "\u2603 snow", "", "0"]
     n = 300
@@ -565,10 +573,19 @@ def test_heading_draws_over_rows_of_mixed_pairs_equal_numpy_streams():
     frames[:10] = [0, 1, -1, -5, 2**32 - 1, 2**32, 2**32 + 5, -2**32, 2**63 - 1, -2**63]
     anchor_words = np.array([_word(a) for a in anchors], dtype=np.uint64)
     target_words = np.array([_word(t) for t in targets], dtype=np.uint64)
-    for seed in (0, 3, -5, 2**32 + 1):
+    draws = {}
+    for seed in (0, 3, -5, 2**32 + 3, 2**64 + 3, -2**70):
         want = [_heading_rng(seed, a, t, int(f)).random()
                 for a, t, f in zip(anchors, targets, frames)]
-        assert np.array_equal(heading_draws(seed, anchor_words, target_words, frames), want)
+        draws[seed] = heading_draws(seed, anchor_words, target_words, frames)
+        assert np.array_equal(draws[seed], want)
+        # one pair's words broadcast against its frames
+        assert np.array_equal(heading_draws(seed, _word("\u00e9"), _word("a"), frames[:10]),
+                              [_heading_rng(seed, "\u00e9", "a", int(f)).random()
+                               for f in frames[:10]])
+    # seeds count modulo 2**64, not 2**32
+    assert np.array_equal(draws[3], draws[2**64 + 3])
+    assert not np.any(draws[3] == draws[2**32 + 3])
 
 
 def _recordings_of_acceptance_corpora():

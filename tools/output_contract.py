@@ -7,7 +7,8 @@ run the same command set, each in its own scratch directory: a synthetic
 corpus, the interaction and collective models (with and without the
 shape cue, and the stage-one sidecar, plus forests grown with one
 feature per split, a depth cap, larger nodes or several worker
-threads), pid and cbd extracts, predictions, evaluations and
+threads), pid extracts (one with a zero speed threshold, so that no
+heading is drawn) and cbd extracts, predictions, evaluations and
 cross-corpus reports.  A second, longer synthetic corpus gets an
 interaction model grown by two worker threads, pid extracts under other
 descriptor settings (hard assignment, kernel grids of 1 and 4 samples
@@ -52,6 +53,10 @@ COMMANDS = (
     ["train", "collective", "corpus", "--stage1", "models/inter.json",
      "--collective-features-per-split", "1", "--out", "models/coll-fps1.json"] + SEED,
     ["extract", "corpus", "--kind", "pid", "--out", "extract/pid.csv"] + SEED,
+    # no anchor is slower than a zero threshold, so no heading is drawn:
+    # these descriptors do not depend on the random draws at all
+    ["extract", "corpus", "--kind", "pid", "--speed-threshold", "0",
+     "--out", "extract/pid-no-slow.csv"] + SEED,
     ["extract", "corpus", "--kind", "cbd", "--model", "models/inter.json",
      "--out", "extract/cbd.csv"] + SEED,
     ["extract", "corpus", "--kind", "cbd", "--model", "models/inter.json",
