@@ -21,6 +21,8 @@ from .cbd import (
     interaction_histogram,
     mean_speed,
     pair_predictions,
+    pair_vectors,
+    pool_votes,
     shape_ratio,
 )
 from .config import build_run_config, load_run_config, parse_config_text
@@ -79,7 +81,6 @@ from .forest import (
 )
 from .pid import (
     InteractionLabel,
-    PairTable,
     PidConfig,
     PidDescriptor,
     PolarGrid,

@@ -23,7 +23,7 @@ from .errors import (
     ModelShapeMismatch,
     ShapeMismatch,
 )
-from .pid import InteractionLabel, PairTable, PidConfig, interaction_labels
+from .pid import InteractionLabel, PidConfig, describe_pairs, interaction_labels
 from .trajectory import (
     DEFAULT_MAX_GAP,
     SmoothingConfig,
@@ -244,55 +244,98 @@ def pair_keys(
     return anchor, target, centers[at]
 
 
+def pair_vectors(
+    windows: Sequence[GroupWindow],
+    pid_cfg: PidConfig,
+    stride: int = DEFAULT_PREDICTION_STRIDE,
+    seed: int = 0,
+) -> tuple:
+    """The model-free half of pair_predictions: (vectors, window, row).
+
+    ``window`` and ``row`` hold one entry per pair_keys key of every
+    window, in pooling order: the key's window index and its row of
+    ``vectors``, which holds the PID vector of each distinct key once,
+    from one describe_pairs call under ``pid_cfg`` and ``seed``.  The
+    windows must come from one recording: a track id names the same
+    smoothed states in all of them.
+    """
+    keys = [pair_keys(w, pid_cfg, stride) for w in windows]
+    sizes = [len(centers) for _, _, centers in keys]
+    window = np.repeat(np.arange(len(windows)), sizes)
+    if not sum(sizes):
+        return np.empty((0, pid_cfg.descriptor_length)), window, np.empty(0, dtype=np.intp)
+    states = {tid: st for w in windows for tid, st in w.member_states.items()}
+    ids = sorted(states)
+    n = len(ids)
+    codes = {tid: k for k, tid in enumerate(ids)}
+    members = [np.array([codes[tid] for tid in sorted(w.member_states)]) for w in windows]
+    anchor, target, centers = (np.concatenate(col) for col in zip(
+        *[(c[a], c[t], cs) for c, (a, t, cs) in zip(members, keys)]))
+    # one int64 per key, sorted by pair, then center
+    first = centers.min()
+    span = int(centers.max()) - int(first) + 1
+    key = (anchor * n + target) * span + (centers - first)
+    order = key.argsort(kind="stable")
+    fresh = np.append(True, key[order[1:]] != key[order[:-1]])
+    row = np.empty(len(key), dtype=np.intp)
+    row[order] = np.cumsum(fresh) - 1
+    distinct = key[order[fresh]]
+    pair, center = distinct // span, (distinct % span + first).tolist()
+    cut = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), len(distinct)]
+    pairs = [(states[ids[p // n]], states[ids[p % n]], ids[p // n], ids[p % n], center[lo:hi])
+             for p, lo, hi in zip(pair[cut[:-1]].tolist(), cut, cut[1:])]
+    return describe_pairs(pairs, pid_cfg, windows[0].fps, seed), window, row
+
+
+def pool_votes(pid_model, vectors: np.ndarray, window, row, n_windows: int) -> np.ndarray:
+    """The model half of pair_predictions: the interaction histogram of
+    each of ``n_windows`` windows, (n_windows, 6), from one
+    ``predict_batch`` call over ``vectors`` (see pair_vectors); the votes
+    are mapped to label ids by the model's class names
+    (interaction_labels)."""
+    if not len(row):
+        return np.zeros((n_windows, len(InteractionLabel)))
+    try:
+        votes = pid_model.predict_batch(vectors)
+    except ShapeMismatch as e:
+        raise ModelShapeMismatch(str(e)) from None
+    label_ids = np.array([lab.class_id for lab in interaction_labels(pid_model)])
+    return interaction_histogram(window, label_ids[votes][row], n_windows)
+
+
 def pair_predictions(
     windows: Sequence[GroupWindow],
     pid_model,
     pid_cfg: PidConfig,
     stride: int = DEFAULT_PREDICTION_STRIDE,
     seed: int = 0,
-    table: Optional[PairTable] = None,
 ) -> np.ndarray:
     """Interaction histogram of each window from the first-stage votes
-    over its pair_keys: (windows, 6), one row per window.
+    over its pair_keys: (windows, 6), one row per window.  The windows
+    must come from one recording; each distinct key is described and
+    voted once (pair_vectors, then pool_votes)."""
+    return pool_votes(pid_model, *pair_vectors(windows, pid_cfg, stride, seed), len(windows))
 
-    The windows must come from one recording: a track id names the same
-    smoothed states in all of them.  Each distinct key is described once
-    through ``table``, the recording's PairTable built under ``pid_cfg``
-    and ``seed`` (None builds one over the windows' members), and voted
-    once, in a single ``predict_batch`` call over all windows; the votes
-    are mapped to label ids by the model's class names
-    (interaction_labels).
-    """
-    keys = [pair_keys(w, pid_cfg, stride) for w in windows]
-    sizes = [len(centers) for _, _, centers in keys]
-    if not sum(sizes):
-        return np.zeros((len(windows), len(InteractionLabel)))
-    if table is None:
-        states = {tid: st for w in windows for tid, st in w.member_states.items()}
-        table = PairTable(states, pid_cfg, windows[0].fps, seed)
-    codes = [np.array([table.codes[tid] for tid in sorted(w.member_states)]) for w in windows]
-    cols = zip(*[(c[a], c[t], centers) for c, (a, t, centers) in zip(codes, keys)])
-    rows = table.rows(*(np.concatenate(col) for col in cols))
-    distinct, inverse = np.unique(rows, return_inverse=True)
-    try:
-        votes = pid_model.predict_batch(table.vectors[distinct])
-    except ShapeMismatch as e:
-        raise ModelShapeMismatch(str(e)) from None
-    label_ids = np.array([lab.class_id for lab in interaction_labels(pid_model)])
-    window = np.repeat(np.arange(len(windows)), sizes)
-    return interaction_histogram(window, label_ids[votes][inverse], len(windows))
+
+def group_cues(window: GroupWindow) -> tuple:
+    """(mean speed, dispersion change, shape ratio) of a window: the
+    cues of its CBD after the interaction histogram.  The shape ratio is
+    taken over the members present at the center frame."""
+    k = window.center_frame - window.span[0]
+    return (mean_speed(window), dispersion_change(window),
+            shape_ratio(window.xy[window.present[:, k], k]))
 
 
 def compute_cbd(window: GroupWindow, interaction_hist: np.ndarray) -> CbdDescriptor:
     """Full group descriptor for one window from its row of
     pair_predictions: for a lone window,
     ``compute_cbd(w, *pair_predictions([w], model, pid_cfg))``."""
-    k = window.center_frame - window.span[0]
+    speed, change, shape = group_cues(window)
     return CbdDescriptor(
         interaction_hist=interaction_hist,
-        mean_speed=mean_speed(window),
-        dispersion_change=dispersion_change(window),
-        shape_ratio=shape_ratio(window.xy[window.present[:, k], k]),
+        mean_speed=speed,
+        dispersion_change=change,
+        shape_ratio=shape,
         center_frame=window.center_frame,
     )
 

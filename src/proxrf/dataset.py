@@ -179,11 +179,15 @@ class FoldSplit:
     @classmethod
     def from_file(cls, path: str, n_folds: int = 3) -> "FoldSplit":
         """Lines `sequence_id,fold`; comments and blanks ignored."""
-        assignments = {}
+        assignments, seen = {}, {}
         for lineno, raw in _numbered_lines(path):
             parts = [p.strip() for p in raw.split(",")]
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected `sequence_id,fold`")
+            if parts[0] in seen:
+                raise ParseError(f"{path}:{lineno}: sequence {parts[0]!r} already assigned "
+                                 f"on line {seen[parts[0]]}")
+            seen[parts[0]] = lineno
             try:
                 assignments[parts[0]] = int(parts[1])
             except ValueError:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import keyed
-from .cbd import CollectiveLabel, GroupWindow, compute_cbd, pair_predictions
+from .cbd import CollectiveLabel, GroupWindow, group_cues, pair_vectors, pool_votes
 from .dataset import FoldSplit, SceneRecording, windows
 from .errors import (
     ConfigError,
@@ -30,7 +30,7 @@ from .errors import (
     LabelCoverageError,
 )
 from .forest import ForestConfig, RandomForest, train
-from .pid import InteractionLabel, PairTable, PidConfig
+from .pid import InteractionLabel, PidConfig, describe_pairs
 from .trajectory import DEFAULT_MAX_GAP, SmoothingConfig, smoothed_states
 
 CUE_NAMES = ("interaction_hist", "mean_speed", "dispersion_change", "shape_ratio")
@@ -243,10 +243,14 @@ class Pipeline:
 
     Pair windows become PID rows, which train the stage-one forest; group
     windows become CBD rows under a stage-one model, which train the
-    stage-two forest.  Smoothed tracks, window lists, pair descriptor
-    vectors and group windows are computed once per recording and shared
-    by every fold, cue set and stage-one model, because none of them
-    depends on the model; stage-one labels do, and are never kept.
+    stage-two forest.  Only the pooled stage-one labels of a group window
+    depend on the model, so everything else is computed once per
+    recording, when a matrix first asks for it, and shared by every
+    fold, cue set and stage-one model: the smoothed tracks; the pair
+    windows' rows, PID vectors (one describe_pairs call) and labels; and
+    the group windows' rows, labels, speed, dispersion and shape cues
+    (group_cues) and distinct pair vectors with each key's window and
+    row (pair_vectors).  The GroupWindows themselves are not kept.
     Matrices come back as ``(rows, X, labels)`` with one ``(sequence id,
     center frame, track ids)`` row per window.
     """
@@ -262,79 +266,71 @@ class Pipeline:
             }
             for seq, rec in self._recordings.items()
         }
-        # per recording, the PID vectors of its pair windows: one table
-        # for these states, cfg.pid and cfg.seed, shared by every
-        # stage-one model
-        self._tables = {
-            seq: PairTable(self._states[seq], cfg.pid, rec.fps, cfg.seed)
-            for seq, rec in self._recordings.items()
-        }
-        self._windows = {}
-        self._group_windows = {}
+        self._pairs = {}
+        self._groups = {}
 
-    def _window_list(self, seq: str, kind: str) -> list:
-        key = (seq, kind)
-        if key not in self._windows:
-            length = self.cfg.pid.t1 if kind == "pairs" else self.cfg.t2
-            self._windows[key] = list(
-                windows(self._recordings[seq], length, self.cfg.step, kind, self.cfg.max_gap)
-            )
-        return self._windows[key]
+    def _pair_cache(self, seq: str) -> tuple:
+        """(rows, PID matrix, labels) of the recording's pair windows."""
+        if seq not in self._pairs:
+            cfg, rec, states = self.cfg, self._recordings[seq], self._states[seq]
+            placed = list(windows(rec, cfg.pid.t1, cfg.step, "pairs", cfg.max_gap))
+            by_pair = {}
+            for k, (center, pair, _) in enumerate(placed):
+                by_pair.setdefault(pair, []).append(k)
+            order = [k for ks in by_pair.values() for k in ks]
+            pairs = [(states[a], states[t], a, t, [placed[k][0] for k in ks])
+                     for (a, t), ks in by_pair.items()]
+            x = np.empty((len(placed), cfg.pid.descriptor_length))
+            x[order] = describe_pairs(pairs, cfg.pid, rec.fps, cfg.seed)
+            self._pairs[seq] = ([(seq, center, pair) for center, pair, _ in placed], x,
+                                [label for _, _, label in placed])
+        return self._pairs[seq]
 
-    def _group_window(self, seq: str, center: int, ids: tuple) -> Optional[GroupWindow]:
-        """GroupWindow for the placement, or None when a frame is empty."""
-        key = (seq, center, ids)
-        if key not in self._group_windows:
-            rec = self._recordings[seq]
-            try:
-                window = GroupWindow.build(
-                    [rec.track(i) for i in ids],
-                    center,
-                    self.cfg.t2,
-                    self.cfg.smoothing,
-                    max_gap=self.cfg.max_gap,
-                    states=self._states[seq],
-                )
-            except EmptyGroup:
-                window = None
-            self._group_windows[key] = window
-        return self._group_windows[key]
+    def _group_cache(self, seq: str) -> tuple:
+        """(rows, labels, windows x 3 cues, pair_vectors) of the
+        recording's group windows; placements with a frame where no
+        member is present are skipped."""
+        if seq not in self._groups:
+            cfg, rec = self.cfg, self._recordings[seq]
+            rows, labels, built = [], [], []
+            for center, ids, label in windows(rec, cfg.t2, cfg.step, "group", cfg.max_gap):
+                try:
+                    window = GroupWindow.build([rec.track(i) for i in ids], center, cfg.t2,
+                                               cfg.smoothing, max_gap=cfg.max_gap,
+                                               states=self._states[seq])
+                except EmptyGroup:
+                    continue
+                rows.append((seq, center, ids))
+                labels.append(label)
+                built.append(window)
+            cues = np.array([group_cues(w) for w in built], dtype=float).reshape(-1, 3)
+            self._groups[seq] = (rows, labels, cues,
+                                 pair_vectors(built, cfg.pid, cfg.stride, cfg.seed))
+        return self._groups[seq]
 
     def pair_matrix(self, seq_ids: Sequence[str]) -> tuple:
         """PID vectors and interaction labels of every pair window."""
-        cfg = self.cfg
-        rows, vecs, labels = [], [], []
+        rows, vecs, labels = [], [np.empty((0, self.cfg.pid.descriptor_length))], []
         for seq in seq_ids:
-            placed = self._window_list(seq, "pairs")
-            table = self._tables[seq]
-            keys = [(table.codes[a], table.codes[t], c) for c, (a, t), _ in placed]
-            at = table.rows(*np.array(keys, dtype=np.int64).reshape(-1, 3).T)
-            vecs.append(table.vectors[at])
-            rows += [(seq, center, pair) for center, pair, _ in placed]
-            labels += [label for _, _, label in placed]
-        return rows, np.concatenate([np.empty((0, cfg.pid.descriptor_length))] + vecs), labels
+            seq_rows, x, seq_labels = self._pair_cache(seq)
+            rows += seq_rows
+            vecs.append(x)
+            labels += seq_labels
+        return rows, np.concatenate(vecs), labels
 
     def group_matrix(self, stage1: RandomForest, seq_ids: Sequence[str]) -> tuple:
         """Full CBD vectors (every cue) and collective labels of every
         group window under a stage-one model; slice them with cue_columns.
-        Placements with a frame where no member is present are skipped.
-        Each recording's labels come from one pair_predictions call.
+        Each recording's distinct pair vectors are voted in one
+        predict_batch call (pool_votes).
         """
-        cfg = self.cfg
-        rows, vecs, labels = [], [], []
+        rows, vecs, labels = [], [np.empty((0, _CBD_WIDTH))], []
         for seq in seq_ids:
-            placed = []
-            for center, ids, label in self._window_list(seq, "group"):
-                window = self._group_window(seq, center, ids)
-                if window is not None:
-                    placed.append((center, ids, label, window))
-            hists = pair_predictions([window for *_, window in placed], stage1, cfg.pid,
-                                     cfg.stride, cfg.seed, self._tables[seq])
-            for (center, ids, label, window), hist in zip(placed, hists):
-                rows.append((seq, center, ids))
-                vecs.append(compute_cbd(window, hist).vector())
-                labels.append(label)
-        return rows, np.array(vecs, dtype=float).reshape(len(vecs), _CBD_WIDTH), labels
+            seq_rows, seq_labels, cues, pairs = self._group_cache(seq)
+            rows += seq_rows
+            labels += seq_labels
+            vecs.append(np.hstack([pool_votes(stage1, *pairs, len(seq_rows)), cues]))
+        return rows, np.concatenate(vecs), labels
 
     def train_stage1(self, seq_ids: Sequence[str], seed: int) -> RandomForest:
         """Interaction forest over the pair windows of the given recordings."""

@@ -553,7 +553,7 @@ def deserialize(blob: bytes) -> RandomForest:
         raise CorruptModel(f"model document missing field {e}") from None
     if not isinstance(class_names, list) or not class_names:
         raise CorruptModel("class_names must be a non-empty list")
-    if not isinstance(feature_count, int) or feature_count < 1:
+    if type(feature_count) is not int or feature_count < 1:
         raise CorruptModel(f"bad feature_count {feature_count!r}")
     try:
         cfg = ForestConfig(**config_doc)

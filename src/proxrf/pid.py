@@ -327,17 +327,6 @@ class PairBatch:
         self.vectors.flags.writeable = False
 
 
-def _raise_missing(anchor_states, target_states, anchor_id, target_id, center, cfg):
-    """MissingFrames for the first frame of the window at ``center`` that
-    a track lacks; the window must lack one."""
-    back, fwd = cfg.window_halves
-    frames = np.arange(center - back, center + fwd + 1)
-    ra, rb = anchor_states.rows(frames), target_states.rows(frames)
-    k = np.flatnonzero((ra < 0) | (rb < 0))[0]
-    who = anchor_id if ra[k] < 0 else target_id
-    raise MissingFrames(f"track {who}: no state at frame {frames[k]}")
-
-
 def describe_pairs(pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int) -> np.ndarray:
     """Descriptor of every window of ``pairs``, given as PairBatch takes
     them, one row per window in input order.
@@ -362,85 +351,14 @@ def describe_pairs(pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int
     for chunk in chunks:
         batch = PairBatch(chunk, cfg, fps, seed)
         if not batch.complete.all():
-            window = [pair[:4] + (c,) for pair in chunk for c in pair[4]][batch.complete.argmin()]
-            _raise_missing(*window, cfg)
+            windows = [pair[:4] + (c,) for pair in chunk for c in pair[4]]
+            sa, sb, aid, tid, center = windows[batch.complete.argmin()]
+            frames = np.arange(center - cfg.window_halves[0], center + cfg.window_halves[1] + 1)
+            ra, rb = sa.rows(frames), sb.rows(frames)
+            k = np.flatnonzero((ra < 0) | (rb < 0))[0]
+            raise MissingFrames(f"track {aid if ra[k] < 0 else tid}: no state at frame {frames[k]}")
         parts.append(batch.vectors)
     return np.concatenate(parts) if parts else np.empty((0, cfg.descriptor_length))
-
-
-class PairTable:
-    """PID vectors of one recording's pair windows, each described once.
-
-    ``states`` maps each track id to its smoothed states; a track's code
-    is its position in sorted id order (``codes`` maps id to code).  A
-    window (anchor, target, center) is keyed by one int64, (frame *
-    tracks + anchor code) * tracks + target code, where frame is the
-    center's first place among the sorted frames of all tracks' states.
-    ``keys`` holds the keys seen so far, sorted, with their descriptors
-    in the aligned rows of ``vectors`` where ``described`` is true.  The
-    vectors depend on no model, so one table serves every model while
-    the states, ``cfg``, ``fps`` and ``seed`` stay fixed.
-    """
-
-    def __init__(self, states: dict, cfg: PidConfig, fps: float, seed: int):
-        self.ids = sorted(states)
-        self.codes = {tid: k for k, tid in enumerate(self.ids)}
-        self.cfg, self.fps, self.seed = cfg, fps, seed
-        self._states = [states[tid] for tid in self.ids]
-        # frame 0 keeps this non-empty; windows there are checked like any other
-        self._frames = np.sort(np.concatenate([[0]] + [st.frames for st in self._states]))
-        self.keys = np.empty(0, dtype=np.int64)
-        self.vectors = np.empty((0, cfg.descriptor_length))
-        self.described = np.empty(0, dtype=bool)
-
-    def rows(self, anchor, target, centers) -> np.ndarray:
-        """Row of ``vectors`` of each window, given as arrays of anchor
-        codes, target codes and centers.  Windows not described yet are
-        described first, all at once (describe_pairs), which may replace
-        ``vectors``, so read it after the call.  A window that leaves a
-        track raises MissingFrames."""
-        centers = np.asarray(centers, dtype=np.int64)
-        if not len(centers):
-            return np.empty(0, dtype=np.intp)
-        n, frames = len(self.ids), self._frames
-        at = np.minimum(frames.searchsorted(centers), len(frames) - 1)
-        off = np.flatnonzero(frames[at] != centers)
-        if len(off):  # no track has a state at the center
-            a, t, c = int(anchor[off[0]]), int(target[off[0]]), int(centers[off[0]])
-            _raise_missing(self._states[a], self._states[t], self.ids[a], self.ids[t], c,
-                           self.cfg)
-        keys = (at * n + anchor) * n + target
-        rows = self.keys.searchsorted(keys)
-        new = keys
-        if len(self.keys):
-            new = keys[self.keys[np.minimum(rows, len(self.keys) - 1)] != keys]
-        if len(new):  # merged in, once each, as rows not described yet
-            merged = np.concatenate([self.keys, new])
-            order = merged.argsort(kind="stable")
-            order = order[np.append(True, merged[order[1:]] != merged[order[:-1]])]
-            self.keys = merged[order]
-            blank = np.zeros((len(new), self.vectors.shape[1]))
-            self.vectors = np.concatenate([self.vectors, blank])[order]
-            self.described = np.concatenate([self.described, np.zeros(len(new), bool)])[order]
-            rows = self.keys.searchsorted(keys)
-        if self.described.all():
-            return rows
-        wanted = np.zeros(len(self.keys), dtype=bool)
-        wanted[rows] = True
-        todo = np.flatnonzero(wanted & ~self.described)
-        if len(todo):  # by pair, centers increasing within each
-            key = self.keys[todo]
-            pair = key % (n * n)
-            order = pair.argsort(kind="stable")
-            todo, pair = todo[order], pair[order]
-            centers = self._frames[key[order] // (n * n)].tolist()
-            cut = [0, *(np.flatnonzero(pair[1:] != pair[:-1]) + 1).tolist(), len(todo)]
-            pairs = [(self._states[p // n], self._states[p % n], self.ids[p // n],
-                      self.ids[p % n], centers[lo:hi])
-                     for p, lo, hi in zip(pair[cut[:-1]].tolist(), cut, cut[1:])]
-            self.vectors[todo] = describe_pairs(pairs, self.cfg, self.fps, self.seed)
-            self.described[todo] = True
-        return rows
 
 
 def compute_pid(

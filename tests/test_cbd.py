@@ -18,12 +18,14 @@ from proxrf.cbd import (
     mean_speed,
     pair_keys,
     pair_predictions,
+    pair_vectors,
+    pool_votes,
     shape_ratio,
 )
 from proxrf.errors import EmptyGroup, FrameMismatch, ModelShapeMismatch
 from proxrf.forest import ForestConfig, train
-from proxrf.pid import InteractionLabel, PairTable, PidConfig, compute_pid
-from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference
+from proxrf.pid import InteractionLabel, PairBatch, PidConfig, compute_pid
+from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference, smoothed_states
 
 from conftest import make_traj, straight_traj, track_states
 from per_sample import classify_interaction
@@ -249,18 +251,46 @@ def test_pair_predictions_and_cache(tiny_stage1, monkeypatch):
     monkeypatch.setattr(pid_module, "PairBatch", Counting)
     tracks = _walking_group()
     w = GroupWindow.build(tracks, 69, 32, SMOOTH)
-    table = PairTable(w.member_states, PidConfig(), w.fps, 0)
-    [hist] = pair_predictions([w], tiny_stage1, PidConfig(), table=table)
+    pairs = pair_vectors([w], PidConfig())
+    [hist] = pool_votes(tiny_stage1, *pairs, 1)
     # 7 stride centers x 6 ordered pairs, every placement covered
     assert len(pair_keys(w, PidConfig())[2]) == 42
     assert len(set(computed)) == len(computed) == 42
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(hist * 42, np.round(hist * 42))  # whole votes of 42 keys
-    [again] = pair_predictions([w], tiny_stage1, PidConfig(), table=table)
+    # voting the kept vectors again describes nothing
+    [again] = pool_votes(tiny_stage1, *pairs, 1)
     assert len(computed) == 42
     assert np.array_equal(again, hist)
+    assert np.array_equal(pair_predictions([w], tiny_stage1, PidConfig()), [hist])
     with pytest.raises(ValueError):
         pair_predictions([w], tiny_stage1, PidConfig(), stride=0)
+
+
+def test_pair_vectors_describe_each_distinct_key_once():
+    # overlapping windows of one recording at stride 1, one without m2:
+    # a key shared by windows has one row, equal to its lone description
+    rng = np.random.default_rng(8)
+    tracks = [make_traj(t.track_id, t.xy + 0.05 * rng.standard_normal(t.xy.shape))
+              for t in _walking_group()]
+    states = {t.track_id: smoothed_states(t, SMOOTH) for t in tracks}
+    windows = [GroupWindow.build(tracks, c, 32, SMOOTH, states=states) for c in (60, 64)]
+    windows.append(GroupWindow.build(tracks[:2], 62, 32, SMOOTH, states=states))
+    vectors, window, row = pair_vectors(windows, PidConfig(), stride=1, seed=4)
+    keys = []
+    for i, w in enumerate(windows):
+        ids = sorted(w.member_states)
+        anchor, target, centers = pair_keys(w, PidConfig(), stride=1)
+        keys += [(ids[a], ids[t], c) for a, t, c in zip(anchor, target, centers.tolist())]
+        assert (window == i).sum() == len(centers)
+    assert window.tolist() == sorted(window.tolist()) and len(row) == len(keys)
+    assert len(vectors) == len(set(keys)) < len(keys)
+    assert len(np.unique(vectors, axis=0)) == len(vectors)
+    for (aid, tid, center), r in zip(keys, row):
+        lone = PairBatch([(states[aid], states[tid], aid, tid, [center])], PidConfig(), 10.0, 4)
+        assert np.array_equal(vectors[r], lone.vectors[0]), (aid, tid, center)
+    empty = pair_vectors([], PidConfig())
+    assert empty[0].shape == (0, PidConfig().descriptor_length) and not len(empty[2])
 
 
 def test_pair_predictions_map_votes_by_class_name():

@@ -233,6 +233,10 @@ def test_fold_split_from_file(tmp_path):
     p.write_text("s0,0,extra\n")
     with pytest.raises(ParseError):
         FoldSplit.from_file(str(p))
+    # a sequence listed twice is refused, not silently reassigned
+    p.write_text("a,0\n# comment\na,1\n")
+    with pytest.raises(ParseError, match=r"folds.csv:3: sequence 'a' already assigned on line 1"):
+        FoldSplit.from_file(str(p))
     with pytest.raises(ValueError):
         FoldSplit({"s0": 3}, n_folds=3)
 

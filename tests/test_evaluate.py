@@ -367,7 +367,7 @@ def _distinct_keys(rec, cfg):
 def test_group_matrix_votes_each_pair_center_once(dropped_corpus):
     pipe = Pipeline(dropped_corpus, _VOTE_CFG)
     model = _LabelModel()
-    for _ in range(2):  # the table lives for one call: the second votes again
+    for _ in range(2):  # the vectors are kept, the votes are not: the second call votes again
         model.calls.clear()
         pipe.group_matrix(model, pipe.seq_ids)
         want = [len(_distinct_keys(pipe._recordings[s], _VOTE_CFG)) for s in pipe.seq_ids]
@@ -376,24 +376,69 @@ def test_group_matrix_votes_each_pair_center_once(dropped_corpus):
             assert len(np.unique(x, axis=0)) == len(x)
 
 
+def _count_extraction(monkeypatch):
+    """Calls of pair_keys, of each cue function and of PairBatch, by name,
+    counted in every proxrf module that binds them."""
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, []).append(args[0])
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("pair_keys", "mean_speed", "dispersion_change", "shape_ratio"):
+        real = getattr(cbd_module, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("proxrf") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+
+    class Counting(PairBatch):
+        __slots__ = ()
+
+        def __init__(self, pairs, *args):
+            calls.setdefault("PairBatch", []).append(pairs)
+            super().__init__(pairs, *args)
+
+    monkeypatch.setattr(pid_module, "PairBatch", Counting)
+    return calls
+
+
 def test_group_matrix_enumerates_each_window_once(dropped_corpus, monkeypatch):
-    calls = []
-    real = cbd_module.pair_keys
-
-    def counting(window, *args, **kwargs):
-        calls.append(window)
-        return real(window, *args, **kwargs)
-
-    # patched in every module that binds it, so no caller escapes the count
-    for name, module in list(sys.modules.items()):
-        if name.startswith("proxrf") and getattr(module, "pair_keys", None) is real:
-            monkeypatch.setattr(module, "pair_keys", counting)
+    calls = _count_extraction(monkeypatch)
     pipe = Pipeline(dropped_corpus, _VOTE_CFG)
-    for _ in range(2):  # also once the pair series are cached
-        calls.clear()
-        rows, _, _ = pipe.group_matrix(_LabelModel(), pipe.seq_ids)
-        assert len(calls) == len(rows) > 0
-        assert len({id(w) for w in calls}) == len(calls)
+    rows, _, _ = pipe.group_matrix(_LabelModel(), pipe.seq_ids)
+    windows = calls["pair_keys"]
+    assert len(windows) == len(rows) > 0
+    assert len({id(w) for w in windows}) == len(windows)
+    for name in ("mean_speed", "dispersion_change", "shape_ratio"):
+        assert len(calls[name]) == len(rows)
+    assert [id(w) for w in calls["mean_speed"]] == [id(w) for w in windows]
+    pipe.group_matrix(_LabelModel(salt=2), pipe.seq_ids)  # once per Pipeline
+    assert len(calls["pair_keys"]) == len(calls["shape_ratio"]) == len(rows)
+
+
+def test_second_matrix_call_describes_nothing(mixed_corpus, monkeypatch):
+    calls = _count_extraction(monkeypatch)
+    pipe = Pipeline(mixed_corpus, _VOTE_CFG)
+    first = pipe.pair_matrix(pipe.seq_ids), pipe.group_matrix(_LabelModel(), pipe.seq_ids)
+    assert sorted(calls) == ["PairBatch", "dispersion_change", "mean_speed", "pair_keys",
+                             "shape_ratio"]
+    calls.clear()
+    again = pipe.pair_matrix(pipe.seq_ids), pipe.group_matrix(_LabelModel(), pipe.seq_ids)
+    assert calls == {}
+    for (rows, x, labels), (rows2, x2, labels2) in zip(first, again):
+        assert rows == rows2 and labels == labels2 and np.array_equal(x, x2)
+
+
+def test_ablation_extracts_each_group_window_once(mixed_corpus, mixed_cfg, monkeypatch):
+    calls = _count_extraction(monkeypatch)
+    folds = FoldSplit.round_robin([r.sequence_id for r in mixed_corpus], 3)
+    [(_, full), _] = ablation(mixed_corpus, folds, [CUE_NAMES, CUE_NAMES[:3]], mixed_cfg)
+    n_windows = full.confusion.total  # every group window is tested once
+    for name in ("pair_keys", "mean_speed", "dispersion_change", "shape_ratio"):
+        assert len(calls[name]) == n_windows > 0, name
+        assert len({id(w) for w in calls[name]}) == n_windows
 
 
 def test_group_matrix_labels_do_not_leak_across_models(dropped_corpus):

@@ -507,6 +507,16 @@ def _corrupt(**changes):
     return json.dumps(doc).encode()
 
 
+def test_deserialize_refuses_boolean_feature_count():
+    # JSON true is a Python int subclass: without its own check it loads
+    # as feature count 1
+    one_feature = [0, -1, -1, 0, -1, -1]
+    assert deserialize(_corrupt(feature_count=1, feature=one_feature)).feature_count == 1
+    for flag in (True, False):
+        with pytest.raises(CorruptModel, match=f"bad feature_count {flag}"):
+            deserialize(_corrupt(feature_count=flag, feature=one_feature))
+
+
 def test_deserialize_rejects_corrupt_documents():
     model = deserialize(_corrupt())  # the base document is valid
     assert len(model.trees) == 2

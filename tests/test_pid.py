@@ -16,7 +16,6 @@ from proxrf.keyed import HEADING
 from proxrf.pid import (
     InteractionLabel,
     PairBatch,
-    PairTable,
     PidConfig,
     PolarGrid,
     compute_pid,
@@ -614,28 +613,31 @@ def test_pair_vectors_match_per_window_descriptors():
                     for c in range(lo + back, hi - fwd + 1, 7)
                     if _covers(states[a], c, back, fwd) and _covers(states[t], c, back, fwd)]
             keys = [keys[i] for i in rng.permutation(len(keys))]
-            # an earlier call over a subset of the keys half fills the table
-            table = PairTable(states, cfg, rec.fps, seed)
-            _table_vectors(table, keys[::2])
-            got = _table_vectors(table, keys)
+            got = _describe_keys(states, keys, cfg, rec.fps, seed)
             for (aid, tid, center), vec in zip(keys, got):
                 want = PairBatch([(states[aid], states[tid], aid, tid, [center])], cfg,
                                  rec.fps, seed).vectors[0]
                 assert np.array_equal(vec, want), (rec.sequence_id, aid, tid, center, cfg)
-            assert table.described.all() and len(table.keys) == len(keys)
-            for aid, tid, center in keys[::23]:
+            for k in range(0, len(keys), 23):
+                aid, tid, center = keys[k]
                 want = compute_pid(tracks[aid], tracks[tid], center, cfg, SMOOTH, seed)
-                assert np.array_equal(_table_vectors(table, [(aid, tid, center)])[0],
-                                      want.vector())
+                assert np.array_equal(got[k], want.vector())
             checked += len(keys)
     assert checked > 5000
 
 
-def _table_vectors(table, keys):
-    """The vectors of (anchor, target, center) keys, read through a PairTable."""
-    anchor, target, centers = zip(*keys)
-    rows = table.rows([table.codes[a] for a in anchor], [table.codes[t] for t in target], centers)
-    return table.vectors[rows]
+def _describe_keys(states, keys, cfg, fps, seed):
+    """describe_pairs over (anchor, target, center) keys, one pair per
+    anchor and target in the order they first come, with its centers in
+    key order (not sorted); the rows back in key order."""
+    pairs = {}
+    for k, (aid, tid, _) in enumerate(keys):
+        pairs.setdefault((aid, tid), []).append(k)
+    vectors = describe_pairs([(states[aid], states[tid], aid, tid, [keys[k][2] for k in ks])
+                              for (aid, tid), ks in pairs.items()], cfg, fps, seed)
+    rows = np.empty_like(vectors)
+    rows[[k for ks in pairs.values() for k in ks]] = vectors
+    return rows
 
 
 def _covers(states, center, back, fwd):
@@ -698,7 +700,7 @@ def test_batch_equals_lone_pairs_and_per_frame_reference(recording, seed):
                       cfg, 10.0, seed)
     row = {(a, t, c): i for i, (a, t, c) in enumerate((a, t, c) for (a, t), cs in pairs.items()
                                                       for c in cs)}
-    complete = []
+    complete, errors = [], {}
     for aid, tid, center in keys:
         sa, sb = states[aid], states[tid]
         try:
@@ -709,24 +711,30 @@ def test_batch_equals_lone_pairs_and_per_frame_reference(recording, seed):
             with pytest.raises(MissingFrames) as got:
                 describe_pairs([(sa, sb, aid, tid, [center])], cfg, 10.0, seed)
             assert str(got.value) == str(e)
-            with pytest.raises(MissingFrames) as got:
-                _table_vectors(PairTable(states, cfg, 10.0, seed), [(aid, tid, center)])
-            assert str(got.value) == str(e)
+            errors[aid, tid, center] = str(e)
             continue
         i = row[aid, tid, center]
         assert batch.complete[i] and np.array_equal(batch.vectors[i], want)
         complete.append(((aid, tid, center), want))
-    # every complete key in one table lookup, and each key in a table of its own
-    together = _table_vectors(PairTable(states, cfg, 10.0, seed), [k for k, _ in complete]) \
-        if complete else []
+    # every key in one call names the first window, in input order, that
+    # leaves a track
+    first = next((errors[key] for key in row if key in errors), None)
+    if first is not None:
+        with pytest.raises(MissingFrames) as got:
+            _describe_keys(states, keys, cfg, 10.0, seed)
+        assert str(got.value) == first
+    # every complete key in one call, and each key in a call of its own
+    together = _describe_keys(states, [k for k, _ in complete], cfg, 10.0, seed)
     for (key, want), vec in zip(complete, together):
-        alone = _table_vectors(PairTable(states, cfg, 10.0, seed), [key])[0]
+        aid, tid, center = key
+        alone = describe_pairs([(states[aid], states[tid], aid, tid, [center])], cfg, 10.0,
+                               seed)[0]
         assert np.array_equal(vec, want) and np.array_equal(alone, want), key
 
 
 def test_chunked_batches_describe_like_one_batch(monkeypatch):
-    # a budget of about two pairs' rows splits one table lookup into
-    # batches of whole pairs, and a budget of one row gives each pair a
+    # a budget of about two pairs' rows splits one call into batches of
+    # whole pairs, and a budget of one row gives each pair a
     # batch of its own
     built = []
 
@@ -746,14 +754,14 @@ def test_chunked_batches_describe_like_one_batch(monkeypatch):
             for c in range(lo + back, hi - fwd + 1, 3)
             if _covers(states[a], c, back, fwd) and _covers(states[t], c, back, fwd)]
     keys = [keys[i] for i in np.random.default_rng(3).permutation(len(keys))]
-    want = _table_vectors(PairTable(states, cfg, rec.fps, 5), keys)
+    want = _describe_keys(states, keys, cfg, rec.fps, 5)
     monkeypatch.setattr(pid_module, "PairBatch", Counting)
     pairs = len({key[:2] for key in keys})
     assert pairs == 12 and hi - lo + 1 == 112
     for budget, sizes in ((250, [2] * 6), (1, [1] * 12)):
         monkeypatch.setattr(pid_module, "BATCH_FRAMES", budget)
         built.clear()
-        got = _table_vectors(PairTable(states, cfg, rec.fps, 5), keys)
+        got = _describe_keys(states, keys, cfg, rec.fps, 5)
         assert built == sizes
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 

@@ -15,7 +15,10 @@ descriptor settings (hard assignment, kernel grids of 1 and 4 samples
 with a wider radial kernel and the variance denominator, a speed
 threshold that leaves most headings random, and short windows far
 apart) and a cbd extract with a pair descriptor at every frame of each
-group window; a copy of it then loses track samples (see
+group window.  A copy of it whose collective scenes also carry pair
+labels (see ``add_pairs``) gets predictions from both models and a
+collective evaluation, both with a pair descriptor at every frame of
+each group window.  Another copy loses track samples (see
 ``punch_gaps``), which gives tracks with gaps and groups with uneven
 member spans; a collective model, pid and cbd extracts, predictions and
 a collective evaluation run on it too.  The gapped corpus is then
@@ -116,12 +119,21 @@ GAPPED_COMMANDS = (
     ["eval", "gapped", "--task", "collective", "--folds", "3",
      "--out-dir", "eval/gapped"] + SEED,
 )
+# run once add_pairs has derived "mixed" from "long": at stride 1 the
+# group windows' pair centers include every pair window's center
+MIXED_COMMANDS = (
+    ["predict", "mixed", "--interactions-model", "models/coll.stage1.json",
+     "--collective-model", "models/coll.json", "--stride", "1",
+     "--out", "predict/mixed.csv"] + SEED,
+    ["eval", "mixed", "--task", "collective", "--folds", "3", "--stride", "1",
+     "--out-dir", "eval/mixed"] + SEED,
+)
 # run once to_ncad has derived "ncad" from "gapped"
 ADAPT_COMMANDS = (
     ["adapt", "ncad", "--layout", "ncad-like", "--out", "adapted"],
     ["extract", "adapted", "--kind", "pid", "--out", "extract/adapted-pid.csv"] + SEED,
 )
-ALL_COMMANDS = COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
+ALL_COMMANDS = COMMANDS + MIXED_COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
 # image-to-ground map with a perspective row, so every coordinate changes
 HOMOGRAPHY = "0.9 -0.1 2.0\n0.05 1.1 -1.0\n0.001 0.002 1.0\n"
 RUN_CLI = "import sys; from proxrf.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -169,6 +181,28 @@ def punch_gaps(corpus: str, out: str) -> None:
             fh.writelines(lines)
 
 
+def add_pairs(corpus: str, out: str) -> None:
+    """Copy of ``corpus`` in which each collective scene (a .cba file)
+    also carries pair labels: its first two tracks in id order walk
+    together ("WT"), each way, over the range of the .cba file's first
+    line.  Other files are copied unchanged.
+    """
+    os.mkdir(out)
+    for name in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, name), encoding="utf-8") as fh:
+            text = fh.read()
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        stem, ext = os.path.splitext(name)
+        if ext == ".cba":
+            start, end, _ = text.splitlines()[0].split(",")
+            with open(os.path.join(corpus, stem + ".trj"), encoding="utf-8") as fh:
+                ids = sorted({line.split(",")[1] for line in fh if not line.startswith("#")})
+            with open(os.path.join(out, stem + ".pia"), "w", encoding="utf-8") as fh:
+                fh.write(f"{start},{end},{ids[0]},{ids[1]},WT\n"
+                         f"{start},{end},{ids[1]},{ids[0]},WT\n")
+
+
 def to_ncad(corpus: str, out: str) -> None:
     """``ncad-like`` tree of ``corpus``: one directory per scene holding
     ``tracks.txt`` (the .trj header, then its data rows in a shuffled
@@ -200,6 +234,8 @@ def run_tree(src: str, work: str) -> list:
     env = dict(os.environ, PYTHONPATH=src)
     outputs = []
     for argv in ALL_COMMANDS:
+        if argv is MIXED_COMMANDS[0]:
+            add_pairs(os.path.join(work, "long"), os.path.join(work, "mixed"))
         if argv is GAPPED_COMMANDS[0]:
             punch_gaps(os.path.join(work, "long"), os.path.join(work, "gapped"))
         if argv is ADAPT_COMMANDS[0]:
