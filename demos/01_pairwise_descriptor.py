@@ -6,9 +6,9 @@ moves the mass from the front sector to the back sector, which is what
 lets the classifier tell "following" from "being followed".
 """
 
-from proxrf.pid import InteractionLabel, PidConfig, compute_pid
+from proxrf.evaluate import Pipeline, PipelineConfig
+from proxrf.pid import InteractionLabel
 from proxrf.synth import SynthParams, gen_pair
-from proxrf.trajectory import SmoothingConfig
 
 BANDS = ("intimate", "personal", "social", "public")
 SECTORS = ("front", "left", "back", "right")
@@ -27,16 +27,15 @@ def show(vec, title):
 
 def main():
     scene = gen_pair(InteractionLabel.Following, SynthParams(seed=2))
-    cfg, smooth = PidConfig(), SmoothingConfig()
-    a, b = scene.track("A"), scene.track("B")
+    # one row per annotated pair window, both ways round
+    rows, x, _ = Pipeline([scene], PipelineConfig()).pair_matrix([scene.sequence_id])
+    vec = {(ids, center): v for (_, center, ids), v in zip(rows, x)}
 
-    show(compute_pid(a, b, 55, cfg, smooth).vector(),
-         "anchor A, target B (A walks behind B):")
-    show(compute_pid(b, a, 55, cfg, smooth).vector(),
-         "anchor B, target A (same scene, roles swapped):")
+    show(vec[("A", "B"), 56], "anchor A, target B (A walks behind B):")
+    show(vec[("B", "A"), 56], "anchor B, target A (same scene, roles swapped):")
 
-    print("The follower sees its target in the front personal band; the")
-    print("leader sees the same geometry in the back band.  A near-zero")
+    print("The follower sees its target in the front sector; the leader")
+    print("sees the same geometry in the back sector.  A near-zero")
     print("speed pyramid says the gap between them is not changing.")
 
 

@@ -11,16 +11,12 @@ and a command-line front end.
 """
 
 from .cbd import (
-    CbdDescriptor,
     CollectiveLabel,
     GroupWindow,
-    classify_collective,
-    compute_cbd,
     dispersion,
     dispersion_change,
     interaction_histogram,
     mean_speed,
-    pair_predictions,
     pair_vectors,
     pool_votes,
     shape_ratio,
@@ -48,7 +44,6 @@ from .errors import (
     CorruptModel,
     EmptyGroup,
     EmptyTrainingSet,
-    FrameMismatch,
     InsufficientData,
     InvalidConfig,
     InvalidFeature,
@@ -82,9 +77,7 @@ from .forest import (
 from .pid import (
     InteractionLabel,
     PidConfig,
-    PidDescriptor,
     PolarGrid,
-    compute_pid,
 )
 from .synth import (
     SynthParams,

@@ -7,33 +7,26 @@ ratio of the member-position covariance, which separates aligned
 formations (queues) from isotropic ones (conversation circles).  A
 second random forest over these vectors, or over a subset of their cues,
 assigns one of six collective behaviors.
+
+A GroupWindow holds the members' smoothed states (see
+trajectory.smoothed_states) over a window.  Its histogram takes two
+steps over all windows of one recording: pair_vectors describes each
+distinct (anchor, target, center) key once and needs no model, and
+pool_votes votes those vectors under a stage-one model and pools them
+per window.  group_cues gives the other three cues.
+evaluate.Pipeline runs these steps and caches the model-free ones.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyGroup,
-    FrameMismatch,
-    ModelShapeMismatch,
-    ShapeMismatch,
-)
+from .errors import EmptyGroup, ModelShapeMismatch, ShapeMismatch
 from .pid import InteractionLabel, PidConfig, describe_pairs, interaction_labels
-from .trajectory import (
-    DEFAULT_MAX_GAP,
-    SmoothingConfig,
-    TrackStates,
-    Trajectory,
-    finite_difference,
-    smoothed_states,
-)
-
-DEFAULT_PREDICTION_STRIDE = 5
+from .trajectory import TrackStates, finite_difference
 
 
 class CollectiveLabel(enum.Enum):
@@ -55,8 +48,7 @@ class CollectiveLabel(enum.Enum):
         return _COLLECTIVE_IDS[self]
 
 
-_COLLECTIVE_ORDER = tuple(CollectiveLabel)
-_COLLECTIVE_IDS = {lab: i for i, lab in enumerate(_COLLECTIVE_ORDER)}
+_COLLECTIVE_IDS = {lab: i for i, lab in enumerate(CollectiveLabel)}
 
 
 class GroupWindow:
@@ -98,50 +90,6 @@ class GroupWindow:
     def span(self) -> tuple:
         """First and last frame (inclusive): [t - t2/2 + 1, t + t2/2]."""
         return self.center_frame - self.t2 // 2 + 1, self.center_frame + self.t2 // 2
-
-    @classmethod
-    def build(
-        cls,
-        trajectories: Sequence[Trajectory],
-        center_frame: int,
-        t2: int,
-        smoothing: SmoothingConfig,
-        max_gap: int = DEFAULT_MAX_GAP,
-        states: Optional[dict] = None,
-    ) -> "GroupWindow":
-        """Window over the given tracks; ``states`` may carry precomputed
-        TrackStates per track id to reuse across windows."""
-        if not trajectories:
-            raise EmptyGroup("no trajectories")
-        fps = trajectories[0].fps
-        for tr in trajectories:
-            if tr.fps != fps:
-                raise FrameMismatch(f"fps mismatch: {tr.fps} vs {fps}")
-        member_states = {}
-        for tr in trajectories:
-            if states is not None and tr.track_id in states:
-                member_states[tr.track_id] = states[tr.track_id]
-            else:
-                member_states[tr.track_id] = smoothed_states(tr, smoothing, max_gap=max_gap)
-        return cls(center_frame, t2, fps, member_states)
-
-
-@dataclass(frozen=True, eq=False)
-class CbdDescriptor:
-    """Interaction histogram + speed, dispersion and shape cues."""
-
-    interaction_hist: np.ndarray
-    mean_speed: float
-    dispersion_change: float
-    shape_ratio: float
-    center_frame: int
-
-    def vector(self) -> np.ndarray:
-        tail = [self.mean_speed, self.dispersion_change, self.shape_ratio]
-        return np.concatenate([self.interaction_hist, tail])
-
-    def __len__(self):
-        return len(self.interaction_hist) + 3
 
 
 def interaction_histogram(window, label, n_windows: int) -> np.ndarray:
@@ -224,9 +172,7 @@ def _covers(states: TrackStates, centers: np.ndarray, back: int, fwd: int) -> np
     return inside == back + fwd + 1
 
 
-def pair_keys(
-    window: GroupWindow, pid_cfg: PidConfig, stride: int = DEFAULT_PREDICTION_STRIDE
-) -> tuple:
+def pair_keys(window: GroupWindow, pid_cfg: PidConfig, stride: int) -> tuple:
     """(anchor, target, center) arrays of every ordered member pair at
     every stride center of the window, in pooling order (by center, then
     anchor, then target); anchor and target index the members in sorted
@@ -244,13 +190,9 @@ def pair_keys(
     return anchor, target, centers[at]
 
 
-def pair_vectors(
-    windows: Sequence[GroupWindow],
-    pid_cfg: PidConfig,
-    stride: int = DEFAULT_PREDICTION_STRIDE,
-    seed: int = 0,
-) -> tuple:
-    """The model-free half of pair_predictions: (vectors, window, row).
+def pair_vectors(windows: Sequence[GroupWindow], pid_cfg: PidConfig, stride: int,
+                 seed: int) -> tuple:
+    """The first, model-free step of a CBD histogram: (vectors, window, row).
 
     ``window`` and ``row`` hold one entry per pair_keys key of every
     window, in pooling order: the key's window index and its row of
@@ -288,11 +230,11 @@ def pair_vectors(
 
 
 def pool_votes(pid_model, vectors: np.ndarray, window, row, n_windows: int) -> np.ndarray:
-    """The model half of pair_predictions: the interaction histogram of
-    each of ``n_windows`` windows, (n_windows, 6), from one
-    ``predict_batch`` call over ``vectors`` (see pair_vectors); the votes
-    are mapped to label ids by the model's class names
-    (interaction_labels)."""
+    """The second step of a CBD histogram, under a stage-one model: the
+    interaction histogram of each of ``n_windows`` windows, (n_windows,
+    6), from one ``predict_batch`` call over ``vectors`` (see
+    pair_vectors); the votes are mapped to label ids by the model's class
+    names (interaction_labels)."""
     if not len(row):
         return np.zeros((n_windows, len(InteractionLabel)))
     try:
@@ -303,58 +245,12 @@ def pool_votes(pid_model, vectors: np.ndarray, window, row, n_windows: int) -> n
     return interaction_histogram(window, label_ids[votes][row], n_windows)
 
 
-def pair_predictions(
-    windows: Sequence[GroupWindow],
-    pid_model,
-    pid_cfg: PidConfig,
-    stride: int = DEFAULT_PREDICTION_STRIDE,
-    seed: int = 0,
-) -> np.ndarray:
-    """Interaction histogram of each window from the first-stage votes
-    over its pair_keys: (windows, 6), one row per window.  The windows
-    must come from one recording; each distinct key is described and
-    voted once (pair_vectors, then pool_votes)."""
-    return pool_votes(pid_model, *pair_vectors(windows, pid_cfg, stride, seed), len(windows))
-
-
 def group_cues(window: GroupWindow) -> tuple:
     """(mean speed, dispersion change, shape ratio) of a window: the
     cues of its CBD after the interaction histogram.  The shape ratio is
-    taken over the members present at the center frame."""
+    taken over the members present at the center frame.  A window's full
+    CBD vector is ``np.hstack([pool_votes(model, *pair_vectors([w],
+    pid_cfg, stride, seed), 1)[0], group_cues(w)])``."""
     k = window.center_frame - window.span[0]
     return (mean_speed(window), dispersion_change(window),
             shape_ratio(window.xy[window.present[:, k], k]))
-
-
-def compute_cbd(window: GroupWindow, interaction_hist: np.ndarray) -> CbdDescriptor:
-    """Full group descriptor for one window from its row of
-    pair_predictions: for a lone window,
-    ``compute_cbd(w, *pair_predictions([w], model, pid_cfg))``."""
-    speed, change, shape = group_cues(window)
-    return CbdDescriptor(
-        interaction_hist=interaction_hist,
-        mean_speed=speed,
-        dispersion_change=change,
-        shape_ratio=shape,
-        center_frame=window.center_frame,
-    )
-
-
-def classify_collective(descriptor: CbdDescriptor, model) -> tuple:
-    """Forest vote over one descriptor: (label, per-class vote fractions).
-
-    Votes are mapped to labels by the model's class names, so a model
-    trained on a subset of the labels (cross_dataset after a drop)
-    scores correctly.
-    """
-    try:
-        votes = model.vote_fractions(descriptor.vector()[None, :])[0]
-    except ShapeMismatch as e:
-        raise ModelShapeMismatch(str(e)) from None
-    probs = np.zeros(len(_COLLECTIVE_ORDER))
-    for name, share in zip(model.class_names, votes):
-        try:
-            probs[CollectiveLabel(name).class_id] = share
-        except ValueError:
-            raise ModelShapeMismatch(f"model class {name!r} is no collective label") from None
-    return _COLLECTIVE_ORDER[int(np.argmax(probs))], probs

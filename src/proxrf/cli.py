@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from .cbd import CollectiveLabel
 from .config import SETTINGS, load_run_config
 from .dataset import (
     LAYOUTS,
@@ -54,6 +55,7 @@ from .evaluate import (
     kfold_evaluate,
 )
 from .forest import RandomForest, deserialize, serialize
+from .pid import InteractionLabel
 from .synth import (
     SynthParams,
     make_collective_corpus,
@@ -91,13 +93,31 @@ def _makedirs_for(path: str):
     os.makedirs(parent, exist_ok=True)
 
 
-def _read_model(path: str) -> RandomForest:
+def _read_model(path: str, stage: str, cfg: PipelineConfig) -> RandomForest:
+    """The ``stage`` ("interaction" or "collective") model at ``path``.
+
+    ModelShapeMismatch unless it takes the configured descriptor of that
+    stage and every class name is a label code of that stage."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read model {path}: {exc}") from None
-    return deserialize(blob)
+    model = deserialize(blob)
+    if stage == "interaction":
+        want, labels = cfg.pid.descriptor_length, InteractionLabel
+    else:
+        want, labels = len(cue_columns(cfg.cues)), CollectiveLabel
+    if model.feature_count != want:
+        raise ModelShapeMismatch(
+            f"{stage} model expects {model.feature_count} features, "
+            f"but the configured descriptor has {want}"
+        )
+    codes = {lab.code for lab in labels}
+    for name in model.class_names:
+        if name not in codes:
+            raise ModelShapeMismatch(f"model class {name!r} is no {stage} label")
+    return model
 
 
 def _write_model(model: RandomForest, path: str):
@@ -111,24 +131,6 @@ def _write_report(report: EvalReport, out_dir: str):
     atomic_write(os.path.join(out_dir, "confusion.txt"), report.confusion.text() + "\n")
     atomic_write(os.path.join(out_dir, "per_class.csv"), report.per_class_csv())
     return out_dir
-
-
-def _check_stage1_shape(model: RandomForest, cfg: PipelineConfig):
-    want = cfg.pid.descriptor_length
-    if model.feature_count != want:
-        raise ModelShapeMismatch(
-            f"interaction model expects {model.feature_count} features, "
-            f"but the configured descriptor has {want}"
-        )
-
-
-def _check_stage2_shape(model: RandomForest, cfg: PipelineConfig):
-    want = len(cue_columns(cfg.cues))
-    if model.feature_count != want:
-        raise ModelShapeMismatch(
-            f"collective model expects {model.feature_count} features, "
-            f"but the configured descriptor has {want}"
-        )
 
 
 # ---------------------------------------------------------------- commands
@@ -180,8 +182,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     else:
         if args.model is None:
             raise ConfigError("extract --kind cbd needs --model (first-stage forest)")
-        stage1 = _read_model(args.model)
-        _check_stage1_shape(stage1, cfg)
+        stage1 = _read_model(args.model, "interaction", cfg)
         cols = cue_columns(cfg.cues)
         lines.append(
             f"# cbd d={len(cols)} t2={cfg.t2} step={cfg.step} stride={cfg.stride}"
@@ -215,8 +216,7 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
         print(f"wrote interaction model ({model.feature_count} features) to {args.out}")
         return 0
     if args.stage1 is not None:
-        stage1 = _read_model(args.stage1)
-        _check_stage1_shape(stage1, cfg)
+        stage1 = _read_model(args.stage1, "interaction", cfg)
     else:
         stage1 = pipe.train_stage1(pipe.seq_ids, s1_seed)
         side = _stage1_out_path(args.out)
@@ -264,12 +264,10 @@ def _prediction_lines(kind: str, rows: list, model: RandomForest, x: np.ndarray)
 
 def _cmd_predict(args, cfg: PipelineConfig) -> int:
     recordings = read_corpus(args.corpus)
-    stage1 = _read_model(args.interactions_model)
-    _check_stage1_shape(stage1, cfg)
+    stage1 = _read_model(args.interactions_model, "interaction", cfg)
     stage2 = None
     if args.collective_model is not None:
-        stage2 = _read_model(args.collective_model)
-        _check_stage2_shape(stage2, cfg)
+        stage2 = _read_model(args.collective_model, "collective", cfg)
     cols = cue_columns(cfg.cues)
     lines = [
         "# sequence,center_frame,kind,ids,label,probabilities"

@@ -9,10 +9,6 @@ class InsufficientData(ProxrfError):
     """Too few samples for the requested computation."""
 
 
-class FrameMismatch(ProxrfError):
-    """Two per-frame records refer to different frames."""
-
-
 class MissingFrames(ProxrfError):
     """A trajectory does not cover the requested frame range."""
 

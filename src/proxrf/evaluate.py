@@ -291,13 +291,11 @@ class Pipeline:
         recording's group windows; placements with a frame where no
         member is present are skipped."""
         if seq not in self._groups:
-            cfg, rec = self.cfg, self._recordings[seq]
+            cfg, rec, states = self.cfg, self._recordings[seq], self._states[seq]
             rows, labels, built = [], [], []
             for center, ids, label in windows(rec, cfg.t2, cfg.step, "group", cfg.max_gap):
                 try:
-                    window = GroupWindow.build([rec.track(i) for i in ids], center, cfg.t2,
-                                               cfg.smoothing, max_gap=cfg.max_gap,
-                                               states=self._states[seq])
+                    window = GroupWindow(center, cfg.t2, rec.fps, {i: states[i] for i in ids})
                 except EmptyGroup:
                     continue
                 rows.append((seq, center, ids))
@@ -499,7 +497,5 @@ def cross_dataset(
             raise LabelCoverageError(
                 f"test label {lab.code} absent from the training corpus after drops"
             )
-    cm = ConfusionMatrix(class_names)
-    for lab, pred in zip(test_labels, stage2.predict_batch(x_test[:, cols])):
-        cm.add(class_names.index(lab.code), int(pred))
-    return report_from_confusion(cm)
+    truths = [class_names.index(lab.code) for lab in test_labels]
+    return evaluate_predictions(truths, stage2.predict_batch(x_test[:, cols]), class_names)

@@ -5,6 +5,11 @@ histogram of the target's position in the anchor's body frame (4 proxemic
 distance bands x 4 angular sectors, KDE-smoothed) with a pyramid of
 relative-speed averages.  A trained random forest over these vectors
 assigns one of six directional interaction labels.
+
+``describe_pairs`` is the one way to compute descriptors: it takes the
+smoothed states (trajectory.smoothed_states) of many pairs, each with
+its window centers, and returns one vector per window.  A lone window
+is a call with one pair and one center.
 """
 
 from __future__ import annotations
@@ -20,15 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from . import keyed
-from .errors import FrameMismatch, MissingFrames, ModelShapeMismatch
-from .trajectory import (
-    TWO_PI,
-    SmoothingConfig,
-    Trajectory,
-    finite_difference,
-    smoothed_states,
-    wrap_angle,
-)
+from .errors import MissingFrames, ModelShapeMismatch
+from .trajectory import TWO_PI, finite_difference, wrap_angle
 
 class InteractionLabel(enum.Enum):
     """The six directional pairwise interactions."""
@@ -141,21 +139,6 @@ class PidConfig:
     def window_halves(self) -> tuple:
         """Frames before and from the center: [t - t1/2 + 1, t + t1/2]."""
         return self.t1 // 2 - 1, self.t1 // 2
-
-
-@dataclass(frozen=True, eq=False)
-class PidDescriptor:
-    """Polar histogram + speed pyramid for one ordered pair window."""
-
-    histogram: np.ndarray
-    speed_pyramid: np.ndarray
-    center_frame: int
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.histogram, self.speed_pyramid])
-
-    def __len__(self):
-        return len(self.histogram) + len(self.speed_pyramid)
 
 
 def _denominators(cfg: PidConfig) -> tuple:
@@ -359,30 +342,6 @@ def describe_pairs(pairs: Sequence[tuple], cfg: PidConfig, fps: float, seed: int
             raise MissingFrames(f"track {aid if ra[k] < 0 else tid}: no state at frame {frames[k]}")
         parts.append(batch.vectors)
     return np.concatenate(parts) if parts else np.empty((0, cfg.descriptor_length))
-
-
-def compute_pid(
-    anchor: Trajectory,
-    target: Trajectory,
-    center_frame: int,
-    cfg: PidConfig,
-    smoothing: SmoothingConfig,
-    seed: int = 0,
-) -> PidDescriptor:
-    """Full descriptor for the window centered (right of middle) at a frame.
-
-    Both trajectories are smoothed over their whole contiguous spans, then
-    the window [t - T1/2 + 1, t + T1/2] is described.
-    """
-    if anchor.fps != target.fps:
-        raise FrameMismatch(f"fps mismatch: {anchor.fps} vs {target.fps}")
-    pair = (smoothed_states(anchor, smoothing), smoothed_states(target, smoothing),
-            anchor.track_id, target.track_id, [center_frame])
-    [vector] = describe_pairs([pair], cfg, anchor.fps, seed)
-    cells = cfg.grid.cell_count
-    return PidDescriptor(
-        histogram=vector[:cells], speed_pyramid=vector[cells:], center_frame=center_frame
-    )
 
 
 def interaction_labels(model) -> tuple:

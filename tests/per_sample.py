@@ -11,7 +11,10 @@ descriptor, ``kde_kernel`` and ``sample_grid`` spell out the kernel and
 its sampling grid around one polar point, ``accumulate_histogram`` and
 ``speed_pyramid`` describe one window from its per-frame ``PolarPoint``
 samples (raising ``WrongWindowLength`` on a window of another length),
-and ``classify_interaction`` votes on one descriptor.  For the keyed
+and ``classify_interaction`` votes on one descriptor vector.  For lone
+windows, ``lone_pid`` describes one pair window and ``lone_cbd`` one
+group window (built by ``group_window``) through the library's batch
+functions, each called on that window alone.  For the keyed
 draws, ``reference_key_hash`` hashes one key with Python integers.  For
 the forest, ``reference_best_split`` scores one node with float class
 counts, ``reference_rank_split`` scores one node over value ranks with
@@ -29,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from proxrf.cbd import GroupWindow, group_cues, pair_vectors, pool_votes
 from proxrf.errors import (
-    FrameMismatch,
     InsufficientData,
     InvalidFeature,
     ModelShapeMismatch,
@@ -38,7 +41,13 @@ from proxrf.errors import (
 )
 from proxrf.forest import RandomForest, rank_table
 from proxrf.keyed import BOOTSTRAP, FEATURES
-from proxrf.pid import InteractionLabel, PidConfig, PidDescriptor, PolarGrid, interaction_labels
+from proxrf.pid import (
+    InteractionLabel,
+    PidConfig,
+    PolarGrid,
+    describe_pairs,
+    interaction_labels,
+)
 from proxrf.trajectory import (
     DEFAULT_MAX_GAP,
     TWO_PI,
@@ -48,12 +57,17 @@ from proxrf.trajectory import (
     Trajectory,
     finite_difference,
     kinematics,
+    smoothed_states,
     wrap_angle,
 )
 
 
 class WrongWindowLength(ValueError):
     """An oracle's input length differs from the configured window length."""
+
+
+class FrameMismatch(ValueError):
+    """Two per-frame records refer to different frames."""
 
 
 @dataclass(frozen=True)
@@ -275,17 +289,42 @@ def speed_pyramid(d_prime: Sequence[float], cfg: PidConfig) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def classify_interaction(descriptor: PidDescriptor, model) -> tuple:
-    """Forest vote over one descriptor: (label, per-class vote fractions),
-    with the votes mapped to labels by interaction_labels."""
+def classify_interaction(vector: np.ndarray, model) -> tuple:
+    """Forest vote over one descriptor vector: (label, per-class vote
+    fractions), with the votes mapped to labels by interaction_labels."""
     try:
-        votes = model.vote_fractions(descriptor.vector()[None, :])[0]
+        votes = model.vote_fractions(vector[None, :])[0]
     except ShapeMismatch as e:
         raise ModelShapeMismatch(str(e)) from None
     probs = np.zeros(len(InteractionLabel))
     for label, share in zip(interaction_labels(model), votes):
         probs[label.class_id] = share
     return tuple(InteractionLabel)[int(np.argmax(probs))], probs
+
+
+def lone_pid(anchor: Trajectory, target: Trajectory, center: int, cfg: PidConfig,
+             smoothing: SmoothingConfig, seed: int = 0) -> np.ndarray:
+    """PID vector of the window centered at ``center``: both tracks
+    smoothed over their whole spans, then describe_pairs over one pair
+    with one center."""
+    pair = (smoothed_states(anchor, smoothing), smoothed_states(target, smoothing),
+            anchor.track_id, target.track_id, [center])
+    return describe_pairs([pair], cfg, anchor.fps, seed)[0]
+
+
+def group_window(trajectories: Sequence[Trajectory], center: int, t2: int,
+                 smoothing: SmoothingConfig) -> GroupWindow:
+    """GroupWindow over the tracks, each smoothed over its whole spans."""
+    states = {t.track_id: smoothed_states(t, smoothing) for t in trajectories}
+    return GroupWindow(center, t2, trajectories[0].fps, states)
+
+
+def lone_cbd(window: GroupWindow, stage1, pid_cfg: PidConfig, stride: int,
+             seed: int) -> np.ndarray:
+    """Full CBD vector of one window: the histogram of its pooled
+    stage-one votes (pair_vectors, then pool_votes), then group_cues."""
+    hist = pool_votes(stage1, *pair_vectors([window], pid_cfg, stride, seed), 1)[0]
+    return np.hstack([hist, group_cues(window)])
 
 
 _MASK64 = 2**64 - 1

@@ -13,18 +13,11 @@ import warnings
 import numpy as np
 import pytest
 
-from proxrf.cbd import (
-    CollectiveLabel,
-    GroupWindow,
-    compute_cbd,
-    dispersion_change,
-    pair_predictions,
-    shape_ratio,
-)
+from proxrf.cbd import CollectiveLabel, GroupWindow, dispersion_change, shape_ratio
 from proxrf.dataset import FoldSplit, adapt_external
 from proxrf.evaluate import CUE_NAMES, PipelineConfig, ablation, kfold_evaluate
 from proxrf.forest import ForestConfig, deserialize, serialize, train
-from proxrf.pid import PidConfig, compute_pid
+from proxrf.pid import PidConfig
 from proxrf.synth import (
     SynthParams,
     gen_collective,
@@ -35,7 +28,14 @@ from proxrf.synth import (
 from proxrf.trajectory import SmoothingConfig
 
 from conftest import make_traj, track_states
-from per_sample import PolarPoint, accumulate_histogram, sample_grid
+from per_sample import (
+    PolarPoint,
+    accumulate_histogram,
+    group_window,
+    lone_cbd,
+    lone_pid,
+    sample_grid,
+)
 
 BENCH = SynthParams(seed=7, noise_sigma=0.02)
 
@@ -85,8 +85,7 @@ def test_descriptor_invariants_on_randomized_scenes(tiny_stage1, capsys):
                       + rng.uniform(-4, 4, 2))
             for tid in ("a", "b")
         ]
-        vec = compute_pid(walks[0], walks[1], cfg.t1 // 2 - 1, cfg, smoothing,
-                          seed=i).vector()
+        vec = lone_pid(walks[0], walks[1], cfg.t1 // 2 - 1, cfg, smoothing, seed=i)
         ok &= vec.shape == (16 + 2 ** (cfg.l_max + 1) - 1,)
         hist, speeds = vec[:16], vec[16:]
         ok &= abs(hist.sum() - 1.0) <= 1e-6 and hist.min() >= 0.0
@@ -101,13 +100,11 @@ def test_descriptor_invariants_on_randomized_scenes(tiny_stage1, capsys):
                       + rng.uniform(-3, 3, 2))
             for j in range(2 + i % 4)
         ]
-        window = GroupWindow.build(members, 40, 32, smoothing)
-        desc = compute_cbd(window, *pair_predictions([window], tiny_stage1, pid_cfg,
-                                                     stride=16, seed=i))
-        vec = desc.vector()
+        window = group_window(members, 40, 32, smoothing)
+        vec = lone_cbd(window, tiny_stage1, pid_cfg, 16, i)
         ok &= vec.shape == (9,) and bool(np.isfinite(vec).all())
         ok &= abs(vec[:6].sum() - 1.0) <= 1e-6 and vec[:6].min() >= 0.0
-        ratio = desc.shape_ratio
+        ratio = vec[8]
         ok &= ratio == 0.0 or ratio >= 1.0 - 1e-12
     elapsed = time.monotonic() - t0
     _gate(capsys, 1, "descriptor invariants on 1000 randomized scenes",
@@ -211,23 +208,18 @@ def test_geometric_invariances(tiny_stage1, capsys):
     for i in range(20):
         a_xy, b_xy = _const_speed_walk(rng, 64), _const_speed_walk(rng, 64)
         angle, shift = rng.uniform(-math.pi, math.pi), rng.uniform(-20, 20, 2)
-        base = compute_pid(make_traj("a", a_xy), make_traj("b", b_xy),
-                           31, cfg, smoothing, seed=0).vector()
-        moved = compute_pid(make_traj("a", _rigid(a_xy, angle, shift)),
-                            make_traj("b", _rigid(b_xy, angle, shift)),
-                            31, cfg, smoothing, seed=0).vector()
+        base = lone_pid(make_traj("a", a_xy), make_traj("b", b_xy), 31, cfg, smoothing, seed=0)
+        moved = lone_pid(make_traj("a", _rigid(a_xy, angle, shift)),
+                         make_traj("b", _rigid(b_xy, angle, shift)), 31, cfg, smoothing, seed=0)
         worst_pid = max(worst_pid, float(np.abs(base - moved).max()))
     checks.append(worst_pid <= 1e-9)
 
     scene = gen_collective(CollectiveLabel.Walking, SynthParams(seed=13))
     angle, shift = 0.83, (12.5, -7.25)
-    base_win = GroupWindow.build(scene.trajectories, 56, 64, smoothing)
     moved = [make_traj(t.track_id, _rigid(t.xy, angle, shift)) for t in scene.trajectories]
-    moved_win = GroupWindow.build(moved, 56, 64, smoothing)
-    base_vec = compute_cbd(base_win, *pair_predictions([base_win], tiny_stage1, cfg,
-                                                       seed=0)).vector()
-    moved_vec = compute_cbd(moved_win, *pair_predictions([moved_win], tiny_stage1, cfg,
-                                                         seed=0)).vector()
+    base_vec = lone_cbd(group_window(scene.trajectories, 56, 64, smoothing), tiny_stage1, cfg,
+                        5, 0)
+    moved_vec = lone_cbd(group_window(moved, 56, 64, smoothing), tiny_stage1, cfg, 5, 0)
     worst_cbd = float(np.abs(base_vec - moved_vec).max())
     checks.append(worst_cbd <= 1e-9)
 

@@ -7,28 +7,24 @@ import pytest
 
 from proxrf import pid as pid_module
 from proxrf.cbd import (
-    CbdDescriptor,
-    CollectiveLabel,
     GroupWindow,
-    classify_collective,
-    compute_cbd,
     dispersion,
     dispersion_change,
+    group_cues,
     interaction_histogram,
     mean_speed,
     pair_keys,
-    pair_predictions,
     pair_vectors,
     pool_votes,
     shape_ratio,
 )
-from proxrf.errors import EmptyGroup, FrameMismatch, ModelShapeMismatch
+from proxrf.errors import EmptyGroup, ModelShapeMismatch
 from proxrf.forest import ForestConfig, train
-from proxrf.pid import InteractionLabel, PairBatch, PidConfig, compute_pid
+from proxrf.pid import InteractionLabel, PairBatch, PidConfig
 from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference, smoothed_states
 
 from conftest import make_traj, straight_traj, track_states
-from per_sample import classify_interaction
+from per_sample import classify_interaction, group_window, lone_cbd, lone_pid
 
 SMOOTH = SmoothingConfig()
 
@@ -121,23 +117,6 @@ def test_group_window_t2_must_be_power_of_two():
         _injected_window(paths, t2=12)
 
 
-def test_group_window_build_checks():
-    with pytest.raises(EmptyGroup):
-        GroupWindow.build([], 10, 16, SMOOTH)
-    a = straight_traj("a", 1.0, 0.0, 40)
-    b = straight_traj("b", 1.0, 0.0, 40, fps=25.0)
-    with pytest.raises(FrameMismatch):
-        GroupWindow.build([a, b], 20, 16, SMOOTH)
-
-
-def test_group_window_build_reuses_injected_states():
-    a = straight_traj("a", 1.0, 0.0, 40)
-    fake = track_states({f: (9.0, 9.0) for f in range(40)}, speed=5.0)
-    w = GroupWindow.build([a], 20, 16, SMOOTH, states={"a": fake})
-    assert w.member_states["a"] is fake
-    assert mean_speed(w) == pytest.approx(5.0)
-
-
 # ------------------------------------------------------- speed and dispersion
 
 def test_mean_speed_double_average():
@@ -158,7 +137,7 @@ def test_mean_speed_uneven_membership():
 def test_mean_speed_from_trajectories():
     a = straight_traj("a", 1.5, 0.2, 60)
     b = straight_traj("b", 1.5, 0.2, 60, origin=(0.0, 1.0))
-    w = GroupWindow.build([a, b], 30, 32, SMOOTH)
+    w = group_window([a, b], 30, 32, SMOOTH)
     assert mean_speed(w) == pytest.approx(1.5, abs=0.05)
 
 
@@ -250,11 +229,11 @@ def test_pair_predictions_and_cache(tiny_stage1, monkeypatch):
 
     monkeypatch.setattr(pid_module, "PairBatch", Counting)
     tracks = _walking_group()
-    w = GroupWindow.build(tracks, 69, 32, SMOOTH)
-    pairs = pair_vectors([w], PidConfig())
+    w = group_window(tracks, 69, 32, SMOOTH)
+    pairs = pair_vectors([w], PidConfig(), 5, 0)
     [hist] = pool_votes(tiny_stage1, *pairs, 1)
     # 7 stride centers x 6 ordered pairs, every placement covered
-    assert len(pair_keys(w, PidConfig())[2]) == 42
+    assert len(pair_keys(w, PidConfig(), 5)[2]) == 42
     assert len(set(computed)) == len(computed) == 42
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.array_equal(hist * 42, np.round(hist * 42))  # whole votes of 42 keys
@@ -262,9 +241,8 @@ def test_pair_predictions_and_cache(tiny_stage1, monkeypatch):
     [again] = pool_votes(tiny_stage1, *pairs, 1)
     assert len(computed) == 42
     assert np.array_equal(again, hist)
-    assert np.array_equal(pair_predictions([w], tiny_stage1, PidConfig()), [hist])
     with pytest.raises(ValueError):
-        pair_predictions([w], tiny_stage1, PidConfig(), stride=0)
+        pair_vectors([w], PidConfig(), 0, 0)
 
 
 def test_pair_vectors_describe_each_distinct_key_once():
@@ -274,8 +252,8 @@ def test_pair_vectors_describe_each_distinct_key_once():
     tracks = [make_traj(t.track_id, t.xy + 0.05 * rng.standard_normal(t.xy.shape))
               for t in _walking_group()]
     states = {t.track_id: smoothed_states(t, SMOOTH) for t in tracks}
-    windows = [GroupWindow.build(tracks, c, 32, SMOOTH, states=states) for c in (60, 64)]
-    windows.append(GroupWindow.build(tracks[:2], 62, 32, SMOOTH, states=states))
+    windows = [GroupWindow(c, 32, 10.0, states) for c in (60, 64)]
+    windows.append(GroupWindow(62, 32, 10.0, {tid: states[tid] for tid in ("m0", "m1")}))
     vectors, window, row = pair_vectors(windows, PidConfig(), stride=1, seed=4)
     keys = []
     for i, w in enumerate(windows):
@@ -289,56 +267,59 @@ def test_pair_vectors_describe_each_distinct_key_once():
     for (aid, tid, center), r in zip(keys, row):
         lone = PairBatch([(states[aid], states[tid], aid, tid, [center])], PidConfig(), 10.0, 4)
         assert np.array_equal(vectors[r], lone.vectors[0]), (aid, tid, center)
-    empty = pair_vectors([], PidConfig())
+    empty = pair_vectors([], PidConfig(), 5, 0)
     assert empty[0].shape == (0, PidConfig().descriptor_length) and not len(empty[2])
 
 
 def test_pair_predictions_map_votes_by_class_name():
     tracks = _walking_group(2)
-    w = GroupWindow.build(tracks, 69, 32, SMOOTH)
+    w = group_window(tracks, 69, 32, SMOOTH)
+    pairs = pair_vectors([w], PidConfig(), 5, 0)
     # one-tree models over two labels, listed out of enum order
     x = np.zeros((1, PidConfig().descriptor_length))
     model = train(x, [0], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "F"])
-    [hist] = pair_predictions([w], model, PidConfig())
-    assert len(pair_keys(w, PidConfig())[2]) == 14
+    [hist] = pool_votes(model, *pairs, 1)
+    assert len(pair_keys(w, PidConfig(), 5)[2]) == 14
     np.testing.assert_array_equal(hist, np.eye(6)[InteractionLabel.Approaching.class_id])
-    desc = compute_pid(tracks[0], tracks[1], 69, PidConfig(), SMOOTH)
+    desc = lone_pid(tracks[0], tracks[1], 69, PidConfig(), SMOOTH)
     assert classify_interaction(desc, model)[0] is InteractionLabel.Approaching
     unknown = train(x, [0], ForestConfig(n_trees=1, seed=0), class_names=["Ap", "Milling"])
     with pytest.raises(ModelShapeMismatch, match="'Milling' is no interaction label"):
-        pair_predictions([w], unknown, PidConfig())
+        pool_votes(unknown, *pairs, 1)
 
 
 def test_pairs_skip_uncovered_centers(tiny_stage1):
     # the second track is too short for most pair-descriptor placements
     a = straight_traj("a", 1.3, 0.0, 140)
     b = straight_traj("b", 1.3, 0.0, 70, origin=(0.0, 1.0), first_frame=20)
-    w = GroupWindow.build([a, b], 69, 32, SMOOTH)
-    [hist] = pair_predictions([w], tiny_stage1, PidConfig())
+    w = group_window([a, b], 69, 32, SMOOTH)
+    [hist] = pool_votes(tiny_stage1, *pair_vectors([w], PidConfig(), 5, 0), 1)
     # pid windows [c-31, c+32] must sit inside b's frames 20..89
     good = [c for c in range(54, 86, 5) if c - 31 >= 20 and c + 32 <= 89]
     assert good == [54]
-    anchor, target, centers = pair_keys(w, PidConfig())
+    anchor, target, centers = pair_keys(w, PidConfig(), 5)
     assert len(centers) == 2 * len(good)
     assert centers.tolist() == [54, 54] and anchor.tolist() == [0, 1]
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_member_group_has_zero_histogram(tiny_stage1):
-    w = GroupWindow.build(_walking_group(n_members=1), 69, 32, SMOOTH)
-    desc = compute_cbd(w, *pair_predictions([w], tiny_stage1, PidConfig()))
-    np.testing.assert_array_equal(desc.interaction_hist, np.zeros(6))
-    assert desc.mean_speed == pytest.approx(1.3, abs=0.05)
+    w = group_window(_walking_group(n_members=1), 69, 32, SMOOTH)
+    vec = lone_cbd(w, tiny_stage1, PidConfig(), 5, 0)
+    np.testing.assert_array_equal(vec[:6], np.zeros(6))
+    assert vec[6] == pytest.approx(1.3, abs=0.05)
 
 
 def test_compute_cbd_vector_layout(tiny_stage1):
-    w = GroupWindow.build(_walking_group(), 69, 32, SMOOTH)
-    full = compute_cbd(w, *pair_predictions([w], tiny_stage1, PidConfig()))
-    assert len(full) == 9
-    assert full.interaction_hist.sum() == pytest.approx(1.0, abs=1e-9)
-    vec = full.vector()
-    assert vec[6] == full.mean_speed and vec[7] == full.dispersion_change
-    assert vec[8] == full.shape_ratio
+    # the histogram, then group_cues: speed, dispersion change, and the
+    # shape ratio of the members present at the center frame
+    w = group_window(_walking_group(), 69, 32, SMOOTH)
+    vec = lone_cbd(w, tiny_stage1, PidConfig(), 5, 0)
+    assert len(vec) == 9
+    assert vec[:6].sum() == pytest.approx(1.0, abs=1e-9)
+    k = w.center_frame - w.span[0]
+    cues = (mean_speed(w), dispersion_change(w), shape_ratio(w.xy[w.present[:, k], k]))
+    assert group_cues(w) == cues and vec[6:].tolist() == list(cues)
 
 
 def test_cbd_rigid_motion_invariance(tiny_stage1):
@@ -347,45 +328,10 @@ def test_cbd_rigid_motion_invariance(tiny_stage1):
     # cue is finite and must survive the rotation too
     tracks = [straight_traj(f"m{i}", 1.3, 0.0, 140, origin=(0.3 * i * i, float(i)))
               for i in range(3)]
-    base_win = GroupWindow.build(tracks, 69, 32, SMOOTH)
-    base = compute_cbd(base_win, *pair_predictions([base_win], tiny_stage1, PidConfig(),
-                                                   seed=2)).vector()
+    base = lone_cbd(group_window(tracks, 69, 32, SMOOTH), tiny_stage1, PidConfig(), 5, 2)
     phi = float(rng.uniform(-math.pi, math.pi))
     rot = np.array([[math.cos(phi), -math.sin(phi)], [math.sin(phi), math.cos(phi)]])
     shift = rng.uniform(-30, 30, 2)
     moved_tracks = [make_traj(t.track_id, t.xy @ rot.T + shift) for t in tracks]
-    moved_win = GroupWindow.build(moved_tracks, 69, 32, SMOOTH)
-    moved = compute_cbd(moved_win, *pair_predictions([moved_win], tiny_stage1, PidConfig(),
-                                                     seed=2)).vector()
+    moved = lone_cbd(group_window(moved_tracks, 69, 32, SMOOTH), tiny_stage1, PidConfig(), 5, 2)
     np.testing.assert_allclose(moved, base, atol=1e-9)
-
-
-def test_classify_collective_maps_votes_by_class_name():
-    desc = CbdDescriptor(np.full(6, 1.0 / 6.0), 1.2, 0.0, 3.0, 32)
-    # stage two after dropping four labels, as cross_dataset trains it
-    x = desc.vector()[None, :]
-    subset = train(x, [1], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Queuing"])
-    label, probs = classify_collective(desc, subset)
-    assert label is CollectiveLabel.Queuing
-    assert probs[CollectiveLabel.Queuing.class_id] == 1.0 and probs.sum() == 1.0
-    unknown = train(x, [1], ForestConfig(n_trees=3, seed=0), class_names=["Talking", "Milling"])
-    with pytest.raises(ModelShapeMismatch, match="Milling"):
-        classify_collective(desc, unknown)
-
-
-def test_classify_collective(tiny_stage1):
-    rng = np.random.default_rng(50)
-    rows = [(np.abs(rng.normal(size=9)), int(rng.integers(0, 6))) for _ in range(60)]
-    x, y = np.array([v for v, _ in rows]), np.array([c for _, c in rows])
-    stage2 = train(x, y, ForestConfig(n_trees=7, seed=1),
-                   class_names=[l.code for l in CollectiveLabel])
-    w = GroupWindow.build(_walking_group(), 69, 32, SMOOTH)
-    desc = compute_cbd(w, *pair_predictions([w], tiny_stage1, PidConfig()))
-    label, probs = classify_collective(desc, stage2)
-    assert isinstance(label, CollectiveLabel)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-    # a stage two trained without the shape cue refuses the full vector
-    narrow = train(x[:, :8], y, ForestConfig(n_trees=7, seed=1),
-                   class_names=[l.code for l in CollectiveLabel])
-    with pytest.raises(ModelShapeMismatch):
-        classify_collective(desc, narrow)

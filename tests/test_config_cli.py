@@ -21,7 +21,7 @@ from proxrf.config import (
 )
 from proxrf.errors import InvalidConfig
 from proxrf.evaluate import PipelineConfig
-from proxrf.forest import deserialize
+from proxrf.forest import ForestConfig, deserialize, serialize, train
 from proxrf.pid import InteractionLabel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -595,17 +595,57 @@ def test_exit_code_fill_overflow(tmp_path, capsys):
         "ERROR InvalidFeature: track a: interpolated position overflows at frame 2"), err
 
 
-def test_exit_code_stage1_class_name_unknown(stage1_model, mixed_corpus, tmp_path, capsys):
+def test_exit_code_stage1_class_name_unknown(stage1_model, pair_corpus, mixed_corpus,
+                                             tmp_path, capsys):
     doc = json.loads(pathlib.Path(stage1_model).read_text())
     doc["class_names"][-1] = "Milling"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    rc = main(["extract", mixed_corpus, "--kind", "cbd", "--model", str(bad),
-               "--out", str(tmp_path / "x.csv")])
-    err = capsys.readouterr().err
-    assert rc == 3, err
-    assert err.startswith(
-        "ERROR ModelShapeMismatch: model class 'Milling' is no interaction label"), err
+    # every command that loads a stage-one model refuses it
+    for argv in (
+        ["extract", mixed_corpus, "--kind", "cbd", "--model", str(bad),
+         "--out", str(tmp_path / "x.csv")],
+        ["predict", pair_corpus, "--interactions-model", str(bad),
+         "--out", str(tmp_path / "p.csv")],
+        ["train", "collective", mixed_corpus, "--stage1", str(bad),
+         "--out", str(tmp_path / "c.json")] + SMALL,
+    ):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3, (argv, err)
+        assert err.startswith(
+            "ERROR ModelShapeMismatch: model class 'Milling' is no interaction label"), err
+    assert not any((tmp_path / name).exists() for name in ("x.csv", "p.csv", "c.json"))
+
+
+def _stage2_file(path, class_names, y):
+    """A 9-feature stage-two model over the given class names."""
+    x = np.linspace(0.0, 1.0, 9 * len(y)).reshape(len(y), 9)
+    model = train(x, y, ForestConfig(n_trees=3, seed=0), class_names=class_names)
+    path.write_bytes(serialize(model))
+    return str(path)
+
+
+def test_predict_maps_collective_votes_by_class_name(mixed_corpus, stage1_model, tmp_path,
+                                                     capsys):
+    # stage two after dropping four labels, as cross_dataset trains it
+    subset = _stage2_file(tmp_path / "subset.json", ["Talking", "Queuing"], [1])
+    out = tmp_path / "p.csv"
+    assert main(["predict", mixed_corpus, "--interactions-model", stage1_model,
+                 "--collective-model", subset, "--out", str(out)]) == 0
+    groups = [l.split(",")[4:] for l in out.read_text().splitlines() if ",group," in l]
+    assert len(groups) == 60 and all(g == ["Queuing", "0.0", "1.0"] for g in groups)
+    # a class name that is no collective label, or every name an interaction code
+    for names, first_bad in ((["Talking", "Milling"], "Milling"),
+                             ([l.code for l in InteractionLabel], "BF")):
+        bad = _stage2_file(tmp_path / "bad.json", names, np.arange(len(names)))
+        rc = main(["predict", mixed_corpus, "--interactions-model", stage1_model,
+                   "--collective-model", bad, "--out", str(tmp_path / "u.csv")])
+        err = capsys.readouterr().err
+        assert rc == 3, err
+        assert err.startswith(
+            f"ERROR ModelShapeMismatch: model class {first_bad!r} is no collective label"), err
+    assert not (tmp_path / "u.csv").exists()
 
 
 @pytest.mark.parametrize("suffix", [".trj", ".pia"])

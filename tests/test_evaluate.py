@@ -10,13 +10,7 @@ import pytest
 
 from proxrf import cbd as cbd_module
 from proxrf import pid as pid_module
-from proxrf.cbd import (
-    CollectiveLabel,
-    GroupWindow,
-    compute_cbd,
-    dispersion,
-    pair_predictions,
-)
+from proxrf.cbd import CollectiveLabel, GroupWindow, dispersion
 from proxrf.dataset import (
     CollectiveAnnotation,
     FoldSplit,
@@ -48,7 +42,7 @@ from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
 from proxrf.trajectory import Trajectory, smoothed_states
 
 from conftest import make_traj, straight_traj
-from per_sample import derivative
+from per_sample import derivative, lone_cbd
 
 C = CollectiveLabel
 
@@ -344,8 +338,9 @@ _VOTE_CFG = PipelineConfig(stride=8, seed=5)
 def _lone_windows(rec, cfg):
     """Every kept group window of a recording, built on its own."""
     for center, ids, _ in windows(rec, cfg.t2, cfg.step, "group", cfg.max_gap):
-        yield GroupWindow.build([rec.track(i) for i in ids], center, cfg.t2, cfg.smoothing,
-                                max_gap=cfg.max_gap)
+        states = {i: smoothed_states(rec.track(i), cfg.smoothing, max_gap=cfg.max_gap)
+                  for i in ids}
+        yield GroupWindow(center, cfg.t2, rec.fps, states)
 
 
 def _distinct_keys(rec, cfg):
@@ -533,11 +528,10 @@ def test_group_matrix_matches_lone_windows(dropped_corpus, tiny_stage1):
     ref, uneven = [], 0
     for rec in sorted(dropped_corpus, key=lambda r: r.sequence_id):
         for w in _lone_windows(rec, _VOTE_CFG):
-            desc = compute_cbd(w, *pair_predictions([w], tiny_stage1, _VOTE_CFG.pid,
-                                                    _VOTE_CFG.stride, _VOTE_CFG.seed))
-            assert desc.mean_speed == _ref_mean_speed(w)
-            assert desc.dispersion_change == _ref_dispersion_change(w)
-            ref.append(desc.vector())
+            vec = lone_cbd(w, tiny_stage1, _VOTE_CFG.pid, _VOTE_CFG.stride, _VOTE_CFG.seed)
+            assert vec[6] == _ref_mean_speed(w)
+            assert vec[7] == _ref_dispersion_change(w)
+            ref.append(vec)
             uneven += len({len(present) for present in _frame_states(w).values()}) > 1
     assert len(rows) == len(ref) and uneven > 0
     np.testing.assert_array_equal(x, np.array(ref))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxrf import pid as pid_module
-from proxrf.errors import FrameMismatch, MissingFrames, ModelShapeMismatch
+from proxrf.errors import MissingFrames, ModelShapeMismatch
 from proxrf.forest import ForestConfig, train
 from proxrf.keyed import HEADING
 from proxrf.pid import (
@@ -18,7 +18,6 @@ from proxrf.pid import (
     PairBatch,
     PidConfig,
     PolarGrid,
-    compute_pid,
     describe_pairs,
     heading_draws,
 )
@@ -44,6 +43,7 @@ from per_sample import (
     classify_interaction,
     derivative,
     kde_kernel,
+    lone_pid,
     reference_key_hash,
     relative_polar,
     sample_grid,
@@ -307,7 +307,7 @@ def test_pyramid_length_checked():
         speed_pyramid(np.zeros(63), PidConfig(t1=64))
 
 
-# -------------------------------------------------------------- compute_pid
+# ------------------------------------------------------------ lone windows
 
 SMOOTH = SmoothingConfig()
 
@@ -317,11 +317,11 @@ def test_standing_pair_descriptor():
     n = 80
     a = make_traj("a", np.tile([0.0, 0.0], (n, 1)))
     b = make_traj("b", np.tile([1.0, 0.0], (n, 1)))
-    d = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
-    band_mass = d.histogram.reshape(4, 4).sum(axis=1)
+    d = lone_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
+    band_mass = d[:16].reshape(4, 4).sum(axis=1)
     assert band_mass[1] == max(band_mass)
     assert band_mass[1] > 0.5
-    np.testing.assert_allclose(d.speed_pyramid, 0.0, atol=1e-9)
+    np.testing.assert_allclose(d[16:], 0.0, atol=1e-9)
     assert len(d) == 19
 
 
@@ -330,18 +330,18 @@ def test_head_on_approach_pyramid():
     anchor = make_traj("a", np.tile([0.0, 0.0], (n, 1)))
     xs = 12.0 - np.arange(n) / 10.0  # 1 m/s toward the anchor
     target = make_traj("b", np.column_stack([xs, np.zeros(n)]))
-    d = compute_pid(anchor, target, 55, PidConfig(), SMOOTH, seed=0)
-    np.testing.assert_allclose(d.speed_pyramid, -1.0, atol=0.05)
+    d = lone_pid(anchor, target, 55, PidConfig(), SMOOTH, seed=0)
+    np.testing.assert_allclose(d[16:], -1.0, atol=0.05)
 
 
 def test_self_pair_lands_in_intimate_band():
     traj = straight_traj("a", 1.2, 0.3, 80)
     cfg = PidConfig(assignment="hard")
-    d = compute_pid(traj, traj, 39, cfg, SMOOTH)
-    assert d.histogram[:4].sum() == pytest.approx(1.0, abs=1e-12)
+    d = lone_pid(traj, traj, 39, cfg, SMOOTH)
+    assert d[:4].sum() == pytest.approx(1.0, abs=1e-12)
     # KDE smoothing leaks into the personal band but intimate still leads
-    d2 = compute_pid(traj, traj, 39, PidConfig(), SMOOTH)
-    band_mass = d2.histogram.reshape(4, 4).sum(axis=1)
+    d2 = lone_pid(traj, traj, 39, PidConfig(), SMOOTH)
+    band_mass = d2[:16].reshape(4, 4).sum(axis=1)
     assert band_mass[0] == max(band_mass) and band_mass[0] > 0.7
 
 
@@ -350,14 +350,14 @@ def test_follow_swap_exchanges_front_and_back_mass():
     xs = np.arange(n) * 0.12  # 1.2 m/s at 10 fps
     lead = make_traj("lead", np.column_stack([xs + 1.5, np.zeros(n)]))
     tail = make_traj("tail", np.column_stack([xs, np.zeros(n)]))
-    fwd = compute_pid(tail, lead, 44, PidConfig(), SMOOTH)  # target ahead
-    bwd = compute_pid(lead, tail, 44, PidConfig(), SMOOTH)  # target behind
-    front = fwd.histogram.reshape(4, 4)[:, 0]
-    back = bwd.histogram.reshape(4, 4)[:, 2]
+    fwd = lone_pid(tail, lead, 44, PidConfig(), SMOOTH)  # target ahead
+    bwd = lone_pid(lead, tail, 44, PidConfig(), SMOOTH)  # target behind
+    front = fwd[:16].reshape(4, 4)[:, 0]
+    back = bwd[:16].reshape(4, 4)[:, 2]
     np.testing.assert_allclose(front, back, atol=1e-6)
     # angular smoothing leaks ~0.21 of the mass into the side sectors
     assert front.sum() > 0.75
-    np.testing.assert_allclose(fwd.speed_pyramid, bwd.speed_pyramid, atol=1e-9)
+    np.testing.assert_allclose(fwd[16:], bwd[16:], atol=1e-9)
 
 
 def _random_walk(rng, track_id, n, fps=10.0):
@@ -374,14 +374,14 @@ def test_pid_rigid_motion_invariance():
     for trial in range(8):
         a = _random_walk(rng, "a", 40)
         b = _random_walk(rng, "b", 40)
-        base = compute_pid(a, b, 19, cfg, SMOOTH, seed=3).vector()
+        base = lone_pid(a, b, 19, cfg, SMOOTH, seed=3)
         phi = float(rng.uniform(-math.pi, math.pi))
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
         shift = rng.uniform(-40.0, 40.0, 2)
         a2 = make_traj("a", a.xy @ rot.T + shift)
         b2 = make_traj("b", b.xy @ rot.T + shift)
-        moved = compute_pid(a2, b2, 19, cfg, SMOOTH, seed=3).vector()
+        moved = lone_pid(a2, b2, 19, cfg, SMOOTH, seed=3)
         np.testing.assert_allclose(moved, base, atol=1e-9)
 
 
@@ -389,26 +389,24 @@ def test_standing_anchor_angle_depends_on_seed_only():
     n = 80
     a = make_traj("a", np.tile([0.0, 0.0], (n, 1)))
     b = make_traj("b", np.tile([0.0, 2.0], (n, 1)))
-    d1 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
-    d2 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
-    d3 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=6)
+    d1 = lone_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
+    d2 = lone_pid(a, b, 39, PidConfig(), SMOOTH, seed=5)
+    d3 = lone_pid(a, b, 39, PidConfig(), SMOOTH, seed=6)
     # every bit of the seed counts, not only its low 32
-    d4 = compute_pid(a, b, 39, PidConfig(), SMOOTH, seed=5 + 2**32)
-    np.testing.assert_array_equal(d1.vector(), d2.vector())
-    assert np.any(d1.histogram != d3.histogram)
-    assert np.any(d1.histogram != d4.histogram)
+    d4 = lone_pid(a, b, 39, PidConfig(), SMOOTH, seed=5 + 2**32)
+    np.testing.assert_array_equal(d1, d2)
+    assert np.any(d1[:16] != d3[:16])
+    assert np.any(d1[:16] != d4[:16])
     # the random draw only affects angles, distances are untouched
-    np.testing.assert_array_equal(d1.speed_pyramid, d3.speed_pyramid)
+    np.testing.assert_array_equal(d1[16:], d3[16:])
 
 
 def test_compute_pid_error_paths():
+    # a window that reaches before the tracks start
     a = straight_traj("a", 1.0, 0.0, 40)
     b = straight_traj("b", 1.0, 0.0, 40)
-    with pytest.raises(MissingFrames):
-        compute_pid(a, b, 5, PidConfig(t1=32), SMOOTH)
-    c = straight_traj("c", 1.0, 0.0, 40, fps=25.0)
-    with pytest.raises(FrameMismatch):
-        compute_pid(a, c, 19, PidConfig(t1=32), SMOOTH)
+    with pytest.raises(MissingFrames, match="track a: no state at frame -10"):
+        lone_pid(a, b, 5, PidConfig(t1=32), SMOOTH)
 
 
 def _heading_rng(seed, anchor_id, target_id, frame):
@@ -620,8 +618,8 @@ def test_pair_vectors_match_per_window_descriptors():
                 assert np.array_equal(vec, want), (rec.sequence_id, aid, tid, center, cfg)
             for k in range(0, len(keys), 23):
                 aid, tid, center = keys[k]
-                want = compute_pid(tracks[aid], tracks[tid], center, cfg, SMOOTH, seed)
-                assert np.array_equal(got[k], want.vector())
+                want = lone_pid(tracks[aid], tracks[tid], center, cfg, SMOOTH, seed)
+                assert np.array_equal(got[k], want)
             checked += len(keys)
     assert checked > 5000
 
@@ -771,14 +769,14 @@ def test_chunked_batches_describe_like_one_batch(monkeypatch):
 def _descriptor(rng, cfg=CFG):
     a = _random_walk(rng, "a", cfg.t1 + 12)
     b = _random_walk(rng, "b", cfg.t1 + 12)
-    return compute_pid(a, b, cfg.t1 // 2 + 4, cfg, SMOOTH)
+    return lone_pid(a, b, cfg.t1 // 2 + 4, cfg, SMOOTH)
 
 
 def test_single_stump_always_votes_its_class():
     rng = np.random.default_rng(3)
     cfg = PidConfig(t1=32)
     wt = InteractionLabel.WalkingTogether
-    x = _descriptor(rng, cfg).vector()[None, :]
+    x = _descriptor(rng, cfg)[None, :]
     model = train(x, [wt.class_id], ForestConfig(n_trees=1, seed=0),
                   class_names=[l.code for l in InteractionLabel])
     for trial in range(5):
@@ -792,7 +790,7 @@ def test_classify_maps_votes_by_class_name():
     rng = np.random.default_rng(6)
     desc = _descriptor(rng)
     # a model over two labels only, listed out of enum order
-    model = train(desc.vector()[None, :], [0], ForestConfig(n_trees=1, seed=0),
+    model = train(desc[None, :], [0], ForestConfig(n_trees=1, seed=0),
                   class_names=["Ap", "F"])
     label, probs = classify_interaction(desc, model)
     assert label is InteractionLabel.Approaching

@@ -11,7 +11,6 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
 from proxrf.errors import (
-    FrameMismatch,
     InsufficientData,
     InvalidFeature,
     MissingFrames,
@@ -30,6 +29,7 @@ from proxrf.trajectory import (
 
 from conftest import make_traj, straight_traj
 from per_sample import (
+    FrameMismatch,
     KinematicState,
     PolarPoint,
     derivative,

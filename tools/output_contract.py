@@ -21,7 +21,8 @@ collective evaluation, both with a pair descriptor at every frame of
 each group window.  Another copy loses track samples (see
 ``punch_gaps``), which gives tracks with gaps and groups with uneven
 member spans; a collective model, pid and cbd extracts, predictions and
-a collective evaluation run on it too.  The gapped corpus is then
+a collective evaluation run on it too, and pid and cbd extracts with a
+max_gap that fills its 8-frame holes.  The gapped corpus is then
 rewritten as an ``ncad-like`` external tree (see ``to_ncad``: shuffled
 image-coordinate rows and a perspective homography), which ``adapt``
 turns back into a canonical corpus that gets a pid extract, so the
@@ -118,6 +119,11 @@ GAPPED_COMMANDS = (
      "--collective-model", "models/gapped.json", "--out", "predict/gapped.csv"] + SEED,
     ["eval", "gapped", "--task", "collective", "--folds", "3",
      "--out-dir", "eval/gapped"] + SEED,
+    # a max_gap above the 8-frame holes: they are filled, not split
+    ["extract", "gapped", "--kind", "pid", "--max-gap", "10",
+     "--out", "extract/gapped-pid-gap10.csv"] + SEED,
+    ["extract", "gapped", "--kind", "cbd", "--model", "models/gapped.stage1.json",
+     "--max-gap", "10", "--out", "extract/gapped-cbd-gap10.csv"] + SEED,
 )
 # run once add_pairs has derived "mixed" from "long": at stride 1 the
 # group windows' pair centers include every pair window's center
