@@ -13,7 +13,6 @@ and a command-line front end.
 from .cbd import (
     CollectiveLabel,
     GroupWindow,
-    dispersion,
     dispersion_change,
     interaction_histogram,
     mean_speed,

@@ -110,23 +110,15 @@ def mean_speed(window: GroupWindow) -> float:
     return sum(per_frame.tolist()) / window.t2
 
 
-def dispersion(positions: Sequence) -> float:
-    """RMS distance of the points from their centroid."""
-    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
-    if len(pts) == 0:
-        raise EmptyGroup("dispersion of an empty point set")
-    centered = pts - pts.mean(axis=0)
-    return float(np.sqrt((centered**2).sum(axis=1).mean()))
-
-
 def _spread(window: GroupWindow) -> np.ndarray:
-    """Per-frame dispersion() of the present members.
+    """Per-frame RMS distance of the present members from their centroid.
 
-    One masked pass sums every frame's members in member order, absent
-    members adding exact zeros, which is dispersion()'s order while a
-    frame has fewer than 8 members.  numpy sums 8 or more values
-    pairwise, so frames with that many go again through one (frames,
-    members, 2) array per member count.
+    Each frame's sums run over its members in member order, absent
+    members adding exact zeros.  Frames with 8 or more present members
+    are summed again over those members alone, with numpy's pairwise
+    sum, through one (frames, members, 2) array per member count.  Either
+    way a frame's value is the mean over its present members' points
+    alone, in the order numpy's mean over those points takes.
     """
     present = window.present
     counts = present.sum(axis=0)

@@ -134,7 +134,11 @@ def _coerce(key: str, kind: str, value):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InvalidConfig(f"key {key!r} must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidConfig(f"key {key!r} must be a number, got an integer too large "
+                                "for a float") from None
     if kind == "bool":
         if not isinstance(value, bool):
             raise InvalidConfig(f"key {key!r} must be true or false, got {value!r}")

@@ -574,25 +574,6 @@ def adapt_external(root: str, layout: str, foot_point: str = "bottom-center") ->
     return recordings
 
 
-def _union_coverage(intervals: list, start: int, end: int) -> int:
-    """Frames of [start, end] covered by the union of inclusive ranges."""
-    clipped = sorted(
-        (max(s, start), min(e, end)) for s, e in intervals if s <= end and e >= start
-    )
-    covered = 0
-    cur_s, cur_e = None, None
-    for s, e in clipped:
-        if cur_e is None or s > cur_e + 1:
-            if cur_e is not None:
-                covered += cur_e - cur_s + 1
-            cur_s, cur_e = s, e
-        else:
-            cur_e = max(cur_e, e)
-    if cur_e is not None:
-        covered += cur_e - cur_s + 1
-    return covered
-
-
 def windows(
     rec: SceneRecording,
     window_len: int,
@@ -632,9 +613,10 @@ def windows(
     def label_at(center: int, anns: Sequence):
         """The label at an annotated center; None if it covers too little."""
         label = next(a.label for a in anns if a.start <= center <= a.end)
-        same = [(a.start, a.end) for a in anns if a.label is label]
-        covered = _union_coverage(same, center - half_back, center + half_fwd)
-        return label if covered >= need else None
+        start, end = center - half_back, center + half_fwd
+        covered = set().union(*(range(max(a.start, start), min(a.end, end) + 1)
+                                for a in anns if a.label is label))
+        return label if len(covered) >= need else None
 
     found = []
     if mode == "pairs":

@@ -1,14 +1,13 @@
 """Random forest over fixed-length real descriptors, written from scratch.
 
 Bootstrap bagging, per-node random feature subsets, axis-aligned Gini
-splits with midpoint thresholds, majority voting, impurity-based feature
-importance, and a versioned JSON model format.  Everything is
-deterministic for a fixed seed: every draw is keyed (see keyed) by the
-seed, the tree index and, for a node's features, the node's id in its
-tree, and ties break toward the lowest class id, the lowest feature
-index and the lowest threshold.  All trees of a forest grow
-together, one node of each tree per step, and every step's nodes are
-scored in one batched split search.
+splits with midpoint thresholds, majority voting and a versioned JSON
+model format.  Everything is deterministic for a fixed seed: every draw
+is keyed (see keyed) by the seed, the tree index and, for a node's
+features, the node's id in its tree, and ties break toward the lowest
+class id, the lowest feature index and the lowest threshold.  All trees
+of a forest grow together, one node of each tree per step, and every
+step's nodes are scored in one batched split search.
 """
 
 from __future__ import annotations
@@ -143,35 +142,6 @@ class RandomForest:
     def predict_batch(self, x_mat: np.ndarray) -> np.ndarray:
         """Majority-vote class ids; ties go to the lowest class id."""
         return np.argmax(self.vote_fractions(x_mat), axis=1)
-
-    def predict(self, features) -> tuple:
-        """(class id, per-class vote fractions) for one vector."""
-        frac = self.vote_fractions(np.asarray(features, dtype=float)[None, :])[0]
-        return int(np.argmax(frac)), frac
-
-    def feature_importance(self) -> np.ndarray:
-        """Mean impurity decrease per feature, normalized to sum 1.
-
-        Each split's decrease is weighted by its node's share of its
-        tree's bootstrap sample.  A forest with no internal node anywhere
-        (all-constant features) reports a uniform vector.
-        """
-        inner = np.flatnonzero(self.feature >= 0)
-        counts = self.counts.astype(float)
-        for i in inner[::-1]:  # children come after their parent
-            counts[i] = counts[self.left[i]] + counts[self.left[i] + 1]
-        n = counts.sum(axis=1)
-        gini = 1.0 - (counts**2).sum(axis=1) / np.maximum(n, 1.0) ** 2
-        mass = n * gini
-        drop = mass[inner] - mass[self.left[inner]] - mass[self.left[inner] + 1]
-        tree_size = n[self.trees][np.searchsorted(self.trees, inner, side="right") - 1]
-        imp = np.bincount(
-            self.feature[inner], weights=drop / tree_size, minlength=self.feature_count
-        )
-        total = imp.sum()
-        if total <= 0.0:
-            return np.full(self.feature_count, 1.0 / self.feature_count)
-        return imp / total
 
 
 def rank_table(x_mat: np.ndarray) -> np.ndarray:

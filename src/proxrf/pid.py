@@ -57,7 +57,8 @@ class PolarGrid:
     The default distance boundaries are Hall's proxemic zones (intimate,
     personal, social, public); the outermost band is unbounded.  Sectors
     are centered on the anchor's front/left/back/right, so sector 0 spans
-    [-pi/4, pi/4) around the facing direction.
+    [-pi/4, pi/4) around the facing direction.  Cells are numbered
+    band-major: cell = band * angular_sector_count + sector.
     """
 
     distance_boundaries: tuple = (0.5, 1.25, 3.5)
@@ -87,10 +88,6 @@ class PolarGrid:
         m = self.angular_sector_count
         width = 2.0 * math.pi / m
         return np.floor((np.asarray(theta) + 0.5 * width) / width).astype(np.int64) % m
-
-    def cell_of(self, rho, theta):
-        """Flat cell index, band-major: cell = band * m + sector."""
-        return self.band_of(rho) * self.angular_sector_count + self.sector_of(theta)
 
 
 @dataclass(frozen=True)

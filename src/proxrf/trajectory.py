@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidFeature, MissingFrames
+from .errors import InsufficientData, InvalidFeature
 
 DEFAULT_MAX_GAP = 5
 
@@ -188,44 +188,6 @@ class Trajectory:
         interpolating interior gaps of at most ``max_gap`` frames."""
         return any(first <= start and end <= last for first, last in self.pieces(max_gap))
 
-    def positions(self, start: int, end: int, max_gap: int = DEFAULT_MAX_GAP) -> np.ndarray:
-        """Per-frame positions over [start, end] inclusive, shape (n, 2).
-
-        Interior gaps up to ``max_gap`` missing frames are filled by linear
-        interpolation; anything worse raises MissingFrames.
-        """
-        if len(self) == 0 or start < self.first_frame or end > self.last_frame:
-            raise MissingFrames(
-                f"track {self.track_id}: frames {start}..{end} outside "
-                f"{self.first_frame}..{self.last_frame}"
-            )
-        pieces = self.pieces(max_gap)
-        for (_, g0), (g1, _) in zip(pieces, pieces[1:]):
-            if g0 < end and g1 > start:
-                raise MissingFrames(
-                    f"track {self.track_id}: gap {g0}..{g1} exceeds {max_gap} frames"
-                )
-        want = np.arange(start, end + 1)
-        x = np.interp(want, self._frames, self._xy[:, 0])
-        y = np.interp(want, self._frames, self._xy[:, 1])
-        return np.column_stack([x, y])
-
-    def filled(self, max_gap: int = DEFAULT_MAX_GAP) -> "Trajectory":
-        """Track with every interior gap of at most ``max_gap`` interpolated
-        (the track itself when it has no gap).  A gap between positions so
-        large that the interpolation overflows raises InvalidFeature
-        naming the track and the first such frame."""
-        if self.last_frame - self.first_frame + 1 == len(self):
-            return self
-        pos = self.positions(self.first_frame, self.last_frame, max_gap=max_gap)
-        frames = np.arange(self.first_frame, self.last_frame + 1)
-        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
-        if len(bad):  # finite input, overflowing arithmetic
-            raise InvalidFeature(
-                f"track {self.track_id}: interpolated position overflows at frame {frames[bad[0]]}"
-            )
-        return Trajectory.from_arrays(self.track_id, frames, pos, self.fps)
-
 
 def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
     """Double-exponential smoothing of the positions, frames unchanged.
@@ -300,16 +262,29 @@ def smoothed_states(
 
     Gaps of at most ``max_gap`` frames are interpolated before smoothing;
     larger gaps split the track into independent spans (each smoothed from
-    its own start).  Spans of a single frame yield no state.
+    its own start).  Spans of a single frame yield no state.  A gap
+    between positions so large that the linear interpolation overflows
+    raises InvalidFeature naming the track and the first such frame.
     """
     cuts = (np.flatnonzero(np.diff(traj._frames) > max_gap + 1) + 1).tolist()
     parts = [TrackStates(np.empty(0, np.int64), np.empty((0, 2)), np.empty((0, 2)),
                          np.empty(0), np.empty(0))]
     for lo, hi in zip([0] + cuts, cuts + [len(traj)]):
-        if hi - lo >= 2:
-            seg = traj if hi - lo == len(traj) else Trajectory.from_arrays(
-                traj.track_id, traj._frames[lo:hi], traj._xy[lo:hi], traj.fps)
-            parts.append(kinematics(smooth(seg.filled(max_gap=max_gap), cfg), cfg))
+        if hi - lo < 2:
+            continue
+        frames, xy = traj._frames[lo:hi], traj._xy[lo:hi]
+        first, last = int(frames[0]), int(frames[-1])
+        if last - first + 1 > hi - lo:  # interpolate the span's interior gaps
+            filled = np.arange(first, last + 1)
+            xy = np.column_stack([np.interp(filled, frames, xy[:, 0]),
+                                  np.interp(filled, frames, xy[:, 1])])
+            bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
+            if len(bad):  # finite input, overflowing arithmetic
+                raise InvalidFeature(f"track {traj.track_id}: interpolated position "
+                                     f"overflows at frame {filled[bad[0]]}")
+            frames = filled
+        seg = Trajectory.from_arrays(traj.track_id, frames, xy, traj.fps)
+        parts.append(kinematics(smooth(seg, cfg), cfg))
     return TrackStates(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(TrackStates)))
 

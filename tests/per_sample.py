@@ -4,24 +4,27 @@ descriptor layers.
 The library works on whole arrays; these frame-by-frame forms are kept
 as test oracles.  ``KinematicState``, ``relative_polar``,
 ``relative_distance_series`` and ``derivative`` describe one pair-frame
-or one series at a time; ``reference_states`` is ``smoothed_states``
-built from one TimedPosition per sample: span split, gap filling and
-Brown's smoothing sample by sample, then ``kinematics``.  For the pair
-descriptor, ``kde_kernel`` and ``sample_grid`` spell out the kernel and
-its sampling grid around one polar point, ``accumulate_histogram`` and
-``speed_pyramid`` describe one window from its per-frame ``PolarPoint``
-samples (raising ``WrongWindowLength`` on a window of another length),
-and ``classify_interaction`` votes on one descriptor vector.  For lone
-windows, ``lone_pid`` describes one pair window and ``lone_cbd`` one
-group window (built by ``group_window``) through the library's batch
-functions, each called on that window alone.  For the keyed
-draws, ``reference_key_hash`` hashes one key with Python integers.  For
-the forest, ``reference_best_split`` scores one node with float class
-counts, ``reference_rank_split`` scores one node over value ranks with
-exact integer sums, and ``reference_grow_tree`` grows one tree node by
-node with either of them, drawing one bootstrap index and one node's
-features at a time; ``reference_forest`` assembles its trees into the
-forest ``train`` grows.
+or one series at a time; ``positions`` interpolates a track over a
+frame range.  ``reference_states`` is ``smoothed_states`` built from one
+TimedPosition per sample: span split, gap filling, Brown's smoothing and
+the velocity, speed and heading, each sample by sample.  For the pair
+descriptor, ``cell_of`` numbers the polar grid's cells, ``kde_kernel``
+and ``sample_grid`` spell out the kernel and its sampling grid around
+one polar point, ``accumulate_histogram`` and ``speed_pyramid``
+describe one window from its per-frame ``PolarPoint`` samples (raising
+``WrongWindowLength`` on a window of another length), and
+``classify_interaction`` votes on one descriptor vector.  For the group
+cues, ``dispersion`` is the RMS distance of one frame's points from
+their centroid.  For lone windows, ``lone_pid`` describes one pair
+window and ``lone_cbd`` one group window (built by ``group_window``)
+through the library's batch functions, each called on that window
+alone.  For the keyed draws, ``reference_key_hash`` hashes one key with
+Python integers.  For the forest, ``reference_best_split`` scores one
+node with float class counts, ``reference_rank_split`` scores one node
+over value ranks with exact integer sums, and ``reference_grow_tree``
+grows one tree node by node with either of them, drawing one bootstrap
+index and one node's features at a time; ``reference_forest`` assembles
+its trees into the forest ``train`` grows.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ import numpy as np
 
 from proxrf.cbd import GroupWindow, group_cues, pair_vectors, pool_votes
 from proxrf.errors import (
+    EmptyGroup,
     InsufficientData,
     InvalidFeature,
+    MissingFrames,
     ModelShapeMismatch,
     ShapeMismatch,
 )
@@ -56,7 +61,6 @@ from proxrf.trajectory import (
     TrackStates,
     Trajectory,
     finite_difference,
-    kinematics,
     smoothed_states,
     wrap_angle,
 )
@@ -128,8 +132,8 @@ def relative_distance_series(
 ) -> list:
     """Per-frame Euclidean distance between two tracks over [start, end]."""
     start, end = window
-    pa = anchor.positions(start, end, max_gap=max_gap)
-    pb = target.positions(start, end, max_gap=max_gap)
+    pa = positions(anchor, start, end, max_gap)
+    pb = positions(target, start, end, max_gap)
     d = np.hypot(pb[:, 0] - pa[:, 0], pb[:, 1] - pa[:, 1])
     return [(int(f), float(v)) for f, v in zip(range(start, end + 1), d)]
 
@@ -149,10 +153,30 @@ def derivative(series: Sequence, fps: float) -> list:
     return [(int(f), float(v)) for f, v in zip(frames, dv)]
 
 
+def positions(traj: Trajectory, start: int, end: int,
+              max_gap: int = DEFAULT_MAX_GAP) -> np.ndarray:
+    """Per-frame positions of a track over [start, end] inclusive, shape
+    (n, 2).  Interior gaps up to ``max_gap`` missing frames are filled
+    by linear interpolation; anything worse raises MissingFrames."""
+    if len(traj) == 0 or start < traj.first_frame or end > traj.last_frame:
+        raise MissingFrames(
+            f"track {traj.track_id}: frames {start}..{end} outside "
+            f"{traj.first_frame}..{traj.last_frame}"
+        )
+    pieces = traj.pieces(max_gap)
+    for (_, g0), (g1, _) in zip(pieces, pieces[1:]):
+        if g0 < end and g1 > start:
+            raise MissingFrames(f"track {traj.track_id}: gap {g0}..{g1} exceeds {max_gap} frames")
+    want = np.arange(start, end + 1)
+    frames, xy = traj.frames, traj.xy
+    return np.column_stack([np.interp(want, frames, xy[:, 0]), np.interp(want, frames, xy[:, 1])])
+
+
 def reference_filled(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP) -> Trajectory:
-    """Trajectory.filled, one TimedPosition per frame; an overflow is
-    caught as TimedPosition refuses the non-finite result."""
-    pos = traj.positions(traj.first_frame, traj.last_frame, max_gap=max_gap)
+    """A span with its interior gaps interpolated, one TimedPosition per
+    frame; an overflow is caught as TimedPosition refuses the non-finite
+    result."""
+    pos = positions(traj, traj.first_frame, traj.last_frame, max_gap)
     out = []
     for f, p in zip(range(traj.first_frame, traj.last_frame + 1), pos):
         try:
@@ -189,10 +213,36 @@ def reference_smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
     return Trajectory(traj.track_id, out, traj.fps)
 
 
+def reference_kinematics(traj: Trajectory, cfg: SmoothingConfig) -> TrackStates:
+    """kinematics, sample by sample: each velocity from the samples on
+    either side (one-sided at the ends), in kinematics' operation order,
+    the speed by np.hypot and the heading by math.atan2, nan below t_s."""
+    samples = traj.samples
+    last = len(samples) - 1
+    velocity, speed, orientation = [], [], []
+    for i, s in enumerate(samples):
+        a, b = samples[max(i - 1, 0)], samples[min(i + 1, last)]
+        dt = float(b.frame) - float(a.frame)
+        vx = (b.x - a.x) / dt * traj.fps
+        vy = (b.y - a.y) / dt * traj.fps
+        with np.errstate(over="ignore"):
+            sp = float(np.hypot(vx, vy))
+        if not math.isfinite(sp):
+            raise InvalidFeature(f"track {traj.track_id}: velocity overflows at frame {s.frame}")
+        velocity.append((vx, vy))
+        speed.append(sp)
+        orientation.append(math.nan if sp < cfg.t_s else math.atan2(vy, vx))
+    return TrackStates(np.array([s.frame for s in samples], dtype=np.int64),
+                       np.array([(s.x, s.y) for s in samples], dtype=float),
+                       np.array(velocity, dtype=float), np.array(speed, dtype=float),
+                       np.array(orientation, dtype=float))
+
+
 def reference_states(
     traj: Trajectory, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
 ) -> TrackStates:
-    """smoothed_states over per-sample spans, fills and smoothing."""
+    """smoothed_states over per-sample spans, fills, smoothing and
+    kinematics."""
     samples = traj.samples
     frames = [s.frame for s in samples]
     cuts = [i for i in range(1, len(frames)) if frames[i] - frames[i - 1] > max_gap + 1]
@@ -201,7 +251,7 @@ def reference_states(
     for lo, hi in zip([0] + cuts, cuts + [len(samples)]):
         if hi - lo >= 2:
             seg = reference_filled(Trajectory(traj.track_id, samples[lo:hi], traj.fps), max_gap)
-            parts.append(kinematics(reference_smooth(seg, cfg), cfg))
+            parts.append(reference_kinematics(reference_smooth(seg, cfg), cfg))
     return TrackStates(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(TrackStates)))
 
@@ -216,6 +266,11 @@ def _grid_offsets(cfg: PidConfig) -> tuple:
     n = cfg.grid_samples_per_axis
     unit = np.linspace(-1.0, 1.0, n) if n > 1 else np.zeros(1)
     return unit * (cfg.k_s * cfg.sigma_rho), unit * (cfg.k_s * cfg.sigma_theta)
+
+
+def cell_of(grid: PolarGrid, rho, theta):
+    """Flat cell index of polar points, band-major: band * sectors + sector."""
+    return grid.band_of(rho) * grid.angular_sector_count + grid.sector_of(theta)
 
 
 def kde_kernel(sample: PolarPoint, center: PolarPoint, cfg: PidConfig) -> float:
@@ -266,7 +321,7 @@ def accumulate_histogram(
     theta = np.array([s.theta for s in pair_samples], dtype=float)
     t = len(rho)
     if cfg.assignment == "hard":
-        return np.bincount(grid.cell_of(rho, theta), minlength=grid.cell_count) / t
+        return np.bincount(cell_of(grid, rho, theta), minlength=grid.cell_count) / t
     r_off, t_off = _grid_offsets(cfg)
     dr, dt = _denominators(cfg)
     w_r = np.exp(-(r_off**2) / dr)
@@ -300,6 +355,15 @@ def classify_interaction(vector: np.ndarray, model) -> tuple:
     for label, share in zip(interaction_labels(model), votes):
         probs[label.class_id] = share
     return tuple(InteractionLabel)[int(np.argmax(probs))], probs
+
+
+def dispersion(points: Sequence) -> float:
+    """RMS distance of the points from their centroid."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if len(pts) == 0:
+        raise EmptyGroup("dispersion of an empty point set")
+    centered = pts - pts.mean(axis=0)
+    return float(np.sqrt((centered**2).sum(axis=1).mean()))
 
 
 def lone_pid(anchor: Trajectory, target: Trajectory, center: int, cfg: PidConfig,

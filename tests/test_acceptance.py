@@ -31,6 +31,7 @@ from conftest import make_traj, track_states
 from per_sample import (
     PolarPoint,
     accumulate_histogram,
+    cell_of,
     group_window,
     lone_cbd,
     lone_pid,
@@ -142,7 +143,7 @@ def test_grid_sampling_tracks_dense_integration(capsys):
             dense = _dense_cell_masses(center, cfg, n=2000)
             approx = np.zeros(cfg.grid.cell_count)
             for p, w in sample_grid(center, cfg):
-                approx[cfg.grid.cell_of(p.rho, p.theta)] += w
+                approx[cell_of(cfg.grid, p.rho, p.theta)] += w
             mask = dense >= 0.01
             rel = np.abs(approx[mask] - dense[mask]) / dense[mask]
             worst = max(worst, float(rel.max()))

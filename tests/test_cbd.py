@@ -8,7 +8,6 @@ import pytest
 from proxrf import pid as pid_module
 from proxrf.cbd import (
     GroupWindow,
-    dispersion,
     dispersion_change,
     group_cues,
     interaction_histogram,
@@ -24,7 +23,7 @@ from proxrf.pid import InteractionLabel, PairBatch, PidConfig
 from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference, smoothed_states
 
 from conftest import make_traj, straight_traj, track_states
-from per_sample import classify_interaction, group_window, lone_cbd, lone_pid
+from per_sample import classify_interaction, dispersion, group_window, lone_cbd, lone_pid
 
 SMOOTH = SmoothingConfig()
 

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrf.cbd import CollectiveLabel
 from proxrf.cli import build_parser, main, overrides_from_args
@@ -19,7 +21,7 @@ from proxrf.config import (
     load_run_config,
     parse_config_text,
 )
-from proxrf.errors import InvalidConfig
+from proxrf.errors import InvalidConfig, ProxrfError
 from proxrf.evaluate import PipelineConfig
 from proxrf.forest import ForestConfig, deserialize, serialize, train
 from proxrf.pid import InteractionLabel
@@ -72,6 +74,41 @@ def test_parse_config_text_quote_aware_comments():
 def test_parse_config_text_errors(text, needle):
     with pytest.raises(InvalidConfig, match=needle):
         parse_config_text(text)
+
+
+# a value of any kind, in range or not
+_CONFIG_VALUES = st.one_of(
+    st.integers(-2, 70).map(str),
+    st.integers(-10**400, 10**400).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", "none", '"kde"', '"hard"', '"', '""', "[", "[]",
+                     '["Queuing"]', '["Queuing", "Zz"]', '[1, "Talking"]', '["a" # "b"]']),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    """Config text: distinct settings with values of any kind, and now and
+    then a line of arbitrary text or a repeated key."""
+    keys = draw(st.lists(st.sampled_from([key for key, *_ in SETTINGS]), unique=True,
+                         max_size=8))
+    lines = [f"{key} = {draw(_CONFIG_VALUES)}" for key in keys]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        repeat = st.builds("{} = {}".format, st.sampled_from(keys or ["x"]), _CONFIG_VALUES)
+        junk = draw(st.text(max_size=16) | repeat)
+        lines.insert(draw(st.integers(0, len(lines))), junk)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+def test_config_text_parses_or_raises_proxrf_error(text):
+    try:
+        run = build_run_config(parse_config_text(text))
+    except ProxrfError:
+        return
+    assert isinstance(run, PipelineConfig)
 
 
 def test_precedence_flags_over_file_over_defaults():
@@ -146,6 +183,7 @@ def test_run_config_validation(kwargs):
         {"k_s": math.inf},
         {"speed_threshold": math.nan},
         {"speed_threshold": math.inf},
+        {"alpha": 10**400},
     ],
 )
 def test_bad_values_rejected(values):

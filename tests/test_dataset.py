@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxrf.cbd import CollectiveLabel
 from proxrf.dataset import (
@@ -29,6 +31,7 @@ from proxrf.errors import (
     ConfigError,
     InvalidConfig,
     ParseError,
+    ProxrfError,
     ReferentialError,
 )
 from proxrf.pid import InteractionLabel
@@ -205,6 +208,63 @@ def test_trj_parse_error_texts():
     rec = parse_canonical(["# fps=10", "2, a ,2,0", "0,a,0,0", "1,a,1e0,-0.0"])
     assert rec.trajectories[0] == Trajectory.from_arrays(
         "a", [0, 1, 2], [[0.0, 0.0], [1.0, -0.0], [2.0, 0.0]], 10.0)
+
+
+# Anything in one field of a canonical file line: a number of any size or
+# form, a label code, or arbitrary text.
+_PAIR_CODES = [lab.code for lab in InteractionLabel]
+_GROUP_CODES = [lab.code for lab in CollectiveLabel]
+_ANY_FIELD = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(_PAIR_CODES + _GROUP_CODES),
+    st.text(max_size=6),
+)
+_FRAME = st.integers(0, 30).map(str)
+_ID = st.sampled_from(["a", "b", " c "])
+# two fields each: an annotation's frame range, and its two distinct track ids
+_RANGE = st.lists(st.integers(0, 30), min_size=2, max_size=2).map(sorted).map(
+    "{0[0]},{0[1]}".format)
+_TWO_IDS = st.permutations(["a", "b", " c "]).map("{0[0]},{0[1]}".format)
+_HEADER = st.one_of(st.just(["# fps=10"]), st.just(["# fps=25"]), st.just(["# fps=2.5"]),
+                    st.lists(_ANY_FIELD.map("# fps={}".format), max_size=2))
+
+
+@st.composite
+def _file_lines(draw, *columns):
+    """Lines of a canonical file: mostly rows of the given column
+    strategies, some with one field replaced, added or dropped, and some
+    arbitrary text."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 15))
+        if kind == 15:
+            lines.append(draw(st.text(max_size=12)))
+            continue
+        row = [draw(column) for column in columns]
+        if kind >= 13:
+            at = draw(st.integers(0, len(row)))
+            if kind == 13:
+                row.insert(at, draw(_ANY_FIELD))
+            elif at < len(row):
+                row[at] = draw(_ANY_FIELD)
+            else:
+                row.pop()
+        lines.append(",".join(row))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(_HEADER,
+       _file_lines(_FRAME, _ID, st.floats(-10.0, 10.0).map(repr), st.floats().map(repr)),
+       st.none() | _file_lines(_RANGE, _TWO_IDS, st.sampled_from(_PAIR_CODES)),
+       st.none() | _file_lines(_RANGE, st.sampled_from(_GROUP_CODES)))
+def test_canonical_parsing_parses_or_raises_proxrf_error(header, trj, pia, cba):
+    try:
+        rec = parse_canonical(header + trj, pia, cba)
+    except ProxrfError:
+        return
+    assert rec.trajectories and 0.0 < rec.fps < math.inf
 
 
 # --------------------------------------------------------------- fold splits

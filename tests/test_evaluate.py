@@ -10,7 +10,7 @@ import pytest
 
 from proxrf import cbd as cbd_module
 from proxrf import pid as pid_module
-from proxrf.cbd import CollectiveLabel, GroupWindow, dispersion
+from proxrf.cbd import CollectiveLabel, GroupWindow
 from proxrf.dataset import (
     CollectiveAnnotation,
     FoldSplit,
@@ -42,7 +42,7 @@ from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
 from proxrf.trajectory import Trajectory, smoothed_states
 
 from conftest import make_traj, straight_traj
-from per_sample import derivative, lone_cbd
+from per_sample import derivative, dispersion, lone_cbd
 
 C = CollectiveLabel
 

@@ -249,9 +249,8 @@ def test_vote_fractions_normalized():
     frac = model.vote_fractions(x)
     assert frac.shape == (len(x), 3)
     np.testing.assert_allclose(frac.sum(axis=1), 1.0, atol=1e-12)
-    cid, p = model.predict(x[0])
-    np.testing.assert_allclose(p, frac[0], atol=0)
-    assert cid == int(np.argmax(frac[0]))
+    np.testing.assert_array_equal(model.vote_fractions(x[:1])[0], frac[0])
+    assert model.predict_batch(x[:1])[0] == int(np.argmax(frac[0]))
 
 
 def test_prediction_independent_of_batch_order():
@@ -259,7 +258,7 @@ def test_prediction_independent_of_batch_order():
     x, y = _blobs(rng, 40)
     model = train(x, y, ForestConfig(n_trees=11, seed=3))
     perm = rng.permutation(len(x))
-    single = np.array([model.predict(v)[0] for v in x])
+    single = np.array([model.predict_batch(v[None, :])[0] for v in x])
     np.testing.assert_array_equal(model.predict_batch(x), single)
     np.testing.assert_array_equal(model.predict_batch(x[perm]), single[perm])
 
@@ -271,17 +270,6 @@ def test_max_depth_zero_gives_majority_stumps():
     model = train(np.vstack([x, x[:15]]), np.concatenate([y, y[:15]]),
                   ForestConfig(n_trees=20, max_depth=0, seed=1))
     assert set(model.predict_batch(x)) == {0}
-    np.testing.assert_allclose(model.feature_importance(), 1.0 / 6.0, atol=1e-12)
-
-
-def test_feature_importance_finds_informative_feature():
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((300, 5))
-    y = (x[:, 2] > 0.0).astype(int)
-    model = train(x, y, ForestConfig(n_trees=25, seed=4))
-    imp = model.feature_importance()
-    assert imp.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.argmax(imp) == 2 and imp[2] > 0.6
 
 
 def test_thresholds_are_interior_midpoints():
@@ -481,9 +469,8 @@ def test_deserialized_stumps_tie_to_lowest_class():
         "leaf_counts": [[0, 5], [5, 0]],
     }
     model = deserialize(json.dumps(doc).encode())
-    cid, frac = model.predict(np.zeros(2))
-    np.testing.assert_allclose(frac, [0.5, 0.5])
-    assert cid == 0
+    np.testing.assert_allclose(model.vote_fractions(np.zeros((1, 2)))[0], [0.5, 0.5])
+    assert model.predict_batch(np.zeros((1, 2)))[0] == 0
 
 
 def _valid_doc():
@@ -625,9 +612,29 @@ def _mutated_docs(draw):
     return json.dumps(doc).encode()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_mutated_docs())
-def test_one_field_mutations_load_or_raise_corrupt_model(blob):
+@st.composite
+def _mutated_bytes(draw):
+    """A trained forest's serialized bytes with a few bytes replaced,
+    inserted or deleted, or cut short."""
+    blob = bytearray(serialize(_SMALL_FOREST))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(blob) - 1))
+        kind = draw(st.sampled_from(["replace"] * 4 + ["insert", "delete", "cut"]))
+        byte = draw(st.sampled_from(b'0123456789-.,:[]{}"eE') | st.integers(0, 255))
+        if kind == "cut":
+            del blob[at:]
+        elif kind == "delete":
+            del blob[at]
+        elif kind == "replace":
+            blob[at] = byte
+        else:
+            blob.insert(at, byte)
+        if not blob:
+            break
+    return bytes(blob)
+
+
+def _loads_or_raises_corrupt_model(blob):
     try:
         model = deserialize(blob)
     except CorruptModel:
@@ -637,3 +644,15 @@ def test_one_field_mutations_load_or_raise_corrupt_model(blob):
     if model.feature_count <= 64:
         x = np.random.default_rng(0).standard_normal((5, model.feature_count))
         assert model.vote_fractions(x).shape == (5, model.class_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_docs())
+def test_one_field_mutations_load_or_raise_corrupt_model(blob):
+    _loads_or_raises_corrupt_model(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_bytes())
+def test_byte_mutations_load_or_raise_corrupt_model(blob):
+    _loads_or_raises_corrupt_model(blob)

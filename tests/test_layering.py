@@ -1,11 +1,14 @@
-"""Module boundaries: no module imports another module's private names, and
-the CLI loads no test-only dependency."""
+"""Module boundaries: no module imports another module's private names,
+the CLI loads no test-only dependency, and the package exports a pinned
+list of names."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+
+import proxrf
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -47,3 +50,25 @@ def test_cli_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_public_surface_is_pinned():
+    # adding or dropping a package-level name is a change to this list
+    assert sorted(proxrf.__all__) == [
+        "AnnotationConflict", "CollectiveAnnotation", "CollectiveLabel", "ConfigError",
+        "ConfusionMatrix", "CorruptModel", "EmptyGroup", "EmptyTrainingSet", "EvalReport",
+        "FOOT_POINTS", "FoldSplit", "ForestConfig", "GroupWindow", "InsufficientData",
+        "InteractionLabel", "InvalidConfig", "InvalidFeature", "InvalidParams", "LAYOUTS",
+        "LabelCoverageError", "MissingFrames", "ModelShapeMismatch", "PairAnnotation",
+        "ParseError", "PidConfig", "Pipeline", "PipelineConfig", "PolarGrid", "ProxrfError",
+        "RandomForest", "ReferentialError", "SceneRecording", "ShapeMismatch",
+        "SmoothingConfig", "SynthParams", "TimedPosition", "TrackStates", "Trajectory",
+        "ablation", "adapt_external", "apply_homography", "build_run_config", "cbd", "config",
+        "cross_dataset", "cue_columns", "dataset", "deserialize", "dispersion_change",
+        "errors", "evaluate", "evaluate_predictions", "forest", "gen_collective", "gen_pair",
+        "interaction_histogram", "keyed", "kfold_evaluate", "kinematics", "load_run_config",
+        "make_collective_corpus", "make_contrast_corpus", "make_pair_corpus", "mean_speed",
+        "pair_vectors", "parse_canonical", "parse_config_text", "pid", "pool_votes",
+        "read_corpus", "read_scene", "serialize", "shape_ratio", "smooth", "smoothed_states",
+        "synth", "train", "trajectory", "windows", "wrap_angle", "write_corpus", "write_scene",
+    ]

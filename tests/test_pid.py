@@ -40,6 +40,7 @@ from per_sample import (
     PolarPoint,
     WrongWindowLength,
     accumulate_histogram,
+    cell_of,
     classify_interaction,
     derivative,
     kde_kernel,
@@ -103,7 +104,7 @@ def test_polar_grid_edges():
     assert [int(g.sector_of(t)) for t in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4,
                                           math.pi, -math.pi / 2, -math.pi / 4)] == [
         0, 1, 1, 2, 2, 3, 0]
-    assert int(g.cell_of(2.0, math.pi)) == 2 * 4 + 2
+    assert int(cell_of(g, 2.0, math.pi)) == 2 * 4 + 2
 
 
 def test_polar_grid_validation():
@@ -167,7 +168,7 @@ def test_sample_grid_tracks_dense_integration():
     dense = _dense_cell_masses(center, CFG)
     approx = np.zeros(16)
     for p, w in sample_grid(center, CFG):
-        approx[CFG.grid.cell_of(p.rho, p.theta)] += w
+        approx[cell_of(CFG.grid, p.rho, p.theta)] += w
     mask = dense >= 0.01
     assert mask.sum() >= 3
     rel = np.abs(approx[mask] - dense[mask]) / dense[mask]
@@ -203,7 +204,7 @@ def test_hard_assignment_matches_manual_count():
     hist = accumulate_histogram(samples, cfg.grid, cfg)
     want = np.zeros(16)
     for s in samples:
-        want[cfg.grid.cell_of(s.rho, s.theta)] += 1.0 / 32.0
+        want[cell_of(cfg.grid, s.rho, s.theta)] += 1.0 / 32.0
     np.testing.assert_allclose(hist, want, atol=1e-12)
 
 

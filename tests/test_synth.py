@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from proxrf.cbd import CollectiveLabel, dispersion, shape_ratio
+from proxrf.cbd import CollectiveLabel, shape_ratio
 from proxrf.errors import InvalidParams
 from proxrf.pid import InteractionLabel
 from proxrf.synth import (
@@ -23,6 +23,8 @@ from proxrf.synth import (
     make_pair_corpus,
 )
 from proxrf.dataset import windows
+
+from per_sample import dispersion
 
 P = SynthParams(seed=5)
 L = InteractionLabel

@@ -33,6 +33,7 @@ from per_sample import (
     KinematicState,
     PolarPoint,
     derivative,
+    positions,
     reference_states,
     relative_distance_series,
     relative_polar,
@@ -364,7 +365,7 @@ def test_positions_interpolates_small_gap():
     frames = [0, 1, 2, 3, 4, 10, 11]
     xy = np.column_stack([np.array(frames, float) * 0.5, np.zeros(len(frames))])
     traj = make_traj("g", xy, frames=frames)
-    pos = traj.positions(0, 11, max_gap=5)
+    pos = positions(traj, 0, 11, max_gap=5)
     assert pos.shape == (12, 2)
     np.testing.assert_allclose(pos[:, 0], np.arange(12) * 0.5, atol=1e-12)
     assert traj.covers(0, 11, max_gap=5)
@@ -375,29 +376,20 @@ def test_positions_gap_beyond_limit_raises():
     xy = np.zeros((len(frames), 2))
     traj = make_traj("g", xy, frames=frames)
     with pytest.raises(MissingFrames):
-        traj.positions(0, 15, max_gap=5)
+        positions(traj, 0, 15, max_gap=5)
     assert not traj.covers(0, 15, max_gap=5)
     # windows that avoid the gap still work
     assert traj.covers(0, 4, max_gap=5)
-    assert traj.positions(11, 15, max_gap=5).shape == (5, 2)
+    assert positions(traj, 11, 15, max_gap=5).shape == (5, 2)
 
 
 def test_positions_rejects_out_of_range_window():
     traj = straight_traj("o", 1.0, 0.0, 10)
     with pytest.raises(MissingFrames):
-        traj.positions(-1, 5)
+        positions(traj, -1, 5)
     with pytest.raises(MissingFrames):
-        traj.positions(5, 10)
+        positions(traj, 5, 10)
     assert not traj.covers(5, 10)
-
-
-def test_filled_is_idempotent():
-    frames = [0, 1, 2, 6, 7]
-    xy = np.column_stack([np.array(frames, float), np.zeros(5)])
-    traj = make_traj("f", xy, frames=frames)
-    filled = traj.filled(max_gap=5)
-    assert len(filled) == 8
-    assert filled.filled(max_gap=5) == filled
 
 
 def test_smoothed_states_splits_on_large_gap():
