@@ -43,7 +43,6 @@ from .errors import (
     CorruptModel,
     EmptyGroup,
     EmptyTrainingSet,
-    InsufficientData,
     InvalidConfig,
     InvalidFeature,
     InvalidParams,
@@ -91,8 +90,6 @@ from .trajectory import (
     TimedPosition,
     TrackStates,
     Trajectory,
-    kinematics,
-    smooth,
     smoothed_states,
     wrap_angle,
 )

@@ -79,9 +79,13 @@ def _parse_scalar(text: str, lineno: int):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise InvalidConfig(f"line {lineno}: cannot parse value {text!r}") from None
+    # int() refuses literals beyond Python's digit limit, which float() reads as inf
+    if text.lstrip("+-").replace("_", "").isdecimal():
+        raise InvalidConfig(f"line {lineno}: integer literal too long ({len(text)} characters)")
+    return value
 
 
 def _strip_comment(line: str) -> str:

@@ -2,7 +2,7 @@
 sliding-window enumeration.
 
 Canonical on-disk formats (UTF-8, `#` comment lines ignored):
-  .trj  header `# fps=<float>`, then `frame,track_id,x,y` (meters)
+  .trj  one header `# fps=<float>`, then `frame,track_id,x,y` (meters)
   .pia  `start,end,anchor_id,target_id,LABEL` with the two-letter codes
   .cba  `start,end,LABEL` with full collective label names
   .hom  nine whitespace-separated reals, row-major image-to-ground matrix
@@ -228,7 +228,7 @@ def _numbered_lines(source) -> Iterator:
 
 
 def _parse_fps(source, name: str) -> tuple:
-    """fps from the `# fps=` header plus the remaining data lines."""
+    """fps from the one `# fps=` header plus the remaining data lines."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8") as fh:
             return _parse_fps(_utf8_lines(fh, source), name)
@@ -239,6 +239,10 @@ def _parse_fps(source, name: str) -> tuple:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("fps="):
+                if fps is not None:
+                    raise ParseError(f"{name}:{lineno}: second `# fps=` header "
+                                     f"(the first is on line {header})")
+                header = lineno
                 try:
                     fps = float(body[4:])
                 except ValueError:
@@ -256,10 +260,20 @@ def _parse_fps(source, name: str) -> tuple:
     return fps, data
 
 
-def _parse_trajectories(source, name: str) -> tuple:
+def _parse_tracks(source, name: str, foot_point: Optional[str] = None, h_mat=None) -> tuple:
+    """fps and trajectories of a track file: the `# fps=` header, then
+    `frame,track_id,x,y` rows.
+
+    With no ``foot_point`` this is a canonical `.trj` file in meters.
+    With one it is an external `tracks.txt` in image coordinates: a row
+    may also be a box `frame,track_id,x1,y1,x2,y2`, reduced to one image
+    point per ``foot_point``, and ``h_mat`` maps the points to the
+    ground.  The first bad line, an empty file and any track that
+    ``_build_tracks`` refuses raise ParseError.
+    """
     fps, data = _parse_fps(source, name)
     if not data:
-        return fps, []
+        raise ParseError(f"{name}: no trajectory data")
     linenos, lines = zip(*data)
     try:
         rows = [line.split(",") for line in lines]
@@ -275,22 +289,40 @@ def _parse_trajectories(source, name: str) -> tuple:
             raise ValueError
     except ValueError:
         # line by line, which raises the first bad line's ParseError
-        ids, frames, x, y = zip(*(_trj_row(line, name, lineno) for lineno, line in data))
-    return fps, _build_tracks(linenos, ids, frames, np.column_stack([x, y]), fps, name)
+        ids, frames, x, y = zip(*(_track_row(line, name, lineno, foot_point)
+                                  for lineno, line in data))
+    to_ground = None if h_mat is None else (lambda pts: apply_homography(h_mat, pts))
+    # a point on the homography's horizon maps to inf or nan, which
+    # _build_tracks reports as ParseError; numpy's warning would only repeat it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return fps, _build_tracks(linenos, ids, frames, np.column_stack([x, y]), fps, name,
+                                  to_ground)
 
 
-def _trj_row(line: str, name: str, lineno: int) -> tuple:
-    """(track id, frame, x, y) of one `.trj` data line."""
+def _track_row(line: str, name: str, lineno: int, foot_point: Optional[str]) -> tuple:
+    """(track id, frame, x, y) of one track-file data line."""
     parts = [p.strip() for p in line.split(",")]
-    if len(parts) != 4:
+    if foot_point is None and len(parts) != 4:
         raise ParseError(f"{name}:{lineno}: expected `frame,track_id,x,y`")
+    if len(parts) not in (4, 6):
+        raise ParseError(
+            f"{name}:{lineno}: expected `frame,track_id,u,v` or box with 4 coordinates"
+        )
     try:
         frame = _frame(parts[0])
-        x, y = float(parts[2]), float(parts[3])
+        nums = [float(p) for p in parts[2:]]
     except ValueError:
         raise ParseError(f"{name}:{lineno}: bad number in {line!r}") from None
     if not parts[1]:
         raise ParseError(f"{name}:{lineno}: empty track id")
+    if len(nums) == 2:
+        x, y = nums
+    elif foot_point == "point":
+        raise ParseError(f"{name}:{lineno}: box row but foot_point=point expects `u,v`")
+    elif foot_point == "bottom-center":
+        x, y = (nums[0] + nums[2]) / 2.0, max(nums[1], nums[3])
+    else:  # box-center
+        x, y = (nums[0] + nums[2]) / 2.0, (nums[1] + nums[3]) / 2.0
     return parts[1], frame, x, y
 
 
@@ -381,9 +413,7 @@ def parse_canonical(
     """Recording from canonical-format streams (paths or line iterables)."""
     if isinstance(trajectory_stream, (str, os.PathLike)):
         name = str(trajectory_stream)
-    fps, trajectories = _parse_trajectories(trajectory_stream, name)
-    if not trajectories:
-        raise ParseError(f"{name}: no trajectory data")
+    fps, trajectories = _parse_tracks(trajectory_stream, name)
     pairs = _parse_pair_annotations(pair_stream, f"{name} pairs") if pair_stream is not None else []
     coll = (
         _parse_collective_annotations(collective_stream, f"{name} collective")
@@ -399,7 +429,7 @@ def _fmt(value: float) -> str:
 
 
 def _check_id(track_id: str):
-    if "," in track_id or "#" in track_id or track_id != track_id.strip() or not track_id:
+    if "," in track_id or track_id != track_id.strip() or not track_id:
         raise ValueError(f"track id {track_id!r} not representable in canonical files")
 
 
@@ -485,44 +515,6 @@ def apply_homography(h_mat: np.ndarray, points: np.ndarray) -> np.ndarray:
     return mapped[:, :2] / mapped[:, 2:3]
 
 
-def _parse_external_tracks(path: str, h_mat: np.ndarray, foot_point: str) -> tuple:
-    """Image-coordinate track file -> fps and metric trajectories.
-
-    Rows are `frame,track_id,u,v` for point annotations or
-    `frame,track_id,x1,y1,x2,y2` for boxes, reduced per ``foot_point``.
-    """
-    fps, data = _parse_fps(path, path)
-    linenos, ids, frames, uv = [], [], [], []
-    for lineno, line in data:
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) not in (4, 6):
-            raise ParseError(
-                f"{path}:{lineno}: expected `frame,track_id,u,v` or box with 4 coordinates"
-            )
-        try:
-            frame = _frame(parts[0])
-            nums = [float(p) for p in parts[2:]]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: bad number in {line!r}") from None
-        if len(nums) == 2:
-            u, v = nums
-        elif foot_point == "point":
-            raise ParseError(f"{path}:{lineno}: box row but foot_point=point expects `u,v`")
-        elif foot_point == "bottom-center":
-            u, v = (nums[0] + nums[2]) / 2.0, max(nums[1], nums[3])
-        else:  # box-center
-            u, v = (nums[0] + nums[2]) / 2.0, (nums[1] + nums[3]) / 2.0
-        linenos.append(lineno)
-        ids.append(parts[1])
-        frames.append(frame)
-        uv.append((u, v))
-    # a point on the homography's horizon maps to inf or nan, which
-    # _build_tracks reports as ParseError; numpy's warning would only repeat it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return fps, _build_tracks(linenos, ids, frames, np.array(uv).reshape(-1, 2), fps, path,
-                                  lambda pts: apply_homography(h_mat, pts))
-
-
 def adapt_external(root: str, layout: str, foot_point: str = "bottom-center") -> list:
     """Adapt an external corpus directory tree into canonical recordings.
 
@@ -551,7 +543,7 @@ def adapt_external(root: str, layout: str, foot_point: str = "bottom-center") ->
         if not os.path.exists(hom_path):
             raise ConfigError(f"{seq}: missing homography sidecar {hom_path}")
         h_mat = _read_homography(hom_path)
-        fps, trajectories = _parse_external_tracks(tracks, h_mat, foot_point)
+        fps, trajectories = _parse_tracks(tracks, tracks, foot_point, h_mat)
         pairs_path = os.path.join(seq_dir, "pairs.txt")
         pairs = (
             _parse_pair_annotations(pairs_path, pairs_path)

@@ -5,10 +5,6 @@ class ProxrfError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InsufficientData(ProxrfError):
-    """Too few samples for the requested computation."""
-
-
 class MissingFrames(ProxrfError):
     """A trajectory does not cover the requested frame range."""
 

@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientData, InvalidFeature
+from .errors import InvalidFeature
 
 DEFAULT_MAX_GAP = 5
 
@@ -189,28 +189,6 @@ class Trajectory:
         return any(first <= start and end <= last for first, last in self.pieces(max_gap))
 
 
-def smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
-    """Double-exponential smoothing of the positions, frames unchanged.
-
-    Brown's form: a level smoother s1[t] = a*x[t] + (1-a)*s1[t-1] feeds a
-    second smoother s2 of the same form, and the output 2*s1 - s2 removes
-    the steady-state lag.  s1 is seeded with x[0] and s2 with s1[0], so
-    the first sample passes through unchanged.  Samples are treated as
-    uniformly spaced in time.  Finite positions so large that the
-    arithmetic overflows raise InvalidFeature naming the track.
-    """
-    if len(traj) < 2:
-        raise InsufficientData(f"track {traj.track_id}: need >= 2 samples to smooth")
-    xy = np.column_stack([_brown(traj._xy[:, 0].tolist(), cfg.alpha),
-                          _brown(traj._xy[:, 1].tolist(), cfg.alpha)])
-    bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
-    if len(bad):  # finite input, overflowing arithmetic
-        raise InvalidFeature(
-            f"track {traj.track_id}: smoothed position overflows at frame {traj._frames[bad[0]]}"
-        )
-    return Trajectory.from_arrays(traj.track_id, traj._frames, xy, traj.fps)
-
-
 def _brown(values: list, a: float) -> list:
     """Brown's double exponential smoothing of one coordinate, in floats."""
     b = 1.0 - a
@@ -224,47 +202,24 @@ def _brown(values: list, a: float) -> list:
     return out
 
 
-def kinematics(traj: Trajectory, cfg: SmoothingConfig) -> TrackStates:
-    """Per-sample kinematic states from an (already smoothed) trajectory.
-
-    Velocity is the central finite difference of position (one-sided at
-    the ends) using the actual frame deltas, scaled to meters per second.
-    Orientation is atan2 of the velocity when speed >= t_s, else nan.
-    Finite positions whose velocity or speed overflows raise
-    InvalidFeature naming the track and the first such frame.
-    """
-    n = len(traj)
-    if n < 2:
-        raise InsufficientData(f"track {traj.track_id}: need >= 2 samples for kinematics")
-    pos = traj.xy
-    f = traj._frames.astype(float)
-    v = np.empty_like(pos)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        v[1:-1] = (pos[2:] - pos[:-2]) / (f[2:, None] - f[:-2, None])
-        v[0] = (pos[1] - pos[0]) / (f[1] - f[0])
-        v[-1] = (pos[-1] - pos[-2]) / (f[-1] - f[-2])
-        v *= traj.fps
-        speed = np.hypot(v[:, 0], v[:, 1])
-    bad = np.flatnonzero(~np.isfinite(speed))
-    if len(bad):
-        raise InvalidFeature(
-            f"track {traj.track_id}: velocity overflows at frame {traj._frames[bad[0]]}"
-        )
-    orientation = np.fromiter(map(math.atan2, v[:, 1].tolist(), v[:, 0].tolist()), float, n)
-    orientation[speed < cfg.t_s] = np.nan
-    return TrackStates(traj.frames, pos, v, speed, orientation)
-
-
 def smoothed_states(
     traj: Trajectory, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
 ) -> TrackStates:
-    """Smooth + kinematics over each contiguous span, concatenated.
+    """Smoothed positions and their kinematics over each contiguous span,
+    concatenated.
 
-    Gaps of at most ``max_gap`` frames are interpolated before smoothing;
-    larger gaps split the track into independent spans (each smoothed from
-    its own start).  Spans of a single frame yield no state.  A gap
-    between positions so large that the linear interpolation overflows
-    raises InvalidFeature naming the track and the first such frame.
+    Gaps of at most ``max_gap`` frames are interpolated first; larger gaps
+    split the track into independent spans.  Spans of a single frame yield
+    no state.  Each span is smoothed from its own start in Brown's form: a
+    level smoother s1[t] = a*x[t] + (1-a)*s1[t-1] feeds a second smoother
+    s2 of the same form, and the output 2*s1 - s2 removes the steady-state
+    lag.  s1 is seeded with x[0] and s2 with s1[0], so the first sample
+    passes through unchanged.  Velocity is the central finite difference
+    of the smoothed positions (one-sided at the span's ends) in meters per
+    second, and orientation is atan2 of the velocity where the speed is at
+    least ``t_s``, else nan.  Finite positions so large that the gap
+    interpolation, the smoothing or the velocity overflows raise
+    InvalidFeature naming the track and the first such frame.
     """
     cuts = (np.flatnonzero(np.diff(traj._frames) > max_gap + 1) + 1).tolist()
     parts = [TrackStates(np.empty(0, np.int64), np.empty((0, 2)), np.empty((0, 2)),
@@ -283,8 +238,26 @@ def smoothed_states(
                 raise InvalidFeature(f"track {traj.track_id}: interpolated position "
                                      f"overflows at frame {filled[bad[0]]}")
             frames = filled
-        seg = Trajectory.from_arrays(traj.track_id, frames, xy, traj.fps)
-        parts.append(kinematics(smooth(seg, cfg), cfg))
+        pos = np.column_stack([_brown(xy[:, 0].tolist(), cfg.alpha),
+                               _brown(xy[:, 1].tolist(), cfg.alpha)])
+        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
+        if len(bad):  # finite input, overflowing arithmetic
+            raise InvalidFeature(
+                f"track {traj.track_id}: smoothed position overflows at frame {frames[bad[0]]}"
+            )
+        # the span's frames are consecutive, so each step is one frame
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+            velocity = finite_difference(pos.T, 1.0).T * traj.fps
+            speed = np.hypot(velocity[:, 0], velocity[:, 1])
+        bad = np.flatnonzero(~np.isfinite(speed))
+        if len(bad):
+            raise InvalidFeature(
+                f"track {traj.track_id}: velocity overflows at frame {frames[bad[0]]}"
+            )
+        orientation = np.fromiter(map(math.atan2, velocity[:, 1].tolist(),
+                                      velocity[:, 0].tolist()), float, len(pos))
+        orientation[speed < cfg.t_s] = np.nan
+        parts.append(TrackStates(frames, pos, velocity, speed, orientation))
     return TrackStates(*(np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(TrackStates)))
 

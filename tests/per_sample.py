@@ -38,7 +38,6 @@ import numpy as np
 from proxrf.cbd import GroupWindow, group_cues, pair_vectors, pool_votes
 from proxrf.errors import (
     EmptyGroup,
-    InsufficientData,
     InvalidFeature,
     MissingFrames,
     ModelShapeMismatch,
@@ -143,7 +142,7 @@ def derivative(series: Sequence, fps: float) -> list:
     series, in value units per second.  Central differences inside,
     one-sided at both ends."""
     if len(series) < 2:
-        raise InsufficientData("derivative needs >= 2 points")
+        raise ValueError("derivative needs >= 2 points")
     frames = np.array([p[0] for p in series], dtype=np.int64)
     values = np.array([p[1] for p in series], dtype=float)
     steps = np.diff(frames)
@@ -189,11 +188,9 @@ def reference_filled(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP) -> Trajec
 
 
 def reference_smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
-    """smooth, sample by sample; an overflow is caught as TimedPosition
-    refuses the non-finite result."""
+    """smoothed_states' smoothing of one span, sample by sample; an
+    overflow is caught as TimedPosition refuses the non-finite result."""
     samples = traj.samples
-    if len(samples) < 2:
-        raise InsufficientData(f"track {traj.track_id}: need >= 2 samples to smooth")
     a = cfg.alpha
     b = 1.0 - a
     s1x, s1y = samples[0].x, samples[0].y
@@ -214,9 +211,10 @@ def reference_smooth(traj: Trajectory, cfg: SmoothingConfig) -> Trajectory:
 
 
 def reference_kinematics(traj: Trajectory, cfg: SmoothingConfig) -> TrackStates:
-    """kinematics, sample by sample: each velocity from the samples on
-    either side (one-sided at the ends), in kinematics' operation order,
-    the speed by np.hypot and the heading by math.atan2, nan below t_s."""
+    """smoothed_states' velocity, speed and heading of one smoothed span,
+    sample by sample: each velocity from the samples on either side
+    (one-sided at the ends), in the library's operation order, the speed
+    by np.hypot and the heading by math.atan2, nan below t_s."""
     samples = traj.samples
     last = len(samples) - 1
     velocity, speed, orientation = [], [], []

@@ -69,6 +69,11 @@ def test_parse_config_text_quote_aware_comments():
         ('assignment = "oops\n', "malformed string"),
         ("alpha = fast\n", "cannot parse value"),
         ("alpha =\n", "missing value"),
+        # beyond Python's 4,300-digit int() limit, not the float inf
+        pytest.param("t1 = 64\nseed = " + "9" * 5000, "line 2: integer literal too long",
+                     id="long-int-seed"),
+        pytest.param("alpha = " + "9" * 5000, "line 1: integer literal too long",
+                     id="long-int-alpha"),
     ],
 )
 def test_parse_config_text_errors(text, needle):
@@ -776,6 +781,38 @@ def test_adapt_non_finite_ground_point(tracks, hom, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 4, err
     assert err.startswith("ERROR ParseError:") and "track 'p1'" in err, err
+
+
+@pytest.mark.parametrize("tracks, message", [
+    ("0,,100,200\n1,,110,200\n", "tracks.txt:2: empty track id"),
+    ("", "tracks.txt: no trajectory data"),
+], ids=["empty-id", "header-only"])
+def test_adapt_bad_track_file(tracks, message, tmp_path, capsys):
+    seq = tmp_path / "ext" / "seq1"
+    seq.mkdir(parents=True)
+    (seq / "tracks.txt").write_text("# fps=10.0\n" + tracks)
+    (seq / "H.hom").write_text("1 0 0\n0 1 0\n0 0 1\n")
+    rc = main(["adapt", str(tmp_path / "ext"), "--layout", "ncad-like",
+               "--out", str(tmp_path / "canon")])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("ERROR ParseError:") and err.rstrip().endswith(message), err
+
+
+def test_adapt_writes_every_track_id_it_reads(tmp_path, capsys):
+    # `#` starts a comment only at the start of a line
+    seq = tmp_path / "ext" / "seq1"
+    seq.mkdir(parents=True)
+    (seq / "tracks.txt").write_text("# fps=10.0\n0,a#1,100,200\n1,a#1,110,200\n")
+    (seq / "H.hom").write_text("0.1 0 0\n0 0.1 0\n0 0 1\n")
+    rc = main(["adapt", str(tmp_path / "ext"), "--layout", "ncad-like",
+               "--out", str(tmp_path / "canon")])
+    assert rc == 0, capsys.readouterr().err
+    from proxrf.dataset import adapt_external, read_corpus
+
+    recs = read_corpus(str(tmp_path / "canon"))
+    assert recs == adapt_external(str(tmp_path / "ext"), "ncad-like")
+    assert [t.track_id for t in recs[0].trajectories] == ["a#1"]
 
 
 def test_adapt_command(tmp_path, capsys):

@@ -5,14 +5,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxrf.cbd import CollectiveLabel
 from proxrf.dataset import (
+    FOOT_POINTS,
     CollectiveAnnotation,
     FoldSplit,
     PairAnnotation,
@@ -197,6 +199,9 @@ def test_trj_parse_error_texts():
         (["0,a,inf,0", "1,a,0,0", "0,b,0,0", "0,b,1,1"],
          "<trj>: track 'a': non-finite position at frame 0"),
         (["0,a,nan,0", "0,a,1,1"], "<trj>:3: duplicate frame 0 for track 'a'"),
+        # a second header would re-time every row, the ones above it too
+        (["0,a,1,2", "1,a,1.1,2", "# fps=25", "2,a,1.2,2"],
+         "<trj>:4: second `# fps=` header (the first is on line 1)"),
     ]
     for rows, message in cases:
         with pytest.raises(ParseError) as info:
@@ -318,7 +323,7 @@ def _write_ext_seq(root, name, tracks, hom="0.1 0 0\n0 0.1 0\n0 0 1\n",
                    pairs=None, groups=None):
     d = root / name
     d.mkdir(parents=True)
-    (d / "tracks.txt").write_text(tracks)
+    (d / "tracks.txt").write_text(tracks, encoding="utf-8")
     (d / "H.hom").write_text(hom)
     if pairs is not None:
         (d / "pairs.txt").write_text(pairs)
@@ -382,6 +387,48 @@ def test_adapt_external_errors(tmp_path):
     (seq / "H.hom").write_text("1 0 0 0 1 0 0 0\n")
     with pytest.raises(ParseError):
         adapt_external(str(tmp_path), "ncad-like")  # 8 entries
+
+
+# ids of any printable text, the empty id and `#` included
+_EXT_ID = st.one_of(st.sampled_from(["", " ", "#", "a#1", "#a", "p1", "p2"]),
+                    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3))
+_PIXEL = st.floats(-500.0, 500.0).map(repr)
+
+
+@st.composite
+def _ext_tracks(draw):
+    """Lines of a `tracks.txt`: one or two fps headers, then point and
+    box rows, or no rows at all."""
+    lines = draw(st.sampled_from([["# fps=10"], ["# fps=25.0"], ["# fps=10", "# fps=25"]]))
+    for _ in range(draw(st.integers(0, 8))):
+        coords = draw(st.sampled_from([2, 4]).flatmap(
+            lambda n: st.lists(_PIXEL, min_size=n, max_size=n)))
+        lines.append(",".join([str(draw(st.integers(0, 6))), draw(_EXT_ID)] + coords))
+    return lines
+
+
+# a scaling, and a perspective map whose horizon crosses the pixel range
+_HOMS = ["0.1 0 0\n0 0.1 0\n0 0 1\n", "0.9 -0.1 2.0\n0.05 1.1 -1.0\n0.001 0.002 1.0\n"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ext_tracks(), min_size=1, max_size=2),
+       st.sampled_from(["ncad-like", "behave-like"]), st.sampled_from(FOOT_POINTS),
+       st.sampled_from(_HOMS))
+@example([["# fps=10", "0,,1,2", "1,,2,2"]], "ncad-like", "point", _HOMS[0])
+@example([["# fps=10", "0,#,1,2", "1,#,2,2"]], "ncad-like", "point", _HOMS[0])
+@example([["# fps=10"]], "ncad-like", "point", _HOMS[0])
+def test_adapt_refuses_or_round_trips(sequences, layout, foot_point, hom):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp) / "ext"
+        for k, lines in enumerate(sequences):
+            _write_ext_seq(root, f"s{k}", "\n".join(lines) + "\n", hom=hom)
+        try:
+            recs = adapt_external(str(root), layout, foot_point)
+        except ProxrfError:
+            return
+        write_corpus(recs, os.path.join(tmp, "canon"))
+        assert read_corpus(os.path.join(tmp, "canon")) == recs
 
 
 def test_adapt_canonical_layout(tmp_path):

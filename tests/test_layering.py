@@ -57,8 +57,8 @@ def test_public_surface_is_pinned():
     assert sorted(proxrf.__all__) == [
         "AnnotationConflict", "CollectiveAnnotation", "CollectiveLabel", "ConfigError",
         "ConfusionMatrix", "CorruptModel", "EmptyGroup", "EmptyTrainingSet", "EvalReport",
-        "FOOT_POINTS", "FoldSplit", "ForestConfig", "GroupWindow", "InsufficientData",
-        "InteractionLabel", "InvalidConfig", "InvalidFeature", "InvalidParams", "LAYOUTS",
+        "FOOT_POINTS", "FoldSplit", "ForestConfig", "GroupWindow", "InteractionLabel",
+        "InvalidConfig", "InvalidFeature", "InvalidParams", "LAYOUTS",
         "LabelCoverageError", "MissingFrames", "ModelShapeMismatch", "PairAnnotation",
         "ParseError", "PidConfig", "Pipeline", "PipelineConfig", "PolarGrid", "ProxrfError",
         "RandomForest", "ReferentialError", "SceneRecording", "ShapeMismatch",
@@ -66,9 +66,9 @@ def test_public_surface_is_pinned():
         "ablation", "adapt_external", "apply_homography", "build_run_config", "cbd", "config",
         "cross_dataset", "cue_columns", "dataset", "deserialize", "dispersion_change",
         "errors", "evaluate", "evaluate_predictions", "forest", "gen_collective", "gen_pair",
-        "interaction_histogram", "keyed", "kfold_evaluate", "kinematics", "load_run_config",
+        "interaction_histogram", "keyed", "kfold_evaluate", "load_run_config",
         "make_collective_corpus", "make_contrast_corpus", "make_pair_corpus", "mean_speed",
         "pair_vectors", "parse_canonical", "parse_config_text", "pid", "pool_votes",
-        "read_corpus", "read_scene", "serialize", "shape_ratio", "smooth", "smoothed_states",
+        "read_corpus", "read_scene", "serialize", "shape_ratio", "smoothed_states",
         "synth", "train", "trajectory", "windows", "wrap_angle", "write_corpus", "write_scene",
     ]

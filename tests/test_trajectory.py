@@ -10,19 +10,12 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
-from proxrf.errors import (
-    InsufficientData,
-    InvalidFeature,
-    MissingFrames,
-    ProxrfError,
-)
+from proxrf.errors import InvalidFeature, MissingFrames, ProxrfError
 from proxrf.trajectory import (
     SmoothingConfig,
     TimedPosition,
     TrackStates,
     Trajectory,
-    kinematics,
-    smooth,
     smoothed_states,
     wrap_angle,
 )
@@ -34,6 +27,7 @@ from per_sample import (
     PolarPoint,
     derivative,
     positions,
+    reference_kinematics,
     reference_states,
     relative_distance_series,
     relative_polar,
@@ -109,7 +103,7 @@ def test_smooth_matches_scalar_recursion():
         xy = np.cumsum(rng.normal(0.0, 0.1, size=(n, 2)), axis=0)
         alpha = float(rng.uniform(0.05, 0.95))
         traj = make_traj("t", xy)
-        got = smooth(traj, SmoothingConfig(alpha=alpha)).xy
+        got = smoothed_states(traj, SmoothingConfig(alpha=alpha)).xy
         np.testing.assert_allclose(got, _brown_reference(xy, alpha), atol=1e-12)
 
 
@@ -127,20 +121,20 @@ def test_smooth_is_bitwise_lfilter():
         n = int(rng.integers(2, 301))
         xy = rng.uniform(-50.0, 50.0, size=2) + np.cumsum(rng.normal(0.0, 0.3, size=(n, 2)), axis=0)
         alpha = float(rng.uniform(0.01, 0.99))
-        got = smooth(make_traj("t", xy), SmoothingConfig(alpha=alpha)).xy
+        got = smoothed_states(make_traj("t", xy), SmoothingConfig(alpha=alpha)).xy
         np.testing.assert_array_equal(got, _lfilter_reference(xy, alpha))
 
 
 def test_smooth_constant_signal_is_identity():
     xy = np.tile([3.0, -2.0], (40, 1))
-    out = smooth(make_traj("c", xy), SmoothingConfig(alpha=0.3)).xy
+    out = smoothed_states(make_traj("c", xy), SmoothingConfig(alpha=0.3)).xy
     np.testing.assert_allclose(out, xy, atol=1e-12)
 
 
 def test_smooth_first_sample_passes_through():
     rng = np.random.default_rng(5)
     xy = rng.normal(size=(10, 2))
-    out = smooth(make_traj("p", xy), SmoothingConfig(alpha=0.8)).xy
+    out = smoothed_states(make_traj("p", xy), SmoothingConfig(alpha=0.8)).xy
     np.testing.assert_allclose(out[0], xy[0], atol=1e-12)
 
 
@@ -149,14 +143,9 @@ def test_smooth_tracks_linear_ramp():
     # decays like (1 - alpha)^t so alpha = 0.9 is well under 1e-6 by frame 10
     t = np.arange(60, dtype=float)
     xy = np.column_stack([0.3 * t, -0.1 * t + 2.0])
-    out = smooth(make_traj("r", xy), SmoothingConfig(alpha=0.9)).xy
+    out = smoothed_states(make_traj("r", xy), SmoothingConfig(alpha=0.9)).xy
     err = np.abs(out - xy).max(axis=1)
     assert np.all(err[10:] < 1e-6)
-
-
-def test_smooth_needs_two_samples():
-    with pytest.raises(InsufficientData):
-        smooth(make_traj("s", [[0.0, 0.0]]), SmoothingConfig())
 
 
 def test_smooth_overflow_names_the_track():
@@ -166,10 +155,8 @@ def test_smooth_overflow_names_the_track():
         traj = make_traj("walker-7", np.column_stack([xs, np.zeros(len(xs))]))
         message = f"track walker-7: .*overflows at frame {frame}$"
         with pytest.raises(InvalidFeature, match=message) as info:
-            smooth(traj, SmoothingConfig())
-        assert isinstance(info.value, ProxrfError)
-        with pytest.raises(InvalidFeature, match="walker-7"):
             smoothed_states(traj, SmoothingConfig())
+        assert isinstance(info.value, ProxrfError)
 
 
 def test_velocity_overflow_names_the_track():
@@ -179,20 +166,19 @@ def test_velocity_overflow_names_the_track():
     xs = [3e307 * (-1) ** i for i in range(8)]
     for pos, frame in ((xs, 0), ([0.0, 0.0, 0.0] + xs[:3], 5)):
         traj = make_traj("walker-8", np.column_stack([pos, np.zeros(len(pos))]))
-        assert np.isfinite(smooth(traj, SmoothingConfig()).xy).all()
         message = f"track walker-8: velocity overflows at frame {frame}$"
         with pytest.raises(InvalidFeature, match=message):
-            kinematics(traj, SmoothingConfig())
-    with pytest.raises(InvalidFeature, match="walker-8"):
-        smoothed_states(make_traj("walker-8", np.column_stack([xs, np.zeros(8)])),
-                        SmoothingConfig())
+            smoothed_states(traj, SmoothingConfig())
 
 
 # ---------------------------------------------------------------- kinematics
+# velocity, speed and heading of unsmoothed positions, from the per-sample
+# oracle that test_smoothed_states_equal_per_sample_reference ties to the
+# library bit for bit
 
 def test_kinematics_straight_line():
     traj = straight_traj("w", speed=1.5, heading=math.pi / 3.0, n_frames=30, fps=30.0)
-    states = kinematics(traj, SmoothingConfig())
+    states = reference_kinematics(traj, SmoothingConfig())
     assert len(states) == 30
     np.testing.assert_array_equal(states.frames, np.arange(30))
     for speed, orientation in zip(states.speed, states.orientation):
@@ -202,7 +188,7 @@ def test_kinematics_straight_line():
 
 def test_kinematics_plus_y_heading():
     traj = straight_traj("n", speed=1.0, heading=math.pi / 2.0, n_frames=10)
-    st = kinematics(traj, SmoothingConfig())
+    st = reference_kinematics(traj, SmoothingConfig())
     assert st.orientation[4] == pytest.approx(math.pi / 2.0, abs=1e-12)
     assert st.velocity[4, 0] == pytest.approx(0.0, abs=1e-12)
     assert st.velocity[4, 1] == pytest.approx(1.0, abs=1e-12)
@@ -210,7 +196,7 @@ def test_kinematics_plus_y_heading():
 
 def test_kinematics_stationary_has_no_orientation():
     xy = np.tile([1.0, 1.0], (20, 1))
-    st = kinematics(make_traj("s", xy), SmoothingConfig())
+    st = reference_kinematics(make_traj("s", xy), SmoothingConfig())
     assert len(st) == 20
     for speed, orientation in zip(st.speed, st.orientation):
         assert speed == 0.0
@@ -222,15 +208,10 @@ def test_orientation_absent_iff_below_threshold():
     steps = np.linspace(0.0, 0.1, 60)
     xy = np.column_stack([np.concatenate([[0.0], np.cumsum(steps)]), np.zeros(61)])
     cfg = SmoothingConfig(t_s=0.25)
-    st = kinematics(make_traj("ramp", xy, fps=10.0), cfg)
+    st = reference_kinematics(make_traj("ramp", xy, fps=10.0), cfg)
     assert len(st) == 61
     for speed, orientation in zip(st.speed, st.orientation):
         assert math.isnan(orientation) == (speed < cfg.t_s)
-
-
-def test_kinematics_needs_two_samples():
-    with pytest.raises(InsufficientData):
-        kinematics(make_traj("k", [[0.0, 0.0]]), SmoothingConfig())
 
 
 # ----------------------------------------------------------- relative_polar
@@ -342,7 +323,7 @@ def test_derivative_quadratic_exact_inside():
 
 
 def test_derivative_rejects_bad_series():
-    with pytest.raises(InsufficientData):
+    with pytest.raises(ValueError):
         derivative([(0, 1.0)], fps=10.0)
     with pytest.raises(ValueError):
         derivative([(0, 1.0), (1, 2.0), (3, 3.0)], fps=10.0)

@@ -26,16 +26,21 @@ max_gap that fills its 8-frame holes.  The gapped corpus is then
 rewritten as an ``ncad-like`` external tree (see ``to_ncad``: shuffled
 image-coordinate rows and a perspective homography), which ``adapt``
 turns back into a canonical corpus that gets a pid extract, so the
-external-track parser is covered as well.  Every output file and every
-command's standard output are then compared byte for byte.  Exit
-status: 0 when everything matches, 1 on any difference, 2 when a
-command fails in either tree.
+external-track parser is covered as well.  Two copies of that tree are
+adapted too, each followed by a pid extract: one whose track rows are
+mostly boxes (see ``to_boxes``), adapted with the ``bottom-center`` and
+the ``box-center`` foot point, and a ``behave-like`` one whose group
+files also hold a ``Fighting`` range (see ``to_behave``).  Every
+output file and every command's standard output are then compared byte
+for byte.  Exit status: 0 when everything matches, 1 on any difference,
+2 when a command fails in either tree.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -134,10 +139,22 @@ MIXED_COMMANDS = (
     ["eval", "mixed", "--task", "collective", "--folds", "3", "--stride", "1",
      "--out-dir", "eval/mixed"] + SEED,
 )
-# run once to_ncad has derived "ncad" from "gapped"
+# run once to_ncad has derived "ncad" from "gapped", and to_boxes and
+# to_behave "boxes" and "behave" from "ncad"
 ADAPT_COMMANDS = (
     ["adapt", "ncad", "--layout", "ncad-like", "--out", "adapted"],
     ["extract", "adapted", "--kind", "pid", "--out", "extract/adapted-pid.csv"] + SEED,
+    ["adapt", "boxes", "--layout", "ncad-like", "--foot-point", "bottom-center",
+     "--out", "adapted-bottom"],
+    ["extract", "adapted-bottom", "--kind", "pid", "--out", "extract/adapted-bottom-pid.csv"]
+    + SEED,
+    ["adapt", "boxes", "--layout", "ncad-like", "--foot-point", "box-center",
+     "--out", "adapted-center"],
+    ["extract", "adapted-center", "--kind", "pid", "--out", "extract/adapted-center-pid.csv"]
+    + SEED,
+    ["adapt", "behave", "--layout", "behave-like", "--out", "adapted-behave"],
+    ["extract", "adapted-behave", "--kind", "pid", "--out", "extract/adapted-behave-pid.csv"]
+    + SEED,
 )
 ALL_COMMANDS = COMMANDS + MIXED_COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
 # image-to-ground map with a perspective row, so every coordinate changes
@@ -235,6 +252,44 @@ def to_ncad(corpus: str, out: str) -> None:
             fh.writelines(lines)
 
 
+def to_boxes(tree: str, out: str) -> None:
+    """Copy of the external ``tree`` whose track rows become boxes
+    ``frame,track_id,x1,y1,x2,y2``.  A row's point is its box's bottom
+    center; the box's width and height are drawn from a generator seeded
+    by the scene name, and its two y corners come in either order.  Every
+    fifth line of a track file stays as it is, so point rows remain.
+    """
+    shutil.copytree(tree, out)
+    for scene in sorted(os.listdir(out)):
+        path = os.path.join(out, scene, "tracks.txt")
+        rng = random.Random(scene)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        for k, line in enumerate(lines):
+            if k % 5 and not line.startswith("#"):
+                frame, track, u, v = line.rstrip("\n").split(",")
+                u, v = float(u), float(v)
+                half, h = rng.uniform(0.1, 0.4), rng.uniform(1.0, 2.0)
+                y1, y2 = (v, v - h) if k % 2 else (v - h, v)
+                lines[k] = f"{frame},{track},{u - half!r},{y1!r},{u + half!r},{y2!r}\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+
+
+def to_behave(tree: str, out: str) -> None:
+    """Copy of the external ``tree`` in which each ``groups.txt`` also
+    labels its first line's range ``Fighting``, which the ``behave-like``
+    layout drops."""
+    shutil.copytree(tree, out)
+    for scene in sorted(os.listdir(out)):
+        path = os.path.join(out, scene, "groups.txt")
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as fh:
+                start, end, _ = fh.readline().split(",")
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(f"{start},{end},Fighting\n")
+
+
 def run_tree(src: str, work: str) -> list:
     """Standard output of each command, run in ``work``."""
     env = dict(os.environ, PYTHONPATH=src)
@@ -246,6 +301,8 @@ def run_tree(src: str, work: str) -> list:
             punch_gaps(os.path.join(work, "long"), os.path.join(work, "gapped"))
         if argv is ADAPT_COMMANDS[0]:
             to_ncad(os.path.join(work, "gapped"), os.path.join(work, "ncad"))
+            to_boxes(os.path.join(work, "ncad"), os.path.join(work, "boxes"))
+            to_behave(os.path.join(work, "ncad"), os.path.join(work, "behave"))
         proc = subprocess.run([sys.executable, "-c", RUN_CLI] + argv, cwd=work, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
