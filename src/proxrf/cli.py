@@ -168,17 +168,17 @@ def _cmd_adapt(args, cfg: PipelineConfig) -> int:
 
 def _cmd_extract(args, cfg: PipelineConfig) -> int:
     recordings = read_corpus(args.corpus)
+    order = [rec.sequence_id for rec in recordings]
     lines = []
     if args.kind == "pid":
         d = cfg.pid.descriptor_length
         lines.append(f"# pid d={d} t1={cfg.pid.t1} l_max={cfg.pid.l_max} step={cfg.step}")
         lines.append("# sequence,center_frame,anchor,target,label,values...")
-        for rec in recordings:
-            rows, x, labels = Pipeline([rec], cfg).pair_matrix([rec.sequence_id])
-            for (seq, center, (aid, tid)), vec, label in zip(rows, x, labels):
-                lines.append(
-                    f"{seq},{center},{aid},{tid},{label.code}," + ",".join(_fmt(v) for v in vec)
-                )
+        rows, x, labels = Pipeline(recordings, cfg).pair_matrix(order)
+        for (seq, center, (aid, tid)), vec, label in zip(rows, x, labels):
+            lines.append(
+                f"{seq},{center},{aid},{tid},{label.code}," + ",".join(_fmt(v) for v in vec)
+            )
     else:
         if args.model is None:
             raise ConfigError("extract --kind cbd needs --model (first-stage forest)")
@@ -189,13 +189,12 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
             f" include_shape={str(cfg.include_shape).lower()}"
         )
         lines.append("# sequence,center_frame,members,label,values...")
-        for rec in recordings:
-            rows, x, labels = Pipeline([rec], cfg).group_matrix(stage1, [rec.sequence_id])
-            for (seq, center, ids), vec, label in zip(rows, x[:, cols], labels):
-                lines.append(
-                    f"{seq},{center},{'|'.join(ids)},{label.code},"
-                    + ",".join(_fmt(v) for v in vec)
-                )
+        rows, x, labels = Pipeline(recordings, cfg).group_matrix(stage1, order)
+        for (seq, center, ids), vec, label in zip(rows, x[:, cols], labels):
+            lines.append(
+                f"{seq},{center},{'|'.join(ids)},{label.code},"
+                + ",".join(_fmt(v) for v in vec)
+            )
     _makedirs_for(args.out)
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 2} descriptors to {args.out}")
@@ -273,17 +272,21 @@ def _cmd_predict(args, cfg: PipelineConfig) -> int:
         "# sequence,center_frame,kind,ids,label,probabilities"
         " (pair rows over interaction classes, group rows over collective classes)"
     ]
-    n_pairs = n_groups = 0
-    for rec in recordings:
-        pipe = Pipeline([rec], cfg)
-        rows, x, _ = pipe.pair_matrix(pipe.seq_ids)
-        lines += _prediction_lines("pair", rows, stage1, x)
-        n_pairs += len(rows)
-        if stage2 is None:
-            continue
-        rows, x, _ = pipe.group_matrix(stage1, pipe.seq_ids)
-        lines += _prediction_lines("group", rows, stage2, x[:, cols])
-        n_groups += len(rows)
+    # one Pipeline for the corpus; rows are written recording by recording,
+    # in read_corpus order, pair rows first
+    pipe = Pipeline(recordings, cfg)
+    order = [rec.sequence_id for rec in recordings]
+    by_seq = {seq: [] for seq in order}
+    rows, x, _ = pipe.pair_matrix(order)
+    for (seq, *_), line in zip(rows, _prediction_lines("pair", rows, stage1, x)):
+        by_seq[seq].append(line)
+    n_pairs, n_groups = len(rows), 0
+    if stage2 is not None:
+        rows, x, _ = pipe.group_matrix(stage1, order)
+        for (seq, *_), line in zip(rows, _prediction_lines("group", rows, stage2, x[:, cols])):
+            by_seq[seq].append(line)
+        n_groups = len(rows)
+    lines += [line for seq in order for line in by_seq[seq]]
     _makedirs_for(args.out)
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {n_pairs} pair and {n_groups} group predictions to {args.out}")

@@ -1,7 +1,8 @@
 """Scene recordings, canonical file formats, external-corpus adapters and
 sliding-window enumeration.
 
-Canonical on-disk formats (UTF-8, `#` comment lines ignored):
+Canonical on-disk formats (UTF-8, a leading byte-order mark and `#`
+comment lines ignored):
   .trj  one header `# fps=<float>`, then `frame,track_id,x,y` (meters)
   .pia  `start,end,anchor_id,target_id,LABEL` with the two-letter codes
   .cba  `start,end,LABEL` with full collective label names
@@ -198,12 +199,19 @@ class FoldSplit:
             raise ParseError(f"{path}: {e}") from None
 
 
-def _utf8_lines(fh, path):
-    """Lines of a file opened as UTF-8; other bytes raise ParseError."""
-    try:
-        yield from fh
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+def _read_text(source) -> str:
+    """The text of a path, decoded as UTF-8 in one go (other bytes raise
+    ParseError), or of a line iterable, its lines joined by newlines;
+    either way less one leading byte-order mark."""
+    if isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{source}: not UTF-8 text ({e.reason})") from None
+    else:
+        text = "\n".join(line[:-1] if line.endswith("\n") else line for line in source)
+    return text[1:] if text.startswith("\ufeff") else text
 
 
 def _frame(text: str) -> int:
@@ -216,25 +224,17 @@ def _frame(text: str) -> int:
 
 def _numbered_lines(source) -> Iterator:
     """(line number, stripped content) for data lines of a path/stream."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            yield from _numbered_lines(_utf8_lines(fh, source))
-        return
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(_read_text(source).split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
-def _parse_fps(source, name: str) -> tuple:
+def _parse_fps(lines: Sequence[str], name: str) -> tuple:
     """fps from the one `# fps=` header plus the remaining data lines."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, encoding="utf-8") as fh:
-            return _parse_fps(_utf8_lines(fh, source), name)
     fps = None
     data = []
-    for lineno, raw in enumerate(source, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line.startswith("#"):
             body = line[1:].strip()
@@ -268,35 +268,68 @@ def _parse_tracks(source, name: str, foot_point: Optional[str] = None, h_mat=Non
     With one it is an external `tracks.txt` in image coordinates: a row
     may also be a box `frame,track_id,x1,y1,x2,y2`, reduced to one image
     point per ``foot_point``, and ``h_mat`` maps the points to the
-    ground.  The first bad line, an empty file and any track that
-    ``_build_tracks`` refuses raise ParseError.
+    ground.  The whole text is read at once (_track_columns); a text
+    that needs more is read line by line (_track_rows).  The first bad
+    line, an empty file and any track that ``_build_tracks`` refuses
+    raise ParseError.
     """
-    fps, data = _parse_fps(source, name)
-    if not data:
-        raise ParseError(f"{name}: no trajectory data")
-    linenos, lines = zip(*data)
-    try:
-        rows = [line.split(",") for line in lines]
-        if any(len(r) != 4 for r in rows):
-            raise ValueError
-        frame_col, id_col, x_col, y_col = zip(*rows)
-        frames = list(map(int, frame_col))
-        if max(frames) > _MAX_FRAME or min(frames) < -_MAX_FRAME:
-            raise ValueError
-        x, y = list(map(float, x_col)), list(map(float, y_col))
-        ids = list(map(str.strip, id_col))
-        if not all(ids):
-            raise ValueError
-    except ValueError:
-        # line by line, which raises the first bad line's ParseError
-        ids, frames, x, y = zip(*(_track_row(line, name, lineno, foot_point)
-                                  for lineno, line in data))
+    text = _read_text(source)
+    columns = _track_columns(text)
+    if columns is None:
+        columns = _track_rows(text.split("\n"), name, foot_point)
+    fps, linenos, ids, frames, xy = columns
     to_ground = None if h_mat is None else (lambda pts: apply_homography(h_mat, pts))
     # a point on the homography's horizon maps to inf or nan, which
     # _build_tracks reports as ParseError; numpy's warning would only repeat it
     with np.errstate(divide="ignore", invalid="ignore"):
-        return fps, _build_tracks(linenos, ids, frames, np.column_stack([x, y]), fps, name,
-                                  to_ground)
+        return fps, _build_tracks(linenos, ids, frames, xy, fps, name, to_ground)
+
+
+def _track_columns(text: str) -> Optional[tuple]:
+    """(fps, line numbers, track ids, frames, (n, 2) positions) of a track
+    file text that is a good `# fps=` header line, then only rows of four
+    fields that int() and float() read, with non-empty ids and frames
+    within +-2**53 (a last newline is allowed); None for any other text.
+
+    The text is split into lines once, to check that each holds three
+    commas, and into fields once, with no loop over lines in Python.  A
+    comment or blank line never passes: its first field is no integer.
+    Since int() and float() accept no whitespace that str.strip()
+    keeps, such a text gives what _track_rows gives.
+    """
+    head, _, body = text.partition("\n")
+    head = head.strip()
+    if not head.startswith("#") or not head[1:].strip().startswith("fps="):
+        return None
+    try:
+        fps = float(head[1:].strip()[4:])
+    except ValueError:
+        return None
+    lines = body[:-1].split("\n") if body.endswith("\n") else body.split("\n")
+    if not 0 < fps < math.inf or set(map(str.count, lines, itertools.repeat(","))) != {3}:
+        return None
+    fields = ",".join(lines).split(",")
+    try:
+        frames = list(map(int, fields[0::4]))
+        xy = np.column_stack([list(map(float, fields[2::4])), list(map(float, fields[3::4]))])
+    except ValueError:
+        return None
+    ids = list(map(str.strip, fields[1::4]))
+    if max(frames) > _MAX_FRAME or min(frames) < -_MAX_FRAME or not all(ids):
+        return None
+    return fps, np.arange(2, len(lines) + 2), ids, frames, xy
+
+
+def _track_rows(lines: Sequence[str], name: str, foot_point: Optional[str]) -> tuple:
+    """What _track_columns returns, from a track file's lines one by one:
+    the header (_parse_fps), then each data line (_track_row), so the
+    first bad line raises its ParseError."""
+    fps, data = _parse_fps(lines, name)
+    if not data:
+        raise ParseError(f"{name}: no trajectory data")
+    rows = [(lineno,) + _track_row(line, name, lineno, foot_point) for lineno, line in data]
+    linenos, ids, frames, x, y = zip(*rows)
+    return fps, linenos, ids, frames, np.column_stack([x, y])
 
 
 def _track_row(line: str, name: str, lineno: int, foot_point: Optional[str]) -> tuple:
@@ -428,14 +461,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _check_id(track_id: str):
-    if "," in track_id or track_id != track_id.strip() or not track_id:
-        raise ValueError(f"track id {track_id!r} not representable in canonical files")
+def _check_id(ident: str, what: str = "track id"):
+    """ValueError unless ``ident`` can be written as a field of a canonical
+    file or a CSV output line: non-empty, without a comma or a line
+    break, and without surrounding whitespace."""
+    if not ident or ident != ident.strip() or any(c in ident for c in ",\n\r"):
+        raise ValueError(f"{what} {ident!r} not representable in canonical files and CSV output")
+
+
+def _sequence_id(seq: str, where: str) -> str:
+    """``seq``, unless _check_id refuses it as a sequence id: then a
+    ParseError naming ``where``, the file or directory it came from."""
+    try:
+        _check_id(seq, "sequence id")
+    except ValueError as e:
+        raise ParseError(f"{where}: {e}") from None
+    return seq
 
 
 def write_scene(rec: SceneRecording, directory: str) -> str:
     """Write `<sequence_id>.trj/.pia/.cba` under a directory; returns the
     .trj path.  Annotation files are only written when non-empty."""
+    _check_id(rec.sequence_id, "sequence id")
     os.makedirs(directory, exist_ok=True)
     base = os.path.join(directory, rec.sequence_id)
     lines = [f"# fps={_fmt(rec.fps)}"]
@@ -472,9 +519,10 @@ def read_scene(trj_path: str) -> SceneRecording:
     base, ext = os.path.splitext(trj_path)
     if ext != ".trj":
         raise ConfigError(f"expected a .trj path, got {trj_path!r}")
+    seq = _sequence_id(os.path.basename(base), trj_path)
     pia = base + ".pia" if os.path.exists(base + ".pia") else None
     cba = base + ".cba" if os.path.exists(base + ".cba") else None
-    return parse_canonical(trj_path, pia, cba, sequence_id=os.path.basename(base))
+    return parse_canonical(trj_path, pia, cba, sequence_id=seq)
 
 
 def write_corpus(recordings: Sequence[SceneRecording], directory: str) -> list:
@@ -482,7 +530,9 @@ def write_corpus(recordings: Sequence[SceneRecording], directory: str) -> list:
 
 
 def read_corpus(directory: str) -> list:
-    """All canonical scenes under a directory, sorted by sequence id."""
+    """All canonical scenes under a directory, in file name order (which
+    is not always sequence id order: `a.b.trj` sorts before `a.trj`).  A
+    file whose sequence id _check_id refuses raises ParseError."""
     if not os.path.isdir(directory):
         raise ConfigError(f"not a directory: {directory!r}")
     paths = sorted(
@@ -539,6 +589,7 @@ def adapt_external(root: str, layout: str, foot_point: str = "bottom-center") ->
         tracks = os.path.join(seq_dir, "tracks.txt")
         if not os.path.isdir(seq_dir) or not os.path.exists(tracks):
             continue
+        _sequence_id(seq, seq_dir)
         hom_path = os.path.join(seq_dir, "H.hom")
         if not os.path.exists(hom_path):
             raise ConfigError(f"{seq}: missing homography sidecar {hom_path}")

@@ -244,11 +244,13 @@ class Pipeline:
     Pair windows become PID rows, which train the stage-one forest; group
     windows become CBD rows under a stage-one model, which train the
     stage-two forest.  Only the pooled stage-one labels of a group window
-    depend on the model, so everything else is computed once per
-    recording, when a matrix first asks for it, and shared by every
-    fold, cue set and stage-one model: the smoothed tracks; the pair
-    windows' rows, PID vectors (one describe_pairs call) and labels; and
-    the group windows' rows, labels, speed, dispersion and shape cues
+    depend on the model, so everything else is computed once and shared
+    by every fold, cue set and stage-one model: the smoothed tracks of
+    every recording (one smoothed_states call, on construction); the
+    pair windows' rows, PID vectors and labels of every recording (one
+    describe_pairs call per frame rate, on the first pair_matrix call);
+    and per recording, when a matrix first asks for it, the group
+    windows' rows, labels, speed, dispersion and shape cues
     (group_cues) and distinct pair vectors with each key's window and
     row (pair_vectors).  The GroupWindows themselves are not kept.
     Matrices come back as ``(rows, X, labels)`` with one ``(sequence id,
@@ -259,31 +261,42 @@ class Pipeline:
         self.cfg = cfg
         self._recordings = {rec.sequence_id: rec for rec in recordings}
         self.seq_ids = tuple(sorted(self._recordings))
-        self._states = {
-            seq: {
-                t.track_id: smoothed_states(t, cfg.smoothing, max_gap=cfg.max_gap)
-                for t in rec.trajectories
-            }
-            for seq, rec in self._recordings.items()
-        }
+        tracks = [t for rec in self._recordings.values() for t in rec.trajectories]
+        states = iter(smoothed_states(tracks, cfg.smoothing, max_gap=cfg.max_gap))
+        self._states = {seq: {t.track_id: next(states) for t in rec.trajectories}
+                        for seq, rec in self._recordings.items()}
         self._pairs = {}
         self._groups = {}
 
     def _pair_cache(self, seq: str) -> tuple:
-        """(rows, PID matrix, labels) of the recording's pair windows."""
-        if seq not in self._pairs:
-            cfg, rec, states = self.cfg, self._recordings[seq], self._states[seq]
-            placed = list(windows(rec, cfg.pid.t1, cfg.step, "pairs", cfg.max_gap))
-            by_pair = {}
-            for k, (center, pair, _) in enumerate(placed):
-                by_pair.setdefault(pair, []).append(k)
-            order = [k for ks in by_pair.values() for k in ks]
-            pairs = [(states[a], states[t], a, t, [placed[k][0] for k in ks])
-                     for (a, t), ks in by_pair.items()]
-            x = np.empty((len(placed), cfg.pid.descriptor_length))
-            x[order] = describe_pairs(pairs, cfg.pid, rec.fps, cfg.seed)
-            self._pairs[seq] = ([(seq, center, pair) for center, pair, _ in placed], x,
-                                [label for _, _, label in placed])
+        """(rows, PID matrix, labels) of the recording's pair windows.
+
+        The first call fills the cache of every recording: the pairs of
+        all recordings with one frame rate are described in one
+        describe_pairs call, each recording's pairs in first-seen order.
+        """
+        if not self._pairs:
+            cfg, by_fps = self.cfg, {}
+            for seq_id, rec in self._recordings.items():
+                states = self._states[seq_id]
+                placed = list(windows(rec, cfg.pid.t1, cfg.step, "pairs", cfg.max_gap))
+                by_pair = {}
+                for k, (center, pair, _) in enumerate(placed):
+                    by_pair.setdefault(pair, []).append(k)
+                pairs = [(states[a], states[t], a, t, [placed[k][0] for k in ks])
+                         for (a, t), ks in by_pair.items()]
+                order = [k for ks in by_pair.values() for k in ks]
+                by_fps.setdefault(rec.fps, []).append((seq_id, placed, pairs, order))
+            for fps, group in by_fps.items():
+                x = describe_pairs([p for _, _, pairs, _ in group for p in pairs], cfg.pid, fps,
+                                   cfg.seed)
+                at = 0
+                for seq_id, placed, _, order in group:
+                    x_seq = np.empty((len(placed), cfg.pid.descriptor_length))
+                    x_seq[order] = x[at:at + len(placed)]
+                    at += len(placed)
+                    self._pairs[seq_id] = ([(seq_id, c, pair) for c, pair, _ in placed], x_seq,
+                                           [label for _, _, label in placed])
         return self._pairs[seq]
 
     def _group_cache(self, seq: str) -> tuple:

@@ -208,8 +208,10 @@ def heading_draws(seed: int, anchor_words, target_words, frames) -> np.ndarray:
 
 
 # Rows (pair-frames) that describe_pairs puts into one PairBatch.  At the
-# default 9 x 9 grid a row holds 1,296 B of cells and weights.
-BATCH_FRAMES = 4096
+# default 9 x 9 grid a row holds 1,296 B of cells and weights, so a batch
+# holds 1.3 MB of them; batches of 4,096 rows describe a corpus more
+# slowly and raise a command's peak memory by about 4 MB.
+BATCH_FRAMES = 1024
 
 
 class PairBatch:

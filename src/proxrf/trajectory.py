@@ -11,7 +11,7 @@ substitutes a seeded random direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -104,7 +104,7 @@ class Trajectory:
     gives the TimedPosition view back.
     """
 
-    __slots__ = ("track_id", "fps", "_frames", "_xy")
+    __slots__ = ("track_id", "fps", "_frames", "_xy", "_pieces")
 
     def __init__(self, track_id, samples: Iterable[TimedPosition], fps: float):
         samples = tuple(samples)
@@ -173,15 +173,20 @@ class Trajectory:
         """The track as TimedPosition samples, built on each call."""
         return tuple(map(TimedPosition, self._frames.tolist(), *self._xy.T.tolist()))
 
-    def pieces(self, max_gap: int = DEFAULT_MAX_GAP) -> list:
+    def pieces(self, max_gap: int = DEFAULT_MAX_GAP) -> tuple:
         """(first, last) frame of each stretch of the track whose interior
-        gaps are at most ``max_gap`` frames, in frame order."""
-        if len(self) == 0:
-            return []
-        cuts = np.flatnonzero(np.diff(self._frames) > max_gap + 1)
-        firsts = self._frames[np.r_[0, cuts + 1]].tolist()
-        lasts = self._frames[np.r_[cuts, len(self) - 1]].tolist()
-        return list(zip(firsts, lasts))
+        gaps are at most ``max_gap`` frames, in frame order; found once
+        per ``max_gap``."""
+        try:
+            found = self._pieces
+        except AttributeError:  # the first call
+            found = self._pieces = {}
+        if max_gap not in found:
+            f = self._frames
+            cut = np.diff(f) > max_gap + 1
+            found[max_gap] = tuple(zip(f[:1].tolist() + f[1:][cut].tolist(),
+                                       f[:-1][cut].tolist() + f[-1:].tolist()))
+        return found[max_gap]
 
     def covers(self, start: int, end: int, max_gap: int = DEFAULT_MAX_GAP) -> bool:
         """True when every frame in [start, end] is available after
@@ -189,77 +194,129 @@ class Trajectory:
         return any(first <= start and end <= last for first, last in self.pieces(max_gap))
 
 
-def _brown(values: list, a: float) -> list:
-    """Brown's double exponential smoothing of one coordinate, in floats."""
+# Spans smoothed together: a block holds spans of similar length (each
+# longer than half the block's longest) and at most this many span-frames,
+# so a long track beside many short ones does not pad them to its length.
+_BLOCK_FRAMES = 1 << 16
+
+
+def _smooth_block(pos: np.ndarray, a: float) -> np.ndarray:
+    """Brown's double exponential smoothing of (frames, spans, 2) positions
+    along the frame axis, every span in lockstep: the elementwise float64
+    steps of the per-sample recursion, so each value has its bits."""
     b = 1.0 - a
-    s1 = values[0]
+    s1 = pos[0]
     s2 = a * s1 + b * s1  # s1[0]
-    out = []
-    for v in values:
-        s1 = a * v + b * s1
+    out = np.empty_like(pos)
+    for t in range(len(pos)):
+        s1 = a * pos[t] + b * s1
         s2 = a * s1 + b * s2
-        out.append(2.0 * s1 - s2)
+        out[t] = 2.0 * s1 - s2
     return out
 
 
-def smoothed_states(
-    traj: Trajectory, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
-) -> TrackStates:
-    """Smoothed positions and their kinematics over each contiguous span,
-    concatenated.
+def smoothed_states(tracks, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP):
+    """Smoothed positions and their kinematics over each contiguous span
+    of a track, concatenated.
 
-    Gaps of at most ``max_gap`` frames are interpolated first; larger gaps
-    split the track into independent spans.  Spans of a single frame yield
-    no state.  Each span is smoothed from its own start in Brown's form: a
-    level smoother s1[t] = a*x[t] + (1-a)*s1[t-1] feeds a second smoother
-    s2 of the same form, and the output 2*s1 - s2 removes the steady-state
+    ``tracks`` is one Trajectory, giving its TrackStates, or a sequence
+    of them, giving a list of TrackStates in the same order; one track
+    is the same computation over a single track.  Gaps of at most
+    ``max_gap`` frames are interpolated first; larger gaps split a track
+    into independent spans.  Spans of a single frame yield no state.
+    Each span is smoothed from its own start in Brown's form: a level
+    smoother s1[t] = a*x[t] + (1-a)*s1[t-1] feeds a second smoother s2 of
+    the same form, and the output 2*s1 - s2 removes the steady-state
     lag.  s1 is seeded with x[0] and s2 with s1[0], so the first sample
     passes through unchanged.  Velocity is the central finite difference
-    of the smoothed positions (one-sided at the span's ends) in meters per
-    second, and orientation is atan2 of the velocity where the speed is at
-    least ``t_s``, else nan.  Finite positions so large that the gap
-    interpolation, the smoothing or the velocity overflows raise
-    InvalidFeature naming the track and the first such frame.
+    of the smoothed positions (one-sided at the span's ends) in meters
+    per second, and orientation is atan2 of the velocity where the speed
+    is at least ``t_s``, else nan.  The spans of all tracks are smoothed
+    and differenced together, in blocks of similar length.  Finite
+    positions so large that the gap interpolation, the smoothing or the
+    velocity overflows raise InvalidFeature naming the first such track
+    and its first such frame.
     """
-    cuts = (np.flatnonzero(np.diff(traj._frames) > max_gap + 1) + 1).tolist()
-    parts = [TrackStates(np.empty(0, np.int64), np.empty((0, 2)), np.empty((0, 2)),
-                         np.empty(0), np.empty(0))]
-    for lo, hi in zip([0] + cuts, cuts + [len(traj)]):
-        if hi - lo < 2:
-            continue
-        frames, xy = traj._frames[lo:hi], traj._xy[lo:hi]
-        first, last = int(frames[0]), int(frames[-1])
-        if last - first + 1 > hi - lo:  # interpolate the span's interior gaps
-            filled = np.arange(first, last + 1)
-            xy = np.column_stack([np.interp(filled, frames, xy[:, 0]),
-                                  np.interp(filled, frames, xy[:, 1])])
-            bad = np.flatnonzero(~np.isfinite(xy).all(axis=1))
-            if len(bad):  # finite input, overflowing arithmetic
-                raise InvalidFeature(f"track {traj.track_id}: interpolated position "
-                                     f"overflows at frame {filled[bad[0]]}")
-            frames = filled
-        pos = np.column_stack([_brown(xy[:, 0].tolist(), cfg.alpha),
-                               _brown(xy[:, 1].tolist(), cfg.alpha)])
-        bad = np.flatnonzero(~np.isfinite(pos).all(axis=1))
-        if len(bad):  # finite input, overflowing arithmetic
-            raise InvalidFeature(
-                f"track {traj.track_id}: smoothed position overflows at frame {frames[bad[0]]}"
-            )
-        # the span's frames are consecutive, so each step is one frame
+    if isinstance(tracks, Trajectory):
+        return smoothed_states([tracks], cfg, max_gap)[0]
+    tracks = list(tracks)
+    owner, off, frames, pos, interp_bad = _filled_spans(tracks, max_gap)
+    xy = np.empty_like(pos)
+    velocity = np.empty_like(pos)
+    fps = np.array([t.fps for t in tracks])[owner]
+    length = np.diff(off)
+    by_length = np.argsort(-length, kind="stable")
+    sorted_length = length[by_length]
+    start = 0
+    while start < len(by_length):
+        longest = int(sorted_length[start])
+        similar = np.searchsorted(-2 * sorted_length, -longest)  # 2 * length > longest
+        stop = min(similar, start + max(1, _BLOCK_FRAMES // longest))
+        spans, start = by_length[start:stop], stop
+        n, cols = length[spans], np.arange(len(spans))
+        t = np.arange(longest)[:, None]
+        rows = off[spans] + np.minimum(t, n - 1)  # a short span repeats its last row
+        valid = t < n
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-            velocity = finite_difference(pos.T, 1.0).T * traj.fps
-            speed = np.hypot(velocity[:, 0], velocity[:, 1])
-        bad = np.flatnonzero(~np.isfinite(speed))
-        if len(bad):
-            raise InvalidFeature(
-                f"track {traj.track_id}: velocity overflows at frame {frames[bad[0]]}"
-            )
-        orientation = np.fromiter(map(math.atan2, velocity[:, 1].tolist(),
-                                      velocity[:, 0].tolist()), float, len(pos))
-        orientation[speed < cfg.t_s] = np.nan
-        parts.append(TrackStates(frames, pos, velocity, speed, orientation))
-    return TrackStates(*(np.concatenate([getattr(p, f.name) for p in parts])
-                         for f in fields(TrackStates)))
+            block = _smooth_block(pos[rows], cfg.alpha)
+            # each step is one frame; a span's last row is one-sided at its own end
+            vel = finite_difference(block.T, 1.0).T
+            vel[n - 1, cols] = block[n - 1, cols] - block[n - 2, cols]
+            vel *= fps[spans][:, None]
+        xy[rows[valid]] = block[valid]
+        velocity[rows[valid]] = vel[valid]
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = np.hypot(velocity[:, 0], velocity[:, 1])
+    faults = (("interpolated position", interp_bad),
+              ("smoothed position", ~np.isfinite(xy).all(axis=1)),
+              ("velocity", ~np.isfinite(speed)))
+    firsts = [np.argmax(bad) for _, bad in faults if bad.any()]
+    if firsts:  # finite input, overflowing arithmetic: the first span at fault
+        span = np.searchsorted(off, min(firsts), side="right") - 1
+        for what, bad in faults:
+            hit = np.flatnonzero(bad[off[span]:off[span + 1]])
+            if len(hit):
+                raise InvalidFeature(f"track {tracks[owner[span]].track_id}: {what} "
+                                     f"overflows at frame {frames[off[span] + hit[0]]}")
+    orientation = np.fromiter(map(math.atan2, velocity[:, 1].tolist(),
+                                  velocity[:, 0].tolist()), float, len(frames))
+    orientation[speed < cfg.t_s] = np.nan
+    bounds = off[np.searchsorted(owner, np.arange(len(tracks) + 1))].tolist()
+    return [TrackStates(frames[a:b], xy[a:b], velocity[a:b], speed[a:b], orientation[a:b])
+            for a, b in zip(bounds, bounds[1:])]
+
+
+def _filled_spans(tracks: list, max_gap: int) -> tuple:
+    """The spans of ``tracks`` with their gaps filled, laid end to end.
+
+    A span is a run of at least two samples of one track without a gap
+    beyond ``max_gap``.  Returns each span's track index, the offsets of
+    the spans (span k holds rows off[k]:off[k + 1]), and per row its
+    frame, its position (interpolated in a gap) and whether that
+    interpolation overflowed.
+    """
+    frames = np.concatenate([np.empty(0, np.int64)] + [t._frames for t in tracks])
+    xy = np.concatenate([np.empty((0, 2))] + [t._xy for t in tracks])
+    owner = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
+    new = np.ones(len(frames), dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (np.diff(frames) > max_gap + 1)
+    lo = np.flatnonzero(new)
+    samples = np.diff(np.append(lo, len(frames)))
+    kept = np.flatnonzero(np.repeat(samples >= 2, samples))
+    lo, samples = lo[samples >= 2], samples[samples >= 2]
+    first = frames[lo]
+    length = frames[lo + samples - 1] - first + 1
+    off = np.concatenate([[0], np.cumsum(length)])
+    filled = np.arange(off[-1]) + np.repeat(first - off[:-1], length)
+    if (length == samples).all():
+        return owner[lo], off, filled, xy[kept], np.zeros(len(filled), dtype=bool)
+    # one interpolation over the spans laid end to end: a known frame is
+    # a knot and keeps its value, and a missing one is interpolated
+    # between its own span's neighbours, as np.interp over the span would
+    at = frames[kept] + np.repeat(off[:-1] - first, samples)
+    pos = np.column_stack([np.interp(np.arange(off[-1]), at, xy[kept, 0]),
+                           np.interp(np.arange(off[-1]), at, xy[kept, 1])])
+    return owner[lo], off, filled, pos, ~np.isfinite(pos).all(axis=1)
 
 
 def finite_difference(values: np.ndarray, h: float) -> np.ndarray:

@@ -537,6 +537,55 @@ def test_predict_rows_match_pipeline(mixed_corpus, stage1_model, tmp_path):
     assert got == want
 
 
+def test_predict_and_extract_keep_file_order(tmp_path):
+    # `a.b.trj` sorts before `a.trj`, though the id "a" sorts before "a.b":
+    # rows come recording by recording in file order, pair rows first
+    from proxrf.dataset import SceneRecording, read_corpus, write_corpus
+    from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
+
+    p = SynthParams(seed=5, noise_sigma=0.02)
+    scenes = make_pair_corpus(p, 1)[:2] + make_collective_corpus(p, 1)[:2]
+    corpus = tmp_path / "corpus"
+    write_corpus([SceneRecording(seq, r.fps, r.trajectories, r.pair_annotations,
+                                 r.collective_annotations)
+                  for seq, r in zip(["a", "a.b", "g", "g.h"], scenes)], str(corpus))
+    assert [r.sequence_id for r in read_corpus(str(corpus))] == ["a.b", "a", "g.h", "g"]
+    coll = tmp_path / "coll.json"
+    assert main(["train", "collective", str(corpus), "--out", str(coll)] + SMALL) == 0
+    stage1 = str(tmp_path / "coll.stage1.json")
+    runs = (
+        (["extract", str(corpus), "--kind", "pid"], ["a.b", "a"]),
+        (["extract", str(corpus), "--kind", "cbd", "--model", stage1], ["g.h", "g"]),
+        (["predict", str(corpus), "--interactions-model", stage1, "--collective-model",
+          str(coll)], [("a.b", "pair"), ("a", "pair"), ("g.h", "group"), ("g", "group")]),
+    )
+    for argv, want in runs:
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        seen = []
+        for line in out.read_text().splitlines():
+            if not line.startswith("#"):
+                fields = line.split(",")
+                key = (fields[0], fields[2]) if argv[0] == "predict" else fields[0]
+                if not seen or seen[-1] != key:
+                    seen.append(key)
+        assert seen == want, argv
+
+
+def test_predict_refuses_unwritable_sequence_id(pair_corpus, stage1_model, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in sorted(os.listdir(pair_corpus))[:2]:
+        stem, ext = os.path.splitext(name)
+        (corpus / ("we,ird" + ext)).write_bytes(open(os.path.join(pair_corpus, name), "rb").read())
+    out = tmp_path / "p.csv"
+    rc = main(["predict", str(corpus), "--interactions-model", stage1_model, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 4, err
+    assert err.startswith("ERROR ParseError:") and "we,ird.trj: sequence id 'we,ird'" in err, err
+    assert not out.exists()
+
+
 def test_exit_code_config_error(pair_corpus, tmp_path, capsys):
     out = str(tmp_path / "m.json")
     for argv in (

@@ -2,16 +2,19 @@
 
 import math
 import os
+import re
 import pathlib
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from proxrf import dataset
 from proxrf.cbd import CollectiveLabel
 from proxrf.dataset import (
     FOOT_POINTS,
@@ -270,6 +273,138 @@ def test_canonical_parsing_parses_or_raises_proxrf_error(header, trj, pia, cba):
     except ProxrfError:
         return
     assert rec.trajectories and 0.0 < rec.fps < math.inf
+
+
+# Fields of a track file row in the forms int() and float() take or refuse:
+# surrounding whitespace (some of it only str.strip() removes), signs,
+# digit underscores, non-ASCII digits and exponents.
+_FRAME_TEXT = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["+5", " 7 ", "1_0", "\u0665", "\u0661\u0662", "1e1", "2.0", "\x1c3",
+                     "4\x85", "\u20286", str(2**53), str(2**53 + 1), "x", ""]),
+)
+_ID_TEXT = st.sampled_from(["a", "b", " a ", "a#1", "", " ", "\u00e9"])
+_COORD_TEXT = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.sampled_from([" 1.5", "1_0.5", "+2", "\u0663.\u0665", "1e3", "-0.0", "inf", "nan",
+                     "\x1d1.0", "2.0\u3000", "1e400", "z", ""]),
+)
+
+
+@st.composite
+def _track_text(draw):
+    """A track file's text: mostly a header and rows of the fields above,
+    with blank, whitespace and comment lines, a second header, rows of
+    another field count and lines before the header mixed in; the first
+    value tells whether it is only a header line and four-field rows of
+    plain numbers, which the whole-text read must take."""
+    plain = draw(st.booleans())
+    lines = [draw(st.sampled_from(["# fps=10", "#fps=25.0", " # fps=2.5 "]))]
+    if not plain:
+        lines = draw(st.sampled_from([[], [""], ["# note"], ["0,a,1,2"]])) + [
+            draw(st.sampled_from(["# fps=10", "# fps=abc", "# fps=-1", "# fps=1e3"]))]
+    for _ in range(draw(st.integers(0 if not plain else 1, 10))):
+        if plain:
+            row = [str(draw(st.integers(0, 40))), draw(st.sampled_from(["a", "b"])),
+                   repr(draw(st.floats(-10.0, 10.0))), repr(draw(st.floats(-10.0, 10.0)))]
+            lines.append(",".join(row))
+            continue
+        kind = draw(st.integers(0, 11))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "# fps=25", "#"])))
+            continue
+        row = [draw(_FRAME_TEXT), draw(_ID_TEXT), draw(_COORD_TEXT), draw(_COORD_TEXT)]
+        if kind == 1:
+            row.append(draw(_COORD_TEXT))
+        elif kind == 2:
+            row.pop()
+        lines.append(",".join(row))
+    ends = ["", "\n"] if plain else ["", "\n", "\n\n", "\n  "]
+    return plain, "\n".join(lines) + draw(st.sampled_from(ends))
+
+
+def _outcome(parse):
+    """(fps, per track id, frames and position bytes) of a parse, or the
+    text of its ParseError."""
+    try:
+        rec = parse()
+    except ParseError as e:
+        return str(e)
+    return rec.fps, [(t.track_id, t.frames.tolist(), t.xy.tobytes()) for t in rec.trajectories]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_track_text())
+@example((False, "# fps=10\n0,a,1,2\n1,a,x,2\n2,a,1\n"))
+@example((False, "# fps=10\n0,a,1,2\n1,a,1.1,2\n# fps=25\n2,a,1.2,2\n"))
+@example((True, "# fps=10\n0,a,1.5,2.5\n1,a,1.0,2.0\n1,b,0.0,0.0\n"))
+# eight fields over two lines, which read as two good rows if the lines
+# are not told apart
+@example((False, "# fps=10\n1,a,1,1,2\nb,1,1\n"))
+# comment lines and `#` inside a row
+@example((False, "# fps=10\n# 1,a,2,3\n0,a#1,1,2\n#fps=25,a,1,2\n"))
+def test_whole_text_read_equals_row_by_row(track_text):
+    # the whole-text read of a track file and the row-by-row read that
+    # reports the first bad line give the same trajectories or error text
+    plain, text = track_text
+    lines = text.split("\n")
+    read = dataset._track_columns
+    taken = []
+    with mock.patch.object(dataset, "_track_columns", lambda text: taken.append(read(text))
+                           or taken[-1]):
+        got = _outcome(lambda: parse_canonical(lines))
+    with mock.patch.object(dataset, "_track_columns", lambda text: None):
+        want = _outcome(lambda: parse_canonical(lines))
+    assert got == want
+    if plain:
+        assert len(taken) == 1 and taken[0] is not None
+
+
+def test_byte_order_mark_is_not_data(tmp_path):
+    # some Windows tools begin a UTF-8 file with a byte-order mark; a file
+    # reads the same with or without one
+    scene = {"s.trj": "# fps=10\n0,a,0.0,0.0\n1,a,0.1,0.0\n0,b,1.0,0.0\n1,b,1.1,0.0\n",
+             "s.pia": "0,1,a,b,WT\n", "s.cba": "0,1,Talking\n"}
+    ext = {"tracks.txt": "# fps=10\n0,a,100,200\n1,a,110,200\n0,b,300,400\n1,b,310,400\n",
+           "H.hom": "0.1 0 0\n0 0.1 0\n0 0 1\n", "pairs.txt": "0,1,a,b,WT\n",
+           "groups.txt": "0,1,Talking\n"}
+    for mark in ("", "\ufeff"):
+        root = tmp_path / f"mark{len(mark)}"
+        (root / "ext" / "s").mkdir(parents=True)
+        for name, text in scene.items():
+            (root / name).write_text(mark + text, encoding="utf-8")
+        for name, text in ext.items():
+            (root / "ext" / "s" / name).write_text(mark + text, encoding="utf-8")
+        (root / "folds.csv").write_text(mark + "s,0\nt,1\n", encoding="utf-8")
+    plain, marked = tmp_path / "mark0", tmp_path / "mark1"
+    assert (marked / "s.trj").read_bytes().startswith(b"\xef\xbb\xbf# fps=10")
+    assert read_corpus(str(marked)) == read_corpus(str(plain))
+    assert read_corpus(str(marked))[0].collective_annotations
+    assert (adapt_external(str(marked / "ext"), "ncad-like")
+            == adapt_external(str(plain / "ext"), "ncad-like"))
+    assert FoldSplit.from_file(str(marked / "folds.csv")).assignments == {"s": 0, "t": 1}
+    assert parse_canonical(["\ufeff# fps=10", "0,a,0,0"]) == parse_canonical(["# fps=10", "0,a,0,0"])
+    # only one mark is dropped: a second is text before the header
+    (marked / "s.trj").write_text("\ufeff\ufeff" + scene["s.trj"], encoding="utf-8")
+    with pytest.raises(ParseError, match=r"s\.trj:1: data before `# fps=<float>` header"):
+        read_corpus(str(marked))
+
+
+@pytest.mark.parametrize("seq", ["we,ird", " lead", "trail ", "line\nbreak"])
+def test_sequence_ids_must_be_writable(seq, tmp_path):
+    # a sequence id is a CSV field of every extract and prediction row
+    corpus = tmp_path / "corpus"
+    write_scene(_pair_scene(seq="fine"), str(corpus))
+    (corpus / f"{seq}.trj").write_text((corpus / "fine.trj").read_text())
+    with pytest.raises(ParseError, match=f"{re.escape(seq)}.trj: sequence id {re.escape(repr(seq))} "
+                                         "not representable"):
+        read_corpus(str(corpus))
+    _write_ext_seq(tmp_path / "ext", seq, TRACKS)
+    with pytest.raises(ParseError, match=f"{re.escape(seq)}: sequence id"):
+        adapt_external(str(tmp_path / "ext"), "ncad-like")
+    with pytest.raises(ValueError, match="sequence id"):
+        write_scene(_pair_scene(seq=seq), str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 # --------------------------------------------------------------- fold splits

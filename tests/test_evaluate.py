@@ -535,3 +535,39 @@ def test_group_matrix_matches_lone_windows(dropped_corpus, tiny_stage1):
             uneven += len({len(present) for present in _frame_states(w).values()}) > 1
     assert len(rows) == len(ref) and uneven > 0
     np.testing.assert_array_equal(x, np.array(ref))
+
+
+def _renamed(rec, seq):
+    return SceneRecording(seq, rec.fps, rec.trajectories, rec.pair_annotations,
+                          rec.collective_annotations)
+
+
+def test_one_pipeline_equals_one_per_recording(dropped_corpus):
+    # recordings described together (one describe_pairs call per frame
+    # rate, all tracks smoothed at once) give each recording's own rows,
+    # vectors and labels: 10 and 25 fps, pair and group scenes, gapped
+    # tracks, and the ids "a" and "a.b", whose order is not file order
+    fast = SynthParams(fps=25.0, seed=31, noise_sigma=0.02)
+    slow = SynthParams(seed=32, noise_sigma=0.02)
+    pairs10, pairs25 = make_pair_corpus(slow, 1), make_pair_corpus(fast, 1)
+    recs = (pairs10[:2] + [_renamed(pairs25[0], "a.b")] + dropped_corpus[:2]
+            + make_collective_corpus(fast, 1)[:2] + [_renamed(pairs10[2], "a")] + pairs25[1:3])
+    assert {rec.fps for rec in recs} == {10.0, 25.0}
+    cfg = PipelineConfig(forest=ForestConfig(n_trees=8), stride=8, seed=4)
+    order = [rec.sequence_id for rec in recs]
+    whole = Pipeline(recs, cfg)
+    stage1 = whole.train_stage1(whole.seq_ids, seed=11)
+    got = whole.pair_matrix(order), whole.group_matrix(stage1, order)
+    alone = [Pipeline([rec], cfg) for rec in recs]
+    want = ([p.pair_matrix([s]) for p, s in zip(alone, order)],
+            [p.group_matrix(stage1, [s]) for p, s in zip(alone, order)])
+    for (rows, x, labels), parts in zip(got, want):
+        assert rows == [row for part in parts for row in part[0]]
+        assert labels == [label for part in parts for label in part[2]]
+        assert x.tobytes() == np.concatenate([part[1] for part in parts]).tobytes()
+    fps = {rec.sequence_id: rec.fps for rec in recs}
+    pair_rows, group_rows = got[0][0], got[1][0]
+    assert {seq for seq, _, _ in pair_rows} >= {"a", "a.b"}
+    assert {seq for seq, _, _ in group_rows} >= {dropped_corpus[0].sequence_id}
+    for rows in (pair_rows, group_rows):
+        assert {fps[seq] for seq, _, _ in rows} == {10.0, 25.0}

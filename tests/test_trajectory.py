@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
+from proxrf import trajectory
 from proxrf.errors import InvalidFeature, MissingFrames, ProxrfError
 from proxrf.trajectory import (
     SmoothingConfig,
@@ -452,6 +454,41 @@ def test_smoothed_states_equal_per_sample_reference(track, alpha, t_s):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a.dtype == b.dtype, f.name
         assert np.array_equal(a, b, equal_nan=True), f.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_gapped_tracks(), min_size=1, max_size=6), st.floats(0.05, 0.95),
+       st.integers(2, 80))
+@example([(make_traj("a", [(0.0, 0.0)] * 3), 5),
+          (make_traj("b", [(3e307 * (-1) ** i, 0.0) for i in range(8)]), 5),
+          (make_traj("c", [(1e308, 0.0), (-1e308, 0.0)], frames=[1, 3]), 5)], 0.5, 2)
+def test_smoothed_states_of_many_tracks_equal_one_by_one(tracks, alpha, block_frames):
+    # spans of every length smoothed together, in blocks of at most
+    # block_frames span-frames, give each track's own states; a failure
+    # names the first track that fails alone
+    max_gap = tracks[0][1]
+    trajs = [t for t, _ in tracks]
+    cfg = SmoothingConfig(alpha=alpha)
+    want = []
+    for t in trajs:
+        try:
+            want.append(smoothed_states(t, cfg, max_gap=max_gap))
+        except InvalidFeature as e:
+            want = str(e)
+            break
+    with mock.patch.object(trajectory, "_BLOCK_FRAMES", block_frames):
+        try:
+            got = smoothed_states(trajs, cfg, max_gap=max_gap)
+        except InvalidFeature as e:
+            got = str(e)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for f in fields(TrackStates):
+            assert getattr(a, f.name).dtype == getattr(b, f.name).dtype, f.name
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
 
 
 def test_array_constructor_validates_like_samples():

@@ -18,7 +18,10 @@ apart) and a cbd extract with a pair descriptor at every frame of each
 group window.  A copy of it whose collective scenes also carry pair
 labels (see ``add_pairs``) gets predictions from both models and a
 collective evaluation, both with a pair descriptor at every frame of
-each group window.  Another copy loses track samples (see
+each group window.  A copy of the first corpus joined by 25 fps scenes,
+with one scene renamed so that its file sorts before its sequence id
+(see ``mix_fps``), gets both kinds of model, evaluation and extract and
+predictions from both models.  Another copy loses track samples (see
 ``punch_gaps``), which gives tracks with gaps and groups with uneven
 member spans; a collective model, pid and cbd extracts, predictions and
 a collective evaluation run on it too, and pid and cbd extracts with a
@@ -113,6 +116,7 @@ COMMANDS = (
     # and heavily overlapping windows described together
     ["extract", "long", "--kind", "cbd", "--model", "models/inter.json", "--stride", "1",
      "--out", "extract/long-cbd-stride1.csv"] + SEED,
+    ["synth", "--set", "all", "--scenes-per-class", "1", "--fps", "25", "--out", "fast"] + SEED,
 )
 # run once punch_gaps has derived "gapped" from "long"
 GAPPED_COMMANDS = (
@@ -139,6 +143,21 @@ MIXED_COMMANDS = (
     ["eval", "mixed", "--task", "collective", "--folds", "3", "--stride", "1",
      "--out-dir", "eval/mixed"] + SEED,
 )
+# run once mix_fps has derived "mixfps" from "corpus" and "fast": both frame
+# rates in one corpus, and sequence ids whose order is not file name order
+MIXFPS_COMMANDS = (
+    ["train", "interactions", "mixfps", "--out", "models/mixfps-inter.json"] + SEED,
+    ["train", "collective", "mixfps", "--out", "models/mixfps-coll.json"] + SEED,
+    ["eval", "mixfps", "--task", "interaction", "--folds", "3",
+     "--out-dir", "eval/mixfps-interaction"] + SEED,
+    ["eval", "mixfps", "--task", "collective", "--folds", "3",
+     "--out-dir", "eval/mixfps-collective"] + SEED,
+    ["predict", "mixfps", "--interactions-model", "models/mixfps-coll.stage1.json",
+     "--collective-model", "models/mixfps-coll.json", "--out", "predict/mixfps.csv"] + SEED,
+    ["extract", "mixfps", "--kind", "pid", "--out", "extract/mixfps-pid.csv"] + SEED,
+    ["extract", "mixfps", "--kind", "cbd", "--model", "models/mixfps-coll.stage1.json",
+     "--out", "extract/mixfps-cbd.csv"] + SEED,
+)
 # run once to_ncad has derived "ncad" from "gapped", and to_boxes and
 # to_behave "boxes" and "behave" from "ncad"
 ADAPT_COMMANDS = (
@@ -156,7 +175,7 @@ ADAPT_COMMANDS = (
     ["extract", "adapted-behave", "--kind", "pid", "--out", "extract/adapted-behave-pid.csv"]
     + SEED,
 )
-ALL_COMMANDS = COMMANDS + MIXED_COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
+ALL_COMMANDS = COMMANDS + MIXED_COMMANDS + MIXFPS_COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
 # image-to-ground map with a perspective row, so every coordinate changes
 HOMOGRAPHY = "0.9 -0.1 2.0\n0.05 1.1 -1.0\n0.001 0.002 1.0\n"
 RUN_CLI = "import sys; from proxrf.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -224,6 +243,22 @@ def add_pairs(corpus: str, out: str) -> None:
             with open(os.path.join(out, stem + ".pia"), "w", encoding="utf-8") as fh:
                 fh.write(f"{start},{end},{ids[0]},{ids[1]},WT\n"
                          f"{start},{end},{ids[1]},{ids[0]},WT\n")
+
+
+def mix_fps(corpus: str, fast: str, out: str) -> None:
+    """Copy of ``corpus`` with the scenes of ``fast`` (another frame rate)
+    added under the prefix ``f25-``.  The scene second in file name
+    order is renamed after the first, with a ``.b`` suffix: its file
+    now sorts first, but its sequence id second."""
+    os.mkdir(out)
+    for directory, prefix in ((corpus, ""), (fast, "f25-")):
+        for name in os.listdir(directory):
+            shutil.copy(os.path.join(directory, name), os.path.join(out, prefix + name))
+    first, second = sorted({os.path.splitext(name)[0] for name in os.listdir(out)})[:2]
+    for name in sorted(os.listdir(out)):
+        stem, ext = os.path.splitext(name)
+        if stem == second:
+            os.rename(os.path.join(out, name), os.path.join(out, first + ".b" + ext))
 
 
 def to_ncad(corpus: str, out: str) -> None:
@@ -297,6 +332,9 @@ def run_tree(src: str, work: str) -> list:
     for argv in ALL_COMMANDS:
         if argv is MIXED_COMMANDS[0]:
             add_pairs(os.path.join(work, "long"), os.path.join(work, "mixed"))
+        if argv is MIXFPS_COMMANDS[0]:
+            mix_fps(os.path.join(work, "corpus"), os.path.join(work, "fast"),
+                    os.path.join(work, "mixfps"))
         if argv is GAPPED_COMMANDS[0]:
             punch_gaps(os.path.join(work, "long"), os.path.join(work, "gapped"))
         if argv is ADAPT_COMMANDS[0]:
