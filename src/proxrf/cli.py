@@ -16,7 +16,7 @@ import gc
 import os
 import sys
 import warnings
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -166,19 +166,33 @@ def _cmd_adapt(args, cfg: PipelineConfig) -> int:
     return 0
 
 
+# Recordings per Pipeline in predict and extract: enough that one
+# smoothed_states and one describe_pairs call serve many recordings, few
+# enough that the states and caches of one run of them, not of the
+# whole corpus, bound the memory.
+_PIPELINE_RECORDINGS = 16
+
+
+def _runs(recordings: list) -> Iterator:
+    """Consecutive runs of at most _PIPELINE_RECORDINGS recordings."""
+    for i in range(0, len(recordings), _PIPELINE_RECORDINGS):
+        yield recordings[i:i + _PIPELINE_RECORDINGS]
+
+
 def _cmd_extract(args, cfg: PipelineConfig) -> int:
     recordings = read_corpus(args.corpus)
-    order = [rec.sequence_id for rec in recordings]
     lines = []
     if args.kind == "pid":
         d = cfg.pid.descriptor_length
         lines.append(f"# pid d={d} t1={cfg.pid.t1} l_max={cfg.pid.l_max} step={cfg.step}")
         lines.append("# sequence,center_frame,anchor,target,label,values...")
-        rows, x, labels = Pipeline(recordings, cfg).pair_matrix(order)
-        for (seq, center, (aid, tid)), vec, label in zip(rows, x, labels):
-            lines.append(
-                f"{seq},{center},{aid},{tid},{label.code}," + ",".join(_fmt(v) for v in vec)
-            )
+        for run in _runs(recordings):
+            order = [rec.sequence_id for rec in run]
+            rows, x, labels = Pipeline(run, cfg).pair_matrix(order)
+            for (seq, center, (aid, tid)), vec, label in zip(rows, x, labels):
+                lines.append(
+                    f"{seq},{center},{aid},{tid},{label.code}," + ",".join(_fmt(v) for v in vec)
+                )
     else:
         if args.model is None:
             raise ConfigError("extract --kind cbd needs --model (first-stage forest)")
@@ -189,12 +203,14 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
             f" include_shape={str(cfg.include_shape).lower()}"
         )
         lines.append("# sequence,center_frame,members,label,values...")
-        rows, x, labels = Pipeline(recordings, cfg).group_matrix(stage1, order)
-        for (seq, center, ids), vec, label in zip(rows, x[:, cols], labels):
-            lines.append(
-                f"{seq},{center},{'|'.join(ids)},{label.code},"
-                + ",".join(_fmt(v) for v in vec)
-            )
+        for run in _runs(recordings):
+            order = [rec.sequence_id for rec in run]
+            rows, x, labels = Pipeline(run, cfg).group_matrix(stage1, order)
+            for (seq, center, ids), vec, label in zip(rows, x[:, cols], labels):
+                lines.append(
+                    f"{seq},{center},{'|'.join(ids)},{label.code},"
+                    + ",".join(_fmt(v) for v in vec)
+                )
     _makedirs_for(args.out)
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines) - 2} descriptors to {args.out}")
@@ -261,19 +277,11 @@ def _prediction_lines(kind: str, rows: list, model: RandomForest, x: np.ndarray)
     ]
 
 
-def _cmd_predict(args, cfg: PipelineConfig) -> int:
-    recordings = read_corpus(args.corpus)
-    stage1 = _read_model(args.interactions_model, "interaction", cfg)
-    stage2 = None
-    if args.collective_model is not None:
-        stage2 = _read_model(args.collective_model, "collective", cfg)
-    cols = cue_columns(cfg.cues)
-    lines = [
-        "# sequence,center_frame,kind,ids,label,probabilities"
-        " (pair rows over interaction classes, group rows over collective classes)"
-    ]
-    # one Pipeline for the corpus; rows are written recording by recording,
-    # in read_corpus order, pair rows first
+def _predictions(recordings: list, cfg: PipelineConfig, stage1: RandomForest,
+                 stage2: Optional[RandomForest], cols) -> tuple:
+    """The prediction lines of recordings described by one Pipeline,
+    recording by recording in the given order, pair rows first, and the
+    numbers of pair and group rows."""
     pipe = Pipeline(recordings, cfg)
     order = [rec.sequence_id for rec in recordings]
     by_seq = {seq: [] for seq in order}
@@ -286,7 +294,26 @@ def _cmd_predict(args, cfg: PipelineConfig) -> int:
         for (seq, *_), line in zip(rows, _prediction_lines("group", rows, stage2, x[:, cols])):
             by_seq[seq].append(line)
         n_groups = len(rows)
-    lines += [line for seq in order for line in by_seq[seq]]
+    return [line for seq in order for line in by_seq[seq]], n_pairs, n_groups
+
+
+def _cmd_predict(args, cfg: PipelineConfig) -> int:
+    recordings = read_corpus(args.corpus)
+    stage1 = _read_model(args.interactions_model, "interaction", cfg)
+    stage2 = None
+    if args.collective_model is not None:
+        stage2 = _read_model(args.collective_model, "collective", cfg)
+    cols = cue_columns(cfg.cues)
+    lines = [
+        "# sequence,center_frame,kind,ids,label,probabilities"
+        " (pair rows over interaction classes, group rows over collective classes)"
+    ]
+    n_pairs = n_groups = 0
+    for run in _runs(recordings):
+        run_lines, run_pairs, run_groups = _predictions(run, cfg, stage1, stage2, cols)
+        lines += run_lines
+        n_pairs += run_pairs
+        n_groups += run_groups
     _makedirs_for(args.out)
     atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {n_pairs} pair and {n_groups} group predictions to {args.out}")

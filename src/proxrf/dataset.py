@@ -268,10 +268,11 @@ def _parse_tracks(source, name: str, foot_point: Optional[str] = None, h_mat=Non
     With one it is an external `tracks.txt` in image coordinates: a row
     may also be a box `frame,track_id,x1,y1,x2,y2`, reduced to one image
     point per ``foot_point``, and ``h_mat`` maps the points to the
-    ground.  The whole text is read at once (_track_columns); a text
-    that needs more is read line by line (_track_rows).  The first bad
-    line, an empty file and any track that ``_build_tracks`` refuses
-    raise ParseError.
+    ground.  A header line and plain rows are read at once
+    (_track_columns); any other text line by line (_track_rows), its
+    data lines at once where they allow it.  The first bad line, an
+    empty file and any track that ``_build_tracks`` refuses raise
+    ParseError.
     """
     text = _read_text(source)
     columns = _track_columns(text)
@@ -287,15 +288,9 @@ def _parse_tracks(source, name: str, foot_point: Optional[str] = None, h_mat=Non
 
 def _track_columns(text: str) -> Optional[tuple]:
     """(fps, line numbers, track ids, frames, (n, 2) positions) of a track
-    file text that is a good `# fps=` header line, then only rows of four
-    fields that int() and float() read, with non-empty ids and frames
-    within +-2**53 (a last newline is allowed); None for any other text.
-
-    The text is split into lines once, to check that each holds three
-    commas, and into fields once, with no loop over lines in Python.  A
-    comment or blank line never passes: its first field is no integer.
-    Since int() and float() accept no whitespace that str.strip()
-    keeps, such a text gives what _track_rows gives.
+    file text that is a good `# fps=` header line, then only rows that
+    _columns reads (a last newline is allowed); None for any other text.
+    The text is split into lines once, with no loop over them in Python.
     """
     head, _, body = text.partition("\n")
     head = head.strip()
@@ -306,7 +301,22 @@ def _track_columns(text: str) -> Optional[tuple]:
     except ValueError:
         return None
     lines = body[:-1].split("\n") if body.endswith("\n") else body.split("\n")
-    if not 0 < fps < math.inf or set(map(str.count, lines, itertools.repeat(","))) != {3}:
+    columns = _columns(lines) if 0 < fps < math.inf else None
+    return None if columns is None else (fps, np.arange(2, len(lines) + 2)) + columns
+
+
+def _columns(lines: Sequence[str]) -> Optional[tuple]:
+    """(track ids, frames, (n, 2) positions) of track-file data lines that
+    are all rows of four fields that int() and float() read, with
+    non-empty ids and frames within +-2**53; None for any others.
+
+    The lines are checked to hold three commas each and split into
+    fields once, with no loop over lines in Python.  A comment or blank
+    line never passes: its first field is no integer.  Since int() and
+    float() accept no whitespace that str.strip() keeps, such lines give
+    what _track_row gives.
+    """
+    if set(map(str.count, lines, itertools.repeat(","))) != {3}:
         return None
     fields = ",".join(lines).split(",")
     try:
@@ -317,19 +327,24 @@ def _track_columns(text: str) -> Optional[tuple]:
     ids = list(map(str.strip, fields[1::4]))
     if max(frames) > _MAX_FRAME or min(frames) < -_MAX_FRAME or not all(ids):
         return None
-    return fps, np.arange(2, len(lines) + 2), ids, frames, xy
+    return ids, frames, xy
 
 
 def _track_rows(lines: Sequence[str], name: str, foot_point: Optional[str]) -> tuple:
     """What _track_columns returns, from a track file's lines one by one:
-    the header (_parse_fps), then each data line (_track_row), so the
-    first bad line raises its ParseError."""
+    the header (_parse_fps), then the data lines, all at once (_columns)
+    if they allow it, else each by _track_row, so the first bad line
+    raises its ParseError."""
     fps, data = _parse_fps(lines, name)
     if not data:
         raise ParseError(f"{name}: no trajectory data")
-    rows = [(lineno,) + _track_row(line, name, lineno, foot_point) for lineno, line in data]
-    linenos, ids, frames, x, y = zip(*rows)
-    return fps, linenos, ids, frames, np.column_stack([x, y])
+    linenos, lines = zip(*data)
+    columns = _columns(lines)
+    if columns is None:
+        rows = [_track_row(line, name, lineno, foot_point) for lineno, line in data]
+        ids, frames, x, y = zip(*rows)
+        columns = ids, frames, np.column_stack([x, y])
+    return (fps, linenos) + columns
 
 
 def _track_row(line: str, name: str, lineno: int, foot_point: Optional[str]) -> tuple:
@@ -662,6 +677,7 @@ def windows(
         return label if len(covered) >= need else None
 
     found = []
+    pieces = {t.track_id: t.pieces(max_gap) for t in rec.trajectories}
     if mode == "pairs":
         tracks = {t.track_id: t for t in rec.trajectories}
         by_pair = {}
@@ -670,19 +686,22 @@ def windows(
         for (aid, tid), anns in by_pair.items():
             target = tracks[tid]
             centers = {
-                c for a in anns for first, last in tracks[aid].pieces(max_gap)
+                c for a in anns for first, last in pieces[aid]
                 for c in grid(max(a.start, first + half_back, target.first_frame + half_back),
                               min(a.end, last - half_fwd, target.last_frame - half_fwd))
             }
             for c in centers:
                 label = label_at(c, anns)
-                if label is not None and target.covers(c - half_back, c + half_fwd, max_gap):
+                start, end = c - half_back, c + half_fwd
+                # the target covers the window: Trajectory.covers
+                if label is not None and any(first <= start and end <= last
+                                             for first, last in pieces[tid]):
                     found.append((c, (aid, tid), label))
         found.sort(key=lambda w: w[:2])
     else:
         anns = rec.collective_annotations
         centers = {
-            c for a in anns for t in rec.trajectories for first, last in t.pieces(max_gap)
+            c for a in anns for track_pieces in pieces.values() for first, last in track_pieces
             for c in grid(max(a.start, first - half_fwd), min(a.end, last + half_back))
         }
         for c in sorted(centers):

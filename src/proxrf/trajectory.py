@@ -104,7 +104,7 @@ class Trajectory:
     gives the TimedPosition view back.
     """
 
-    __slots__ = ("track_id", "fps", "_frames", "_xy", "_pieces")
+    __slots__ = ("track_id", "fps", "_frames", "_xy")
 
     def __init__(self, track_id, samples: Iterable[TimedPosition], fps: float):
         samples = tuple(samples)
@@ -173,20 +173,13 @@ class Trajectory:
         """The track as TimedPosition samples, built on each call."""
         return tuple(map(TimedPosition, self._frames.tolist(), *self._xy.T.tolist()))
 
-    def pieces(self, max_gap: int = DEFAULT_MAX_GAP) -> tuple:
+    def pieces(self, max_gap: int = DEFAULT_MAX_GAP) -> list:
         """(first, last) frame of each stretch of the track whose interior
-        gaps are at most ``max_gap`` frames, in frame order; found once
-        per ``max_gap``."""
-        try:
-            found = self._pieces
-        except AttributeError:  # the first call
-            found = self._pieces = {}
-        if max_gap not in found:
-            f = self._frames
-            cut = np.diff(f) > max_gap + 1
-            found[max_gap] = tuple(zip(f[:1].tolist() + f[1:][cut].tolist(),
-                                       f[:-1][cut].tolist() + f[-1:].tolist()))
-        return found[max_gap]
+        gaps are at most ``max_gap`` frames, in frame order."""
+        f = self._frames
+        cut = np.diff(f) > max_gap + 1
+        return list(zip(f[:1].tolist() + f[1:][cut].tolist(),
+                        f[:-1][cut].tolist() + f[-1:].tolist()))
 
     def covers(self, start: int, end: int, max_gap: int = DEFAULT_MAX_GAP) -> bool:
         """True when every frame in [start, end] is available after
@@ -194,16 +187,38 @@ class Trajectory:
         return any(first <= start and end <= last for first, last in self.pieces(max_gap))
 
 
-# Spans smoothed together: a block holds spans of similar length (each
-# longer than half the block's longest) and at most this many span-frames,
-# so a long track beside many short ones does not pad them to its length.
+# Spans smoothed together: a block holds the longest spans left and at
+# most this many span-frames, so a long track beside many short ones does
+# not pad them to its length.
 _BLOCK_FRAMES = 1 << 16
+
+# A lockstep step over a block costs numpy's per-call overhead, about as
+# much as one scalar step of this many spans, so a block whose spans hold
+# fewer than this many times its longest span's frames is smoothed span
+# by span in Python floats (_brown).
+_LOCKSTEP_SPANS = 16
+
+# Rows whose orientations one math.atan2 pass finds, so that its lists of
+# Python floats stay small however many rows a call smooths.
+_ATAN2_ROWS = 4096
+
+
+def _brown(values: list, a: float) -> list:
+    """Brown's double exponential smoothing of one coordinate, in floats."""
+    b = 1.0 - a
+    s1 = values[0]
+    s2 = a * s1 + b * s1  # s1[0]
+    out = []
+    for v in values:
+        s1 = a * v + b * s1
+        s2 = a * s1 + b * s2
+        out.append(2.0 * s1 - s2)
+    return out
 
 
 def _smooth_block(pos: np.ndarray, a: float) -> np.ndarray:
-    """Brown's double exponential smoothing of (frames, spans, 2) positions
-    along the frame axis, every span in lockstep: the elementwise float64
-    steps of the per-sample recursion, so each value has its bits."""
+    """_brown over (frames, spans, 2) positions along the frame axis,
+    every span in lockstep: the same float64 steps, so the same bits."""
     b = 1.0 - a
     s1 = pos[0]
     s2 = a * s1 + b * s1  # s1[0]
@@ -212,6 +227,34 @@ def _smooth_block(pos: np.ndarray, a: float) -> np.ndarray:
         s1 = a * pos[t] + b * s1
         s2 = a * s1 + b * s2
         out[t] = 2.0 * s1 - s2
+    return out
+
+
+def _smooth_spans(pos: np.ndarray, off: np.ndarray, a: float) -> np.ndarray:
+    """Brown's smoothing of each span of ``pos`` (span k is rows
+    off[k]:off[k + 1]) from its own start, in blocks of the longest
+    spans left: in lockstep (_smooth_block) when a block's spans hold at
+    least _LOCKSTEP_SPANS times its longest span's frames, else span by
+    span (_brown)."""
+    out = np.empty_like(pos)
+    length = np.diff(off)
+    by_length = np.argsort(-length, kind="stable")
+    start = 0
+    while start < len(by_length):
+        longest = int(length[by_length[start]])
+        spans = by_length[start:start + max(1, _BLOCK_FRAMES // longest)]
+        start += len(spans)
+        n = length[spans]
+        if n.sum() < _LOCKSTEP_SPANS * longest:
+            for lo, hi in zip(off[spans].tolist(), off[spans + 1].tolist()):
+                out[lo:hi, 0] = _brown(pos[lo:hi, 0].tolist(), a)
+                out[lo:hi, 1] = _brown(pos[lo:hi, 1].tolist(), a)
+            continue
+        t = np.arange(longest)[:, None]
+        rows = off[spans] + np.minimum(t, n - 1)  # a short span repeats its last row
+        valid = t < n
+        with np.errstate(over="ignore", invalid="ignore"):  # smoothed_states raises overflow
+            out[rows[valid]] = _smooth_block(pos[rows], a)[valid]
     return out
 
 
@@ -232,40 +275,27 @@ def smoothed_states(tracks, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
     of the smoothed positions (one-sided at the span's ends) in meters
     per second, and orientation is atan2 of the velocity where the speed
     is at least ``t_s``, else nan.  The spans of all tracks are smoothed
-    and differenced together, in blocks of similar length.  Finite
-    positions so large that the gap interpolation, the smoothing or the
-    velocity overflows raise InvalidFeature naming the first such track
-    and its first such frame.
+    together (_smooth_spans) and differenced together.  Finite positions
+    so large that the gap interpolation, the smoothing or the velocity
+    overflows raise InvalidFeature naming the first such track and its
+    first such frame.
     """
     if isinstance(tracks, Trajectory):
         return smoothed_states([tracks], cfg, max_gap)[0]
     tracks = list(tracks)
     owner, off, frames, pos, interp_bad = _filled_spans(tracks, max_gap)
-    xy = np.empty_like(pos)
-    velocity = np.empty_like(pos)
-    fps = np.array([t.fps for t in tracks])[owner]
-    length = np.diff(off)
-    by_length = np.argsort(-length, kind="stable")
-    sorted_length = length[by_length]
-    start = 0
-    while start < len(by_length):
-        longest = int(sorted_length[start])
-        similar = np.searchsorted(-2 * sorted_length, -longest)  # 2 * length > longest
-        stop = min(similar, start + max(1, _BLOCK_FRAMES // longest))
-        spans, start = by_length[start:stop], stop
-        n, cols = length[spans], np.arange(len(spans))
-        t = np.arange(longest)[:, None]
-        rows = off[spans] + np.minimum(t, n - 1)  # a short span repeats its last row
-        valid = t < n
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-            block = _smooth_block(pos[rows], cfg.alpha)
-            # each step is one frame; a span's last row is one-sided at its own end
-            vel = finite_difference(block.T, 1.0).T
-            vel[n - 1, cols] = block[n - 1, cols] - block[n - 2, cols]
-            vel *= fps[spans][:, None]
-        xy[rows[valid]] = block[valid]
-        velocity[rows[valid]] = vel[valid]
-    with np.errstate(over="ignore", invalid="ignore"):
+    xy = _smooth_spans(pos, off, cfg.alpha)
+    del pos  # a corpus's positions: free them before the velocity
+    # each step is one frame: central differences inside a span, one-sided
+    # at its two ends, as finite_difference(span, 1.0) gives
+    first, last = off[:-1], off[1:] - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        velocity = np.empty_like(xy)
+        np.subtract(xy[2:], xy[:-2], out=velocity[1:-1])
+        velocity[1:-1] /= 2.0
+        velocity[first] = xy[first + 1] - xy[first]
+        velocity[last] = xy[last] - xy[last - 1]
+        velocity *= np.repeat(np.array([t.fps for t in tracks])[owner], np.diff(off))[:, None]
         speed = np.hypot(velocity[:, 0], velocity[:, 1])
     faults = (("interpolated position", interp_bad),
               ("smoothed position", ~np.isfinite(xy).all(axis=1)),
@@ -278,8 +308,11 @@ def smoothed_states(tracks, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
             if len(hit):
                 raise InvalidFeature(f"track {tracks[owner[span]].track_id}: {what} "
                                      f"overflows at frame {frames[off[span] + hit[0]]}")
-    orientation = np.fromiter(map(math.atan2, velocity[:, 1].tolist(),
-                                  velocity[:, 0].tolist()), float, len(frames))
+    orientation = np.empty(len(frames))
+    for lo in range(0, len(frames), _ATAN2_ROWS):
+        v = velocity[lo:lo + _ATAN2_ROWS]
+        orientation[lo:lo + len(v)] = np.fromiter(
+            map(math.atan2, v[:, 1].tolist(), v[:, 0].tolist()), float, len(v))
     orientation[speed < cfg.t_s] = np.nan
     bounds = off[np.searchsorted(owner, np.arange(len(tracks) + 1))].tolist()
     return [TrackStates(frames[a:b], xy[a:b], velocity[a:b], speed[a:b], orientation[a:b])
@@ -297,26 +330,28 @@ def _filled_spans(tracks: list, max_gap: int) -> tuple:
     """
     frames = np.concatenate([np.empty(0, np.int64)] + [t._frames for t in tracks])
     xy = np.concatenate([np.empty((0, 2))] + [t._xy for t in tracks])
-    owner = np.repeat(np.arange(len(tracks)), [len(t) for t in tracks])
-    new = np.ones(len(frames), dtype=bool)
-    new[1:] = (owner[1:] != owner[:-1]) | (np.diff(frames) > max_gap + 1)
-    lo = np.flatnonzero(new)
+    starts = np.cumsum([0] + [len(t) for t in tracks])
+    new = np.zeros(len(frames) + 1, dtype=bool)  # a span starts at the row
+    new[1:-1] = np.diff(frames) > max_gap + 1
+    new[starts] = True  # each track's first row, and the end
+    lo = np.flatnonzero(new[:-1])
     samples = np.diff(np.append(lo, len(frames)))
-    kept = np.flatnonzero(np.repeat(samples >= 2, samples))
+    kept = np.repeat(samples >= 2, samples)
     lo, samples = lo[samples >= 2], samples[samples >= 2]
+    owner = np.searchsorted(starts, lo, side="right") - 1
     first = frames[lo]
     length = frames[lo + samples - 1] - first + 1
     off = np.concatenate([[0], np.cumsum(length)])
     filled = np.arange(off[-1]) + np.repeat(first - off[:-1], length)
     if (length == samples).all():
-        return owner[lo], off, filled, xy[kept], np.zeros(len(filled), dtype=bool)
+        return owner, off, filled, xy[kept], np.zeros(len(filled), dtype=bool)
     # one interpolation over the spans laid end to end: a known frame is
     # a knot and keeps its value, and a missing one is interpolated
     # between its own span's neighbours, as np.interp over the span would
     at = frames[kept] + np.repeat(off[:-1] - first, samples)
     pos = np.column_stack([np.interp(np.arange(off[-1]), at, xy[kept, 0]),
                            np.interp(np.arange(off[-1]), at, xy[kept, 1])])
-    return owner[lo], off, filled, pos, ~np.isfinite(pos).all(axis=1)
+    return owner, off, filled, pos, ~np.isfinite(pos).all(axis=1)
 
 
 def finite_difference(values: np.ndarray, h: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxrf.cbd import CollectiveLabel
+from proxrf import cli
 from proxrf.cli import build_parser, main, overrides_from_args
 from proxrf.config import (
     SETTINGS,
@@ -539,7 +541,8 @@ def test_predict_rows_match_pipeline(mixed_corpus, stage1_model, tmp_path):
 
 def test_predict_and_extract_keep_file_order(tmp_path):
     # `a.b.trj` sorts before `a.trj`, though the id "a" sorts before "a.b":
-    # rows come recording by recording in file order, pair rows first
+    # rows come recording by recording in file order, pair rows first,
+    # however many recordings one Pipeline describes
     from proxrf.dataset import SceneRecording, read_corpus, write_corpus
     from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
 
@@ -570,6 +573,10 @@ def test_predict_and_extract_keep_file_order(tmp_path):
                 if not seen or seen[-1] != key:
                     seen.append(key)
         assert seen == want, argv
+        for size in (1, 3):
+            with mock.patch.object(cli, "_PIPELINE_RECORDINGS", size):
+                assert main(argv + ["--out", str(tmp_path / "runs.csv")]) == 0
+            assert (tmp_path / "runs.csv").read_bytes() == out.read_bytes(), (argv, size)
 
 
 def test_predict_refuses_unwritable_sequence_id(pair_corpus, stage1_model, tmp_path, capsys):

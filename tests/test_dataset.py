@@ -343,9 +343,12 @@ def _outcome(parse):
 @example((False, "# fps=10\n1,a,1,1,2\nb,1,1\n"))
 # comment lines and `#` inside a row
 @example((False, "# fps=10\n# 1,a,2,3\n0,a#1,1,2\n#fps=25,a,1,2\n"))
+# a header line whose fps is refused, above plain rows
+@example((False, "# fps=-1\n0,a,1,2\n"))
 def test_whole_text_read_equals_row_by_row(track_text):
-    # the whole-text read of a track file and the row-by-row read that
-    # reports the first bad line give the same trajectories or error text
+    # the whole-text read of a track file (or of its data lines) and the
+    # row-by-row read that reports the first bad line give the same
+    # trajectories or error text
     plain, text = track_text
     lines = text.split("\n")
     read = dataset._track_columns
@@ -353,11 +356,22 @@ def test_whole_text_read_equals_row_by_row(track_text):
     with mock.patch.object(dataset, "_track_columns", lambda text: taken.append(read(text))
                            or taken[-1]):
         got = _outcome(lambda: parse_canonical(lines))
-    with mock.patch.object(dataset, "_track_columns", lambda text: None):
+    with mock.patch.object(dataset, "_columns", lambda lines: None):
         want = _outcome(lambda: parse_canonical(lines))
     assert got == want
     if plain:
         assert len(taken) == 1 and taken[0] is not None
+
+
+def test_comment_and_blank_lines_keep_the_columnar_read():
+    # a track file with comment lines, blank lines or two last newlines
+    # still reads its data lines at once, not row by row
+    text = "# fps=10\n# tracker v2\n0,a,1.5,2\n\n1,a,2.5,2\n# end\n\n"
+    with mock.patch.object(dataset, "_track_row", side_effect=AssertionError):
+        rec = parse_canonical(text.split("\n"))
+    assert rec.fps == 10.0
+    (traj,) = rec.trajectories
+    assert traj.frames.tolist() == [0, 1] and traj.xy.tolist() == [[1.5, 2.0], [2.5, 2.0]]
 
 
 def test_byte_order_mark_is_not_data(tmp_path):

@@ -458,14 +458,16 @@ def test_smoothed_states_equal_per_sample_reference(track, alpha, t_s):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_gapped_tracks(), min_size=1, max_size=6), st.floats(0.05, 0.95),
-       st.integers(2, 80))
+       st.integers(2, 80), st.integers(1, 4), st.integers(1, 50))
 @example([(make_traj("a", [(0.0, 0.0)] * 3), 5),
           (make_traj("b", [(3e307 * (-1) ** i, 0.0) for i in range(8)]), 5),
-          (make_traj("c", [(1e308, 0.0), (-1e308, 0.0)], frames=[1, 3]), 5)], 0.5, 2)
-def test_smoothed_states_of_many_tracks_equal_one_by_one(tracks, alpha, block_frames):
+          (make_traj("c", [(1e308, 0.0), (-1e308, 0.0)], frames=[1, 3]), 5)], 0.5, 2, 1, 3)
+def test_smoothed_states_of_many_tracks_equal_one_by_one(tracks, alpha, block_frames,
+                                                         lockstep_spans, atan2_rows):
     # spans of every length smoothed together, in blocks of at most
-    # block_frames span-frames, give each track's own states; a failure
-    # names the first track that fails alone
+    # block_frames span-frames, each block in lockstep or span by span,
+    # with orientations found atan2_rows at a time, give each track's own
+    # states; a failure names the first track that fails alone
     max_gap = tracks[0][1]
     trajs = [t for t, _ in tracks]
     cfg = SmoothingConfig(alpha=alpha)
@@ -476,7 +478,9 @@ def test_smoothed_states_of_many_tracks_equal_one_by_one(tracks, alpha, block_fr
         except InvalidFeature as e:
             want = str(e)
             break
-    with mock.patch.object(trajectory, "_BLOCK_FRAMES", block_frames):
+    with mock.patch.object(trajectory, "_BLOCK_FRAMES", block_frames), \
+            mock.patch.object(trajectory, "_LOCKSTEP_SPANS", lockstep_spans), \
+            mock.patch.object(trajectory, "_ATAN2_ROWS", atan2_rows):
         try:
             got = smoothed_states(trajs, cfg, max_gap=max_gap)
         except InvalidFeature as e:
