@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import json
 import os
 import sys
 import warnings
+from dataclasses import fields, is_dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -55,7 +57,7 @@ from .evaluate import (
     kfold_evaluate,
 )
 from .forest import RandomForest, deserialize, serialize
-from .pid import InteractionLabel
+from .pid import DESCRIPTOR_VERSION, InteractionLabel
 from .synth import (
     SynthParams,
     make_collective_corpus,
@@ -93,11 +95,43 @@ def _makedirs_for(path: str):
     os.makedirs(parent, exist_ok=True)
 
 
-def _read_model(path: str, stage: str, cfg: PipelineConfig) -> RandomForest:
-    """The ``stage`` ("interaction" or "collective") model at ``path``.
+def _fields(prefix: str, config) -> Iterator:
+    """(dotted name, value) of every field of a config dataclass, with the
+    fields of nested dataclasses named below theirs."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from _fields(f"{prefix}{f.name}.", value)
+        else:
+            yield prefix + f.name, value
+
+
+def _provenance(cfg: PipelineConfig, stage: str, stage1_blob: bytes = b"") -> dict:
+    """What a ``stage`` model's training rows depended on besides the
+    corpus: the descriptor version and config, smoothing, max_gap and
+    seed; a collective model also records t2, stride, include_shape and
+    the SHA-256 of the bytes of the stage-one model file whose votes
+    made its rows."""
+    prov = {"descriptor_version": DESCRIPTOR_VERSION, "max_gap": cfg.max_gap, "seed": cfg.seed}
+    prov.update(_fields("pid.", cfg.pid))
+    prov.update(_fields("smoothing.", cfg.smoothing))
+    if stage == "collective":
+        import hashlib  # imported here: it costs every command's start 3.5 ms
+
+        prov.update(t2=cfg.t2, stride=cfg.stride, include_shape=cfg.include_shape,
+                    stage1_sha256=hashlib.sha256(stage1_blob).hexdigest())
+    return prov
+
+
+def _read_model(path: str, stage: str, cfg: PipelineConfig, stage1_blob: bytes = b"") -> tuple:
+    """The ``stage`` ("interaction" or "collective") model at ``path``,
+    and the file's bytes.
 
     ModelShapeMismatch unless it takes the configured descriptor of that
-    stage and every class name is a label code of that stage."""
+    stage, every class name is a label code of that stage and its
+    provenance equals ``_provenance(cfg, stage, stage1_blob)``: a
+    collective model needs the bytes of the stage-one model it is used
+    with."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -117,12 +151,26 @@ def _read_model(path: str, stage: str, cfg: PipelineConfig) -> RandomForest:
     for name in model.class_names:
         if name not in codes:
             raise ModelShapeMismatch(f"model class {name!r} is no {stage} label")
-    return model
+    trained = model.provenance
+    if not trained:
+        raise ModelShapeMismatch(f"{stage} model {path} records no provenance; retrain it")
+    run = _provenance(cfg, stage, stage1_blob)
+    # JSON texts, so that a tuple matches its list and true does not match 1
+    for key in sorted(trained.keys() | run.keys()):
+        was, now = (json.dumps(d[key]) if key in d else "(absent)" for d in (trained, run))
+        if was != now:
+            raise ModelShapeMismatch(
+                f"{stage} model was trained with {key} = {was}, but this run has {key} = {now}")
+    return model, blob
 
 
-def _write_model(model: RandomForest, path: str):
+def _write_model(model: RandomForest, path: str, provenance: dict) -> bytes:
+    """Write ``model``, stamped with ``provenance``; returns the bytes."""
+    model.provenance = provenance
+    blob = serialize(model)
     _makedirs_for(path)
-    atomic_write(path, serialize(model))
+    atomic_write(path, blob)
+    return blob
 
 
 def _write_report(report: EvalReport, out_dir: str):
@@ -196,7 +244,7 @@ def _cmd_extract(args, cfg: PipelineConfig) -> int:
     else:
         if args.model is None:
             raise ConfigError("extract --kind cbd needs --model (first-stage forest)")
-        stage1 = _read_model(args.model, "interaction", cfg)
+        stage1, _ = _read_model(args.model, "interaction", cfg)
         cols = cue_columns(cfg.cues)
         lines.append(
             f"# cbd d={len(cols)} t2={cfg.t2} step={cfg.step} stride={cfg.stride}"
@@ -227,21 +275,21 @@ def _cmd_train(args, cfg: PipelineConfig) -> int:
     s1_seed, s2_seed = fold_seeds(cfg.seed, 0)
     if args.task == "interactions":
         model = pipe.train_stage1(pipe.seq_ids, s1_seed)
-        _write_model(model, args.out)
+        _write_model(model, args.out, _provenance(cfg, "interaction"))
         print(f"wrote interaction model ({model.feature_count} features) to {args.out}")
         return 0
     if args.stage1 is not None:
-        stage1 = _read_model(args.stage1, "interaction", cfg)
+        stage1, stage1_blob = _read_model(args.stage1, "interaction", cfg)
     else:
         stage1 = pipe.train_stage1(pipe.seq_ids, s1_seed)
         side = _stage1_out_path(args.out)
-        _write_model(stage1, side)
+        stage1_blob = _write_model(stage1, side, _provenance(cfg, "interaction"))
         print(f"wrote interaction model to {side}")
     _, x, labels = pipe.group_matrix(stage1, pipe.seq_ids)
     if not labels:
         raise ConfigError("corpus has no usable collective windows")
     model = pipe.train_stage2(x[:, cue_columns(cfg.cues)], labels, s2_seed)
-    _write_model(model, args.out)
+    _write_model(model, args.out, _provenance(cfg, "collective", stage1_blob))
     print(f"wrote collective model ({model.feature_count} features) to {args.out}")
     return 0
 
@@ -299,10 +347,10 @@ def _predictions(recordings: list, cfg: PipelineConfig, stage1: RandomForest,
 
 def _cmd_predict(args, cfg: PipelineConfig) -> int:
     recordings = read_corpus(args.corpus)
-    stage1 = _read_model(args.interactions_model, "interaction", cfg)
+    stage1, stage1_blob = _read_model(args.interactions_model, "interaction", cfg)
     stage2 = None
     if args.collective_model is not None:
-        stage2 = _read_model(args.collective_model, "collective", cfg)
+        stage2, _ = _read_model(args.collective_model, "collective", cfg, stage1_blob)
     cols = cue_columns(cfg.cues)
     lines = [
         "# sequence,center_frame,kind,ids,label,probabilities"

@@ -2,19 +2,20 @@
 
 Bootstrap bagging, per-node random feature subsets, axis-aligned Gini
 splits with midpoint thresholds, majority voting and a versioned JSON
-model format.  Everything is deterministic for a fixed seed: every draw
-is keyed (see keyed) by the seed, the tree index and, for a node's
-features, the node's id in its tree, and ties break toward the lowest
-class id, the lowest feature index and the lowest threshold.  All trees
-of a forest grow together, one node of each tree per step, and every
-step's nodes are scored in one batched split search.
+model format that stores no node-table field a loader can derive.
+Everything is deterministic for a fixed seed: every draw is keyed (see
+keyed) by the seed, the tree index and, for a node's features, the
+node's id in its tree, and ties break toward the lowest class id, the
+lowest feature index and the lowest threshold.  All trees of a forest
+grow together, one node of each tree per step, and every step's nodes
+are scored in one batched split search.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional, Sequence
 
@@ -29,7 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 # rows that vote_fractions steps through the node table together
 _VOTE_BLOCK = 128
@@ -78,18 +79,23 @@ class RandomForest:
     Node arrays are indexed by global node id.  ``trees`` holds each
     tree's root id, starting at 0 and increasing; a tree owns the nodes
     from its root up to the next tree's root.  Training puts the root
-    first and appends both children of a node together (left, then
-    right) when it splits the node, so a node's right child is
-    ``left + 1``, and both children's ids are greater than their parent's
-    and inside its tree; deserialize() checks exactly that, so every walk
-    from a root ends at a leaf of the same tree.
-    ``feature`` is -1 at leaves; ``counts`` holds the bootstrap class
-    counts at leaves (``leaf_counts`` in node order) and zeros at
-    internal nodes.
+    first and gives both children of a node the tree's next two ids
+    (left, then right) when it splits the node, so a node's right child
+    is ``left + 1``, and both children's ids are greater than their
+    parent's and inside its tree.  Each tree pops its nodes from a
+    depth-first stack, left child on top, so ``feature`` alone fixes
+    ``trees`` and ``left``: serialize() stores neither, and deserialize()
+    derives both by replaying that allocation.
+    ``feature`` is -1 at leaves; ``threshold`` is 0.0 there; ``counts``
+    holds the bootstrap class counts at leaves (``leaf_counts`` in node
+    order) and zeros at internal nodes.  ``provenance`` is a JSON object
+    that serialize() writes and deserialize() reads back; the forest
+    never reads it, and it is the one attribute a caller may set (the
+    CLI records there what a model was trained on).
     """
 
     def __init__(self, roots, feature, threshold, left, leaf_counts, config, feature_count,
-                 class_names):
+                 class_names, provenance=None):
         self.trees = np.asarray(roots, dtype=np.int64)
         self.feature = np.asarray(feature, dtype=np.int64)
         self.threshold = np.asarray(threshold, dtype=float)
@@ -101,6 +107,7 @@ class RandomForest:
         self.counts = np.zeros((len(self.feature), self.class_count), dtype=np.int64)
         self.counts[self.feature < 0] = leaf_counts
         self.leaf_class = np.argmax(self.counts, axis=1)
+        self.provenance = {} if provenance is None else provenance
 
     def _check(self, x_mat: np.ndarray) -> np.ndarray:
         x_mat = np.asarray(x_mat, dtype=float)
@@ -473,32 +480,79 @@ def train(
 
 def serialize(model: RandomForest) -> bytes:
     """Versioned JSON document of the node table; byte-identical for
-    identical models.  Leaf counts are listed in node order; a right
-    child's id is its left sibling's plus one, so it is not stored."""
+    identical models.  It stores ``feature`` for every node, ``threshold``
+    for internal nodes only and ``leaf_counts`` as one flat row-major
+    list of the leaves' class counts in node order; deserialize()
+    derives the rest."""
+    leaf = model.feature < 0
     doc = {
         "version": MODEL_VERSION,
         "class_names": list(model.class_names),
         "feature_count": model.feature_count,
         "config": asdict(model.config),
-        "roots": model.trees.tolist(),
         "feature": model.feature.tolist(),
-        "threshold": model.threshold.tolist(),
-        "left": model.left.tolist(),
-        "leaf_counts": model.counts[model.feature < 0].tolist(),
+        "threshold": model.threshold[~leaf].tolist(),
+        "leaf_counts": model.counts[leaf].ravel().tolist(),
+        "provenance": model.provenance,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _array(doc: dict, key: str, kinds: str, ndim: int = 1) -> np.ndarray:
-    """doc[key] as a non-empty ``ndim``-d array of a dtype kind in ``kinds``."""
+def _array(doc: dict, key: str, kinds: str) -> np.ndarray:
+    """doc[key] as a 1-d array, empty or of a dtype kind in ``kinds``."""
     try:
         arr = np.array(doc[key])
     except ValueError:  # ragged nesting
         raise CorruptModel(f"{key} is not a regular array") from None
-    if arr.dtype.kind not in kinds or arr.ndim != ndim or arr.size == 0:
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
         what = "integers" if kinds == "i" else "numbers"
-        raise CorruptModel(f"{key} must be a non-empty {ndim}-d array of {what}")
+        raise CorruptModel(f"{key} must be a 1-d array of {what}")
     return arr
+
+
+def _config(doc) -> ForestConfig:
+    """The ForestConfig of a model document's ``config`` object: every
+    field present and a plain integer, or null where None is allowed."""
+    names = [f.name for f in fields(ForestConfig)]
+    if not isinstance(doc, dict) or sorted(doc) != sorted(names):
+        raise CorruptModel(f"config must be an object of exactly {', '.join(names)}")
+    for key, value in doc.items():
+        nullable = key in ("max_depth", "features_per_split")
+        if type(value) is not int and not (nullable and value is None):
+            raise CorruptModel(f"config {key} must be an integer, got {value!r}")
+    try:
+        return ForestConfig(**doc)
+    except ValueError as e:
+        raise CorruptModel(f"bad config: {e}") from None
+
+
+def _replay(feature: list, n_trees: int) -> tuple:
+    """(roots, left) of the node table whose ``feature`` column this is.
+
+    Training's allocation, replayed tree by tree: a tree's root takes the
+    next free id; pop a node, and if it is internal give its children the
+    next two ids and push the right child, then the left.  Training pops
+    the same internal nodes in the same order, since a leaf it never
+    pushes allocates nothing here either."""
+    n, left, roots = len(feature), [-1] * len(feature), []
+    free = 0
+    for tree in range(n_trees):
+        if free == n:
+            raise CorruptModel(f"feature holds {tree} trees, but config n_trees is {n_trees}")
+        roots.append(free)
+        stack = [free]
+        free += 1
+        while stack:
+            node = stack.pop()
+            if feature[node] >= 0:
+                if free + 2 > n:
+                    raise CorruptModel(f"feature ends inside tree {tree}")
+                left[node] = free
+                stack += (free + 1, free)
+                free += 2
+    if free < n:
+        raise CorruptModel(f"{n - free} nodes left over after the last of {n_trees} trees")
+    return roots, left
 
 
 def deserialize(blob: bytes) -> RandomForest:
@@ -515,36 +569,32 @@ def deserialize(blob: bytes) -> RandomForest:
     try:
         class_names = doc["class_names"]
         feature_count = doc["feature_count"]
-        config_doc = doc["config"]
-        roots, feature, left = (_array(doc, key, "i") for key in ("roots", "feature", "left"))
+        cfg = _config(doc["config"])
+        provenance = doc["provenance"]
+        feature = _array(doc, "feature", "i")
         threshold = _array(doc, "threshold", "if").astype(float)
-        leaf_counts = _array(doc, "leaf_counts", "i", ndim=2)
+        leaf_counts = _array(doc, "leaf_counts", "i")
     except KeyError as e:
         raise CorruptModel(f"model document missing field {e}") from None
     if not isinstance(class_names, list) or not class_names:
         raise CorruptModel("class_names must be a non-empty list")
     if type(feature_count) is not int or feature_count < 1:
         raise CorruptModel(f"bad feature_count {feature_count!r}")
-    try:
-        cfg = ForestConfig(**config_doc)
-    except (TypeError, ValueError) as e:
-        raise CorruptModel(f"bad config: {e}") from None
-    n = len(feature)
-    if not len(threshold) == len(left) == n:
-        raise CorruptModel("feature, threshold and left differ in length")
-    if roots[0] != 0 or np.any(np.diff(roots) <= 0) or roots[-1] >= n:
-        raise CorruptModel("roots must start at 0 and increase inside the node table")
+    if not isinstance(provenance, dict):
+        raise CorruptModel("provenance must be a JSON object")
     if np.any((feature < -1) | (feature >= feature_count)):
         raise CorruptModel(f"feature index outside -1..{feature_count - 1}")
-    inner = np.flatnonzero(feature >= 0)
-    if not np.all(np.isfinite(threshold[inner])):
+    roots, left = _replay(feature.tolist(), cfg.n_trees)
+    inner = feature >= 0
+    n_inner = int(np.count_nonzero(inner))
+    if len(threshold) != n_inner:
+        raise CorruptModel(f"threshold must hold {n_inner} values, one per internal node")
+    if not np.all(np.isfinite(threshold)):
         raise CorruptModel("non-finite threshold at an internal node")
-    tree_end = np.append(roots[1:], n)[np.searchsorted(roots, inner, side="right") - 1]
-    # the right child, left + 1, must lie before the tree's end too
-    if np.any((left[inner] <= inner) | (left[inner] >= tree_end - 1)):
-        raise CorruptModel("child index not after its parent inside its tree")
-    shape = (n - len(inner), len(class_names))
-    if leaf_counts.shape != shape or np.any(leaf_counts < 0):
-        raise CorruptModel(f"leaf_counts must be {shape[0]} rows of {shape[1]} counts >= 0")
-    return RandomForest(roots, feature, threshold, left, leaf_counts, cfg, feature_count,
-                        class_names)
+    shape = (len(feature) - n_inner, len(class_names))
+    if len(leaf_counts) != shape[0] * shape[1] or np.any(leaf_counts < 0):
+        raise CorruptModel(f"leaf_counts must be {shape[0]} x {shape[1]} counts >= 0")
+    full = np.zeros(len(feature))
+    full[inner] = threshold
+    return RandomForest(roots, feature, full, left, leaf_counts.reshape(shape), cfg,
+                        feature_count, class_names, provenance)

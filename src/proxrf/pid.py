@@ -28,6 +28,12 @@ from . import keyed
 from .errors import MissingFrames, ModelShapeMismatch
 from .trajectory import TWO_PI, finite_difference, wrap_angle
 
+# Version of the vectors describe_pairs computes.  A change that alters
+# any descriptor value bumps it; the CLI records it in every model file
+# and refuses a model trained on another version.
+DESCRIPTOR_VERSION = 1
+
+
 class InteractionLabel(enum.Enum):
     """The six directional pairwise interactions."""
 

@@ -1,5 +1,6 @@
 """Config parsing/precedence and the command-line front end."""
 
+import hashlib
 import json
 import math
 import os
@@ -717,10 +718,13 @@ def test_exit_code_stage1_class_name_unknown(stage1_model, pair_corpus, mixed_co
     assert not any((tmp_path / name).exists() for name in ("x.csv", "p.csv", "c.json"))
 
 
-def _stage2_file(path, class_names, y):
-    """A 9-feature stage-two model over the given class names."""
+def _stage2_file(path, class_names, y, stage1_path):
+    """A 9-feature stage-two model over the given class names, stamped as
+    trained at the default config on the stage-one model at stage1_path."""
     x = np.linspace(0.0, 1.0, 9 * len(y)).reshape(len(y), 9)
     model = train(x, y, ForestConfig(n_trees=3, seed=0), class_names=class_names)
+    model.provenance = cli._provenance(build_run_config(None, {}), "collective",
+                                       pathlib.Path(stage1_path).read_bytes())
     path.write_bytes(serialize(model))
     return str(path)
 
@@ -728,7 +732,7 @@ def _stage2_file(path, class_names, y):
 def test_predict_maps_collective_votes_by_class_name(mixed_corpus, stage1_model, tmp_path,
                                                      capsys):
     # stage two after dropping four labels, as cross_dataset trains it
-    subset = _stage2_file(tmp_path / "subset.json", ["Talking", "Queuing"], [1])
+    subset = _stage2_file(tmp_path / "subset.json", ["Talking", "Queuing"], [1], stage1_model)
     out = tmp_path / "p.csv"
     assert main(["predict", mixed_corpus, "--interactions-model", stage1_model,
                  "--collective-model", subset, "--out", str(out)]) == 0
@@ -737,7 +741,7 @@ def test_predict_maps_collective_votes_by_class_name(mixed_corpus, stage1_model,
     # a class name that is no collective label, or every name an interaction code
     for names, first_bad in ((["Talking", "Milling"], "Milling"),
                              ([l.code for l in InteractionLabel], "BF")):
-        bad = _stage2_file(tmp_path / "bad.json", names, np.arange(len(names)))
+        bad = _stage2_file(tmp_path / "bad.json", names, np.arange(len(names)), stage1_model)
         rc = main(["predict", mixed_corpus, "--interactions-model", stage1_model,
                    "--collective-model", bad, "--out", str(tmp_path / "u.csv")])
         err = capsys.readouterr().err
@@ -745,6 +749,136 @@ def test_predict_maps_collective_votes_by_class_name(mixed_corpus, stage1_model,
         assert err.startswith(
             f"ERROR ModelShapeMismatch: model class {first_bad!r} is no collective label"), err
     assert not (tmp_path / "u.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def stage2_model(mixed_corpus, stage1_model, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "coll.json"
+    assert main(["train", "collective", mixed_corpus, "--stage1", stage1_model,
+                 "--out", str(out)] + SMALL) == 0
+    return str(out)
+
+
+def test_models_record_their_provenance(stage1_model, stage2_model):
+    stage1_bytes = pathlib.Path(stage1_model).read_bytes()
+    # every descriptor, smoothing and heading-draw setting; no forest
+    # setting, and neither threads, step nor stride
+    want = {
+        "descriptor_version": 1,
+        "max_gap": 5,
+        "seed": 0,
+        "pid.t1": 64,
+        "pid.sigma_rho": 0.25,
+        "pid.sigma_theta": math.pi / 8,
+        "pid.k_s": 3.0,
+        "pid.l_max": 1,
+        "pid.grid_samples_per_axis": 9,
+        "pid.variance_denominator": False,
+        "pid.assignment": "kde",
+        "pid.grid.distance_boundaries": [0.5, 1.25, 3.5],
+        "pid.grid.angular_sector_count": 4,
+        "smoothing.alpha": 0.5,
+        "smoothing.t_s": 0.25,
+    }
+    assert deserialize(stage1_bytes).provenance == want
+    want.update(t2=64, stride=5, include_shape=True,
+                stage1_sha256=hashlib.sha256(stage1_bytes).hexdigest())
+    assert deserialize(pathlib.Path(stage2_model).read_bytes()).provenance == want
+
+
+@pytest.mark.parametrize("flags, key, was, now", [
+    (["--sigma-rho", "0.5"], "pid.sigma_rho", "0.25", "0.5"),
+    (["--max-gap", "10"], "max_gap", "5", "10"),
+    (["--seed", "8"], "seed", "0", "8"),
+    (["--assignment", "hard"], "pid.assignment", '"kde"', '"hard"'),
+])
+def test_stage1_model_refused_under_another_descriptor_config(
+        flags, key, was, now, stage1_model, pair_corpus, mixed_corpus, tmp_path, capsys):
+    outputs = [tmp_path / name for name in ("p.csv", "x.csv", "c.json")]
+    for argv in (
+        ["predict", pair_corpus, "--interactions-model", stage1_model, "--out", str(outputs[0])],
+        ["extract", mixed_corpus, "--kind", "cbd", "--model", stage1_model,
+         "--out", str(outputs[1])],
+        ["train", "collective", mixed_corpus, "--stage1", stage1_model,
+         "--out", str(outputs[2])] + SMALL,
+    ):
+        rc = main(argv + flags)
+        err = capsys.readouterr().err
+        assert rc == 3, (argv, err)
+        assert err == (f"ERROR ModelShapeMismatch: interaction model was trained with {key} = "
+                       f"{was}, but this run has {key} = {now}\n"), err
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("flags", [["--stride", "2"], ["--step", "10"],
+                                   ["--include-shape", "false"], ["--threads", "2"]])
+def test_stage1_model_loads_under_other_window_settings(flags, stage1_model, pair_corpus,
+                                                         mixed_corpus, tmp_path):
+    assert main(["predict", pair_corpus, "--interactions-model", stage1_model,
+                 "--out", str(tmp_path / "p.csv")] + flags) == 0
+    assert main(["extract", mixed_corpus, "--kind", "cbd", "--model", stage1_model,
+                 "--out", str(tmp_path / "x.csv")] + flags) == 0
+    assert main(["train", "collective", mixed_corpus, "--stage1", stage1_model,
+                 "--out", str(tmp_path / "c.json")] + SMALL + flags) == 0
+
+
+def test_stage2_model_refused_under_another_config_or_stage1(
+        stage2_model, stage1_model, pair_corpus, mixed_corpus, tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    predict = ["predict", mixed_corpus, "--collective-model", stage2_model, "--out", str(out)]
+    assert main(predict + ["--interactions-model", stage1_model]) == 0
+    out.unlink()
+    for flags, detail in (
+        (["--stride", "2"], "collective model was trained with stride = 5, "
+                            "but this run has stride = 2"),
+        (["--t2", "32"], "collective model was trained with t2 = 64, but this run has t2 = 32"),
+        # the shape cue also sets the feature count, which is checked first
+        (["--include-shape", "false"], "collective model expects 9 features, "
+                                       "but the configured descriptor has 8"),
+    ):
+        rc = main(predict + ["--interactions-model", stage1_model] + flags)
+        err = capsys.readouterr().err
+        assert rc == 3, (flags, err)
+        assert err == f"ERROR ModelShapeMismatch: {detail}\n", err
+    # another stage-one model, trained under the same descriptor config
+    other = tmp_path / "other.json"
+    assert main(["train", "interactions", pair_corpus, "--out", str(other),
+                 "--interaction-trees", "11"]) == 0
+    rc = main(predict + ["--interactions-model", str(other)])
+    err = capsys.readouterr().err
+    assert rc == 3, err
+    digests = [hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
+               for p in (stage1_model, other)]
+    assert err == ("ERROR ModelShapeMismatch: collective model was trained with stage1_sha256 = "
+                   f'"{digests[0]}", but this run has stage1_sha256 = "{digests[1]}"\n'), err
+    assert not out.exists()
+
+
+def test_model_without_provenance_exits_3(stage1_model, stage2_model, mixed_corpus, tmp_path,
+                                          capsys):
+    out = tmp_path / "p.csv"
+    for stage, flag, path in (("interaction", "--interactions-model", stage1_model),
+                              ("collective", "--collective-model", stage2_model)):
+        doc = json.loads(pathlib.Path(path).read_text())
+        for provenance, detail in (
+            ({}, f"ModelShapeMismatch: {stage} model {{}} records no provenance; retrain it"),
+            (dict(doc["provenance"], cues=3), f"ModelShapeMismatch: {stage} model was trained "
+                                              "with cues = 3, but this run has cues = (absent)"),
+            (None, "CorruptModel: model document missing field 'provenance'"),
+        ):
+            bare = tmp_path / f"{stage}.json"
+            if provenance is None:
+                del doc["provenance"]
+            else:
+                doc["provenance"] = provenance
+            bare.write_text(json.dumps(doc))
+            argv = ["predict", mixed_corpus, "--interactions-model", stage1_model,
+                    "--collective-model", stage2_model, "--out", str(out), flag, str(bare)]
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc == 3, err
+            assert err == f"ERROR {detail.format(bare)}\n", err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suffix", [".trj", ".pia"])
@@ -778,7 +912,7 @@ def test_exit_code_missing_and_corrupt_model(pair_corpus, tmp_path, capsys):
     assert rc == 3
     assert "ERROR CorruptModel" in capsys.readouterr().err
     deep = tmp_path / "deep.json"
-    deep.write_text('{"version": 3, "roots": [' + '{"left": ' * 3000 + "{}" + "}" * 3000 + "]}")
+    deep.write_text('{"version": 4, "feature": [' + '{"left": ' * 3000 + "{}" + "}" * 3000 + "]}")
     rc = main(["predict", pair_corpus, "--interactions-model", str(deep),
                "--out", str(tmp_path / "p.csv")])
     assert rc == 3

@@ -279,9 +279,9 @@ def test_thresholds_are_interior_midpoints():
     doc = json.loads(serialize(model))
     train_vals = {f: set(x[:, f].tolist()) for f in range(x.shape[1])}
     inner = [i for i, f in enumerate(doc["feature"]) if f >= 0]
-    assert inner
-    for i in inner:
-        f, thr = doc["feature"][i], doc["threshold"][i]
+    assert inner and len(inner) == len(doc["threshold"])
+    for i, thr in zip(inner, doc["threshold"]):
+        f = doc["feature"][i]
         assert x[:, f].min() < thr < x[:, f].max()
         assert thr not in train_vals[f]
 
@@ -403,23 +403,48 @@ def test_round_trip_preserves_predictions():
     assert serialize(clone) == serialize(model)
 
 
+def _tree_children(doc):
+    """(roots, {internal node: (left, right)}) of a model document, from
+    its ``feature`` list alone: trees follow one another, and each is
+    numbered in depth-first preorder, a split node's two children taking
+    the next two ids when the walk reaches that node, left first."""
+    feature, children, roots = doc["feature"], {}, []
+    free = 0
+
+    def number(node):
+        nonlocal free
+        if feature[node] >= 0:
+            children[node] = (free, free + 1)
+            free += 2
+            number(children[node][0])
+            number(children[node][1])
+
+    for _ in range(doc["config"]["n_trees"]):
+        roots.append(free)
+        free += 1
+        number(roots[-1])
+    assert free == len(feature)
+    return roots, children
+
+
 def _walk_votes(doc, x):
     """Vote fractions by walking every row down every tree of a model
     document, one node at a time."""
-    leaf_row = {}
-    for i, f in enumerate(doc["feature"]):
-        if f < 0:
-            leaf_row[i] = len(leaf_row)
-    votes = np.zeros((len(x), len(doc["class_names"])))
+    roots, children = _tree_children(doc)
+    k = len(doc["class_names"])
+    inner = [i for i, f in enumerate(doc["feature"]) if f >= 0]
+    threshold = dict(zip(inner, doc["threshold"]))
+    leaves = [i for i, f in enumerate(doc["feature"]) if f < 0]
+    counts = {i: doc["leaf_counts"][k * j:k * j + k] for j, i in enumerate(leaves)}
+    votes = np.zeros((len(x), k))
     for r, v in enumerate(x):
-        for root in doc["roots"]:
+        for root in roots:
             i = root
-            while doc["feature"][i] >= 0:
-                go_left = v[doc["feature"][i]] <= doc["threshold"][i]
-                i = doc["left"][i] if go_left else doc["left"][i] + 1
-            counts = doc["leaf_counts"][leaf_row[i]]
-            votes[r, counts.index(max(counts))] += 1.0
-    return votes / len(doc["roots"])
+            while i in children:
+                go_left = v[doc["feature"][i]] <= threshold[i]
+                i = children[i][0] if go_left else children[i][1]
+            votes[r, counts[i].index(max(counts[i]))] += 1.0
+    return votes / len(roots)
 
 
 def test_vote_fractions_match_per_tree_walk():
@@ -458,15 +483,14 @@ _CONFIG_DOC = {"n_trees": 2, "max_depth": None, "min_samples_split": 2,
 
 def test_deserialized_stumps_tie_to_lowest_class():
     doc = {
-        "version": 3,
+        "version": 4,
         "class_names": ["a", "b"],
         "feature_count": 2,
         "config": _CONFIG_DOC,
-        "roots": [0, 1],
         "feature": [-1, -1],
-        "threshold": [0.0, 0.0],
-        "left": [-1, -1],
-        "leaf_counts": [[0, 5], [5, 0]],
+        "threshold": [],
+        "leaf_counts": [0, 5, 5, 0],
+        "provenance": {},
     }
     model = deserialize(json.dumps(doc).encode())
     np.testing.assert_allclose(model.vote_fractions(np.zeros((1, 2)))[0], [0.5, 0.5])
@@ -476,15 +500,14 @@ def test_deserialized_stumps_tie_to_lowest_class():
 def _valid_doc():
     """Two one-split trees: nodes 0-2 and nodes 3-5."""
     return {
-        "version": 3,
+        "version": 4,
         "class_names": ["a", "b"],
         "feature_count": 2,
-        "config": _CONFIG_DOC,
-        "roots": [0, 3],
+        "config": dict(_CONFIG_DOC),
         "feature": [0, -1, -1, 1, -1, -1],
-        "threshold": [0.5, 0.0, 0.0, -0.25, 0.0, 0.0],
-        "left": [1, -1, -1, 4, -1, -1],
-        "leaf_counts": [[3, 0], [0, 2], [1, 1], [0, 4]],
+        "threshold": [0.5, -0.25],
+        "leaf_counts": [3, 0, 0, 2, 1, 1, 0, 4],
+        "provenance": {"seed": 7},
     }
 
 
@@ -492,6 +515,28 @@ def _corrupt(**changes):
     doc = _valid_doc()
     doc.update(changes)
     return json.dumps(doc).encode()
+
+
+def _config(**changes):
+    return dict(_CONFIG_DOC, **changes)
+
+
+def test_deserialize_derives_roots_and_left():
+    model = deserialize(_corrupt())
+    np.testing.assert_array_equal(model.trees, [0, 3])
+    np.testing.assert_array_equal(model.left, [1, -1, -1, 4, -1, -1])
+    np.testing.assert_array_equal(model.threshold, [0.5, 0.0, 0.0, -0.25, 0.0, 0.0])
+    np.testing.assert_array_equal(model.counts, [[0, 0], [3, 0], [0, 2], [0, 0], [1, 1], [0, 4]])
+    assert model.provenance == {"seed": 7}
+    # a deeper tree: its root's left child splits before its right child
+    # is numbered further, so the right child is node 2 and its children
+    # come after the left child's
+    doc = dict(_valid_doc(), config=_config(n_trees=1), feature=[0, 1, 0, -1, -1, -1, -1],
+               threshold=[0.5, 0.25, 0.75], leaf_counts=[1, 0, 0, 1, 2, 0, 0, 2])
+    model = deserialize(json.dumps(doc).encode())
+    np.testing.assert_array_equal(model.left, [1, 3, 5, -1, -1, -1, -1])
+    probe = [[0.0, 0.0], [0.0, 1.0], [0.6, 0.0], [1.0, 0.0]]
+    np.testing.assert_array_equal(model.vote_fractions(probe), [[1, 0], [0, 1], [1, 0], [0, 1]])
 
 
 def test_deserialize_refuses_boolean_feature_count():
@@ -507,57 +552,80 @@ def test_deserialize_refuses_boolean_feature_count():
 def test_deserialize_rejects_corrupt_documents():
     model = deserialize(_corrupt())  # the base document is valid
     assert len(model.trees) == 2
+    # null is a valid config value where ForestConfig takes None
+    assert deserialize(_corrupt(config=_config(max_depth=3, features_per_split=1))).config == \
+        ForestConfig(n_trees=2, max_depth=3, features_per_split=1)
     np.testing.assert_array_equal(model.vote_fractions([[0.0, 0.0], [1.0, 0.0]]),
                                   [[0.5, 0.5], [0.0, 1.0]])
     bad_tree_cases = [
         b"not json at all",
         b"[1,2,3]",
         _corrupt(version=99),
+        _corrupt(version=3),
         _corrupt(class_names=[]),
         _corrupt(class_names="ab"),
         _corrupt(feature_count=0),
         _corrupt(feature_count="two"),
-        _corrupt(roots=[]),
-        _corrupt(roots=17),
-        _corrupt(roots=[0, "3"]),
         _corrupt(feature=[5, -1, -1, 1, -1, -1]),
         _corrupt(feature=[0, -1, -1, -2, -1, -1]),
         _corrupt(feature=[0.0, -1, -1, 1, -1, -1]),
-        _corrupt(threshold=[float("nan"), 0.0, 0.0, -0.25, 0.0, 0.0]),
-        _corrupt(threshold=[0.5, 0.0, 0.0, "x", 0.0, 0.0]),
-        _corrupt(leaf_counts=[[1], [0, 2], [1, 1], [0, 4]]),
-        _corrupt(leaf_counts=[[1], [0], [1], [0]]),
-        _corrupt(leaf_counts=[[3, 0], [0, 2], [1, 1]]),
-        _corrupt(leaf_counts=[[-1, 2], [0, 2], [1, 1], [0, 4]]),
-        _corrupt(leaf_counts=[[0.5, 2], [0, 2], [1, 1], [0, 4]]),
-        _corrupt(left=[1, -1, -1, -1, -1, -1]),  # internal node without children
+        _corrupt(feature=[[0, -1, -1, 1, -1, -1]]),
+        _corrupt(feature=17),
+        _corrupt(feature=[]),
+        _corrupt(threshold=[float("nan"), -0.25]),
+        _corrupt(threshold=[0.5, float("inf")]),
+        _corrupt(threshold=[0.5, "x"]),
+        _corrupt(threshold=[[0.5, -0.25]]),
+        # leaf counts nested, short, long, negative or fractional
+        _corrupt(leaf_counts=[[3, 0], [0, 2], [1, 1], [0, 4]]),
+        _corrupt(leaf_counts=[3, 0, 0, 2, 1, 1, 0]),
+        _corrupt(leaf_counts=[3, 0, 0, 2, 1, 1, 0, 4, 0]),
+        _corrupt(leaf_counts=[-1, 2, 0, 2, 1, 1, 0, 4]),
+        _corrupt(leaf_counts=[0.5, 2, 0, 2, 1, 1, 0, 4]),
         _corrupt(config={"n_trees": 0}),
         _corrupt(config={"bogus": 1}),
-        # a child at or below its parent's index: walks could loop
-        _corrupt(left=[0, -1, -1, 4, -1, -1]),
-        _corrupt(left=[1, -1, -1, 2, -1, -1]),
-        # a child after its parent but outside the parent's tree: the
-        # left child inside it and the right sibling, left + 1, outside
-        _corrupt(left=[2, -1, -1, 4, -1, -1]),
-        _corrupt(left=[1, -1, -1, 5, -1, -1]),
-        _corrupt(left=[1, -1, -1, 2**63 - 1, -1, -1]),
-        # node arrays of unequal length
-        _corrupt(threshold=[0.5, 0.0, 0.0, -0.25, 0.0]),
-        _corrupt(left=[1, -1, -1, 4, -1, -1, -1]),
-        # roots that do not start at 0, do not increase or leave the table
-        _corrupt(roots=[1, 3]),
-        _corrupt(roots=[0, 0]),
-        _corrupt(roots=[0, 3, 2]),
-        _corrupt(roots=[0, 6]),
+        _corrupt(config=dict(_CONFIG_DOC, bogus=1)),
+        _corrupt(config=None),
+        # config fields that are not plain integers (null only where
+        # ForestConfig takes None)
+        _corrupt(config={"n_trees": True, "max_depth": 1.5, "seed": "x"}),
+        _corrupt(config=_config(n_trees=True)),
+        _corrupt(config=_config(max_depth=1.5)),
+        _corrupt(config=_config(seed="x")),
+        _corrupt(config=_config(min_samples_split=None)),
+        _corrupt(config=_config(features_per_split=False)),
+        _corrupt(config=_config(n_trees=2.0)),
+        _corrupt(config=[2, None, 2, None, 0]),
+        # the feature list ends inside a tree: the second root splits, but
+        # one or both of its children are missing
+        _corrupt(feature=[0, -1, -1, 1, -1]),
+        _corrupt(feature=[0, -1, -1, 1]),
+        _corrupt(feature=[0, -1, 0, 1, -1, -1]),
+        # nodes left over after the last tree, or too few trees
+        _corrupt(feature=[0, -1, -1, 1, -1, -1, -1], leaf_counts=[3, 0] * 5),
+        _corrupt(feature=[0, -1, -1]),
+        _corrupt(config=_config(n_trees=1)),
+        _corrupt(config=_config(n_trees=3)),
+        _corrupt(config=_config(n_trees=2**62)),
+        # one threshold per internal node
+        _corrupt(threshold=[0.5]),
+        _corrupt(threshold=[0.5, -0.25, 0.0]),
+        _corrupt(threshold=[0.5, 0.0, 0.0, -0.25, 0.0, 0.0]),
+        # provenance that is not an object
+        _corrupt(provenance=[]),
+        _corrupt(provenance="seed=7"),
+        _corrupt(provenance=7),
+        _corrupt(provenance=None),
     ]
-    for missing in ("roots", "feature", "threshold", "left", "leaf_counts"):
+    for missing in ("class_names", "feature_count", "config", "feature", "threshold",
+                    "leaf_counts", "provenance"):
         doc = _valid_doc()
         del doc[missing]
         bad_tree_cases.append(json.dumps(doc).encode())
     # a document nested deeper than the interpreter's recursion limit
     deep = b'{"feature": 0, "threshold": 0.5, "right": {"counts": [0, 1]}, "left": ' * 3000
     bad_tree_cases.append(
-        b'{"version": 3, "roots": [' + deep + b'{"counts": [1, 0]}' + b"}" * 3000 + b"]}"
+        b'{"version": 4, "feature": [' + deep + b'{"counts": [1, 0]}' + b"}" * 3000 + b"]}"
     )
     for blob in bad_tree_cases:
         with pytest.raises(CorruptModel):
@@ -573,15 +641,73 @@ def test_deserialize_refuses_version_1():
         "trees": [{"feature": 0, "threshold": 0.5,
                    "left": {"counts": [3, 0]}, "right": {"counts": [0, 2]}}],
     }
-    with pytest.raises(CorruptModel, match="unsupported model version 1, expected 3"):
+    with pytest.raises(CorruptModel, match="unsupported model version 1, expected 4"):
         deserialize(json.dumps(v1).encode())
 
 
 def test_deserialize_refuses_version_2():
     # version 2 stored each right child and drew from numpy generators
     v2 = dict(_valid_doc(), version=2, right=[2, -1, -1, 5, -1, -1])
-    with pytest.raises(CorruptModel, match="unsupported model version 2, expected 3"):
+    with pytest.raises(CorruptModel, match="unsupported model version 2, expected 4"):
         deserialize(json.dumps(v2).encode())
+
+
+def test_deserialize_refuses_version_3():
+    # version 3 stored roots, left, a threshold per node and nested leaf
+    # counts, and no provenance
+    v3 = {
+        "version": 3,
+        "class_names": ["a", "b"],
+        "feature_count": 2,
+        "config": _CONFIG_DOC,
+        "roots": [0, 3],
+        "feature": [0, -1, -1, 1, -1, -1],
+        "threshold": [0.5, 0.0, 0.0, -0.25, 0.0, 0.0],
+        "left": [1, -1, -1, 4, -1, -1],
+        "leaf_counts": [[3, 0], [0, 2], [1, 1], [0, 4]],
+    }
+    with pytest.raises(CorruptModel, match="unsupported model version 3, expected 4"):
+        deserialize(json.dumps(v3).encode())
+
+
+@st.composite
+def _training_sets(draw):
+    """A small training set and forest config: 1-40 rows of 1-5 features,
+    some of them tied or constant, 1-4 classes, and any tree count,
+    depth cap, node size and features per split."""
+    rows, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(-3, 4, (rows, d)) * draw(st.sampled_from([0.5, 0.0, 1e-3]))
+    x[:, ::2] += rng.standard_normal((rows, (d + 1) // 2)) * draw(st.sampled_from([0.0, 1.0]))
+    y = rng.integers(0, draw(st.integers(1, 4)), rows)
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.none() | st.integers(0, 6)),
+        min_samples_split=draw(st.integers(2, 6)),
+        features_per_split=draw(st.none() | st.integers(1, d)),
+        seed=draw(st.integers(-2**64, 2**64)),
+    )
+    return x, y, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_training_sets())
+def test_format_round_trips_trained_forests(case):
+    x, y, cfg = case
+    model = train(x, y, cfg)
+    model.provenance = {"seed": 1, "pid.t1": 64}
+    blob = serialize(model)
+    clone = deserialize(blob)
+    for name in ("trees", "left", "feature", "threshold", "counts"):
+        want, got = getattr(model, name), getattr(clone, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert np.array_equal(np.signbit(clone.threshold), np.signbit(model.threshold))
+    assert clone.provenance == model.provenance
+    probe = np.vstack([x, np.random.default_rng(0).standard_normal((20, x.shape[1])) * 2.0])
+    np.testing.assert_array_equal(clone.vote_fractions(probe), model.vote_fractions(probe))
+    np.testing.assert_array_equal(_walk_votes(json.loads(blob), probe),
+                                  model.vote_fractions(probe))
+    assert serialize(clone) == blob
 
 
 _JSON_VALUES = st.recursive(
@@ -592,11 +718,12 @@ _JSON_VALUES = st.recursive(
 
 
 _SMALL_FOREST = train(*_blobs(np.random.default_rng(3), 6, d=3), ForestConfig(n_trees=3, seed=2))
+_SMALL_FOREST.provenance = {"descriptor_version": 1, "pid.sigma_rho": 0.25, "seed": 7}
 
 
 @st.composite
 def _mutated_docs(draw):
-    """A valid version-3 document of a trained forest with one field
+    """A valid version-4 document of a trained forest with one field
     replaced, or one element of one of its arrays."""
     doc = json.loads(serialize(_SMALL_FOREST))
     key = draw(st.sampled_from(sorted(doc)))
@@ -614,8 +741,8 @@ def _mutated_docs(draw):
 
 @st.composite
 def _mutated_bytes(draw):
-    """A trained forest's serialized bytes with a few bytes replaced,
-    inserted or deleted, or cut short."""
+    """A trained forest's serialized bytes (a version-4 document) with a
+    few bytes replaced, inserted or deleted, or cut short."""
     blob = bytearray(serialize(_SMALL_FOREST))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(blob) - 1))

@@ -18,14 +18,16 @@ apart) and a cbd extract with a pair descriptor at every frame of each
 group window.  A copy of it whose collective scenes also carry pair
 labels (see ``add_pairs``) gets predictions from both models and a
 collective evaluation, both with a pair descriptor at every frame of
-each group window.  A copy of the first corpus joined by 25 fps scenes,
-with one scene renamed so that its file sorts before its sequence id
-(see ``mix_fps``), gets both kinds of model, evaluation and extract and
+each group window; the predictions use a collective model trained at
+that stride.  A copy of the first corpus joined by 25 fps scenes, with one scene
+renamed so that its file sorts before its sequence id (see
+``mix_fps``), gets both kinds of model, evaluation and extract and
 predictions from both models.  Another copy loses track samples (see
 ``punch_gaps``), which gives tracks with gaps and groups with uneven
 member spans; a collective model, pid and cbd extracts, predictions and
 a collective evaluation run on it too, and pid and cbd extracts with a
-max_gap that fills its 8-frame holes.  The gapped corpus is then
+max_gap that fills its 8-frame holes, the cbd extract with an
+interaction model trained under that max_gap.  The gapped corpus is then
 rewritten as an ``ncad-like`` external tree (see ``to_ncad``: shuffled
 image-coordinate rows and a perspective homography), which ``adapt``
 turns back into a canonical corpus that gets a pid extract, so the
@@ -64,6 +66,9 @@ COMMANDS = (
      "--interaction-min-samples-split", "6", "--out", "models/inter-depth3.json"] + SEED,
     ["train", "collective", "corpus", "--stage1", "models/inter.json",
      "--collective-features-per-split", "1", "--out", "models/coll-fps1.json"] + SEED,
+    # a collective model for the stride-1 predictions on "mixed" below
+    ["train", "collective", "corpus", "--stage1", "models/coll.stage1.json", "--stride", "1",
+     "--out", "models/coll-stride1.json"] + SEED,
     ["extract", "corpus", "--kind", "pid", "--out", "extract/pid.csv"] + SEED,
     # no anchor is slower than a zero threshold, so no heading is drawn:
     # these descriptors do not depend on the random draws at all
@@ -131,14 +136,16 @@ GAPPED_COMMANDS = (
     # a max_gap above the 8-frame holes: they are filled, not split
     ["extract", "gapped", "--kind", "pid", "--max-gap", "10",
      "--out", "extract/gapped-pid-gap10.csv"] + SEED,
-    ["extract", "gapped", "--kind", "cbd", "--model", "models/gapped.stage1.json",
+    ["train", "interactions", "gapped", "--max-gap", "10",
+     "--out", "models/gapped-inter-gap10.json"] + SEED,
+    ["extract", "gapped", "--kind", "cbd", "--model", "models/gapped-inter-gap10.json",
      "--max-gap", "10", "--out", "extract/gapped-cbd-gap10.csv"] + SEED,
 )
 # run once add_pairs has derived "mixed" from "long": at stride 1 the
 # group windows' pair centers include every pair window's center
 MIXED_COMMANDS = (
     ["predict", "mixed", "--interactions-model", "models/coll.stage1.json",
-     "--collective-model", "models/coll.json", "--stride", "1",
+     "--collective-model", "models/coll-stride1.json", "--stride", "1",
      "--out", "predict/mixed.csv"] + SEED,
     ["eval", "mixed", "--task", "collective", "--folds", "3", "--stride", "1",
      "--out-dir", "eval/mixed"] + SEED,
