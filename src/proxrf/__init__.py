@@ -12,7 +12,7 @@ and a command-line front end.
 
 from .cbd import (
     CollectiveLabel,
-    GroupWindow,
+    GroupBlock,
     dispersion_change,
     interaction_histogram,
     mean_speed,

@@ -20,11 +20,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import keyed
-from .cbd import CollectiveLabel, GroupWindow, group_cues, pair_vectors, pool_votes
+from .cbd import CollectiveLabel, GroupBlock, group_cues, pair_vectors, pool_votes
 from .dataset import FoldSplit, SceneRecording, windows
 from .errors import (
     ConfigError,
-    EmptyGroup,
     EmptyTrainingSet,
     InvalidConfig,
     LabelCoverageError,
@@ -235,7 +234,25 @@ def cue_columns(cues: Sequence[str]) -> list:
     return cols
 
 
-_CBD_WIDTH = len(cue_columns(CUE_NAMES))
+# windows x members x t2 slots that one GroupBlock holds at most, so a
+# long recording with many tracks is split into blocks of a few MB
+_BLOCK_SLOTS = 2**16
+
+
+def _block_runs(placed: Sequence, t2: int):
+    """(lo, hi) runs of consecutive group-window placements (center,
+    members, label) that share one GroupBlock: a run's windows times the
+    members of any of them times t2 stays within _BLOCK_SLOTS, except
+    that a placement alone in its run may exceed it."""
+    lo, members = 0, set()
+    for i, (_, ids, _) in enumerate(placed):
+        grown = members.union(ids)
+        if i > lo and (i + 1 - lo) * len(grown) * t2 > _BLOCK_SLOTS:
+            yield lo, i
+            lo, grown = i, set(ids)
+        members = grown
+    if placed:
+        yield lo, len(placed)
 
 
 class Pipeline:
@@ -252,7 +269,8 @@ class Pipeline:
     and per recording, when a matrix first asks for it, the group
     windows' rows, labels, speed, dispersion and shape cues
     (group_cues) and distinct pair vectors with each key's window and
-    row (pair_vectors).  The GroupWindows themselves are not kept.
+    row (pair_vectors), all from the recording's GroupBlocks, which are
+    not kept.
     Matrices come back as ``(rows, X, labels)`` with one ``(sequence id,
     center frame, track ids)`` row per window.
     """
@@ -301,22 +319,25 @@ class Pipeline:
 
     def _group_cache(self, seq: str) -> tuple:
         """(rows, labels, windows x 3 cues, pair_vectors) of the
-        recording's group windows; placements with a frame where no
-        member is present are skipped."""
+        recording's group windows, from one GroupBlock per run of
+        consecutive placements (see _block_runs); placements with a frame
+        where no member is present are skipped."""
         if seq not in self._groups:
             cfg, rec, states = self.cfg, self._recordings[seq], self._states[seq]
-            rows, labels, built = [], [], []
-            for center, ids, label in windows(rec, cfg.t2, cfg.step, "group", cfg.max_gap):
-                try:
-                    window = GroupWindow(center, cfg.t2, rec.fps, {i: states[i] for i in ids})
-                except EmptyGroup:
-                    continue
-                rows.append((seq, center, ids))
-                labels.append(label)
-                built.append(window)
-            cues = np.array([group_cues(w) for w in built], dtype=float).reshape(-1, 3)
+            placed = list(windows(rec, cfg.t2, cfg.step, "group", cfg.max_gap))
+            rows, labels, blocks = [], [], []
+            for lo, hi in _block_runs(placed, cfg.t2):
+                run = placed[lo:hi]
+                ids = {i for _, members, _ in run for i in members}
+                block = GroupBlock([c for c, _, _ in run], cfg.t2, rec.fps,
+                                   {i: states[i] for i in ids})
+                kept = [run[k] for k in block.kept.tolist()]
+                rows += [(seq, center, members) for center, members, _ in kept]
+                labels += [label for _, _, label in kept]
+                blocks.append(block)
+            cues = np.concatenate([np.empty((0, 3))] + [group_cues(b) for b in blocks])
             self._groups[seq] = (rows, labels, cues,
-                                 pair_vectors(built, cfg.pid, cfg.stride, cfg.seed))
+                                 pair_vectors(blocks, cfg.pid, cfg.stride, cfg.seed))
         return self._groups[seq]
 
     def pair_matrix(self, seq_ids: Sequence[str]) -> tuple:
@@ -332,16 +353,27 @@ class Pipeline:
     def group_matrix(self, stage1: RandomForest, seq_ids: Sequence[str]) -> tuple:
         """Full CBD vectors (every cue) and collective labels of every
         group window under a stage-one model; slice them with cue_columns.
-        Each recording's distinct pair vectors are voted in one
-        predict_batch call (pool_votes).
+        The distinct pair vectors of all the recordings are voted in one
+        predict_batch call (pool_votes): each recording's pair_vectors
+        triple is appended to the others', its window and row indices
+        shifted past theirs.
         """
-        rows, vecs, labels = [], [np.empty((0, _CBD_WIDTH))], []
+        rows, labels = [], []
+        cues, vectors = [np.empty((0, 3))], [np.empty((0, self.cfg.pid.descriptor_length))]
+        window, row = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        n_vectors = 0
         for seq in seq_ids:
-            seq_rows, seq_labels, cues, pairs = self._group_cache(seq)
+            seq_rows, seq_labels, seq_cues, (x, w, r) = self._group_cache(seq)
+            window.append(w + len(rows))
+            row.append(r + n_vectors)
             rows += seq_rows
             labels += seq_labels
-            vecs.append(np.hstack([pool_votes(stage1, *pairs, len(seq_rows)), cues]))
-        return rows, np.concatenate(vecs), labels
+            cues.append(seq_cues)
+            vectors.append(x)
+            n_vectors += len(x)
+        hist = pool_votes(stage1, np.concatenate(vectors), np.concatenate(window),
+                          np.concatenate(row), len(rows))
+        return rows, np.hstack([hist, np.concatenate(cues)]), labels
 
     def train_stage1(self, seq_ids: Sequence[str], seed: int) -> RandomForest:
         """Interaction forest over the pair windows of the given recordings."""

@@ -292,10 +292,28 @@ def _may_split(counts, depth, cfg):
     return ok.tolist()
 
 
-def bootstrap(seed: int, tree: int, n: int) -> np.ndarray:
-    """Tree ``tree``'s bootstrap sample of ``n`` row indices: draw i is
-    floor(n u) for the uniform u of the key (seed, tree, i)."""
-    return (keyed.uniform(keyed.BOOTSTRAP, seed, tree, np.arange(n)) * n).astype(np.intp)
+# keys that bootstrap hashes in one keyed.uniform call, so its working
+# arrays stay at a few hundred kB however many trees and rows it draws
+_BOOTSTRAP_KEYS = 2**16
+
+
+def bootstrap(seed: int, trees, n: int) -> np.ndarray:
+    """(trees, n) bootstrap samples of ``n`` row indices, one row per
+    tree id of ``trees``, in the smallest signed integer type that holds
+    ``n``: draw i of tree t is floor(n u) for the uniform u of the key
+    (seed, t, i).  The key block is drawn in chunks of at most
+    _BOOTSTRAP_KEYS keys: whole trees when a tree has no more keys than
+    that, else runs of one tree's draws."""
+    trees = np.asarray(trees, dtype=np.int64).reshape(-1)
+    boots = np.empty((len(trees), n), dtype=np.min_scalar_type(-n))
+    per_chunk = max(1, _BOOTSTRAP_KEYS // max(n, 1))
+    width = min(n, _BOOTSTRAP_KEYS)
+    for t in range(0, len(trees), per_chunk):
+        for i in range(0, n, width):
+            u = keyed.uniform(keyed.BOOTSTRAP, seed, trees[t:t + per_chunk, None],
+                              np.arange(i, min(i + width, n)))
+            boots[t:t + per_chunk, i:i + width] = u * n
+    return boots
 
 
 def feature_draws(seed: int, trees, nodes, d: int, m: int) -> np.ndarray:
@@ -326,10 +344,10 @@ def _grow_trees(x_mat, ranks, y, cfg, m_feats, class_count, tree_ids):
     """
     n, d = x_mat.shape
     tree_ids = np.asarray(tree_ids)
-    # one tree at a time, so no (trees, rows) block of hashes is held;
-    # every tree's pending members are held at once, so they take the
-    # rank table's small integer type
-    boots = [bootstrap(cfg.seed, t, n).astype(ranks.dtype) for t in tree_ids.tolist()]
+    # every tree's bootstrap from one bounded key block; every tree's
+    # pending members are held at once, so they take the rank table's
+    # small integer type, which bootstrap gives
+    boots = bootstrap(cfg.seed, tree_ids, n)
     root_counts = np.array([np.bincount(y[boot], minlength=class_count) for boot in boots])
     stacks = [[(0, boot, 0, c)] if ok else []
               for boot, c, ok in zip(boots, root_counts, _may_split(root_counts, 0, cfg))]
@@ -578,6 +596,10 @@ def deserialize(blob: bytes) -> RandomForest:
         raise CorruptModel(f"model document missing field {e}") from None
     if not isinstance(class_names, list) or not class_names:
         raise CorruptModel("class_names must be a non-empty list")
+    if not all(isinstance(c, str) for c in class_names):
+        raise CorruptModel("class_names must hold strings only")
+    if len(set(class_names)) != len(class_names):
+        raise CorruptModel("class_names must not repeat a name")
     if type(feature_count) is not int or feature_count < 1:
         raise CorruptModel(f"bad feature_count {feature_count!r}")
     if not isinstance(provenance, dict):

@@ -15,11 +15,16 @@ describe one window from its per-frame ``PolarPoint`` samples (raising
 ``WrongWindowLength`` on a window of another length), and
 ``classify_interaction`` votes on one descriptor vector.  For the group
 cues, ``dispersion`` is the RMS distance of one frame's points from
-their centroid.  For lone windows, ``lone_pid`` describes one pair
-window and ``lone_cbd`` one group window (built by ``group_window``)
-through the library's batch functions, each called on that window
-alone.  For the keyed draws, ``reference_key_hash`` hashes one key with
-Python integers.  For the forest, ``reference_best_split`` scores one
+their centroid, and ``GroupWindow`` is one group window of a GroupBlock
+built on its own, with its cues (``window_mean_speed``,
+``window_spread``, ``window_dispersion_change``, ``point_shape_ratio``
+for one point set, and all three as ``window_cues``) and its pair keys
+(``window_pair_keys``).  For lone windows, ``lone_pid`` describes one
+pair window and ``lone_cbd`` one group window (built by
+``group_window``) through the library's batch functions, each called on
+that window alone.  For the keyed draws, ``reference_key_hash`` hashes
+one key with Python integers and ``tree_bootstrap`` draws one tree's
+bootstrap in its own keyed call.  For the forest, ``reference_best_split`` scores one
 node with float class counts, ``reference_rank_split`` scores one node
 over value ranks with exact integer sums, and ``reference_grow_tree``
 grows one tree node by node with either of them, drawing one bootstrap
@@ -35,7 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from proxrf.cbd import GroupWindow, group_cues, pair_vectors, pool_votes
+from proxrf import keyed
+from proxrf.cbd import GroupBlock, group_cues, pair_vectors, pool_votes
 from proxrf.errors import (
     EmptyGroup,
     InvalidFeature,
@@ -374,6 +380,128 @@ def lone_pid(anchor: Trajectory, target: Trajectory, center: int, cfg: PidConfig
     return describe_pairs([pair], cfg, anchor.fps, seed)[0]
 
 
+class GroupWindow:
+    """Per-frame membership and smoothed kinematics of a group in one
+    window: GroupBlock's window, built on its own.
+
+    ``member_states`` maps track id to its TrackStates.  ``present``
+    (members x t2) marks the frames where each member has a state, in
+    member_states order, and ``xy`` (members x t2 x 2) and ``speed``
+    (members x t2) hold its state there (zero where absent).  A frame
+    without any member raises EmptyGroup.
+    """
+
+    def __init__(self, center_frame, t2, fps, member_states):
+        if t2 < 2 or t2 & (t2 - 1):
+            raise ValueError(f"t2 must be a power of two >= 2, got {t2}")
+        self.center_frame = int(center_frame)
+        self.t2 = int(t2)
+        self.fps = float(fps)
+        self.member_states = member_states
+        start, end = self.span
+        frames = np.arange(start, end + 1)
+        rows = np.array([st.rows(frames) for st in member_states.values()]).reshape(-1, t2)
+        self.present = rows >= 0
+        empty = np.flatnonzero(~self.present.any(axis=0))
+        if len(empty):
+            raise EmptyGroup(f"no group member at frame {frames[empty[0]]}")
+        self.xy = np.zeros(rows.shape + (2,))
+        self.speed = np.zeros(rows.shape)
+        for i, st in enumerate(member_states.values()):
+            have = self.present[i]
+            self.xy[i, have] = st.xy[rows[i, have]]
+            self.speed[i, have] = st.speed[rows[i, have]]
+
+    @property
+    def span(self) -> tuple:
+        """First and last frame (inclusive): [t - t2/2 + 1, t + t2/2]."""
+        return self.center_frame - self.t2 // 2 + 1, self.center_frame + self.t2 // 2
+
+
+def window_mean_speed(window: GroupWindow) -> float:
+    """Double average of member speeds: over members, then over frames.
+
+    The axis-0 sum adds member rows in order, as a per-frame sum would."""
+    per_frame = window.speed.sum(axis=0) / window.present.sum(axis=0)
+    return sum(per_frame.tolist()) / window.t2
+
+
+def window_spread(window: GroupWindow) -> np.ndarray:
+    """Per-frame RMS distance of the present members from their centroid.
+
+    Each frame's sums run over its members in member order, absent
+    members adding exact zeros.  Frames with 8 or more present members
+    are summed again over those members alone, with numpy's pairwise
+    sum, through one (frames, members, 2) array per member count.
+    """
+    present = window.present
+    counts = present.sum(axis=0)
+    mean = window.xy.sum(axis=0) / counts[:, None]
+    sq = ((window.xy - mean) ** 2).sum(axis=2) * present
+    spread = np.sqrt(sq.sum(axis=0) / counts)
+    for n in (np.flatnonzero(np.bincount(counts)[8:]) + 8).tolist():
+        at = np.flatnonzero(counts == n)
+        pts = window.xy.transpose(1, 0, 2)[at][present.T[at]].reshape(len(at), n, 2)
+        centered = pts - pts.mean(axis=1, keepdims=True)
+        spread[at] = np.sqrt((centered**2).sum(axis=2).mean(axis=1))
+    return spread
+
+
+def window_dispersion_change(window: GroupWindow) -> float:
+    """Mean derivative of the per-frame group dispersion, in m/s."""
+    return float(np.mean(finite_difference(window_spread(window), 1.0 / window.fps)))
+
+
+def point_shape_ratio(positions: Sequence) -> float:
+    """Covariance eigenvalue ratio lambda_max / lambda_min of one point
+    set; 0 for fewer than two points or a smallest eigenvalue below
+    1e-9 m^2."""
+    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+    if len(pts) < 2:
+        return 0.0
+    centered = pts - pts.mean(axis=0)
+    cov = centered.T @ centered / len(pts)
+    lam_min, lam_max = np.linalg.eigvalsh(cov)
+    if lam_min <= 1e-9:
+        return 0.0
+    return float(lam_max / lam_min)
+
+
+def window_cues(window: GroupWindow) -> tuple:
+    """(mean speed, dispersion change, shape ratio) of one window, the
+    shape ratio over the members present at the center frame."""
+    k = window.center_frame - window.span[0]
+    return (window_mean_speed(window), window_dispersion_change(window),
+            point_shape_ratio(window.xy[window.present[:, k], k]))
+
+
+def window_pair_keys(window: GroupWindow, pid_cfg: PidConfig, stride: int) -> tuple:
+    """(anchor, target, center) arrays of every ordered member pair at
+    every stride center of one window, in pooling order (by center, then
+    anchor, then target); anchor and target index the members in sorted
+    id order.  A pair has a key at a center only when both tracks cover
+    the full descriptor window there."""
+    back, fwd = pid_cfg.window_halves
+    start, end = window.span
+    centers = np.arange(start, end + 1, stride)
+    covered = []
+    for tid in sorted(window.member_states):
+        frames = window.member_states[tid].frames
+        inside = (frames.searchsorted(centers + fwd, "right")
+                  - frames.searchsorted(centers - back))
+        covered.append(inside == back + fwd + 1)
+    covered = np.array(covered).reshape(-1, len(centers)).T
+    both = covered[:, :, None] & covered[:, None, :] & ~np.eye(covered.shape[1], dtype=bool)
+    at, anchor, target = np.nonzero(both)
+    return anchor, target, centers[at]
+
+
+def tree_bootstrap(seed: int, tree: int, n: int) -> np.ndarray:
+    """One tree's bootstrap sample of ``n`` row indices, from one
+    keyed.uniform call over that tree's keys (seed, tree, i)."""
+    return (keyed.uniform(BOOTSTRAP, seed, tree, np.arange(n)) * n).astype(np.intp)
+
+
 def group_window(trajectories: Sequence[Trajectory], center: int, t2: int,
                  smoothing: SmoothingConfig) -> GroupWindow:
     """GroupWindow over the tracks, each smoothed over its whole spans."""
@@ -383,10 +511,13 @@ def group_window(trajectories: Sequence[Trajectory], center: int, t2: int,
 
 def lone_cbd(window: GroupWindow, stage1, pid_cfg: PidConfig, stride: int,
              seed: int) -> np.ndarray:
-    """Full CBD vector of one window: the histogram of its pooled
-    stage-one votes (pair_vectors, then pool_votes), then group_cues."""
-    hist = pool_votes(stage1, *pair_vectors([window], pid_cfg, stride, seed), 1)[0]
-    return np.hstack([hist, group_cues(window)])
+    """Full CBD vector of one window through the library's batch
+    functions, called on a GroupBlock of that window alone: the
+    histogram of its pooled stage-one votes (pair_vectors, then
+    pool_votes), then group_cues."""
+    block = GroupBlock([window.center_frame], window.t2, window.fps, window.member_states)
+    hist = pool_votes(stage1, *pair_vectors([block], pid_cfg, stride, seed), 1)[0]
+    return np.hstack([hist, group_cues(block)[0]])
 
 
 _MASK64 = 2**64 - 1

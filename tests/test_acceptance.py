@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from proxrf.cbd import CollectiveLabel, GroupWindow, dispersion_change, shape_ratio
+from proxrf.cbd import CollectiveLabel, GroupBlock, dispersion_change, shape_ratio
 from proxrf.dataset import FoldSplit, adapt_external
 from proxrf.evaluate import CUE_NAMES, PipelineConfig, ablation, kfold_evaluate
 from proxrf.forest import ForestConfig, deserialize, serialize, train
@@ -239,7 +239,7 @@ def test_geometric_invariances(tiny_stage1, capsys):
         fwd = _injected(paths)
         rev = _injected({tid: {15 - f: p for f, p in fr.items()}
                          for tid, fr in paths.items()})
-        worst_rev = max(worst_rev, abs(dispersion_change(fwd) + dispersion_change(rev)))
+        worst_rev = max(worst_rev, abs(dispersion_change(fwd)[0] + dispersion_change(rev)[0]))
     checks.append(worst_rev <= 1e-9)
 
     _gate(capsys, 4, "rigid-motion, scale and time-reversal behavior",
@@ -250,7 +250,7 @@ def test_geometric_invariances(tiny_stage1, capsys):
 
 def _injected(paths):
     member_states = {tid: track_states(frames) for tid, frames in paths.items()}
-    return GroupWindow(7, 16, 10.0, member_states)
+    return GroupBlock([7], 16, 10.0, member_states)
 
 
 # -------------------------------------------------------------- criterion 5

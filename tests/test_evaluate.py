@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from proxrf import cbd as cbd_module
+from proxrf import evaluate as evaluate_module
 from proxrf import pid as pid_module
-from proxrf.cbd import CollectiveLabel, GroupWindow
+from proxrf.cbd import CollectiveLabel
 from proxrf.dataset import (
     CollectiveAnnotation,
     FoldSplit,
@@ -42,7 +43,7 @@ from proxrf.synth import SynthParams, make_collective_corpus, make_pair_corpus
 from proxrf.trajectory import Trajectory, smoothed_states
 
 from conftest import make_traj, straight_traj
-from per_sample import derivative, dispersion, lone_cbd
+from per_sample import GroupWindow, derivative, dispersion, lone_cbd
 
 C = CollectiveLabel
 
@@ -360,20 +361,26 @@ def _distinct_keys(rec, cfg):
 
 
 def test_group_matrix_votes_each_pair_center_once(dropped_corpus):
+    # one vote per group_matrix call, whose rows hold each recording's
+    # distinct keys once, one recording after another
     pipe = Pipeline(dropped_corpus, _VOTE_CFG)
     model = _LabelModel()
+    want = [len(_distinct_keys(pipe._recordings[s], _VOTE_CFG)) for s in pipe.seq_ids]
+    assert len(want) > 1 and min(want) > 0
     for _ in range(2):  # the vectors are kept, the votes are not: the second call votes again
         model.calls.clear()
         pipe.group_matrix(model, pipe.seq_ids)
-        want = [len(_distinct_keys(pipe._recordings[s], _VOTE_CFG)) for s in pipe.seq_ids]
-        assert [len(x) for x in model.calls] == want
-        for x in model.calls:
-            assert len(np.unique(x, axis=0)) == len(x)
+        [x] = model.calls
+        assert len(x) == sum(want)
+        for part in np.split(x, np.cumsum(want)[:-1]):
+            assert len(np.unique(part, axis=0)) == len(part)
 
 
 def _count_extraction(monkeypatch):
     """Calls of pair_keys, of each cue function and of PairBatch, by name,
-    counted in every proxrf module that binds them."""
+    counted in every proxrf module that binds them: each call's first
+    argument (a GroupBlock, or shape_ratio's stack of point sets, one per
+    window)."""
     calls = {}
 
     def counting(name, real):
@@ -399,18 +406,27 @@ def _count_extraction(monkeypatch):
     return calls
 
 
+def _windows_per_recording(rows, seq_ids) -> list:
+    """Group rows of each recording that has any, in seq_ids order."""
+    counts = [sum(seq == s for seq, _, _ in rows) for s in seq_ids]
+    return [n for n in counts if n]
+
+
 def test_group_matrix_enumerates_each_window_once(dropped_corpus, monkeypatch):
+    # one block per recording, whose windows are that recording's rows
     calls = _count_extraction(monkeypatch)
     pipe = Pipeline(dropped_corpus, _VOTE_CFG)
     rows, _, _ = pipe.group_matrix(_LabelModel(), pipe.seq_ids)
-    windows = calls["pair_keys"]
-    assert len(windows) == len(rows) > 0
-    assert len({id(w) for w in windows}) == len(windows)
+    blocks = calls["pair_keys"]
+    assert [len(b) for b in blocks] == _windows_per_recording(rows, pipe.seq_ids)
+    assert len(blocks) == len(pipe.seq_ids) > 1 and sum(len(b) for b in blocks) == len(rows)
+    assert len({id(b) for b in blocks}) == len(blocks)
+    assert [c for b in blocks for c in b.centers.tolist()] == [c for _, c, _ in rows]
     for name in ("mean_speed", "dispersion_change", "shape_ratio"):
-        assert len(calls[name]) == len(rows)
-    assert [id(w) for w in calls["mean_speed"]] == [id(w) for w in windows]
+        assert [len(a) for a in calls[name]] == [len(b) for b in blocks]
+    assert [id(b) for b in calls["mean_speed"]] == [id(b) for b in blocks]
     pipe.group_matrix(_LabelModel(salt=2), pipe.seq_ids)  # once per Pipeline
-    assert len(calls["pair_keys"]) == len(calls["shape_ratio"]) == len(rows)
+    assert len(calls["pair_keys"]) == len(calls["shape_ratio"]) == len(pipe.seq_ids)
 
 
 def test_second_matrix_call_describes_nothing(mixed_corpus, monkeypatch):
@@ -419,6 +435,11 @@ def test_second_matrix_call_describes_nothing(mixed_corpus, monkeypatch):
     first = pipe.pair_matrix(pipe.seq_ids), pipe.group_matrix(_LabelModel(), pipe.seq_ids)
     assert sorted(calls) == ["PairBatch", "dispersion_change", "mean_speed", "pair_keys",
                              "shape_ratio"]
+    # one block per recording with group windows, the pair-only ones none
+    per_recording = _windows_per_recording(first[1][0], pipe.seq_ids)
+    assert 1 < len(per_recording) < len(pipe.seq_ids)
+    for name in ("pair_keys", "mean_speed", "dispersion_change", "shape_ratio"):
+        assert [len(a) for a in calls[name]] == per_recording, name
     calls.clear()
     again = pipe.pair_matrix(pipe.seq_ids), pipe.group_matrix(_LabelModel(), pipe.seq_ids)
     assert calls == {}
@@ -431,9 +452,54 @@ def test_ablation_extracts_each_group_window_once(mixed_corpus, mixed_cfg, monke
     folds = FoldSplit.round_robin([r.sequence_id for r in mixed_corpus], 3)
     [(_, full), _] = ablation(mixed_corpus, folds, [CUE_NAMES, CUE_NAMES[:3]], mixed_cfg)
     n_windows = full.confusion.total  # every group window is tested once
+    # one block per recording with group placements, over the whole ablation
+    grouped = [rec for rec in mixed_corpus
+               if any(windows(rec, mixed_cfg.t2, mixed_cfg.step, "group", mixed_cfg.max_gap))]
     for name in ("pair_keys", "mean_speed", "dispersion_change", "shape_ratio"):
-        assert len(calls[name]) == n_windows > 0, name
-        assert len({id(w) for w in calls[name]}) == n_windows
+        assert len(calls[name]) == len(grouped) > 1, name
+        assert sum(len(a) for a in calls[name]) == n_windows > 0, name
+        assert len({id(a) for a in calls[name]}) == len(grouped)
+
+
+def test_group_blocks_of_any_size_give_the_same_matrix(dropped_corpus, tiny_stage1,
+                                                       monkeypatch):
+    # recordings split into blocks of a few windows each give the rows,
+    # labels and CBD bits of one block per recording, describe the same
+    # keys in the same batches, and vote once
+    calls = _count_extraction(monkeypatch)
+
+    def described():
+        return [(aid, tid, list(centers)) for pairs in calls.pop("PairBatch")
+                for _, _, aid, tid, centers in pairs]
+
+    whole = Pipeline(dropped_corpus, _VOTE_CFG)
+    want = whole.group_matrix(tiny_stage1, whole.seq_ids)
+    want_keys = described()
+    assert len(calls["pair_keys"]) == len(whole.seq_ids)
+    calls.clear()
+    monkeypatch.setattr(evaluate_module, "_BLOCK_SLOTS", 3 * 5 * _VOTE_CFG.t2)
+    split = Pipeline(dropped_corpus, _VOTE_CFG)
+    rows, x, labels = split.group_matrix(tiny_stage1, split.seq_ids)
+    assert rows == want[0] and labels == want[2] and x.tobytes() == want[1].tobytes()
+    assert described() == want_keys
+    blocks = calls["pair_keys"]
+    assert len(blocks) > 2 * len(split.seq_ids) and max(len(b) for b in blocks) <= 3
+    model = _LabelModel()
+    split.group_matrix(model, split.seq_ids)
+    [votes] = model.calls
+    assert len(np.unique(votes, axis=0)) == len(votes)
+
+
+def test_block_runs_fill_each_block_to_the_bound(monkeypatch):
+    # at most 6 windows x members a block (t2 = 4): a run ends only where
+    # the next placement does not fit, and the next run counts its own
+    # members alone; a placement that is too big alone gets its own block
+    monkeypatch.setattr(evaluate_module, "_BLOCK_SLOTS", 6 * 4)
+    members = [("a", "b")] * 3 + [("c",)] * 4 + [tuple("cdefghi"), ("c",)]
+    placed = [(center, ids, None) for center, ids in enumerate(members)]
+    assert list(evaluate_module._block_runs(placed, 4)) == [(0, 3), (3, 7), (7, 8), (8, 9)]
+    assert list(evaluate_module._block_runs(placed[7:], 4)) == [(0, 1), (1, 2)]
+    assert list(evaluate_module._block_runs([], 4)) == []
 
 
 def test_group_matrix_labels_do_not_leak_across_models(dropped_corpus):

@@ -564,6 +564,10 @@ def test_deserialize_rejects_corrupt_documents():
         _corrupt(version=3),
         _corrupt(class_names=[]),
         _corrupt(class_names="ab"),
+        # class names that are not strings, or repeat
+        _corrupt(class_names=[["x"], 5]),
+        _corrupt(class_names=["a", "a"]),
+        _corrupt(class_names=["a", None]),
         _corrupt(feature_count=0),
         _corrupt(feature_count="two"),
         _corrupt(feature=[5, -1, -1, 1, -1, -1]),

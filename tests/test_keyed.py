@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 from scipy import stats
 
-from per_sample import reference_key_hash, reference_splitmix64
+from per_sample import reference_key_hash, reference_splitmix64, tree_bootstrap
 from proxrf import keyed
 from proxrf.evaluate import fold_seeds
 from proxrf.forest import ForestConfig, bootstrap, feature_draws, serialize, train
@@ -72,11 +72,50 @@ def test_feature_subsets_are_uniform_sorted_and_distinct():
 
 def test_bootstrap_indices_are_uniform():
     n = 50
-    draws = np.concatenate([bootstrap(4, tree, n) for tree in range(400)])
+    draws = bootstrap(4, range(400), n).ravel()
     assert draws.min() >= 0 and draws.max() < n
     assert stats.chisquare(np.bincount(draws, minlength=n)).pvalue > 1e-3
-    assert np.array_equal(bootstrap(4, 7, n), bootstrap(4, 7, n))
-    assert not np.array_equal(bootstrap(4, 7, n), bootstrap(4, 8, n))
+    assert np.array_equal(bootstrap(4, [7], n), bootstrap(4, [7], n))
+    assert not np.array_equal(bootstrap(4, [7], n), bootstrap(4, [8], n))
+
+
+def test_bootstrap_block_equals_per_tree_draws(monkeypatch):
+    # one row per tree, equal to that tree's own keyed draw, whether the
+    # tree sits inside a chunk of 2**16 keys, at its edge, or (n > 2**16)
+    # spans several chunks itself
+    chunk = 2**16
+    cases = [(3, range(60, 140), 1000),  # 65 trees a chunk: tree 124 ends the first
+             (-9, [5, 2, 900, 2**40], 40000),  # one tree a chunk, ids in any order
+             (0, range(2), chunk + 5),  # each tree's draws cross a chunk edge
+             (2**64 + 1, range(5), 1),
+             (11, range(0), 17)]
+    for seed, trees, n in cases:
+        block = bootstrap(seed, trees, n)
+        assert block.shape == (len(trees), n)
+        assert block.dtype == np.min_scalar_type(-n)
+        want = np.array([tree_bootstrap(seed, t, n) for t in trees]).reshape(len(trees), n)
+        assert np.array_equal(block, want), (seed, n)
+    # 2**16 + 3 trees of one row each fill one chunk and start another;
+    # every draw is row 0, as floor(u) is for every u in [0, 1)
+    block = bootstrap(7, range(chunk + 3), 1)
+    assert block.shape == (chunk + 3, 1) and not block.any()
+    assert np.array_equal(block[chunk - 1:], [tree_bootstrap(7, t, 1) for t in
+                                              range(chunk - 1, chunk + 3)])
+    # each keyed call hashes at most 2**16 keys, as few calls as that allows
+    sizes = []
+    real = keyed.uniform
+
+    def counting(*key):
+        u = real(*key)
+        sizes.append(u.size)
+        return u
+
+    monkeypatch.setattr(keyed, "uniform", counting)
+    for trees, n, calls in ((range(130), 1000, 2), (range(2), chunk, 2), (range(2), chunk + 5, 4),
+                            (range(chunk + 3), 1, 2)):
+        sizes.clear()
+        bootstrap(1, trees, n)
+        assert len(sizes) == calls and max(sizes) <= chunk and sum(sizes) == len(trees) * n
 
 
 def test_heading_draws_of_no_frames_are_empty():

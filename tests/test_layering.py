@@ -57,7 +57,7 @@ def test_public_surface_is_pinned():
     assert sorted(proxrf.__all__) == [
         "AnnotationConflict", "CollectiveAnnotation", "CollectiveLabel", "ConfigError",
         "ConfusionMatrix", "CorruptModel", "EmptyGroup", "EmptyTrainingSet", "EvalReport",
-        "FOOT_POINTS", "FoldSplit", "ForestConfig", "GroupWindow", "InteractionLabel",
+        "FOOT_POINTS", "FoldSplit", "ForestConfig", "GroupBlock", "InteractionLabel",
         "InvalidConfig", "InvalidFeature", "InvalidParams", "LAYOUTS",
         "LabelCoverageError", "MissingFrames", "ModelShapeMismatch", "PairAnnotation",
         "ParseError", "PidConfig", "Pipeline", "PipelineConfig", "PolarGrid", "ProxrfError",
