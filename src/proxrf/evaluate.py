@@ -492,8 +492,12 @@ def ablation(
     columns = [cue_columns(cues) for cues in canon_sets]
 
     def score(pipe, stage1, train_ids, test_ids, s2_seed):
-        _, x_train, train_labels = pipe.group_matrix(stage1, train_ids)
-        _, x_test, test_labels = pipe.group_matrix(stage1, test_ids)
+        # one stage-one vote over both sides; votes are per row, so the
+        # rows split as two calls would give them
+        rows, x, labels = pipe.group_matrix(stage1, train_ids + test_ids)
+        test = set(test_ids)
+        n = sum(seq not in test for seq, _, _ in rows)
+        x_train, train_labels, x_test, test_labels = x[:n], labels[:n], x[n:], labels[n:]
         runs = [
             pipe.train_stage2(x_train[:, cols], train_labels, s2_seed).predict_batch(
                 x_test[:, cols]

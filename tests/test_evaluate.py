@@ -461,6 +461,22 @@ def test_ablation_extracts_each_group_window_once(mixed_corpus, mixed_cfg, monke
         assert len({id(a) for a in calls[name]}) == len(grouped)
 
 
+def test_ablation_votes_once_per_fold(mixed_corpus, mixed_cfg, monkeypatch):
+    # each fold pools the votes of its training and test windows together
+    pooled = []
+
+    def counting(model, vectors, window, row, n_windows):
+        pooled.append(n_windows)
+        return cbd_module.pool_votes(model, vectors, window, row, n_windows)
+
+    pipe = Pipeline(mixed_corpus, mixed_cfg)
+    rows, _, _ = pipe.group_matrix(_LabelModel(), pipe.seq_ids)
+    monkeypatch.setattr(evaluate_module, "pool_votes", counting)
+    folds = FoldSplit.round_robin([r.sequence_id for r in mixed_corpus], 3)
+    [(_, full)] = ablation(mixed_corpus, folds, [CUE_NAMES], mixed_cfg)
+    assert pooled == [len(rows)] * 3 and full.confusion.total == len(rows)
+
+
 def test_group_blocks_of_any_size_give_the_same_matrix(dropped_corpus, tiny_stage1,
                                                        monkeypatch):
     # recordings split into blocks of a few windows each give the rows,
