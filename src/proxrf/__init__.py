@@ -41,7 +41,6 @@ from .errors import (
     AnnotationConflict,
     ConfigError,
     CorruptModel,
-    EmptyGroup,
     EmptyTrainingSet,
     InvalidConfig,
     InvalidFeature,

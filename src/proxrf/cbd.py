@@ -120,9 +120,9 @@ def mean_speed(block: GroupBlock) -> np.ndarray:
     over frames.
 
     The member-axis sum adds member rows in order, as a per-frame sum
-    would, and each window's frames are summed in order by Python's sum."""
+    would."""
     per_frame = block.speed.sum(axis=1) / block.present.sum(axis=1)
-    return np.array([sum(frames) for frames in per_frame.tolist()]) / block.t2
+    return per_frame.mean(axis=1)
 
 
 def _spread(block: GroupBlock) -> np.ndarray:
@@ -130,26 +130,13 @@ def _spread(block: GroupBlock) -> np.ndarray:
     centroid.
 
     Each frame's sums run over its members in member order, absent
-    members adding exact zeros.  Frames with 8 or more present members
-    are summed again over those members alone, with numpy's pairwise
-    sum, through one (frames, members, 2) array per member count over
-    all windows.  Either way a frame's value is the mean over its
-    present members' points alone, in the order numpy's mean over those
-    points takes.
+    members adding exact zeros.
     """
     present = block.present
     counts = present.sum(axis=1)
     mean = block.xy.sum(axis=1) / counts[..., None]
     sq = ((block.xy - mean[:, None]) ** 2).sum(axis=3) * present
-    spread = np.sqrt(sq.sum(axis=1) / counts)
-    # ascending member counts from 8 up; np.unique would cost its first
-    # call in a process about 10 ms
-    for n in (np.flatnonzero(np.bincount(counts.ravel())[8:]) + 8).tolist():
-        w, f = np.nonzero(counts == n)
-        pts = block.xy[w, :, f][present[w, :, f]].reshape(len(w), n, 2)
-        centered = pts - pts.mean(axis=1, keepdims=True)
-        spread[w, f] = np.sqrt((centered**2).sum(axis=2).mean(axis=1))
-    return spread
+    return np.sqrt(sq.sum(axis=1) / counts)
 
 
 def dispersion_change(block: GroupBlock) -> np.ndarray:

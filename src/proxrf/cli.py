@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import warnings
+import zlib
 from dataclasses import fields, is_dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -110,16 +111,15 @@ def _provenance(cfg: PipelineConfig, stage: str, stage1_blob: bytes = b"") -> di
     """What a ``stage`` model's training rows depended on besides the
     corpus: the descriptor version and config, smoothing, max_gap and
     seed; a collective model also records t2, stride, include_shape and
-    the SHA-256 of the bytes of the stage-one model file whose votes
-    made its rows."""
+    the CRC-32 of the bytes of the stage-one model file whose votes made
+    its rows, as 8 hex digits: it catches a model used with another
+    stage-one file by mistake, not a forged one."""
     prov = {"descriptor_version": DESCRIPTOR_VERSION, "max_gap": cfg.max_gap, "seed": cfg.seed}
     prov.update(_fields("pid.", cfg.pid))
     prov.update(_fields("smoothing.", cfg.smoothing))
     if stage == "collective":
-        import hashlib  # imported here: it costs every command's start 3.5 ms
-
         prov.update(t2=cfg.t2, stride=cfg.stride, include_shape=cfg.include_shape,
-                    stage1_sha256=hashlib.sha256(stage1_blob).hexdigest())
+                    stage1_crc32=f"{zlib.crc32(stage1_blob):08x}")
     return prov
 
 

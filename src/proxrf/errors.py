@@ -13,10 +13,6 @@ class ModelShapeMismatch(ProxrfError):
     """Descriptor length does not match the trained model."""
 
 
-class EmptyGroup(ProxrfError):
-    """Group operation applied to an empty member set."""
-
-
 class EmptyTrainingSet(ProxrfError):
     """Training requested on zero samples."""
 

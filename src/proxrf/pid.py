@@ -10,6 +10,15 @@ assigns one of six directional interaction labels.
 smoothed states (trajectory.smoothed_states) of many pairs, each with
 its window centers, and returns one vector per window.  A lone window
 is a call with one pair and one center.
+
+The histogram is exact (descriptor version 2).  The 2-D kernel is
+separable, so its radial and angular factors are quantised to integers
+that each sum to 2**24 (see _kernel_tables); a pair-frame's 16 cell
+masses are integer products of its band and sector masses and sum to
+2**48, and a window's histogram is the integer sum of its frames' cell
+masses, divided by t1 * 2**48.  Sums of integers do not depend on their
+order, so overlapping windows read theirs from one prefix sum over time
+(Porikli's integral histogram, CVPR 2005).
 """
 
 from __future__ import annotations
@@ -31,7 +40,14 @@ from .trajectory import TWO_PI, finite_difference, wrap_angle
 # Version of the vectors describe_pairs computes.  A change that alters
 # any descriptor value bumps it; the CLI records it in every model file
 # and refuses a model trained on another version.
-DESCRIPTOR_VERSION = 1
+DESCRIPTOR_VERSION = 2
+
+# Each kernel factor's integer weights sum to 2**KERNEL_BITS, so a
+# pair-frame's cell masses sum to 2**(2 * KERNEL_BITS).
+KERNEL_BITS = 24
+
+# Longest window: a window's cell sum, at most t1 * 2**48, stays below 2**63.
+MAX_T1 = 2**14
 
 
 class InteractionLabel(enum.Enum):
@@ -119,6 +135,8 @@ class PidConfig:
     def __post_init__(self):
         if self.t1 < 2 or self.t1 & (self.t1 - 1):
             raise ValueError(f"t1 must be a power of two >= 2, got {self.t1}")
+        if self.t1 > MAX_T1:
+            raise ValueError(f"t1 must be at most {MAX_T1}, got {self.t1}")
         if not (0 < self.sigma_rho < math.inf and 0 < self.sigma_theta < math.inf):
             raise ValueError("kernel widths must be finite and > 0")
         if not 0 < self.k_s < math.inf:
@@ -173,26 +191,44 @@ def _kernel_codes(rho: np.ndarray, theta: np.ndarray, grid: PolarGrid, cfg: PidC
     return grid.band_of(r_pts), grid.sector_of(t_pts), (r_pts >= 0.0).sum(axis=1)
 
 
+def _quantised(weights: list) -> list:
+    """Integers in proportion to the doubles ``weights`` that sum to
+    2**KERNEL_BITS: each exact share's floor, plus one for each of the
+    shares with the largest remainders, the earlier share first on a tie.
+    All zeros when every weight is zero."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    den = max(d for _, d in ratios)  # every denominator is a power of two
+    scaled = [(n * (den // d)) << KERNEL_BITS for n, d in ratios]
+    total = sum(scaled) >> KERNEL_BITS
+    if not total:
+        return [0] * len(weights)
+    units = [v // total for v in scaled]
+    by_remainder = sorted(range(len(units)), key=lambda i: -(scaled[i] % total))
+    for i in by_remainder[:(1 << KERNEL_BITS) - sum(units)]:
+        units[i] += 1
+    return units
+
+
 @functools.lru_cache(maxsize=16)
-def _kernel_weights(cfg: PidConfig) -> np.ndarray:
-    """Row k: the unit-mass (samples x samples) weights, flattened band
-    offset-major, of a frame that keeps its k outermost radial offsets.
-    Row 0 is unused.  The table is shared, so it is read-only."""
+def _kernel_tables(cfg: PidConfig) -> tuple:
+    """(radial, angular) int64 kernel factors: row k of ``radial`` holds
+    the quantised radial weights of a frame that keeps its k outermost
+    radial offsets (row 0 is unused), and ``angular`` the quantised
+    angular weights.  Hard mode is one offset of weight 2**KERNEL_BITS.
+    The tables are shared, so they are read-only."""
     if cfg.assignment == "hard":
-        table = np.array([[0.0], [1.0]])
+        radial, angular = [[0], [1 << KERNEL_BITS]], [1 << KERNEL_BITS]
     else:
         r_off, t_off = _grid_offsets(cfg)
         dr, dt = _denominators(cfg)
-        w_r = np.exp(-(r_off**2) / dr)
-        w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
-        n = len(r_off)
-        keep = np.arange(n)[None, :] >= n - np.arange(n + 1)[:, None]
-        w = (w_r[None, :] * keep)[:, :, None] * w_t[None, None, :]
-        with np.errstate(invalid="ignore"):
-            w /= w.sum(axis=(1, 2), keepdims=True)
-        table = w.reshape(n + 1, n * n)
-    table.flags.writeable = False
-    return table
+        w_r = np.exp(-(r_off**2) / dr).tolist()
+        n = len(w_r)
+        radial = [[0] * n] + [[0] * (n - k) + _quantised(w_r[n - k:]) for k in range(1, n + 1)]
+        angular = _quantised(np.exp(-(wrap_angle(t_off) ** 2) / dt).tolist())
+    tables = np.array(radial, dtype=np.int64), np.array(angular, dtype=np.int64)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _id_word(track_id) -> int:
@@ -214,9 +250,8 @@ def heading_draws(seed: int, anchor_words, target_words, frames) -> np.ndarray:
 
 
 # Rows (pair-frames) that describe_pairs puts into one PairBatch.  At the
-# default 9 x 9 grid a row holds 1,296 B of cells and weights, so a batch
-# holds 1.3 MB of them; batches of 4,096 rows describe a corpus more
-# slowly and raise a command's peak memory by about 4 MB.
+# default 9 x 9 grid a row holds 288 B of kernel codes and 128 B of cell
+# masses while a batch is built.
 BATCH_FRAMES = 1024
 
 
@@ -230,10 +265,12 @@ class PairBatch:
     tracks' states, takes rho and theta (the slow anchor's random
     heading where its orientation is unknown, see heading_draws) and
     codes them (see _kernel_codes); a row whose frame a track lacks
-    makes its windows incomplete.  A complete window's histogram is one
-    bincount over its rows' cells and weights, in frame, radial offset,
-    angular offset order, and the speed pyramids of all windows come
-    from one (windows x t1) block of rho.
+    makes its windows incomplete.  Each row's band and sector masses
+    (see _kernel_tables) multiply into its integer cell masses, and a
+    complete window's histogram is the difference of two rows of their
+    int64 prefix sum, divided by t1 * 2**48: the prefix may wrap past
+    2**63, but the difference, below 2**63, is exact.  The speed
+    pyramids of all windows come from one (windows x t1) block of rho.
 
     ``complete`` and the read-only ``vectors`` hold one row per window
     in input order (pair by pair, each pair's centers as given); a row
@@ -280,32 +317,37 @@ class PairBatch:
         heading = np.concatenate([[0.0]] + [st.orientation for st in tracks])[ra]
 
         d = xy[rb] - xy[ra]
-        dx, dy = d[:, 0].tolist(), d[:, 1].tolist()
-        rho = np.fromiter(map(math.hypot, dx, dy), float, len(frames))
+        rho = np.hypot(d[:, 0], d[:, 1])
         slow = np.isnan(heading)
-        theta = wrap_angle(np.fromiter(map(math.atan2, dy, dx), float, len(frames))
-                           - np.where(slow, 0.0, heading))
+        theta = wrap_angle(np.arctan2(d[:, 1], d[:, 0]) - np.where(slow, 0.0, heading))
         words = np.array([[_id_word(pair[2]), _id_word(pair[3])] for pair in pairs],
                          dtype=np.uint64)[pair_of[slow]]
         theta[slow] = math.pi - TWO_PI * heading_draws(seed, words[:, 0], words[:, 1],
                                                        frames[slow])
         band, sector, kept = _kernel_codes(rho, theta, cfg.grid, cfg)
-        cell_count = cfg.grid.cell_count
-        cells = band.astype(np.intp)[:, :, None] * cfg.grid.angular_sector_count
-        cells = (cells + sector[:, None, :]).reshape(len(frames), -1)
-        weights = _kernel_weights(cfg)[kept]
+        radial, angular = _kernel_tables(cfg)
+        grid = cfg.grid
+        at = np.arange(len(frames))[:, None]
+        band_mass = np.bincount((at * grid.band_count + band).ravel(), radial[kept].ravel(),
+                                len(frames) * grid.band_count)
+        sector_mass = np.bincount((at * grid.angular_sector_count + sector).ravel(),
+                                  np.broadcast_to(angular, sector.shape).ravel(),
+                                  len(frames) * grid.angular_sector_count)
+        # float sums of integers below 2**53, so exact
+        mass = (band_mass.astype(np.int64).reshape(len(frames), -1, 1)
+                * sector_mass.astype(np.int64).reshape(len(frames), 1, -1))
+        prefix = np.zeros((len(frames) + 1, grid.cell_count), dtype=np.int64)
+        np.cumsum(mass.reshape(len(frames), -1), axis=0, out=prefix[1:])
 
         lacking = np.concatenate([[0], np.cumsum(~have)])
         complete = lacking[first + t1] == lacking[first]
         ok = np.flatnonzero(complete)
         vectors = np.zeros((len(start), cfg.descriptor_length))
-        hist = vectors[:, :cell_count]
-        for i, lo in zip(ok.tolist(), first[ok].tolist()):
-            hist[i] = np.bincount(cells[lo:lo + t1].ravel(), weights=weights[lo:lo + t1].ravel(),
-                                  minlength=cell_count)
-        hist /= t1
-        speed = finite_difference(rho[first[ok, None] + np.arange(t1)], 1.0 / fps)
-        vectors[ok, cell_count:] = np.concatenate(
+        lo = first[ok]
+        scale = float(t1 << (2 * KERNEL_BITS))
+        vectors[ok, :grid.cell_count] = (prefix[lo + t1] - prefix[lo]) / scale
+        speed = finite_difference(rho[lo[:, None] + np.arange(t1)], 1.0 / fps)
+        vectors[ok, grid.cell_count:] = np.concatenate(
             [speed.reshape(len(ok), 2**level, t1 >> level).mean(axis=2)
              for level in range(cfg.l_max + 1)], axis=1)
         # back from (pair, start) order to input order

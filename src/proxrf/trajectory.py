@@ -198,10 +198,6 @@ _BLOCK_FRAMES = 1 << 16
 # by span in Python floats (_brown).
 _LOCKSTEP_SPANS = 16
 
-# Rows whose orientations one math.atan2 pass finds, so that its lists of
-# Python floats stay small however many rows a call smooths.
-_ATAN2_ROWS = 4096
-
 
 def _brown(values: list, a: float) -> list:
     """Brown's double exponential smoothing of one coordinate, in floats."""
@@ -308,11 +304,7 @@ def smoothed_states(tracks, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
             if len(hit):
                 raise InvalidFeature(f"track {tracks[owner[span]].track_id}: {what} "
                                      f"overflows at frame {frames[off[span] + hit[0]]}")
-    orientation = np.empty(len(frames))
-    for lo in range(0, len(frames), _ATAN2_ROWS):
-        v = velocity[lo:lo + _ATAN2_ROWS]
-        orientation[lo:lo + len(v)] = np.fromiter(
-            map(math.atan2, v[:, 1].tolist(), v[:, 0].tolist()), float, len(v))
+    orientation = np.arctan2(velocity[:, 1], velocity[:, 0])
     orientation[speed < cfg.t_s] = np.nan
     bounds = off[np.searchsorted(owner, np.arange(len(tracks) + 1))].tolist()
     return [TrackStates(frames[a:b], xy[a:b], velocity[a:b], speed[a:b], orientation[a:b])

@@ -10,13 +10,15 @@ TimedPosition per sample: span split, gap filling, Brown's smoothing and
 the velocity, speed and heading, each sample by sample.  For the pair
 descriptor, ``cell_of`` numbers the polar grid's cells, ``kde_kernel``
 and ``sample_grid`` spell out the kernel and its sampling grid around
-one polar point, ``accumulate_histogram`` and ``speed_pyramid``
-describe one window from its per-frame ``PolarPoint`` samples (raising
+one polar point, ``kernel_units`` quantises one kernel factor in exact
+rationals, ``accumulate_histogram`` and ``speed_pyramid`` describe one
+window from its per-frame ``PolarPoint`` samples (raising
 ``WrongWindowLength`` on a window of another length), and
 ``classify_interaction`` votes on one descriptor vector.  For the group
 cues, ``dispersion`` is the RMS distance of one frame's points from
 their centroid, and ``GroupWindow`` is one group window of a GroupBlock
-built on its own, with its cues (``window_mean_speed``,
+built on its own (raising ``EmptyGroup`` on a frame without members),
+with its cues (``window_mean_speed``,
 ``window_spread``, ``window_dispersion_change``, ``point_shape_ratio``
 for one point set, and all three as ``window_cues``) and its pair keys
 (``window_pair_keys``).  For lone windows, ``lone_pid`` describes one
@@ -34,8 +36,10 @@ its trees into the forest ``train`` grows.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +47,6 @@ import numpy as np
 from proxrf import keyed
 from proxrf.cbd import GroupBlock, group_cues, pair_vectors, pool_votes
 from proxrf.errors import (
-    EmptyGroup,
     InvalidFeature,
     MissingFrames,
     ModelShapeMismatch,
@@ -77,6 +80,10 @@ class WrongWindowLength(ValueError):
 
 class FrameMismatch(ValueError):
     """Two per-frame records refer to different frames."""
+
+
+class EmptyGroup(ValueError):
+    """A group oracle applied to an empty member set."""
 
 
 @dataclass(frozen=True)
@@ -124,11 +131,11 @@ def relative_polar(
         raise FrameMismatch(f"anchor frame {anchor.frame} != target frame {target.frame}")
     dx = target.position[0] - anchor.position[0]
     dy = target.position[1] - anchor.position[1]
-    rho = math.hypot(dx, dy)
+    rho = float(np.hypot(dx, dy))
     if anchor.orientation is None:
         theta = math.pi - TWO_PI * float(rng.random())
     else:
-        theta = wrap_angle(math.atan2(dy, dx) - anchor.orientation)
+        theta = wrap_angle(float(np.arctan2(dy, dx)) - anchor.orientation)
     return PolarPoint(rho=rho, theta=theta)
 
 
@@ -220,7 +227,7 @@ def reference_kinematics(traj: Trajectory, cfg: SmoothingConfig) -> TrackStates:
     """smoothed_states' velocity, speed and heading of one smoothed span,
     sample by sample: each velocity from the samples on either side
     (one-sided at the ends), in the library's operation order, the speed
-    by np.hypot and the heading by math.atan2, nan below t_s."""
+    by np.hypot and the heading by np.arctan2, nan below t_s."""
     samples = traj.samples
     last = len(samples) - 1
     velocity, speed, orientation = [], [], []
@@ -235,7 +242,7 @@ def reference_kinematics(traj: Trajectory, cfg: SmoothingConfig) -> TrackStates:
             raise InvalidFeature(f"track {traj.track_id}: velocity overflows at frame {s.frame}")
         velocity.append((vx, vy))
         speed.append(sp)
-        orientation.append(math.nan if sp < cfg.t_s else math.atan2(vy, vx))
+        orientation.append(math.nan if sp < cfg.t_s else float(np.arctan2(vy, vx)))
     return TrackStates(np.array([s.frame for s in samples], dtype=np.int64),
                        np.array([(s.x, s.y) for s in samples], dtype=float),
                        np.array(velocity, dtype=float), np.array(speed, dtype=float),
@@ -310,33 +317,55 @@ def sample_grid(center: PolarPoint, cfg: PidConfig) -> list:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def kernel_units(weights: tuple) -> tuple:
+    """Largest-remainder split of 2**24 units among the doubles
+    ``weights``, in exact rationals: each share of 2**24 in proportion to
+    its weight gets its floor, and the units left over go one each to
+    the largest fractional parts, the earlier share first on a tie."""
+    total = sum(map(Fraction, weights))
+    if not total:
+        return (0,) * len(weights)
+    shares = [Fraction(w) * 2**24 / total for w in weights]
+    units = [math.floor(share) for share in shares]
+    ranked = sorted(range(len(shares)), key=lambda i: (units[i] - shares[i], i))
+    for i in ranked[:2**24 - sum(units)]:
+        units[i] += 1
+    return tuple(units)
+
+
 def accumulate_histogram(
     pair_samples: Sequence[PolarPoint], grid: PolarGrid, cfg: PidConfig
 ) -> np.ndarray:
-    """Window histogram from per-frame relative polar samples, with the
-    whole window's arithmetic at once: a (frames, n, n) weight block
-    normalised per frame, bincounted in frame order and divided by T.
-    Hard mode counts each sample's own cell."""
+    """Window histogram from per-frame relative polar samples, in Python
+    integers.  Each frame adds, for every kept radial grid offset i
+    (rho + offset >= 0) and every angular offset j, the product of their
+    kernel_units (of the kept radial weights, and of the angular
+    weights) to the cell of grid sample (i, j); the window's integer cell
+    sums are divided by T * 2**48.  Hard mode adds 2**48 to each
+    sample's own cell."""
     if len(pair_samples) != cfg.t1:
         raise WrongWindowLength(
             f"expected {cfg.t1} frames of samples, got {len(pair_samples)}"
         )
-    rho = np.array([s.rho for s in pair_samples], dtype=float)
-    theta = np.array([s.theta for s in pair_samples], dtype=float)
-    t = len(rho)
+    sums = [0] * grid.cell_count
     if cfg.assignment == "hard":
-        return np.bincount(cell_of(grid, rho, theta), minlength=grid.cell_count) / t
-    r_off, t_off = _grid_offsets(cfg)
-    dr, dt = _denominators(cfg)
-    w_r = np.exp(-(r_off**2) / dr)
-    w_t = np.exp(-(wrap_angle(t_off) ** 2) / dt)
-    r_pts = rho[:, None] + r_off[None, :]
-    t_pts = wrap_angle(theta[:, None] + t_off[None, :])
-    w = (w_r[None, :] * (r_pts >= 0.0))[:, :, None] * w_t[None, None, :]
-    w /= w.sum(axis=(1, 2), keepdims=True)
-    cells = grid.band_of(r_pts)[:, :, None] * grid.angular_sector_count
-    cells = cells + grid.sector_of(t_pts)[:, None, :]
-    return np.bincount(cells.ravel(), weights=w.ravel(), minlength=grid.cell_count) / t
+        for s in pair_samples:
+            sums[int(cell_of(grid, s.rho, s.theta))] += 2**48
+    else:
+        r_off, t_off = _grid_offsets(cfg)
+        dr, dt = _denominators(cfg)
+        w_r = np.exp(-(r_off**2) / dr)
+        angular = kernel_units(tuple(np.exp(-(wrap_angle(t_off) ** 2) / dt).tolist()))
+        for s in pair_samples:
+            rho = s.rho + r_off
+            keep = rho >= 0.0
+            radial = kernel_units(tuple(w_r[keep].tolist()))
+            sectors = grid.sector_of(wrap_angle(s.theta + t_off)).tolist()
+            for r, band in zip(radial, grid.band_of(rho[keep]).tolist()):
+                for a, sector in zip(angular, sectors):
+                    sums[band * grid.angular_sector_count + sector] += r * a
+    return np.array([v / (cfg.t1 * 2**48) for v in sums])
 
 
 def speed_pyramid(d_prime: Sequence[float], cfg: PidConfig) -> np.ndarray:
@@ -362,12 +391,13 @@ def classify_interaction(vector: np.ndarray, model) -> tuple:
 
 
 def dispersion(points: Sequence) -> float:
-    """RMS distance of the points from their centroid."""
+    """RMS distance of the points from their centroid, every sum over
+    the points taken in their order."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) == 0:
         raise EmptyGroup("dispersion of an empty point set")
     centered = pts - pts.mean(axis=0)
-    return float(np.sqrt((centered**2).sum(axis=1).mean()))
+    return math.sqrt(sum((centered**2).sum(axis=1).tolist()) / len(pts))
 
 
 def lone_pid(anchor: Trajectory, target: Trajectory, center: int, cfg: PidConfig,
@@ -423,28 +453,20 @@ def window_mean_speed(window: GroupWindow) -> float:
 
     The axis-0 sum adds member rows in order, as a per-frame sum would."""
     per_frame = window.speed.sum(axis=0) / window.present.sum(axis=0)
-    return sum(per_frame.tolist()) / window.t2
+    return float(per_frame.mean())
 
 
 def window_spread(window: GroupWindow) -> np.ndarray:
     """Per-frame RMS distance of the present members from their centroid.
 
     Each frame's sums run over its members in member order, absent
-    members adding exact zeros.  Frames with 8 or more present members
-    are summed again over those members alone, with numpy's pairwise
-    sum, through one (frames, members, 2) array per member count.
+    members adding exact zeros.
     """
     present = window.present
     counts = present.sum(axis=0)
     mean = window.xy.sum(axis=0) / counts[:, None]
     sq = ((window.xy - mean) ** 2).sum(axis=2) * present
-    spread = np.sqrt(sq.sum(axis=0) / counts)
-    for n in (np.flatnonzero(np.bincount(counts)[8:]) + 8).tolist():
-        at = np.flatnonzero(counts == n)
-        pts = window.xy.transpose(1, 0, 2)[at][present.T[at]].reshape(len(at), n, 2)
-        centered = pts - pts.mean(axis=1, keepdims=True)
-        spread[at] = np.sqrt((centered**2).sum(axis=2).mean(axis=1))
-    return spread
+    return np.sqrt(sq.sum(axis=0) / counts)
 
 
 def window_dispersion_change(window: GroupWindow) -> float:

@@ -19,13 +19,14 @@ from proxrf.cbd import (
     pool_votes,
     shape_ratio,
 )
-from proxrf.errors import EmptyGroup, ModelShapeMismatch
+from proxrf.errors import ModelShapeMismatch
 from proxrf.forest import ForestConfig, train
 from proxrf.pid import InteractionLabel, PairBatch, PidConfig
 from proxrf.trajectory import SmoothingConfig, TrackStates, finite_difference, smoothed_states
 
 from conftest import make_traj, straight_traj, track_states
 from per_sample import (
+    EmptyGroup,
     GroupWindow,
     classify_interaction,
     dispersion,
@@ -197,8 +198,9 @@ def test_dispersion_change_time_reversal_antisymmetry():
 
 @pytest.mark.parametrize("n_members", [3, 8, 12, 20])
 def test_cues_equal_per_frame_reference_at_any_group_size(n_members):
-    # numpy's pairwise summation starts at 8 values, so the member sums
-    # must come out in the per-frame order at every group size
+    # the member sums run in member order at every group size, though
+    # numpy's pairwise summation would start at 8 values; the frames of a
+    # window are averaged as numpy's mean over them
     rng = np.random.default_rng(n_members)
     t2, fps = 16, 10.0
     for trial in range(25):
@@ -220,7 +222,7 @@ def test_cues_equal_per_frame_reference_at_any_group_size(n_members):
                 here = [i for i in ids if present[i, f]]
                 per_frame_speed.append(sum(speed[i, f] for i in here) / len(here))
                 spread.append(dispersion([tuple(xy[i, f]) for i in here]))
-            want_speed = sum(per_frame_speed) / t2
+            want_speed = float(np.mean(per_frame_speed))
             want_change = float(np.mean(finite_difference(np.array(spread), 1.0 / fps)))
             assert mean_speed(w)[k] == want_speed
             assert dispersion_change(w)[k] == want_change

@@ -1,6 +1,5 @@
 """Config parsing/precedence and the command-line front end."""
 
-import hashlib
 import json
 import math
 import os
@@ -8,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -764,7 +764,7 @@ def test_models_record_their_provenance(stage1_model, stage2_model):
     # every descriptor, smoothing and heading-draw setting; no forest
     # setting, and neither threads, step nor stride
     want = {
-        "descriptor_version": 1,
+        "descriptor_version": 2,
         "max_gap": 5,
         "seed": 0,
         "pid.t1": 64,
@@ -782,7 +782,7 @@ def test_models_record_their_provenance(stage1_model, stage2_model):
     }
     assert deserialize(stage1_bytes).provenance == want
     want.update(t2=64, stride=5, include_shape=True,
-                stage1_sha256=hashlib.sha256(stage1_bytes).hexdigest())
+                stage1_crc32=f"{zlib.crc32(stage1_bytes):08x}")
     assert deserialize(pathlib.Path(stage2_model).read_bytes()).provenance == want
 
 
@@ -808,6 +808,38 @@ def test_stage1_model_refused_under_another_descriptor_config(
         assert err == (f"ERROR ModelShapeMismatch: interaction model was trained with {key} = "
                        f"{was}, but this run has {key} = {now}\n"), err
     assert not any(path.exists() for path in outputs)
+
+
+def test_version_1_model_is_refused(pair_corpus, mixed_corpus, tmp_path, capsys, monkeypatch):
+    # a model of the float-summed histograms (descriptor version 1)
+    old = tmp_path / "v1.json"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "DESCRIPTOR_VERSION", 1)
+        assert main(["train", "interactions", pair_corpus, "--out", str(old)] + SMALL) == 0
+    assert deserialize(old.read_bytes()).provenance["descriptor_version"] == 1
+    outputs = [tmp_path / name for name in ("p.csv", "x.csv", "c.json")]
+    for argv in (
+        ["predict", pair_corpus, "--interactions-model", str(old), "--out", str(outputs[0])],
+        ["extract", mixed_corpus, "--kind", "cbd", "--model", str(old),
+         "--out", str(outputs[1])],
+        ["train", "collective", mixed_corpus, "--stage1", str(old),
+         "--out", str(outputs[2])] + SMALL,
+    ):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3, (argv, err)
+        assert err == ("ERROR ModelShapeMismatch: interaction model was trained with "
+                       "descriptor_version = 1, but this run has descriptor_version = 2\n"), err
+    assert not any(path.exists() for path in outputs)
+
+
+def test_t1_beyond_2_14_is_refused(tmp_path, capsys):
+    # a window's cell sum, t1 * 2**48 at most, must stay below 2**63
+    assert build_run_config(overrides={"t1": 2**14}).pid.t1 == 2**14
+    with pytest.raises(InvalidConfig, match=r"^t1: t1 must be at most 16384, got 32768$"):
+        build_run_config(overrides={"t1": 2**15})
+    assert main(["synth", "--out", str(tmp_path / "d"), "--t1", str(2**15)]) == 2
+    assert capsys.readouterr().err == "ERROR InvalidConfig: t1: t1 must be at most 16384, got 32768\n"
 
 
 @pytest.mark.parametrize("flags", [["--stride", "2"], ["--step", "10"],
@@ -847,10 +879,9 @@ def test_stage2_model_refused_under_another_config_or_stage1(
     rc = main(predict + ["--interactions-model", str(other)])
     err = capsys.readouterr().err
     assert rc == 3, err
-    digests = [hashlib.sha256(pathlib.Path(p).read_bytes()).hexdigest()
-               for p in (stage1_model, other)]
-    assert err == ("ERROR ModelShapeMismatch: collective model was trained with stage1_sha256 = "
-                   f'"{digests[0]}", but this run has stage1_sha256 = "{digests[1]}"\n'), err
+    digests = [f"{zlib.crc32(pathlib.Path(p).read_bytes()):08x}" for p in (stage1_model, other)]
+    assert err == ("ERROR ModelShapeMismatch: collective model was trained with stage1_crc32 = "
+                   f'"{digests[0]}", but this run has stage1_crc32 = "{digests[1]}"\n'), err
     assert not out.exists()
 
 

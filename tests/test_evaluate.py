@@ -592,10 +592,9 @@ def _frame_states(w):
 
 
 def _ref_mean_speed(w):
-    total = 0.0
-    for present in _frame_states(w).values():
-        total += sum(speed for speed, _ in present) / len(present)
-    return total / w.t2
+    per_frame = [sum(speed for speed, _ in present) / len(present)
+                 for present in _frame_states(w).values()]
+    return float(np.mean(per_frame))
 
 
 def _ref_dispersion_change(w):

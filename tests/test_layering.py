@@ -56,7 +56,7 @@ def test_public_surface_is_pinned():
     # adding or dropping a package-level name is a change to this list
     assert sorted(proxrf.__all__) == [
         "AnnotationConflict", "CollectiveAnnotation", "CollectiveLabel", "ConfigError",
-        "ConfusionMatrix", "CorruptModel", "EmptyGroup", "EmptyTrainingSet", "EvalReport",
+        "ConfusionMatrix", "CorruptModel", "EmptyTrainingSet", "EvalReport",
         "FOOT_POINTS", "FoldSplit", "ForestConfig", "GroupBlock", "InteractionLabel",
         "InvalidConfig", "InvalidFeature", "InvalidParams", "LAYOUTS",
         "LabelCoverageError", "MissingFrames", "ModelShapeMismatch", "PairAnnotation",

@@ -242,21 +242,21 @@ def test_boundary_sample_splits_evenly_with_even_grid():
 def _polar_pair(rho, theta):
     """Anchor states at the origin facing +x, target states at each
     frame's polar point, and the per-frame samples a batch derives from
-    them: math.hypot and math.atan2 of the target's offset."""
+    them: np.hypot and np.arctan2 of the target's offset."""
     n = len(rho)
     frames = np.arange(n, dtype=np.int64)
     xy = np.column_stack([rho * np.cos(theta), rho * np.sin(theta)])
     anchor = TrackStates(frames, np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n), np.zeros(n))
     target = TrackStates(frames, xy, np.zeros((n, 2)), np.ones(n), np.zeros(n))
-    samples = [PolarPoint(math.hypot(x, y), wrap_angle(math.atan2(y, x)))
+    samples = [PolarPoint(float(np.hypot(x, y)), wrap_angle(float(np.arctan2(y, x))))
                for x, y in xy.tolist()]
     return anchor, target, samples
 
 
 def test_histogram_codes_match_whole_window_arithmetic():
-    # per-frame kernel codes and a weight table per kept-offset count, as a
-    # batch reads them, give the bits of the direct computation of the
-    # whole window, including frames near rho = 0 whose inner radial
+    # per-frame band and sector masses and their prefix sums, as a batch
+    # reads them, give the bits of the window's integer cell sums taken
+    # sample by sample, including frames near rho = 0 whose inner radial
     # offsets fall below zero
     rng = np.random.default_rng(41)
     configs = [
@@ -277,6 +277,30 @@ def test_histogram_codes_match_whole_window_arithmetic():
             got = batch.vectors[0, :cfg.grid.cell_count]
             want = accumulate_histogram(samples, cfg.grid, cfg)
             assert np.array_equal(got, want), (cfg, trial)
+
+
+@pytest.mark.parametrize("cfg", [PidConfig(assignment="hard"),
+                                 PidConfig(grid_samples_per_axis=3)])
+def test_windows_stay_exact_where_the_prefix_wraps(cfg):
+    # one pair span of 2**16 + 2**11 frames tiled by windows, every frame
+    # putting most of its mass into cell 8 (band 2, sector 0): that cell's
+    # int64 prefix passes 2**63 and wraps, and each window, a difference of
+    # two prefix rows, still equals the sums taken sample by sample
+    n = 2**16 + 2**11
+    f = np.arange(n)
+    anchor, target, samples = _polar_pair(2.35 + 0.3 * np.sin(f / 50.0), 0.1 * np.sin(f / 37.0))
+    back = cfg.window_halves[0]
+    centers = range(back, n - cfg.t1 + back + 1, cfg.t1)
+    got = describe_pairs([(anchor, target, "a", "b", centers)], cfg, 10.0, 0)
+    assert len(got) * cfg.t1 == n
+    cell8 = 0.0
+    for k, vec in enumerate(got):
+        want = accumulate_histogram(samples[k * cfg.t1:(k + 1) * cfg.t1], cfg.grid, cfg)
+        assert np.array_equal(vec[:cfg.grid.cell_count], want), k
+        cell8 += want[8] * cfg.t1 * 2**48
+    assert cell8 > 2**63
+    with pytest.raises(ValueError, match="t1 must be at most 16384"):
+        PidConfig(t1=2**15)
 
 
 # ------------------------------------------------------------ speed pyramid
