@@ -327,10 +327,10 @@ class PairBatch:
         band, sector, kept = _kernel_codes(rho, theta, cfg.grid, cfg)
         radial, angular = _kernel_tables(cfg)
         grid = cfg.grid
-        at = np.arange(len(frames))[:, None]
-        band_mass = np.bincount((at * grid.band_count + band).ravel(), radial[kept].ravel(),
+        each = np.arange(len(frames))[:, None]
+        band_mass = np.bincount((each * grid.band_count + band).ravel(), radial[kept].ravel(),
                                 len(frames) * grid.band_count)
-        sector_mass = np.bincount((at * grid.angular_sector_count + sector).ravel(),
+        sector_mass = np.bincount((each * grid.angular_sector_count + sector).ravel(),
                                   np.broadcast_to(angular, sector.shape).ravel(),
                                   len(frames) * grid.angular_sector_count)
         # float sums of integers below 2**53, so exact
