@@ -166,9 +166,6 @@ class FoldSplit:
     def fold_of(self, sequence_id: str) -> int:
         return self.assignments[str(sequence_id)]
 
-    def members(self, fold: int) -> list:
-        return sorted(s for s, f in self.assignments.items() if f == fold)
-
     @classmethod
     def round_robin(cls, sequence_ids: Iterable[str], n_folds: int = 3) -> "FoldSplit":
         """Deterministic fallback split: sorted ids dealt 0,1,2,0,1,2..."""
@@ -268,41 +265,17 @@ def _parse_tracks(source, name: str, foot_point: Optional[str] = None, h_mat=Non
     With one it is an external `tracks.txt` in image coordinates: a row
     may also be a box `frame,track_id,x1,y1,x2,y2`, reduced to one image
     point per ``foot_point``, and ``h_mat`` maps the points to the
-    ground.  A header line and plain rows are read at once
-    (_track_columns); any other text line by line (_track_rows), its
-    data lines at once where they allow it.  The first bad line, an
-    empty file and any track that ``_build_tracks`` refuses raise
-    ParseError.
+    ground.  The file's lines are read by _track_rows.  The first bad
+    line, an empty file and any track that ``_build_tracks`` refuses
+    raise ParseError.
     """
-    text = _read_text(source)
-    columns = _track_columns(text)
-    if columns is None:
-        columns = _track_rows(text.split("\n"), name, foot_point)
-    fps, linenos, ids, frames, xy = columns
+    lines = _read_text(source).split("\n")
+    fps, linenos, ids, frames, xy = _track_rows(lines, name, foot_point)
     to_ground = None if h_mat is None else (lambda pts: apply_homography(h_mat, pts))
     # a point on the homography's horizon maps to inf or nan, which
     # _build_tracks reports as ParseError; numpy's warning would only repeat it
     with np.errstate(divide="ignore", invalid="ignore"):
         return fps, _build_tracks(linenos, ids, frames, xy, fps, name, to_ground)
-
-
-def _track_columns(text: str) -> Optional[tuple]:
-    """(fps, line numbers, track ids, frames, (n, 2) positions) of a track
-    file text that is a good `# fps=` header line, then only rows that
-    _columns reads (a last newline is allowed); None for any other text.
-    The text is split into lines once, with no loop over them in Python.
-    """
-    head, _, body = text.partition("\n")
-    head = head.strip()
-    if not head.startswith("#") or not head[1:].strip().startswith("fps="):
-        return None
-    try:
-        fps = float(head[1:].strip()[4:])
-    except ValueError:
-        return None
-    lines = body[:-1].split("\n") if body.endswith("\n") else body.split("\n")
-    columns = _columns(lines) if 0 < fps < math.inf else None
-    return None if columns is None else (fps, np.arange(2, len(lines) + 2)) + columns
 
 
 def _columns(lines: Sequence[str]) -> Optional[tuple]:
@@ -331,10 +304,11 @@ def _columns(lines: Sequence[str]) -> Optional[tuple]:
 
 
 def _track_rows(lines: Sequence[str], name: str, foot_point: Optional[str]) -> tuple:
-    """What _track_columns returns, from a track file's lines one by one:
-    the header (_parse_fps), then the data lines, all at once (_columns)
-    if they allow it, else each by _track_row, so the first bad line
-    raises its ParseError."""
+    """(fps, line numbers, track ids, frames, (n, 2) positions) of a
+    track file's lines: the header (_parse_fps), then the data lines, all
+    at once (_columns) if they allow it, else each by _track_row, so a
+    box row is reduced to its foot point and the first bad line raises
+    its ParseError."""
     fps, data = _parse_fps(lines, name)
     if not data:
         raise ParseError(f"{name}: no trajectory data")
@@ -693,7 +667,7 @@ def windows(
             for c in centers:
                 label = label_at(c, anns)
                 start, end = c - half_back, c + half_fwd
-                # the target covers the window: Trajectory.covers
+                # the target covers the window: one of its pieces holds it
                 if label is not None and any(first <= start and end <= last
                                              for first, last in pieces[tid]):
                     found.append((c, (aid, tid), label))

@@ -181,23 +181,6 @@ class Trajectory:
         return list(zip(f[:1].tolist() + f[1:][cut].tolist(),
                         f[:-1][cut].tolist() + f[-1:].tolist()))
 
-    def covers(self, start: int, end: int, max_gap: int = DEFAULT_MAX_GAP) -> bool:
-        """True when every frame in [start, end] is available after
-        interpolating interior gaps of at most ``max_gap`` frames."""
-        return any(first <= start and end <= last for first, last in self.pieces(max_gap))
-
-
-# Spans smoothed together: a block holds the longest spans left and at
-# most this many span-frames, so a long track beside many short ones does
-# not pad them to its length.
-_BLOCK_FRAMES = 1 << 16
-
-# A lockstep step over a block costs numpy's per-call overhead, about as
-# much as one scalar step of this many spans, so a block whose spans hold
-# fewer than this many times its longest span's frames is smoothed span
-# by span in Python floats (_brown).
-_LOCKSTEP_SPANS = 16
-
 
 def _brown(values: list, a: float) -> list:
     """Brown's double exponential smoothing of one coordinate, in floats."""
@@ -209,48 +192,6 @@ def _brown(values: list, a: float) -> list:
         s1 = a * v + b * s1
         s2 = a * s1 + b * s2
         out.append(2.0 * s1 - s2)
-    return out
-
-
-def _smooth_block(pos: np.ndarray, a: float) -> np.ndarray:
-    """_brown over (frames, spans, 2) positions along the frame axis,
-    every span in lockstep: the same float64 steps, so the same bits."""
-    b = 1.0 - a
-    s1 = pos[0]
-    s2 = a * s1 + b * s1  # s1[0]
-    out = np.empty_like(pos)
-    for t in range(len(pos)):
-        s1 = a * pos[t] + b * s1
-        s2 = a * s1 + b * s2
-        out[t] = 2.0 * s1 - s2
-    return out
-
-
-def _smooth_spans(pos: np.ndarray, off: np.ndarray, a: float) -> np.ndarray:
-    """Brown's smoothing of each span of ``pos`` (span k is rows
-    off[k]:off[k + 1]) from its own start, in blocks of the longest
-    spans left: in lockstep (_smooth_block) when a block's spans hold at
-    least _LOCKSTEP_SPANS times its longest span's frames, else span by
-    span (_brown)."""
-    out = np.empty_like(pos)
-    length = np.diff(off)
-    by_length = np.argsort(-length, kind="stable")
-    start = 0
-    while start < len(by_length):
-        longest = int(length[by_length[start]])
-        spans = by_length[start:start + max(1, _BLOCK_FRAMES // longest)]
-        start += len(spans)
-        n = length[spans]
-        if n.sum() < _LOCKSTEP_SPANS * longest:
-            for lo, hi in zip(off[spans].tolist(), off[spans + 1].tolist()):
-                out[lo:hi, 0] = _brown(pos[lo:hi, 0].tolist(), a)
-                out[lo:hi, 1] = _brown(pos[lo:hi, 1].tolist(), a)
-            continue
-        t = np.arange(longest)[:, None]
-        rows = off[spans] + np.minimum(t, n - 1)  # a short span repeats its last row
-        valid = t < n
-        with np.errstate(over="ignore", invalid="ignore"):  # smoothed_states raises overflow
-            out[rows[valid]] = _smooth_block(pos[rows], a)[valid]
     return out
 
 
@@ -270,17 +211,20 @@ def smoothed_states(tracks, cfg: SmoothingConfig, max_gap: int = DEFAULT_MAX_GAP
     passes through unchanged.  Velocity is the central finite difference
     of the smoothed positions (one-sided at the span's ends) in meters
     per second, and orientation is atan2 of the velocity where the speed
-    is at least ``t_s``, else nan.  The spans of all tracks are smoothed
-    together (_smooth_spans) and differenced together.  Finite positions
-    so large that the gap interpolation, the smoothing or the velocity
-    overflows raise InvalidFeature naming the first such track and its
-    first such frame.
+    is at least ``t_s``, else nan.  The spans of all tracks are laid end
+    to end (_filled_spans), smoothed one by one in Python floats (_brown)
+    and differenced together.  Finite positions so large that the gap
+    interpolation, the smoothing or the velocity overflows raise
+    InvalidFeature naming the first such track and its first such frame.
     """
     if isinstance(tracks, Trajectory):
         return smoothed_states([tracks], cfg, max_gap)[0]
     tracks = list(tracks)
     owner, off, frames, pos, interp_bad = _filled_spans(tracks, max_gap)
-    xy = _smooth_spans(pos, off, cfg.alpha)
+    xy = np.empty_like(pos)
+    for lo, hi in zip(off[:-1].tolist(), off[1:].tolist()):
+        xy[lo:hi, 0] = _brown(pos[lo:hi, 0].tolist(), cfg.alpha)
+        xy[lo:hi, 1] = _brown(pos[lo:hi, 1].tolist(), cfg.alpha)
     del pos  # a corpus's positions: free them before the velocity
     # each step is one frame: central differences inside a span, one-sided
     # at its two ends, as finite_difference(span, 1.0) gives

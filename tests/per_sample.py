@@ -5,9 +5,10 @@ The library works on whole arrays; these frame-by-frame forms are kept
 as test oracles.  ``KinematicState``, ``relative_polar``,
 ``relative_distance_series`` and ``derivative`` describe one pair-frame
 or one series at a time; ``positions`` interpolates a track over a
-frame range.  ``reference_states`` is ``smoothed_states`` built from one
-TimedPosition per sample: span split, gap filling, Brown's smoothing and
-the velocity, speed and heading, each sample by sample.  For the pair
+frame range, and ``covers`` tells whether it can, frame by frame.
+``reference_states`` is ``smoothed_states`` built from one TimedPosition
+per sample: span split, gap filling, Brown's smoothing and the velocity,
+speed and heading, each sample by sample.  For the pair
 descriptor, ``cell_of`` numbers the polar grid's cells, ``kde_kernel``
 and ``sample_grid`` spell out the kernel and its sampling grid around
 one polar point, ``kernel_units`` quantises one kernel factor in exact
@@ -36,6 +37,7 @@ its trees into the forest ``train`` grows.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -182,6 +184,20 @@ def positions(traj: Trajectory, start: int, end: int,
     want = np.arange(start, end + 1)
     frames, xy = traj.frames, traj.xy
     return np.column_stack([np.interp(want, frames, xy[:, 0]), np.interp(want, frames, xy[:, 1])])
+
+
+def covers(traj: Trajectory, start: int, end: int, max_gap: int = DEFAULT_MAX_GAP) -> bool:
+    """True when every frame in [start, end] is available after
+    interpolating interior gaps of at most ``max_gap`` frames: each frame
+    is a sample, or lies between two samples at most max_gap + 1 apart."""
+    frames = traj.frames.tolist()
+    for f in range(start, end + 1):
+        i = bisect.bisect_left(frames, f)
+        if i < len(frames) and frames[i] == f:
+            continue
+        if i == 0 or i == len(frames) or frames[i] - frames[i - 1] > max_gap + 1:
+            return False
+    return True
 
 
 def reference_filled(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP) -> Trajectory:

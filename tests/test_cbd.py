@@ -101,6 +101,13 @@ def test_shape_ratio_branches_and_invariances():
     jittered = line + np.array([[0.0, 1e-3], [0.0, -1e-3], [0.0, 1e-3],
                                 [0.0, -1e-3], [0.0, 0.0]])
     assert shape_ratio(jittered) > 50.0
+    # a 2 m x 2 delta rectangle: population covariance diag(1, delta**2),
+    # so the floor on the smallest eigenvalue sits at delta = 3.16e-5; the
+    # unscaled scatter (4 delta**2) or the sample covariance (4/3 delta**2)
+    # would lift the first set above it
+    corners = np.array([(-1.0, 1.0), (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+    assert shape_ratio(corners * [1.0, 3.0e-5]) == 0.0  # 9.0e-10 m^2
+    assert shape_ratio(corners * [1.0, 3.5e-5]) == pytest.approx(1.0 / 3.5e-5 ** 2, rel=1e-9)
     rng = np.random.default_rng(21)
     for trial in range(50):
         pts = rng.normal(size=(int(rng.integers(3, 9)), 2)) * [2.0, 0.7]

@@ -43,6 +43,7 @@ from proxrf.pid import InteractionLabel
 from proxrf.trajectory import TimedPosition, Trajectory
 
 from conftest import make_traj, straight_traj
+from per_sample import covers
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WT = InteractionLabel.WalkingTogether
@@ -297,7 +298,7 @@ def _track_text(draw):
     with blank, whitespace and comment lines, a second header, rows of
     another field count and lines before the header mixed in; the first
     value tells whether it is only a header line and four-field rows of
-    plain numbers, which the whole-text read must take."""
+    plain numbers, which the columnar read must take."""
     plain = draw(st.booleans())
     lines = [draw(st.sampled_from(["# fps=10", "#fps=25.0", " # fps=2.5 "]))]
     if not plain:
@@ -346,21 +347,18 @@ def _outcome(parse):
 # a header line whose fps is refused, above plain rows
 @example((False, "# fps=-1\n0,a,1,2\n"))
 def test_whole_text_read_equals_row_by_row(track_text):
-    # the whole-text read of a track file (or of its data lines) and the
-    # row-by-row read that reports the first bad line give the same
-    # trajectories or error text
+    # the columnar read of a track file's data lines and the row-by-row
+    # read that reports the first bad line give the same trajectories or
+    # error text; a plain file never falls back to the row-by-row read
     plain, text = track_text
     lines = text.split("\n")
-    read = dataset._track_columns
-    taken = []
-    with mock.patch.object(dataset, "_track_columns", lambda text: taken.append(read(text))
-                           or taken[-1]):
+    with mock.patch.object(dataset, "_track_row", wraps=dataset._track_row) as row:
         got = _outcome(lambda: parse_canonical(lines))
     with mock.patch.object(dataset, "_columns", lambda lines: None):
         want = _outcome(lambda: parse_canonical(lines))
     assert got == want
     if plain:
-        assert len(taken) == 1 and taken[0] is not None
+        assert not row.called
 
 
 def test_comment_and_blank_lines_keep_the_columnar_read():
@@ -426,7 +424,6 @@ def test_sequence_ids_must_be_writable(seq, tmp_path):
 def test_round_robin_split():
     split = FoldSplit.round_robin(["d", "b", "a", "c", "e"], n_folds=3)
     assert split.assignments == {"a": 0, "b": 1, "c": 2, "d": 0, "e": 1}
-    assert split.members(0) == ["a", "d"]
     assert split.fold_of("e") == 1
     for n_folds in (0, -1):
         with pytest.raises(InvalidConfig, match=">= 2 folds"):
@@ -668,7 +665,7 @@ def _windows_frame_by_frame(rec, window_len, step, mode, max_gap):
                 if any(first <= end and last >= start
                        for t in rec.trajectories for first, last in t.pieces(max_gap)):
                     out.append((center, ids, label))
-            elif all(tracks[i].covers(start, end, max_gap) for i in pair):
+            elif all(covers(tracks[i], start, end, max_gap) for i in pair):
                 out.append((center, pair, label))
     return out
 

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import fields
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 from scipy.signal import lfilter
 
-from proxrf import trajectory
 from proxrf.errors import InvalidFeature, MissingFrames, ProxrfError
 from proxrf.trajectory import (
     SmoothingConfig,
@@ -27,6 +25,7 @@ from per_sample import (
     FrameMismatch,
     KinematicState,
     PolarPoint,
+    covers,
     derivative,
     positions,
     reference_kinematics,
@@ -351,7 +350,7 @@ def test_positions_interpolates_small_gap():
     pos = positions(traj, 0, 11, max_gap=5)
     assert pos.shape == (12, 2)
     np.testing.assert_allclose(pos[:, 0], np.arange(12) * 0.5, atol=1e-12)
-    assert traj.covers(0, 11, max_gap=5)
+    assert covers(traj, 0, 11, max_gap=5)
 
 
 def test_positions_gap_beyond_limit_raises():
@@ -360,9 +359,9 @@ def test_positions_gap_beyond_limit_raises():
     traj = make_traj("g", xy, frames=frames)
     with pytest.raises(MissingFrames):
         positions(traj, 0, 15, max_gap=5)
-    assert not traj.covers(0, 15, max_gap=5)
+    assert not covers(traj, 0, 15, max_gap=5)
     # windows that avoid the gap still work
-    assert traj.covers(0, 4, max_gap=5)
+    assert covers(traj, 0, 4, max_gap=5)
     assert positions(traj, 11, 15, max_gap=5).shape == (5, 2)
 
 
@@ -372,7 +371,7 @@ def test_positions_rejects_out_of_range_window():
         positions(traj, -1, 5)
     with pytest.raises(MissingFrames):
         positions(traj, 5, 10)
-    assert not traj.covers(5, 10)
+    assert not covers(traj, 5, 10)
 
 
 def test_smoothed_states_splits_on_large_gap():
@@ -457,17 +456,13 @@ def test_smoothed_states_equal_per_sample_reference(track, alpha, t_s):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_gapped_tracks(), min_size=1, max_size=6), st.floats(0.05, 0.95),
-       st.integers(2, 80), st.integers(1, 4))
+@given(st.lists(_gapped_tracks(), min_size=1, max_size=6), st.floats(0.05, 0.95))
 @example([(make_traj("a", [(0.0, 0.0)] * 3), 5),
           (make_traj("b", [(3e307 * (-1) ** i, 0.0) for i in range(8)]), 5),
-          (make_traj("c", [(1e308, 0.0), (-1e308, 0.0)], frames=[1, 3]), 5)], 0.5, 2, 1)
-def test_smoothed_states_of_many_tracks_equal_one_by_one(tracks, alpha, block_frames,
-                                                         lockstep_spans):
-    # spans of every length smoothed together, in blocks of at most
-    # block_frames span-frames, each block in lockstep or span by span,
-    # give each track's own states; a failure names the first track that
-    # fails alone
+          (make_traj("c", [(1e308, 0.0), (-1e308, 0.0)], frames=[1, 3]), 5)], 0.5)
+def test_smoothed_states_of_many_tracks_equal_one_by_one(tracks, alpha):
+    # spans of every length smoothed together give each track's own
+    # states; a failure names the first track that fails alone
     max_gap = tracks[0][1]
     trajs = [t for t, _ in tracks]
     cfg = SmoothingConfig(alpha=alpha)
@@ -478,12 +473,10 @@ def test_smoothed_states_of_many_tracks_equal_one_by_one(tracks, alpha, block_fr
         except InvalidFeature as e:
             want = str(e)
             break
-    with mock.patch.object(trajectory, "_BLOCK_FRAMES", block_frames), \
-            mock.patch.object(trajectory, "_LOCKSTEP_SPANS", lockstep_spans):
-        try:
-            got = smoothed_states(trajs, cfg, max_gap=max_gap)
-        except InvalidFeature as e:
-            got = str(e)
+    try:
+        got = smoothed_states(trajs, cfg, max_gap=max_gap)
+    except InvalidFeature as e:
+        got = str(e)
     if isinstance(want, str):
         assert got == want
         return

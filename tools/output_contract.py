@@ -35,10 +35,13 @@ external-track parser is covered as well.  Two copies of that tree are
 adapted too, each followed by a pid extract: one whose track rows are
 mostly boxes (see ``to_boxes``), adapted with the ``bottom-center`` and
 the ``box-center`` foot point, and a ``behave-like`` one whose group
-files also hold a ``Fighting`` range (see ``to_behave``).  Every
-output file and every command's standard output are then compared byte
-for byte.  Exit status: 0 when everything matches, 1 on any difference,
-2 when a command fails in either tree.
+files also hold a ``Fighting`` range (see ``to_behave``).  Last, a copy
+of the first corpus whose track files carry comment and blank lines
+among their rows (see ``to_commented``) gets a pid extract and
+predictions from both models, so plain, commented and box-row track
+files are all read.  Every output file and every command's standard
+output are then compared byte for byte.  Exit status: 0 when everything
+matches, 1 on any difference, 2 when a command fails in either tree.
 """
 
 from __future__ import annotations
@@ -182,7 +185,15 @@ ADAPT_COMMANDS = (
     ["extract", "adapted-behave", "--kind", "pid", "--out", "extract/adapted-behave-pid.csv"]
     + SEED,
 )
-ALL_COMMANDS = COMMANDS + MIXED_COMMANDS + MIXFPS_COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
+# run once to_commented has derived "commented" from "corpus": track files
+# with comment and blank lines among their rows
+COMMENTED_COMMANDS = (
+    ["extract", "commented", "--kind", "pid", "--out", "extract/commented-pid.csv"] + SEED,
+    ["predict", "commented", "--interactions-model", "models/coll.stage1.json",
+     "--collective-model", "models/coll.json", "--out", "predict/commented.csv"] + SEED,
+)
+ALL_COMMANDS = (COMMANDS + MIXED_COMMANDS + MIXFPS_COMMANDS + GAPPED_COMMANDS + ADAPT_COMMANDS
+                + COMMENTED_COMMANDS)
 # image-to-ground map with a perspective row, so every coordinate changes
 HOMOGRAPHY = "0.9 -0.1 2.0\n0.05 1.1 -1.0\n0.001 0.002 1.0\n"
 RUN_CLI = "import sys; from proxrf.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -332,6 +343,29 @@ def to_behave(tree: str, out: str) -> None:
                 fh.write(f"{start},{end},Fighting\n")
 
 
+def to_commented(corpus: str, out: str) -> None:
+    """Copy of ``corpus`` whose .trj files carry comment and blank lines:
+    a comment above the `# fps=` header and below it, then a comment
+    after every 7th row and a blank line after every 11th, and two blank
+    lines at the end.  Other files are copied unchanged."""
+    os.mkdir(out)
+    for name in sorted(os.listdir(corpus)):
+        with open(os.path.join(corpus, name), encoding="utf-8") as fh:
+            lines = fh.readlines()
+        if name.endswith(".trj"):
+            header, rows = lines[0], lines[1:]
+            lines = ["# commented copy\n", header, "# frame,track_id,x,y\n"]
+            for k, row in enumerate(rows, start=1):
+                lines.append(row)
+                if k % 7 == 0:
+                    lines.append(f"# row {k}\n")
+                if k % 11 == 0:
+                    lines.append("\n")
+            lines.append("\n\n")
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+
+
 def run_tree(src: str, work: str) -> list:
     """Standard output of each command, run in ``work``."""
     env = dict(os.environ, PYTHONPATH=src)
@@ -348,6 +382,8 @@ def run_tree(src: str, work: str) -> list:
             to_ncad(os.path.join(work, "gapped"), os.path.join(work, "ncad"))
             to_boxes(os.path.join(work, "ncad"), os.path.join(work, "boxes"))
             to_behave(os.path.join(work, "ncad"), os.path.join(work, "behave"))
+        if argv is COMMENTED_COMMANDS[0]:
+            to_commented(os.path.join(work, "corpus"), os.path.join(work, "commented"))
         proc = subprocess.run([sys.executable, "-c", RUN_CLI] + argv, cwd=work, env=env,
                               capture_output=True, text=True)
         if proc.returncode != 0:
